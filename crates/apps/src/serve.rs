@@ -1,36 +1,37 @@
-//! The app lifecycle engine: whole application instances arriving,
+//! The app-serving workload: whole application instances arriving,
 //! placing, opening their full GS connection set, streaming, and
-//! departing — the serving workload behind the capacity curves.
+//! departing — the workload behind the capacity curves.
 //!
-//! This is the application-level analogue of [`mango_qos::churn`]: where
-//! churn opens one connection per request, serving opens a whole
-//! [`TaskGraph`]'s edge set per arrival, **all-or-nothing** — if any
-//! edge fails admission, its latency bound, or the in-band open, every
-//! prior admission of that instance is returned exactly and the
-//! instance counts as rejected (typed by [`AppRejectReason`]). Admitted
-//! instances stream per-edge CBR through real GS connections set up by
-//! in-band BE programming packets, then tear everything down on their
-//! exponential departure, returning every budget integer-exactly.
+//! An instance is one connection group per [`TaskGraph`] on the shared
+//! control-plane [`driver`](mango_qos::driver), which owns the action
+//! heap, the run loop, the arrival process and the **all-or-nothing**
+//! open/close lifecycle with its exact budget return (see its module
+//! docs for the state machine). What is serving's own:
 //!
-//! # Determinism
+//! * **what arrives** — the instance is placed by the spec's
+//!   [`PlacerKind`] (seeded from fork 2 of `serve_seed`), then every
+//!   inter-node edge is admitted in declaration order; an edge failing
+//!   admission or its required latency bound rejects the whole instance
+//!   (typed by [`AppRejectReason`]) and returns the admissions made so
+//!   far;
+//! * **when streams attach** — one CBR stream per edge at the edge's
+//!   rate once every connection is open, if any stream window remains;
+//! * **what is recorded** — per instance, setup latency (arrival → last
+//!   open-ack), delivered flits and observed-vs-bound latency over its
+//!   edges.
 //!
-//! A [`ServingSpec`] run is a pure function of the spec: `(time, seq)`
-//! ordered action queue, RNG streams forked from `serve_seed`, and the
-//! placers are deterministic — so sweep CSVs are byte-identical at any
-//! worker count.
+//! A [`ServingSpec`] run is a pure function of the spec and the placers
+//! are deterministic, so sweep CSVs are byte-identical at any worker
+//! count.
 
 use crate::graph::TaskGraph;
 use crate::place::PlacerKind;
-use mango_core::ConnectionId;
-use mango_net::{
-    ConnState, EmitWindow, FlowKind, MeasureBound, Pattern, PreparedScenario, ScenarioMetrics,
-    ScenarioSpec, TelemetryConfig,
-};
-use mango_qos::{Admission, AdmissionController, BudgetSnapshot, ConnRequest, RejectReason};
-use mango_sim::{SimDuration, SimRng, SimTime};
+use mango_core::RouterId;
+use mango_net::{PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig};
+use mango_qos::driver::{mean_ns, Arrival, ArrivalSpec, ControlPlane, Event, Lifecycle};
+use mango_qos::{Admission, ConnRequest, RejectReason};
+use mango_sim::{RunOutcome, SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Why a whole app instance was refused service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +61,7 @@ impl AppRejectReason {
 /// workload layered on it.
 #[derive(Debug, Clone)]
 pub struct ServingSpec {
-    /// The base scenario. `measure` must be [`MeasureBound::For`].
+    /// The base scenario. `measure` must be [`mango_net::MeasureBound::For`].
     pub base: ScenarioSpec,
     /// The application every instance runs.
     pub graph: TaskGraph,
@@ -106,7 +107,7 @@ impl ServingSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `base.measure` is not [`MeasureBound::For`], if the
+    /// Panics if `base.measure` is not [`mango_net::MeasureBound::For`], if the
     /// margins are inconsistent, or if the graph fails
     /// [`TaskGraph::validate`].
     pub fn run(&self) -> ServingMetrics {
@@ -123,26 +124,24 @@ impl ServingSpec {
     }
 
     fn run_inner(&self, cfg: Option<TelemetryConfig>) -> (ServingMetrics, Option<TelemetryReport>) {
-        let MeasureBound::For(horizon) = self.base.measure else {
-            panic!("serving needs a fixed measurement window");
-        };
-        assert!(
-            self.holding_min > self.drain_margin * 2,
-            "holding_min must exceed twice the drain margin"
-        );
-        assert!(
-            horizon > self.holding_min + self.drain_margin * 2,
-            "the serving window must outlast one minimum hold plus drain"
-        );
         self.graph.validate().expect("serving graph is well-formed");
-        let mut prepared = self.base.prepare();
-        if let Some(cfg) = cfg {
-            prepared.sim_mut().enable_telemetry(cfg);
-        }
-        prepared.start_measurement();
-        let engine = Engine::new(self, &mut prepared, horizon);
-        engine.record_admission_gauges(&mut prepared);
-        engine.run(prepared)
+        let (prepared, lc) = self.start(cfg);
+        Engine::new(self, lc).run(prepared)
+    }
+
+    /// Prepares the base scenario and starts the window and the arrivals.
+    fn start(&self, cfg: Option<TelemetryConfig>) -> (PreparedScenario, Lifecycle) {
+        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg, self.max_gs_frac);
+        let arrivals = ArrivalSpec {
+            seed: self.serve_seed,
+            gap: self.arrival_gap,
+            holding_mean: self.holding_mean,
+            holding_min: self.holding_min,
+            drain_margin: self.drain_margin,
+            max: self.max_apps,
+        };
+        let lc = Lifecycle::start(cp, &mut prepared, arrivals);
+        (prepared, lc)
     }
 }
 
@@ -232,16 +231,7 @@ impl ServingMetrics {
 
     /// Mean setup latency over served instances, ns.
     pub fn setup_mean_ns(&self) -> f64 {
-        let (sum, n) = self
-            .apps
-            .iter()
-            .filter_map(|a| a.setup)
-            .fold((0u128, 0u64), |(s, n), d| (s + d.as_ps() as u128, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64 / 1000.0
-        }
+        mean_ns(self.apps.iter().filter_map(|a| a.setup))
     }
 
     /// Worst setup latency, ns.
@@ -254,192 +244,87 @@ impl ServingMetrics {
     }
 }
 
-/// What one engine action does (`(time, seq)`-ordered heap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Action {
-    Arrive,
-    PollOpen(usize),
-    Close(usize),
-    PollClosed(usize),
-}
-
-/// One streamed edge of a live instance.
-#[derive(Debug)]
-struct EdgeConn {
-    conn: ConnectionId,
-    admission: Admission,
-    flow_metric: Option<usize>,
-}
-
-/// Internal per-served-instance state.
-#[derive(Debug)]
-struct LiveApp {
-    outcome_idx: usize,
-    edges: Vec<EdgeConn>,
-    stream_stop: SimTime,
-    streams_attached: bool,
-}
+/// The `admission.*` gauge counting instances currently served.
+const LIVE_GAUGE: &str = "admission.apps_live";
 
 struct Engine<'a> {
     spec: &'a ServingSpec,
-    t_end: SimTime,
-    arrival_cutoff: SimTime,
-    poll_gap: SimDuration,
-    admission: AdmissionController,
-    /// Budgets right after the static base reservations — the baseline
-    /// `budgets_clean` compares against at collection.
-    clean: BudgetSnapshot,
-    queue: BinaryHeap<Reverse<(SimTime, u64, Action)>>,
-    seq: u64,
-    arrivals: SimRng,
-    holdings: SimRng,
+    lc: Lifecycle,
     placements: SimRng,
     outcomes: Vec<AppOutcome>,
-    live: Vec<LiveApp>,
-    offered: u64,
-    rejected_admission: [u64; RejectReason::ALL.len()],
-    rejected_bound: u64,
-    rejected_open: u64,
-    closed: u64,
-    live_now: u64,
-    peak_live: u64,
 }
 
 impl<'a> Engine<'a> {
-    fn new(spec: &'a ServingSpec, prepared: &mut PreparedScenario, horizon: SimDuration) -> Self {
-        let sim = prepared.sim();
-        let now = sim.now();
-        let net = sim.network();
-        let admission = AdmissionController::new(
-            net.grid().clone(),
-            net.router_cfg(),
-            net.na_cfg(),
-            spec.max_gs_frac,
-        );
-        let t_end = now + horizon;
-        let reserve = spec.holding_min + spec.drain_margin * 2;
-        let arrival_cutoff = t_end - reserve;
-        let rng = SimRng::new(spec.serve_seed);
-        // Pre-size the hot-path bookkeeping for the expected offered
-        // load: thousands of instances must not regrow the queue or the
-        // outcome tables mid-run (the churn engine got the same
-        // treatment — see its module docs).
-        let expected = (horizon.as_ps() / spec.arrival_gap.as_ps().max(1) + 16)
-            .min(spec.max_apps.saturating_mul(2)) as usize;
-        let mut engine = Engine {
+    fn new(spec: &'a ServingSpec, lc: Lifecycle) -> Self {
+        Engine {
             spec,
-            t_end,
-            arrival_cutoff,
-            poll_gap: SimDuration::from_ns(100),
-            clean: BudgetSnapshot::default(),
-            queue: BinaryHeap::with_capacity(expected * 4 + 64),
-            seq: 0,
-            arrivals: rng.fork(0),
-            holdings: rng.fork(1),
-            placements: rng.fork(2),
-            outcomes: Vec::with_capacity(expected),
-            live: Vec::with_capacity(expected),
-            offered: 0,
-            rejected_admission: [0; RejectReason::ALL.len()],
-            rejected_bound: 0,
-            rejected_open: 0,
-            closed: 0,
-            live_now: 0,
-            peak_live: 0,
-            admission,
-        };
-        // Static connections of the base scenario already hold budgets.
-        for (flow, conn) in spec.base.gs.iter().zip(prepared.connections()) {
-            let record = prepared
-                .sim()
-                .network()
-                .connections()
-                .get(*conn)
-                .expect("static connection has a record");
-            let rate = AdmissionController::rate_fps(flow.pattern.mean_gap());
-            let (src, dirs) = (record.src, record.dirs.clone());
-            engine.admission.reserve_existing(src, &dirs, rate);
+            placements: SimRng::new(spec.serve_seed).fork(2),
+            outcomes: Vec::with_capacity(lc.expected_requests()),
+            lc,
         }
-        let clean = std::mem::take(&mut engine.clean);
-        let mut clean = clean;
-        engine.admission.save_budgets_into(&mut clean);
-        engine.clean = clean;
-        let first = now + engine.next_arrival_gap();
-        if first < engine.arrival_cutoff && spec.max_apps > 0 {
-            engine.push(first, Action::Arrive);
-        }
-        engine
-    }
-
-    fn push(&mut self, t: SimTime, action: Action) {
-        self.queue.push(Reverse((t, self.seq, action)));
-        self.seq += 1;
-    }
-
-    fn next_arrival_gap(&mut self) -> SimDuration {
-        let ps = self.arrivals.gen_exp(self.spec.arrival_gap.as_ps() as f64);
-        SimDuration::from_ps(ps.round().max(1.0) as u64)
-    }
-
-    fn draw_holding(&mut self) -> SimDuration {
-        let ps = self.holdings.gen_exp(self.spec.holding_mean.as_ps() as f64);
-        SimDuration::from_ps(ps.round().max(1.0) as u64).max(self.spec.holding_min)
-    }
-
-    fn record_admission_gauges(&self, prepared: &mut PreparedScenario) {
-        let net = prepared.sim_mut().network_mut();
-        if !net.telemetry().is_active() {
-            return;
-        }
-        let s = self.admission.budget_summary();
-        net.telemetry_gauge("admission.free_vcs", s.free_vcs as i64);
-        net.telemetry_gauge("admission.residual_fps_min", s.residual_fps_min as i64);
-        net.telemetry_gauge("admission.up_links", s.up_links as i64);
-        net.telemetry_gauge("admission.apps_live", self.live_now as i64);
     }
 
     fn run(mut self, mut prepared: PreparedScenario) -> (ServingMetrics, Option<TelemetryReport>) {
-        while let Some(&Reverse((t, _, _))) = self.queue.peek() {
-            if t >= self.t_end {
-                break;
-            }
-            let Reverse((t, _, action)) = self.queue.pop().expect("peeked");
-            let now = prepared.sim().now();
-            if t > now {
-                prepared.sim_mut().run_for(t.since(now));
-            }
-            match action {
-                Action::Arrive => self.on_arrive(&mut prepared),
-                Action::PollOpen(i) => self.on_poll_open(&mut prepared, i),
-                Action::Close(i) => self.on_close(&mut prepared, i),
-                Action::PollClosed(i) => self.on_poll_closed(&mut prepared, i),
+        self.lc.record_live_gauges(&mut prepared, LIVE_GAUGE);
+        while let Some(event) = self.lc.next_event(&mut prepared) {
+            match event {
+                Event::Arrive(arrival) => self.on_arrive(&mut prepared, arrival),
+                Event::Opened(i) => self.on_opened(&mut prepared, i),
+                Event::Closed(i) => {
+                    self.outcomes[self.lc.group(i).ordinal].closed = true;
+                    self.lc.record_live_gauges(&mut prepared, LIVE_GAUGE);
+                }
             }
         }
-        let now = prepared.sim().now();
-        if self.t_end > now {
-            prepared.sim_mut().run_for(self.t_end.since(now));
-        }
-        // Detach the report before `finish` consumes the simulation.
-        let report = prepared.sim_mut().network_mut().take_telemetry();
-        (self.collect(prepared), report)
+        self.collect(prepared)
     }
 
-    /// Admits and opens one whole instance, all-or-nothing: on any
-    /// failure every prior admission and opened connection of the
-    /// instance is returned/forced closed exactly.
-    fn on_arrive(&mut self, prepared: &mut PreparedScenario) {
+    /// Requests every inter-node edge of a placed instance in
+    /// declaration order; on the first failure the admissions made so
+    /// far are returned exactly.
+    fn admit(&mut self, assign: &[RouterId]) -> Result<Vec<Admission>, AppRejectReason> {
+        let controller = &mut self.lc.cp.admission;
+        let mut admissions: Vec<Admission> = Vec::with_capacity(self.spec.graph.edges.len());
+        for e in &self.spec.graph.edges {
+            let (src, dst) = (assign[e.from], assign[e.to]);
+            if src == dst {
+                continue;
+            }
+            let req = ConnRequest {
+                src,
+                dst,
+                period: TaskGraph::period(e.rate_fps),
+            };
+            let reject = match controller.request(&req) {
+                Ok(adm) => {
+                    let worst = adm.report.worst_latency_ns();
+                    admissions.push(adm);
+                    let within = e
+                        .bound_ns
+                        .is_none_or(|bound| worst.is_some_and(|w| w <= bound as f64));
+                    (!within).then_some(AppRejectReason::BoundExceeded)
+                }
+                Err(reason) => Some(AppRejectReason::Admission(reason)),
+            };
+            if let Some(reason) = reject {
+                for adm in &admissions {
+                    controller.release(adm);
+                }
+                return Err(reason);
+            }
+        }
+        Ok(admissions)
+    }
+
+    fn on_arrive(&mut self, prepared: &mut PreparedScenario, arrival: Arrival) {
         let now = prepared.sim().now();
-        let app = self.offered;
-        self.offered += 1;
-        let holding = self.draw_holding();
-        let outcome_idx = self.outcomes.len();
         let mut outcome = AppOutcome {
-            app,
+            app: arrival.ordinal as u64,
             requested_at: now,
             rejected: None,
             conns: 0,
             hops: 0,
-            holding,
+            holding: arrival.holding,
             setup: None,
             injected: 0,
             delivered: 0,
@@ -450,247 +335,51 @@ impl<'a> Engine<'a> {
 
         let placement = self.spec.placer.place(
             &self.spec.graph,
-            &mut self.admission,
+            &mut self.lc.cp.admission,
             self.placements.next_u64(),
         );
-
-        // Commit pass: request every inter-node edge in declaration
-        // order; roll back exactly on the first failure.
-        let mut admissions: Vec<Admission> = Vec::with_capacity(self.spec.graph.edges.len());
-        let mut reject: Option<AppRejectReason> = None;
-        for e in &self.spec.graph.edges {
-            let (src, dst) = (placement.assign[e.from], placement.assign[e.to]);
-            if src == dst {
-                continue;
-            }
-            let req = ConnRequest {
-                src,
-                dst,
-                period: TaskGraph::period(e.rate_fps),
-            };
-            match self.admission.request(&req) {
-                Ok(adm) => {
-                    let within = match (e.bound_ns, adm.report.worst_latency_ns()) {
-                        (Some(bound), Some(worst)) => worst <= bound as f64,
-                        (Some(_), None) => false,
-                        (None, _) => true,
-                    };
-                    if within {
-                        admissions.push(adm);
-                    } else {
-                        self.admission.release(&adm);
-                        reject = Some(AppRejectReason::BoundExceeded);
-                        break;
-                    }
+        match self.admit(&placement.assign) {
+            Ok(admissions) => match self.lc.open_group(prepared, admissions, &arrival) {
+                Some(i) => {
+                    let conns = &self.lc.group(i).conns;
+                    outcome.conns = conns.len();
+                    outcome.hops = conns.iter().map(|c| c.admission.hops()).sum();
+                    self.lc.record_live_gauges(prepared, LIVE_GAUGE);
                 }
-                Err(reason) => {
-                    reject = Some(AppRejectReason::Admission(reason));
-                    break;
-                }
-            }
+                None => outcome.rejected = Some(AppRejectReason::OpenFailed),
+            },
+            Err(reason) => outcome.rejected = Some(reason),
         }
-        if reject.is_none() {
-            // Open pass: real in-band programming packets per edge.
-            let mut edges: Vec<EdgeConn> = Vec::with_capacity(admissions.len());
-            let mut pending = admissions.drain(..);
-            for adm in pending.by_ref() {
-                match prepared
-                    .sim_mut()
-                    .open_connection_along(adm.src, adm.dst, &adm.dirs)
-                {
-                    Ok(conn) => edges.push(EdgeConn {
-                        conn,
-                        admission: adm,
-                        flow_metric: None,
-                    }),
-                    Err(_) => {
-                        // Roll the whole instance back: force-close the
-                        // partially opened set and return every budget.
-                        for opened in &edges {
-                            prepared
-                                .sim_mut()
-                                .force_close_connection(opened.conn)
-                                .expect("partially opened connection force-closes");
-                        }
-                        self.admission.release(&adm);
-                        reject = Some(AppRejectReason::OpenFailed);
-                        break;
-                    }
-                }
-            }
-            // Admissions the open pass never reached must be returned
-            // too, or their budgets leak for the rest of the run.
-            for adm in pending {
-                self.admission.release(&adm);
-            }
-            if reject.is_some() {
-                for opened in &edges {
-                    self.admission.release(&opened.admission);
-                }
-            } else {
-                let latest_close = self.t_end - self.spec.drain_margin * 2;
-                let close_at = (now + holding).min(latest_close);
-                outcome.conns = edges.len();
-                outcome.hops = edges.iter().map(|e| e.admission.hops()).sum();
-                let live_idx = self.live.len();
-                self.live.push(LiveApp {
-                    outcome_idx,
-                    edges,
-                    stream_stop: close_at - self.spec.drain_margin,
-                    streams_attached: false,
-                });
-                self.live_now += 1;
-                self.peak_live = self.peak_live.max(self.live_now);
-                self.push(now + self.poll_gap, Action::PollOpen(live_idx));
-                self.push(close_at, Action::Close(live_idx));
-                self.record_admission_gauges(prepared);
-            }
-        } else {
-            for adm in admissions.drain(..) {
-                self.admission.release(&adm);
-            }
-        }
-        match reject {
-            Some(AppRejectReason::Admission(reason)) => {
-                self.rejected_admission[reason.index()] += 1;
-            }
-            Some(AppRejectReason::BoundExceeded) => self.rejected_bound += 1,
-            Some(AppRejectReason::OpenFailed) => self.rejected_open += 1,
-            None => {}
-        }
-        outcome.rejected = reject;
         self.outcomes.push(outcome);
+        self.lc.schedule_arrival(now);
+    }
 
-        if self.offered < self.spec.max_apps {
-            let next = prepared.sim().now() + self.next_arrival_gap();
-            if next < self.arrival_cutoff {
-                self.push(next, Action::Arrive);
-            }
+    fn on_opened(&mut self, prepared: &mut PreparedScenario, i: usize) {
+        let group = self.lc.group(i);
+        let (stream_stop, edges) = (group.stream_stop, group.conns.len());
+        let outcome = &mut self.outcomes[group.ordinal];
+        let opened_at = self.lc.opened_at(prepared, i);
+        outcome.setup = opened_at.map(|t| t.since(outcome.requested_at));
+        if prepared.sim().now() + SimDuration::from_ns(1) >= stream_stop {
+            return;
+        }
+        for k in 0..edges {
+            let period = TaskGraph::period(self.lc.group(i).conns[k].admission.rate_fps);
+            let name = format!("app{}-e{k}", outcome.app);
+            self.lc.attach_stream(prepared, i, k, period, name);
         }
     }
 
-    fn on_poll_open(&mut self, prepared: &mut PreparedScenario, i: usize) {
-        let now = prepared.sim().now();
-        let any_opening = self.live[i]
-            .edges
-            .iter()
-            .any(|e| prepared.sim().connection_state(e.conn) == Some(ConnState::Opening));
-        if any_opening {
-            self.push(now + self.poll_gap, Action::PollOpen(i));
-            return;
-        }
-        // Every connection is past Opening: the instance's setup spans
-        // arrival → the latest open-ack. As in churn, a racing Close
-        // may already have consumed the Open state; `opened_at`
-        // survives, so the sample stays exact.
-        let requested_at = self.outcomes[self.live[i].outcome_idx].requested_at;
-        let setup = self.live[i]
-            .edges
-            .iter()
-            .map(|e| {
-                prepared
-                    .sim()
-                    .network()
-                    .connections()
-                    .get(e.conn)
-                    .and_then(|r| r.opened_at)
-                    .expect("past Opening implies opened_at is stamped")
-            })
-            .max()
-            .map(|t| t.since(requested_at));
-        self.outcomes[self.live[i].outcome_idx].setup = setup;
-        if self.live[i].streams_attached {
-            return;
-        }
-        self.live[i].streams_attached = true;
-        let stream_stop = self.live[i].stream_stop;
-        if now + SimDuration::from_ns(1) >= stream_stop {
-            return;
-        }
-        let app = self.outcomes[self.live[i].outcome_idx].app;
-        for k in 0..self.live[i].edges.len() {
-            let conn = self.live[i].edges[k].conn;
-            if prepared.sim().connection_state(conn) != Some(ConnState::Open) {
-                continue;
-            }
-            let period = TaskGraph::period(self.live[i].edges[k].admission.rate_fps);
-            let window = EmitWindow {
-                stop_at: Some(stream_stop),
-                ..Default::default()
-            };
-            let flow = prepared.sim_mut().add_gs_source(
-                conn,
-                Pattern::cbr(period),
-                format!("app{app}-e{k}"),
-                window,
-            );
-            let metric_idx = prepared.track_flow(flow, FlowKind::Gs);
-            self.live[i].edges[k].flow_metric = Some(metric_idx);
-        }
-    }
-
-    fn on_close(&mut self, prepared: &mut PreparedScenario, i: usize) {
-        let now = prepared.sim().now();
-        let any_opening = self.live[i]
-            .edges
-            .iter()
-            .any(|e| prepared.sim().connection_state(e.conn) == Some(ConnState::Opening));
-        if any_opening {
-            // Slow setup outlived the lifetime: tear down as soon as
-            // the whole circuit set finishes opening.
-            self.push(now + self.poll_gap, Action::Close(i));
-            return;
-        }
-        for k in 0..self.live[i].edges.len() {
-            let conn = self.live[i].edges[k].conn;
-            match prepared.sim().connection_state(conn) {
-                Some(ConnState::Open) => {
-                    prepared
-                        .sim_mut()
-                        .close_connection(conn)
-                        .expect("open connection closes");
-                }
-                state => panic!("connection {state:?} at app teardown time"),
-            }
-        }
-        self.push(now + self.poll_gap, Action::PollClosed(i));
-    }
-
-    fn on_poll_closed(&mut self, prepared: &mut PreparedScenario, i: usize) {
-        let now = prepared.sim().now();
-        let all_closed = self.live[i]
-            .edges
-            .iter()
-            .all(|e| prepared.sim().connection_state(e.conn) == Some(ConnState::Closed));
-        if !all_closed {
-            self.push(now + self.poll_gap, Action::PollClosed(i));
-            return;
-        }
-        for e in &self.live[i].edges {
-            self.admission.release(&e.admission);
-        }
-        self.outcomes[self.live[i].outcome_idx].closed = true;
-        self.closed += 1;
-        self.live_now -= 1;
-        self.record_admission_gauges(prepared);
-    }
-
-    fn collect(mut self, prepared: PreparedScenario) -> ServingMetrics {
-        let prog_packets = prepared
-            .sim()
-            .network()
-            .nodes()
-            .iter()
-            .map(|n| n.router.stats().prog_packets)
-            .sum();
-        let mut end = BudgetSnapshot::default();
-        self.admission.save_budgets_into(&mut end);
-        let budgets_clean = end == self.clean;
-        let scenario = prepared.finish(mango_sim::RunOutcome::HorizonReached);
-        for live in &self.live {
-            let outcome = &mut self.outcomes[live.outcome_idx];
-            for e in &live.edges {
-                let Some(idx) = e.flow_metric else { continue };
+    fn collect(
+        mut self,
+        mut prepared: PreparedScenario,
+    ) -> (ServingMetrics, Option<TelemetryReport>) {
+        let end = self.lc.finish(&mut prepared);
+        let scenario = prepared.finish(RunOutcome::HorizonReached);
+        for group in &end.groups {
+            let outcome = &mut self.outcomes[group.ordinal];
+            for e in &group.conns {
+                let Some(idx) = e.metric else { continue };
                 let f = &scenario.flows[idx];
                 outcome.injected += f.injected;
                 outcome.delivered += f.delivered;
@@ -705,20 +394,24 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let admitted = self.live.len() as u64;
-        ServingMetrics {
+        let rejected = |why| {
+            let refused = self.outcomes.iter().filter(|a| a.rejected == Some(why));
+            refused.count() as u64
+        };
+        let metrics = ServingMetrics {
+            offered: end.requests,
+            admitted: end.groups.len() as u64,
+            rejected_admission: RejectReason::ALL.map(|r| rejected(AppRejectReason::Admission(r))),
+            rejected_bound: rejected(AppRejectReason::BoundExceeded),
+            rejected_open: rejected(AppRejectReason::OpenFailed),
+            closed: end.closed,
+            peak_live: end.peak_live,
+            prog_packets: end.run.prog_packets,
+            budgets_clean: end.run.budgets_clean,
             scenario,
             apps: self.outcomes,
-            offered: self.offered,
-            admitted,
-            rejected_admission: self.rejected_admission,
-            rejected_bound: self.rejected_bound,
-            rejected_open: self.rejected_open,
-            closed: self.closed,
-            peak_live: self.peak_live,
-            prog_packets,
-            budgets_clean,
-        }
+        };
+        (metrics, end.run.report)
     }
 }
 
@@ -821,11 +514,7 @@ mod tests {
         // must be returned exactly (this leaked before: the drain's
         // unvisited remainder was dropped without release).
         let spec = small_spec(5);
-        let MeasureBound::For(horizon) = spec.base.measure else {
-            unreachable!("small_spec uses a fixed window");
-        };
-        let mut prepared = spec.base.prepare();
-        prepared.start_measurement();
+        let (mut prepared, lc) = spec.start(None);
         {
             let sim = prepared.sim_mut();
             let grid = sim.network().grid().clone();
@@ -842,8 +531,7 @@ mod tests {
                 }
             }
         }
-        let engine = Engine::new(&spec, &mut prepared, horizon);
-        let (m, _) = engine.run(prepared);
+        let (m, _) = Engine::new(&spec, lc).run(prepared);
         assert!(m.rejected_open > 0, "opens must fail: {m:?}");
         assert_eq!(m.admitted, 0, "nothing can open on a quarantined mesh");
         assert!(

@@ -1,36 +1,43 @@
-//! Runs every reproduction binary in sequence — the full experimental
-//! record behind `EXPERIMENTS.md`.
+//! Runs every reproduction binary in sequence: each `repro_*`
+//! executable built next to this one, in name order.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_all`
+//! Run with: `cargo build --release -p mango_bench && cargo run --release -p mango_bench --bin repro_all`
 
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
+/// A built `repro_*` executable (not its `.d` dep-info sibling).
+fn is_repro(path: &Path) -> bool {
+    fn text(part: Option<&OsStr>) -> &str {
+        part.and_then(OsStr::to_str).unwrap_or("")
+    }
+    path.is_file()
+        && text(path.file_stem()).starts_with("repro_")
+        && text(path.extension()) == std::env::consts::EXE_EXTENSION
+}
+
 fn main() {
-    let repros = [
-        "repro_table1",
-        "repro_port_speed",
-        "repro_fig4_nonblocking",
-        "repro_fig5_switching",
-        "repro_fig6_vc_control",
-        "repro_fig7_be",
-        "repro_fig8_gs_vs_be",
-        "repro_fairshare",
-        "repro_alg_latency",
-        "repro_aethereal",
-        "repro_scaling",
-        "repro_saturation",
-        "repro_pipelined_links",
-        "repro_buffer_depth",
-        "repro_di_links",
-    ];
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
+    let mut repros: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("bin dir is readable")
+        .filter_map(|entry| Some(entry.ok()?.path()))
+        .filter(|path| is_repro(path) && *path != exe)
+        .collect();
+    repros.sort();
+    assert!(
+        !repros.is_empty(),
+        "no repro_* binaries next to {} (build all bins first)",
+        exe.display()
+    );
     let mut failures = Vec::new();
-    for name in repros {
+    for path in &repros {
+        let name = path.file_stem().expect("filtered on it").to_string_lossy();
         println!("\n{:=^78}", format!(" {name} "));
-        let status = Command::new(dir.join(name))
+        let status = Command::new(path)
             .status()
-            .unwrap_or_else(|e| panic!("failed to launch {name}: {e} (build all bins first)"));
+            .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
         if !status.success() {
             failures.push(name);
         }

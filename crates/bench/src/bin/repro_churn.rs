@@ -15,9 +15,7 @@
 //! and that the grid demonstrates both scale (≥ 800 requests in one
 //! point) and admission rejections under budget exhaustion.
 
-use mango_sweep::{
-    churn_summary_table, run_churn_sweep, write_churn_csv, ChurnSweepSpec, SweepArgs,
-};
+use mango_sweep::{churn_summary_table, run_grid, write_csv, ChurnSweepSpec, SweepArgs};
 use std::time::Instant;
 
 fn main() {
@@ -49,7 +47,7 @@ fn main() {
         args.threads
     );
     let start = Instant::now();
-    let records = run_churn_sweep(&spec, args.threads);
+    let records = run_grid(&spec.expand(), args.threads, |job| spec.measure(job));
     let wall = start.elapsed().as_secs_f64();
 
     print!("{}", churn_summary_table(&records));
@@ -105,7 +103,7 @@ fn main() {
     );
 
     if let Some(path) = &args.csv {
-        write_churn_csv(path, &records).expect("write CSV");
+        write_csv(path, &records).expect("write CSV");
         println!("wrote {}", path.display());
     }
     if args.json.is_some() {

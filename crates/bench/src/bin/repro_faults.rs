@@ -34,8 +34,7 @@ use mango::net::{
 use mango::qos::{report_for, RecoveryOutcome, RecoverySpec};
 use mango::sim::{SimDuration, SimTime};
 use mango_sweep::{
-    fault_summary_table, run_fault_sweep, write_fault_csv, write_telemetry_dir, FaultSweepSpec,
-    SweepArgs,
+    fault_summary_table, run_grid, write_csv, write_telemetry_dir, FaultSweepSpec, SweepArgs,
 };
 use std::time::Instant;
 
@@ -226,7 +225,7 @@ fn main() {
     // stdout: the output is golden-diffed across --threads values.
     println!("\nfault census: {} grid, {} jobs\n", grid_name, grid.len());
     let start = Instant::now();
-    let records = run_fault_sweep(&grid, args.threads);
+    let records = run_grid(&grid.expand(), args.threads, |job| grid.measure(job));
     let grid_wall = start.elapsed();
     print!("{}", fault_summary_table(&records));
 
@@ -257,7 +256,7 @@ fn main() {
     );
 
     if let Some(path) = &args.csv {
-        write_fault_csv(path, &records).expect("write CSV");
+        write_csv(path, &records).expect("write CSV");
         println!("wrote {}", path.display());
     }
     if args.json.is_some() {

@@ -17,9 +17,7 @@
 //! greedy on every matching grid point, and rejections (not panics)
 //! past saturation.
 
-use mango_sweep::{
-    capacity_curves, run_serving_sweep, serving_summary_table, write_serving_csv, ServingSweepSpec,
-};
+use mango_sweep::{capacity_curves, run_grid, serving_summary_table, write_csv, ServingSweepSpec};
 use std::time::Instant;
 
 fn main() {
@@ -50,7 +48,7 @@ fn main() {
         spec.len()
     );
     let start = Instant::now();
-    let records = run_serving_sweep(&spec, args.threads);
+    let records = run_grid(&spec.expand(), args.threads, |job| spec.measure(job));
     let wall = start.elapsed().as_secs_f64();
 
     print!("{}", serving_summary_table(&records));
@@ -120,7 +118,7 @@ fn main() {
     );
 
     if let Some(path) = &args.csv {
-        write_serving_csv(path, &records).expect("write CSV");
+        write_csv(path, &records).expect("write CSV");
         eprintln!("[wrote {}]", path.display());
     }
     if args.json.is_some() {

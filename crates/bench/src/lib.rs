@@ -1,9 +1,9 @@
 //! Shared harness for the benchmark and reproduction binaries.
 //!
 //! Every table and figure of the paper has a `repro_*` binary in
-//! `src/bin/` that regenerates it (see `DESIGN.md` for the experiment
-//! index and `EXPERIMENTS.md` for recorded paper-vs-measured results).
-//! This library holds the experiment set-ups they share.
+//! `src/bin/` that regenerates it (the README lists them; `repro_all`
+//! runs whichever are built). This library holds the experiment
+//! set-ups they share.
 
 use mango::core::RouterId;
 use mango::net::{EmitWindow, NocSim, Pattern, SpatialPattern};

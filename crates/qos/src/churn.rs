@@ -1,57 +1,38 @@
-//! The connection-churn workload engine: Poisson arrivals of
-//! open→stream→close connection requests, driven through the real
-//! in-band BE programming machinery.
+//! The connection-churn workload: Poisson arrivals of
+//! open→stream→close connection requests, each a connection group of
+//! one on the shared control-plane [`driver`](crate::driver).
 //!
-//! Each request asks the [`AdmissionController`] for a path; admitted
-//! requests open a connection with
-//! [`mango_net::NocSim::open_connection_along`]
-//! (config packets + acks travel the network as BE traffic), stream CBR
-//! flits while the connection holds, stop the stream a drain margin
-//! before the exponential holding time expires, then tear the
-//! connection down — again via programming packets. The engine measures
-//! what the static scenarios never could: **setup latency** (request →
-//! last ack), **rejection rate** under budget exhaustion,
-//! **programming-traffic overhead**, and per-connection **observed max
-//! latency vs. the analytical bound** of its
-//! [`crate::bound::GuaranteeReport`].
+//! The driver owns the action heap, the run loop, the arrival process
+//! and the open/close lifecycle with its exact budget return (see its
+//! module docs for the state machine). What is churn's own:
 //!
-//! # Determinism
+//! * **what arrives** — one request between two distinct uniformly drawn
+//!   routers, admitted by the [`AdmissionController`](crate::AdmissionController)
+//!   or rejected with a typed [`RejectReason`];
+//! * **when streams attach** — a CBR stream of `gs_period` once the
+//!   connection is open, if at least one period of stream window remains;
+//! * **what is recorded** — per request, **setup latency** (request →
+//!   last ack), the rejection reason, and the **observed max latency vs.
+//!   the analytical bound** of its [`crate::bound::GuaranteeReport`];
+//!   per run, the **programming-traffic overhead** and whether the
+//!   budgets returned clean.
 //!
-//! A [`ChurnSpec`] run is a pure function of the spec: the engine's
-//! action queue is ordered by `(time, insertion seq)`, its random
-//! streams fork from `churn_seed` independently of the simulation's
-//! source streams, and all bookkeeping is integer/fixed-order. Sweeping
-//! churn points in parallel therefore produces byte-identical CSVs for
-//! any worker count.
-//!
-//! # Scale
-//!
-//! The engine's hot-path bookkeeping — the action heap and the
-//! outcome/live tables — is pre-sized from the expected offered load
-//! (`window / arrival_gap`, capped by `max_requests`), so a point
-//! offering thousands of requests schedules arrivals without regrowing
-//! any container mid-run. The per-arrival path allocates only what the
-//! workload itself needs (the admitted path's direction vector and the
-//! stream name).
-//!
-//! # Telemetry
-//!
-//! [`ChurnSpec::run_with_telemetry`] additionally exports the admission
-//! controller's residual budgets (`admission.free_vcs`,
-//! `admission.residual_fps_min`, `admission.up_links`) as gauges,
-//! refreshed on every budget movement — commit, open-failure rollback,
-//! and teardown release.
+//! A [`ChurnSpec`] run is a pure function of the spec (the endpoint
+//! picks are fork 2 of `churn_seed`), so sweeping churn points in
+//! parallel produces byte-identical CSVs for any worker count. The
+//! outcome table is pre-sized from the expected offered load, like the
+//! driver's heap, so a point offering thousands of requests never
+//! regrows a container mid-run.
+//! [`ChurnSpec::run_with_telemetry`] additionally exports the
+//! `admission.*` residual-budget gauges, refreshed on every budget
+//! movement — commit, open-failure rollback, and teardown release.
 
-use crate::admission::{Admission, AdmissionController, ConnRequest, RejectReason};
-use mango_core::{ConnectionId, RouterId};
-use mango_net::{
-    ConnState, EmitWindow, FlowKind, MeasureBound, Pattern, PreparedScenario, ScenarioMetrics,
-    ScenarioSpec, TelemetryConfig,
-};
-use mango_sim::{SimDuration, SimRng, SimTime};
+use crate::admission::{ConnRequest, RejectReason};
+use crate::driver::{mean_ns, Arrival, ArrivalSpec, ControlPlane, Event, Lifecycle};
+use mango_core::RouterId;
+use mango_net::{MeasureBound, PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig};
+use mango_sim::{RunOutcome, SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A complete churn experiment: a base scenario (mesh, static flows,
 /// background load) plus the dynamic connection workload layered on it.
@@ -127,41 +108,18 @@ impl ChurnSpec {
     }
 
     fn run_inner(&self, cfg: Option<TelemetryConfig>) -> (ChurnMetrics, Option<TelemetryReport>) {
-        let MeasureBound::For(horizon) = self.base.measure else {
-            panic!("churn needs a fixed measurement window");
+        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg, self.max_gs_frac);
+        let arrivals = ArrivalSpec {
+            seed: self.churn_seed,
+            gap: self.arrival_gap,
+            holding_mean: self.holding_mean,
+            holding_min: self.holding_min,
+            drain_margin: self.drain_margin,
+            max: self.max_requests,
         };
-        assert!(
-            self.holding_min > self.drain_margin * 2,
-            "holding_min must exceed twice the drain margin"
-        );
-        assert!(
-            horizon > self.holding_min + self.drain_margin * 2,
-            "the churn window must outlast one minimum hold plus drain"
-        );
-        let mut prepared = self.base.prepare();
-        if let Some(cfg) = cfg {
-            prepared.sim_mut().enable_telemetry(cfg);
-        }
-        prepared.start_measurement();
-        let engine = Engine::new(self, &mut prepared, horizon);
-        // Baseline budgets (static reservations already debited).
-        engine.record_admission_gauges(&mut prepared);
-        engine.run(prepared)
+        let lc = Lifecycle::start(cp, &mut prepared, arrivals);
+        Engine::new(self, lc).run(prepared)
     }
-}
-
-/// What one engine action does; ordered so equal-time actions replay in
-/// insertion order via the `(time, seq)` heap key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Action {
-    /// Issue the next connection request (and schedule the one after).
-    Arrive,
-    /// Check whether connection `i` finished opening; attach its stream.
-    PollOpen(usize),
-    /// Tear connection `i` down (or retry if it is still opening).
-    Close(usize),
-    /// Check whether connection `i` finished closing; release budgets.
-    PollClosed(usize),
 }
 
 /// The fate of one connection request.
@@ -227,6 +185,9 @@ pub struct ChurnMetrics {
     /// Programming packets processed by all routers (opens + teardowns,
     /// the in-band signalling overhead).
     pub prog_packets: u64,
+    /// The admission budgets returned exactly to their post-static
+    /// state (leak detection; only meaningful when `admitted == closed`).
+    pub budgets_clean: bool,
 }
 
 impl ChurnMetrics {
@@ -251,14 +212,7 @@ impl ChurnMetrics {
 
     /// Mean setup latency, ns (0 when nothing opened).
     pub fn setup_mean_ns(&self) -> f64 {
-        let (sum, n) = self
-            .setups()
-            .fold((0u128, 0u64), |(s, n), d| (s + d.as_ps() as u128, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64 / 1000.0
-        }
+        mean_ns(self.setups())
     }
 
     /// `q`-quantile of setup latency, ns (nearest-rank over the sorted
@@ -298,182 +252,64 @@ impl ChurnMetrics {
     }
 }
 
-/// Internal per-admitted-connection state.
-#[derive(Debug)]
-struct Live {
-    outcome_idx: usize,
-    conn: ConnectionId,
-    admission: Admission,
-    stream_stop: SimTime,
-    flow: Option<u32>,
-    metric_idx: Option<usize>,
-}
+/// The `admission.*` gauge counting connections currently open.
+const LIVE_GAUGE: &str = "admission.conns_live";
 
 struct Engine<'a> {
     spec: &'a ChurnSpec,
-    t_end: SimTime,
-    /// Last instant a new request may be issued: leaves room for the
-    /// minimum holding plus teardown drain before the window closes.
-    arrival_cutoff: SimTime,
-    poll_gap: SimDuration,
-    admission: AdmissionController,
-    queue: BinaryHeap<Reverse<(SimTime, u64, Action)>>,
-    seq: u64,
-    arrivals: SimRng,
-    holdings: SimRng,
+    lc: Lifecycle,
     places: SimRng,
-    nodes: Vec<RouterId>,
     outcomes: Vec<ConnOutcome>,
-    live: Vec<Live>,
-    requests: u64,
-    rejected_by: [u64; RejectReason::ALL.len()],
-    closed: u64,
 }
 
 impl<'a> Engine<'a> {
-    fn new(spec: &'a ChurnSpec, prepared: &mut PreparedScenario, horizon: SimDuration) -> Self {
-        let sim = prepared.sim();
-        let now = sim.now();
-        let net = sim.network();
-        let admission = AdmissionController::new(
-            net.grid().clone(),
-            net.router_cfg(),
-            net.na_cfg(),
-            spec.max_gs_frac,
-        );
-        let t_end = now + horizon;
-        let reserve = spec.holding_min + spec.drain_margin * 2;
-        let arrival_cutoff = t_end - reserve;
-        let rng = SimRng::new(spec.churn_seed);
-        // Pre-size the hot-path bookkeeping for the expected offered
-        // load so high-rate points (thousands of requests per window)
-        // never regrow the heap or the outcome tables mid-run.
-        let expected = (horizon.as_ps() / spec.arrival_gap.as_ps().max(1) + 16)
-            .min(spec.max_requests.saturating_mul(2)) as usize;
-        let mut engine = Engine {
+    fn new(spec: &'a ChurnSpec, lc: Lifecycle) -> Self {
+        Engine {
             spec,
-            t_end,
-            arrival_cutoff,
-            poll_gap: SimDuration::from_ns(100),
-            admission,
-            queue: BinaryHeap::with_capacity(expected * 4 + 64),
-            seq: 0,
-            arrivals: rng.fork(0),
-            holdings: rng.fork(1),
-            places: rng.fork(2),
-            nodes: net.grid().ids().collect(),
-            outcomes: Vec::with_capacity(expected),
-            live: Vec::with_capacity(expected),
-            requests: 0,
-            rejected_by: [0; RejectReason::ALL.len()],
-            closed: 0,
-        };
-        // Static connections of the base scenario already hold VCs and
-        // interfaces; debit them so admission sees the true residuals.
-        for (flow, conn) in spec.base.gs.iter().zip(prepared.connections()) {
-            let record = prepared
-                .sim()
-                .network()
-                .connections()
-                .get(*conn)
-                .expect("static connection has a record");
-            let rate = AdmissionController::rate_fps(flow.pattern.mean_gap());
-            let (src, dirs) = (record.src, record.dirs.clone());
-            engine.admission.reserve_existing(src, &dirs, rate);
+            places: SimRng::new(spec.churn_seed).fork(2),
+            outcomes: Vec::with_capacity(lc.expected_requests()),
+            lc,
         }
-        // The cutoff guard applies to the first arrival too: a short
-        // window (or a long first gap) may admit no request at all.
-        let first = now + engine.next_arrival_gap();
-        if first < engine.arrival_cutoff {
-            engine.push(first, Action::Arrive);
-        }
-        engine
     }
 
-    fn push(&mut self, t: SimTime, action: Action) {
-        self.queue.push(Reverse((t, self.seq, action)));
-        self.seq += 1;
-    }
-
-    fn next_arrival_gap(&mut self) -> SimDuration {
-        let ps = self.arrivals.gen_exp(self.spec.arrival_gap.as_ps() as f64);
-        SimDuration::from_ps(ps.round().max(1.0) as u64)
-    }
-
-    fn draw_holding(&mut self) -> SimDuration {
-        let ps = self.holdings.gen_exp(self.spec.holding_mean.as_ps() as f64);
-        SimDuration::from_ps(ps.round().max(1.0) as u64).max(self.spec.holding_min)
-    }
-
+    /// Two distinct routers, uniformly.
     fn draw_endpoints(&mut self) -> (RouterId, RouterId) {
-        let n = self.nodes.len() as u64;
-        let src = self.nodes[self.places.gen_range(n) as usize];
-        let mut dst = self.nodes[self.places.gen_range(n) as usize];
+        let grid = self.lc.cp.admission.grid();
+        let mut pick = || grid.id_at(self.places.gen_range(grid.len() as u64) as usize);
+        let src = pick();
+        let mut dst = pick();
         while dst == src {
-            dst = self.nodes[self.places.gen_range(n) as usize];
+            dst = pick();
         }
         (src, dst)
     }
 
     fn run(mut self, mut prepared: PreparedScenario) -> (ChurnMetrics, Option<TelemetryReport>) {
-        while let Some(&Reverse((t, _, _))) = self.queue.peek() {
-            if t >= self.t_end {
-                break;
-            }
-            let Reverse((t, _, action)) = self.queue.pop().expect("peeked");
-            let now = prepared.sim().now();
-            if t > now {
-                prepared.sim_mut().run_for(t.since(now));
-            }
-            match action {
-                Action::Arrive => self.on_arrive(&mut prepared),
-                Action::PollOpen(i) => self.on_poll_open(&mut prepared, i),
-                Action::Close(i) => self.on_close(&mut prepared, i),
-                Action::PollClosed(i) => self.on_poll_closed(&mut prepared, i),
+        // Baseline budgets (static reservations already debited).
+        self.lc.record_live_gauges(&mut prepared, LIVE_GAUGE);
+        while let Some(event) = self.lc.next_event(&mut prepared) {
+            match event {
+                Event::Arrive(arrival) => self.on_arrive(&mut prepared, arrival),
+                Event::Opened(i) => self.on_opened(&mut prepared, i),
+                Event::Closed(i) => {
+                    self.outcomes[self.lc.group(i).ordinal].closed = true;
+                    self.lc.record_live_gauges(&mut prepared, LIVE_GAUGE);
+                }
             }
         }
-        // Run out the window, then collect.
-        let now = prepared.sim().now();
-        if self.t_end > now {
-            prepared.sim_mut().run_for(self.t_end.since(now));
-        }
-        // Detach the report before `finish` consumes the simulation.
-        let report = prepared.sim_mut().network_mut().take_telemetry();
-        (self.collect(prepared), report)
+        self.collect(prepared)
     }
 
-    /// Exports the admission controller's aggregate headroom as gauges.
-    /// Called whenever the budgets move — commit, open-failure
-    /// rollback, teardown release — so the telemetry report tracks the
-    /// residual-capacity envelope of the churn workload.
-    fn record_admission_gauges(&self, prepared: &mut PreparedScenario) {
-        let net = prepared.sim_mut().network_mut();
-        if !net.telemetry().is_active() {
-            return;
-        }
-        let s = self.admission.budget_summary();
-        net.telemetry_gauge("admission.free_vcs", s.free_vcs as i64);
-        net.telemetry_gauge("admission.residual_fps_min", s.residual_fps_min as i64);
-        net.telemetry_gauge("admission.up_links", s.up_links as i64);
-        net.telemetry_gauge(
-            "admission.conns_live",
-            (self.live.len() - self.closed as usize) as i64,
-        );
-    }
-
-    fn on_arrive(&mut self, prepared: &mut PreparedScenario) {
+    fn on_arrive(&mut self, prepared: &mut PreparedScenario, arrival: Arrival) {
         let now = prepared.sim().now();
-        self.requests += 1;
         let (src, dst) = self.draw_endpoints();
-        let holding = self.draw_holding();
         let req = ConnRequest {
             src,
             dst,
             period: self.spec.gs_period,
         };
-        let outcome_idx = self.outcomes.len();
         let mut outcome = ConnOutcome {
-            req: self.requests - 1,
+            req: arrival.ordinal as u64,
             requested_at: now,
             src,
             dst,
@@ -481,179 +317,85 @@ impl<'a> Engine<'a> {
             hops: 0,
             xy: false,
             setup: None,
-            holding,
+            holding: arrival.holding,
             injected: 0,
             delivered: 0,
             observed_max_ns: None,
             bound_ns: None,
             closed: false,
         };
-        match self.admission.request(&req) {
+        match self.lc.cp.admission.request(&req) {
             Ok(admission) => {
-                // The window end is a hard deadline: clamp holding so
-                // teardown acks can drain before collection.
-                let latest_close = self.t_end - self.spec.drain_margin * 2;
-                let close_at = (now + holding).min(latest_close);
-                match prepared
-                    .sim_mut()
-                    .open_connection_along(src, dst, &admission.dirs)
-                {
-                    Ok(conn) => {
+                match self.lc.open_group(prepared, vec![admission], &arrival) {
+                    Some(i) => {
+                        let admission = &self.lc.group(i).conns[0].admission;
                         outcome.hops = admission.hops();
                         outcome.xy = admission.xy;
                         outcome.bound_ns = admission.report.worst_latency_ns();
-                        let live_idx = self.live.len();
-                        self.live.push(Live {
-                            outcome_idx,
-                            conn,
-                            admission,
-                            stream_stop: close_at - self.spec.drain_margin,
-                            flow: None,
-                            metric_idx: None,
-                        });
-                        self.push(now + self.poll_gap, Action::PollOpen(live_idx));
-                        self.push(close_at, Action::Close(live_idx));
-                        self.record_admission_gauges(prepared);
                     }
-                    Err(_) => {
-                        // The controller believed capacity existed but
-                        // the network disagreed — a fault can land
-                        // between the decision and the programming
-                        // traffic. Return the reservation exactly and
-                        // record a typed rejection instead of tearing
-                        // the whole run down.
-                        self.admission.release(&admission);
-                        outcome.rejected = Some(RejectReason::OpenFailed);
-                        self.rejected_by[RejectReason::OpenFailed.index()] += 1;
-                        self.record_admission_gauges(prepared);
-                    }
+                    // Rolled back by the driver: a typed rejection
+                    // instead of tearing the whole run down.
+                    None => outcome.rejected = Some(RejectReason::OpenFailed),
                 }
+                self.lc.record_live_gauges(prepared, LIVE_GAUGE);
             }
-            Err(reason) => {
-                outcome.rejected = Some(reason);
-                self.rejected_by[reason.index()] += 1;
-            }
+            Err(reason) => outcome.rejected = Some(reason),
         }
         self.outcomes.push(outcome);
+        self.lc.schedule_arrival(now);
+    }
 
-        if self.requests < self.spec.max_requests {
-            let next = prepared.sim().now() + self.next_arrival_gap();
-            if next < self.arrival_cutoff {
-                self.push(next, Action::Arrive);
-            }
+    fn on_opened(&mut self, prepared: &mut PreparedScenario, i: usize) {
+        let group = self.lc.group(i);
+        let stream_stop = group.stream_stop;
+        let outcome = &mut self.outcomes[group.ordinal];
+        let opened_at = self.lc.opened_at(prepared, i);
+        outcome.setup = opened_at.map(|t| t.since(outcome.requested_at));
+        // Stream only while a meaningful window remains.
+        if prepared.sim().now() + self.spec.gs_period < stream_stop {
+            let name = format!("churn-{}", outcome.req);
+            self.lc
+                .attach_stream(prepared, i, 0, self.spec.gs_period, name);
         }
     }
 
-    fn on_poll_open(&mut self, prepared: &mut PreparedScenario, i: usize) {
-        let now = prepared.sim().now();
-        let live = &self.live[i];
-        let state = prepared.sim().connection_state(live.conn);
-        if state == Some(ConnState::Opening) {
-            self.push(now + self.poll_gap, Action::PollOpen(i));
-            return;
-        }
-        // Open — or already Closing/Closed: when setup outlives the
-        // holding time, the pending Close can consume the Open state
-        // before this poll fires. The `opened_at` stamp survives every
-        // later transition, so setup latency is still exact; there is
-        // just no stream window left to attach in that case.
-        let opened_at = prepared
-            .sim()
-            .network()
-            .connections()
-            .get(live.conn)
-            .and_then(|r| r.opened_at)
-            .expect("past Opening implies opened_at is stamped");
-        let outcome = &mut self.outcomes[live.outcome_idx];
-        outcome.setup = Some(opened_at.since(outcome.requested_at));
-        // Stream only while open and a meaningful window remains.
-        if state == Some(ConnState::Open) && now + self.spec.gs_period < self.live[i].stream_stop {
-            let name = format!("churn-{}", self.outcomes[self.live[i].outcome_idx].req);
-            let window = EmitWindow {
-                stop_at: Some(self.live[i].stream_stop),
-                ..Default::default()
-            };
-            let flow = prepared.sim_mut().add_gs_source(
-                self.live[i].conn,
-                Pattern::cbr(self.spec.gs_period),
-                name,
-                window,
-            );
-            let metric_idx = prepared.track_flow(flow, FlowKind::Gs);
-            self.live[i].flow = Some(flow);
-            self.live[i].metric_idx = Some(metric_idx);
-        }
-    }
-
-    fn on_close(&mut self, prepared: &mut PreparedScenario, i: usize) {
-        let now = prepared.sim().now();
-        match prepared.sim().connection_state(self.live[i].conn) {
-            Some(ConnState::Open) => {
-                prepared
-                    .sim_mut()
-                    .close_connection(self.live[i].conn)
-                    .expect("open connection closes");
-                self.push(now + self.poll_gap, Action::PollClosed(i));
-            }
-            Some(ConnState::Opening) => {
-                // Setup outlived the holding time: tear down as soon as
-                // the circuit finishes opening.
-                self.push(now + self.poll_gap, Action::Close(i));
-            }
-            state => panic!("connection {:?} at teardown time", state),
-        }
-    }
-
-    fn on_poll_closed(&mut self, prepared: &mut PreparedScenario, i: usize) {
-        let now = prepared.sim().now();
-        match prepared.sim().connection_state(self.live[i].conn) {
-            Some(ConnState::Closed) => {
-                self.admission.release(&self.live[i].admission);
-                self.outcomes[self.live[i].outcome_idx].closed = true;
-                self.closed += 1;
-                self.record_admission_gauges(prepared);
-            }
-            Some(ConnState::Closing) => {
-                self.push(now + self.poll_gap, Action::PollClosed(i));
-            }
-            state => panic!("connection {:?} while waiting to close", state),
-        }
-    }
-
-    fn collect(mut self, prepared: PreparedScenario) -> ChurnMetrics {
-        let prog_packets = prepared
-            .sim()
-            .network()
-            .nodes()
-            .iter()
-            .map(|n| n.router.stats().prog_packets)
-            .sum();
-        let scenario = prepared.finish(mango_sim::RunOutcome::HorizonReached);
-        for live in &self.live {
-            let outcome = &mut self.outcomes[live.outcome_idx];
-            if let Some(idx) = live.metric_idx {
+    fn collect(
+        mut self,
+        mut prepared: PreparedScenario,
+    ) -> (ChurnMetrics, Option<TelemetryReport>) {
+        let end = self.lc.finish(&mut prepared);
+        let scenario = prepared.finish(RunOutcome::HorizonReached);
+        for group in &end.groups {
+            let outcome = &mut self.outcomes[group.ordinal];
+            if let Some(idx) = group.conns[0].metric {
                 let f = &scenario.flows[idx];
                 outcome.injected = f.injected;
                 outcome.delivered = f.delivered;
                 outcome.observed_max_ns = f.max_ns;
             }
         }
-        let admitted = self.live.len() as u64;
-        ChurnMetrics {
-            scenario,
-            conns: self.outcomes,
-            requests: self.requests,
-            admitted,
-            rejected_by: self.rejected_by,
-            closed: self.closed,
-            prog_packets,
+        let mut rejected_by = [0; RejectReason::ALL.len()];
+        for reason in self.outcomes.iter().filter_map(|c| c.rejected) {
+            rejected_by[reason.index()] += 1;
         }
+        let metrics = ChurnMetrics {
+            scenario,
+            rejected_by,
+            conns: self.outcomes,
+            requests: end.requests,
+            admitted: end.groups.len() as u64,
+            closed: end.closed,
+            prog_packets: end.run.prog_packets,
+            budgets_clean: end.run.budgets_clean,
+        };
+        (metrics, end.run.report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mango_net::{EmitWindow, Pattern};
 
     fn small_spec(seed: u64) -> ChurnSpec {
         let mut spec = ChurnSpec::mesh(4, 4, seed);
@@ -690,6 +432,36 @@ mod tests {
             );
         }
         assert_eq!(m.bound_violations(), 0);
+    }
+
+    #[test]
+    fn zero_max_requests_issues_no_request() {
+        // The cap applies to the first arrival too (it used not to: a
+        // capped-at-zero run still issued one request).
+        let mut spec = small_spec(11);
+        spec.max_requests = 0;
+        let m = spec.run();
+        assert_eq!(m.requests, 0);
+        assert!(m.conns.is_empty());
+        assert_eq!(m.prog_packets, 0, "nothing was opened");
+        assert!(m.budgets_clean);
+    }
+
+    #[test]
+    fn drained_churn_returns_every_budget() {
+        // Few requests and a window long enough for every teardown to
+        // complete: the budgets must equal the post-static snapshot.
+        let mut spec = small_spec(11);
+        spec.base.measure = MeasureBound::For(SimDuration::from_us(400));
+        spec.max_requests = 10;
+        let m = spec.run();
+        assert_eq!(m.requests, 10);
+        assert!(m.admitted > 0);
+        assert_eq!(m.admitted, m.closed, "the window drains fully: {m:?}");
+        assert!(
+            m.budgets_clean,
+            "every closed connection returns its budgets"
+        );
     }
 
     #[test]

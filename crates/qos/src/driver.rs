@@ -1,0 +1,692 @@
+//! The control-plane driver: the one action heap, run loop, arrival
+//! process and connection-group lifecycle that the churn, serving and
+//! recovery workloads share.
+//!
+//! MANGO opens and closes a GS connection by sending BE programming
+//! packets to the routers on its path, and the guarantee only holds if
+//! every VC and flits/s budget taken at open is returned exactly at
+//! close. A workload built on this module therefore never does that
+//! bookkeeping itself: it asks the [`AdmissionController`] for paths,
+//! hands the admissions to [`Lifecycle::open_group`], and the driver
+//! returns every one of them — on teardown, or on the spot when an open
+//! fails part-way.
+//!
+//! # The run loop
+//!
+//! A [`ControlPlane`] owns the admission controller and a heap of
+//! workload actions keyed `(time, insertion seq)`, so equal-time actions
+//! replay in insertion order and a run is a pure function of its spec.
+//! The workload drives it iterator-style:
+//!
+//! ```text
+//! while let Some(action) = cp.next_action(&mut prepared) {
+//!     match action { .. }          // the workload's own handlers
+//! }
+//! let end = cp.finish(&mut prepared);
+//! ```
+//!
+//! [`ControlPlane::next_action`] pops the earliest action, advances the
+//! simulation to its time and hands it out; actions at or after the end
+//! of the measurement window are never dispatched.
+//! [`ControlPlane::finish`] runs out the window, detaches the telemetry
+//! report and compares the budgets against the post-static-reservation
+//! snapshot ([`RunEnd::budgets_clean`]). The recovery workload runs its
+//! own steps on this loop directly.
+//!
+//! # The connection-group lifecycle
+//!
+//! A connection group is the set of GS connections one request needs:
+//! one for a churn request, one per inter-node edge for an application
+//! instance. A [`Lifecycle`] wraps a `ControlPlane<Action>` and takes
+//! groups through four [`Action`]s, **all-or-nothing**:
+//!
+//! ```text
+//! Arrive ──admit──▶ open_group ──▶ PollOpen ─(every ack in)─▶ Opened
+//!                       │             ▲ │
+//!                       │             └─┘ every POLL_GAP while Opening
+//!                       └──▶ Close (at the drawn departure)
+//!                              │ ▲
+//!                              │ └── every POLL_GAP while still Opening
+//!                              ▼
+//!                          PollClosed ─(all Closed, budgets released)─▶ Closed
+//! ```
+//!
+//! The workload sees only the three transitions that are its business,
+//! as [`Event`]s from [`Lifecycle::next_event`]:
+//!
+//! * [`Event::Arrive`] — a request drawn from the arrival process
+//!   ([`ArrivalSpec`]).
+//!   The workload admits the group's paths and calls
+//!   [`Lifecycle::open_group`]; if any in-band open fails, the
+//!   connections already opened are force-closed and *every* admission —
+//!   opened, failing, and the never-reached tail — is released before
+//!   the call returns.
+//! * [`Event::Opened`] — no connection of the group is `Opening` any
+//!   more; the workload records setup latency and attaches streams.
+//!   When setup outlives the holding time, the Close (which retries
+//!   every [`POLL_GAP`] while the group is `Opening`) may consume the
+//!   `Open` state *before* the pending PollOpen fires. `opened_at`
+//!   survives every later transition, so setup latency stays exact;
+//!   there is just no stream window left to attach.
+//! * [`Event::Closed`] — every connection is `Closed` and the group's
+//!   admissions are back in the budgets.
+//!
+//! Streams attach at poll time, so the 100 ns poll cadence is part of
+//! the simulated behaviour, not a tuning knob.
+
+use crate::admission::{Admission, AdmissionController, BudgetSnapshot};
+use mango_core::ConnectionId;
+use mango_net::{
+    ConnState, EmitWindow, FlowKind, MeasureBound, Pattern, PreparedScenario, ScenarioSpec,
+    TelemetryConfig,
+};
+use mango_sim::{SimDuration, SimRng, SimTime};
+use mango_telemetry::TelemetryReport;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// How often a pending open, close, teardown or reopen is re-checked.
+pub const POLL_GAP: SimDuration = SimDuration::from_ns(100);
+
+/// The lifecycle actions of a connection group (see the module docs);
+/// the payload is the group's index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Action {
+    /// Issue the next request (and schedule the one after).
+    Arrive,
+    /// Check whether the group finished opening; attach its streams.
+    PollOpen(usize),
+    /// Tear the group down (or retry while it is still opening).
+    Close(usize),
+    /// Check whether the group finished closing; release its budgets.
+    PollClosed(usize),
+}
+
+/// One GS connection of a group.
+#[derive(Debug)]
+pub struct GroupConn {
+    /// The network's connection.
+    pub conn: ConnectionId,
+    /// The admission holding its budgets.
+    pub admission: Admission,
+    /// Index of its stream in [`mango_net::ScenarioMetrics::flows`],
+    /// once one is attached.
+    pub metric: Option<usize>,
+}
+
+/// An opened connection group.
+#[derive(Debug)]
+pub struct Group {
+    /// The [`Arrival::ordinal`] of the request it serves.
+    pub ordinal: usize,
+    /// When its streams stop (one drain margin before teardown).
+    pub stream_stop: SimTime,
+    /// Its connections, in the order their admissions were handed in.
+    pub conns: Vec<GroupConn>,
+}
+
+/// What the lifecycle tells the workload (see the module docs); the
+/// payload of `Opened`/`Closed` is the group's index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// A request arrived: admit and open it, or record the rejection,
+    /// then call [`Lifecycle::schedule_arrival`].
+    Arrive(Arrival),
+    /// The group finished opening.
+    Opened(usize),
+    /// The group finished closing and its budgets are released.
+    Closed(usize),
+}
+
+/// What [`ControlPlane::finish`] hands back.
+#[derive(Debug)]
+pub struct RunEnd {
+    /// The telemetry report, when telemetry was enabled.
+    pub report: Option<TelemetryReport>,
+    /// Programming packets processed by all routers.
+    pub prog_packets: u64,
+    /// The admission budgets equal the snapshot taken right after the
+    /// static base reservations (leak detection; only meaningful when
+    /// everything opened on top of them also closed).
+    pub budgets_clean: bool,
+}
+
+/// The shared control-plane state of one run; `A` is the workload's
+/// action type.
+#[derive(Debug)]
+pub struct ControlPlane<A> {
+    /// The admission controller, with the base scenario's static GS
+    /// connections already debited.
+    pub admission: AdmissionController,
+    clean: BudgetSnapshot,
+    queue: BinaryHeap<Reverse<(SimTime, u64, A)>>,
+    seq: u64,
+    horizon: SimDuration,
+    t_end: SimTime,
+}
+
+fn advance(prepared: &mut PreparedScenario, t: SimTime) {
+    let now = prepared.sim().now();
+    if t > now {
+        prepared.sim_mut().run_for(t.since(now));
+    }
+}
+
+impl<A: Ord> ControlPlane<A> {
+    /// Prepares `base`, enables telemetry when asked, and builds the
+    /// admission controller over the prepared network with the static
+    /// connections reserved. Follow with [`ControlPlane::start`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base.measure` is not [`MeasureBound::For`] or the base
+    /// scenario itself is infeasible.
+    pub fn prepare(
+        base: &ScenarioSpec,
+        cfg: Option<TelemetryConfig>,
+        max_gs_frac: f64,
+    ) -> (PreparedScenario, Self) {
+        let MeasureBound::For(horizon) = base.measure else {
+            panic!("a control-plane workload needs a fixed measurement window");
+        };
+        let mut prepared = base.prepare();
+        if let Some(cfg) = cfg {
+            prepared.sim_mut().enable_telemetry(cfg);
+        }
+        let net = prepared.sim().network();
+        let mut admission = AdmissionController::new(
+            net.grid().clone(),
+            net.router_cfg(),
+            net.na_cfg(),
+            max_gs_frac,
+        );
+        // Static connections of the base scenario already hold VCs and
+        // interfaces; debit them so admission sees the true residuals.
+        for (flow, conn) in base.gs.iter().zip(prepared.connections()) {
+            let record = net
+                .connections()
+                .get(*conn)
+                .expect("static connection has a record");
+            let rate = AdmissionController::rate_fps(flow.pattern.mean_gap());
+            admission.reserve_existing(record.src, &record.dirs, rate);
+        }
+        let mut clean = BudgetSnapshot::default();
+        admission.save_budgets_into(&mut clean);
+        let cp = ControlPlane {
+            admission,
+            clean,
+            queue: BinaryHeap::new(),
+            seq: 0,
+            horizon,
+            t_end: SimTime::ZERO,
+        };
+        (prepared, cp)
+    }
+
+    /// Starts the measurement window; it ends `base.measure` from now.
+    pub fn start(&mut self, prepared: &mut PreparedScenario) {
+        prepared.start_measurement();
+        self.t_end = prepared.sim().now() + self.horizon;
+    }
+
+    /// Queues `action` for time `t`.
+    pub fn push(&mut self, t: SimTime, action: A) {
+        self.queue.push(Reverse((t, self.seq, action)));
+        self.seq += 1;
+    }
+
+    /// Pops the earliest action, advances the simulation to its time and
+    /// returns it; `None` once the heap is empty or its head is at or
+    /// after the end of the window.
+    pub fn next_action(&mut self, prepared: &mut PreparedScenario) -> Option<A> {
+        if self.queue.peek()?.0 .0 >= self.t_end {
+            return None;
+        }
+        let Reverse((t, _, action)) = self.queue.pop()?;
+        advance(prepared, t);
+        Some(action)
+    }
+
+    /// True when the budgets equal the post-static-reservation snapshot.
+    pub fn budgets_clean(&self) -> bool {
+        let mut now = BudgetSnapshot::default();
+        self.admission.save_budgets_into(&mut now);
+        now == self.clean
+    }
+
+    /// Exports the admission controller's aggregate headroom as
+    /// `admission.*` gauges plus the workload's own `extra` gauge. Call
+    /// whenever the budgets move so the report tracks the
+    /// residual-capacity envelope.
+    pub fn record_gauges(&self, prepared: &mut PreparedScenario, extra: &'static str, value: i64) {
+        let net = prepared.sim_mut().network_mut();
+        if !net.telemetry().is_active() {
+            return;
+        }
+        let s = self.admission.budget_summary();
+        net.telemetry_gauge("admission.free_vcs", s.free_vcs as i64);
+        net.telemetry_gauge("admission.residual_fps_min", s.residual_fps_min as i64);
+        net.telemetry_gauge("admission.up_links", s.up_links as i64);
+        net.telemetry_gauge(extra, value);
+    }
+
+    /// Runs out the window and collects what the driver measured. Call
+    /// [`PreparedScenario::finish`] afterwards for the scenario metrics.
+    pub fn finish(self, prepared: &mut PreparedScenario) -> RunEnd {
+        advance(prepared, self.t_end);
+        let net = prepared.sim_mut().network_mut();
+        RunEnd {
+            report: net.take_telemetry(),
+            prog_packets: net
+                .nodes()
+                .iter()
+                .map(|n| n.router.stats().prog_packets)
+                .sum(),
+            budgets_clean: self.budgets_clean(),
+        }
+    }
+}
+
+/// The connection-group lifecycle over a control plane: the arrival
+/// process, the table of opened groups and their open/close handling.
+#[derive(Debug)]
+pub struct Lifecycle {
+    /// The underlying control plane (admission controller and heap).
+    pub cp: ControlPlane<Action>,
+    arrivals: ArrivalProcess,
+    groups: Vec<Group>,
+    closed: u64,
+    peak_live: u64,
+}
+
+/// What [`Lifecycle::finish`] hands back.
+#[derive(Debug)]
+pub struct LifecycleEnd {
+    /// The control plane's part.
+    pub run: RunEnd,
+    /// Every group that opened, in open order.
+    pub groups: Vec<Group>,
+    /// Requests issued.
+    pub requests: u64,
+    /// Groups whose teardown completed inside the window.
+    pub closed: u64,
+    /// Most groups simultaneously live.
+    pub peak_live: u64,
+}
+
+impl Lifecycle {
+    /// Starts the measurement window and the arrival process over it,
+    /// with the heap and the group table pre-sized for the expected
+    /// offered load so a busy window never regrows them mid-run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the margins are inconsistent (`holding_min ≤ 2 ×
+    /// drain_margin`, or a window shorter than one minimum hold plus
+    /// drain).
+    pub fn start(
+        mut cp: ControlPlane<Action>,
+        prepared: &mut PreparedScenario,
+        spec: ArrivalSpec,
+    ) -> Self {
+        cp.start(prepared);
+        let now = prepared.sim().now();
+        let mut lifecycle = Lifecycle {
+            arrivals: ArrivalProcess::new(spec, now, cp.t_end),
+            cp,
+            groups: Vec::new(),
+            closed: 0,
+            peak_live: 0,
+        };
+        let expected = lifecycle.expected_requests();
+        lifecycle.cp.queue.reserve(expected * 4 + 64);
+        lifecycle.groups.reserve(expected);
+        lifecycle.schedule_arrival(now);
+        lifecycle
+    }
+
+    /// Requests to expect over the window (for pre-sizing).
+    pub fn expected_requests(&self) -> usize {
+        let spec = &self.arrivals.spec;
+        (self.cp.horizon.as_ps() / spec.gap.as_ps().max(1) + 16).min(spec.max.saturating_mul(2))
+            as usize
+    }
+
+    /// Queues the arrival after the one handled at `now`, if one is due.
+    /// Call last in the [`Event::Arrive`] handler, so that it replays
+    /// after everything the handler queued.
+    pub fn schedule_arrival(&mut self, now: SimTime) {
+        if let Some(t) = self.arrivals.next(now) {
+            self.cp.push(t, Action::Arrive);
+        }
+    }
+
+    /// Advances the run to the next transition the workload handles;
+    /// `None` at the end of the window. A poll or close whose group is
+    /// still waiting on programming acks is re-queued one [`POLL_GAP`]
+    /// later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a connection is not `Open` when its teardown is sent,
+    /// or not `Closed` when its budgets are released.
+    pub fn next_event(&mut self, prepared: &mut PreparedScenario) -> Option<Event> {
+        loop {
+            let action = self.cp.next_action(prepared)?;
+            let now = prepared.sim().now();
+            let waiting = match action {
+                Action::Arrive => false,
+                Action::PollOpen(i) | Action::Close(i) => self.any(prepared, i, ConnState::Opening),
+                Action::PollClosed(i) => self.any(prepared, i, ConnState::Closing),
+            };
+            if waiting {
+                self.cp.push(now + POLL_GAP, action);
+                continue;
+            }
+            match action {
+                Action::Arrive => return Some(Event::Arrive(self.arrivals.arrive(now))),
+                Action::PollOpen(i) => return Some(Event::Opened(i)),
+                Action::Close(i) => {
+                    for c in &self.groups[i].conns {
+                        let closing = prepared.sim_mut().close_connection(c.conn);
+                        closing.expect("connection is open at teardown time");
+                    }
+                    self.cp.push(now + POLL_GAP, Action::PollClosed(i));
+                }
+                Action::PollClosed(i) => {
+                    for c in &self.groups[i].conns {
+                        let state = prepared.sim().connection_state(c.conn);
+                        assert_eq!(state, Some(ConnState::Closed), "while waiting to close");
+                        self.cp.admission.release(&c.admission);
+                    }
+                    self.closed += 1;
+                    return Some(Event::Closed(i));
+                }
+            }
+        }
+    }
+
+    /// True while any connection of group `i` is in `state`.
+    fn any(&self, prepared: &PreparedScenario, i: usize, state: ConnState) -> bool {
+        let mut conns = self.groups[i].conns.iter();
+        conns.any(|c| prepared.sim().connection_state(c.conn) == Some(state))
+    }
+
+    /// The opened group `i`.
+    pub fn group(&self, i: usize) -> &Group {
+        &self.groups[i]
+    }
+
+    /// [`ControlPlane::record_gauges`] with the count of groups
+    /// currently open as the workload's `live_gauge`.
+    pub fn record_live_gauges(&self, prepared: &mut PreparedScenario, live_gauge: &'static str) {
+        let live = self.groups.len() as u64 - self.closed;
+        self.cp.record_gauges(prepared, live_gauge, live as i64);
+    }
+
+    /// Opens one connection per admission through in-band programming
+    /// packets, all-or-nothing, and schedules the group's PollOpen and
+    /// its Close at `arrival.close_at`; returns the group's index.
+    ///
+    /// On an open failure — the controller believed capacity existed but
+    /// the network disagreed, e.g. a fault or quarantine landed between
+    /// the decision and the programming traffic — the connections already
+    /// opened are force-closed, every admission handed in is released,
+    /// and `None` is returned.
+    pub fn open_group(
+        &mut self,
+        prepared: &mut PreparedScenario,
+        admissions: Vec<Admission>,
+        arrival: &Arrival,
+    ) -> Option<usize> {
+        let sim = prepared.sim_mut();
+        let mut opened = Vec::with_capacity(admissions.len());
+        for adm in &admissions {
+            match sim.open_connection_along(adm.src, adm.dst, &adm.dirs) {
+                Ok(conn) => opened.push(conn),
+                Err(_) => break,
+            }
+        }
+        if opened.len() < admissions.len() {
+            for conn in opened {
+                sim.force_close_connection(conn)
+                    .expect("partially opened connection force-closes");
+            }
+            // Opened, failing, or never reached: each admission holds
+            // budgets, so each is released.
+            for adm in &admissions {
+                self.cp.admission.release(adm);
+            }
+            return None;
+        }
+        let conns = opened.into_iter().zip(admissions);
+        let i = self.groups.len();
+        self.groups.push(Group {
+            ordinal: arrival.ordinal,
+            stream_stop: arrival.stream_stop,
+            conns: conns
+                .map(|(conn, admission)| GroupConn {
+                    conn,
+                    admission,
+                    metric: None,
+                })
+                .collect(),
+        });
+        self.peak_live = self.peak_live.max(self.groups.len() as u64 - self.closed);
+        self.cp
+            .push(prepared.sim().now() + POLL_GAP, Action::PollOpen(i));
+        self.cp.push(arrival.close_at, Action::Close(i));
+        Some(i)
+    }
+
+    /// When the last open-ack of group `i` returned (`None` for a group
+    /// without connections). Valid from [`Event::Opened`] on.
+    pub fn opened_at(&self, prepared: &PreparedScenario, i: usize) -> Option<SimTime> {
+        let table = prepared.sim().network().connections();
+        let conns = self.groups[i].conns.iter();
+        let stamps = conns.map(|c| table.get(c.conn).and_then(|r| r.opened_at));
+        stamps
+            .map(|t| t.expect("past Opening implies opened_at is stamped"))
+            .max()
+    }
+
+    /// Attaches a CBR stream of `period` to connection `k` of group `i`,
+    /// stopping at the group's `stream_stop`, and tracks it in the
+    /// scenario metrics — unless a racing Close already consumed the
+    /// connection's `Open` state.
+    pub fn attach_stream(
+        &mut self,
+        prepared: &mut PreparedScenario,
+        i: usize,
+        k: usize,
+        period: SimDuration,
+        name: String,
+    ) {
+        let group = &mut self.groups[i];
+        let conn = group.conns[k].conn;
+        if prepared.sim().connection_state(conn) != Some(ConnState::Open) {
+            return;
+        }
+        let window = EmitWindow {
+            stop_at: Some(group.stream_stop),
+            ..Default::default()
+        };
+        let flow = prepared
+            .sim_mut()
+            .add_gs_source(conn, Pattern::cbr(period), name, window);
+        group.conns[k].metric = Some(prepared.track_flow(flow, FlowKind::Gs));
+    }
+
+    /// [`ControlPlane::finish`], plus what the lifecycle itself counted.
+    pub fn finish(self, prepared: &mut PreparedScenario) -> LifecycleEnd {
+        LifecycleEnd {
+            run: self.cp.finish(prepared),
+            groups: self.groups,
+            requests: self.arrivals.issued,
+            closed: self.closed,
+            peak_live: self.peak_live,
+        }
+    }
+}
+
+/// The parameters of a [`Lifecycle`]'s arrival process: Poisson request
+/// arrivals with exponential, floored holding times.
+#[derive(Debug, Clone, Copy)]
+pub struct ArrivalSpec {
+    /// Seed of the process's random streams.
+    pub seed: u64,
+    /// Mean gap between requests (Poisson arrivals).
+    pub gap: SimDuration,
+    /// Mean holding time (exponential), request → teardown.
+    pub holding_mean: SimDuration,
+    /// Floor on holding times (must exceed `2 × drain_margin`).
+    pub holding_min: SimDuration,
+    /// How long before teardown the streams stop.
+    pub drain_margin: SimDuration,
+    /// Hard cap on issued requests.
+    pub max: u64,
+}
+
+/// One request drawn from the arrival process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrival {
+    /// Request ordinal (issue order, from 0).
+    pub ordinal: usize,
+    /// The holding time drawn for it.
+    pub holding: SimDuration,
+    /// When teardown starts: arrival plus `holding`, clamped so the
+    /// teardown acks can drain before the window closes.
+    pub close_at: SimTime,
+    /// When streams stop: one drain margin before `close_at`.
+    pub stream_stop: SimTime,
+}
+
+/// The arrival process. The gap stream is fork 0 of the seed and the
+/// holding stream fork 1 (fork 2 is left to the workload's own picks).
+#[derive(Debug)]
+struct ArrivalProcess {
+    spec: ArrivalSpec,
+    gaps: SimRng,
+    holdings: SimRng,
+    /// Last instant a request may be issued: leaves room for the minimum
+    /// holding plus teardown drain before the window closes.
+    cutoff: SimTime,
+    latest_close: SimTime,
+    issued: u64,
+}
+
+fn draw_exp(rng: &mut SimRng, mean: SimDuration) -> SimDuration {
+    SimDuration::from_ps(rng.gen_exp(mean.as_ps() as f64).round().max(1.0) as u64)
+}
+
+impl ArrivalProcess {
+    /// A process over the window from `now` to `t_end`.
+    fn new(spec: ArrivalSpec, now: SimTime, t_end: SimTime) -> Self {
+        let reserve = spec.holding_min + spec.drain_margin * 2;
+        assert!(
+            spec.holding_min > spec.drain_margin * 2,
+            "holding_min must exceed twice the drain margin"
+        );
+        assert!(
+            t_end.since(now) > reserve,
+            "the window must outlast one minimum hold plus drain"
+        );
+        let rng = SimRng::new(spec.seed);
+        ArrivalProcess {
+            gaps: rng.fork(0),
+            holdings: rng.fork(1),
+            cutoff: t_end - reserve,
+            latest_close: t_end - spec.drain_margin * 2,
+            issued: 0,
+            spec,
+        }
+    }
+
+    /// When the next request arrives, if one does: the cap and the
+    /// cutoff apply to the first request as to every later one.
+    fn next(&mut self, now: SimTime) -> Option<SimTime> {
+        if self.issued >= self.spec.max {
+            return None;
+        }
+        let t = now + draw_exp(&mut self.gaps, self.spec.gap);
+        (t < self.cutoff).then_some(t)
+    }
+
+    /// Issues the request arriving `now`.
+    fn arrive(&mut self, now: SimTime) -> Arrival {
+        let holding =
+            draw_exp(&mut self.holdings, self.spec.holding_mean).max(self.spec.holding_min);
+        let close_at = (now + holding).min(self.latest_close);
+        self.issued += 1;
+        Arrival {
+            ordinal: (self.issued - 1) as usize,
+            holding,
+            close_at,
+            stream_stop: close_at - self.spec.drain_margin,
+        }
+    }
+}
+
+/// Mean of `durations`, ns (0 when there are none).
+pub fn mean_ns(durations: impl Iterator<Item = SimDuration>) -> f64 {
+    let (sum, n) = durations.fold((0u128, 0u64), |(s, n), d| (s + d.as_ps() as u128, n + 1));
+    if n == 0 {
+        0.0
+    } else {
+        sum as f64 / n as f64 / 1000.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn plane() -> (PreparedScenario, ControlPlane<u32>) {
+        let base = ScenarioSpec::mesh(2, 2, 1).measure_for(SimDuration::from_us(10));
+        let (mut prepared, mut cp) = ControlPlane::prepare(&base, None, 0.875);
+        cp.start(&mut prepared);
+        (prepared, cp)
+    }
+
+    #[test]
+    fn equal_time_actions_pop_in_insertion_order() {
+        let (mut prepared, mut cp) = plane();
+        let t0 = prepared.sim().now();
+        let (early, late) = (t0 + SimDuration::from_us(1), t0 + SimDuration::from_us(2));
+        // Values chosen so that ordering by action would differ.
+        cp.push(late, 7);
+        cp.push(early, 9);
+        cp.push(late, 3);
+        cp.push(late, 5);
+        cp.push(early, 1);
+        let mut popped = Vec::new();
+        while let Some(action) = cp.next_action(&mut prepared) {
+            popped.push((prepared.sim().now(), action));
+        }
+        let expected = [(early, 9), (early, 1), (late, 7), (late, 3), (late, 5)];
+        assert_eq!(popped, expected);
+    }
+
+    #[test]
+    fn nothing_at_or_after_the_window_end_is_dispatched() {
+        let (mut prepared, mut cp) = plane();
+        let t_end = prepared.sim().now() + SimDuration::from_us(10);
+        let last = t_end - SimDuration::from_ps(1);
+        cp.push(t_end + SimDuration::from_us(1), 3);
+        cp.push(t_end, 2);
+        cp.push(last, 1);
+        assert_eq!(cp.next_action(&mut prepared), Some(1));
+        assert_eq!(prepared.sim().now(), last);
+        assert_eq!(cp.next_action(&mut prepared), None);
+        assert_eq!(
+            prepared.sim().now(),
+            last,
+            "a refused action advances nothing"
+        );
+        // `finish` still runs the window out.
+        let end = cp.finish(&mut prepared);
+        assert_eq!(prepared.sim().now(), t_end);
+        assert!(end.budgets_clean);
+        assert!(end.report.is_none(), "telemetry was never enabled");
+    }
+}

@@ -1,5 +1,5 @@
 //! QoS layer for the MANGO NoC model: analytical service guarantees,
-//! admission control and connection-churn workloads.
+//! admission control, and the control-plane driver with its workloads.
 //!
 //! The paper's thesis is *connection-oriented service guarantees*: a GS
 //! connection reserves a chain of independently buffered VCs whose
@@ -15,11 +15,18 @@
 //!   [`admission::ConnRequest`]s, and searches paths capacity-aware (XY
 //!   first, BFS over residual capacity as fallback — legal for GS since
 //!   every VC is independently buffered);
+//! * [`driver`] — the one control-plane driver: [`ControlPlane`] owns
+//!   the admission controller, the `(time, seq)` action heap, the run
+//!   loop and the budget gauges; [`driver::Lifecycle`] adds the arrival
+//!   process and the all-or-nothing open → stream → close lifecycle of
+//!   connection groups, driving the real in-band BE programming
+//!   packets and returning every budget exactly. Three workloads run on
+//!   it — the two below and `mango_apps::ServingSpec`;
 //! * [`churn`] — [`churn::ChurnSpec`] layers a Poisson
-//!   open→stream→close connection workload over any base
-//!   [`mango_net::ScenarioSpec`], driving the real in-band BE
-//!   programming packets, and measures setup latency, rejection rate,
-//!   programming overhead and observed-vs-bound latency;
+//!   open→stream→close connection workload (groups of one) over any
+//!   base [`mango_net::ScenarioSpec`] and measures setup latency,
+//!   rejection rate, programming overhead and observed-vs-bound
+//!   latency;
 //! * [`recovery`] — [`recovery::RecoverySpec`] injects a deterministic
 //!   [`mango_net::FaultSchedule`], detects broken GS connections with
 //!   in-network watchdogs, and heals them: teardown (in-band where
@@ -72,6 +79,7 @@
 pub mod admission;
 pub mod bound;
 pub mod churn;
+pub mod driver;
 pub mod recovery;
 
 pub use admission::{
@@ -79,4 +87,5 @@ pub use admission::{
 };
 pub use bound::{path_extras, report_for, GuaranteeReport, ServiceModel};
 pub use churn::{ChurnMetrics, ChurnSpec, ConnOutcome};
+pub use driver::{ControlPlane, Lifecycle};
 pub use recovery::{RecoveryMetrics, RecoveryOutcome, RecoveryRecord, RecoverySpec};

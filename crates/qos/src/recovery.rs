@@ -2,11 +2,14 @@
 //! re-admission with capped exponential backoff over the surviving
 //! links.
 //!
-//! The engine layers a set of *managed* GS connections over a base
-//! [`ScenarioSpec`], arms a watchdog on each (timeout `period + 2 ×
-//! worst-case latency` — a healthy conforming stream can never pause
-//! longer), installs a deterministic [`FaultSchedule`], and drives the
-//! recovery lifecycle for every connection the watchdogs report broken:
+//! The action heap, run loop, base reservation and `admission.*` gauges
+//! come from the shared control-plane [`driver`](crate::driver); the
+//! recovery steps below are this workload's own. It layers a set of
+//! *managed* GS connections over a base [`ScenarioSpec`], arms a
+//! watchdog on each (timeout `period + 2 × worst-case latency` — a
+//! healthy conforming stream can never pause longer), installs a
+//! deterministic [`FaultSchedule`], and heals every connection the
+//! watchdogs report broken:
 //!
 //! 1. **detect** — the in-network watchdog fires ([`mango_net::NocSim::take_broken`]);
 //! 2. **release** — stop the source, let in-flight flits drain one
@@ -15,30 +18,33 @@
 //!    unconfirmed hops) where it does not, and return the admission
 //!    budgets exactly;
 //! 3. **re-admit** — re-request the connection through the
-//!    [`AdmissionController`], whose link mask mirrors the fired
-//!    faults, so path search is restricted to surviving links (XY if it
-//!    survives, BFS detour otherwise), retrying with capped exponential
-//!    backoff plus deterministic jitter;
+//!    [`AdmissionController`](crate::AdmissionController), whose link
+//!    mask mirrors the fired faults, so path search is restricted to
+//!    surviving links (XY if it survives, BFS detour otherwise),
+//!    retrying with capped exponential backoff plus deterministic
+//!    jitter;
 //! 4. **re-validate** — recompute the analytical bound for the new
 //!    (possibly longer) path, re-arm the watchdog with the new timeout,
 //!    and stream again; the harness asserts observed ≤ bound on every
 //!    surviving connection.
 //!
-//! Every step is a pure function of the spec: the action queue is
-//! ordered by `(time, insertion seq)`, backoff jitter forks from
-//! `recovery_seed`, and fault application times come from the schedule
-//! — so recovery traces are byte-identical across thread counts.
+//! Backoff jitter forks from `recovery_seed` and fault application
+//! times come from the schedule — so recovery traces are byte-identical
+//! across thread counts.
 
-use crate::admission::{Admission, AdmissionController, ConnRequest, RejectReason};
+use crate::admission::{Admission, ConnRequest, RejectReason};
+use crate::driver::{ControlPlane, POLL_GAP};
 use mango_core::{ConnectionId, RouterId};
 use mango_net::{
     ConnState, EmitWindow, FaultCounters, FaultKind, FaultSchedule, FlowKind, MeasureBound,
     Pattern, PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig,
 };
-use mango_sim::{SimDuration, SimRng, SimTime};
+use mango_sim::{RunOutcome, SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+
+/// How often fired faults are mirrored into the admission mask and the
+/// watchdogs' break reports collected.
+const SCAN_GAP: SimDuration = SimDuration::from_ns(200);
 
 /// A fault-injection + recovery experiment: a base scenario, a set of
 /// managed GS connections with watchdogs, and a fault schedule whose
@@ -113,17 +119,9 @@ impl RecoverySpec {
         &self,
         cfg: Option<TelemetryConfig>,
     ) -> (RecoveryMetrics, Option<TelemetryReport>) {
-        let MeasureBound::For(horizon) = self.base.measure else {
-            panic!("recovery needs a fixed measurement window");
-        };
-        let mut prepared = self.base.prepare();
-        if let Some(cfg) = cfg {
-            prepared.sim_mut().enable_telemetry(cfg);
-        }
-        let mut engine = Engine::new(self, &mut prepared, horizon);
+        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg, self.max_gs_frac);
+        let mut engine = Engine::new(self, cp);
         engine.arm(&mut prepared);
-        // Baseline budgets before any fault or churn moves them.
-        engine.record_admission_gauges(&mut prepared);
         engine.run(prepared)
     }
 }
@@ -262,29 +260,17 @@ enum Step {
 /// Live state of one managed connection.
 #[derive(Debug)]
 struct Managed {
-    src: RouterId,
-    dst: RouterId,
     conn: ConnectionId,
     admission: Admission,
-    flow: u32,
     deadline: Option<SimTime>,
 }
 
 struct Engine<'a> {
     spec: &'a RecoverySpec,
-    horizon: SimDuration,
-    t_start: SimTime,
-    t_end: SimTime,
-    scan_gap: SimDuration,
-    poll_gap: SimDuration,
-    admission: AdmissionController,
-    queue: BinaryHeap<Reverse<(SimTime, u64, Step)>>,
-    seq: u64,
+    cp: ControlPlane<Step>,
     jitter: SimRng,
     managed: Vec<Managed>,
-    by_conn: HashMap<ConnectionId, usize>,
     records: Vec<RecoveryRecord>,
-    attempts: Vec<u32>,
     /// Metric indices of streams to fold into records at collection:
     /// `(managed idx, metric idx, is_post_recovery)`.
     tracked: Vec<(usize, usize, bool)>,
@@ -295,39 +281,26 @@ struct Engine<'a> {
     forced_closes: u64,
 }
 
+/// One instant on managed connection `i`'s recovery trace track.
+fn mark(
+    prepared: &mut PreparedScenario,
+    name: &'static str,
+    at: SimTime,
+    i: usize,
+    args: Vec<(&'static str, u64)>,
+) {
+    let net = prepared.sim_mut().network_mut();
+    net.telemetry_instant("recovery", name, at, i as u32, args);
+}
+
 impl<'a> Engine<'a> {
-    fn new(spec: &'a RecoverySpec, prepared: &mut PreparedScenario, horizon: SimDuration) -> Self {
-        let sim = prepared.sim();
-        let net = sim.network();
-        let mut admission = AdmissionController::new(
-            net.grid().clone(),
-            net.router_cfg(),
-            net.na_cfg(),
-            spec.max_gs_frac,
-        );
-        for (flow, conn) in spec.base.gs.iter().zip(prepared.connections()) {
-            let record = net
-                .connections()
-                .get(*conn)
-                .expect("static connection has a record");
-            let rate = AdmissionController::rate_fps(flow.pattern.mean_gap());
-            admission.reserve_existing(record.src, &record.dirs.clone(), rate);
-        }
+    fn new(spec: &'a RecoverySpec, cp: ControlPlane<Step>) -> Self {
         Engine {
             spec,
-            horizon,
-            t_start: SimTime::ZERO,
-            t_end: SimTime::ZERO + horizon,
-            scan_gap: SimDuration::from_ns(200),
-            poll_gap: SimDuration::from_ns(100),
-            admission,
-            queue: BinaryHeap::new(),
-            seq: 0,
+            cp,
             jitter: SimRng::new(spec.recovery_seed),
             managed: Vec::new(),
-            by_conn: HashMap::new(),
             records: Vec::new(),
-            attempts: Vec::new(),
             tracked: Vec::new(),
             fault_due: Vec::new(),
             fault_next: 0,
@@ -336,14 +309,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn push(&mut self, t: SimTime, step: Step) {
-        self.queue.push(Reverse((t, self.seq, step)));
-        self.seq += 1;
-    }
-
-    /// Opens the managed connections, attaches their streams, arms the
-    /// watchdogs, installs the (shifted) fault schedule, and starts the
-    /// measurement window.
+    /// Opens the managed connections, starts the measurement window,
+    /// attaches their streams, arms the watchdogs and installs the
+    /// (shifted) fault schedule.
     fn arm(&mut self, prepared: &mut PreparedScenario) {
         // Admit and open every managed connection before measurement.
         for (i, &(src, dst)) in self.spec.managed.iter().enumerate() {
@@ -352,21 +320,22 @@ impl<'a> Engine<'a> {
                 dst,
                 period: self.spec.gs_period,
             };
-            let adm = self
+            let admission = self
+                .cp
                 .admission
                 .request(&req)
                 .unwrap_or_else(|r| panic!("managed connection {i} inadmissible: {r}"));
             let conn = prepared
                 .sim_mut()
-                .open_connection_along(src, dst, &adm.dirs)
+                .open_connection_along(src, dst, &admission.dirs)
                 .expect("admitted path opens on a healthy mesh");
             self.records.push(RecoveryRecord {
                 idx: i,
                 src,
                 dst,
-                old_hops: adm.hops(),
+                old_hops: admission.hops(),
                 new_hops: 0,
-                pre_bound_ns: adm.report.worst_latency_ns(),
+                pre_bound_ns: admission.report.worst_latency_ns(),
                 post_bound_ns: None,
                 detected_at: None,
                 recovered_at: None,
@@ -377,45 +346,24 @@ impl<'a> Engine<'a> {
                 flits_lost: 0,
                 post_observed_max_ns: None,
             });
-            self.attempts.push(0);
             self.managed.push(Managed {
-                src,
-                dst,
                 conn,
-                admission: adm,
-                flow: 0,
+                admission,
                 deadline: None,
             });
-            self.by_conn.insert(conn, i);
         }
         prepared
             .sim_mut()
             .wait_connections_settled()
             .expect("managed connections settle on a healthy mesh");
-        prepared.start_measurement();
-
-        let now = prepared.sim().now();
-        self.t_start = now;
-        self.t_end = now + self.horizon;
-
-        // Streams + watchdogs.
+        self.cp.start(prepared);
         for i in 0..self.managed.len() {
-            let conn = self.managed[i].conn;
-            let flow = prepared.sim_mut().add_gs_source(
-                conn,
-                Pattern::cbr(self.spec.gs_period),
-                format!("managed-{i}"),
-                EmitWindow::default(),
-            );
-            let metric_idx = prepared.track_flow(flow, FlowKind::Gs);
-            self.tracked.push((i, metric_idx, false));
-            self.managed[i].flow = flow;
-            let timeout = self.watchdog_timeout(&self.managed[i].admission);
-            prepared.sim_mut().arm_watchdog(conn, flow, timeout);
+            self.start_stream(prepared, i, format!("managed-{i}"), false);
         }
 
         // Shift the schedule onto the simulation clock and install it;
         // keep a copy so the admission mask tracks the fired faults.
+        let now = prepared.sim().now();
         let mut shifted = FaultSchedule::new(self.spec.faults.seed);
         for ev in &self.spec.faults.events {
             let at = now + SimDuration::from_ps(ev.at.as_ps());
@@ -426,18 +374,35 @@ impl<'a> Engine<'a> {
         if !shifted.events.is_empty() {
             prepared.sim_mut().install_faults(shifted);
         }
-        self.push(now + self.scan_gap, Step::Scan);
+        self.cp.push(now + SCAN_GAP, Step::Scan);
     }
 
-    /// Sound watchdog timeout: a conforming stream delivers at least one
-    /// flit per `period + 2 × bound` (one inter-emission gap, plus the
-    /// bound twice covers any jitter between a fast and a slow flit).
-    fn watchdog_timeout(&self, adm: &Admission) -> SimDuration {
-        let bound = adm
+    /// Streams over managed connection `i` under a freshly armed
+    /// watchdog. The timeout is sound: a conforming stream delivers at
+    /// least one flit per `period + 2 × bound` (one inter-emission gap,
+    /// plus the bound twice covers any jitter between a fast and a slow
+    /// flit).
+    fn start_stream(
+        &mut self,
+        prepared: &mut PreparedScenario,
+        i: usize,
+        name: String,
+        post: bool,
+    ) {
+        let conn = self.managed[i].conn;
+        let pattern = Pattern::cbr(self.spec.gs_period);
+        let flow = prepared
+            .sim_mut()
+            .add_gs_source(conn, pattern, name, EmitWindow::default());
+        let metric_idx = prepared.track_flow(flow, FlowKind::Gs);
+        self.tracked.push((i, metric_idx, post));
+        let bound = self.managed[i]
+            .admission
             .report
             .worst_latency
             .expect("managed streams must conform (a watchdog needs a bound)");
-        self.spec.gs_period + bound * 2
+        let timeout = self.spec.gs_period + bound * 2;
+        prepared.sim_mut().arm_watchdog(conn, flow, timeout);
     }
 
     fn backoff(&mut self, attempt: u32) -> SimDuration {
@@ -450,15 +415,9 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self, mut prepared: PreparedScenario) -> (RecoveryMetrics, Option<TelemetryReport>) {
-        while let Some(&Reverse((t, _, _))) = self.queue.peek() {
-            if t >= self.t_end {
-                break;
-            }
-            let Reverse((t, _, step)) = self.queue.pop().expect("peeked");
-            let now = prepared.sim().now();
-            if t > now {
-                prepared.sim_mut().run_for(t.since(now));
-            }
+        // Baseline budgets before any fault or churn moves them.
+        self.refresh_gauges(&mut prepared);
+        while let Some(step) = self.cp.next_action(&mut prepared) {
             match step {
                 Step::Scan => self.on_scan(&mut prepared),
                 Step::Teardown(i) => self.on_teardown(&mut prepared, i),
@@ -467,33 +426,16 @@ impl<'a> Engine<'a> {
                 Step::PollReopened(i) => self.on_poll_reopened(&mut prepared, i),
             }
         }
-        let now = prepared.sim().now();
-        if self.t_end > now {
-            prepared.sim_mut().run_for(self.t_end.since(now));
-        }
-        // Detach the report before `finish` consumes the simulation.
-        let report = prepared.sim_mut().network_mut().take_telemetry();
-        (self.collect(prepared), report)
+        self.collect(prepared)
     }
 
-    /// Exports the admission controller's aggregate headroom as gauges
-    /// — the residual-budget view of the telemetry report. Called after
-    /// every operation that moves the budgets (fault masking, release,
-    /// re-admission), so the report's final values reflect the end
-    /// state of the run.
-    fn record_admission_gauges(&self, prepared: &mut PreparedScenario) {
-        let net = prepared.sim_mut().network_mut();
-        if !net.telemetry().is_active() {
-            return;
-        }
-        let s = self.admission.budget_summary();
-        net.telemetry_gauge("admission.free_vcs", s.free_vcs as i64);
-        net.telemetry_gauge("admission.residual_fps_min", s.residual_fps_min as i64);
-        net.telemetry_gauge("admission.up_links", s.up_links as i64);
-        net.telemetry_gauge(
-            "admission.failed_links",
-            self.admission.failed_links() as i64,
-        );
+    /// Called after every operation that moves the budgets (fault
+    /// masking, release, re-admission), so the report's final values
+    /// reflect the end state of the run.
+    fn refresh_gauges(&self, prepared: &mut PreparedScenario) {
+        let failed = self.cp.admission.failed_links() as i64;
+        self.cp
+            .record_gauges(prepared, "admission.failed_links", failed);
     }
 
     fn on_scan(&mut self, prepared: &mut PreparedScenario) {
@@ -501,13 +443,14 @@ impl<'a> Engine<'a> {
         // Mirror fired faults into the admission mask so re-admission
         // only considers surviving links.
         let applied_from = self.fault_next;
+        let admission = &mut self.cp.admission;
         while self.fault_next < self.fault_due.len() && self.fault_due[self.fault_next].0 <= now {
             let (_, kind) = self.fault_due[self.fault_next];
             self.fault_next += 1;
             match kind {
-                FaultKind::LinkDown { from, dir } => self.admission.fail_link(from, dir),
-                FaultKind::RouterDown { id } => self.admission.fail_router(id),
-                FaultKind::StuckVc { router, dir, .. } => self.admission.mark_stuck_vc(router, dir),
+                FaultKind::LinkDown { from, dir } => admission.fail_link(from, dir),
+                FaultKind::RouterDown { id } => admission.fail_router(id),
+                FaultKind::StuckVc { router, dir, .. } => admission.mark_stuck_vc(router, dir),
                 // Flaky links stay admissible: they still carry traffic
                 // and heal when the window closes; a recovery routed
                 // over one may simply break and recover again.
@@ -515,23 +458,17 @@ impl<'a> Engine<'a> {
             }
         }
         if self.fault_next != applied_from {
-            self.record_admission_gauges(prepared);
+            self.refresh_gauges(prepared);
         }
 
         for broken in prepared.sim_mut().take_broken() {
-            let Some(&i) = self.by_conn.get(&broken.conn) else {
-                continue; // not a managed connection
+            let Some(i) = self.managed.iter().position(|m| m.conn == broken.conn) else {
+                continue; // not a managed connection (or a superseded one)
             };
             self.broken += 1;
-            let rec = &mut self.records[i];
-            rec.detected_at = Some(broken.detected_at);
-            prepared.sim_mut().network_mut().telemetry_instant(
-                "recovery",
-                "detect",
-                broken.detected_at,
-                i as u32,
-                vec![("flow", u64::from(broken.flow))],
-            );
+            self.records[i].detected_at = Some(broken.detected_at);
+            let flow = vec![("flow", u64::from(broken.flow))];
+            mark(prepared, "detect", broken.detected_at, i, flow);
             // Stop the source; give in-flight flits one bound to drain
             // (spoofed feedback keeps the queues moving even across the
             // dead link), then tear down.
@@ -541,41 +478,35 @@ impl<'a> Engine<'a> {
                 .report
                 .worst_latency
                 .expect("managed streams conform");
-            self.push(now + drain, Step::Teardown(i));
+            self.cp.push(now + drain, Step::Teardown(i));
         }
 
-        self.push(now + self.scan_gap, Step::Scan);
+        self.cp.push(now + SCAN_GAP, Step::Scan);
+    }
+
+    /// Gives the pending in-band operation on `i` one `op_timeout`.
+    fn await_op(&mut self, now: SimTime, i: usize, poll: Step) {
+        self.managed[i].deadline = Some(now + self.spec.op_timeout);
+        self.cp.push(now + POLL_GAP, poll);
     }
 
     fn on_teardown(&mut self, prepared: &mut PreparedScenario, i: usize) {
         let now = prepared.sim().now();
-        prepared.sim_mut().network_mut().telemetry_instant(
-            "recovery",
-            "teardown",
-            now,
-            i as u32,
-            Vec::new(),
-        );
+        mark(prepared, "teardown", now, i, Vec::new());
         let conn = self.managed[i].conn;
         match prepared.sim().connection_state(conn) {
             Some(ConnState::Open) => match prepared.sim_mut().close_connection(conn) {
-                Ok(()) => {
-                    self.managed[i].deadline = Some(now + self.spec.op_timeout);
-                    self.push(now + self.poll_gap, Step::PollTorn(i));
-                }
+                Ok(()) => self.await_op(now, i, Step::PollTorn(i)),
                 Err(_) => {
                     // The close plan itself is unroutable (partition or
                     // dead router on every return path): force-close.
                     self.force_close(prepared, i);
-                    self.schedule_reopen(prepared, i);
+                    self.schedule_reopen(now, i);
                 }
             },
-            Some(ConnState::Closed) => self.schedule_reopen(prepared, i),
+            Some(ConnState::Closed) => self.schedule_reopen(now, i),
             // Opening/Closing (or unknown): wait for the transition.
-            _ => {
-                self.managed[i].deadline = Some(now + self.spec.op_timeout);
-                self.push(now + self.poll_gap, Step::PollTorn(i));
-            }
+            _ => self.await_op(now, i, Step::PollTorn(i)),
         }
     }
 
@@ -583,94 +514,78 @@ impl<'a> Engine<'a> {
         let now = prepared.sim().now();
         match prepared.sim().connection_state(self.managed[i].conn) {
             Some(ConnState::Closed) => {
-                self.admission.release(&self.managed[i].admission.clone());
-                self.record_admission_gauges(prepared);
-                self.schedule_reopen(prepared, i);
+                self.cp.admission.release(&self.managed[i].admission);
+                self.refresh_gauges(prepared);
+                self.schedule_reopen(now, i);
             }
             _ if self.managed[i].deadline.is_some_and(|d| now >= d) => {
                 // In-band teardown wedged (acks lost to the fault):
                 // force-close and quarantine the unconfirmed hops.
                 self.force_close(prepared, i);
-                self.schedule_reopen(prepared, i);
+                self.schedule_reopen(now, i);
             }
             Some(ConnState::Open) => {
                 // Teardown not issued yet (we got here via the Opening
                 // wait): issue it now.
                 self.on_teardown(prepared, i);
             }
-            _ => self.push(now + self.poll_gap, Step::PollTorn(i)),
+            _ => self.cp.push(now + POLL_GAP, Step::PollTorn(i)),
         }
     }
 
     fn force_close(&mut self, prepared: &mut PreparedScenario, i: usize) {
         let now = prepared.sim().now();
-        prepared.sim_mut().network_mut().telemetry_instant(
-            "recovery",
-            "force_close",
-            now,
-            i as u32,
-            Vec::new(),
-        );
-        let conn = self.managed[i].conn;
+        mark(prepared, "force_close", now, i, Vec::new());
         prepared
             .sim_mut()
-            .force_close_connection(conn)
+            .force_close_connection(self.managed[i].conn)
             .expect("managed connection is known");
-        self.admission.release(&self.managed[i].admission.clone());
-        self.record_admission_gauges(prepared);
+        self.cp.admission.release(&self.managed[i].admission);
+        self.refresh_gauges(prepared);
         self.records[i].forced_close = true;
         self.forced_closes += 1;
     }
 
-    fn schedule_reopen(&mut self, prepared: &mut PreparedScenario, i: usize) {
-        let now = prepared.sim().now();
-        let delay = self.backoff(self.attempts[i]);
-        self.push(now + delay, Step::Reopen(i));
+    fn schedule_reopen(&mut self, now: SimTime, i: usize) {
+        let delay = self.backoff(self.records[i].attempts);
+        self.cp.push(now + delay, Step::Reopen(i));
     }
 
     fn on_reopen(&mut self, prepared: &mut PreparedScenario, i: usize) {
         let now = prepared.sim().now();
-        self.attempts[i] += 1;
-        self.records[i].attempts = self.attempts[i];
+        self.records[i].attempts += 1;
+        let (src, dst) = self.spec.managed[i];
         let req = ConnRequest {
-            src: self.managed[i].src,
-            dst: self.managed[i].dst,
+            src,
+            dst,
             period: self.spec.gs_period,
         };
-        match self.admission.request(&req) {
+        match self.cp.admission.request(&req) {
             Ok(adm) => {
-                prepared.sim_mut().network_mut().telemetry_instant(
-                    "recovery",
-                    "readmit",
-                    now,
-                    i as u32,
-                    vec![("attempt", u64::from(self.attempts[i]))],
-                );
+                let attempt = vec![("attempt", u64::from(self.records[i].attempts))];
+                mark(prepared, "readmit", now, i, attempt);
                 match prepared
                     .sim_mut()
-                    .open_connection_along(req.src, req.dst, &adm.dirs)
+                    .open_connection_along(src, dst, &adm.dirs)
                 {
                     Ok(conn) => {
-                        self.by_conn.remove(&self.managed[i].conn);
-                        self.by_conn.insert(conn, i);
                         self.managed[i].conn = conn;
                         self.managed[i].admission = adm;
-                        self.managed[i].deadline = Some(now + self.spec.op_timeout);
-                        self.record_admission_gauges(prepared);
-                        self.push(now + self.poll_gap, Step::PollReopened(i));
+                        self.refresh_gauges(prepared);
+                        self.await_op(now, i, Step::PollReopened(i));
                     }
                     Err(_) => {
                         // Quarantined VCs can make the manager refuse a
                         // path admission still believes in; count as a
                         // failed attempt and back off.
-                        self.admission.release(&adm);
-                        self.record_admission_gauges(prepared);
-                        self.retry_or_give_up(prepared, i, RecoveryOutcome::PermanentlyDegraded);
+                        self.cp.admission.release(&adm);
+                        self.refresh_gauges(prepared);
+                        self.retry_or_give_up(now, i, RecoveryOutcome::PermanentlyDegraded);
                     }
                 }
             }
             Err(RejectReason::NoPath) | Err(RejectReason::OpenFailed) => {
-                self.retry_or_give_up(prepared, i, RecoveryOutcome::Rejected);
+                self.retry_or_give_up(now, i, RecoveryOutcome::Rejected);
             }
             Err(_) => {
                 // Interface/rate rejections will not heal with time.
@@ -679,14 +594,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn retry_or_give_up(
-        &mut self,
-        prepared: &mut PreparedScenario,
-        i: usize,
-        give_up: RecoveryOutcome,
-    ) {
-        if self.attempts[i] < self.spec.max_retries {
-            self.schedule_reopen(prepared, i);
+    fn retry_or_give_up(&mut self, now: SimTime, i: usize, give_up: RecoveryOutcome) {
+        if self.records[i].attempts < self.spec.max_retries {
+            self.schedule_reopen(now, i);
         } else {
             self.records[i].outcome = Some(give_up);
         }
@@ -697,9 +607,9 @@ impl<'a> Engine<'a> {
         match prepared.sim().connection_state(self.managed[i].conn) {
             Some(ConnState::Open) => {
                 let rec = &mut self.records[i];
+                let detected = rec.detected_at.expect("recovery implies detection");
                 rec.recovered_at = Some(now);
-                rec.recovery_latency =
-                    Some(now.since(rec.detected_at.expect("recovery implies detection")));
+                rec.recovery_latency = Some(now.since(detected));
                 rec.new_hops = self.managed[i].admission.hops();
                 rec.post_bound_ns = self.managed[i].admission.report.worst_latency_ns();
                 rec.outcome = Some(if rec.new_hops > rec.old_hops {
@@ -708,8 +618,7 @@ impl<'a> Engine<'a> {
                     RecoveryOutcome::Recovered
                 });
                 // One span per healed break: detect → circuit reopen.
-                let detected = rec.detected_at.expect("recovery implies detection");
-                let (attempts, hops) = (self.attempts[i], rec.new_hops);
+                let (attempts, hops) = (rec.attempts, rec.new_hops);
                 prepared.sim_mut().network_mut().telemetry_span(
                     "recovery",
                     "recover",
@@ -720,33 +629,26 @@ impl<'a> Engine<'a> {
                 );
                 // Re-validate: stream over the new path under a freshly
                 // armed watchdog with the recomputed timeout.
-                let conn = self.managed[i].conn;
-                let flow = prepared.sim_mut().add_gs_source(
-                    conn,
-                    Pattern::cbr(self.spec.gs_period),
-                    format!("recovered-{i}-{}", self.attempts[i]),
-                    EmitWindow::default(),
-                );
-                let metric_idx = prepared.track_flow(flow, FlowKind::Gs);
-                self.tracked.push((i, metric_idx, true));
-                self.managed[i].flow = flow;
-                let timeout = self.watchdog_timeout(&self.managed[i].admission);
-                prepared.sim_mut().arm_watchdog(conn, flow, timeout);
+                self.start_stream(prepared, i, format!("recovered-{i}-{attempts}"), true);
             }
             _ if self.managed[i].deadline.is_some_and(|d| now >= d) => {
                 // The reopen's programming traffic was itself eaten by
                 // a fault: force-close the half-open circuit and retry.
                 self.force_close(prepared, i);
-                self.retry_or_give_up(prepared, i, RecoveryOutcome::PermanentlyDegraded);
+                self.retry_or_give_up(now, i, RecoveryOutcome::PermanentlyDegraded);
             }
-            _ => self.push(now + self.poll_gap, Step::PollReopened(i)),
+            _ => self.cp.push(now + POLL_GAP, Step::PollReopened(i)),
         }
     }
 
-    fn collect(mut self, prepared: PreparedScenario) -> RecoveryMetrics {
+    fn collect(
+        mut self,
+        mut prepared: PreparedScenario,
+    ) -> (RecoveryMetrics, Option<TelemetryReport>) {
+        let report = self.cp.finish(&mut prepared).report;
         let quarantined = prepared.sim().network().connections().quarantined_count();
         let fault_counters = prepared.sim().network().fault_counters();
-        let scenario = prepared.finish(mango_sim::RunOutcome::HorizonReached);
+        let scenario = prepared.finish(RunOutcome::HorizonReached);
         for &(i, metric_idx, post) in &self.tracked {
             let f = &scenario.flows[metric_idx];
             let rec = &mut self.records[i];
@@ -757,34 +659,25 @@ impl<'a> Engine<'a> {
             }
         }
         // A break with no outcome by window end is a degradation.
-        let mut recovered = 0;
-        let mut rerouted = 0;
-        let mut rejected = 0;
-        let mut degraded = 0;
         for rec in &mut self.records {
             if rec.detected_at.is_some() && rec.outcome.is_none() {
                 rec.outcome = Some(RecoveryOutcome::PermanentlyDegraded);
             }
-            match rec.outcome {
-                Some(RecoveryOutcome::Recovered) => recovered += 1,
-                Some(RecoveryOutcome::ReroutedLongerPath) => rerouted += 1,
-                Some(RecoveryOutcome::Rejected) => rejected += 1,
-                Some(RecoveryOutcome::PermanentlyDegraded) => degraded += 1,
-                None => {}
-            }
         }
-        RecoveryMetrics {
+        let census = |o| self.records.iter().filter(|r| r.outcome == Some(o)).count() as u64;
+        let metrics = RecoveryMetrics {
             scenario,
-            records: self.records,
             broken: self.broken,
-            recovered,
-            rerouted,
-            rejected,
-            degraded,
+            recovered: census(RecoveryOutcome::Recovered),
+            rerouted: census(RecoveryOutcome::ReroutedLongerPath),
+            rejected: census(RecoveryOutcome::Rejected),
+            degraded: census(RecoveryOutcome::PermanentlyDegraded),
             forced_closes: self.forced_closes,
             quarantined,
             fault_counters,
-        }
+            records: self.records,
+        };
+        (metrics, report)
     }
 }
 

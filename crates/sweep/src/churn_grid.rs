@@ -2,13 +2,12 @@
 //! (arrival rate × holding time × offered GS load), expanded and run
 //! under the same determinism contract as [`crate::grid::SweepSpec`].
 
-use crate::runner::run_parallel;
+use crate::record::CsvRecord;
 use mango_hw::Table;
 use mango_net::{PatternKind, ScenarioSpec, TemporalSpec, TrafficSpec};
 use mango_qos::{ChurnMetrics, ChurnSpec, RejectReason};
 use mango_sim::SimDuration;
 use std::fmt;
-use std::path::Path;
 
 /// A declarative churn-sweep grid. Every `Vec` field is one dimension;
 /// expansion takes the cartesian product in field order (mesh outermost,
@@ -199,6 +198,12 @@ impl ChurnSweepSpec {
             max_gs_frac: f64::from(self.max_gs_frac_milli) / 1000.0,
         }
     }
+
+    /// Runs one grid point and measures it — the closure
+    /// [`crate::runner::run_grid`] fans out.
+    pub fn measure(&self, job: &ChurnJob) -> ChurnRecord {
+        ChurnRecord::measure(job.clone(), &self.churn_spec(job).run())
+    }
 }
 
 /// The measured result of one churn job — aggregates only, all
@@ -279,9 +284,10 @@ impl ChurnRecord {
             job,
         }
     }
+}
 
-    /// The CSV column names, matching [`ChurnRecord::csv_row`].
-    pub fn csv_header() -> &'static str {
+impl CsvRecord for ChurnRecord {
+    fn csv_header() -> &'static str {
         "job_id,width,height,arrival_gap_ns,holding_us,gs_period_ns,seed,\
          events,requests,admitted,rejected,rej_no_tx,rej_no_rx,rej_no_path,\
          closed,detoured,setup_mean_ns,setup_p99_ns,setup_max_ns,\
@@ -289,9 +295,7 @@ impl ChurnRecord {
          setup_p50_ns,setup_p95_ns"
     }
 
-    /// One CSV row (floats in shortest round-trip form, as
-    /// [`crate::record::SweepRecord::csv_row`]).
-    pub fn csv_row(&self) -> String {
+    fn csv_row(&self) -> String {
         let j = &self.job;
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -322,31 +326,6 @@ impl ChurnRecord {
             self.setup_p95_ns,
         )
     }
-}
-
-/// Runs every job of the churn grid on `threads` workers, returning
-/// records in expansion order (the byte-identical-CSV contract of
-/// [`crate::runner::run_parallel`] applies).
-pub fn run_churn_sweep(spec: &ChurnSweepSpec, threads: usize) -> Vec<ChurnRecord> {
-    let jobs = spec.expand();
-    run_parallel(&jobs, threads, |_, job| {
-        ChurnRecord::measure(job.clone(), &spec.churn_spec(job).run())
-    })
-}
-
-/// Writes churn records as CSV (header + one row per job, job order).
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_churn_csv(path: &Path, records: &[ChurnRecord]) -> std::io::Result<()> {
-    let mut out = String::from(ChurnRecord::csv_header());
-    out.push('\n');
-    for r in records {
-        out.push_str(&r.csv_row());
-        out.push('\n');
-    }
-    std::fs::write(path, out)
 }
 
 /// A human-readable summary table of churn records.
@@ -388,6 +367,11 @@ pub fn churn_summary_table(records: &[ChurnRecord]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_grid;
+
+    fn run(spec: &ChurnSweepSpec, threads: usize) -> Vec<ChurnRecord> {
+        run_grid(&spec.expand(), threads, |job| spec.measure(job))
+    }
 
     #[test]
     fn expansion_is_cartesian_in_documented_order() {
@@ -430,7 +414,7 @@ mod tests {
             holdings_us: vec![12],
             ..Default::default()
         };
-        let records = run_churn_sweep(&spec, 1);
+        let records = run(&spec, 1);
         assert_eq!(records.len(), 1);
         let header_cols = ChurnRecord::csv_header().split(',').count();
         assert_eq!(records[0].csv_row().split(',').count(), header_cols);
@@ -448,8 +432,8 @@ mod tests {
             holdings_us: vec![10],
             ..Default::default()
         };
-        let a = run_churn_sweep(&spec, 1);
-        let b = run_churn_sweep(&spec, 4);
+        let a = run(&spec, 1);
+        let b = run(&spec, 4);
         assert_eq!(a, b, "churn records must not depend on worker count");
         let rows_a: Vec<String> = a.iter().map(ChurnRecord::csv_row).collect();
         let rows_b: Vec<String> = b.iter().map(ChurnRecord::csv_row).collect();

@@ -11,13 +11,12 @@
 //! the recovery-outcome census per point.
 
 use crate::grid::auto_gs_pairs;
-use crate::runner::run_parallel;
+use crate::record::CsvRecord;
 use mango_hw::Table;
 use mango_net::{FaultSchedule, Grid, MeasureBound, PatternKind, TemporalSpec, TrafficSpec};
 use mango_qos::{RecoveryMetrics, RecoverySpec};
 use mango_sim::{SimDuration, SimTime};
 use std::fmt;
-use std::path::Path;
 
 /// A declarative fault-recovery sweep grid. Every `Vec` field is one
 /// dimension; expansion takes the cartesian product in field order
@@ -211,6 +210,12 @@ impl FaultSweepSpec {
         );
         spec
     }
+
+    /// Runs one grid point and measures it — the closure
+    /// [`crate::runner::run_grid`] fans out.
+    pub fn measure(&self, job: &FaultJob) -> FaultRecord {
+        FaultRecord::measure(job.clone(), &self.recovery_spec(job).run())
+    }
 }
 
 /// The measured result of one fault-recovery job — aggregates only, all
@@ -295,9 +300,10 @@ impl FaultRecord {
             job,
         }
     }
+}
 
-    /// The CSV column names, matching [`FaultRecord::csv_row`].
-    pub fn csv_header() -> &'static str {
+impl CsvRecord for FaultRecord {
+    fn csv_header() -> &'static str {
         "job_id,width,height,faults,gs_conns,be_gap_ns,pattern,seed,\
          events,broken,recovered,rerouted,rejected,degraded,forced_closes,\
          quarantined,flits_lost,recovery_mean_ns,recovery_max_ns,\
@@ -305,9 +311,7 @@ impl FaultRecord {
          recovery_p50_ns,recovery_p95_ns,recovery_p99_ns"
     }
 
-    /// One CSV row (floats in shortest round-trip form, as
-    /// [`crate::record::SweepRecord::csv_row`]).
-    pub fn csv_row(&self) -> String {
+    fn csv_row(&self) -> String {
         let j = &self.job;
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -339,31 +343,6 @@ impl FaultRecord {
             self.recovery_p99_ns,
         )
     }
-}
-
-/// Runs every job of the fault grid on `threads` workers, returning
-/// records in expansion order (the byte-identical-CSV contract of
-/// [`crate::runner::run_parallel`] applies).
-pub fn run_fault_sweep(spec: &FaultSweepSpec, threads: usize) -> Vec<FaultRecord> {
-    let jobs = spec.expand();
-    run_parallel(&jobs, threads, |_, job| {
-        FaultRecord::measure(job.clone(), &spec.recovery_spec(job).run())
-    })
-}
-
-/// Writes fault records as CSV (header + one row per job, job order).
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_fault_csv(path: &Path, records: &[FaultRecord]) -> std::io::Result<()> {
-    let mut out = String::from(FaultRecord::csv_header());
-    out.push('\n');
-    for r in records {
-        out.push_str(&r.csv_row());
-        out.push('\n');
-    }
-    std::fs::write(path, out)
 }
 
 /// A human-readable summary table of fault records.
@@ -407,6 +386,11 @@ pub fn fault_summary_table(records: &[FaultRecord]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_grid;
+
+    fn run(spec: &FaultSweepSpec, threads: usize) -> Vec<FaultRecord> {
+        run_grid(&spec.expand(), threads, |job| spec.measure(job))
+    }
 
     #[test]
     fn expansion_is_cartesian_in_documented_order() {
@@ -436,7 +420,7 @@ mod tests {
             horizon_us: 40,
             ..Default::default()
         };
-        let records = run_fault_sweep(&spec, 1);
+        let records = run(&spec, 1);
         assert_eq!(records.len(), 1);
         let r = &records[0];
         assert_eq!(r.broken, 0);
@@ -454,7 +438,7 @@ mod tests {
             horizon_us: 80,
             ..Default::default()
         };
-        let r = &run_fault_sweep(&spec, 1)[0];
+        let r = &run(&spec, 1)[0];
         // `broken` counts break *events*; a connection can break again
         // after healing, so the per-connection outcome census is
         // bounded by (not equal to) the event count.
@@ -478,8 +462,8 @@ mod tests {
             horizon_us: 50,
             ..Default::default()
         };
-        let a = run_fault_sweep(&spec, 1);
-        let b = run_fault_sweep(&spec, 4);
+        let a = run(&spec, 1);
+        let b = run(&spec, 4);
         assert_eq!(a, b, "fault records must not depend on worker count");
         let rows_a: Vec<String> = a.iter().map(FaultRecord::csv_row).collect();
         let rows_b: Vec<String> = b.iter().map(FaultRecord::csv_row).collect();

@@ -13,7 +13,9 @@
 //!   connection counts, BE injection gaps, CBR periods, durations,
 //!   seeds) that expands to [`grid::SweepJob`]s;
 //! * [`record::SweepRecord`] — typed per-job results with CSV and JSON
-//!   writers and a summary-table printer;
+//!   writers and a summary-table printer; every grid's record type is a
+//!   [`record::CsvRecord`], written by the one [`record::write_csv`] and
+//!   run by the one [`runner::run_grid`];
 //! * [`churn_grid::ChurnSweepSpec`] — churn axes (arrival rate ×
 //!   holding time × offered GS load) over [`mango_qos::ChurnSpec`]
 //!   connection-churn experiments, with their own typed records;
@@ -61,21 +63,16 @@ pub mod runner;
 pub mod serving_grid;
 pub mod telemetry_out;
 
-pub use churn_grid::{
-    churn_summary_table, run_churn_sweep, write_churn_csv, ChurnJob, ChurnRecord, ChurnSweepSpec,
-};
+pub use churn_grid::{churn_summary_table, ChurnJob, ChurnRecord, ChurnSweepSpec};
 pub use cli::SweepArgs;
-pub use fault_grid::{
-    fault_summary_table, run_fault_sweep, write_fault_csv, FaultJob, FaultRecord, FaultSweepSpec,
-};
+pub use fault_grid::{fault_summary_table, FaultJob, FaultRecord, FaultSweepSpec};
 pub use grid::{auto_gs_pairs, SweepJob, SweepSpec};
-pub use record::{write_csv, write_json, RuntimeInfo, SweepRecord};
+pub use record::{write_csv, write_json, CsvRecord, RuntimeInfo, SweepRecord};
 pub use runner::{
-    default_threads, run_parallel, run_parallel_graceful, run_sweep, run_sweep_graceful,
+    default_threads, run_grid, run_parallel, run_parallel_graceful, run_sweep, run_sweep_graceful,
     GracefulRun, SweepRun,
 };
 pub use serving_grid::{
-    capacity_curves, run_serving_sweep, serving_summary_table, write_serving_csv, ServingJob,
-    ServingRecord, ServingSweepSpec,
+    capacity_curves, serving_summary_table, ServingJob, ServingRecord, ServingSweepSpec,
 };
 pub use telemetry_out::write_telemetry_dir;

@@ -215,13 +215,34 @@ impl RuntimeInfo {
     }
 }
 
+/// A typed sweep result that renders as one CSV row. Only deterministic
+/// quantities may appear, so byte-comparing two CSVs compares the
+/// underlying measurements.
+pub trait CsvRecord {
+    /// The CSV column names, matching [`CsvRecord::csv_row`].
+    fn csv_header() -> &'static str;
+
+    /// One CSV row (floats in Rust's shortest round-trip formatting).
+    fn csv_row(&self) -> String;
+}
+
+impl CsvRecord for SweepRecord {
+    fn csv_header() -> &'static str {
+        SweepRecord::csv_header()
+    }
+
+    fn csv_row(&self) -> String {
+        SweepRecord::csv_row(self)
+    }
+}
+
 /// Writes records as CSV (header + one row per job, job order).
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_csv(path: &Path, records: &[SweepRecord]) -> std::io::Result<()> {
-    let mut out = String::from(SweepRecord::csv_header());
+pub fn write_csv<R: CsvRecord>(path: &Path, records: &[R]) -> std::io::Result<()> {
+    let mut out = String::from(R::csv_header());
     out.push('\n');
     for r in records {
         out.push_str(&r.csv_row());

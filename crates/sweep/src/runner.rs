@@ -121,6 +121,23 @@ where
         .collect()
 }
 
+/// Runs `measure` over every job of an expanded grid on `threads`
+/// workers, returning the records in expansion order (the
+/// byte-identical-CSV contract of [`run_parallel`] applies). The churn,
+/// fault and serving grids run through this with their spec's `measure`.
+///
+/// # Panics
+///
+/// Propagates a panic from any job.
+pub fn run_grid<J, R, F>(jobs: &[J], threads: usize, measure: F) -> Vec<R>
+where
+    J: Sync,
+    R: Send,
+    F: Fn(&J) -> R + Sync,
+{
+    run_parallel(jobs, threads, |_, job| measure(job))
+}
+
 /// A sweep grid run to completion with per-job panic isolation.
 #[derive(Debug)]
 pub struct SweepRun {

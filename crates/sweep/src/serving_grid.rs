@@ -4,7 +4,7 @@
 //! item 4, under the same determinism contract as
 //! [`crate::grid::SweepSpec`].
 
-use crate::runner::run_parallel;
+use crate::record::CsvRecord;
 use mango_apps::ServingMetrics;
 use mango_apps::{graph, PlacerKind, ServingSpec, TaskGraph};
 use mango_hw::Table;
@@ -12,7 +12,6 @@ use mango_net::{PatternKind, ScenarioSpec, TemporalSpec, TopologySpec, TrafficSp
 use mango_qos::RejectReason;
 use mango_sim::SimDuration;
 use std::fmt;
-use std::path::Path;
 
 /// A declarative serving-sweep grid. Every `Vec` field is one
 /// dimension; expansion takes the cartesian product in field order
@@ -205,6 +204,12 @@ impl ServingSweepSpec {
         spec.max_gs_frac = f64::from(self.max_gs_frac_milli) / 1000.0;
         spec
     }
+
+    /// Runs one grid point and measures it — the closure
+    /// [`crate::runner::run_grid`] fans out.
+    pub fn measure(&self, job: &ServingJob) -> ServingRecord {
+        ServingRecord::measure(job.clone(), &self.serving_spec(job).run())
+    }
 }
 
 /// The measured result of one serving job — deterministic aggregates
@@ -280,9 +285,10 @@ impl ServingRecord {
             job,
         }
     }
+}
 
-    /// The CSV column names, matching [`ServingRecord::csv_row`].
-    pub fn csv_header() -> &'static str {
+impl CsvRecord for ServingRecord {
+    fn csv_header() -> &'static str {
         "job_id,topology,graph,arrival_gap_ns,placer,seed,\
          events,offered,admitted,rejected,rej_admission,rej_iface,\
          rej_no_path,rej_bound,rej_open,closed,peak_live,conns_opened,\
@@ -290,8 +296,7 @@ impl ServingRecord {
          setup_max_ns,prog_packets"
     }
 
-    /// One CSV row (floats in shortest round-trip form).
-    pub fn csv_row(&self) -> String {
+    fn csv_row(&self) -> String {
         let j = &self.job;
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -321,31 +326,6 @@ impl ServingRecord {
             self.prog_packets,
         )
     }
-}
-
-/// Runs every job of the serving grid on `threads` workers, returning
-/// records in expansion order (byte-identical CSV for any worker
-/// count — the [`crate::runner::run_parallel`] contract).
-pub fn run_serving_sweep(spec: &ServingSweepSpec, threads: usize) -> Vec<ServingRecord> {
-    let jobs = spec.expand();
-    run_parallel(&jobs, threads, |_, job| {
-        ServingRecord::measure(job.clone(), &spec.serving_spec(job).run())
-    })
-}
-
-/// Writes serving records as CSV (header + one row per job, job order).
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_serving_csv(path: &Path, records: &[ServingRecord]) -> std::io::Result<()> {
-    let mut out = String::from(ServingRecord::csv_header());
-    out.push('\n');
-    for r in records {
-        out.push_str(&r.csv_row());
-        out.push('\n');
-    }
-    std::fs::write(path, out)
 }
 
 /// A human-readable summary table of serving records.
@@ -420,6 +400,11 @@ pub fn capacity_curves(records: &[ServingRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_grid;
+
+    fn run(spec: &ServingSweepSpec, threads: usize) -> Vec<ServingRecord> {
+        run_grid(&spec.expand(), threads, |job| spec.measure(job))
+    }
 
     #[test]
     fn expansion_is_cartesian_in_documented_order() {
@@ -462,7 +447,7 @@ mod tests {
             holding_us: 12,
             ..Default::default()
         };
-        let records = run_serving_sweep(&spec, 1);
+        let records = run(&spec, 1);
         assert_eq!(records.len(), 1);
         let header_cols = ServingRecord::csv_header().split(',').count();
         assert_eq!(records[0].csv_row().split(',').count(), header_cols);
@@ -480,8 +465,8 @@ mod tests {
             holding_us: 12,
             ..Default::default()
         };
-        let a = run_serving_sweep(&spec, 1);
-        let b = run_serving_sweep(&spec, 4);
+        let a = run(&spec, 1);
+        let b = run(&spec, 4);
         assert_eq!(a, b, "serving records must not depend on worker count");
         let rows_a: Vec<String> = a.iter().map(ServingRecord::csv_row).collect();
         let rows_b: Vec<String> = b.iter().map(ServingRecord::csv_row).collect();

@@ -2,7 +2,7 @@
 //! a pure function of the job list, independent of worker count and
 //! scheduling.
 
-use mango_sweep::{run_parallel, FaultSweepSpec, SweepSpec};
+use mango_sweep::{run_parallel, CsvRecord, FaultSweepSpec, SweepSpec};
 use proptest::prelude::*;
 
 proptest! {
@@ -94,26 +94,18 @@ fn fault_recovery_records_match_across_worker_counts() {
         horizon_us: 50,
         ..Default::default()
     };
-    let baseline = mango_sweep::run_fault_sweep(&spec, 1);
+    let jobs = spec.expand();
+    let run = |threads| mango_sweep::run_grid(&jobs, threads, |job| spec.measure(job));
+    let baseline = run(1);
     assert_eq!(baseline.len(), 4);
     assert!(
         baseline.iter().any(|r| r.broken > 0),
         "the faulted points must demonstrate a break"
     );
     for threads in [2, 4] {
-        assert_eq!(
-            mango_sweep::run_fault_sweep(&spec, threads),
-            baseline,
-            "threads = {threads}"
-        );
+        assert_eq!(run(threads), baseline, "threads = {threads}");
     }
-    let rows: Vec<String> = baseline
-        .iter()
-        .map(mango_sweep::FaultRecord::csv_row)
-        .collect();
-    let again: Vec<String> = mango_sweep::run_fault_sweep(&spec, 4)
-        .iter()
-        .map(mango_sweep::FaultRecord::csv_row)
-        .collect();
+    let rows: Vec<String> = baseline.iter().map(CsvRecord::csv_row).collect();
+    let again: Vec<String> = run(4).iter().map(CsvRecord::csv_row).collect();
     assert_eq!(rows, again, "CSV rows must be byte-identical");
 }
