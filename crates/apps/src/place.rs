@@ -21,6 +21,7 @@
 
 use crate::graph::TaskGraph;
 use mango_core::RouterId;
+use mango_net::Grid;
 use mango_qos::{AdmissionController, BudgetSnapshot, ConnRequest};
 use mango_sim::SimRng;
 use std::fmt;
@@ -71,9 +72,10 @@ impl Placement {
 }
 
 /// Scores `assign` by committing every inter-node edge through `ctl`
-/// and rewinding. `ctl` is returned to its exact pre-call state.
-/// `snap` and `held` are scratch reused across calls (a placer scores
-/// thousands of candidates; steady-state this allocates nothing).
+/// and rewinding. `ctl` is returned to its exact pre-call state; `snap`
+/// is scratch reused across calls. Costs one scan of the link budgets
+/// (the entry minimum) plus the O(edges × path length) trial; the
+/// placers pay the scan once per `place`, not once per candidate.
 pub fn score_assignment(
     graph: &TaskGraph,
     assign: &[RouterId],
@@ -81,12 +83,27 @@ pub fn score_assignment(
     snap: &mut BudgetSnapshot,
 ) -> PlacementScore {
     ctl.save_budgets_into(snap);
+    let min_before = ctl.budget_summary().residual_fps_min;
+    score_trial(graph, assign, ctl, snap, min_before)
+}
+
+/// One dry-run trial, O(edges × path length). `snap` holds `ctl`'s
+/// state at entry and `min_before` that state's minimum residual over
+/// up links. A trial only debits, and only up links, so `min_after =
+/// min(min_before, min over the links it debited)` — no rescan.
+fn score_trial(
+    graph: &TaskGraph,
+    assign: &[RouterId],
+    ctl: &mut AdmissionController,
+    snap: &BudgetSnapshot,
+    min_before: u64,
+) -> PlacementScore {
     let mut score = PlacementScore {
         failures: 0,
         frag_milli: 0,
         hop_demand: 0,
     };
-    let min_before = ctl.budget_summary().residual_fps_min;
+    let mut min_after = min_before;
     for e in &graph.edges {
         let (src, dst) = (assign[e.from], assign[e.to]);
         if src == dst {
@@ -98,15 +115,16 @@ pub fn score_assignment(
             dst,
             period: TaskGraph::period(e.rate_fps),
         };
-        match ctl.request(&req) {
-            Ok(adm) => {
-                let within_bound = match (e.bound_ns, adm.report.worst_latency_ns()) {
+        match ctl.commit_trial(&req) {
+            Ok(trial) => {
+                min_after = min_after.min(trial.min_residual_fps);
+                let within_bound = match (e.bound_ns, trial.worst_latency_ns) {
                     (Some(bound), Some(worst)) => worst <= bound as f64,
                     (Some(_), None) => false,
                     (None, _) => true,
                 };
                 if within_bound {
-                    score.hop_demand += adm.hops() as u64 * (e.rate_fps / 1_000_000).max(1);
+                    score.hop_demand += trial.hops as u64 * (e.rate_fps / 1_000_000).max(1);
                 } else {
                     score.failures += 1;
                 }
@@ -114,7 +132,6 @@ pub fn score_assignment(
             Err(_) => score.failures += 1,
         }
     }
-    let min_after = ctl.budget_summary().residual_fps_min;
     score.frag_milli = (1000 - (1000 * min_after) / min_before.max(1)) as u32;
     ctl.restore_budgets(snap);
     score
@@ -139,11 +156,9 @@ pub trait Placer {
 pub struct GreedyPlacer;
 
 impl GreedyPlacer {
-    /// The raw greedy assignment (no scoring) — also the annealer's
-    /// starting point.
-    fn assign(&self, graph: &TaskGraph, ctl: &AdmissionController) -> Vec<RouterId> {
-        let grid = ctl.grid();
-        let nodes: Vec<RouterId> = grid.ids().collect();
+    /// The raw greedy assignment (no scoring) over `nodes`, the grid's
+    /// routers in index order — also the annealer's starting point.
+    fn assign(&self, graph: &TaskGraph, grid: &Grid, nodes: &[RouterId]) -> Vec<RouterId> {
         let mut order: Vec<usize> = (0..graph.tasks.len()).collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(graph.incident_demand_fps(i)), i));
 
@@ -152,29 +167,32 @@ impl GreedyPlacer {
         let unplaced = RouterId::new(u8::MAX, u8::MAX);
         let mut assign = vec![unplaced; graph.tasks.len()];
         let mut load = vec![0u64; nodes.len()];
+        // The already-placed neighbors `(router, rate)` of the task at hand.
+        let mut pulls: Vec<(RouterId, u64)> = Vec::new();
         for &t in &order {
             if let Some(at) = graph.tasks[t].affinity {
                 assign[t] = at;
                 load[grid.index(at)] += u64::from(graph.tasks[t].weight);
                 continue;
             }
+            pulls.clear();
+            pulls.extend(graph.edges.iter().filter_map(|e| {
+                let other = if e.from == t {
+                    assign[e.to]
+                } else if e.to == t {
+                    assign[e.from]
+                } else {
+                    return None;
+                };
+                (other != unplaced).then_some((other, e.rate_fps))
+            }));
             let mut best: Option<(u64, usize)> = None;
-            for (ni, &node) in nodes.iter().enumerate() {
+            for (ni, node) in nodes.iter().enumerate() {
                 let mut cost = load[ni] * occupancy_penalty;
-                for e in &graph.edges {
-                    let other = if e.from == t {
-                        assign[e.to]
-                    } else if e.to == t {
-                        assign[e.from]
-                    } else {
-                        continue;
-                    };
-                    if other == unplaced {
-                        continue;
-                    }
+                for &(other, rate_fps) in &pulls {
                     let hops =
                         u64::from(node.x.abs_diff(other.x)) + u64::from(node.y.abs_diff(other.y));
-                    cost += hops * e.rate_fps;
+                    cost += hops * rate_fps;
                 }
                 if best.is_none_or(|(c, _)| cost < c) {
                     best = Some((cost, ni));
@@ -194,7 +212,8 @@ impl Placer for GreedyPlacer {
     }
 
     fn place(&self, graph: &TaskGraph, ctl: &mut AdmissionController, _seed: u64) -> Placement {
-        let assign = self.assign(graph, ctl);
+        let nodes: Vec<RouterId> = ctl.grid().ids().collect();
+        let assign = self.assign(graph, ctl.grid(), &nodes);
         let mut snap = BudgetSnapshot::default();
         let score = score_assignment(graph, &assign, ctl, &mut snap);
         Placement { assign, score }
@@ -228,9 +247,13 @@ impl Placer for AnnealingPlacer {
         let movable: Vec<usize> = (0..graph.tasks.len())
             .filter(|&i| graph.tasks[i].affinity.is_none())
             .collect();
+        // Every trial starts from, and rewinds to, the state at entry:
+        // save it and scan its minimum residual once.
         let mut snap = BudgetSnapshot::default();
-        let mut current = GreedyPlacer.assign(graph, ctl);
-        let mut cur_score = score_assignment(graph, &current, ctl, &mut snap);
+        ctl.save_budgets_into(&mut snap);
+        let min_before = ctl.budget_summary().residual_fps_min;
+        let mut current = GreedyPlacer.assign(graph, ctl.grid(), &nodes);
+        let mut cur_score = score_trial(graph, &current, ctl, &snap, min_before);
         let mut best = Placement {
             assign: current.clone(),
             score: cur_score,
@@ -265,7 +288,7 @@ impl Placer for AnnealingPlacer {
                 current.swap(t, u);
                 (t, current[u], Some(u))
             };
-            let trial = score_assignment(graph, &current, ctl, &mut snap);
+            let trial = score_trial(graph, &current, ctl, &snap, min_before);
             let delta = trial.scalar() as f64 - cur_score.scalar() as f64;
             let accept = delta <= 0.0 || rng.gen_f64() < (-delta / temp).exp();
             if accept {

@@ -7,15 +7,23 @@
 //! return and cross-thread-determinism contracts the capacity sweeps
 //! rely on.
 
-use mango_apps::{graph, AnnealingPlacer, Placement, Placer, PlacerKind, TaskGraph};
-use mango_net::{Grid, NaConfig};
-use mango_qos::{AdmissionController, ConnRequest};
+use mango_apps::{
+    graph, score_assignment, AnnealingPlacer, Placement, PlacementScore, Placer, PlacerKind,
+    TaskGraph,
+};
+use mango_core::{Direction, RouterId};
+use mango_net::{Grid, NaConfig, TopologySpec};
+use mango_qos::{AdmissionController, BudgetSnapshot, ConnRequest};
 use mango_sim::SimRng;
 use proptest::prelude::*;
 
 fn controller(width: u8, height: u8) -> AdmissionController {
+    controller_on(Grid::new(width, height))
+}
+
+fn controller_on(grid: Grid) -> AdmissionController {
     AdmissionController::new(
-        Grid::new(width, height),
+        grid,
         &mango_core::RouterConfig::paper(),
         &NaConfig::paper(),
         0.875,
@@ -32,8 +40,117 @@ fn make_graph(kind: u8, n: usize, rate: u64, seed: u64) -> TaskGraph {
     }
 }
 
+/// `score_assignment` the slow, obviously-right way: a ticketed
+/// `request` per edge and a scan of every link budget before and after.
+fn reference_score(
+    graph: &TaskGraph,
+    assign: &[RouterId],
+    ctl: &mut AdmissionController,
+) -> PlacementScore {
+    let mut snap = BudgetSnapshot::default();
+    ctl.save_budgets_into(&mut snap);
+    let min_before = ctl.budget_summary().residual_fps_min;
+    let (mut failures, mut hop_demand) = (0u32, 0u64);
+    for e in &graph.edges {
+        let (src, dst) = (assign[e.from], assign[e.to]);
+        if src == dst {
+            continue;
+        }
+        let period = TaskGraph::period(e.rate_fps);
+        let within_bound =
+            ctl.request(&ConnRequest { src, dst, period })
+                .ok()
+                .filter(|adm| match (e.bound_ns, adm.report.worst_latency_ns()) {
+                    (Some(bound), Some(worst)) => worst <= bound as f64,
+                    (Some(_), None) => false,
+                    (None, _) => true,
+                });
+        match within_bound {
+            Some(adm) => hop_demand += adm.hops() as u64 * (e.rate_fps / 1_000_000).max(1),
+            None => failures += 1,
+        }
+    }
+    let min_after = ctl.budget_summary().residual_fps_min;
+    ctl.restore_budgets(&snap);
+    PlacementScore {
+        failures,
+        frag_milli: (1000 - (1000 * min_after) / min_before.max(1)) as u32,
+        hop_demand,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The O(path) scorer returns exactly the score of the reference
+    /// above — on mesh, torus and chiplet grids, over controllers loaded
+    /// with live admissions and then damaged (failed links keep their
+    /// debited residuals out of the minimum; stuck VCs force detours),
+    /// for graphs with latency-bounded edges and co-located tasks — and
+    /// leaves every budget where it found it.
+    #[test]
+    fn fast_scorer_matches_the_rescanning_reference(
+        topo in 0u8..3,
+        loaded in prop::collection::vec((0u32..64, 0u32..64, 11u64..40), 0..40),
+        damage in prop::collection::vec((0u32..64, 0usize..4, any::<bool>()), 0..8),
+        tasks in prop::collection::vec(0u32..64, 2..9),
+        crowd in any::<bool>(),
+        edges in prop::collection::vec(
+            (0usize..9, 0usize..9, 4_000_000u64..95_000_000, 0u64..140),
+            1..16,
+        ),
+    ) {
+        let grid = Grid::from_spec(&match topo {
+            0 => TopologySpec::mesh(4, 4),
+            1 => TopologySpec::torus(4, 4),
+            _ => TopologySpec::chiplet(2, 2, 4, 4),
+        });
+        let node = |i: u32| grid.id_at(i as usize % grid.len());
+        let mut ctl = controller_on(grid.clone());
+        for (a, b, period_ns) in loaded {
+            let period = mango_sim::SimDuration::from_ns(period_ns);
+            let _ = ctl.request(&ConnRequest { src: node(a), dst: node(b), period });
+        }
+        for (at, dir, fail) in damage {
+            let (from, dir) = (node(at), Direction::ALL[dir]);
+            if grid.neighbor(from, dir).is_none() {
+                continue;
+            }
+            if fail {
+                ctl.fail_link(from, dir);
+            } else {
+                (0..7).for_each(|_| ctl.mark_stuck_vc(from, dir));
+            }
+        }
+
+        // `crowd` squeezes the tasks onto four routers: co-located
+        // edges, and the rest contending for the same few links.
+        let assign: Vec<RouterId> = tasks
+            .iter()
+            .map(|&t| node(if crowd { t % 4 } else { t }))
+            .collect();
+        let mut g = TaskGraph::new("random");
+        for i in 0..assign.len() {
+            g.task(format!("t{i}"), 1);
+        }
+        for (from, to, rate_fps, bound_ns) in edges {
+            let (from, to) = (from % assign.len(), to % assign.len());
+            // A third of the edges carry a bound around the 2–6 hop range.
+            if bound_ns < 45 {
+                g.edge_bounded(from, to, rate_fps, 30 + 2 * bound_ns);
+            } else {
+                g.edge(from, to, rate_fps);
+            }
+        }
+
+        let before = ctl.snapshot();
+        let expected = reference_score(&g, &assign, &mut ctl);
+        prop_assert_eq!(ctl.snapshot(), before.clone());
+        let mut snap = BudgetSnapshot::default();
+        let fast = score_assignment(&g, &assign, &mut ctl, &mut snap);
+        prop_assert_eq!(fast, expected);
+        prop_assert_eq!(ctl.snapshot(), before);
+    }
 
     /// An optimizer-accepted placement (zero failures) admits fully
     /// through a real controller — every inter-node edge, in

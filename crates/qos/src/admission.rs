@@ -16,11 +16,10 @@
 //! return them *exactly* (no floating-point drift), and every decision
 //! is a deterministic function of the request sequence.
 
-use crate::bound::{GuaranteeReport, ServiceModel};
+use crate::bound::{path_extras, GuaranteeReport, ServiceModel};
 use mango_core::{Direction, RouterConfig, RouterId};
-use mango_net::{xy_route, Grid, NaConfig};
+use mango_net::{Grid, NaConfig};
 use mango_sim::SimDuration;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// A request to open a GS connection streaming one flit per `period`.
@@ -61,7 +60,8 @@ pub enum RejectReason {
     NoRxIface,
     /// No path with a free VC and sufficient residual bandwidth on
     /// every surviving link (XY and BFS fallback both failed — a
-    /// partitioned mesh reports this too).
+    /// partitioned mesh and an endpoint outside the grid report this
+    /// too).
     NoPath,
     /// Admission succeeded but opening the connection through the
     /// network failed; the reservation was returned. Distinct from
@@ -141,6 +141,18 @@ impl Admission {
     }
 }
 
+/// What [`AdmissionController::commit_trial`] granted: the parts of the
+/// ticket a dry-run scorer reads, without the ticket.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrialCommit {
+    /// Links the admitted path traverses ([`Admission::hops`]).
+    pub hops: usize,
+    /// The ticket's [`GuaranteeReport::worst_latency_ns`].
+    pub worst_latency_ns: Option<f64>,
+    /// Minimum residual bandwidth over the path's links after the debit.
+    pub min_residual_fps: u64,
+}
+
 /// A saved copy of every budget counter, for exact save/restore around
 /// speculative admission sequences (the placement optimizer's dry-run
 /// trials). Obtain one with [`AdmissionController::save_budgets_into`];
@@ -177,6 +189,10 @@ pub struct AdmissionController {
     full_ifaces: u8,
     /// BFS scratch: predecessor direction per node (None = unvisited).
     bfs_from: Vec<Option<Direction>>,
+    /// BFS scratch: the FIFO frontier (drained by index, never popped).
+    bfs_queue: Vec<RouterId>,
+    /// The path of the latest successful [`Self::decide`].
+    path: Vec<Direction>,
 }
 
 impl AdmissionController {
@@ -207,6 +223,8 @@ impl AdmissionController {
             budget_fps,
             full_ifaces: cfg.local_gs_ifaces() as u8,
             bfs_from: vec![None; nodes],
+            bfs_queue: Vec::new(),
+            path: Vec::new(),
             grid,
         }
     }
@@ -251,26 +269,38 @@ impl AdmissionController {
         self.free_vcs[i] > 0 && self.residual_fps[i] >= rate_fps
     }
 
-    fn path_admits(&self, src: RouterId, dirs: &[Direction], rate_fps: u64) -> bool {
+    /// The `(total, max)` extra link delay along the scratch path from
+    /// `src` (what [`path_extras`] reports), or `None` when one of its
+    /// links does not admit — one walk for the capacity check and the
+    /// bound's inputs.
+    fn path_admits(&self, src: RouterId, rate_fps: u64) -> Option<(SimDuration, SimDuration)> {
+        let (mut total, mut max) = (SimDuration::ZERO, SimDuration::ZERO);
         let mut cur = src;
-        for &d in dirs {
+        for &d in &self.path {
             if !self.link_admits(cur, d, rate_fps) {
-                return false;
+                return None;
             }
+            let extra = self.grid.link_extra(cur, d);
+            total += extra;
+            max = max.max(extra);
             cur = self.grid.neighbor(cur, d).expect("path stays on grid");
         }
-        true
+        Some((total, max))
     }
 
-    /// Shortest path from `src` to `dst` over links with residual
-    /// capacity. Deterministic: FIFO BFS, neighbors visited in
+    /// Writes the shortest path from `src` to `dst` over links with
+    /// residual capacity into the scratch path; false when there is
+    /// none. Deterministic: FIFO BFS, neighbors visited in
     /// [`Direction::ALL`] order, so equal-length paths tie-break
     /// identically on every run.
-    fn bfs(&mut self, src: RouterId, dst: RouterId, rate_fps: u64) -> Option<Vec<Direction>> {
+    fn bfs(&mut self, src: RouterId, dst: RouterId, rate_fps: u64) -> bool {
         self.bfs_from.fill(None);
-        let mut queue = VecDeque::new();
-        queue.push_back(src);
-        'search: while let Some(cur) = queue.pop_front() {
+        self.bfs_queue.clear();
+        self.bfs_queue.push(src);
+        let mut head = 0;
+        'search: while head < self.bfs_queue.len() {
+            let cur = self.bfs_queue[head];
+            head += 1;
             for dir in Direction::ALL {
                 let Some(next) = self.grid.neighbor(cur, dir) else {
                     continue;
@@ -285,23 +315,25 @@ impl AdmissionController {
                 if next == dst {
                     break 'search;
                 }
-                queue.push_back(next);
+                self.bfs_queue.push(next);
             }
         }
-        self.bfs_from[self.grid.index(dst)]?;
+        if self.bfs_from[self.grid.index(dst)].is_none() {
+            return false;
+        }
         // Walk predecessors back from dst.
-        let mut dirs = Vec::new();
+        self.path.clear();
         let mut cur = dst;
         while cur != src {
             let dir = self.bfs_from[self.grid.index(cur)].expect("reached nodes have parents");
-            dirs.push(dir);
+            self.path.push(dir);
             cur = self
                 .grid
                 .neighbor(cur, dir.opposite())
                 .expect("parent stays on grid");
         }
-        dirs.reverse();
-        Some(dirs)
+        self.path.reverse();
+        true
     }
 
     /// Decides a request. On success all budgets along the returned path
@@ -313,8 +345,8 @@ impl AdmissionController {
     /// Returns the (deterministic) [`RejectReason`] without reserving
     /// anything.
     pub fn request(&mut self, req: &ConnRequest) -> Result<Admission, RejectReason> {
-        let adm = self.decide(req)?;
-        self.commit(&adm);
+        let adm = self.probe(req)?;
+        self.commit(req);
         Ok(adm)
     }
 
@@ -329,13 +361,41 @@ impl AdmissionController {
     ///
     /// The same deterministic [`RejectReason`]s as [`Self::request`].
     pub fn probe(&mut self, req: &ConnRequest) -> Result<Admission, RejectReason> {
-        self.decide(req)
+        let (xy, report) = self.decide(req)?;
+        Ok(Admission {
+            src: req.src,
+            dst: req.dst,
+            dirs: self.path.clone(),
+            xy,
+            rate_fps: Self::rate_fps(req.period),
+            report,
+        })
     }
 
-    /// The decision logic shared by [`Self::request`] and
-    /// [`Self::probe`]: path search + bound composition, no commit.
-    /// `&mut self` only for the BFS scratch buffer.
-    fn decide(&mut self, req: &ConnRequest) -> Result<Admission, RejectReason> {
+    /// [`Self::request`] without the ticket — the same decision and the
+    /// same debit, allocation-free — for dry-run brackets that rewind
+    /// with [`Self::restore_budgets`] instead of releasing.
+    ///
+    /// # Errors
+    ///
+    /// The same deterministic [`RejectReason`]s as [`Self::request`].
+    pub fn commit_trial(&mut self, req: &ConnRequest) -> Result<TrialCommit, RejectReason> {
+        let (_, report) = self.decide(req)?;
+        Ok(TrialCommit {
+            hops: self.path.len(),
+            worst_latency_ns: report.worst_latency_ns(),
+            min_residual_fps: self.commit(req),
+        })
+    }
+
+    /// The one decision procedure behind [`Self::request`],
+    /// [`Self::probe`] and [`Self::commit_trial`]: path search + bound
+    /// composition, no commit. The granted path is left in the `path`
+    /// scratch; returns whether it is the XY route, and its guarantee.
+    fn decide(&mut self, req: &ConnRequest) -> Result<(bool, GuaranteeReport), RejectReason> {
+        if !self.grid.contains(req.src) || !self.grid.contains(req.dst) {
+            return Err(RejectReason::NoPath);
+        }
         if req.src == req.dst {
             return Err(RejectReason::SameRouter);
         }
@@ -352,48 +412,49 @@ impl AdmissionController {
         if self.rx_free[self.grid.index(req.dst)] == 0 {
             return Err(RejectReason::NoRxIface);
         }
-        let xy = xy_route(&self.grid, req.src, req.dst).map_err(|_| RejectReason::NoPath)?;
-        let (dirs, is_xy) = if self.path_admits(req.src, &xy, rate_fps) {
-            (xy, true)
-        } else {
-            match self.bfs(req.src, req.dst, rate_fps) {
-                Some(dirs) => (dirs, false),
-                None => return Err(RejectReason::NoPath),
+        self.path.clear();
+        for (dir, hops) in self.grid.axis_legs(req.src, req.dst) {
+            self.path.extend(std::iter::repeat_n(dir, hops.into()));
+        }
+        let (xy, (extra_total, extra_max)) = match self.path_admits(req.src, rate_fps) {
+            Some(extras) => (true, extras),
+            None if self.bfs(req.src, req.dst, rate_fps) => {
+                (false, path_extras(&self.grid, req.src, &self.path))
             }
+            None => return Err(RejectReason::NoPath),
         };
 
         // The bound composes over the concrete path's per-link extras
         // (D2D boundaries, pipelined links): a slow link can stretch the
         // service interval past the requested period even when the
         // homogeneous pre-check above passed.
-        let report = self
-            .model
-            .report_along(&self.grid, req.src, &dirs, req.period);
+        let report =
+            self.model
+                .report_with_extras(self.path.len(), extra_total, extra_max, req.period);
         if !report.conforming {
             return Err(RejectReason::Unguaranteeable);
         }
-
-        Ok(Admission {
-            src: req.src,
-            dst: req.dst,
-            xy: is_xy,
-            rate_fps,
-            report,
-            dirs,
-        })
+        Ok((xy, report))
     }
 
-    /// Debits every budget a decided admission consumes.
-    fn commit(&mut self, adm: &Admission) {
-        let mut cur = adm.src;
-        for &d in &adm.dirs {
+    /// Debits every budget the request just decided consumes (its path
+    /// is in the `path` scratch); returns the minimum residual bandwidth
+    /// left on the path's links.
+    fn commit(&mut self, req: &ConnRequest) -> u64 {
+        let rate_fps = Self::rate_fps(req.period);
+        let mut cur = req.src;
+        let mut min_residual = u64::MAX;
+        for k in 0..self.path.len() {
+            let d = self.path[k];
             let i = self.link_index(cur, d);
             self.free_vcs[i] -= 1;
-            self.residual_fps[i] -= adm.rate_fps;
+            self.residual_fps[i] -= rate_fps;
+            min_residual = min_residual.min(self.residual_fps[i]);
             cur = self.grid.neighbor(cur, d).expect("path stays on grid");
         }
-        self.tx_free[self.grid.index(adm.src)] -= 1;
-        self.rx_free[self.grid.index(adm.dst)] -= 1;
+        self.tx_free[self.grid.index(req.src)] -= 1;
+        self.rx_free[self.grid.index(req.dst)] -= 1;
+        min_residual
     }
 
     /// Debits budgets for a connection that already exists outside the
@@ -509,6 +570,14 @@ impl AdmissionController {
         self.residual_fps.clone_from(&snap.residual_fps);
         self.tx_free.clone_from(&snap.tx_free);
         self.rx_free.clone_from(&snap.rx_free);
+    }
+
+    /// True when every budget counter equals its value in `snap`.
+    pub fn budgets_match(&self, snap: &BudgetSnapshot) -> bool {
+        self.free_vcs == snap.free_vcs
+            && self.residual_fps == snap.residual_fps
+            && self.tx_free == snap.tx_free
+            && self.rx_free == snap.rx_free
     }
 
     /// Number of directed links currently marked failed.
@@ -713,6 +782,31 @@ mod tests {
             c.request(&req(1, 1, 1, 1, 20)),
             Err(RejectReason::SameRouter)
         );
+    }
+
+    #[test]
+    fn off_grid_endpoints_reject_without_panicking() {
+        use mango_net::TopologySpec;
+        for grid in [
+            Grid::new(3, 2),
+            Grid::from_spec(&TopologySpec::chiplet(2, 1, 2, 2)),
+        ] {
+            let mut c =
+                AdmissionController::new(grid, &RouterConfig::paper(), &NaConfig::paper(), 0.875);
+            let before = c.snapshot();
+            // Off the east edge, off the south edge, and both at once.
+            for r in [
+                req(9, 0, 1, 1, 20),
+                req(1, 1, 0, 7, 20),
+                req(9, 9, 9, 9, 20),
+            ] {
+                assert_eq!(c.request(&r), Err(RejectReason::NoPath), "{r:?}");
+                assert_eq!(c.probe(&r), Err(RejectReason::NoPath), "{r:?}");
+                assert_eq!(c.commit_trial(&r), Err(RejectReason::NoPath), "{r:?}");
+            }
+            assert_eq!(c.snapshot(), before, "rejection reserves nothing");
+            assert!(c.nothing_reserved());
+        }
     }
 
     #[test]

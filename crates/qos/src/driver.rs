@@ -249,9 +249,7 @@ impl<A: Ord> ControlPlane<A> {
 
     /// True when the budgets equal the post-static-reservation snapshot.
     pub fn budgets_clean(&self) -> bool {
-        let mut now = BudgetSnapshot::default();
-        self.admission.save_budgets_into(&mut now);
-        now == self.clean
+        self.admission.budgets_match(&self.clean)
     }
 
     /// Exports the admission controller's aggregate headroom as

@@ -84,6 +84,7 @@ pub mod recovery;
 
 pub use admission::{
     Admission, AdmissionController, BudgetSnapshot, BudgetSummary, ConnRequest, RejectReason,
+    TrialCommit,
 };
 pub use bound::{path_extras, report_for, GuaranteeReport, ServiceModel};
 pub use churn::{ChurnMetrics, ChurnSpec, ConnOutcome};

@@ -5,15 +5,19 @@
 //! between the dry run and the real decision would admit placements the
 //! controller later refuses — the failure mode this suite pins down.
 
-use mango_core::RouterId;
-use mango_net::{Grid, NaConfig};
-use mango_qos::{AdmissionController, BudgetSnapshot, ConnRequest};
+use mango_core::{Direction, RouterId};
+use mango_net::{Grid, NaConfig, TopologySpec};
+use mango_qos::{Admission, AdmissionController, BudgetSnapshot, ConnRequest};
 use mango_sim::SimDuration;
 use proptest::prelude::*;
 
 fn controller(width: u8, height: u8) -> AdmissionController {
+    controller_on(Grid::new(width, height))
+}
+
+fn controller_on(grid: Grid) -> AdmissionController {
     AdmissionController::new(
-        Grid::new(width, height),
+        grid,
         &mango_core::RouterConfig::paper(),
         &NaConfig::paper(),
         0.875,
@@ -24,6 +28,31 @@ fn node(i: u32, width: u8, height: u8) -> RouterId {
     let n = u32::from(width) * u32::from(height);
     let i = i % n;
     RouterId::new((i % u32::from(width)) as u8, (i / u32::from(width)) as u8)
+}
+
+/// Commits `req` through `trial`'s commit-only entry and `plain`'s
+/// `request`, checks the two agree, and hands back the ticket, if any.
+fn compare(
+    trial: &mut AdmissionController,
+    plain: &mut AdmissionController,
+    req: &ConnRequest,
+) -> Result<Option<Admission>, TestCaseError> {
+    let fast = trial.commit_trial(req);
+    let ticket = plain.request(req);
+    prop_assert_eq!(trial.snapshot(), plain.snapshot());
+    prop_assert_eq!(fast.err(), ticket.as_ref().err().copied());
+    if let (Ok(t), Ok(adm)) = (fast, &ticket) {
+        prop_assert_eq!(t.hops, adm.hops());
+        prop_assert_eq!(t.worst_latency_ns, adm.report.worst_latency_ns());
+        let mut cur = adm.src;
+        let mut path_min = u64::MAX;
+        for &d in &adm.dirs {
+            path_min = path_min.min(plain.residual_fps(cur, d));
+            cur = plain.grid().neighbor(cur, d).expect("path stays on grid");
+        }
+        prop_assert_eq!(t.min_residual_fps, path_min);
+    }
+    Ok(ticket.ok())
 }
 
 proptest! {
@@ -124,5 +153,65 @@ proptest! {
         c.restore_budgets(&snap);
         prop_assert_eq!(c.snapshot(), before);
         prop_assert!(c.nothing_reserved());
+    }
+    /// The commit-only trial entry is `request` without the ticket: on
+    /// twin controllers it accepts and rejects the same requests for the
+    /// same reason, moves every budget identically, and reports the
+    /// ticket's hops, latency bound and post-debit path minimum. Every
+    /// case opens with a row-crossing request whose XY route has a
+    /// drained link (a forced BFS detour; on the chiplet grid it also
+    /// crosses a D2D seam), then fails random links and replays random
+    /// requests. Probes interleaved between trials share the path
+    /// scratch and must not show.
+    #[test]
+    fn commit_trial_equals_request_without_the_ticket(
+        chiplet in any::<bool>(),
+        drained in (0u8..3, 0u8..4),
+        failed in prop::collection::vec((0u32..16, 0usize..4), 0..5),
+        reqs in prop::collection::vec((0u32..16, 0u32..16, 12u64..40, any::<bool>()), 1..32),
+    ) {
+        let grid = if chiplet {
+            Grid::from_spec(&TopologySpec::chiplet(2, 2, 2, 2))
+        } else {
+            Grid::new(4, 4)
+        };
+        let mut trial = controller_on(grid.clone());
+        let mut plain = controller_on(grid.clone());
+        let (x, y) = drained;
+        for c in [&mut trial, &mut plain] {
+            (0..7).for_each(|_| c.mark_stuck_vc(RouterId::new(x, y), Direction::East));
+        }
+        let across = ConnRequest {
+            src: RouterId::new(0, y),
+            dst: RouterId::new(3, y),
+            period: SimDuration::from_ns(20),
+        };
+        let adm = compare(&mut trial, &mut plain, &across)?.expect("a 4x4 grid detours round one drained link");
+        prop_assert!(!adm.xy && adm.hops() == 5, "expected a detour, got {:?}", adm.dirs);
+        // The bound carries exactly the detour's D2D extras — at least
+        // the one seam any path along a row of the chiplet grid crosses.
+        let extra = adm.report.worst_latency.expect("conforming")
+            - plain.model().report(5, across.period).worst_latency.expect("conforming");
+        prop_assert_eq!(extra, mango_qos::path_extras(&grid, adm.src, &adm.dirs).0);
+        prop_assert_eq!(extra >= mango_net::d2d_extra_default(), chiplet);
+
+        for (at, dir) in failed {
+            let (from, dir) = (node(at, 4, 4), Direction::ALL[dir]);
+            if grid.neighbor(from, dir).is_some() {
+                trial.fail_link(from, dir);
+                plain.fail_link(from, dir);
+            }
+        }
+        for (a, b, period_ns, probe_first) in reqs {
+            let req = ConnRequest {
+                src: node(a, 4, 4),
+                dst: node(b, 4, 4),
+                period: SimDuration::from_ns(period_ns),
+            };
+            if probe_first {
+                let _ = trial.probe(&ConnRequest { src: req.dst, dst: req.src, ..req });
+            }
+            compare(&mut trial, &mut plain, &req)?;
+        }
     }
 }
