@@ -4,20 +4,12 @@
 //! shows up as arbiter decision cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mango::core::{ArbiterKind, LinkSlot, VcId};
+use mango::core::{ArbiterImpl, ArbiterKind};
 use std::hint::black_box;
 
-fn ready_sets() -> Vec<Vec<LinkSlot>> {
-    let full: Vec<LinkSlot> = (0..7)
-        .map(|i| LinkSlot::Gs(VcId(i)))
-        .chain([LinkSlot::Be])
-        .collect();
-    vec![
-        vec![LinkSlot::Gs(VcId(3))],
-        vec![LinkSlot::Gs(VcId(0)), LinkSlot::Gs(VcId(6)), LinkSlot::Be],
-        full,
-    ]
-}
+/// Ready bitmasks on a 7-VC link (bit 7 is BE): one requester, three,
+/// and all eight.
+const READY_MASKS: [u128; 3] = [1 << 3, 1 | 1 << 6 | 1 << 7, 0xff];
 
 fn bench_arbiters(c: &mut Criterion) {
     let mut group = c.benchmark_group("arbiter_select");
@@ -26,14 +18,13 @@ fn bench_arbiters(c: &mut Criterion) {
         ArbiterKind::StaticPriority,
         ArbiterKind::Alg { age_bound: 7 },
     ] {
-        let mut arb = kind.build(7);
-        let sets = ready_sets();
+        let mut arb = ArbiterImpl::new(kind, 7);
         group.bench_function(arb.name(), |b| {
             let mut i = 0;
             b.iter(|| {
-                let ready = &sets[i % sets.len()];
+                let ready = READY_MASKS[i % READY_MASKS.len()];
                 i += 1;
-                black_box(arb.select(black_box(ready)))
+                black_box(arb.select_mask(black_box(ready), 7))
             })
         });
     }

@@ -104,8 +104,7 @@ fn recovery_spec(window_us: u64) -> RecoverySpec {
 }
 
 fn main() {
-    let args = SweepArgs::from_env();
-    args.reject_rest().expect("no extra flags");
+    let args = SweepArgs::from_env_no_extra();
     assert!(
         args.csv.is_none() && args.json.is_none(),
         "repro_chiplet is table-only; --csv/--json are not supported"

@@ -19,8 +19,7 @@ use mango_sweep::{churn_summary_table, run_grid, write_csv, ChurnSweepSpec, Swee
 use std::time::Instant;
 
 fn main() {
-    let args = SweepArgs::from_env();
-    args.reject_rest().expect("no extra flags");
+    let args = SweepArgs::from_env_no_extra();
     let spec = if args.smoke {
         ChurnSweepSpec::smoke()
     } else {

@@ -74,8 +74,7 @@ fn targeted_spec(smoke: bool) -> RecoverySpec {
 }
 
 fn main() {
-    let args = SweepArgs::from_env();
-    args.reject_rest().expect("no extra flags");
+    let args = SweepArgs::from_env_no_extra();
     let spec = targeted_spec(args.smoke);
     let grid = if args.smoke {
         FaultSweepSpec::smoke()

@@ -62,8 +62,7 @@ fn fair_scenario(senders: &[RouterId], sink: RouterId) -> ScenarioSpec {
 }
 
 fn main() {
-    let args = SweepArgs::from_env();
-    args.reject_rest().expect("no extra flags");
+    let args = SweepArgs::from_env_no_extra();
     assert!(
         args.csv.is_none() && args.json.is_none(),
         "repro_fig7_be has no record output; --csv/--json are not supported"

@@ -31,8 +31,7 @@ struct Row {
 }
 
 fn main() {
-    let args = SweepArgs::from_env();
-    args.reject_rest().expect("no extra flags");
+    let args = SweepArgs::from_env_no_extra();
     let be_gaps: &[Option<u64>] = if args.smoke {
         &[None, Some(300), Some(50)]
     } else {

@@ -73,8 +73,7 @@ fn spec_for(spatial: &SpatialPattern, gap_ns: u64) -> ScenarioSpec {
 }
 
 fn main() {
-    let args = SweepArgs::from_env();
-    args.reject_rest().expect("no extra flags");
+    let args = SweepArgs::from_env_no_extra();
     assert!(
         args.csv.is_none() && args.json.is_none(),
         "repro_patterns is table-only; --csv/--json are not supported"

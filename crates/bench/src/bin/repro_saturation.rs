@@ -20,8 +20,7 @@ use mango_sweep::{
 use std::time::Instant;
 
 fn main() {
-    let args = SweepArgs::from_env();
-    args.reject_rest().expect("no extra flags");
+    let args = SweepArgs::from_env_no_extra();
     println!("BE saturation curve: uniform random traffic, 4x4 mesh, 4-flit packets\n");
     let sweep = BeSweep::default();
     // The BE fabric is fast: with GS idle every link gives BE its full

@@ -7,14 +7,12 @@
 //! "larger networks" discussion implies but never measures.
 //!
 //! Run with: `cargo run --release -p mango_bench --bin repro_scaling`
-//! `[-- --threads N] [--smoke] [--region-block]`
+//! `[-- --threads N] [--smoke]`
 //!
 //! `--smoke` runs only the 16×16 simulation point (the CI `scaling-smoke`
 //! golden). Everything on stdout is deterministic — independent of wall
-//! clock, thread count, event-wheel geometry and `--region-block` (which
-//! changes only the queue's scan grouping; CI byte-diffs the smoke
-//! output with it on and off) — and byte-diffed in CI; wall-clock rates
-//! go to stderr.
+//! clock, thread count and event-wheel geometry — and byte-diffed in CI;
+//! wall-clock rates go to stderr.
 //!
 //! The analytic grid is evaluated through the sweep runner — each design
 //! point is an independent job, merged in grid order. (The area model is
@@ -57,16 +55,13 @@ fn scaling_spec(side: u8, measure_us: u64) -> ScenarioSpec {
 }
 
 fn main() {
-    let mut args = SweepArgs::from_env();
-    let region_block = args.rest.iter().any(|a| a == "--region-block");
-    args.rest.retain(|a| a != "--region-block");
-    args.reject_rest().expect("no extra flags");
+    let args = SweepArgs::from_env_no_extra();
     assert!(
         args.csv.is_none() && args.json.is_none(),
         "repro_scaling is table-only; --csv/--json are not supported"
     );
     if args.smoke {
-        mesh_scaling_section(&args, region_block, &[(16, 20)]);
+        mesh_scaling_section(&args, &[(16, 20)]);
         return;
     }
     let model = AreaModel::cmos_120nm();
@@ -164,22 +159,18 @@ fn main() {
 
     // The mesh axis the ROADMAP scaling track asks for: 4×4 (the paper's
     // repro grid) through 32×32 (the smoke ceiling).
-    mesh_scaling_section(&args, region_block, &[(4, 50), (8, 50), (16, 20), (32, 5)]);
+    mesh_scaling_section(&args, &[(4, 50), (8, 50), (16, 20), (32, 5)]);
 }
 
 /// Runs the simulated mesh-scaling points and prints the deterministic
 /// results table (stdout) plus wall-clock rates (stderr).
-fn mesh_scaling_section(args: &SweepArgs, region_block: bool, points: &[(u8, u64)]) {
+fn mesh_scaling_section(args: &SweepArgs, points: &[(u8, u64)]) {
     println!(
         "\nMesh scaling (simulated): 2 crossing GS conns @ 12 ns + uniform BE @ 300 ns/node\n"
     );
     let results = run_parallel(points, args.threads, |_, &(side, measure_us)| {
-        let mut spec = scaling_spec(side, measure_us);
-        if region_block {
-            spec = spec.region_block();
-        }
         let start = Instant::now();
-        let metrics = spec.run();
+        let metrics = scaling_spec(side, measure_us).run();
         (metrics, start.elapsed().as_secs_f64())
     });
     let mut t = Table::new(vec![

@@ -21,8 +21,7 @@ use mango_sweep::{capacity_curves, run_grid, serving_summary_table, write_csv, S
 use std::time::Instant;
 
 fn main() {
-    let args = mango_sweep::SweepArgs::from_env();
-    args.reject_rest().expect("no extra flags");
+    let args = mango_sweep::SweepArgs::from_env_no_extra();
     let spec = if args.smoke {
         ServingSweepSpec::smoke()
     } else {

@@ -4,57 +4,62 @@
 //! roadmap track is measured in.
 //!
 //! Usage:
-//! `sim_rate [simulated_us] [repeats] [--mesh N] [--buckets B] [--width-log2 W] [--json] [--profile] [--telemetry]`
-//! (defaults: 50 µs × 5 on a 4×4 mesh). `--mesh N` runs the same mixed
-//! workload on an N×N mesh — the mesh-scaling probe. `--buckets` /
-//! `--width-log2` override the event-wheel geometry (default: the
-//! per-scenario heuristic) for wheel-geometry validation sweeps; results
-//! are geometry-independent, only the rate moves. `--json` emits one
-//! machine-readable object on stdout so CI can record the rate without
-//! scraping logs. `--profile` turns on kernel self-profiling and prints
-//! per-event-kind dispatch counts plus wheel-occupancy statistics after
-//! the last run (profiling adds a little per-dispatch work, so rates
-//! measured with it are not comparable to unprofiled ones).
-//! `--telemetry` activates the telemetry sink (metrics + epoch samplers,
-//! flit tracing off) — the sampler-overhead probe: compare its rate to a
-//! plain run of the same workload. `--region-block` turns on
-//! region-blocked event scheduling (results are byte-identical either
-//! way; this probes the scan-grouping overhead and reports per-region
-//! dispatch counts). On meshes other than 4×4 a 4×4 reference is timed
-//! in the same invocation, and the per-event cost ratio against it is
-//! reported (`ratio_vs_4x4` — the cache-bounded-scaling headline).
+//! `sim_rate [simulated_us] [repeats] [--mesh N] [--json] [--profile] [--telemetry]`
+//! (defaults: 50 µs × 5 on a 4×4 mesh; `simulated_us ≥ 1`,
+//! `repeats ≥ 1`, `N ≥ 4` — anything else prints the usage line and
+//! exits 2). `--mesh N` runs the same mixed workload on an N×N mesh —
+//! the mesh-scaling probe. `--json` emits one machine-readable object on
+//! stdout so CI can record the rate without scraping logs. `--profile`
+//! turns on kernel self-profiling and prints per-event-kind dispatch
+//! counts plus wheel-occupancy statistics after the last run (profiling
+//! adds a little per-dispatch work, so rates measured with it are not
+//! comparable to unprofiled ones). `--telemetry` activates the telemetry
+//! sink (metrics + epoch samplers, flit tracing off) — the
+//! sampler-overhead probe: compare its rate to a plain run of the same
+//! workload. The 16×16-vs-4×4 per-event ratio is the repo benchmark's
+//! `sim.ns_per_event_ratio_16v4` (`benchmark/`), which records both bases.
 
 use mango::net::TelemetryConfig;
 use mango::sim::{SimDuration, WheelGeometry};
-use mango_bench::mixed_mesh_geom;
+use mango_bench::mixed_mesh;
 use std::time::Instant;
 
 struct RunConfig {
     mesh: u8,
     sim_us: u64,
     repeats: u64,
-    geometry: Option<WheelGeometry>,
     profile: bool,
     telemetry: bool,
-    region_block: bool,
 }
 
 struct RunResult {
     best: f64,
     runs: Vec<String>,
     profile: Option<mango::sim::KernelProfile>,
-    regions: Vec<u64>,
+    geometry: WheelGeometry,
 }
 
 /// Times `repeats` fresh runs of the mixed workload; returns the best
-/// rate, per-run records, and the last run's profile/region census.
+/// rate, per-run records, the last run's profile and the event wheel the
+/// runs used.
 fn measure(cfg: &RunConfig, quiet: bool) -> RunResult {
     let mut best = f64::MIN;
     let mut runs = Vec::new();
     let mut last_profile = None;
-    let mut regions = Vec::new();
+    let mut geometry = WheelGeometry::DEFAULT;
     for run in 0..cfg.repeats {
-        let mut sim = mixed_mesh_geom(cfg.mesh, cfg.mesh, 99, cfg.geometry);
+        let mut sim = mixed_mesh(cfg.mesh, cfg.mesh, 99);
+        geometry = sim.wheel_geometry();
+        if run == 0 && !quiet {
+            println!(
+                "mixed {0}x{0} mesh, {1} us simulated, {2} runs, wheel {3}x{4} ps",
+                cfg.mesh,
+                cfg.sim_us,
+                cfg.repeats,
+                geometry.num_buckets,
+                geometry.width_ps(),
+            );
+        }
         if cfg.profile {
             sim.enable_kernel_profiling();
         }
@@ -63,9 +68,6 @@ fn measure(cfg: &RunConfig, quiet: bool) -> RunResult {
                 trace_flits: false,
                 ..Default::default()
             });
-        }
-        if cfg.region_block {
-            sim.enable_region_blocking();
         }
         let setup_events = sim.events_processed();
         let start = Instant::now();
@@ -89,15 +91,12 @@ fn measure(cfg: &RunConfig, quiet: bool) -> RunResult {
         if cfg.profile {
             last_profile = sim.kernel_profile().cloned();
         }
-        if cfg.region_block {
-            regions = sim.region_dispatch_counts().to_vec();
-        }
     }
     RunResult {
         best,
         runs,
         profile: last_profile,
-        regions,
+        geometry,
     }
 }
 
@@ -105,88 +104,46 @@ fn main() {
     let mut json = false;
     let mut profile = false;
     let mut telemetry = false;
-    let mut region_block = false;
     let mut mesh: u8 = 4;
-    let mut buckets: Option<usize> = None;
-    let mut width_log2: Option<u32> = None;
     let mut positional: Vec<u64> = Vec::new();
     let mut args = std::env::args().skip(1);
     fn usage() -> ! {
         eprintln!(
-            "usage: sim_rate [simulated_us] [repeats] [--mesh N] \
-             [--buckets B] [--width-log2 W] [--json] [--profile] [--telemetry] \
-             [--region-block]"
+            "usage: sim_rate [simulated_us >= 1] [repeats >= 1] [--mesh N >= 4] \
+             [--json] [--profile] [--telemetry]"
         );
         std::process::exit(2);
-    }
-    fn flag_val<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
-        match args.next().and_then(|v| v.parse().ok()) {
-            Some(v) => v,
-            None => usage(),
-        }
     }
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json = true,
             "--profile" => profile = true,
             "--telemetry" => telemetry = true,
-            "--region-block" => region_block = true,
-            "--mesh" => mesh = flag_val(&mut args),
-            "--buckets" => buckets = Some(flag_val(&mut args)),
-            "--width-log2" => width_log2 = Some(flag_val(&mut args)),
+            "--mesh" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(v) => mesh = v,
+                None => usage(),
+            },
             _ => positional.push(a.parse().unwrap_or_else(|_| usage())),
         }
     }
     let sim_us = positional.first().copied().unwrap_or(50);
     let repeats = positional.get(1).copied().unwrap_or(5);
-    let geometry = (buckets.is_some() || width_log2.is_some()).then(|| WheelGeometry {
-        num_buckets: buckets.unwrap_or(WheelGeometry::DEFAULT.num_buckets),
-        width_log2: width_log2.unwrap_or(WheelGeometry::DEFAULT.width_log2),
-    });
-
-    let geom = geometry.unwrap_or_else(|| {
-        WheelGeometry::for_mesh(
-            mesh as usize * mesh as usize,
-            mango::hw::RouterTiming::paper_typical()
-                .min_event_delay()
-                .as_ps(),
-        )
-    });
-    if !json {
-        println!(
-            "mixed {mesh}x{mesh} mesh, {sim_us} us simulated, {repeats} runs, \
-             wheel {}x{} ps{}",
-            geom.num_buckets,
-            geom.width_ps(),
-            if region_block { ", region-blocked" } else { "" }
-        );
+    // `mixed_mesh` needs two distinct connection rings; zero runs or a
+    // zero-length window have no rate to report.
+    if mesh < 4 || repeats == 0 || sim_us == 0 || positional.len() > 2 {
+        usage();
     }
+
     let cfg = RunConfig {
         mesh,
         sim_us,
         repeats,
-        geometry,
         profile,
         telemetry,
-        region_block,
     };
     let result = measure(&cfg, json);
     let best = result.best;
     let per_event_ns = 1e9 / best;
-    // The scaling headline: per-event cost relative to a 4x4 run of the
-    // same workload, timed in this invocation so both sides see the same
-    // machine state. 1.0 on the 4x4 itself.
-    let ratio_vs_4x4 = if mesh == 4 {
-        1.0
-    } else {
-        let ref_cfg = RunConfig {
-            mesh: 4,
-            geometry: None,
-            ..cfg
-        };
-        let ref_best = measure(&ref_cfg, true).best;
-        (1e9 / best) / (1e9 / ref_best)
-    };
     if let Some(p) = &result.profile {
         let total = p.samples().max(1);
         println!("kernel profile ({} dispatches):", p.samples());
@@ -210,42 +167,21 @@ fn main() {
         );
     }
     if json {
-        let regions = result
-            .regions
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
         println!(
             "{{\"scenario\":\"mixed_{mesh}x{mesh}\",\"mesh\":{mesh},\"sim_us\":{sim_us},\
              \"repeats\":{repeats},\"wheel_buckets\":{},\"wheel_width_ps\":{},\
-             \"region_block\":{region_block},\"region_dispatch\":[{regions}],\
              \"runs\":[{}],\"best_events_per_sec\":{:.0},\"best_mevents_per_sec\":{:.2},\
-             \"per_event_ns\":{:.1},\"ratio_vs_4x4\":{:.3}}}",
-            geom.num_buckets,
-            geom.width_ps(),
+             \"per_event_ns\":{:.1}}}",
+            result.geometry.num_buckets,
+            result.geometry.width_ps(),
             result.runs.join(","),
             best,
             best / 1e6,
             per_event_ns,
-            ratio_vs_4x4
         );
     } else {
-        if region_block && !result.regions.is_empty() {
-            let total: u64 = result.regions.iter().sum();
-            println!(
-                "region dispatch ({} regions, last run):",
-                result.regions.len()
-            );
-            for (r, c) in result.regions.iter().enumerate() {
-                println!(
-                    "  region {r:<3} {c:>10}  ({:5.1}%)",
-                    *c as f64 * 100.0 / total.max(1) as f64
-                );
-            }
-        }
         println!(
-            "best: {:.2} Mevents/s  ({per_event_ns:.0} ns/event, {ratio_vs_4x4:.2}x vs 4x4)",
+            "best: {:.2} Mevents/s  ({per_event_ns:.0} ns/event)",
             best / 1e6
         );
     }

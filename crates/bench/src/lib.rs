@@ -105,33 +105,11 @@ pub fn mixed_mesh_4x4(seed: u64) -> NocSim {
 /// For `(4, 4)` this reproduces `mixed_mesh_4x4` construction step for
 /// construction step, so the two probes are directly comparable.
 pub fn mixed_mesh(width: u8, height: u8, seed: u64) -> NocSim {
-    mixed_mesh_geom(width, height, seed, None)
-}
-
-/// [`mixed_mesh`] with an explicit event-wheel geometry override
-/// (`None` = the scenario heuristic) — the wheel-geometry validation
-/// probe behind `sim_rate --buckets`.
-pub fn mixed_mesh_geom(
-    width: u8,
-    height: u8,
-    seed: u64,
-    geometry: Option<mango::sim::WheelGeometry>,
-) -> NocSim {
     assert!(
         width >= 4 && height >= 4,
         "mixed_mesh needs a mesh of at least 4x4"
     );
-    use mango::core::RouterConfig;
-    use mango::net::{Grid, NaConfig, Network};
-    let network = Network::new(
-        Grid::new(width, height),
-        RouterConfig::paper(),
-        NaConfig::paper(),
-    );
-    let mut sim = match geometry {
-        Some(g) => NocSim::with_geometry(network, seed, g),
-        None => NocSim::new(network, seed),
-    };
+    let mut sim = NocSim::paper_mesh(width, height, seed);
     let (w, h) = (width - 1, height - 1);
     for (s, d) in [
         ((0, 0), (w, h)),

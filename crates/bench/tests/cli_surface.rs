@@ -1,0 +1,160 @@
+//! The command-line surface of `sim_rate` and `repro_scaling`: an
+//! argument outside the accepted range, or a flag an earlier version
+//! had, ends in the usage line and exit status 2 — never in a panic.
+
+use std::process::{Command, Output};
+
+const SIM_RATE: &str = env!("CARGO_BIN_EXE_sim_rate");
+const REPRO_SCALING: &str = env!("CARGO_BIN_EXE_repro_scaling");
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe).args(args).output().expect("binary runs")
+}
+
+fn assert_usage_error(exe: &str, args: &[&str]) {
+    let out = run(exe, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed a result");
+}
+
+#[test]
+fn sim_rate_rejects_out_of_range_and_removed_arguments() {
+    let bad: [&[&str]; 10] = [
+        &["--mesh", "2"],
+        &["--mesh", "3", "--json"],
+        &["--mesh"],
+        &["5", "0", "--json"],
+        &["0"],
+        &["fast"],
+        &["1", "1", "1"],
+        &["--region-block"],
+        &["--buckets", "1024"],
+        &["--width-log2", "4"],
+    ];
+    for args in bad {
+        assert_usage_error(SIM_RATE, args);
+    }
+}
+
+#[test]
+fn repro_scaling_rejects_malformed_and_removed_flags() {
+    assert_usage_error(REPRO_SCALING, &["--smoke", "--region-block"]);
+    assert_usage_error(REPRO_SCALING, &["--threads", "0"]);
+}
+
+#[test]
+fn sim_rate_json_is_one_object_of_finite_numbers() {
+    let out = run(SIM_RATE, &["1", "1", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("utf-8");
+    let numbers = json_numbers(text.trim());
+    for (key, v) in &numbers {
+        assert!(v.is_finite(), "{key} = {v}");
+    }
+    let get = |key: &str| {
+        numbers
+            .iter()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("no {key} in {text}"))
+            .1
+    };
+    assert_eq!(get("mesh"), 4.0);
+    assert_eq!(get("wheel_buckets"), 2048.0);
+    assert!(get("events") > 0.0);
+    assert!(get("best_events_per_sec") > 0.0);
+    assert!(get("per_event_ns") > 0.0);
+}
+
+/// Parses `text` as one JSON value (panicking on anything malformed or
+/// trailing) and returns every number in it with the object key it sits
+/// under.
+fn json_numbers(text: &str) -> Vec<(String, f64)> {
+    let mut p = Json {
+        bytes: text.as_bytes(),
+        at: 0,
+        numbers: Vec::new(),
+    };
+    p.value("");
+    assert_eq!(p.at, p.bytes.len(), "trailing text after the JSON value");
+    p.numbers
+}
+
+struct Json<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    numbers: Vec<(String, f64)>,
+}
+
+impl Json<'_> {
+    fn peek(&self) -> u8 {
+        *self.bytes.get(self.at).expect("JSON ends early")
+    }
+
+    fn expect(&mut self, token: &str) {
+        let end = self.at + token.len();
+        assert_eq!(self.bytes.get(self.at..end), Some(token.as_bytes()));
+        self.at = end;
+    }
+
+    fn string(&mut self) -> String {
+        self.expect("\"");
+        let start = self.at;
+        while self.peek() != b'"' {
+            assert_ne!(self.peek(), b'\\', "escapes are not produced");
+            self.at += 1;
+        }
+        self.at += 1;
+        String::from_utf8(self.bytes[start..self.at - 1].to_vec()).expect("utf-8")
+    }
+
+    /// A comma-separated list of `item`s up to `close`.
+    fn list(&mut self, close: u8, mut item: impl FnMut(&mut Self)) {
+        self.at += 1;
+        while self.peek() != close {
+            item(self);
+            if self.peek() != close {
+                self.expect(",");
+                assert_ne!(self.peek(), close, "trailing comma");
+            }
+        }
+        self.at += 1;
+    }
+
+    fn value(&mut self, key: &str) {
+        match self.peek() {
+            b'{' => self.list(b'}', |p| {
+                let key = p.string();
+                p.expect(":");
+                p.value(&key);
+            }),
+            b'[' => self.list(b']', |p| p.value(key)),
+            b'"' => drop(self.string()),
+            b't' => self.expect("true"),
+            b'f' => self.expect("false"),
+            b'n' => self.expect("null"),
+            _ => {
+                let start = self.at;
+                while self.at < self.bytes.len()
+                    && matches!(
+                        self.bytes[self.at],
+                        b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'
+                    )
+                {
+                    self.at += 1;
+                }
+                let token = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii");
+                let v = token
+                    .parse()
+                    .unwrap_or_else(|_| panic!("bad number {token:?}"));
+                self.numbers.push((key.to_string(), v));
+            }
+        }
+    }
+}

@@ -61,55 +61,6 @@ impl fmt::Display for LinkSlot {
     }
 }
 
-/// An arbitration policy for one output link.
-///
-/// The router calls [`LinkArbiter::select`] with the currently ready
-/// requesters (a flit buffered and flow control permitting) each time the
-/// link can issue a grant; the policy keeps whatever internal state it
-/// needs (round-robin pointer, ages).
-///
-/// `Send` is a supertrait so routers (and the networks holding them) can
-/// move to worker threads for parallel parameter sweeps.
-pub trait LinkArbiter: fmt::Debug + Send {
-    /// Chooses the slot to grant from `ready`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `ready` is empty — the router only
-    /// arbitrates when at least one requester is ready.
-    fn select(&mut self, ready: &[LinkSlot]) -> LinkSlot;
-
-    /// Bitmask form of [`LinkArbiter::select`]: bit `i` set means dense
-    /// slot `i` is ready (bit `gs_vcs` is the BE channel). The router's
-    /// hot path calls this — one grant per link cycle — so the built-in
-    /// policies override it allocation-free; the default materializes the
-    /// slice on the stack for custom arbiters.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `ready_mask` is zero.
-    fn select_mask(&mut self, ready_mask: u128, gs_vcs: usize) -> LinkSlot {
-        debug_assert!(ready_mask != 0, "select_mask with no ready slots");
-        let mut buf = [LinkSlot::Be; 128];
-        let mut n = 0;
-        let mut m = ready_mask;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            buf[n] = if i == gs_vcs {
-                LinkSlot::Be
-            } else {
-                LinkSlot::Gs(VcId(i as u8))
-            };
-            n += 1;
-            m &= m - 1;
-        }
-        self.select(&buf[..n])
-    }
-
-    /// The policy's name, for reports.
-    fn name(&self) -> &'static str;
-}
-
 /// Which arbitration policy a router uses (plugged in via
 /// [`crate::config::RouterConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,30 +77,14 @@ pub enum ArbiterKind {
     },
 }
 
-impl ArbiterKind {
-    /// Instantiates the policy for a link with `gs_vcs` GS VCs as a boxed
-    /// trait object — the extension point for custom policies and the
-    /// reference implementation the enum-dispatched [`ArbiterImpl`] is
-    /// tested against.
-    pub fn build(self, gs_vcs: usize) -> Box<dyn LinkArbiter> {
-        match self {
-            ArbiterKind::FairShare => Box::new(FairShareArbiter::new(gs_vcs)),
-            ArbiterKind::StaticPriority => Box::new(StaticPriorityArbiter::new()),
-            ArbiterKind::Alg { age_bound } => Box::new(AlgArbiter::new(gs_vcs, age_bound)),
-        }
-    }
-}
-
-/// The built-in arbitration policies as an enum — the router's hot path.
+/// The arbitration policies as an enum — the router's hot path.
 ///
-/// Every link grant goes through one `select_mask` call; with the boxed
-/// [`LinkArbiter`] that was an indirect call through a per-router heap
-/// allocation. The enum keeps the three built-in policies inline in the
-/// router struct (no heap, no vtable) and lets the match inline into the
-/// grant path. The [`LinkArbiter`] trait remains for tests and for
-/// extension with out-of-tree policies; [`ArbiterImpl`] implements it, and
-/// a property test pins enum decisions to the boxed reference
-/// implementations decision for decision.
+/// The router calls [`ArbiterImpl::select_mask`] with the currently ready
+/// requesters (a flit buffered and flow control permitting) each time the
+/// link can issue a grant; the policy keeps whatever internal state it
+/// needs (round-robin pointer, ages). The enum keeps the policies inline
+/// in the router struct (no heap, no vtable) and lets the match inline
+/// into the grant path.
 #[derive(Debug, Clone)]
 pub enum ArbiterImpl {
     /// Round-robin fair share (the paper's scheme).
@@ -181,9 +116,9 @@ impl ArbiterImpl {
     #[inline]
     pub fn select_mask(&mut self, ready_mask: u128, gs_vcs: usize) -> LinkSlot {
         match self {
-            ArbiterImpl::FairShare(a) => a.select_mask(ready_mask, gs_vcs),
+            ArbiterImpl::FairShare(a) => a.select_mask(ready_mask),
             ArbiterImpl::StaticPriority(a) => a.select_mask(ready_mask, gs_vcs),
-            ArbiterImpl::Alg(a) => a.select_mask(ready_mask, gs_vcs),
+            ArbiterImpl::Alg(a) => a.select_mask(ready_mask),
         }
     }
 
@@ -194,24 +129,6 @@ impl ArbiterImpl {
             ArbiterImpl::StaticPriority(a) => a.name(),
             ArbiterImpl::Alg(a) => a.name(),
         }
-    }
-}
-
-impl LinkArbiter for ArbiterImpl {
-    fn select(&mut self, ready: &[LinkSlot]) -> LinkSlot {
-        match self {
-            ArbiterImpl::FairShare(a) => a.select(ready),
-            ArbiterImpl::StaticPriority(a) => a.select(ready),
-            ArbiterImpl::Alg(a) => a.select(ready),
-        }
-    }
-
-    fn select_mask(&mut self, ready_mask: u128, gs_vcs: usize) -> LinkSlot {
-        ArbiterImpl::select_mask(self, ready_mask, gs_vcs)
-    }
-
-    fn name(&self) -> &'static str {
-        ArbiterImpl::name(self)
     }
 }
 
@@ -231,19 +148,14 @@ impl FairShareArbiter {
             pointer: LinkSlot::count(gs_vcs) - 1,
         }
     }
-}
 
-impl LinkArbiter for FairShareArbiter {
-    fn select(&mut self, ready: &[LinkSlot]) -> LinkSlot {
-        assert!(!ready.is_empty(), "select called with no ready slots");
-        let mut ready_mask: u128 = 0;
-        for &slot in ready {
-            ready_mask |= 1 << slot.dense_index(self.gs_vcs);
-        }
-        self.select_mask(ready_mask, self.gs_vcs)
-    }
-
-    fn select_mask(&mut self, ready_mask: u128, _gs_vcs: usize) -> LinkSlot {
+    /// Grants the first ready slot after the last granted one (bit `i` of
+    /// `ready_mask` = dense slot `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ready_mask` is zero.
+    pub fn select_mask(&mut self, ready_mask: u128) -> LinkSlot {
         let n = LinkSlot::count(self.gs_vcs);
         assert!(n <= 128, "fair-share arbiter supports at most 127 GS VCs");
         assert!(ready_mask != 0, "select called with no ready slots");
@@ -290,7 +202,8 @@ impl LinkArbiter for FairShareArbiter {
         }
     }
 
-    fn name(&self) -> &'static str {
+    /// The policy's name, for reports.
+    pub fn name(&self) -> &'static str {
         "fair-share"
     }
 }
@@ -304,10 +217,13 @@ impl StaticPriorityArbiter {
     pub fn new() -> Self {
         StaticPriorityArbiter
     }
-}
 
-impl LinkArbiter for StaticPriorityArbiter {
-    fn select_mask(&mut self, ready_mask: u128, gs_vcs: usize) -> LinkSlot {
+    /// Grants the lowest ready dense index (bit `gs_vcs` is BE).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ready_mask` is zero.
+    pub fn select_mask(&mut self, ready_mask: u128, gs_vcs: usize) -> LinkSlot {
         assert!(ready_mask != 0, "select called with no ready slots");
         // BE has the highest dense index, so lowest-set-bit is exactly
         // "highest-priority GS, else BE".
@@ -319,18 +235,8 @@ impl LinkArbiter for StaticPriorityArbiter {
         }
     }
 
-    fn select(&mut self, ready: &[LinkSlot]) -> LinkSlot {
-        assert!(!ready.is_empty(), "select called with no ready slots");
-        *ready
-            .iter()
-            .min_by_key(|s| match s {
-                LinkSlot::Gs(vc) => vc.index(),
-                LinkSlot::Be => usize::MAX,
-            })
-            .expect("ready non-empty")
-    }
-
-    fn name(&self) -> &'static str {
+    /// The policy's name, for reports.
+    pub fn name(&self) -> &'static str {
         "static-priority"
     }
 }
@@ -394,19 +300,15 @@ impl AlgArbiter {
     pub fn worst_case_wait(&self) -> u32 {
         self.age_bound + LinkSlot::count(self.gs_vcs) as u32 - 1
     }
-}
 
-impl LinkArbiter for AlgArbiter {
-    fn select(&mut self, ready: &[LinkSlot]) -> LinkSlot {
-        assert!(!ready.is_empty(), "select called with no ready slots");
-        let mut ready_mask: u128 = 0;
-        for &slot in ready {
-            ready_mask |= 1 << slot.dense_index(self.gs_vcs);
-        }
-        self.select_mask(ready_mask, self.gs_vcs)
-    }
-
-    fn select_mask(&mut self, ready_mask: u128, _gs_vcs: usize) -> LinkSlot {
+    /// Force-grants the most-overdue ready slot if any has hit the age
+    /// bound, else the lowest ready dense index; ages every other ready
+    /// slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ready_mask` is zero.
+    pub fn select_mask(&mut self, ready_mask: u128) -> LinkSlot {
         assert!(ready_mask != 0, "select called with no ready slots");
         // Force-grant the most-overdue requester, if any has hit the
         // bound; otherwise the highest priority (lowest index).
@@ -440,7 +342,8 @@ impl LinkArbiter for AlgArbiter {
         self.slot_for(granted)
     }
 
-    fn name(&self) -> &'static str {
+    /// The policy's name, for reports.
+    pub fn name(&self) -> &'static str {
         "alg"
     }
 }
@@ -451,6 +354,11 @@ mod tests {
 
     fn gs(i: u8) -> LinkSlot {
         LinkSlot::Gs(VcId(i))
+    }
+
+    /// The ready bitmask of a slot list on a 7-VC link.
+    fn mask(ready: &[LinkSlot]) -> u128 {
+        ready.iter().fold(0, |m, s| m | 1 << s.dense_index(7))
     }
 
     fn all_slots(gs_vcs: usize) -> Vec<LinkSlot> {
@@ -479,7 +387,7 @@ mod tests {
         let ready = all_slots(7);
         let mut counts = [0u32; 8];
         for _ in 0..800 {
-            let slot = arb.select(&ready);
+            let slot = arb.select_mask(mask(&ready));
             counts[slot.dense_index(7)] += 1;
         }
         // Perfect round-robin: exactly 100 grants each — the 1/8 floor.
@@ -495,7 +403,7 @@ mod tests {
         let ready = vec![gs(2), gs(5)];
         let mut counts = [0u32; 8];
         for _ in 0..100 {
-            counts[arb.select(&ready).dense_index(7)] += 1;
+            counts[arb.select_mask(mask(&ready)).dense_index(7)] += 1;
         }
         assert_eq!(counts[2], 50);
         assert_eq!(counts[5], 50);
@@ -505,7 +413,7 @@ mod tests {
     fn fair_share_is_work_conserving_single_requester() {
         let mut arb = FairShareArbiter::new(7);
         for _ in 0..10 {
-            assert_eq!(arb.select(&[gs(3)]), gs(3));
+            assert_eq!(arb.select_mask(mask(&[gs(3)])), gs(3));
         }
     }
 
@@ -528,7 +436,7 @@ mod tests {
             if (rngish >> 60) & 1 == 1 {
                 ready.push(LinkSlot::Be);
             }
-            let granted = arb.select(&ready);
+            let granted = arb.select_mask(mask(&ready));
             if granted == gs(0) {
                 since_grant = 0;
             } else {
@@ -541,9 +449,12 @@ mod tests {
     #[test]
     fn static_priority_always_picks_lowest_index() {
         let mut arb = StaticPriorityArbiter::new();
-        assert_eq!(arb.select(&[gs(5), gs(1), LinkSlot::Be]), gs(1));
-        assert_eq!(arb.select(&[LinkSlot::Be, gs(6)]), gs(6));
-        assert_eq!(arb.select(&[LinkSlot::Be]), LinkSlot::Be);
+        assert_eq!(
+            arb.select_mask(mask(&[gs(5), gs(1), LinkSlot::Be]), 7),
+            gs(1)
+        );
+        assert_eq!(arb.select_mask(mask(&[LinkSlot::Be, gs(6)]), 7), gs(6));
+        assert_eq!(arb.select_mask(mask(&[LinkSlot::Be]), 7), LinkSlot::Be);
     }
 
     #[test]
@@ -552,7 +463,7 @@ mod tests {
         let mut arb = StaticPriorityArbiter::new();
         let ready = vec![gs(0), gs(6)];
         for _ in 0..1000 {
-            assert_eq!(arb.select(&ready), gs(0));
+            assert_eq!(arb.select_mask(mask(&ready), 7), gs(0));
         }
     }
 
@@ -567,7 +478,7 @@ mod tests {
         let mut waits = [0u32; 8];
         let mut max_wait = [0u32; 8];
         for _ in 0..10_000 {
-            let granted = arb.select(&ready).dense_index(7);
+            let granted = arb.select_mask(mask(&ready)).dense_index(7);
             for i in 0..8 {
                 if i == granted {
                     max_wait[i] = max_wait[i].max(waits[i]);
@@ -607,7 +518,7 @@ mod tests {
             if (x >> 62) & 1 == 1 {
                 ready.push(LinkSlot::Be);
             }
-            if arb.select(&ready) == gs(6) {
+            if arb.select_mask(mask(&ready)) == gs(6) {
                 wait = 0;
             } else {
                 wait += 1;
@@ -624,7 +535,7 @@ mod tests {
         let ready = vec![gs(0), gs(6)];
         let mut counts = [0u32; 8];
         for _ in 0..800 {
-            counts[arb.select(&ready).dense_index(7)] += 1;
+            counts[arb.select_mask(mask(&ready)).dense_index(7)] += 1;
         }
         assert!(counts[0] > counts[6], "priority inverted: {counts:?}");
         assert!(counts[6] > 0, "ALG must not starve low priority");
@@ -640,17 +551,15 @@ mod tests {
 
     #[test]
     fn kind_builds_named_policies() {
-        assert_eq!(ArbiterKind::FairShare.build(7).name(), "fair-share");
-        assert_eq!(
-            ArbiterKind::StaticPriority.build(7).name(),
-            "static-priority"
-        );
-        assert_eq!(ArbiterKind::Alg { age_bound: 4 }.build(7).name(), "alg");
+        let name = |kind| ArbiterImpl::new(kind, 7).name();
+        assert_eq!(name(ArbiterKind::FairShare), "fair-share");
+        assert_eq!(name(ArbiterKind::StaticPriority), "static-priority");
+        assert_eq!(name(ArbiterKind::Alg { age_bound: 4 }), "alg");
     }
 
     #[test]
     #[should_panic(expected = "no ready slots")]
     fn empty_ready_list_panics() {
-        FairShareArbiter::new(7).select(&[]);
+        FairShareArbiter::new(7).select_mask(mask(&[]));
     }
 }

@@ -18,15 +18,6 @@ use std::fmt;
 
 /// Instrumentation attached to a flit by the simulator (zero hardware
 /// width).
-///
-/// Under the `lean-flit` cargo feature this struct is zero-sized: the
-/// 24 bytes of metadata are the bulk of every queue-entry memcpy in the
-/// event core, and capacity/throughput sweeps that don't read per-flow
-/// latency can strip them for a measurably higher `sim_rate`. Code must
-/// go through the accessors ([`FlitMeta::flow`] & co.), which degrade to
-/// "unset" when the feature is on — per-flow delivery/latency statistics
-/// are simply not recorded then.
-#[cfg(not(feature = "lean-flit"))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlitMeta {
     /// When the flit was injected at the source NA.
@@ -37,12 +28,6 @@ pub struct FlitMeta {
     flow: u32,
 }
 
-/// Zero-sized stand-in for the instrumentation metadata (`lean-flit`).
-#[cfg(feature = "lean-flit")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlitMeta;
-
-#[cfg(not(feature = "lean-flit"))]
 impl FlitMeta {
     /// Metadata with everything unset.
     pub fn none() -> Self {
@@ -66,29 +51,6 @@ impl FlitMeta {
     /// Flow identifier; `u32::MAX` = unset.
     pub fn flow(&self) -> u32 {
         self.flow
-    }
-}
-
-#[cfg(feature = "lean-flit")]
-impl FlitMeta {
-    /// Metadata with everything unset (always, under `lean-flit`).
-    pub fn none() -> Self {
-        FlitMeta
-    }
-
-    /// Always [`SimTime::ZERO`] under `lean-flit`.
-    pub fn injected_at(&self) -> SimTime {
-        SimTime::ZERO
-    }
-
-    /// Always zero under `lean-flit`.
-    pub fn seq(&self) -> u64 {
-        0
-    }
-
-    /// Always unset (`u32::MAX`) under `lean-flit`.
-    pub fn flow(&self) -> u32 {
-        u32::MAX
     }
 }
 
@@ -135,9 +97,7 @@ impl Flit {
         }
     }
 
-    /// Returns the flit with instrumentation metadata attached (a no-op
-    /// under the `lean-flit` feature).
-    #[cfg(not(feature = "lean-flit"))]
+    /// Returns the flit with instrumentation metadata attached.
     pub fn with_meta(mut self, injected_at: SimTime, seq: u64, flow: u32) -> Self {
         self.meta = FlitMeta {
             injected_at,
@@ -147,24 +107,17 @@ impl Flit {
         self
     }
 
-    /// Returns the flit unchanged (`lean-flit` strips instrumentation).
-    #[cfg(feature = "lean-flit")]
-    pub fn with_meta(self, _injected_at: SimTime, _seq: u64, _flow: u32) -> Self {
-        self
-    }
-
-    /// When the flit was injected at the source NA ([`SimTime::ZERO`]
-    /// under `lean-flit`).
+    /// When the flit was injected at the source NA.
     pub fn injected_at(&self) -> SimTime {
         self.meta.injected_at()
     }
 
-    /// Per-flow sequence number (zero under `lean-flit`).
+    /// Per-flow sequence number.
     pub fn seq(&self) -> u64 {
         self.meta.seq()
     }
 
-    /// Flow identifier; `u32::MAX` = unset (always under `lean-flit`).
+    /// Flow identifier; `u32::MAX` = unset.
     pub fn flow(&self) -> u32 {
         self.meta.flow()
     }
@@ -229,7 +182,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "lean-flit"))]
     fn metadata_attaches_without_touching_data() {
         let f = Flit::gs(7).with_meta(SimTime::from_ns(5), 42, 3);
         assert_eq!(f.data, 7);
@@ -239,28 +191,14 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "lean-flit")]
-    fn lean_flit_drops_metadata() {
-        let f = Flit::gs(7).with_meta(SimTime::from_ns(5), 42, 3);
-        assert_eq!(f.data, 7);
-        assert_eq!(f.injected_at(), SimTime::ZERO);
-        assert_eq!(f.seq(), 0);
-        assert_eq!(f.flow(), u32::MAX);
-    }
-
-    #[test]
     fn default_meta_is_unset() {
         assert_eq!(Flit::gs(0).flow(), u32::MAX);
     }
 
-    /// The ROADMAP capacity-sweep contract: `lean-flit` strips the 24 B
-    /// of instrumentation so a flit is its 8-byte hardware content; the
-    /// default build carries the metadata (32 B total).
+    /// 8 bytes of hardware content plus 24 of instrumentation: the size
+    /// every queue-entry and slab copy pays.
     #[test]
-    fn flit_size_matches_feature() {
-        #[cfg(feature = "lean-flit")]
-        assert_eq!(std::mem::size_of::<Flit>(), 8);
-        #[cfg(not(feature = "lean-flit"))]
+    fn flit_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Flit>(), 32);
     }
 

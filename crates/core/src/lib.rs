@@ -79,7 +79,7 @@ pub mod table;
 pub mod trace;
 pub mod vc;
 
-pub use arb::{ArbiterImpl, ArbiterKind, LinkArbiter, LinkSlot};
+pub use arb::{ArbiterImpl, ArbiterKind, LinkSlot};
 pub use arena::{GsArena, RouterSlots};
 pub use be::BeInput;
 pub use be_arena::{BeArena, BeSlots};

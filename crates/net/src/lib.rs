@@ -61,8 +61,8 @@ pub use ocp::{OcpMessage, OcpSlave};
 pub use relay::{RelayTable, RelayTicket};
 pub use route::{route_avoiding, xy_header, xy_path, xy_route, RouteError};
 pub use scenario::{
-    BeBackgroundSpec, BeFlowSpec, FlowKind, FlowMetric, GsFlowSpec, MeasureBound, Phase,
-    PreparedScenario, ScenarioMetrics, ScenarioSpec, TrafficSpec,
+    FlowKind, FlowMetric, GsFlowSpec, MeasureBound, Phase, PreparedScenario, ScenarioMetrics,
+    ScenarioSpec, TrafficSpec,
 };
 pub use sim::{EmitWindow, NocSim};
 pub use stats::{FlowStats, Histogram, LatencyRecorder, NetStats};

@@ -182,7 +182,7 @@ pub struct Network {
     /// tagged with older generations are stale chains and are dropped.
     telemetry_generation: u32,
     /// Debug-build flit-conservation ledger (flow-carrying flits only).
-    #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+    #[cfg(debug_assertions)]
     cons: Conservation,
 }
 
@@ -191,7 +191,7 @@ pub struct Network {
 /// or inside a scheduled event (`wire`). `outstanding` tracks entries
 /// minus exits (deliveries and fault drops), so at any event boundary
 /// `outstanding == buffered + wire`.
-#[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+#[cfg(debug_assertions)]
 #[derive(Debug, Default, Clone, Copy)]
 struct Conservation {
     /// Flow-carrying flits injected and not yet delivered or dropped.
@@ -277,7 +277,7 @@ impl Network {
             broken: Vec::new(),
             telemetry: TelemetrySink::Off,
             telemetry_generation: 0,
-            #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+            #[cfg(debug_assertions)]
             cons: Conservation::default(),
         }
     }
@@ -775,9 +775,9 @@ impl Network {
     /// Asserts the flit-conservation invariant: every flow-carrying flit
     /// ever injected is delivered, fault-dropped, buffered somewhere, or
     /// inside a scheduled event. Call between events (e.g. after a run).
-    /// Compiled to a no-op in release builds and under `lean-flit`.
+    /// Compiled to a no-op in release builds.
     pub fn debug_check_conservation(&self) {
-        #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+        #[cfg(debug_assertions)]
         {
             let buffered: i64 = self.arena.flow_flits() as i64
                 + self
@@ -800,13 +800,13 @@ impl Network {
     }
 
     /// Accounts flow-carrying flits discarded outside the event loop
-    /// (forced NA unbind during recovery). No-op in release/lean builds.
+    /// (forced NA unbind during recovery). No-op in release builds.
     pub fn debug_note_discarded(&mut self, n: u64) {
-        #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+        #[cfg(debug_assertions)]
         {
             self.cons.outstanding -= n as i64;
         }
-        #[cfg(any(not(debug_assertions), feature = "lean-flit"))]
+        #[cfg(not(debug_assertions))]
         let _ = n;
     }
 
@@ -1003,7 +1003,7 @@ impl Network {
         }
         // Flits vanishing into the dead router leave both the wire and
         // the conservation ledger (counted as fault losses below).
-        #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+        #[cfg(debug_assertions)]
         match event {
             NetEvent::LinkFlit { lf, .. } if lf.flit.flow() != u32::MAX => {
                 self.cons_wire(-1);
@@ -1116,7 +1116,7 @@ impl Network {
             for f in &mut flits {
                 *f = f.with_meta(now, seq, flow);
             }
-            #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+            #[cfg(debug_assertions)]
             self.cons_enter(flits.len() as u64);
         }
         let idx = self.grid.index(src);
@@ -1148,7 +1148,7 @@ impl Network {
         for action in actions {
             match action {
                 RouterAction::Internal { delay, event } => {
-                    #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+                    #[cfg(debug_assertions)]
                     if let InternalEvent::BeMoved { flit, .. } = event {
                         if flit.flow() != u32::MAX {
                             self.cons_wire(1);
@@ -1165,13 +1165,13 @@ impl Network {
                     if self.faults.is_some()
                         && self.blackhole_flit(id, *dir, to, lf, *delay + extra, ctx)
                     {
-                        #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+                        #[cfg(debug_assertions)]
                         if lf.flit.flow() != u32::MAX {
                             self.cons_exit(1);
                         }
                         continue;
                     }
-                    #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+                    #[cfg(debug_assertions)]
                     if lf.flit.flow() != u32::MAX {
                         self.cons_wire(1);
                     }
@@ -1225,7 +1225,7 @@ impl Network {
                             flit.injected_at(),
                             ctx.now(),
                         );
-                        #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+                        #[cfg(debug_assertions)]
                         self.cons_exit(1);
                         if self.telemetry.is_active() {
                             let flit = *flit;
@@ -1241,7 +1241,7 @@ impl Network {
                     let idx = self.grid.index(id);
                     let mut packet = std::mem::take(&mut self.packet_scratch);
                     if self.na.be_deliver(idx, *flit, &mut packet) {
-                        #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+                        #[cfg(debug_assertions)]
                         self.cons_exit(
                             packet.iter().filter(|f| f.flow() != u32::MAX).count() as u64
                         );
@@ -1396,7 +1396,7 @@ impl Network {
         }
         let hdr = &packet[0];
         flits[0] = flits[0].with_meta(hdr.injected_at(), hdr.seq(), hdr.flow());
-        #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+        #[cfg(debug_assertions)]
         self.cons_enter(flits.iter().filter(|f| f.flow() != u32::MAX).count() as u64);
         if self.telemetry.is_active() && hdr.flow() != u32::MAX {
             let hdr = *hdr;
@@ -1445,7 +1445,7 @@ impl Network {
             SourceKind::Gs { router, iface, .. } => {
                 let seq = self.stats.on_inject(flow);
                 let flit = Flit::gs(seq as u32).with_meta(now, seq, flow);
-                #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+                #[cfg(debug_assertions)]
                 self.cons_enter(1);
                 let node = self.grid.index(router);
                 if self.na.enqueue_gs(node, iface, flit) {
@@ -1488,7 +1488,7 @@ impl Network {
     }
 }
 
-#[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+#[cfg(debug_assertions)]
 impl Network {
     #[inline]
     fn cons_enter(&mut self, n: u64) {
@@ -1514,7 +1514,7 @@ impl Model for Network {
         }
         match event {
             NetEvent::Router { id, ev } => {
-                #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+                #[cfg(debug_assertions)]
                 if let InternalEvent::BeMoved { flit, .. } = &ev {
                     if flit.flow() != u32::MAX {
                         self.cons_wire(-1);
@@ -1525,7 +1525,7 @@ impl Model for Network {
                 })
             }
             NetEvent::LinkFlit { to, from, lf } => {
-                #[cfg(all(debug_assertions, not(feature = "lean-flit")))]
+                #[cfg(debug_assertions)]
                 if lf.flit.flow() != u32::MAX {
                     self.cons_wire(-1);
                 }

@@ -189,45 +189,6 @@ impl TrafficSpec {
     }
 }
 
-/// An explicit BE packet flow — the legacy pre-[`TrafficSpec`] shape,
-/// kept for one PR while call sites migrate
-/// (`TrafficSpec::new(SpatialPattern::FixedPool(dests), pattern)
-/// .from_node(src)` is the replacement).
-#[derive(Debug, Clone)]
-pub struct BeFlowSpec {
-    /// Source router.
-    pub src: RouterId,
-    /// Destination pool (uniform pick; repeat to weight).
-    pub dests: Vec<RouterId>,
-    /// Payload words per packet.
-    pub payload_words: usize,
-    /// Emission pattern.
-    pub pattern: TemporalSpec,
-    /// Flow name in the statistics registry.
-    pub name: String,
-    /// Emission bounds.
-    pub window: EmitWindow,
-    /// Attachment phase.
-    pub phase: Phase,
-}
-
-/// Uniform-random all-to-all BE background traffic — the legacy
-/// pre-[`TrafficSpec`] shape, kept for one PR
-/// (`TrafficSpec::new(SpatialPattern::UniformRandom, pattern)` is the
-/// replacement and draws the identical RNG sequence).
-#[derive(Debug, Clone)]
-pub struct BeBackgroundSpec {
-    /// Per-node emission pattern.
-    pub pattern: TemporalSpec,
-    /// Payload words per packet.
-    pub payload_words: usize,
-    /// Flow-name prefix; the node id is appended (e.g. `"bg-"` →
-    /// `"bg-(1,2)"`).
-    pub name_prefix: String,
-    /// Attachment phase.
-    pub phase: Phase,
-}
-
 /// A complete, runnable experiment description.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
@@ -251,22 +212,11 @@ pub struct ScenarioSpec {
     pub gs: Vec<GsFlowSpec>,
     /// Composable traffic models, attached in order.
     pub traffic: Vec<TrafficSpec>,
-    /// Legacy explicit BE flows.
-    #[deprecated(note = "use `traffic` with a `FixedPool` point source")]
-    pub be: Vec<BeFlowSpec>,
-    /// Legacy uniform-random background.
-    #[deprecated(note = "use `traffic` with `SpatialPattern::UniformRandom`")]
-    pub background: Option<BeBackgroundSpec>,
-    /// Turn on region-blocked event scheduling for the measurement run
-    /// (scan-order grouping + per-region dispatch census; results are
-    /// byte-identical either way — see [`NocSim::enable_region_blocking`]).
-    pub region_block: bool,
 }
 
 impl ScenarioSpec {
     /// A scenario skeleton on a `width × height` paper mesh: no traffic,
     /// no warmup, fixed measurement span.
-    #[allow(deprecated)]
     pub fn mesh(width: u8, height: u8, seed: u64) -> Self {
         ScenarioSpec {
             width,
@@ -278,9 +228,6 @@ impl ScenarioSpec {
             measure: MeasureBound::For(SimDuration::from_us(100)),
             gs: Vec::new(),
             traffic: Vec::new(),
-            be: Vec::new(),
-            background: None,
-            region_block: false,
         }
     }
 
@@ -308,12 +255,6 @@ impl ScenarioSpec {
     // --------------------------------------------------------------
     // Fluent builder surface
     // --------------------------------------------------------------
-
-    /// Turns on region-blocked event scheduling for the measurement run.
-    pub fn region_block(mut self) -> Self {
-        self.region_block = true;
-        self
-    }
 
     /// Sets the warmup span.
     pub fn warmup(mut self, span: SimDuration) -> Self {
@@ -479,11 +420,6 @@ impl PreparedScenario {
         }
         self.sim.begin_measurement();
         self.attach_phase(Phase::Measure);
-        // After every source is registered, so the source->region
-        // snapshot is complete.
-        if self.spec.region_block {
-            self.sim.enable_region_blocking();
-        }
     }
 
     /// Runs the measurement phase to the spec's [`MeasureBound`].
@@ -589,7 +525,6 @@ impl PreparedScenario {
         }
     }
 
-    #[allow(deprecated)]
     fn attach_phase(&mut self, phase: Phase) {
         let PreparedScenario {
             spec,
@@ -607,40 +542,9 @@ impl PreparedScenario {
                 flows.push((f, FlowKind::Gs));
             }
         }
-        for b in &spec.be {
-            if b.phase == phase {
-                let f = sim.add_be_source(
-                    b.src,
-                    b.dests.clone(),
-                    b.payload_words,
-                    b.pattern,
-                    b.name.clone(),
-                    b.window,
-                );
-                be_flows.push(flows.len());
-                flows.push((f, FlowKind::Be));
-            }
-        }
         for t in &spec.traffic {
             if t.phase == phase {
                 Self::attach_traffic(sim, flows, be_flows, background_flows, t);
-            }
-        }
-        if let Some(bg) = &spec.background {
-            if bg.phase == phase {
-                // The legacy shim rides the computed uniform pattern —
-                // same RNG stream order, same per-emission draws as the
-                // historical materialized pools.
-                let shim = TrafficSpec {
-                    src: None,
-                    spatial: SpatialPattern::UniformRandom,
-                    temporal: bg.pattern,
-                    payload_words: bg.payload_words,
-                    phase: bg.phase,
-                    window: EmitWindow::default(),
-                    name_prefix: bg.name_prefix.clone(),
-                };
-                Self::attach_traffic(sim, flows, be_flows, background_flows, &shim);
             }
         }
     }
@@ -891,31 +795,6 @@ mod tests {
             assert_eq!(fm.delivered, s.delivered);
             assert_eq!(fm.mean_ns, s.latency.mean().map(|d| d.as_ns_f64()));
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_background_shim_matches_traffic_spec() {
-        // The deprecated `background` field and the TrafficSpec uniform
-        // pattern must be the same experiment, bit for bit.
-        let mut legacy = ScenarioSpec::mesh(4, 4, 55)
-            .warmup(SimDuration::from_us(5))
-            .measure_for(SimDuration::from_us(30));
-        legacy.background = Some(BeBackgroundSpec {
-            pattern: TemporalSpec::poisson(SimDuration::from_ns(300)),
-            payload_words: 4,
-            name_prefix: "be-".into(),
-            phase: Phase::Setup,
-        });
-        let modern = ScenarioSpec::mesh(4, 4, 55)
-            .warmup(SimDuration::from_us(5))
-            .measure_for(SimDuration::from_us(30))
-            .traffic(
-                TrafficSpec::uniform_poisson(SimDuration::from_ns(300))
-                    .payload(4)
-                    .named("be-"),
-            );
-        assert_eq!(legacy.run(), modern.run());
     }
 
     #[test]

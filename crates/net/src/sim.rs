@@ -36,24 +36,15 @@ pub struct NocSim {
 impl NocSim {
     /// Builds a simulation over `network` with the given random seed.
     ///
-    /// The event-wheel geometry is chosen by
-    /// [`WheelGeometry::for_mesh`] from the mesh size and the router
-    /// timing — every mesh up to 8×8 gets the tuned default, larger
-    /// meshes a proportionally wider wheel. Geometry never affects
-    /// results (event order is a pure function of `(time, seq)`), only
-    /// events/second.
+    /// The event wheel is [`WheelGeometry::for_mesh`]'s: the tuned 2048
+    /// buckets on every mesh, the window width from the router timing.
+    /// Geometry never affects results (event order is a pure function of
+    /// `(time, seq)`), only events/second.
     pub fn new(network: Network, seed: u64) -> Self {
         let geometry = WheelGeometry::for_mesh(
             network.grid().len(),
             network.router_timing().min_event_delay().as_ps(),
         );
-        Self::with_geometry(network, seed, geometry)
-    }
-
-    /// Builds a simulation with an explicit event-wheel geometry — the
-    /// probe knob for wheel-geometry validation experiments
-    /// (`sim_rate --buckets N`).
-    pub fn with_geometry(network: Network, seed: u64, geometry: WheelGeometry) -> Self {
         NocSim {
             kernel: Kernel::with_geometry(network, geometry),
             rng: SimRng::new(seed),
@@ -193,58 +184,6 @@ impl NocSim {
     /// The kernel self-profile, if profiling was enabled.
     pub fn kernel_profile(&self) -> Option<&KernelProfile> {
         self.kernel.profile()
-    }
-
-    /// Turns on region-blocked event scheduling: within each staged time
-    /// window the queue scans events grouped by mesh region (die on
-    /// chiplet topologies, 8×8 tile otherwise — see [`Grid::region_of`])
-    /// and counts dispatches per region. Delivery order is untouched, so
-    /// every output stays byte-identical with the feature on or off; the
-    /// scan grouping is the shard layout a parallel dispatcher would use.
-    ///
-    /// Call after the scenario's traffic sources are registered: the
-    /// source→region map is snapshotted here, and ticks of sources added
-    /// later are attributed to region 0.
-    pub fn enable_region_blocking(&mut self) {
-        let grid = self.network().grid().clone();
-        let source_region: Vec<u32> = self
-            .network()
-            .sources()
-            .iter()
-            .map(|s| {
-                let router = match s.kind {
-                    SourceKind::Gs { router, .. } => router,
-                    SourceKind::Be { router, .. } => router,
-                };
-                grid.region_of(router)
-            })
-            .collect();
-        self.kernel.set_region_fn(move |ev: &NetEvent| match *ev {
-            NetEvent::Router { id, .. }
-            | NetEvent::NaGsInject { id, .. }
-            | NetEvent::NaBeInject { id }
-            | NetEvent::NaGsConsumed { id, .. } => grid.region_of(id),
-            NetEvent::LinkFlit { to, .. }
-            | NetEvent::Unlock { to, .. }
-            | NetEvent::Credit { to, .. } => grid.region_of(to),
-            NetEvent::SourceTick { idx } => source_region.get(idx).copied().unwrap_or(0),
-            // Global bookkeeping events pin to region 0 (they would run on
-            // the coordinating shard).
-            NetEvent::Fault { .. }
-            | NetEvent::Watchdog { .. }
-            | NetEvent::TelemetrySample { .. } => 0,
-        });
-    }
-
-    /// True if region-blocked scheduling is on.
-    pub fn region_blocking(&self) -> bool {
-        self.kernel.region_blocking()
-    }
-
-    /// Events dispatched per region since [`NocSim::enable_region_blocking`],
-    /// indexed by region (see [`Grid::region_of`]).
-    pub fn region_dispatch_counts(&self) -> &[u64] {
-        self.kernel.region_dispatch_counts()
     }
 
     // ------------------------------------------------------------------
@@ -816,54 +755,11 @@ mod tests {
         );
     }
 
-    /// Region blocking changes the scan order, never the results: an
-    /// identically-seeded run with it on must reproduce every statistic
-    /// of the plain run, and the per-region census must account for
-    /// every dispatched event.
+    /// A 16×16 mesh runs on the same tuned wheel as the 4×4 probe.
     #[test]
-    fn region_blocking_preserves_results() {
-        let run = |region_block: bool| {
-            let mut sim = NocSim::paper_mesh(9, 9, 77);
-            let flow = sim.add_be_source(
-                RouterId::new(0, 0),
-                vec![RouterId::new(8, 8), RouterId::new(8, 0)],
-                4,
-                TemporalSpec::cbr(SimDuration::from_ns(40)),
-                "rb-probe",
-                EmitWindow {
-                    limit: Some(120),
-                    ..Default::default()
-                },
-            );
-            if region_block {
-                sim.enable_region_blocking();
-            }
-            sim.begin_measurement();
-            let outcome = sim.run_to_quiescence();
-            assert_eq!(outcome, RunOutcome::Quiescent);
-            let census: u64 = sim.region_dispatch_counts().iter().sum();
-            (sim.flow(flow), sim.events_processed(), census, sim.now())
-        };
-        let (plain, plain_events, _, plain_end) = run(false);
-        let (blocked, blocked_events, census, blocked_end) = run(true);
-        assert_eq!(blocked.injected, plain.injected);
-        assert_eq!(blocked.delivered, plain.delivered);
-        assert_eq!(blocked.latency.mean(), plain.latency.mean());
-        assert_eq!(blocked_events, plain_events, "same event trajectory");
-        assert_eq!(blocked_end, plain_end, "same end time");
-        assert_eq!(census, blocked_events, "census covers every dispatch");
-        // A 9x9 mesh spans 2x2 tiles of 8x8 — four regions; a cross-mesh
-        // route must charge dispatches to more than one of them.
-        let counts = {
-            let mut sim = NocSim::paper_mesh(9, 9, 77);
-            sim.enable_region_blocking();
-            assert!(sim.region_blocking());
-            assert_eq!(sim.network().grid().regions(), 4);
-            sim.send_be(RouterId::new(8, 8), RouterId::new(0, 0), &[1, 2], None);
-            sim.run_to_quiescence();
-            sim.region_dispatch_counts().to_vec()
-        };
-        let active = counts.iter().filter(|&&c| c > 0).count();
-        assert!(active >= 2, "cross-mesh route spans regions: {counts:?}");
+    fn large_mesh_runs_on_the_default_wheel() {
+        let sim = NocSim::paper_mesh(16, 16, 1);
+        assert_eq!(sim.wheel_geometry().num_buckets, 2048);
+        assert_eq!(sim.wheel_geometry().width_ps(), 32);
     }
 }

@@ -318,32 +318,6 @@ impl Grid {
         self.len() == 0
     }
 
-    /// The mesh region a router belongs to — the unit a sharded (PDES)
-    /// dispatcher would hand one worker. On chiplet topologies a region
-    /// is a die; on flat meshes and tori it is an 8×8 tile (a single
-    /// region for grids that fit inside one tile). Region indices are
-    /// dense, row-major: `ry * regions_x + rx`.
-    #[inline]
-    pub fn region_of(&self, id: RouterId) -> u32 {
-        let (tile_w, tile_h) = self.chip.unwrap_or((8, 8));
-        let rx = id.x as u32 / tile_w as u32;
-        let ry = id.y as u32 / tile_h as u32;
-        ry * self.regions_x() + rx
-    }
-
-    /// Number of regions across the grid width (see [`Grid::region_of`]).
-    #[inline]
-    fn regions_x(&self) -> u32 {
-        let (tile_w, _) = self.chip.unwrap_or((8, 8));
-        (self.width as u32).div_ceil(tile_w as u32)
-    }
-
-    /// Total number of regions (see [`Grid::region_of`]).
-    pub fn regions(&self) -> u32 {
-        let (_, tile_h) = self.chip.unwrap_or((8, 8));
-        self.regions_x() * (self.height as u32).div_ceil(tile_h as u32)
-    }
-
     /// Sets the default extra forward delay on all links (homogeneous
     /// pipelining).
     ///

@@ -37,13 +37,13 @@
 //! # Geometry
 //!
 //! The wheel shape is a [`WheelGeometry`] chosen at construction.
-//! [`WheelGeometry::DEFAULT`] (2048 × 32 ps) is tuned for the paper's 4×4
-//! probe; [`WheelGeometry::for_mesh`] scales the bucket count with the
-//! expected concurrent-event population of larger meshes (see its docs
-//! for the heuristic). Geometry affects performance only: delivery order
-//! is a pure function of `(time, sequence)` for every legal geometry,
-//! which a property test pins by driving adversarial schedules through
-//! divergent geometries.
+//! [`WheelGeometry::DEFAULT`] (2048 × 32 ps) is the tuned shape;
+//! [`WheelGeometry::for_mesh`] keeps its bucket count for every mesh and
+//! derives only the window width from the model's timing corner (see its
+//! docs for the measurement). Geometry affects performance only:
+//! delivery order is a pure function of `(time, sequence)` for every
+//! legal geometry, which a property test pins by driving adversarial
+//! schedules through divergent geometries.
 //!
 //! # Determinism
 //!
@@ -97,10 +97,8 @@ impl WheelGeometry {
         width_log2: 5,
     };
 
-    /// Chooses a geometry for a mesh scenario from its expected event
-    /// density.
-    ///
-    /// The heuristic, term by term:
+    /// The geometry for a mesh scenario: [`WheelGeometry::DEFAULT`]'s
+    /// bucket count with the window width taken from the model's timing.
     ///
     /// * **Width from timing.** Consecutive events of one causal chain are
     ///   at least `min_event_delay_ps` apart (the model's shortest stage
@@ -108,24 +106,18 @@ impl WheelGeometry {
     ///   of that, clamped to [8 ps, 256 ps] — comfortably below the chain
     ///   spacing, so same-bucket collisions come only from *independent*
     ///   chains. For the paper's 180 ps minimum stage delay this yields
-    ///   the default 32 ps.
-    /// * **Buckets from concurrency.** A running mesh keeps roughly one
-    ///   in-flight event per active channel: four link ports plus a local
-    ///   interface per node ⇒ ~5·nodes concurrent events spread over the
-    ///   span. Provisioning `4 × 5·nodes` buckets keeps expected per-bucket
-    ///   occupancy well under one as the mesh grows (the wheel-geometry
-    ///   scaling validated on the 16×16/32×32 probes), clamped between the
-    ///   tuned 2048 floor and a 32 768 cache-footprint ceiling.
-    ///
-    /// For every mesh up to 8×8 the clamps reproduce
-    /// [`WheelGeometry::DEFAULT`] exactly — pinned by a regression test —
-    /// so the historical repro outputs and their goldens are untouched.
-    pub fn for_mesh(nodes: usize, min_event_delay_ps: u64) -> WheelGeometry {
-        let width_log2 = (min_event_delay_ps / 4).max(1).ilog2().clamp(3, 8);
-        let num_buckets = (20 * nodes).next_power_of_two().clamp(2048, 32_768);
+    ///   the default 32 ps; worst-case-derated timing (277 ps) gets 64 ps.
+    /// * **Buckets are a constant.** A count grown with `nodes` (it used
+    ///   to be `20 × nodes`, up to 32 768) measured no faster than 2048
+    ///   on any mesh it changed — 32×32 ran 176 → 126 ns/event with the
+    ///   count forced back to 2048 — and held 27 MiB more peak RSS at
+    ///   16×16 (ROADMAP, *Perf baseline*): the bucket headers fall out
+    ///   of cache long before per-bucket sorts get deep. `nodes` stays
+    ///   in the signature for its callers.
+    pub fn for_mesh(_nodes: usize, min_event_delay_ps: u64) -> WheelGeometry {
         WheelGeometry {
-            num_buckets,
-            width_log2,
+            width_log2: (min_event_delay_ps / 4).max(1).ilog2().clamp(3, 8),
+            ..WheelGeometry::DEFAULT
         }
     }
 
@@ -202,17 +194,7 @@ pub struct EventQueue<E> {
     overflow_min: u64,
     next_seq: u64,
     scheduled_total: u64,
-    /// Region key for region-blocked scanning (see
-    /// [`EventQueue::set_region_fn`]); `None` = feature off, and the hot
-    /// path pays a single branch.
-    region_fn: Option<RegionFn<E>>,
-    /// Per-region dispatched-event counters, grown on demand; empty
-    /// while region blocking is off.
-    region_dispatch: Vec<u64>,
 }
-
-/// Boxed region-key extractor for region-blocked scanning.
-type RegionFn<E> = Box<dyn Fn(&E) -> u32 + Send>;
 
 struct Entry<E> {
     time: SimTime,
@@ -278,59 +260,7 @@ impl<E> EventQueue<E> {
             overflow_min: u64::MAX,
             next_seq: 0,
             scheduled_total: 0,
-            region_fn: None,
-            region_dispatch: Vec::new(),
         }
-    }
-
-    /// Installs a region key for **region-blocked scanning** and starts
-    /// counting dispatches per region.
-    ///
-    /// A *region* is the mesh partition a future PDES shard would own
-    /// (for the network model: the chiplet die, or an 8×8 tile of a
-    /// monolithic mesh). With a key installed, whenever the cursor
-    /// arrives at a bucket the equal-window events are first staged
-    /// grouped by region — the scan order a sharded dispatcher would
-    /// hand each worker as one contiguous run — before the bucket is
-    /// ordered by `(time, seq)` for delivery.
-    ///
-    /// Delivery order is **unchanged by construction**: the absolute
-    /// `(time, seq)` contract forbids reordering, so the blocking
-    /// affects only the scan/staging pass and the per-region counters
-    /// ([`EventQueue::region_dispatch_counts`]). Popping with the key
-    /// installed is byte-for-byte identical to popping without it —
-    /// pinned by the wheel-geometry property test.
-    pub fn set_region_fn(&mut self, f: impl Fn(&E) -> u32 + Send + 'static) {
-        self.region_fn = Some(Box::new(f));
-    }
-
-    /// Removes the region key and stops per-region accounting (the
-    /// accumulated counters are kept until the next `set_region_fn`).
-    pub fn clear_region_fn(&mut self) {
-        self.region_fn = None;
-    }
-
-    /// True if a region key is installed.
-    pub fn region_blocking(&self) -> bool {
-        self.region_fn.is_some()
-    }
-
-    /// Events dispatched per region since the region key was installed,
-    /// indexed by region key. Empty while region blocking is off.
-    pub fn region_dispatch_counts(&self) -> &[u64] {
-        &self.region_dispatch
-    }
-
-    /// One per-region accounting step, outlined so the pop hot path
-    /// carries only the `is_some` branch when the feature is off.
-    #[inline(never)]
-    fn record_region(&mut self, event: &E) {
-        let f = self.region_fn.as_ref().expect("checked by caller");
-        let r = f(event) as usize;
-        if r >= self.region_dispatch.len() {
-            self.region_dispatch.resize(r + 1, 0);
-        }
-        self.region_dispatch[r] += 1;
     }
 
     /// The wheel geometry this queue was built with.
@@ -454,9 +384,6 @@ impl<E> EventQueue<E> {
                         self.clear_bit(self.cursor);
                         self.ensure_front();
                     }
-                    if self.region_fn.is_some() {
-                        self.record_region(&e.event);
-                    }
                     Some((e.time, e.event))
                 }
             };
@@ -478,9 +405,6 @@ impl<E> EventQueue<E> {
         if bucket.is_empty() {
             self.clear_bit(self.cursor);
             self.ensure_front();
-        }
-        if self.region_fn.is_some() {
-            self.record_region(&e.event);
         }
         Some((e.time, e.event))
     }
@@ -513,9 +437,6 @@ impl<E> EventQueue<E> {
             }
             e
         };
-        if self.region_fn.is_some() {
-            self.record_region(&e.event);
-        }
         Some((e.time, e.event))
     }
 
@@ -624,18 +545,6 @@ impl<E> EventQueue<E> {
     }
 
     fn sort_cursor_bucket(&mut self) {
-        if let Some(f) = &self.region_fn {
-            // Region-blocked scan: stage this window's events grouped by
-            // mesh region (stable, so the scheduling order inside a
-            // region — the tie rule — is untouched). This is the order a
-            // sharded dispatcher would walk; the `(time, seq)` sort
-            // below then restores the absolute delivery contract, so
-            // blocking is invisible to pop order by construction.
-            let bucket = &mut self.buckets[self.cursor];
-            if bucket.len() > 1 {
-                bucket.sort_by_key(|e| f(&e.event));
-            }
-        }
         // (time, seq) pairs are unique, so an unstable sort is
         // deterministic.
         self.buckets[self.cursor].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
@@ -939,18 +848,21 @@ mod tests {
         }
     }
 
+    /// The bucket count is the tuned constant for every mesh size; only
+    /// the window width follows the timing corner.
     #[test]
-    fn mesh_heuristic_scales_buckets_with_nodes() {
-        let g16 = WheelGeometry::for_mesh(256, 180);
-        let g32 = WheelGeometry::for_mesh(1024, 180);
-        assert_eq!(g16.num_buckets, 8192);
-        assert_eq!(g32.num_buckets, 32_768);
-        assert_eq!(g16.width_log2, 5, "width is timing-, not size-, driven");
-        assert_eq!(g32.width_log2, 5);
-        // Derated worst-case timing widens the window one notch.
-        assert_eq!(WheelGeometry::for_mesh(16, 277).width_log2, 6);
-        // The cap holds for absurd sizes.
-        assert_eq!(WheelGeometry::for_mesh(1 << 20, 180).num_buckets, 32_768);
+    fn mesh_geometry_is_default_buckets_with_timing_width() {
+        for nodes in [16usize, 256, 1024, 1 << 20] {
+            assert_eq!(WheelGeometry::for_mesh(nodes, 180), WheelGeometry::DEFAULT);
+            // Derated worst-case timing widens the window one notch.
+            assert_eq!(
+                WheelGeometry::for_mesh(nodes, 277),
+                WheelGeometry {
+                    width_log2: 6,
+                    ..WheelGeometry::DEFAULT
+                }
+            );
+        }
     }
 
     #[test]
@@ -976,23 +888,24 @@ mod tests {
                 num_buckets: 8192,
                 width_log2: 10,
             },
+            // The bucket counts `for_mesh` used to pick for 16×16 and
+            // 32×32: replacing them with 2048 cannot move a pop.
+            WheelGeometry {
+                num_buckets: 8192,
+                width_log2: 5,
+            },
+            WheelGeometry {
+                num_buckets: 32_768,
+                width_log2: 5,
+            },
         ];
         let mut queues: Vec<EventQueue<u64>> = geoms
             .iter()
             .map(|&g| EventQueue::with_geometry(g))
             .collect();
-        // Region blocking reorders only the *scan* of a staged window, never
-        // the `(time, seq)` delivery order — a region-blocked queue must pop
-        // byte-identically to every plain geometry.
-        for &g in &geoms {
-            let mut q = EventQueue::with_geometry(g);
-            q.set_region_fn(|e: &u64| (e % 7) as u32);
-            queues.push(q);
-        }
         let mut r = RefQueue::new();
         let mut rng = crate::rng::SimRng::new(0x6E0);
         let mut now = 0u64;
-        let mut popped = 0u64;
         for i in 0..20_000u64 {
             let t = SimTime::from_ps(now + rng.gen_range(100_000));
             for q in &mut queues {
@@ -1006,13 +919,9 @@ mod tests {
                 }
                 if let Some((t, _)) = want {
                     now = t.as_ps();
-                    popped += 1;
                 }
             }
         }
-        // Every dispatched event was attributed to a region.
-        let total: u64 = queues[3].region_dispatch_counts().iter().sum();
-        assert_eq!(total, popped, "region census must equal dispatched count");
     }
 
     // ------------------------------------------------------------------

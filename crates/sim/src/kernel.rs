@@ -235,28 +235,6 @@ impl<M: Model> Kernel<M> {
         self.profile.as_deref()
     }
 
-    /// Installs a region key on the event queue, turning on region-blocked
-    /// scanning and per-region dispatch accounting (see
-    /// [`EventQueue::set_region_fn`] — delivery order is unchanged).
-    pub fn set_region_fn(&mut self, f: impl Fn(&M::Event) -> u32 + Send + 'static) {
-        self.queue.set_region_fn(f);
-    }
-
-    /// Removes the region key installed by [`Kernel::set_region_fn`].
-    pub fn clear_region_fn(&mut self) {
-        self.queue.clear_region_fn();
-    }
-
-    /// True if a region key is installed on the event queue.
-    pub fn region_blocking(&self) -> bool {
-        self.queue.region_blocking()
-    }
-
-    /// Events dispatched per region since the region key was installed.
-    pub fn region_dispatch_counts(&self) -> &[u64] {
-        self.queue.region_dispatch_counts()
-    }
-
     /// Bulk-schedules a batch of `(delay, event)` pairs relative to the
     /// current time — the kernel-level entry to the bulk build path for
     /// drivers that stage large schedules up front (see

@@ -80,17 +80,17 @@ impl SweepArgs {
     /// Parses the process arguments, exiting with the usage message on
     /// error — the standard `main()` entry point.
     pub fn from_env() -> SweepArgs {
-        match SweepArgs::parse(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "common flags: [--threads N] [--smoke] [--list] [--csv PATH] [--json PATH] \
-                     [--telemetry-out DIR]"
-                );
-                std::process::exit(2);
-            }
+        SweepArgs::parse(std::env::args().skip(1)).unwrap_or_else(|msg| usage_exit(&msg))
+    }
+
+    /// [`SweepArgs::from_env`] for binaries with no flags of their own:
+    /// an unconsumed argument is a usage error too (exit status 2).
+    pub fn from_env_no_extra() -> SweepArgs {
+        let args = SweepArgs::from_env();
+        if let Err(msg) = args.reject_rest() {
+            usage_exit(&msg);
         }
+        args
     }
 
     /// Fails on any unconsumed argument — for binaries with no flags of
@@ -105,6 +105,17 @@ impl SweepArgs {
             Some(arg) => Err(format!("unrecognized argument {arg:?}")),
         }
     }
+}
+
+/// Prints `msg` and the common usage line to stderr and exits with
+/// status 2.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!(
+        "usage: [--threads N] [--smoke] [--list] [--csv PATH] [--json PATH] \
+         [--telemetry-out DIR]"
+    );
+    std::process::exit(2);
 }
 
 #[cfg(test)]

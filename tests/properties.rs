@@ -371,51 +371,14 @@ proptest! {
     }
 }
 
-fn arbiter_kind() -> impl Strategy<Value = mango::core::ArbiterKind> {
-    use mango::core::ArbiterKind;
-    prop_oneof![
-        Just(ArbiterKind::FairShare),
-        Just(ArbiterKind::StaticPriority),
-        (1u32..6).prop_map(|age_bound| ArbiterKind::Alg { age_bound }),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The enum-dispatched `ArbiterImpl` on the router's hot path must be
-    /// decision-for-decision identical to the boxed `dyn LinkArbiter`
-    /// reference it replaced, for every policy, across stateful random
-    /// ready-mask sequences (round-robin pointers and ALG ages must track
-    /// exactly — a single divergent grant would desynchronize the two).
-    #[test]
-    fn enum_arbiter_matches_boxed_reference(
-        kind in arbiter_kind(),
-        gs_vcs in 1usize..8,
-        masks in prop::collection::vec(1u16..256, 1..200),
-    ) {
-        use mango::core::{ArbiterImpl, LinkArbiter};
-        let mut enum_arb = ArbiterImpl::new(kind, gs_vcs);
-        let mut boxed: Box<dyn LinkArbiter> = kind.build(gs_vcs);
-        for mask in masks {
-            // Restrict to this link's slots (bits 0..=gs_vcs); skip draws
-            // that leave no requester ready.
-            let mask = u128::from(mask) & ((1u128 << (gs_vcs + 1)) - 1);
-            if mask == 0 {
-                continue;
-            }
-            prop_assert_eq!(
-                enum_arb.select_mask(mask, gs_vcs),
-                boxed.select_mask(mask, gs_vcs)
-            );
-        }
-    }
 
     /// Every legal wheel geometry must pop an adversarial schedule in
     /// exactly the same `(time, seq)` order as the default geometry —
     /// wrap-around times, overflow-tier promotions and dense same-bucket
-    /// clusters included. (This is the contract that lets the scenario
-    /// heuristic pick geometry freely without touching repro outputs.)
+    /// clusters included. (This is the contract that lets
+    /// `WheelGeometry::for_mesh` change without touching repro outputs.)
     #[test]
     fn wheel_geometry_never_changes_pop_order(
         buckets_log2 in 6u32..14,
