@@ -3,7 +3,7 @@
 //! end-to-end flow control, header overhead), with the bandwidth/latency
 //! consequences measured on both models.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_aethereal`
+//! Run with: `cargo run --release -p mango_bench --bin repro_aethereal`
 
 use mango::baseline::{AetherealReference, TdmConfig, TdmNetwork};
 use mango::core::RouterId;

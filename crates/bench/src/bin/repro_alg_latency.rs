@@ -7,7 +7,7 @@
 //!    of its fair share: ALG gives the high-priority channel near-minimal
 //!    latency while fair-share treats all channels alike.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_alg_latency`
+//! Run with: `cargo run --release -p mango_bench --bin repro_alg_latency`
 
 use mango::core::{ArbiterKind, RouterConfig, RouterId};
 use mango::hw::Table;

@@ -7,14 +7,14 @@
 //! floor, while costing substantial area. Depth 1 is simply optimal,
 //! which is the paper's point made quantitative.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_buffer_depth`
+//! Run with: `cargo run --release -p mango_bench --bin repro_buffer_depth`
 
 use mango::core::{RouterConfig, RouterId};
 use mango::hw::area::{AreaModel, RouterParams};
 use mango::hw::Table;
-use mango::net::experiment::gs_depth_throughput;
 use mango::net::{EmitWindow, NocSim, Pattern};
 use mango::sim::SimDuration;
+use mango_bench::gs_depth_throughput;
 
 /// Fair-share floor of one VC among 7 saturated ones, at `depth`.
 fn floor_at_depth(depth: usize) -> f64 {

@@ -4,7 +4,7 @@
 //! margins, and the system-level effect of removing the matched-delay
 //! margin from long links.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_di_links`
+//! Run with: `cargo run --release -p mango_bench --bin repro_di_links`
 
 use mango::core::{RouterConfig, RouterId};
 use mango::hw::link::{decode_1of4, encode_1of4, LinkEncoding};

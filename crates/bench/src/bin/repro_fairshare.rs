@@ -2,7 +2,7 @@
 //! the 8 channels on a link (7 GS VCs + BE) is guaranteed at least 1/8 of
 //! link bandwidth; unused allocations are redistributed to contenders.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_fairshare`
+//! Run with: `cargo run --release -p mango_bench --bin repro_fairshare`
 
 use mango::core::RouterId;
 use mango::hw::Table;

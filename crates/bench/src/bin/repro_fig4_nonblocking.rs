@@ -4,7 +4,7 @@
 //! while the MANGO GS router's non-blocking switching keeps a tagged
 //! connection's latency flat under the same pressure.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_fig4_nonblocking`
+//! Run with: `cargo run --release -p mango_bench --bin repro_fig4_nonblocking`
 
 use mango::baseline::{run_generic_congestion, GenericConfig};
 use mango::hw::Table;

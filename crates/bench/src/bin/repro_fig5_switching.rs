@@ -3,7 +3,7 @@
 //! every arrival port with zero aliasing, and the switching-module area
 //! scales linearly with the number of VCs (Sec. 4.2).
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_fig5_switching`
+//! Run with: `cargo run --release -p mango_bench --bin repro_fig5_switching`
 
 use mango::core::{Direction, Port, Steer, VcId};
 use mango::hw::area::{AreaModel, RouterParams};

@@ -4,7 +4,7 @@
 //! several VCs overlap, so a handful of VCs saturate the link; and the
 //! depth-1 buffers suffice for the fair-share floor.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_fig6_vc_control`
+//! Run with: `cargo run --release -p mango_bench --bin repro_fig6_vc_control`
 
 use mango::hw::{RouterTiming, Table};
 use mango::sim::SimDuration;

@@ -51,7 +51,6 @@ fn main() {
         seeds: vec![55],
         warmup_us: 20,
         payload_words: 4,
-        mix_gap_into_seed: false,
     };
     let jobs = spec.expand();
     let start = Instant::now();

@@ -5,7 +5,7 @@
 //! while depth-1 buffers keep sustaining the fair-share floor as long as
 //! the loop fits inside one fair-share round.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_pipelined_links`
+//! Run with: `cargo run --release -p mango_bench --bin repro_pipelined_links`
 
 use mango::core::{RouterConfig, RouterId};
 use mango::hw::Table;

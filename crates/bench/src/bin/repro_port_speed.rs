@@ -3,7 +3,7 @@
 //! bundled-data timing model, then measured in simulation by saturating a
 //! link and counting delivered flits.
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_port_speed`
+//! Run with: `cargo run --release -p mango_bench --bin repro_port_speed`
 
 use mango::core::{RouterConfig, RouterId};
 use mango::hw::{Corner, Table, TimingModel};

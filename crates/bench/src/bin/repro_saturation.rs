@@ -12,17 +12,30 @@
 //! identical for every `--threads` value.
 
 use mango::hw::Table;
-use mango::net::{BeSweep, LoadPoint};
+use mango::net::{ScenarioMetrics, ScenarioSpec, TrafficSpec};
 use mango::sim::SimDuration;
 use mango_sweep::{
     run_parallel, write_csv, write_json, RuntimeInfo, SweepArgs, SweepJob, SweepRecord,
 };
 use std::time::Instant;
 
+/// Measurement window of every load point.
+const MEASURE: SimDuration = SimDuration::from_us(100);
+
+/// One load point: every node sources uniform-random 4-flit BE packets
+/// with Poisson gaps of `gap` (offered per-node rate = 1/gap). The seed
+/// mixes the gap in so each load level gets an independent random
+/// stream.
+fn scenario(gap: SimDuration) -> ScenarioSpec {
+    ScenarioSpec::mesh(4, 4, 0xBEEF ^ gap.as_ps())
+        .warmup(SimDuration::from_us(20))
+        .measure_for(MEASURE)
+        .traffic(TrafficSpec::uniform_poisson(gap).payload(3).named("sweep-"))
+}
+
 fn main() {
     let args = SweepArgs::from_env_no_extra();
     println!("BE saturation curve: uniform random traffic, 4x4 mesh, 4-flit packets\n");
-    let sweep = BeSweep::default();
     // The BE fabric is fast: with GS idle every link gives BE its full
     // capacity, so uniform-random traffic only saturates once per-node
     // injection approaches the NA's own limit (~199 Mpkt/s for 4-flit
@@ -35,21 +48,10 @@ fn main() {
     };
     let gaps: Vec<SimDuration> = gap_ns.iter().copied().map(SimDuration::from_ns).collect();
 
-    let specs: Vec<_> = gaps.iter().map(|&g| sweep.scenario(g)).collect();
+    let specs: Vec<_> = gaps.iter().copied().map(scenario).collect();
     let start = Instant::now();
     let metrics = run_parallel(&specs, args.threads, |_, spec| spec.run());
     let wall = start.elapsed().as_secs_f64();
-
-    let points: Vec<LoadPoint> = gaps
-        .iter()
-        .zip(&metrics)
-        .map(|(gap, m)| LoadPoint {
-            offered_m: gap.as_rate_mhz(),
-            delivered_m: m.be_throughput_m(),
-            mean_ns: m.be_weighted_mean_ns(),
-            p99_ns: m.be_p99_worst_ns(),
-        })
-        .collect();
 
     let mut t = Table::new(vec![
         "offered/node [Mpkt/s]",
@@ -57,20 +59,19 @@ fn main() {
         "mean latency [ns]",
         "worst p99 [ns]",
     ]);
-    for p in &points {
+    for (gap, m) in gaps.iter().zip(&metrics) {
         t.add_row(vec![
-            format!("{:.2}", p.offered_m),
-            format!("{:.1}", p.delivered_m),
-            format!("{:.1}", p.mean_ns),
-            format!("{:.1}", p.p99_ns),
+            format!("{:.2}", gap.as_rate_mhz()),
+            format!("{:.1}", m.be_throughput_m()),
+            format!("{:.1}", m.be_weighted_mean_ns()),
+            format!("{:.1}", m.be_p99_worst_ns()),
         ]);
     }
     print!("{t}");
 
     if args.csv.is_some() || args.json.is_some() {
         // Job metadata comes from the scenarios that actually ran (the
-        // derived seed in particular), not from re-deriving BeSweep's
-        // internals here.
+        // derived seed in particular).
         let records: Vec<SweepRecord> = specs
             .iter()
             .zip(&metrics)
@@ -86,7 +87,7 @@ fn main() {
                         be_gap_ns: Some(gaps[id].as_ps() / 1000),
                         pattern: mango::net::PatternKind::Uniform,
                         gs_period_ns: 0,
-                        measure_us: sweep.measure.as_ps() / 1_000_000,
+                        measure_us: MEASURE.as_ps() / 1_000_000,
                         seed: spec.seed,
                     },
                     m,
@@ -107,32 +108,35 @@ fn main() {
     }
 
     // Shape checks: linear region then saturation.
-    let light = &points[0];
-    let heavy = points.last().unwrap();
-    let expected_light = light.offered_m * 16.0;
+    let (light, heavy) = (&metrics[0], metrics.last().unwrap());
+    let expected_light = gaps[0].as_rate_mhz() * 16.0;
     assert!(
-        (light.delivered_m - expected_light).abs() / expected_light < 0.15,
+        (light.be_throughput_m() - expected_light).abs() / expected_light < 0.15,
         "light load must deliver ≈ offered"
     );
     assert!(
-        heavy.mean_ns > 3.0 * light.mean_ns,
+        heavy.be_weighted_mean_ns() > 3.0 * light.be_weighted_mean_ns(),
         "latency must climb toward saturation: {:.1} vs {:.1}",
-        heavy.mean_ns,
-        light.mean_ns
+        heavy.be_weighted_mean_ns(),
+        light.be_weighted_mean_ns()
     );
     // Throughput monotonically non-decreasing (no congestion collapse —
     // credit flow control, no drops/retransmits).
-    for w in points.windows(2) {
+    let delivered: Vec<f64> = metrics
+        .iter()
+        .map(ScenarioMetrics::be_throughput_m)
+        .collect();
+    for w in delivered.windows(2) {
         assert!(
-            w[1].delivered_m >= w[0].delivered_m * 0.97,
+            w[1] >= w[0] * 0.97,
             "throughput collapse: {:.1} -> {:.1}",
-            w[0].delivered_m,
-            w[1].delivered_m
+            w[0],
+            w[1]
         );
     }
+    let saturated = heavy.be_throughput_m();
     println!(
-        "\nsaturation: {:.1} Mpkt/s total ({:.0} Mflit/s incl. headers) with stable throughput past the knee",
-        heavy.delivered_m,
-        heavy.delivered_m * 4.0
+        "\nsaturation: {saturated:.1} Mpkt/s total ({:.0} Mflit/s incl. headers) with stable throughput past the knee",
+        saturated * 4.0
     );
 }

@@ -9,10 +9,10 @@
 //! Run with: `cargo run --release -p mango_bench --bin repro_scaling`
 //! `[-- --threads N] [--smoke]`
 //!
-//! `--smoke` runs only the 16×16 simulation point (the CI `scaling-smoke`
-//! golden). Everything on stdout is deterministic — independent of wall
-//! clock, thread count and event-wheel geometry — and byte-diffed in CI;
-//! wall-clock rates go to stderr.
+//! `--smoke` runs only the 16×16 simulation point (the `scaling` row of
+//! `tests/goldens.rs`). Everything on stdout is deterministic —
+//! independent of wall clock, thread count and event-wheel geometry —
+//! and byte-diffed there; wall-clock rates go to stderr.
 //!
 //! The analytic grid is evaluated through the sweep runner — each design
 //! point is an independent job, merged in grid order. (The area model is

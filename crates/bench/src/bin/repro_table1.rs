@@ -1,7 +1,7 @@
 //! Reproduces **Table 1**: per-module area of the MANGO router
 //! (0.12 µm standard cells, 5×5 ports, 8 VCs/port, 32-bit flits).
 //!
-//! Run with: `cargo run --release -p mango-bench --bin repro_table1`
+//! Run with: `cargo run --release -p mango_bench --bin repro_table1`
 
 use mango::hw::area::{AreaModel, RouterParams, Table1};
 

@@ -115,24 +115,9 @@ fn main() {
         eprintln!("error: --smoke, --pattern-smoke and --full are mutually exclusive");
         usage();
     }
-    if spec.is_empty() {
-        eprintln!("error: the grid is empty (an empty dimension)");
+    if let Err(e) = spec.validate() {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    }
-    // Reject structurally impossible pattern/topology pairings at the
-    // CLI (transpose on a non-square grid, bit-reverse off powers of
-    // two) instead of panicking deep inside a worker thread.
-    for topo in spec.topology_axis() {
-        let (w, h) = topo.dims();
-        for &p in &spec.patterns {
-            if let Err(e) = p
-                .spatial(w, h)
-                .validate(&mango::net::Grid::from_spec(&topo))
-            {
-                eprintln!("error: pattern {p} on {topo}: {e}");
-                std::process::exit(2);
-            }
-        }
     }
 
     let grid_name = if args.smoke {
@@ -193,13 +178,18 @@ fn main() {
         }
     }
 
+    let written = |path: &std::path::Path, result: std::io::Result<()>| match result {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    };
     if let Some(path) = &args.csv {
-        write_csv(path, &records).expect("write CSV");
-        println!("wrote {}", path.display());
+        written(path, write_csv(path, &records));
     }
     if let Some(path) = &args.json {
-        write_json(path, &records, &runtime).expect("write JSON");
-        println!("wrote {}", path.display());
+        written(path, write_json(path, &records, &runtime));
     }
     if !run.failed.is_empty() {
         std::process::exit(1);

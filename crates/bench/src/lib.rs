@@ -5,7 +5,7 @@
 //! runs whichever are built). This library holds the experiment
 //! set-ups they share.
 
-use mango::core::RouterId;
+use mango::core::{RouterConfig, RouterId};
 use mango::net::{EmitWindow, NocSim, Pattern, SpatialPattern};
 use mango::sim::SimDuration;
 
@@ -88,22 +88,39 @@ pub fn measure_gs(
     }
 }
 
-/// The `network_sim` benchmark scenario: a 4×4 mesh with four crossing
-/// GS connections at 12 ns per flit plus uniform-random BE background at
-/// 300 ns per node — the mixed workload the simulator performance track
-/// is measured on.
-pub fn mixed_mesh_4x4(seed: u64) -> NocSim {
-    mixed_mesh(4, 4, seed)
+/// Measures the saturation throughput of a single GS connection as a
+/// function of output-buffer depth.
+///
+/// Under share-based VC control this is **depth-independent**: the
+/// sharebox admits one flit per VC into the shared media at a time, so a
+/// lone VC is pinned to one flit per share loop no matter how much
+/// buffering sits behind it — the quantitative backing for the paper's
+/// depth-1 choice ("To keep the area down... This is enough", Sec. 4.4).
+pub fn gs_depth_throughput(depth: usize, seed: u64) -> f64 {
+    let mut cfg = RouterConfig::paper();
+    cfg.params.buffer_depth = depth;
+    let mut sim = NocSim::mesh_with(3, 1, cfg, seed);
+    let conn = sim
+        .open_connection(RouterId::new(0, 0), RouterId::new(2, 0))
+        .expect("VCs free");
+    sim.wait_connections_settled().expect("settles");
+    sim.run_for(SimDuration::from_us(2));
+    sim.begin_measurement();
+    let flow = sim.add_gs_source(
+        conn,
+        Pattern::cbr(SimDuration::from_ns(1)),
+        "depth",
+        EmitWindow::default(),
+    );
+    sim.run_for(SimDuration::from_us(50));
+    sim.flow_throughput_m(flow)
 }
 
-/// The mixed workload generalized to a `width × height` mesh (the
-/// mesh-scaling probe): four corner-crossing GS connections at 12 ns per
-/// flit — the same placement `mixed_mesh_4x4` uses, scaled to the mesh —
-/// plus uniform-random BE background at 300 ns per node. Requires
+/// The mixed workload the simulator performance track is measured on
+/// (`sim_rate`, the mesh-scaling probe): four corner-crossing GS
+/// connections at 12 ns per flit plus uniform-random BE background at
+/// 300 ns per node on a `width × height` mesh. Requires
 /// `width, height ≥ 4` so the two connection rings stay distinct.
-///
-/// For `(4, 4)` this reproduces `mixed_mesh_4x4` construction step for
-/// construction step, so the two probes are directly comparable.
 pub fn mixed_mesh(width: u8, height: u8, seed: u64) -> NocSim {
     assert!(
         width >= 4 && height >= 4,
@@ -160,6 +177,18 @@ mod tests {
         let (mut sim, tagged) = funnel_sim(6, 1);
         let run = measure_gs(&mut sim, tagged, SimDuration::from_ns(10), 2, 20);
         assert!(run.throughput_m > 0.0);
+    }
+
+    #[test]
+    fn single_vc_throughput_is_buffer_depth_independent() {
+        // The sharebox, not the buffer, is the serialization point: one
+        // flit per VC in the media until the unlock returns.
+        let d1 = gs_depth_throughput(1, 5);
+        let d4 = gs_depth_throughput(4, 5);
+        assert!(
+            (d4 - d1).abs() / d1 < 0.01,
+            "share-based control pins a lone VC regardless of depth: {d1:.1} vs {d4:.1}"
+        );
     }
 
     #[test]

@@ -1,11 +1,27 @@
-//! The command-line surface of `sim_rate` and `repro_scaling`: an
-//! argument outside the accepted range, or a flag an earlier version
-//! had, ends in the usage line and exit status 2 — never in a panic.
+//! The command-line surface of `sim_rate`, `sweep` and the `repro_*`
+//! binaries of the goldens table: an argument outside the accepted
+//! range, an unknown flag or one an earlier version had, a grid that
+//! cannot run or a file that cannot be written ends in a diagnostic and
+//! a non-zero exit status — never in a panic.
 
 use std::process::{Command, Output};
 
 const SIM_RATE: &str = env!("CARGO_BIN_EXE_sim_rate");
 const REPRO_SCALING: &str = env!("CARGO_BIN_EXE_repro_scaling");
+const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+
+/// Every binary `goldens.rs` runs.
+const GOLDENS_BINS: [&str; 9] = [
+    env!("CARGO_BIN_EXE_repro_patterns"),
+    REPRO_SCALING,
+    env!("CARGO_BIN_EXE_repro_chiplet"),
+    env!("CARGO_BIN_EXE_repro_saturation"),
+    env!("CARGO_BIN_EXE_repro_serving"),
+    env!("CARGO_BIN_EXE_repro_churn"),
+    env!("CARGO_BIN_EXE_repro_faults"),
+    env!("CARGO_BIN_EXE_repro_fig8_gs_vs_be"),
+    SWEEP,
+];
 
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe).args(args).output().expect("binary runs")
@@ -43,6 +59,34 @@ fn sim_rate_rejects_out_of_range_and_removed_arguments() {
 fn repro_scaling_rejects_malformed_and_removed_flags() {
     assert_usage_error(REPRO_SCALING, &["--smoke", "--region-block"]);
     assert_usage_error(REPRO_SCALING, &["--threads", "0"]);
+}
+
+#[test]
+fn every_goldens_bin_rejects_an_unknown_flag() {
+    for exe in GOLDENS_BINS {
+        assert_usage_error(exe, &["--smoke", "--no-such-flag"]);
+    }
+}
+
+/// A grid that cannot run is refused before any job starts (exit 2); a
+/// result file that cannot be written is reported after the run
+/// (exit 1). Either way stderr is one `error:` line.
+#[test]
+fn sweep_refuses_unrunnable_grids_and_reports_unwritable_files() {
+    let bad: [(&[&str], i32); 5] = [
+        (&["--mesh", "0x0"], 2),
+        (&["--topology", "chiplet0x0x4x4"], 2),
+        (&["--smoke", "--gs", "99"], 2),
+        (&["--smoke", "--be-gap", "0"], 2),
+        (&["--smoke", "--csv", "/nonexistent/dir/x.csv"], 1),
+    ];
+    for (args, code) in bad {
+        let out = run(SWEEP, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
 }
 
 #[test]

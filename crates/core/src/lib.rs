@@ -76,7 +76,6 @@ pub mod router;
 pub mod stats;
 pub mod steer;
 pub mod table;
-pub mod trace;
 pub mod vc;
 
 pub use arb::{ArbiterImpl, ArbiterKind, LinkSlot};
@@ -95,4 +94,3 @@ pub use router::{source_hop_writes, Router};
 pub use stats::RouterStats;
 pub use steer::{Steer, SteerCodeError};
 pub use table::{ConnectionTable, TableError};
-pub use trace::{RouterTraceEvent, RouterTracer, TraceDetail};

@@ -11,7 +11,6 @@ use crate::be_arena::BeArena;
 use crate::events::{InternalEvent, RouterAction};
 use crate::flit::Flit;
 use crate::packet::{BeDest, BeHeader};
-use crate::trace::TraceDetail;
 
 impl Router {
     pub(super) fn be_arrive(
@@ -68,11 +67,6 @@ impl Router {
         let (dest, rotated) = BeHeader(header_flit.data).route(arrival);
         header_flit.data = rotated.0;
         be.set_in_progress(slot, Some(dest));
-        self.tracer
-            .record(self.now, "be.route", || TraceDetail::BeRoute {
-                input,
-                dest,
-            });
         self.be_try_output(be, dest, act);
     }
 

@@ -5,7 +5,6 @@ use super::Router;
 use crate::arena::GsArena;
 use crate::events::{InternalEvent, RouterAction};
 use crate::ids::{Direction, GsBufferRef, UpstreamRef, VcId};
-use crate::trace::TraceDetail;
 
 impl Router {
     pub(super) fn check_vc(&self, dir: Direction, vc: VcId) {
@@ -78,8 +77,6 @@ impl Router {
             )
         });
         self.stats.unlocks_sent += 1;
-        self.tracer
-            .record(self.now, "vc.unlock", || TraceDetail::Unlock { buffer });
         match upstream {
             UpstreamRef::Link { in_dir, wire } => act.push(RouterAction::SendUnlock {
                 dir: in_dir,

@@ -69,7 +69,6 @@ use crate::ids::{Direction, GsBufferRef, RouterId, VcId};
 use crate::stats::RouterStats;
 use crate::steer::Steer;
 use crate::table::ConnectionTable;
-use crate::trace::RouterTracer;
 use mango_sim::SimTime;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -105,9 +104,6 @@ pub struct Router {
     /// Programming-interface receive buffer (config payload words).
     prog_rx: Vec<u32>,
     stats: RouterStats,
-    /// Mirror of the last event timestamp, for tracing.
-    now: SimTime,
-    tracer: RouterTracer,
 }
 
 impl std::fmt::Debug for Router {
@@ -164,8 +160,6 @@ impl Router {
             prog_rx: Vec::new(),
             cfg,
             stats: RouterStats::default(),
-            now: SimTime::ZERO,
-            tracer: RouterTracer::Off,
         }
     }
 
@@ -221,21 +215,6 @@ impl Router {
         self.arbiters[0].name()
     }
 
-    /// Enables or disables event tracing (disabled by default; tracing
-    /// collects grant/unlock/BE-routing records for debugging).
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.tracer = if enabled {
-            RouterTracer::collecting()
-        } else {
-            RouterTracer::Off
-        };
-    }
-
-    /// The collected trace.
-    pub fn tracer(&self) -> &RouterTracer {
-        &self.tracer
-    }
-
     /// True if no flit is stored or in flight anywhere in this router.
     pub fn is_quiescent(&self, bufs: &GsArena, be: &BeArena) -> bool {
         bufs.router_is_empty(self.slots)
@@ -269,12 +248,11 @@ impl Router {
         &mut self,
         bufs: &mut GsArena,
         be: &mut BeArena,
-        now: SimTime,
+        _now: SimTime,
         from: Direction,
         lf: LinkFlit,
         act: &mut Vec<RouterAction>,
     ) {
-        self.now = now;
         match lf.steer {
             Steer::GsBuffer { dir, vc } => {
                 debug_assert_ne!(dir, from, "U-turn steering at {}", self.id);
@@ -302,12 +280,11 @@ impl Router {
         &mut self,
         bufs: &mut GsArena,
         _be: &mut BeArena,
-        now: SimTime,
+        _now: SimTime,
         dir: Direction,
         wire: VcId,
         act: &mut Vec<RouterAction>,
     ) {
-        self.now = now;
         self.check_vc(dir, wire);
         bufs.vc_unlock(self.vc_slot(bufs, dir, wire));
         self.update_gs_ready(bufs, dir, wire);
@@ -319,11 +296,10 @@ impl Router {
         &mut self,
         _bufs: &mut GsArena,
         be: &mut BeArena,
-        now: SimTime,
+        _now: SimTime,
         dir: Direction,
         act: &mut Vec<RouterAction>,
     ) {
-        self.now = now;
         be.out_add_credit(be.out_slot(self.be_slots, dir));
         self.update_be_ready(be, dir);
         self.kick_arb(dir, act);
@@ -341,12 +317,11 @@ impl Router {
         &mut self,
         bufs: &mut GsArena,
         _be: &mut BeArena,
-        now: SimTime,
+        _now: SimTime,
         steer: Steer,
         flit: Flit,
         act: &mut Vec<RouterAction>,
     ) {
-        self.now = now;
         let Steer::GsBuffer { dir, vc } = steer else {
             panic!("NA GS injection must target a network VC buffer, got {steer}");
         };
@@ -362,11 +337,10 @@ impl Router {
         &mut self,
         _bufs: &mut GsArena,
         be: &mut BeArena,
-        now: SimTime,
+        _now: SimTime,
         flit: Flit,
         act: &mut Vec<RouterAction>,
     ) {
-        self.now = now;
         self.stats.be_injected += 1;
         self.be_arrive(be, BeInput::LocalNa, flit, act);
     }
@@ -377,11 +351,10 @@ impl Router {
         &mut self,
         bufs: &mut GsArena,
         _be: &mut BeArena,
-        now: SimTime,
+        _now: SimTime,
         iface: u8,
         act: &mut Vec<RouterAction>,
     ) {
-        self.now = now;
         self.check_iface(iface);
         bufs.local_na_consumed(bufs.local_slot(self.slots, iface as usize));
         self.local_try_deliver(bufs, iface, act);
@@ -392,11 +365,10 @@ impl Router {
         &mut self,
         bufs: &mut GsArena,
         be: &mut BeArena,
-        now: SimTime,
+        _now: SimTime,
         ev: InternalEvent,
         act: &mut Vec<RouterAction>,
     ) {
-        self.now = now;
         match ev {
             InternalEvent::GsAdvance { buffer } => self.gs_advance(bufs, buffer, act),
             InternalEvent::LinkFree { dir } => {

@@ -10,7 +10,6 @@ use crate::flit::LinkFlit;
 use crate::ids::{Direction, GsBufferRef, VcId};
 use crate::packet::BeDest;
 use crate::steer::Steer;
-use crate::trace::TraceDetail;
 
 impl Router {
     /// Re-derives the ready bit for GS VC `vc` on output `dir`; must run
@@ -112,13 +111,6 @@ impl Router {
                 let flit = bufs.vc_grant(self.vc_slot(bufs, dir, vc));
                 self.update_gs_ready(bufs, dir, vc);
                 self.stats.gs_grants[d] += 1;
-                self.tracer
-                    .record(self.now, "gs.grant", || TraceDetail::GsGrant {
-                        dir,
-                        vc,
-                        flow: flit.flow(),
-                        seq: flit.seq(),
-                    });
                 act.push(RouterAction::SendFlit {
                     dir,
                     lf: LinkFlit { steer, flit },
@@ -134,8 +126,6 @@ impl Router {
                 be.out_take_credit(out);
                 self.update_be_ready(be, dir);
                 self.stats.be_grants[d] += 1;
-                self.tracer
-                    .record(self.now, "be.grant", || TraceDetail::BeGrant { dir });
                 act.push(RouterAction::SendFlit {
                     dir,
                     lf: LinkFlit {

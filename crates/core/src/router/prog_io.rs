@@ -9,7 +9,6 @@ use crate::flit::Flit;
 use crate::ids::{Direction, GsBufferRef, UpstreamRef, VcId};
 use crate::packet::build_be_packet;
 use crate::prog::{self, ProgWrite};
-use crate::trace::TraceDetail;
 use mango_sim::SimTime;
 
 impl Router {
@@ -38,10 +37,6 @@ impl Router {
         act: &mut Vec<RouterAction>,
     ) {
         self.stats.prog_packets += 1;
-        self.tracer
-            .record(self.now, "prog.packet", || TraceDetail::ProgPacket {
-                words: words.len() as u16,
-            });
         match prog::decode_payload(words) {
             Ok((writes, ack)) => {
                 for w in writes {

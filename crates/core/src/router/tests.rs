@@ -586,36 +586,6 @@ fn be_outputs_arbitrate_fairly_and_keep_packet_coherency() {
 }
 
 #[test]
-fn tracing_records_the_flit_lifecycle() {
-    let (mut r, mut bufs, mut be) = router();
-    r.set_tracing(true);
-    let next = Steer::LocalGs { iface: 0 };
-    program_hop(&mut r, Direction::West, Direction::East, VcId(1), next);
-    let mut act = Vec::new();
-    r.on_link_flit(
-        &mut bufs,
-        &mut be,
-        SimTime::ZERO,
-        Direction::West,
-        LinkFlit {
-            steer: Steer::GsBuffer {
-                dir: Direction::East,
-                vc: VcId(1),
-            },
-            flit: Flit::gs(0x55),
-        },
-        &mut act,
-    );
-    drain(&mut r, &mut bufs, &mut be, act);
-    let tags: Vec<&str> = r.tracer().events().iter().map(|e| e.tag).collect();
-    assert!(tags.contains(&"vc.unlock"), "unlock traced: {tags:?}");
-    assert!(tags.contains(&"gs.grant"), "grant traced: {tags:?}");
-    // Disabling clears collection.
-    r.set_tracing(false);
-    assert!(r.tracer().events().is_empty());
-}
-
-#[test]
 fn quiescence_reflects_stored_flits() {
     let (mut r, mut bufs, mut be) = router();
     assert!(r.is_quiescent(&bufs, &be));

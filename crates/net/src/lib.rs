@@ -5,8 +5,8 @@
 //! provides the network adapters that bridge clocked cores to the
 //! clockless network, implements the connection manager that reserves VC
 //! sequences and programs them through BE config packets (Sec. 3), and
-//! offers the experiment harness used by every benchmark that reproduces
-//! the paper's results.
+//! offers the declarative scenarios ([`ScenarioSpec`]) that the
+//! reproduction binaries and the sweep grids run.
 //!
 //! # Example
 //!
@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod conn;
-pub mod experiment;
 pub mod fault;
 pub mod na;
 pub mod na_arena;
@@ -52,7 +51,6 @@ pub mod topology;
 pub mod traffic;
 
 pub use conn::{walk_dirs, ConnError, ConnRecord, ConnState, ConnectionManager};
-pub use experiment::{BeSweep, LoadPoint};
 pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultSchedule};
 pub use na::{Na, NaConfig};
 pub use na_arena::NaArena;

@@ -100,6 +100,43 @@ impl TopologySpec {
         }
     }
 
+    /// Checks that the spec compiles to a grid: no zero dimension, torus
+    /// axes of at least 2, chiplet totals inside the `u8` coordinate
+    /// space. The error is a one-line diagnostic. Specs that arrive from
+    /// outside the program ([`TopologySpec::parse`], sweep flags) are
+    /// checked here before [`TopologySpec::dims`] or [`Grid::from_spec`]
+    /// see them.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            TopologySpec::Mesh { width, height } if width == 0 || height == 0 => {
+                Err("grid dimensions must be positive".into())
+            }
+            TopologySpec::Torus { width, height } if width < 2 || height < 2 => Err(format!(
+                "torus dimensions must be at least 2, got {width}x{height}"
+            )),
+            TopologySpec::ChipletMesh {
+                chips_x,
+                chips_y,
+                node_w,
+                node_h,
+                ..
+            } => {
+                if chips_x == 0 || chips_y == 0 || node_w == 0 || node_h == 0 {
+                    Err("chiplet dimensions must be positive".into())
+                } else if chips_x.checked_mul(node_w).is_none()
+                    || chips_y.checked_mul(node_h).is_none()
+                {
+                    Err(format!(
+                        "chiplet grid {chips_x}x{chips_y} of {node_w}x{node_h} overflows u8"
+                    ))
+                } else {
+                    Ok(())
+                }
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Total grid dimensions `(width, height)`.
     pub fn dims(&self) -> (u8, u8) {
         match *self {
@@ -239,35 +276,10 @@ impl Grid {
     /// Panics if a dimension is zero, a torus axis is shorter than 2, or
     /// a chiplet spec overflows the `u8` coordinate space.
     pub fn from_spec(spec: &TopologySpec) -> Self {
-        let (width, height) = match *spec {
-            TopologySpec::Mesh { width, height } => (width, height),
-            TopologySpec::Torus { width, height } => {
-                assert!(
-                    width >= 2 && height >= 2,
-                    "torus dimensions must be at least 2, got {width}x{height}"
-                );
-                (width, height)
-            }
-            TopologySpec::ChipletMesh {
-                chips_x,
-                chips_y,
-                node_w,
-                node_h,
-                ..
-            } => {
-                assert!(
-                    chips_x > 0 && chips_y > 0 && node_w > 0 && node_h > 0,
-                    "chiplet dimensions must be positive"
-                );
-                let w = chips_x.checked_mul(node_w);
-                let h = chips_y.checked_mul(node_h);
-                let (Some(w), Some(h)) = (w, h) else {
-                    panic!("chiplet grid {chips_x}x{chips_y} of {node_w}x{node_h} overflows u8");
-                };
-                (w, h)
-            }
-        };
-        assert!(width > 0 && height > 0, "grid dimensions must be positive");
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
+        let (width, height) = spec.dims();
         let mut grid = Grid {
             width,
             height,

@@ -41,11 +41,9 @@ mod fifo;
 mod kernel;
 mod rng;
 mod time;
-mod trace;
 
 pub use event::{EventQueue, WheelGeometry};
 pub use fifo::{Fifo, InlineFifo};
 pub use kernel::{Ctx, Kernel, KernelProfile, Model, RunOutcome};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};

@@ -40,10 +40,6 @@ pub struct SweepSpec {
     pub warmup_us: u64,
     /// BE payload words per packet.
     pub payload_words: usize,
-    /// Mix the BE gap into the job seed (`seed ^ gap_ps`), giving each
-    /// load level an independent random stream — the historical
-    /// `BeSweep` seeding that the saturation curve is recorded with.
-    pub mix_gap_into_seed: bool,
 }
 
 impl Default for SweepSpec {
@@ -59,7 +55,6 @@ impl Default for SweepSpec {
             seeds: vec![1],
             warmup_us: 20,
             payload_words: 4,
-            mix_gap_into_seed: false,
         }
     }
 }
@@ -86,7 +81,7 @@ pub struct SweepJob {
     pub gs_period_ns: u64,
     /// Measurement window, µs.
     pub measure_us: u64,
-    /// Final job seed (base seed, gap-mixed when configured).
+    /// Simulation seed.
     pub seed: u64,
 }
 
@@ -124,7 +119,6 @@ impl SweepSpec {
             seeds: vec![1, 2],
             warmup_us: 5,
             payload_words: 4,
-            mix_gap_into_seed: false,
         }
     }
 
@@ -143,7 +137,6 @@ impl SweepSpec {
             seeds: vec![1],
             warmup_us: 5,
             payload_words: 4,
-            mix_gap_into_seed: false,
         }
     }
 
@@ -162,7 +155,6 @@ impl SweepSpec {
             seeds: vec![1, 2, 3],
             warmup_us: 20,
             payload_words: 4,
-            mix_gap_into_seed: false,
         }
     }
 
@@ -195,6 +187,42 @@ impl SweepSpec {
         self.len() == 0
     }
 
+    /// Checks that every grid point can be built and run, so that bad
+    /// input ends in a one-line diagnostic before any job starts
+    /// instead of a panic inside a worker: no empty dimension, every
+    /// topology compiles, every pattern fits every topology, the
+    /// largest GS count has enough mirror pairs, BE gaps and GS periods
+    /// are at least 1 ns (a zero gap has no exponential mean; a zero
+    /// period never advances time).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.is_empty() {
+            return Err("the grid is empty (an empty dimension)".into());
+        }
+        for topo in self.topology_axis() {
+            topo.validate()
+                .map_err(|e| format!("topology {topo}: {e}"))?;
+            let grid = Grid::from_spec(&topo);
+            for &p in &self.patterns {
+                p.spatial(grid.width(), grid.height())
+                    .validate(&grid)
+                    .map_err(|e| format!("pattern {p} on {topo}: {e}"))?;
+            }
+            let hostable = mirror_pairs(&grid).count();
+            if let Some(n) = self.gs_conns.iter().find(|&&n| n as usize > hostable) {
+                return Err(format!(
+                    "{topo} cannot host {n} auto-placed GS connections (at most {hostable})"
+                ));
+            }
+        }
+        if self.be_gaps_ns.contains(&Some(0)) {
+            return Err("BE gap must be at least 1 ns (`idle` turns BE traffic off)".into());
+        }
+        if self.gs_periods_ns.contains(&0) {
+            return Err("GS period must be at least 1 ns".into());
+        }
+        Ok(())
+    }
+
     /// Expands the grid to jobs in a fixed nesting order — mesh
     /// outermost, then GS count, BE gap, spatial pattern, GS period,
     /// measure window, seed innermost. Job ids are ordinals in this
@@ -210,15 +238,7 @@ impl SweepSpec {
                     for &pattern in &self.patterns {
                         for &gs_period_ns in &self.gs_periods_ns {
                             for &measure_us in &self.measures_us {
-                                for &base_seed in &self.seeds {
-                                    let seed = if self.mix_gap_into_seed {
-                                        base_seed
-                                            ^ be_gap_ns
-                                                .map(|ns| SimDuration::from_ns(ns).as_ps())
-                                                .unwrap_or(0)
-                                    } else {
-                                        base_seed
-                                    };
+                                for &seed in &self.seeds {
                                     jobs.push(SweepJob {
                                         id: jobs.len(),
                                         topology,
@@ -274,6 +294,14 @@ impl SweepSpec {
     }
 }
 
+/// Every node paired with its point reflection, in row-major order,
+/// without the self-pair at the center of an odd×odd grid.
+fn mirror_pairs(grid: &Grid) -> impl Iterator<Item = (RouterId, RouterId)> + '_ {
+    grid.ids()
+        .map(|id| (id, grid.mirror(id)))
+        .filter(|(id, mirror)| id != mirror)
+}
+
 /// Deterministic GS connection placement for auto-generated grid points:
 /// node `k` (row-major order) connects to its point reflection through
 /// the grid center ([`Grid::mirror`]), skipping self-pairs (the center
@@ -285,16 +313,7 @@ impl SweepSpec {
 ///
 /// Panics if the grid has fewer than `n` valid pairs.
 pub fn auto_gs_pairs(grid: &Grid, n: u32) -> Vec<(RouterId, RouterId)> {
-    let mut pairs = Vec::with_capacity(n as usize);
-    for id in grid.ids() {
-        if pairs.len() as u32 == n {
-            break;
-        }
-        let mirror = grid.mirror(id);
-        if id != mirror {
-            pairs.push((id, mirror));
-        }
-    }
+    let pairs: Vec<_> = mirror_pairs(grid).take(n as usize).collect();
     assert!(
         pairs.len() as u32 == n,
         "grid {}x{} cannot host {n} auto-placed GS connections",
@@ -396,19 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn gap_mixed_seeds_match_the_historical_be_sweep() {
-        let spec = SweepSpec {
-            be_gaps_ns: vec![Some(2000), Some(6)],
-            seeds: vec![0xBEEF],
-            mix_gap_into_seed: true,
-            ..Default::default()
-        };
-        let jobs = spec.expand();
-        assert_eq!(jobs[0].seed, 0xBEEF ^ SimDuration::from_ns(2000).as_ps());
-        assert_eq!(jobs[1].seed, 0xBEEF ^ SimDuration::from_ns(6).as_ps());
-    }
-
-    #[test]
     fn auto_pairs_cross_the_mesh_center() {
         let pairs = auto_gs_pairs(&Grid::new(4, 4), 4);
         assert_eq!(pairs[0], (RouterId::new(0, 0), RouterId::new(3, 3)),);
@@ -425,6 +431,82 @@ mod tests {
     #[should_panic(expected = "cannot host")]
     fn too_many_auto_pairs_panics() {
         auto_gs_pairs(&Grid::new(2, 2), 5);
+    }
+
+    #[test]
+    fn validate_accepts_the_fixed_grids_and_names_what_cannot_run() {
+        for spec in [
+            SweepSpec::default(),
+            SweepSpec::smoke(),
+            SweepSpec::pattern_smoke(),
+            SweepSpec::full(),
+        ] {
+            assert_eq!(spec.validate(), Ok(()));
+        }
+        let base = SweepSpec::smoke;
+        let bad = [
+            (
+                SweepSpec {
+                    seeds: Vec::new(),
+                    ..base()
+                },
+                "empty",
+            ),
+            (
+                SweepSpec {
+                    meshes: vec![(4, 4), (0, 3)],
+                    ..base()
+                },
+                "mesh0x3: grid dimensions must be positive",
+            ),
+            (
+                SweepSpec {
+                    topologies: vec![TopologySpec::torus(1, 4)],
+                    ..base()
+                },
+                "at least 2",
+            ),
+            (
+                SweepSpec {
+                    topologies: vec![TopologySpec::chiplet(16, 16, 16, 16)],
+                    ..base()
+                },
+                "overflows u8",
+            ),
+            (
+                SweepSpec {
+                    meshes: vec![(4, 2)],
+                    patterns: vec![PatternKind::Transpose],
+                    ..base()
+                },
+                "pattern transpose on mesh4x2",
+            ),
+            (
+                SweepSpec {
+                    gs_conns: vec![0, 17],
+                    ..base()
+                },
+                "cannot host 17 auto-placed GS connections (at most 16)",
+            ),
+            (
+                SweepSpec {
+                    be_gaps_ns: vec![None, Some(0)],
+                    ..base()
+                },
+                "BE gap",
+            ),
+            (
+                SweepSpec {
+                    gs_periods_ns: vec![0],
+                    ..base()
+                },
+                "GS period",
+            ),
+        ];
+        for (spec, what) in bad {
+            let err = spec.validate().expect_err(what);
+            assert!(err.contains(what), "{err:?} does not name {what:?}");
+        }
     }
 
     #[test]

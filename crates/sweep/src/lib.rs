@@ -48,9 +48,9 @@
 //!
 //! Wall-clock measurements (the one legitimately nondeterministic
 //! output) are kept out of [`record::SweepRecord`] and the CSV schema;
-//! they travel in the JSON `runtime` section only. CI enforces the
-//! contract by diffing `--threads 1` against `--threads 4` CSVs on every
-//! push.
+//! they travel in the JSON `runtime` section only. The goldens table
+//! (`crates/bench/tests/goldens.rs`) enforces the contract by diffing
+//! `--threads 1` against `--threads 4` CSVs on every `cargo test`.
 
 #![warn(missing_docs)]
 

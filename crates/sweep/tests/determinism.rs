@@ -38,13 +38,11 @@ proptest! {
         n_mesh in 1usize..3,
         n_gaps in 0usize..4,
         n_seeds in 0usize..4,
-        mix in any::<bool>(),
     ) {
         let spec = SweepSpec {
             meshes: (0..n_mesh).map(|i| (3 + i as u8, 3)).collect(),
             be_gaps_ns: (0..n_gaps).map(|i| Some(100 + 50 * i as u64)).collect(),
             seeds: (0..n_seeds).map(|i| i as u64).collect(),
-            mix_gap_into_seed: mix,
             ..Default::default()
         };
         let jobs = spec.expand();

@@ -17,13 +17,14 @@
 //! Everything here is single-threaded by design: one instance lives
 //! inside one simulation, and sweep-level merging happens after the
 //! fact in job order. Determinism follows — for a fixed scenario the
-//! rendered bytes are identical at any worker-thread count, which CI
-//! enforces by diffing runs.
+//! rendered bytes are identical at any worker-thread count, which the
+//! goldens table (`crates/bench/tests/goldens.rs`) enforces by diffing
+//! runs.
 //!
-//! The zero-overhead-when-off discipline mirrors `mango_sim::Tracer`:
-//! consumers hold an enum sink whose `Off` arm makes instrumentation a
-//! single branch, and construction of any of these types happens only
-//! when telemetry is explicitly enabled.
+//! Telemetry costs nothing when off: consumers hold an enum sink whose
+//! `Off` arm makes instrumentation a single branch, and construction of
+//! any of these types happens only when telemetry is explicitly
+//! enabled.
 
 #![warn(missing_docs)]
 

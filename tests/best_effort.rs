@@ -3,7 +3,10 @@
 //! *detection* when routes violate it.
 
 use mango::core::{BeHeader, Direction, RouterId};
-use mango::net::{AppPacket, EmitWindow, NaApp, NetEvent, NocSim, Pattern};
+use mango::net::{
+    AppPacket, EmitWindow, NaApp, NetEvent, NocSim, Pattern, ScenarioMetrics, ScenarioSpec,
+    TrafficSpec,
+};
 use mango::sim::{RunOutcome, SimDuration, SimTime};
 use std::sync::{Arc, Mutex};
 
@@ -254,5 +257,46 @@ fn be_gets_floor_under_gs_saturation_and_more_when_idle() {
     assert!(
         be_flits >= floor * 0.8,
         "BE must keep ~its 1/8 floor under GS saturation, got {be_flits:.1} vs floor {floor:.1}"
+    );
+}
+
+/// One point of a BE load curve: uniform-random 4-flit packets with
+/// Poisson gaps of `gap` from every node of a 3×3 mesh, 5 µs warm-up,
+/// 30 µs window.
+fn load_point(gap: SimDuration) -> ScenarioMetrics {
+    ScenarioSpec::mesh(3, 3, 0xBEEF ^ gap.as_ps())
+        .warmup(SimDuration::from_us(5))
+        .measure_for(SimDuration::from_us(30))
+        .traffic(TrafficSpec::uniform_poisson(gap).payload(3))
+        .run()
+}
+
+/// At light load the BE network delivers what is offered, and the
+/// latency aggregates are populated and ordered.
+#[test]
+fn sweep_point_reports_sane_numbers() {
+    let gap = SimDuration::from_us(2);
+    let light = load_point(gap);
+    let (delivered, mean, p99) = (
+        light.be_throughput_m(),
+        light.be_weighted_mean_ns(),
+        light.be_p99_worst_ns(),
+    );
+    assert!(mean > 0.0);
+    assert!(p99 >= mean * 0.5);
+    let expected = gap.as_rate_mhz() * 9.0;
+    assert!(
+        (delivered - expected).abs() / expected < 0.2,
+        "delivered {delivered:.2} vs offered {expected:.2}"
+    );
+}
+
+#[test]
+fn heavier_load_means_higher_latency() {
+    let light = load_point(SimDuration::from_ns(2000)).be_weighted_mean_ns();
+    let heavy = load_point(SimDuration::from_ns(150)).be_weighted_mean_ns();
+    assert!(
+        heavy > light,
+        "latency must rise with load: {heavy:.1} vs {light:.1}"
     );
 }
