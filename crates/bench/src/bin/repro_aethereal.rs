@@ -14,6 +14,7 @@ use mango::sim::{SimDuration, SimTime};
 use mango_bench::{funnel_sim, measure_gs};
 
 fn main() {
+    mango_bench::reject_args();
     let area = AreaModel::cmos_120nm().breakdown(&RouterParams::paper());
     let timing = TimingModel::cmos_120nm();
     let params = RouterParams::paper();

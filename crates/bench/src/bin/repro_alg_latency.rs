@@ -90,6 +90,7 @@ fn contended_latency(arbiter: ArbiterKind) -> Vec<(f64, f64)> {
 }
 
 fn main() {
+    mango_bench::reject_args();
     println!("Phase 1: per-VC throughput, all 7 VCs saturated [Mflit/s]\n");
     let fair_t = saturated_throughput(ArbiterKind::FairShare);
     let alg_t = saturated_throughput(ArbiterKind::Alg { age_bound: 7 });

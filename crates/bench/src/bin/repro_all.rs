@@ -18,6 +18,7 @@ fn is_repro(path: &Path) -> bool {
 }
 
 fn main() {
+    mango_bench::reject_args();
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
     let mut repros: Vec<PathBuf> = std::fs::read_dir(dir)

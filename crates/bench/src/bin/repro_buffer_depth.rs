@@ -57,6 +57,7 @@ fn floor_at_depth(depth: usize) -> f64 {
 }
 
 fn main() {
+    mango_bench::reject_args();
     let model = AreaModel::cmos_120nm();
     println!("Buffer-depth ablation (paper: depth 1 + unsharebox)\n");
     let mut t = Table::new(vec![

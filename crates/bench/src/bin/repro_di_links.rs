@@ -14,6 +14,7 @@ use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, Pattern};
 use mango::sim::SimDuration;
 
 fn main() {
+    mango_bench::reject_args();
     let power = PowerModel::cmos_120nm();
     let w = 34; // the post-split flit the links carry
 

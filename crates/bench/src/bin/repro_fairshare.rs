@@ -10,6 +10,7 @@ use mango::net::{EmitWindow, NocSim, Pattern};
 use mango::sim::SimDuration;
 
 fn main() {
+    mango_bench::reject_args();
     let mut sim = NocSim::paper_mesh(3, 4, 77);
     let pairs = [
         (RouterId::new(0, 0), RouterId::new(2, 0)),

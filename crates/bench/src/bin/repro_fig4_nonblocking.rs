@@ -12,6 +12,7 @@ use mango::sim::SimDuration;
 use mango_bench::{funnel_sim, measure_gs};
 
 fn main() {
+    mango_bench::reject_args();
     println!("Tagged flow latency vs cross-traffic: generic router (Fig. 3) vs MANGO (Fig. 4)\n");
     let mut t = Table::new(vec![
         "cross-traffic",

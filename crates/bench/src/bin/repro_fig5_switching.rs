@@ -10,6 +10,7 @@ use mango::hw::area::{AreaModel, RouterParams};
 use mango::hw::Table;
 
 fn main() {
+    mango_bench::reject_args();
     // Enumerate the full steering space from each arrival port.
     println!("Steering-bit coverage (Fig. 5: 3 split bits + 2 switch bits)\n");
     let mut t = Table::new(vec![

@@ -11,6 +11,7 @@ use mango::sim::SimDuration;
 use mango_bench::{funnel_sim, measure_gs};
 
 fn main() {
+    mango_bench::reject_args();
     let timing = RouterTiming::paper_typical();
     let link_m = timing.link_cycle.as_rate_mhz();
     println!("Share-based VC control (Fig. 6)\n");

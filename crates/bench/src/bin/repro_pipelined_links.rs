@@ -77,6 +77,7 @@ fn run(extra: SimDuration) -> (f64, f64) {
 }
 
 fn main() {
+    mango_bench::reject_args();
     let link_m = RouterConfig::paper().timing.link_cycle.as_rate_mhz();
     println!("Pipelined long links (Sec. 3): per-stage latency vs utilization\n");
     let mut t = Table::new(vec![

@@ -48,6 +48,7 @@ fn measured_port_speed(cfg: RouterConfig) -> f64 {
 }
 
 fn main() {
+    mango_bench::reject_args();
     let model = TimingModel::cmos_120nm();
     println!("Port speed (Sec. 6): model, simulation and paper\n");
     let mut t = Table::new(vec![

@@ -6,6 +6,7 @@
 use mango::hw::area::{AreaModel, RouterParams, Table1};
 
 fn main() {
+    mango_bench::reject_args();
     let params = RouterParams::paper();
     let breakdown = AreaModel::cmos_120nm().breakdown(&params);
     println!("Table 1: area usage in the MANGO router (model vs paper)\n");

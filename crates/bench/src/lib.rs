@@ -9,6 +9,19 @@ use mango::core::{RouterConfig, RouterId};
 use mango::net::{EmitWindow, NocSim, Pattern, SpatialPattern};
 use mango::sim::SimDuration;
 
+/// The entry check of the reproduction binaries that take no arguments:
+/// any argument is a usage error — one `usage:` line on stderr, exit
+/// status 2 — instead of a full run that silently ignored it.
+pub fn reject_args() {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    if let Some(arg) = args.next() {
+        eprintln!("error: unexpected argument {arg:?}");
+        eprintln!("usage: {bin} (takes no arguments)");
+        std::process::exit(2);
+    }
+}
+
 /// Result of driving one GS connection under a given environment.
 #[derive(Debug, Clone)]
 pub struct GsRun {

@@ -1,8 +1,8 @@
 //! The command-line surface of `sim_rate`, `sweep` and the `repro_*`
-//! binaries of the goldens table: an argument outside the accepted
-//! range, an unknown flag or one an earlier version had, a grid that
-//! cannot run or a file that cannot be written ends in a diagnostic and
-//! a non-zero exit status — never in a panic.
+//! binaries: an argument outside the accepted range, an unknown flag or
+//! one an earlier version had, a grid that cannot run or a file that
+//! cannot be written ends in a diagnostic and a non-zero exit status —
+//! never in a panic.
 
 use std::process::{Command, Output};
 
@@ -10,8 +10,9 @@ const SIM_RATE: &str = env!("CARGO_BIN_EXE_sim_rate");
 const REPRO_SCALING: &str = env!("CARGO_BIN_EXE_repro_scaling");
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 
-/// Every binary `goldens.rs` runs.
-const GOLDENS_BINS: [&str; 9] = [
+/// Every binary of the package: the nine `goldens.rs` runs, the twelve
+/// that take no arguments, `repro_fig7_be` and `sim_rate`.
+const ALL_BINS: [&str; 23] = [
     env!("CARGO_BIN_EXE_repro_patterns"),
     REPRO_SCALING,
     env!("CARGO_BIN_EXE_repro_chiplet"),
@@ -21,6 +22,20 @@ const GOLDENS_BINS: [&str; 9] = [
     env!("CARGO_BIN_EXE_repro_faults"),
     env!("CARGO_BIN_EXE_repro_fig8_gs_vs_be"),
     SWEEP,
+    env!("CARGO_BIN_EXE_repro_aethereal"),
+    env!("CARGO_BIN_EXE_repro_alg_latency"),
+    env!("CARGO_BIN_EXE_repro_buffer_depth"),
+    env!("CARGO_BIN_EXE_repro_di_links"),
+    env!("CARGO_BIN_EXE_repro_fairshare"),
+    env!("CARGO_BIN_EXE_repro_fig4_nonblocking"),
+    env!("CARGO_BIN_EXE_repro_fig5_switching"),
+    env!("CARGO_BIN_EXE_repro_fig6_vc_control"),
+    env!("CARGO_BIN_EXE_repro_pipelined_links"),
+    env!("CARGO_BIN_EXE_repro_port_speed"),
+    env!("CARGO_BIN_EXE_repro_table1"),
+    env!("CARGO_BIN_EXE_repro_all"),
+    env!("CARGO_BIN_EXE_repro_fig7_be"),
+    SIM_RATE,
 ];
 
 fn run(exe: &str, args: &[&str]) -> Output {
@@ -62,8 +77,8 @@ fn repro_scaling_rejects_malformed_and_removed_flags() {
 }
 
 #[test]
-fn every_goldens_bin_rejects_an_unknown_flag() {
-    for exe in GOLDENS_BINS {
+fn every_bin_rejects_an_unknown_flag() {
+    for exe in ALL_BINS {
         assert_usage_error(exe, &["--smoke", "--no-such-flag"]);
     }
 }

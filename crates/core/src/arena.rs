@@ -421,11 +421,11 @@ impl GsArena {
         vc + lo
     }
 
-    /// Flits carrying instrumentation flow metadata currently stored in
-    /// the arena — one term of the debug flit-conservation walk.
+    /// Instrumented flits currently stored in the arena — one term of
+    /// the flit-conservation walk.
     pub fn flow_flits(&self) -> u64 {
         let mut n = 0u64;
-        let flow = |f: &Flit| u64::from(f.flow() != u32::MAX);
+        let flow = |f: &Flit| u64::from(f.is_instrumented());
         for slot in 0..self.vc_unshare.len() {
             n += self.vc_unshare[slot].as_ref().map_or(0, flow);
             let (head, len) = (self.vc_head[slot] as usize, self.vc_len[slot] as usize);

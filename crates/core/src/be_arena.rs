@@ -554,8 +554,8 @@ impl BeArena {
                 .sum::<usize>()
     }
 
-    /// Flow-carrying flits staged in the router's BE unit — one term of
-    /// the debug flit-conservation walk.
+    /// Instrumented flits staged in the router's BE unit — one term of
+    /// the flit-conservation walk.
     pub fn flow_flits(&self, slots: BeSlots) -> u64 {
         let block = slots.base as usize * BLOCK;
         let mut n = 0u64;
@@ -564,7 +564,7 @@ impl BeArena {
             for k in 0..self.meta[slot + IN_LEN] as usize {
                 let pos =
                     self.in_flit_base(slot) + (self.meta[slot] as usize + k) % self.input_depth;
-                n += u64::from(self.in_flits[pos].flow() != u32::MAX);
+                n += u64::from(self.in_flits[pos].is_instrumented());
             }
         }
         for d in 0..4 {
@@ -572,7 +572,7 @@ impl BeArena {
             for k in 0..self.meta[slot + OUT_LEN] as usize {
                 let pos =
                     self.out_flit_base(slot) + (self.meta[slot] as usize + k) % self.output_depth;
-                n += u64::from(self.out_flits[pos].flow() != u32::MAX);
+                n += u64::from(self.out_flits[pos].is_instrumented());
             }
         }
         n

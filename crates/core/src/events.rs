@@ -118,4 +118,14 @@ mod tests {
         assert_eq!(a, RouterAction::NaCredit);
         assert_ne!(a, RouterAction::NaUnlock { iface: 0 });
     }
+
+    /// Every router call pushes its outputs into the network's action
+    /// scratch and the network reads them back out: one write and one
+    /// read of this size per action. `InternalEvent` is what a deferred
+    /// `BeMoved` copies into the calendar queue.
+    #[test]
+    fn actions_stay_small() {
+        assert!(std::mem::size_of::<RouterAction>() <= 24);
+        assert!(std::mem::size_of::<InternalEvent>() <= 12);
+    }
 }

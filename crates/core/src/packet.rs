@@ -290,15 +290,15 @@ mod tests {
         let p = build_be_packet(h, &[1, 2, 3], false);
         assert_eq!(p.len(), 4);
         assert_eq!(p[0].data, h.0);
-        assert!(!p[0].eop);
-        assert!(!p[1].eop && !p[2].eop);
-        assert!(p[3].eop);
-        assert!(p.iter().all(|f| !f.be_vc));
+        assert!(!p[0].eop());
+        assert!(!p[1].eop() && !p[2].eop());
+        assert!(p[3].eop());
+        assert!(p.iter().all(|f| !f.be_vc()));
 
         let cfg = build_be_packet(h, &[], true);
         assert_eq!(cfg.len(), 1);
-        assert!(cfg[0].eop, "payload-less packet: header is the last flit");
-        assert!(cfg[0].be_vc, "config marker set");
+        assert!(cfg[0].eop(), "payload-less packet: header is the last flit");
+        assert!(cfg[0].be_vc(), "config marker set");
     }
 
     #[test]

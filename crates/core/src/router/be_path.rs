@@ -174,7 +174,7 @@ impl Router {
             }
             BeDest::Local => self.be_deliver_local(be, flit, act),
         }
-        if flit.eop {
+        if flit.eop() {
             // Packet done: release the coherency lock and the decision.
             be.set_in_progress(be.in_slot(self.be_slots, input), None);
             match dest {
@@ -200,16 +200,16 @@ impl Router {
         flit: Flit,
         act: &mut Vec<RouterAction>,
     ) {
-        if flit.be_vc {
+        if flit.be_vc() {
             self.prog_rx.push(flit.data);
-            if flit.eop {
+            if flit.eop() {
                 let words = std::mem::take(&mut self.prog_rx);
                 // Drop the header word: it carried the route here.
                 self.prog_consume(be, &words[1..], act);
             }
         } else {
             self.stats.be_flits_delivered += 1;
-            if flit.eop {
+            if flit.eop() {
                 self.stats.be_packets_delivered += 1;
             }
             act.push(RouterAction::DeliverBe { flit });

@@ -230,11 +230,11 @@ impl Router {
         be.flits_buffered(self.be_slots) + self.prog_tx.len()
     }
 
-    /// Flow-carrying flits staged inside this router's BE unit — one
-    /// term of the debug flit-conservation walk (GS flits live in the
+    /// Instrumented flits staged inside this router's BE unit — one
+    /// term of the flit-conservation walk (GS flits live in the
     /// shared arena, see [`GsArena::flow_flits`]).
     pub fn flow_flits_buffered(&self, be: &BeArena) -> u64 {
-        let flow = |f: &Flit| u64::from(f.flow() != u32::MAX);
+        let flow = |f: &Flit| u64::from(f.is_instrumented());
         be.flow_flits(self.be_slots) + self.prog_tx.iter().map(flow).sum::<u64>()
     }
 

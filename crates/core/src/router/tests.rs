@@ -572,7 +572,7 @@ fn be_outputs_arbitrate_fairly_and_keep_packet_coherency() {
     let sent: Vec<(u32, bool)> = external
         .iter()
         .filter_map(|a| match a {
-            A::SendFlit { lf, .. } => Some((lf.flit.data, lf.flit.eop)),
+            A::SendFlit { lf, .. } => Some((lf.flit.data, lf.flit.eop())),
             _ => None,
         })
         .collect();

@@ -811,8 +811,8 @@ mod tests {
         assert_eq!(m.state(plan.id), Some(ConnState::Opening));
         // All packets are config-marked.
         for pkt in &plan.config_packets {
-            assert!(pkt.iter().all(|f| f.be_vc));
-            assert!(pkt.last().unwrap().eop);
+            assert!(pkt.iter().all(|f| f.be_vc()));
+            assert!(pkt.last().unwrap().eop());
         }
     }
 

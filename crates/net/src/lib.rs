@@ -37,6 +37,7 @@
 
 pub mod conn;
 pub mod fault;
+pub mod meta;
 pub mod na;
 pub mod na_arena;
 pub mod network;
@@ -52,6 +53,7 @@ pub mod traffic;
 
 pub use conn::{walk_dirs, ConnError, ConnRecord, ConnState, ConnectionManager};
 pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultSchedule};
+pub use meta::MetaSlab;
 pub use na::{Na, NaConfig};
 pub use na_arena::NaArena;
 pub use network::{AppPacket, BrokenConn, NaApp, NetEvent, Network, Node};

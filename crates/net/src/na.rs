@@ -143,12 +143,13 @@ impl Na {
     /// Releases TX interface `iface` unconditionally, discarding any
     /// queued flits and the lock state — the forced-teardown path after
     /// a fault, when the first-hop sharebox may never unlock again.
-    /// Returns the number of flits discarded. No-op when already
-    /// unbound (forced teardown must be idempotent).
-    pub fn force_unbind_tx(&mut self, iface: u8) -> usize {
+    /// Returns the discarded flits (the caller owes their
+    /// instrumentation records a release) — none when already unbound
+    /// (forced teardown must be idempotent).
+    pub fn force_unbind_tx(&mut self, iface: u8) -> VecDeque<Flit> {
         self.tx[iface as usize]
             .take()
-            .map_or(0, |tx| tx.queue.len())
+            .map_or_else(VecDeque::new, |tx| tx.queue)
     }
 
     fn tx_mut(&mut self, iface: u8) -> &mut GsTxIface {
@@ -264,7 +265,7 @@ impl Na {
     /// this runs once per delivered flit.
     pub fn be_deliver(&mut self, flit: Flit, packet: &mut Vec<Flit>) -> bool {
         self.rx_asm.push(flit);
-        if flit.eop {
+        if flit.eop() {
             packet.clear();
             packet.extend_from_slice(&self.rx_asm);
             self.rx_asm.clear();
@@ -280,11 +281,11 @@ impl Na {
         self.tx.iter().flatten().map(|t| t.queue.len()).sum()
     }
 
-    /// Flow-carrying flits held anywhere in this NA (GS TX queues, BE
-    /// TX queue, BE reassembly buffer) — one term of the debug
+    /// Instrumented flits held anywhere in this NA (GS TX queues, BE
+    /// TX queue, BE reassembly buffer) — one term of the
     /// flit-conservation walk.
     pub fn flow_flits(&self) -> u64 {
-        let flow = |f: &Flit| u64::from(f.flow() != u32::MAX);
+        let flow = |f: &Flit| u64::from(f.is_instrumented());
         self.tx
             .iter()
             .flatten()
@@ -293,17 +294,6 @@ impl Na {
             .sum::<u64>()
             + self.be_tx.iter().map(flow).sum::<u64>()
             + self.rx_asm.iter().map(flow).sum::<u64>()
-    }
-
-    /// Flow-carrying flits queued on one GS TX interface — read before a
-    /// forced unbind so the discarded flits can be accounted as dropped.
-    pub fn gs_queue_flow_flits(&self, iface: u8) -> u64 {
-        self.tx[iface as usize].as_ref().map_or(0, |t| {
-            t.queue
-                .iter()
-                .map(|f| u64::from(f.flow() != u32::MAX))
-                .sum()
-        })
     }
 
     /// True if nothing is queued or half-assembled in this NA.

@@ -132,18 +132,16 @@ impl NaArena {
 
     /// Releases TX interface `iface` unconditionally, discarding queued
     /// flits and the lock state — the forced-teardown path after a
-    /// fault. Returns the number of flits discarded. No-op when already
-    /// unbound (forced teardown must be idempotent).
-    pub fn force_unbind_tx(&mut self, node: usize, iface: u8) -> usize {
+    /// fault. Drains the discarded flits to the caller, which owes their
+    /// instrumentation records a release (dropping the iterator still
+    /// empties the queue). Yields nothing when already unbound (forced
+    /// teardown must be idempotent).
+    pub fn force_unbind_tx(&mut self, node: usize, iface: u8) -> impl Iterator<Item = Flit> + '_ {
         let s = self.slot(node, iface);
-        if self.tx_steer[s].is_none() {
-            return 0;
-        }
         self.tx_steer[s] = None;
         self.tx_locked[s] = false;
-        let discarded = self.tx_queue[s].len();
-        self.tx_queue[s].clear();
-        discarded
+        // An unbound interface is unlocked and its queue empty.
+        self.tx_queue[s].drain(..)
     }
 
     #[inline]
@@ -271,7 +269,7 @@ impl NaArena {
     /// returns `true`.
     pub fn be_deliver(&mut self, node: usize, flit: Flit, packet: &mut Vec<Flit>) -> bool {
         self.rx_asm[node].push(flit);
-        if flit.eop {
+        if flit.eop() {
             packet.clear();
             packet.extend_from_slice(&self.rx_asm[node]);
             self.rx_asm[node].clear();
@@ -295,10 +293,10 @@ impl NaArena {
             .sum()
     }
 
-    /// Flow-carrying flits held anywhere in `node`'s NA — one term of
-    /// the debug flit-conservation walk.
+    /// Instrumented flits held anywhere in `node`'s NA — one term of
+    /// the flit-conservation walk.
     pub fn flow_flits(&self, node: usize) -> u64 {
-        let flow = |f: &Flit| u64::from(f.flow() != u32::MAX);
+        let flow = |f: &Flit| u64::from(f.is_instrumented());
         let base = node * self.ifaces;
         (base..base + self.ifaces)
             .filter(|&s| self.tx_steer[s].is_some())
@@ -307,19 +305,6 @@ impl NaArena {
             .sum::<u64>()
             + self.be_tx[node].iter().map(flow).sum::<u64>()
             + self.rx_asm[node].iter().map(flow).sum::<u64>()
-    }
-
-    /// Flow-carrying flits queued on one GS TX interface — read before a
-    /// forced unbind so the discarded flits can be accounted as dropped.
-    pub fn gs_queue_flow_flits(&self, node: usize, iface: u8) -> u64 {
-        let s = self.slot(node, iface);
-        if self.tx_steer[s].is_none() {
-            return 0;
-        }
-        self.tx_queue[s]
-            .iter()
-            .map(|f| u64::from(f.flow() != u32::MAX))
-            .sum()
     }
 
     /// True if nothing is queued or half-assembled in `node`'s NA.
@@ -347,6 +332,16 @@ mod tests {
                 _ => Direction::West,
             },
             vc: VcId((i % 8) as u8),
+        }
+    }
+
+    /// Gives about half the flits an instrumentation handle, so the
+    /// `flow_flits` cross-check has something to count.
+    fn maybe_tagged(f: Flit, r: u64) -> Flit {
+        if r.is_multiple_of(2) {
+            f.with_tag((r % 1000) as u32)
+        } else {
+            f
         }
     }
 
@@ -399,14 +394,14 @@ mod tests {
                     }
                 }
                 2 => {
-                    assert_eq!(arena.force_unbind_tx(n, i), refs[n].force_unbind_tx(i));
+                    assert!(arena.force_unbind_tx(n, i).eq(refs[n].force_unbind_tx(i)));
                     bound[n][iu] = false;
                     locked[n][iu] = false;
                     qlen[n][iu] = 0;
                 }
                 3 => {
                     if bound[n][iu] {
-                        let f = Flit::gs(rng() as u32);
+                        let f = maybe_tagged(Flit::gs(rng() as u32), rng());
                         let started = arena.enqueue_gs(n, i, f);
                         assert_eq!(started, refs[n].enqueue_gs(i, f));
                         qlen[n][iu] += 1;
@@ -431,7 +426,7 @@ mod tests {
                 6 => {
                     let len = rng() % 3 + 1;
                     let flits: Vec<Flit> = (0..len)
-                        .map(|k| Flit::be(rng() as u32, k == len - 1))
+                        .map(|k| maybe_tagged(Flit::be(rng() as u32, k == len - 1), rng()))
                         .collect();
                     let started = arena.enqueue_be(n, flits.iter().copied());
                     assert_eq!(started, refs[n].enqueue_be(flits));
@@ -460,7 +455,7 @@ mod tests {
                 }
                 _ => {
                     let eop = rng() % 3 == 0;
-                    let f = Flit::be(rng() as u32, eop);
+                    let f = maybe_tagged(Flit::be(rng() as u32, eop), rng());
                     assert_eq!(
                         arena.be_deliver(n, f, &mut pkt_a),
                         refs[n].be_deliver(f, &mut pkt_r)
@@ -480,7 +475,6 @@ mod tests {
                         arena.gs_queue_high_watermark(m, j),
                         r.gs_queue_high_watermark(j)
                     );
-                    assert_eq!(arena.gs_queue_flow_flits(m, j), r.gs_queue_flow_flits(j));
                 }
             }
         }

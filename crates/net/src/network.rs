@@ -9,6 +9,7 @@
 
 use crate::conn::{ConnectionManager, OpenPlan};
 use crate::fault::{FaultCounters, FaultKind, FaultSchedule, FaultState};
+use crate::meta::MetaSlab;
 use crate::na::NaConfig;
 use crate::na_arena::NaArena;
 use crate::relay::{self, RelayTable, RelayTicket};
@@ -19,8 +20,8 @@ use crate::telemetry::{
 use crate::topology::Grid;
 use crate::traffic::{Source, SourceKind};
 use mango_core::{
-    prog, BeArena, ConnectionId, Direction, Flit, GsArena, GsBufferRef, InternalEvent, LinkFlit,
-    Router, RouterAction, RouterConfig, RouterId, Steer, UpstreamRef, VcId,
+    prog, BeArena, ConnectionId, Direction, Flit, FlitMeta, GsArena, GsBufferRef, InternalEvent,
+    LinkFlit, Router, RouterAction, RouterConfig, RouterId, Steer, UpstreamRef, VcId,
 };
 use mango_sim::{Ctx, Model, SimDuration, SimTime};
 use mango_telemetry::{EvName, Sample, TelemetryReport};
@@ -147,6 +148,9 @@ pub struct Network {
     arena: GsArena,
     be_arena: BeArena,
     na: NaArena,
+    /// The instrumentation record of every instrumented flit in the
+    /// system, addressed by [`Flit::tag`].
+    meta: MetaSlab,
     /// Live relay tickets for BE packets beyond the 15-hop header.
     relays: RelayTable,
     sources: Vec<Source>,
@@ -181,23 +185,12 @@ pub struct Network {
     /// Bumped on every [`Network::enable_telemetry`]; sampler events
     /// tagged with older generations are stale chains and are dropped.
     telemetry_generation: u32,
-    /// Debug-build flit-conservation ledger (flow-carrying flits only).
+    /// Debug-build half of the flit-conservation ledger: instrumented
+    /// flits inside scheduled events (`LinkFlit`, router-internal
+    /// `BeMoved`). Every other instrumented flit sits in a buffer found
+    /// by walking arena/router/NA state, so at any event boundary
+    /// `meta.live() == buffered + wire`.
     #[cfg(debug_assertions)]
-    cons: Conservation,
-}
-
-/// Debug-only conservation ledger: every flow-carrying flit in the
-/// system is either in a buffer (found by walking arena/router/NA state)
-/// or inside a scheduled event (`wire`). `outstanding` tracks entries
-/// minus exits (deliveries and fault drops), so at any event boundary
-/// `outstanding == buffered + wire`.
-#[cfg(debug_assertions)]
-#[derive(Debug, Default, Clone, Copy)]
-struct Conservation {
-    /// Flow-carrying flits injected and not yet delivered or dropped.
-    outstanding: i64,
-    /// Flow-carrying flits inside scheduled events (`LinkFlit`,
-    /// router-internal `BeMoved`).
     wire: i64,
 }
 
@@ -261,6 +254,7 @@ impl Network {
             arena,
             be_arena,
             na,
+            meta: MetaSlab::new(),
             relays: RelayTable::new(),
             sources: Vec::new(),
             stats: NetStats::new(),
@@ -278,7 +272,7 @@ impl Network {
             telemetry: TelemetrySink::Off,
             telemetry_generation: 0,
             #[cfg(debug_assertions)]
-            cons: Conservation::default(),
+            wire: 0,
         }
     }
 
@@ -335,6 +329,11 @@ impl Network {
     /// Mutable NA arena access (harness: binding, raw injection).
     pub fn na_mut(&mut self) -> &mut NaArena {
         &mut self.na
+    }
+
+    /// The instrumentation-record slab.
+    pub fn meta(&self) -> &MetaSlab {
+        &self.meta
     }
 
     /// Plans a connection open along the default XY route (see
@@ -671,21 +670,22 @@ impl Network {
     /// Records a per-hop grant instant for an instrumented flit.
     #[cold]
     #[inline(never)]
-    fn t9n_hop(&mut self, now: SimTime, id: RouterId, dir: Direction, flit: &Flit) {
+    fn t9n_hop(&mut self, now: SimTime, id: RouterId, dir: Direction, tag: u32) {
         let Some(st) = self.telemetry.state_mut() else {
             return;
         };
         if !st.cfg.trace_flits || !st.reserve_flit_event() {
             return;
         }
+        let meta = self.meta.get(tag);
         st.trace.instant(
             "hop",
             "hop",
             now.as_ps(),
             TRACE_PID_FLITS,
-            flit.flow(),
+            meta.flow(),
             vec![
-                ("seq", flit.seq()),
+                ("seq", meta.seq()),
                 ("x", id.x as u64),
                 ("y", id.y as u64),
                 ("dir", dir.index() as u64),
@@ -697,20 +697,21 @@ impl Network {
     /// packet crossing a chiplet boundary.
     #[cold]
     #[inline(never)]
-    fn t9n_relay(&mut self, now: SimTime, id: RouterId, flit: &Flit) {
+    fn t9n_relay(&mut self, now: SimTime, id: RouterId, tag: u32) {
         let Some(st) = self.telemetry.state_mut() else {
             return;
         };
         if !st.cfg.trace_flits || !st.reserve_flit_event() {
             return;
         }
+        let meta = self.meta.get(tag);
         st.trace.instant(
             "hop",
             "relay",
             now.as_ps(),
             TRACE_PID_FLITS,
-            flit.flow(),
-            vec![("seq", flit.seq()), ("x", id.x as u64), ("y", id.y as u64)],
+            meta.flow(),
+            vec![("seq", meta.seq()), ("x", id.x as u64), ("y", id.y as u64)],
         );
     }
 
@@ -718,11 +719,11 @@ impl Network {
     /// and feeds the latency histogram.
     #[cold]
     #[inline(never)]
-    fn t9n_deliver(&mut self, name: &'static str, now: SimTime, flit: &Flit, gs: bool) {
+    fn t9n_deliver(&mut self, name: &'static str, now: SimTime, meta: FlitMeta, gs: bool) {
         let Some(st) = self.telemetry.state_mut() else {
             return;
         };
-        let latency_ns = now.since(flit.injected_at()).as_ps() / 1000;
+        let latency_ns = now.since(meta.injected_at()).as_ps() / 1000;
         let hist = if gs {
             st.hist_gs_latency
         } else {
@@ -735,32 +736,33 @@ impl Network {
         st.trace.span(
             "flit",
             name,
-            flit.injected_at().as_ps(),
+            meta.injected_at().as_ps(),
             now.as_ps(),
             TRACE_PID_FLITS,
-            flit.flow(),
-            vec![("seq", flit.seq())],
+            meta.flow(),
+            vec![("seq", meta.seq())],
         );
     }
 
     /// Records a fault-drop instant for an instrumented flit.
     #[cold]
     #[inline(never)]
-    fn t9n_drop(&mut self, now: SimTime, id: RouterId, dir: Direction, flit: &Flit) {
+    fn t9n_drop(&mut self, now: SimTime, id: RouterId, dir: Direction, tag: u32) {
         let Some(st) = self.telemetry.state_mut() else {
             return;
         };
         if !st.cfg.trace_flits || !st.reserve_flit_event() {
             return;
         }
+        let meta = self.meta.get(tag);
         st.trace.instant(
             "fault",
             "drop",
             now.as_ps(),
             TRACE_PID_FLITS,
-            flit.flow(),
+            meta.flow(),
             vec![
-                ("seq", flit.seq()),
+                ("seq", meta.seq()),
                 ("x", id.x as u64),
                 ("y", id.y as u64),
                 ("dir", dir.index() as u64),
@@ -769,45 +771,51 @@ impl Network {
     }
 
     // ------------------------------------------------------------------
-    // Debug flit-conservation ledger
+    // Flit conservation
     // ------------------------------------------------------------------
 
-    /// Asserts the flit-conservation invariant: every flow-carrying flit
-    /// ever injected is delivered, fault-dropped, buffered somewhere, or
-    /// inside a scheduled event. Call between events (e.g. after a run).
-    /// Compiled to a no-op in release builds.
+    /// Instrumented flits found by walking every buffer: the GS arena,
+    /// each router's BE unit and each NA. Together with the flits inside
+    /// scheduled events these are all the instrumented flits in the
+    /// system, so with an empty event queue this equals
+    /// [`MetaSlab::live`] — in release builds too.
+    pub fn instrumented_flits_buffered(&self) -> u64 {
+        self.arena.flow_flits()
+            + self
+                .nodes
+                .iter()
+                .enumerate()
+                .map(|(i, n)| n.router.flow_flits_buffered(&self.be_arena) + self.na.flow_flits(i))
+                .sum::<u64>()
+    }
+
+    /// Asserts the flit-conservation invariant: every instrumentation
+    /// record belongs to a flit that is buffered somewhere or inside a
+    /// scheduled event — none leaked, none released early. Call between
+    /// events (e.g. after a run). Compiled to a no-op in release builds,
+    /// which do not count the flits inside events.
     pub fn debug_check_conservation(&self) {
         #[cfg(debug_assertions)]
         {
-            let buffered: i64 = self.arena.flow_flits() as i64
-                + self
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| {
-                        n.router.flow_flits_buffered(&self.be_arena) + self.na.flow_flits(i)
-                    })
-                    .sum::<u64>() as i64;
+            let buffered = self.instrumented_flits_buffered() as i64;
             assert_eq!(
-                self.cons.outstanding,
-                buffered + self.cons.wire,
-                "flit conservation violated: outstanding {} != buffered {} + wire {}",
-                self.cons.outstanding,
+                self.meta.live() as i64,
+                buffered + self.wire,
+                "flit conservation violated: {} live records != buffered {} + wire {}",
+                self.meta.live(),
                 buffered,
-                self.cons.wire,
+                self.wire,
             );
         }
     }
 
-    /// Accounts flow-carrying flits discarded outside the event loop
-    /// (forced NA unbind during recovery). No-op in release builds.
-    pub fn debug_note_discarded(&mut self, n: u64) {
-        #[cfg(debug_assertions)]
-        {
-            self.cons.outstanding -= n as i64;
+    /// Force-unbinds GS TX interface `iface` of node `idx` (see
+    /// [`NaArena::force_unbind_tx`]) and releases the instrumentation
+    /// records of the flits it discards.
+    pub fn force_unbind_tx(&mut self, idx: usize, iface: u8) {
+        for flit in self.na.force_unbind_tx(idx, iface) {
+            self.meta.release(flit.tag());
         }
-        #[cfg(not(debug_assertions))]
-        let _ = n;
     }
 
     /// Registers a stream watchdog on `conn`'s traffic `flow` and returns
@@ -894,7 +902,8 @@ impl Network {
     /// Decides whether a flit leaving `from` toward `dir` is blackholed
     /// by a fault; if so, synthesizes the flow-control feedback the
     /// downstream router would have produced (see [`crate::fault`] module
-    /// docs) and returns `true`. Only called with faults installed.
+    /// docs), releases the flit's instrumentation record and returns
+    /// `true`. Only called with faults installed.
     fn blackhole_flit(
         &mut self,
         from: RouterId,
@@ -911,7 +920,7 @@ impl Network {
             // BE framing must advance on every flit crossing a
             // flaky-tracked link, dropped or not.
             Steer::BeUnit => {
-                let flaky = faults.flaky_drops_be(from, dir, now, lf.flit.eop);
+                let flaky = faults.flaky_drops_be(from, dir, now, lf.flit.eop());
                 hard_down || flaky
             }
             Steer::GsBuffer { dir: bd, vc } => {
@@ -922,9 +931,11 @@ impl Network {
         if !drop {
             return false;
         }
-        if self.telemetry.is_active() && lf.flit.flow() != u32::MAX {
-            let flit = lf.flit;
-            self.t9n_drop(now, from, dir, &flit);
+        if lf.flit.is_instrumented() {
+            if self.telemetry.is_active() {
+                self.t9n_drop(now, from, dir, lf.flit.tag());
+            }
+            self.meta.release(lf.flit.tag());
         }
         // The spoofed feedback departs where the real feedback would
         // have: after the flit's forward path plus the downstream
@@ -1001,27 +1012,24 @@ impl Network {
         if !dead {
             return false;
         }
-        // Flits vanishing into the dead router leave both the wire and
-        // the conservation ledger (counted as fault losses below).
-        #[cfg(debug_assertions)]
-        match event {
-            NetEvent::LinkFlit { lf, .. } if lf.flit.flow() != u32::MAX => {
-                self.cons_wire(-1);
-                self.cons_exit(1);
-            }
+        // A flit vanishing into the dead router leaves the wire and the
+        // system (counted as a fault loss below); its record is released
+        // once the drop is traced.
+        let lost = match event {
+            NetEvent::LinkFlit { lf, .. } => lf.flit.tag(),
             NetEvent::Router {
                 ev: InternalEvent::BeMoved { flit, .. },
                 ..
-            } if flit.flow() != u32::MAX => {
-                self.cons_wire(-1);
-                self.cons_exit(1);
-            }
-            _ => {}
+            } => flit.tag(),
+            _ => Flit::NO_TAG,
+        };
+        #[cfg(debug_assertions)]
+        if lost != Flit::NO_TAG {
+            self.wire -= 1;
         }
         if let NetEvent::LinkFlit { to, from, lf } = event {
-            if self.telemetry.is_active() && lf.flit.flow() != u32::MAX {
-                let flit = lf.flit;
-                self.t9n_drop(ctx.now(), *to, *from, &flit);
+            if self.telemetry.is_active() && lf.flit.is_instrumented() {
+                self.t9n_drop(ctx.now(), *to, *from, lf.flit.tag());
             }
             let sender = self
                 .grid
@@ -1068,6 +1076,7 @@ impl Network {
                 }
             }
         }
+        self.meta.release(lost);
         true
     }
 
@@ -1112,12 +1121,10 @@ impl Network {
             return false;
         }
         if let Some(flow) = flow {
-            let seq = self.stats.on_inject(flow);
+            let meta = FlitMeta::new(now, self.stats.on_inject(flow), flow);
             for f in &mut flits {
-                *f = f.with_meta(now, seq, flow);
+                *f = f.with_tag(self.meta.alloc(meta));
             }
-            #[cfg(debug_assertions)]
-            self.cons_enter(flits.len() as u64);
         }
         let idx = self.grid.index(src);
         let inject = self.na.enqueue_be(idx, flits.iter().copied());
@@ -1150,8 +1157,8 @@ impl Network {
                 RouterAction::Internal { delay, event } => {
                     #[cfg(debug_assertions)]
                     if let InternalEvent::BeMoved { flit, .. } = event {
-                        if flit.flow() != u32::MAX {
-                            self.cons_wire(1);
+                        if flit.is_instrumented() {
+                            self.wire += 1;
                         }
                     }
                     ctx.schedule(*delay, NetEvent::Router { id, ev: *event });
@@ -1165,19 +1172,14 @@ impl Network {
                     if self.faults.is_some()
                         && self.blackhole_flit(id, *dir, to, lf, *delay + extra, ctx)
                     {
-                        #[cfg(debug_assertions)]
-                        if lf.flit.flow() != u32::MAX {
-                            self.cons_exit(1);
-                        }
                         continue;
                     }
                     #[cfg(debug_assertions)]
-                    if lf.flit.flow() != u32::MAX {
-                        self.cons_wire(1);
+                    if lf.flit.is_instrumented() {
+                        self.wire += 1;
                     }
-                    if self.telemetry.is_active() && lf.flit.flow() != u32::MAX {
-                        let flit = lf.flit;
-                        self.t9n_hop(ctx.now(), id, *dir, &flit);
+                    if self.telemetry.is_active() && lf.flit.is_instrumented() {
+                        self.t9n_hop(ctx.now(), id, *dir, lf.flit.tag());
                     }
                     ctx.schedule(
                         *delay + extra,
@@ -1218,18 +1220,17 @@ impl Network {
                     );
                 }
                 RouterAction::DeliverGs { iface, flit } => {
-                    if flit.flow() != u32::MAX {
+                    if flit.is_instrumented() {
+                        let meta = self.meta.get(flit.tag());
+                        self.meta.release(flit.tag());
                         self.stats.on_deliver(
-                            flit.flow(),
-                            flit.seq(),
-                            flit.injected_at(),
+                            meta.flow(),
+                            meta.seq(),
+                            meta.injected_at(),
                             ctx.now(),
                         );
-                        #[cfg(debug_assertions)]
-                        self.cons_exit(1);
                         if self.telemetry.is_active() {
-                            let flit = *flit;
-                            self.t9n_deliver("gs", ctx.now(), &flit, true);
+                            self.t9n_deliver("gs", ctx.now(), meta, true);
                         }
                     }
                     // The core consumes the flit, then frees the delivery
@@ -1241,10 +1242,6 @@ impl Network {
                     let idx = self.grid.index(id);
                     let mut packet = std::mem::take(&mut self.packet_scratch);
                     if self.na.be_deliver(idx, *flit, &mut packet) {
-                        #[cfg(debug_assertions)]
-                        self.cons_exit(
-                            packet.iter().filter(|f| f.flow() != u32::MAX).count() as u64
-                        );
                         self.on_be_packet(id, &packet, ctx);
                     }
                     self.packet_scratch = packet;
@@ -1268,7 +1265,15 @@ impl Network {
         }
     }
 
-    /// A complete BE packet was delivered at `id`'s NA.
+    /// Releases the instrumentation records of flits leaving the system.
+    fn release_records(&mut self, flits: &[Flit]) {
+        for f in flits {
+            self.meta.release(f.tag());
+        }
+    }
+
+    /// A complete BE packet was delivered at `id`'s NA. Unless it is
+    /// relayed on, the packet leaves the system here.
     fn on_be_packet(&mut self, id: RouterId, packet: &[Flit], ctx: &mut Ctx<NetEvent>) {
         let header = packet[0];
         // Acknowledgments complete connection programming. An ack is a
@@ -1289,7 +1294,9 @@ impl Network {
                     } else {
                         self.forward_ack(id, target, token, ctx);
                     }
-                    // Acks carry no flow metadata and never reach apps.
+                    // Acks never reach apps. They carry no records either,
+                    // but an instrumented payload aliasing one would.
+                    self.release_records(packet);
                     return;
                 }
             }
@@ -1299,20 +1306,22 @@ impl Network {
         // and re-inject. Not a final delivery: no stats, no app. The
         // `relay` flit wire is set only by the segment builder, so an
         // application payload can never alias a continuation word.
-        if packet.len() >= 2 && packet[1].relay {
+        if packet.len() >= 2 && packet[1].relay() {
             let ticket = relay::parse_relay_word(packet[1].data)
                 .and_then(|t| self.relays.take(t))
                 .expect("relay wire set on a word that is not a live continuation");
             self.forward_relay(id, ticket, packet, ctx);
             return;
         }
-        if header.flow() != u32::MAX {
+        if header.is_instrumented() {
+            let meta = self.meta.get(header.tag());
             self.stats
-                .on_deliver(header.flow(), header.seq(), header.injected_at(), ctx.now());
+                .on_deliver(meta.flow(), meta.seq(), meta.injected_at(), ctx.now());
             if self.telemetry.is_active() {
-                self.t9n_deliver("be", ctx.now(), &header, false);
+                self.t9n_deliver("be", ctx.now(), meta, false);
             }
         }
+        self.release_records(packet);
         let idx = self.grid.index(id);
         // Take the app out so it can borrow `self` for responses.
         if let Some(mut app) = self.apps[idx].take() {
@@ -1353,8 +1362,9 @@ impl Network {
     }
 
     /// Rebuilds a relayed packet's next segment at relay node `from` and
-    /// re-injects it, preserving per-flit instrumentation metadata so
-    /// end-to-end latency spans the whole journey.
+    /// re-injects it. The outgoing flits take over the incoming flits'
+    /// instrumentation handles, so end-to-end latency spans the whole
+    /// journey and no record is copied.
     fn forward_relay(
         &mut self,
         from: RouterId,
@@ -1381,26 +1391,29 @@ impl Network {
             // The fault set cut every remaining route: the relayed packet
             // is dropped here (its ticket was already consumed).
             self.counters.relay_route_drops += 1;
+            self.release_records(packet);
             self.flit_scratch = flits;
             self.payload_scratch = payload;
             return;
         }
-        // Copy metadata: header from header, and the tail (payload, plus
-        // the fresh continuation word if the route relays again) from the
-        // incoming tail, aligned at the packet ends.
+        // Hand the handles over: header to header, and the tail (payload,
+        // plus the fresh continuation word if the route relays again)
+        // from the incoming tail, aligned at the packet ends.
         let out_len = flits.len();
         for i in 0..out_len - 1 {
             let src = &packet[packet.len() - 1 - i];
             let dst = &mut flits[out_len - 1 - i];
-            *dst = dst.with_meta(src.injected_at(), src.seq(), src.flow());
+            *dst = dst.with_tag(src.tag());
         }
-        let hdr = &packet[0];
-        flits[0] = flits[0].with_meta(hdr.injected_at(), hdr.seq(), hdr.flow());
-        #[cfg(debug_assertions)]
-        self.cons_enter(flits.iter().filter(|f| f.flow() != u32::MAX).count() as u64);
-        if self.telemetry.is_active() && hdr.flow() != u32::MAX {
-            let hdr = *hdr;
-            self.t9n_relay(ctx.now(), from, &hdr);
+        let hdr = packet[0];
+        flits[0] = flits[0].with_tag(hdr.tag());
+        if out_len < packet.len() {
+            // The route stops relaying: the consumed continuation word is
+            // the one incoming flit with no successor.
+            self.meta.release(packet[1].tag());
+        }
+        if self.telemetry.is_active() && hdr.is_instrumented() {
+            self.t9n_relay(ctx.now(), from, hdr.tag());
         }
         let idx = self.grid.index(from);
         if self.na.enqueue_be(idx, flits.iter().copied()) {
@@ -1444,9 +1457,8 @@ impl Network {
         match self.sources[idx].kind {
             SourceKind::Gs { router, iface, .. } => {
                 let seq = self.stats.on_inject(flow);
-                let flit = Flit::gs(seq as u32).with_meta(now, seq, flow);
-                #[cfg(debug_assertions)]
-                self.cons_enter(1);
+                let tag = self.meta.alloc(FlitMeta::new(now, seq, flow));
+                let flit = Flit::gs(seq as u32).with_tag(tag);
                 let node = self.grid.index(router);
                 if self.na.enqueue_gs(node, iface, flit) {
                     ctx.schedule(
@@ -1488,22 +1500,6 @@ impl Network {
     }
 }
 
-#[cfg(debug_assertions)]
-impl Network {
-    #[inline]
-    fn cons_enter(&mut self, n: u64) {
-        self.cons.outstanding += n as i64;
-    }
-    #[inline]
-    fn cons_exit(&mut self, n: u64) {
-        self.cons.outstanding -= n as i64;
-    }
-    #[inline]
-    fn cons_wire(&mut self, d: i64) {
-        self.cons.wire += d;
-    }
-}
-
 impl Model for Network {
     type Event = NetEvent;
 
@@ -1516,8 +1512,8 @@ impl Model for Network {
             NetEvent::Router { id, ev } => {
                 #[cfg(debug_assertions)]
                 if let InternalEvent::BeMoved { flit, .. } = &ev {
-                    if flit.flow() != u32::MAX {
-                        self.cons_wire(-1);
+                    if flit.is_instrumented() {
+                        self.wire -= 1;
                     }
                 }
                 self.call_router(id, ctx, |r, bufs, be, act| {
@@ -1526,8 +1522,8 @@ impl Model for Network {
             }
             NetEvent::LinkFlit { to, from, lf } => {
                 #[cfg(debug_assertions)]
-                if lf.flit.flow() != u32::MAX {
-                    self.cons_wire(-1);
+                if lf.flit.is_instrumented() {
+                    self.wire -= 1;
                 }
                 self.call_router(to, ctx, |r, bufs, be, act| {
                     r.on_link_flit(bufs, be, now, from, lf, act)
@@ -1620,6 +1616,14 @@ mod tests {
             net.node(RouterId::new(2, 2)).router.id(),
             RouterId::new(2, 2)
         );
+    }
+
+    /// The event is copied into the calendar queue on every `schedule`
+    /// and out again on every pop; at 16 bytes the queue entry is 32 (see
+    /// `mango_sim::event`'s pin), a byte more and it is 40.
+    #[test]
+    fn net_event_is_at_most_16_bytes() {
+        assert!(std::mem::size_of::<NetEvent>() <= 16);
     }
 
     #[test]

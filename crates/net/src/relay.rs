@@ -13,8 +13,8 @@
 //! to the NA of the router 15 links along the XY route and prefixes the
 //! payload with a continuation word naming a [`RelayTable`] ticket. When
 //! that NA's node delivers the packet, the network recognizes the ticket,
-//! rebuilds the packet for the next segment (copying per-flit
-//! instrumentation metadata, so end-to-end latency accounting spans the
+//! rebuilds the packet for the next segment (handing each flit's
+//! instrumentation handle on, so end-to-end latency accounting spans the
 //! whole journey), and re-injects it — store-and-forward at the relay.
 //! Each segment is XY-routed and relay queues consume unconditionally, so
 //! the extension introduces no new channel-dependency cycles.
@@ -316,11 +316,11 @@ mod tests {
             })
         );
         assert!(
-            flits.iter().all(|f| !f.be_vc),
+            flits.iter().all(|f| !f.be_vc()),
             "config marker deferred to the final segment"
         );
-        assert!(flits.last().unwrap().eop);
-        assert!(flits[..4].iter().all(|f| !f.eop));
+        assert!(flits.last().unwrap().eop());
+        assert!(flits[..4].iter().all(|f| !f.eop()));
     }
 
     #[test]

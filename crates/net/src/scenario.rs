@@ -445,8 +445,9 @@ impl PreparedScenario {
 
     /// Collects the final metrics.
     pub fn finish(self, outcome: RunOutcome) -> ScenarioMetrics {
-        // Every flit ever injected must be delivered, fault-dropped, or
-        // still buffered/in flight — checked in debug builds only.
+        // Every instrumentation record must belong to a flit still
+        // buffered or in flight — none leaked, none released early
+        // (debug builds only: release builds do not count flits on wires).
         self.sim.network().debug_check_conservation();
         let window = self.sim.measured_window();
         let flow_metrics = self

@@ -349,11 +349,9 @@ impl NocSim {
             net.node_mut(src).router.program(&plan.local_writes);
         }
         if let Some(iface) = plan.tx_iface {
-            // Flits still queued on the interface are discarded by the
-            // unbind — square the conservation ledger first (cold path).
-            let discarded = net.na().gs_queue_flow_flits(idx, iface);
-            net.na_mut().force_unbind_tx(idx, iface);
-            net.debug_note_discarded(discarded);
+            // Flits still queued on the interface are discarded and their
+            // instrumentation records released.
+            net.force_unbind_tx(idx, iface);
         }
         Ok(plan)
     }

@@ -1,14 +1,24 @@
-//! Property test for the flit-conservation invariant: across traffic
-//! patterns, temporal shapes and random fault schedules, every
-//! flow-carrying flit ever injected is delivered, fault-dropped, or
-//! still buffered/in flight when the run ends. The ledger itself lives
-//! in `mango_net::network` (debug builds only) and is asserted by
-//! [`PreparedScenario::finish`]; this test drives it through randomized
-//! scenarios so an unbalanced accounting site fails loudly.
+//! Tests of the flit-conservation invariant: across traffic patterns,
+//! temporal shapes and random fault schedules, every instrumented flit
+//! ever injected is delivered, fault-dropped, or still buffered/in flight
+//! — equivalently, every record in the network's `MetaSlab` belongs to a
+//! flit that is still in the system.
+//!
+//! Two halves. Debug builds also count the flits inside scheduled events,
+//! so [`PreparedScenario::finish`] asserts `live == buffered + wire` at
+//! any event boundary (`injected_flits_are_conserved`). Release builds do
+//! not, but once the event queue has drained nothing is on a wire, and
+//! `live == buffered` is checked in every profile
+//! (`records_equal_buffered_flits_once_the_queue_drains`). The relay test
+//! covers the one place records change hands instead of being allocated
+//! or released.
 
 use mango_core::RouterId;
-use mango_net::{FaultSchedule, ScenarioSpec, SpatialPattern, TemporalSpec, TrafficSpec};
-use mango_sim::SimDuration;
+use mango_net::{
+    EmitWindow, FaultKind, FaultSchedule, GsFlowSpec, NocSim, Phase, ScenarioSpec, SpatialPattern,
+    TemporalSpec, TrafficSpec,
+};
+use mango_sim::{RunOutcome, SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn pattern_for(variant: u8) -> SpatialPattern {
@@ -38,8 +48,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any pattern × temporal shape × fault schedule: the conservation
-    /// ledger balances at the end of the run (asserted inside
-    /// `finish()` in debug builds; this test is vacuous in release).
+    /// ledger balances at the end of the run, flits on wires included
+    /// (asserted inside `finish()` in debug builds only — the release
+    /// half is the next test).
     #[test]
     fn injected_flits_are_conserved(
         spatial in 0u8..5,
@@ -73,9 +84,129 @@ proptest! {
         }
         prepared.start_measurement();
         let outcome = prepared.run_to_bound();
-        // `finish` asserts the ledger: injected == delivered + dropped
-        // + buffered + in flight.
+        // `finish` asserts the ledger: live records == buffered + in
+        // flight.
         let metrics = prepared.finish(outcome);
         prop_assert!(metrics.flows.len() >= 2);
+    }
+
+    /// Time-bounded sources under link faults and a router fail-stop, run
+    /// until the event queue drains: every record left in the slab
+    /// belongs to a flit a buffer walk finds (stranded behind the dead
+    /// router, if anywhere), and a quiescent network holds none. Checked
+    /// in release builds too.
+    #[test]
+    fn records_equal_buffered_flits_once_the_queue_drains(
+        spatial in 0u8..5,
+        temporal in 0u8..3,
+        side in 3u8..5,
+        gap_ns in 30u64..200,
+        seed in 0u64..1000,
+        fault_count in 1usize..4,
+        dead in 0u8..16,
+    ) {
+        let far = RouterId::new(side - 1, side - 1);
+        // Bounded by time, not by count: a source silenced by the router
+        // fail-stop keeps ticking until its stop time, and only then can
+        // the queue drain.
+        let bounded = EmitWindow { stop_at: Some(SimTime::from_us(5)), ..Default::default() };
+        let spec = ScenarioSpec::mesh(side, side, seed)
+            .warmup(SimDuration::from_ns(200))
+            .measure_to_quiescence()
+            .gs_flow(GsFlowSpec {
+                src: RouterId::new(0, 0),
+                dst: far,
+                pattern: TemporalSpec::cbr(SimDuration::from_ns(gap_ns)),
+                name: "cons-gs".into(),
+                window: bounded,
+                phase: Phase::Measure,
+            })
+            .traffic(
+                TrafficSpec::new(pattern_for(spatial), temporal_for(temporal, gap_ns))
+                    .payload(3)
+                    .phase(Phase::Measure)
+                    .window(bounded)
+                    .named("cons-"),
+            );
+        let mut prepared = spec.prepare();
+        prepared.start_measurement();
+        let now = prepared.sim().now();
+        let schedule = FaultSchedule::random_links(
+            prepared.sim().network().grid(),
+            seed,
+            fault_count,
+            now + SimDuration::from_ns(300),
+            now + SimDuration::from_us(1),
+        )
+        .with(
+            now + SimDuration::from_ns(600),
+            FaultKind::RouterDown { id: RouterId::new(dead % side, dead / side % side) },
+        );
+        prepared.sim_mut().install_faults(schedule);
+        let outcome = prepared.run_to_bound();
+        prop_assert!(matches!(outcome, RunOutcome::Quiescent | RunOutcome::Stalled));
+        prop_assert_eq!(prepared.sim().events_pending(), 0);
+        let net = prepared.sim().network();
+        prop_assert_eq!(net.meta().live() as u64, net.instrumented_flits_buffered());
+        if outcome == RunOutcome::Quiescent {
+            prop_assert_eq!(net.meta().live(), 0);
+        }
+        let (injected, delivered) = net.stats().totals();
+        prop_assert!(injected > 0 && delivered <= injected);
+    }
+}
+
+/// Packets sent `from -> to`, a few in flight at once; returns the
+/// smallest recorded latency after checking loss-free in-order delivery
+/// and that the drain released every record.
+fn journey_min_latency(mesh: (u8, u8), from: RouterId, to: RouterId) -> SimDuration {
+    const PACKETS: u64 = 12;
+    let mut sim = NocSim::paper_mesh(mesh.0, mesh.1, 11);
+    sim.begin_measurement();
+    let flow = sim.add_be_source(
+        from,
+        vec![to],
+        3,
+        TemporalSpec::cbr(SimDuration::from_ns(25)),
+        "journey",
+        EmitWindow {
+            limit: Some(PACKETS),
+            ..Default::default()
+        },
+    );
+    assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+    let stats = sim.flow(flow);
+    assert_eq!((stats.delivered, stats.sequence_errors), (PACKETS, 0));
+    assert_eq!(
+        sim.network().meta().live(),
+        0,
+        "{from}->{to}: records leaked"
+    );
+    stats.latency.min().expect("packets were delivered")
+}
+
+/// BE packets beyond the 15-link header radius are rebuilt at relay NAs
+/// and their flits hand the instrumentation handles on (two legs across
+/// the 16×16 diagonal; three on a 40-router row, where the middle relay
+/// passes the continuation word's record to a fresh continuation word
+/// and the last one releases it). The recorded latency must span the
+/// whole journey — at least the sum of its legs measured on their own —
+/// and nothing may be left in the slab.
+#[test]
+fn relayed_packets_keep_one_record_across_every_leg() {
+    let at = |x, y| RouterId::new(x, y);
+    for (mesh, stops) in [
+        ((16, 16), vec![at(0, 0), at(15, 0), at(15, 15)]),
+        ((40, 1), vec![at(0, 0), at(15, 0), at(30, 0), at(39, 0)]),
+    ] {
+        let whole = journey_min_latency(mesh, stops[0], *stops.last().unwrap());
+        let legs: SimDuration = stops
+            .windows(2)
+            .map(|leg| journey_min_latency(mesh, leg[0], leg[1]))
+            .sum();
+        assert!(
+            whole >= legs,
+            "{mesh:?}: recorded {whole} < {legs}, the sum of the legs"
+        );
     }
 }

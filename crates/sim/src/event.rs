@@ -623,6 +623,15 @@ mod tests {
         }
     }
 
+    /// A bucket entry is time + tiebreak sequence + the event, written on
+    /// every `push` and read on every `pop`. With a 16-byte event (the
+    /// network's `NetEvent`) it is 32 bytes — two per cache line; a 17th
+    /// event byte would round it up to 40.
+    #[test]
+    fn entry_with_a_16_byte_event_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Entry<[u64; 2]>>(), 32);
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();

@@ -208,13 +208,28 @@ proptest! {
         }
     }
 
-    /// Flit instrumentation survives arbitrary metadata.
+    /// The flit's packed word round-trips: any handle and the three flag
+    /// wires, set and cleared independently in any order, `data` untouched.
     #[test]
-    fn flit_meta_is_preserved(data in any::<u32>(), seq in any::<u64>(), flow in any::<u32>()) {
-        let f = Flit::gs(data).with_meta(mango::sim::SimTime::from_ps(1), seq, flow);
-        prop_assert_eq!(f.data, data);
-        prop_assert_eq!(f.seq(), seq);
-        prop_assert_eq!(f.flow(), flow);
+    fn flit_packed_word_round_trips(
+        data in any::<u32>(),
+        eop in any::<bool>(),
+        tag in 0u32..Flit::NO_TAG,
+        ops in proptest::collection::vec((0u8..3, any::<bool>()), 0..8),
+    ) {
+        let (mut be_vc, mut relay, mut want_tag) = (false, false, Flit::NO_TAG);
+        let mut f = Flit::be(data, eop);
+        for (which, set) in ops {
+            match which {
+                0 => { f = f.with_be_vc(set); be_vc = set; }
+                1 => { f = f.with_relay(set); relay = set; }
+                _ => { want_tag = if set { tag } else { Flit::NO_TAG }; f = f.with_tag(want_tag); }
+            }
+            prop_assert_eq!(f.data, data);
+            prop_assert_eq!((f.eop(), f.be_vc(), f.relay()), (eop, be_vc, relay));
+            prop_assert_eq!(f.tag(), want_tag);
+            prop_assert_eq!(f.is_instrumented(), want_tag != Flit::NO_TAG);
+        }
     }
 }
 
