@@ -11,12 +11,13 @@
 //! `live == buffered` is checked in every profile
 //! (`records_equal_buffered_flits_once_the_queue_drains`). The relay test
 //! covers the one place records change hands instead of being allocated
-//! or released.
+//! or released, and the fail-stop test pins the feedback owed for flits
+//! a dying router swallows.
 
 use mango_core::RouterId;
 use mango_net::{
-    EmitWindow, FaultKind, FaultSchedule, GsFlowSpec, NocSim, Phase, ScenarioSpec, SpatialPattern,
-    TemporalSpec, TrafficSpec,
+    EmitWindow, FaultCounters, FaultKind, FaultSchedule, GsFlowSpec, NocSim, Phase, ScenarioSpec,
+    SpatialPattern, TemporalSpec, TrafficSpec,
 };
 use mango_sim::{RunOutcome, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -209,4 +210,63 @@ fn relayed_packets_keep_one_record_across_every_leg() {
             "{mesh:?}: recorded {whole} < {legs}, the sum of the legs"
         );
     }
+}
+
+/// A router fail-stop under load. Three streams keep three of the
+/// victim's input wires busy — a GS connection crossing it eastward
+/// (`GsBuffer` steering), one terminating in it from the north
+/// (`LocalGs`) and a BE flow crossing it westward (`BeUnit`) — and the
+/// death time is one at which each wire carries a flit, so the dead
+/// router swallows one of every kind in flight; everything sent
+/// afterwards drops at its dead links. Each lost flit owes its sender
+/// exactly one spoofed unlock or credit. The pinned counters are that
+/// accounting, and both GS senders inject their full schedule on
+/// spoofed unlocks alone (one missing would wedge a sharebox for good).
+#[test]
+fn router_fail_stop_spoofs_feedback_for_every_swallowed_flit() {
+    let at = RouterId::new;
+    let victim = at(2, 1);
+    let bounded = EmitWindow {
+        stop_at: Some(SimTime::from_us(4)),
+        ..Default::default()
+    };
+    let cbr = |ns| TemporalSpec::cbr(SimDuration::from_ns(ns));
+    let mut sim = NocSim::paper_mesh(4, 3, 0xDEAD);
+    let through = sim.open_connection(at(0, 1), at(3, 1)).unwrap();
+    let into = sim.open_connection(at(2, 0), victim).unwrap();
+    sim.wait_connections_settled().unwrap();
+    sim.begin_measurement();
+    let gs_through = sim.add_gs_source(through, cbr(4), "gs-through", bounded);
+    let gs_into = sim.add_gs_source(into, cbr(5), "gs-into", bounded);
+    let be = sim.add_be_source(at(3, 1), vec![at(0, 1)], 4, cbr(15), "be-through", bounded);
+    let dies_at = sim.now() + SimDuration::from_ns(1007);
+    sim.install_faults(FaultSchedule::new(1).with(dies_at, FaultKind::RouterDown { id: victim }));
+
+    sim.run_for(SimDuration::from_ns(1006));
+    assert_eq!(sim.network().fault_counters(), FaultCounters::default());
+    let before = [gs_through, gs_into, be].map(|f| sim.flow(f));
+
+    assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+    let after = [gs_through, gs_into, be].map(|f| sim.flow(f));
+    // GS: nothing more arrives and every flit of the schedule is still
+    // injected; BE: the packet cut by the fault is lost, later ones
+    // route around the dead router.
+    let counts = |f: &[mango_net::FlowStats; 3]| f.clone().map(|f| (f.injected, f.delivered));
+    assert_eq!(counts(&before), [(252, 251), (202, 201), (68, 67)]);
+    assert_eq!(counts(&after), [(750, 251), (600, 201), (200, 199)]);
+    assert_eq!(
+        sim.network().fault_counters(),
+        FaultCounters {
+            gs_flits_dropped: 898,
+            be_flits_dropped: 5,
+            spoofed_unlocks: 898,
+            spoofed_credits: 5,
+            ..Default::default()
+        }
+    );
+    let net = sim.network();
+    for src in [at(0, 1), at(2, 0)] {
+        assert_eq!(net.na().gs_queued_total(net.grid().index(src)), 0);
+    }
+    assert_eq!(net.meta().live(), 0);
 }
