@@ -210,11 +210,6 @@ impl Router {
         &self.stats
     }
 
-    /// The link arbitration policy name (for reports).
-    pub fn arbiter_name(&self) -> &'static str {
-        self.arbiters[0].name()
-    }
-
     /// True if no flit is stored or in flight anywhere in this router.
     pub fn is_quiescent(&self, bufs: &GsArena, be: &BeArena) -> bool {
         bufs.router_is_empty(self.slots)

@@ -332,11 +332,6 @@ impl AreaModel {
         }
     }
 
-    /// A model using a custom cell library.
-    pub fn with_library(library: CellLibrary) -> Self {
-        AreaModel { library }
-    }
-
     /// The underlying cell library.
     pub fn library(&self) -> &CellLibrary {
         &self.library

@@ -28,14 +28,25 @@
 //! * a dead router blackholes everything addressed to it (flits, unlocks,
 //!   credits, NA activity) and its local sources fall silent.
 //!
-//! Detection and recovery live above this layer: watchdogs in
-//! [`crate::network::Network`] declare a connection broken when its flits
-//! stop progressing, and the QoS recovery controller (in `mango_qos`)
-//! tears down, re-admits over surviving links and re-validates bounds.
+//! Detection starts here and recovery lives above this layer: stream
+//! watchdogs ([`Network::add_watchdog`]) declare a connection broken when
+//! its flits stop progressing, and the QoS recovery controller (in
+//! `mango_qos`) tears down, re-admits over surviving links and
+//! re-validates bounds.
+//!
+//! The [`Network`] half of the subsystem is the `impl Network` block at
+//! the end of this file: applying a fault event, the two places a flit
+//! can vanish (sent into a faulted element, or in flight toward a router
+//! that died) with the one feedback rule behind both, and the watchdogs.
 
+use crate::network::{NetEvent, Network};
 use crate::topology::Grid;
-use mango_core::{Direction, RouterId, VcId};
-use mango_sim::{SimRng, SimTime};
+use crate::traffic::SourceKind;
+use mango_core::{
+    ConnectionId, Direction, GsBufferRef, InternalEvent, LinkFlit, RouterId, Steer, UpstreamRef,
+    VcId,
+};
+use mango_sim::{Ctx, SimDuration, SimRng, SimTime};
 use std::collections::{HashMap, HashSet};
 
 /// One kind of injected failure.
@@ -383,6 +394,252 @@ impl FaultState {
             f.dropping = false;
         }
         drop
+    }
+}
+
+/// A stream watchdog: declares its connection broken when the flow's
+/// delivered count stops advancing between firings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Watchdog {
+    conn: ConnectionId,
+    flow: u32,
+    timeout: SimDuration,
+    last_delivered: u64,
+}
+
+/// A watchdog verdict: which connection broke, and when.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BrokenConn {
+    /// The broken connection.
+    pub conn: ConnectionId,
+    /// The flow its watchdog monitored.
+    pub flow: u32,
+    /// When the watchdog declared it broken.
+    pub detected_at: SimTime,
+}
+
+impl Network {
+    /// Installs a fault schedule and returns the application times, in
+    /// event-index order; the caller must schedule a
+    /// [`NetEvent::Fault`]`{ idx }` at each (see
+    /// `NocSim::install_faults`). Only one schedule per network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a schedule is already installed or the schedule
+    /// references off-grid elements.
+    pub fn install_faults(&mut self, schedule: FaultSchedule) -> Vec<SimTime> {
+        assert!(self.faults.is_none(), "fault schedule already installed");
+        let (state, times) = FaultState::install(schedule, &self.grid);
+        self.faults = Some(Box::new(state));
+        times
+    }
+
+    /// Drop/spoof counters (all zero while the mesh is healthy).
+    pub fn fault_counters(&self) -> FaultCounters {
+        self.counters
+    }
+
+    /// Registers a stream watchdog on `conn`'s traffic `flow` and returns
+    /// its index; the caller must schedule the first
+    /// [`NetEvent::Watchdog`]`{ idx }` after `timeout` (see
+    /// `NocSim::arm_watchdog`). The watchdog re-arms itself while the
+    /// flow's delivered count keeps advancing and declares the connection
+    /// broken the first time a whole timeout passes without progress.
+    pub fn add_watchdog(&mut self, conn: ConnectionId, flow: u32, timeout: SimDuration) -> usize {
+        let last_delivered = self.stats.delivered(flow);
+        self.watchdogs.push(Watchdog {
+            conn,
+            flow,
+            timeout,
+            last_delivered,
+        });
+        self.watchdogs.len() - 1
+    }
+
+    /// Drains the list of connections declared broken by watchdogs.
+    pub fn take_broken(&mut self) -> Vec<BrokenConn> {
+        std::mem::take(&mut self.broken)
+    }
+
+    pub(crate) fn on_watchdog(&mut self, idx: usize, ctx: &mut Ctx<NetEvent>) {
+        let w = self.watchdogs[idx];
+        let delivered = self.stats.delivered(w.flow);
+        if delivered > w.last_delivered {
+            self.watchdogs[idx].last_delivered = delivered;
+            ctx.schedule(w.timeout, NetEvent::Watchdog { idx });
+        } else {
+            self.broken.push(BrokenConn {
+                conn: w.conn,
+                flow: w.flow,
+                detected_at: ctx.now(),
+            });
+        }
+    }
+
+    /// Applies fault event `idx` of the installed schedule.
+    pub(crate) fn apply_fault(&mut self, idx: usize) {
+        let Some(faults) = self.faults.as_mut() else {
+            return;
+        };
+        let ev = faults.event(idx);
+        match ev.kind {
+            FaultKind::LinkDown { from, dir } => self.grid.fail_link(from, dir),
+            // Flaky windows are tracked from installation; the kernel
+            // event marks the application time for observability, the
+            // drop decisions themselves are purely time-gated.
+            FaultKind::LinkFlaky { .. } => {}
+            FaultKind::RouterDown { id } => {
+                faults.mark_dead(self.grid.index(id));
+                self.grid.fail_router(id);
+                for s in &mut self.sources {
+                    let at = match s.kind {
+                        SourceKind::Gs { router, .. } => router,
+                        SourceKind::Be { router, .. } => router,
+                    };
+                    if at == id {
+                        s.done = true;
+                    }
+                }
+            }
+            FaultKind::StuckVc { router, dir, vc } => faults.mark_stuck(router, dir, vc),
+        }
+    }
+
+    /// Decides whether a flit leaving `from` toward `dir` is blackholed
+    /// by a fault; if so, spoofs the feedback the downstream router would
+    /// have produced (see the module docs), releases the flit's
+    /// instrumentation record and returns `true`. Only called with
+    /// faults installed.
+    pub(crate) fn blackhole_flit(
+        &mut self,
+        from: RouterId,
+        dir: Direction,
+        to: RouterId,
+        lf: &LinkFlit,
+        base_delay: SimDuration,
+        ctx: &mut Ctx<NetEvent>,
+    ) -> bool {
+        let now = ctx.now();
+        let hard_down = !self.grid.link_up(from, dir);
+        let faults = self.faults.as_mut().expect("caller checked");
+        let drop = match lf.steer {
+            // BE framing must advance on every flit crossing a
+            // flaky-tracked link, dropped or not.
+            Steer::BeUnit => {
+                let flaky = faults.flaky_drops_be(from, dir, now, lf.flit.eop());
+                hard_down || flaky
+            }
+            Steer::GsBuffer { dir: bd, vc } => {
+                hard_down || faults.is_stuck(to, bd, vc) || faults.flaky_drops_gs(from, dir, now)
+            }
+            Steer::LocalGs { .. } => hard_down || faults.flaky_drops_gs(from, dir, now),
+        };
+        if !drop {
+            return false;
+        }
+        if lf.flit.is_instrumented() {
+            if self.telemetry.is_active() {
+                self.t9n_instant("fault", "drop", now, from, Some(dir), lf.flit.tag());
+            }
+            self.meta.release(lf.flit.tag());
+        }
+        self.spoof_feedback(from, dir, to, lf.steer, base_delay, ctx);
+        true
+    }
+
+    /// Counts a flit lost on its way from `sender` (out of its `dir`
+    /// port) into `receiver`, and schedules the one piece of feedback the
+    /// receiver would have produced for it. The spoofed feedback departs
+    /// where the real one would have: `base_delay` (what is left of the
+    /// flit's forward path) plus the downstream handling and the return
+    /// trip. A BE flit owes a credit. A GS flit owes the unlock toggle of
+    /// the buffer it was steered into; its wire is read from the
+    /// receiver's own connection table — exactly the mapping the real
+    /// unlock would have used — and if the entry is already torn down, no
+    /// feedback is owed.
+    fn spoof_feedback(
+        &mut self,
+        sender: RouterId,
+        dir: Direction,
+        receiver: RouterId,
+        steer: Steer,
+        base_delay: SimDuration,
+        ctx: &mut Ctx<NetEvent>,
+    ) {
+        let t = &self.router_cfg.timing;
+        let back_extra = self.grid.link_extra(receiver, dir.opposite());
+        let buffer = match steer {
+            Steer::BeUnit => {
+                self.counters.be_flits_dropped += 1;
+                self.counters.spoofed_credits += 1;
+                let delay = base_delay + t.hop_forward + t.credit_return + back_extra;
+                ctx.schedule(delay, NetEvent::Credit { to: sender, dir });
+                return;
+            }
+            Steer::GsBuffer { dir, vc } => GsBufferRef::Net { dir, vc },
+            Steer::LocalGs { iface } => GsBufferRef::Local { iface },
+        };
+        self.counters.gs_flits_dropped += 1;
+        let delay = base_delay + t.buffer_advance + t.unlock_path + back_extra;
+        if let Some(UpstreamRef::Link { wire, .. }) = self.router(receiver).table().unlock(buffer) {
+            self.counters.spoofed_unlocks += 1;
+            let to = sender;
+            ctx.schedule(delay, NetEvent::Unlock { to, dir, wire });
+        }
+    }
+
+    /// Absorbs events addressed to a dead router (router fail-stop). A
+    /// flit already in flight when the router died still owes its sender
+    /// feedback — spoofed here; everything else vanishes silently.
+    pub(crate) fn absorbed_by_dead_router(
+        &mut self,
+        event: &NetEvent,
+        ctx: &mut Ctx<NetEvent>,
+    ) -> bool {
+        let target = match event {
+            NetEvent::Router { id, .. }
+            | NetEvent::NaGsInject { id, .. }
+            | NetEvent::NaBeInject { id }
+            | NetEvent::NaGsConsumed { id, .. } => *id,
+            NetEvent::LinkFlit { to, .. }
+            | NetEvent::Unlock { to, .. }
+            | NetEvent::Credit { to, .. } => *to,
+            _ => return false,
+        };
+        let dead = self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.is_dead(self.grid.index(target)));
+        if !dead {
+            return false;
+        }
+        // A flit vanishing into the dead router leaves the wire and the
+        // system; its record is released once the drop is traced.
+        match *event {
+            NetEvent::LinkFlit { to, from, lf } => {
+                self.wire_exit(lf.flit);
+                if self.telemetry.is_active() && lf.flit.is_instrumented() {
+                    self.t9n_instant("fault", "drop", ctx.now(), to, Some(from), lf.flit.tag());
+                }
+                let sender = self
+                    .grid
+                    .neighbor(to, from)
+                    .expect("link flits come from neighbors");
+                let dir = from.opposite();
+                self.spoof_feedback(sender, dir, to, lf.steer, SimDuration::ZERO, ctx);
+                self.meta.release(lf.flit.tag());
+            }
+            NetEvent::Router {
+                ev: InternalEvent::BeMoved { flit, .. },
+                ..
+            } => {
+                self.wire_exit(flit);
+                self.meta.release(flit.tag());
+            }
+            _ => {}
+        }
+        true
     }
 }
 

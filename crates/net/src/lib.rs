@@ -8,6 +8,27 @@
 //! offers the declarative scenarios ([`ScenarioSpec`]) that the
 //! reproduction binaries and the sweep grids run.
 //!
+//! # Who owns what
+//!
+//! The mesh is one [`Network`] (one `mango_sim::Model`). Its state and
+//! event dispatch are in [`network`]; every other decision of the data
+//! plane is an `impl Network` block in the module that owns the state it
+//! works on, the way `mango_core`'s router is one `impl Router` per
+//! block of Fig. 2:
+//!
+//! | module | owns |
+//! |---|---|
+//! | [`network`] | `Network` (fields, accessors), [`NetEvent`], final BE delivery, and the dispatch `handle` → `call_router` → `process_actions` |
+//! | [`fault`] | fault schedules and live fault state; applying a fault, blackholing a flit, the spoofed-feedback rule, watchdogs and [`BrokenConn`] verdicts |
+//! | [`telemetry`] | the sink; activation/finalization, the epoch sampler and its row (next to [`EPOCH_COLUMNS`]), recovery-track hooks, flit-trace hooks |
+//! | [`relay`] | segmented BE packets and the ticket table; queueing a packet at a source NA, ack legs, relay forwarding |
+//! | [`traffic`] | spatial × temporal traffic models; the source table and source ticks |
+//! | [`meta`] | the per-flit instrumentation slab; the conservation ledger (buffer walk, debug wire count, record release) |
+//! | [`conn`], [`route`], [`topology`] | connection planning, routing, the grid — used by the above, never touching `Network` |
+//! | [`na`], [`na_arena`] | network-adapter state (reference twin and the flat arena the network runs on) |
+//! | [`sim`], [`scenario`] | the `NocSim` harness around a kernel + network, and declarative scenarios on top of it |
+//! | [`stats`], [`ocp`] | flow statistics; the OCP request/response app |
+//!
 //! # Example
 //!
 //! Open a GS connection across a 3×3 mesh and stream flits over it:
@@ -52,11 +73,11 @@ pub mod topology;
 pub mod traffic;
 
 pub use conn::{walk_dirs, ConnError, ConnRecord, ConnState, ConnectionManager};
-pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultSchedule};
+pub use fault::{BrokenConn, FaultCounters, FaultEvent, FaultKind, FaultSchedule};
 pub use meta::MetaSlab;
 pub use na::{Na, NaConfig};
 pub use na_arena::NaArena;
-pub use network::{AppPacket, BrokenConn, NaApp, NetEvent, Network, Node};
+pub use network::{AppPacket, NaApp, NetEvent, Network};
 pub use ocp::{OcpMessage, OcpSlave};
 pub use relay::{RelayTable, RelayTicket};
 pub use route::{route_avoiding, xy_header, xy_path, xy_route, RouteError};

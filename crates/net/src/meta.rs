@@ -10,7 +10,12 @@
 //! packet's flits hand their handles to the next segment's flits. So
 //! [`MetaSlab::live`] *is* the number of instrumented flits in the
 //! system, in every build profile.
+//!
+//! The ledger's [`Network`] half is the `impl Network` block at the end
+//! of this file: the buffer walk `live` is checked against, and the
+//! debug-build count of instrumented flits inside scheduled events.
 
+use crate::network::Network;
 use mango_core::{Flit, FlitMeta};
 
 /// Slab of [`FlitMeta`] records addressed by [`Flit::tag`].
@@ -98,6 +103,78 @@ impl MetaSlab {
     /// Records currently allocated: the instrumented flits in the system.
     pub fn live(&self) -> usize {
         self.records.len() - self.free.len()
+    }
+}
+
+impl Network {
+    /// Instrumented flits found by walking every buffer: the GS arena,
+    /// each router's BE unit and each NA. Together with the flits inside
+    /// scheduled events these are all the instrumented flits in the
+    /// system, so with an empty event queue this equals
+    /// [`MetaSlab::live`] — in release builds too.
+    pub fn instrumented_flits_buffered(&self) -> u64 {
+        self.arena.flow_flits()
+            + self
+                .routers
+                .iter()
+                .enumerate()
+                .map(|(i, r)| r.flow_flits_buffered(&self.be_arena) + self.na.flow_flits(i))
+                .sum::<u64>()
+    }
+
+    /// Asserts the flit-conservation invariant: every instrumentation
+    /// record belongs to a flit that is buffered somewhere or inside a
+    /// scheduled event — none leaked, none released early. Call between
+    /// events (e.g. after a run). Compiled to a no-op in release builds,
+    /// which do not count the flits inside events.
+    pub fn debug_check_conservation(&self) {
+        #[cfg(debug_assertions)]
+        {
+            let buffered = self.instrumented_flits_buffered() as i64;
+            assert_eq!(
+                self.meta.live() as i64,
+                buffered + self.wire,
+                "flit conservation violated: {} live records != buffered {} + wire {}",
+                self.meta.live(),
+                buffered,
+                self.wire,
+            );
+        }
+    }
+
+    /// Force-unbinds GS TX interface `iface` of node `idx` (see
+    /// [`crate::NaArena::force_unbind_tx`]) and releases the
+    /// instrumentation records of the flits it discards.
+    pub fn force_unbind_tx(&mut self, idx: usize, iface: u8) {
+        for flit in self.na.force_unbind_tx(idx, iface) {
+            self.meta.release(flit.tag());
+        }
+    }
+
+    /// Releases the instrumentation records of flits leaving the system.
+    pub(crate) fn release_records(&mut self, flits: &[Flit]) {
+        for f in flits {
+            self.meta.release(f.tag());
+        }
+    }
+
+    /// `flit` enters a scheduled event (a `LinkFlit`, or a router's
+    /// `BeMoved`): counted in debug builds only.
+    #[inline]
+    pub(crate) fn wire_enter(&mut self, _flit: Flit) {
+        #[cfg(debug_assertions)]
+        {
+            self.wire += i64::from(_flit.is_instrumented());
+        }
+    }
+
+    /// `flit` leaves the event that carried it.
+    #[inline]
+    pub(crate) fn wire_exit(&mut self, _flit: Flit) {
+        #[cfg(debug_assertions)]
+        {
+            self.wire -= i64::from(_flit.is_instrumented());
+        }
     }
 }
 

@@ -27,11 +27,19 @@
 //! between NAs by truncation instead: the ack return header routes to the
 //! farthest on-route NA within 15 links, where ack interception (which
 //! already exists for final delivery) re-launches the ack toward the
-//! connection source — see `Network::on_be_packet`.
+//! connection source.
+//!
+//! The [`Network`] half — building a packet into a source NA, and taking
+//! a delivered acknowledgment or continuation onward — is the
+//! `impl Network` block at the end of this file.
 
+use crate::network::{NetEvent, Network};
 use crate::route::{route_avoiding, xy_len, xy_segment_header, RouteError};
 use crate::topology::Grid;
-use mango_core::{build_be_packet_into, BeHeader, Direction, Flit, RouterId, MAX_BE_HOPS};
+use mango_core::{
+    build_be_packet_into, prog, BeHeader, Direction, Flit, FlitMeta, RouterId, MAX_BE_HOPS,
+};
+use mango_sim::{Ctx, SimTime};
 
 /// Magic prefix of a relay continuation word (`"RL"` in the top bytes);
 /// the low 16 bits carry the ticket id. Continuation words are recognized
@@ -240,6 +248,206 @@ pub fn ack_leg_header(grid: &Grid, src: RouterId, dst: RouterId) -> Result<BeHea
     }
     let links = xy_len(grid, src, dst)?;
     Ok(xy_segment_header(grid, src, dst, links.min(MAX_BE_HOPS)))
+}
+
+impl Network {
+    /// Builds a BE packet and queues it at `src`'s NA; returns `true` if
+    /// the caller must schedule a [`NetEvent::NaBeInject`] for `src` after
+    /// [`Network::inject_delay`].
+    pub fn enqueue_be_packet(
+        &mut self,
+        src: RouterId,
+        dst: RouterId,
+        payload: &[u32],
+        flow: Option<u32>,
+        now: SimTime,
+    ) -> bool {
+        let mut flits = std::mem::take(&mut self.flit_scratch);
+        if build_segmented_packet_into(
+            &self.grid,
+            &mut self.relays,
+            src,
+            dst,
+            payload,
+            false,
+            &mut flits,
+        )
+        .is_err()
+        {
+            // Typed degradation: a masked-out link (or a degenerate pair)
+            // drops the packet instead of aborting the process.
+            self.counters.be_route_drops += 1;
+            self.flit_scratch = flits;
+            return false;
+        }
+        if let Some(flow) = flow {
+            let meta = FlitMeta::new(now, self.stats.on_inject(flow), flow);
+            for f in &mut flits {
+                *f = f.with_tag(self.meta.alloc(meta));
+            }
+        }
+        self.queue_be(src, flits)
+    }
+
+    /// Builds and enqueues a BE packet from `src` to `dst` at the source
+    /// NA, scheduling injection if the NA was idle.
+    pub fn send_be_packet(
+        &mut self,
+        src: RouterId,
+        dst: RouterId,
+        payload: &[u32],
+        flow: Option<u32>,
+        now: SimTime,
+        ctx: &mut Ctx<NetEvent>,
+    ) {
+        if self.enqueue_be_packet(src, dst, payload, flow, now) {
+            ctx.schedule(self.inject_delay(), NetEvent::NaBeInject { id: src });
+        }
+    }
+
+    /// Queues `flits` at `at`'s NA and hands the buffer back for reuse;
+    /// `true` if the NA was idle, i.e. an injection must be scheduled.
+    fn queue_be(&mut self, at: RouterId, flits: Vec<Flit>) -> bool {
+        let idle = self
+            .na
+            .enqueue_be(self.grid.index(at), flits.iter().copied());
+        self.flit_scratch = flits;
+        idle
+    }
+
+    /// Takes a packet delivered at `id`'s NA onward if it is not a final
+    /// delivery — an acknowledgment or a relay continuation; `false`
+    /// leaves it to the caller. Neither kind is counted in the flow
+    /// statistics or reaches an app.
+    pub(crate) fn relayed_on(
+        &mut self,
+        id: RouterId,
+        packet: &[Flit],
+        ctx: &mut Ctx<NetEvent>,
+    ) -> bool {
+        // Acknowledgments complete connection programming. An ack is a
+        // two-flit packet whose payload parses as a *known* token — the
+        // token check keeps application payloads that alias the ack magic
+        // from being misclassified. On large meshes the ack travels in
+        // ≤15-link legs: delivered short of the connection source, it is
+        // re-launched toward it from here.
+        if packet.len() == 2 {
+            if let Some(token) = prog::parse_ack_word(packet[1].data) {
+                if self.conn.known_token(token) {
+                    let target = self
+                        .conn
+                        .token_src(token)
+                        .expect("known token has a source");
+                    if target == id {
+                        self.conn.on_ack(token, &self.grid, ctx.now());
+                    } else {
+                        self.forward_ack(id, target, token, ctx);
+                    }
+                    // Acks carry no records, but an instrumented payload
+                    // aliasing one would.
+                    self.release_records(packet);
+                    return true;
+                }
+            }
+        }
+        // Relay continuations: a packet bound beyond the header radius
+        // delivered at this intermediate NA — rebuild the next segment
+        // and re-inject. The `relay` flit wire is set only by the segment
+        // builder, so an application payload can never alias a
+        // continuation word.
+        if packet.len() >= 2 && packet[1].relay() {
+            let ticket = parse_relay_word(packet[1].data)
+                .and_then(|t| self.relays.take(t))
+                .expect("relay wire set on a word that is not a live continuation");
+            self.forward_relay(id, ticket, packet, ctx);
+            return true;
+        }
+        false
+    }
+
+    /// Re-launches an acknowledgment from relay node `from` toward the
+    /// connection source it must reach (one more ≤15-link leg).
+    fn forward_ack(
+        &mut self,
+        from: RouterId,
+        target: RouterId,
+        token: u16,
+        ctx: &mut Ctx<NetEvent>,
+    ) {
+        let header = match ack_leg_header(&self.grid, from, target) {
+            Ok(h) => h,
+            Err(_) => {
+                // No surviving route back to the source: the ack is lost
+                // and the open/close will be resolved by its watchdog or
+                // poll deadline instead of a process abort.
+                self.counters.ack_route_drops += 1;
+                return;
+            }
+        };
+        let mut flits = std::mem::take(&mut self.flit_scratch);
+        build_be_packet_into(header, &[prog::ack_word(token)], false, &mut flits);
+        if self.queue_be(from, flits) {
+            ctx.schedule(self.inject_delay(), NetEvent::NaBeInject { id: from });
+        }
+    }
+
+    /// Rebuilds a relayed packet's next segment at relay node `from` and
+    /// re-injects it. The outgoing flits take over the incoming flits'
+    /// instrumentation handles, so end-to-end latency spans the whole
+    /// journey and no record is copied.
+    fn forward_relay(
+        &mut self,
+        from: RouterId,
+        ticket: RelayTicket,
+        packet: &[Flit],
+        ctx: &mut Ctx<NetEvent>,
+    ) {
+        // Incoming layout: [header, continuation, payload...].
+        let mut payload = std::mem::take(&mut self.payload_scratch);
+        payload.clear();
+        payload.extend(packet[2..].iter().map(|f| f.data));
+        let mut flits = std::mem::take(&mut self.flit_scratch);
+        let built = build_segmented_packet_into(
+            &self.grid,
+            &mut self.relays,
+            from,
+            ticket.dst,
+            &payload,
+            ticket.config,
+            &mut flits,
+        );
+        self.payload_scratch = payload;
+        if built.is_err() {
+            // The fault set cut every remaining route: the relayed packet
+            // is dropped here (its ticket was already consumed).
+            self.counters.relay_route_drops += 1;
+            self.release_records(packet);
+            self.flit_scratch = flits;
+            return;
+        }
+        // Hand the handles over: header to header, and the tail (payload,
+        // plus the fresh continuation word if the route relays again)
+        // from the incoming tail, aligned at the packet ends.
+        let out_len = flits.len();
+        for i in 0..out_len - 1 {
+            let src = &packet[packet.len() - 1 - i];
+            let dst = &mut flits[out_len - 1 - i];
+            *dst = dst.with_tag(src.tag());
+        }
+        let hdr = packet[0];
+        flits[0] = flits[0].with_tag(hdr.tag());
+        if out_len < packet.len() {
+            // The route stops relaying: the consumed continuation word is
+            // the one incoming flit with no successor.
+            self.meta.release(packet[1].tag());
+        }
+        if self.telemetry.is_active() && hdr.is_instrumented() {
+            self.t9n_instant("hop", "relay", ctx.now(), from, None, hdr.tag());
+        }
+        if self.queue_be(from, flits) {
+            ctx.schedule(self.inject_delay(), NetEvent::NaBeInject { id: from });
+        }
+    }
 }
 
 #[cfg(test)]

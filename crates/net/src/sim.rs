@@ -3,9 +3,9 @@
 //! traffic, running warmup/measurement phases and reading statistics.
 
 use crate::conn::{ConnError, ConnState};
-use crate::fault::FaultSchedule;
+use crate::fault::{BrokenConn, FaultSchedule};
 use crate::na::NaConfig;
-use crate::network::{BrokenConn, NetEvent, Network};
+use crate::network::{NetEvent, Network};
 use crate::stats::FlowStats;
 use crate::telemetry::TelemetryConfig;
 use crate::topology::Grid;
@@ -73,19 +73,6 @@ impl NocSim {
     pub fn mesh_with(width: u8, height: u8, cfg: RouterConfig, seed: u64) -> Self {
         NocSim::new(
             Network::new(Grid::new(width, height), cfg, NaConfig::paper()),
-            seed,
-        )
-    }
-
-    /// Any [`crate::TopologySpec`] (torus, chiplet mesh-of-meshes) with
-    /// the paper's routers and default NAs.
-    pub fn paper_topology(spec: &crate::TopologySpec, seed: u64) -> Self {
-        NocSim::new(
-            Network::new(
-                Grid::from_spec(spec),
-                RouterConfig::paper(),
-                NaConfig::paper(),
-            ),
             seed,
         )
     }
@@ -280,20 +267,32 @@ impl NocSim {
     fn issue_open_plan(&mut self, src: RouterId, plan: crate::conn::OpenPlan) -> ConnectionId {
         let net = self.kernel.model_mut();
         let idx = net.grid().index(src);
-        net.node_mut(src).router.program(&plan.local_writes);
         net.na_mut().bind_tx(idx, plan.tx_iface, plan.tx_steer);
+        self.program_and_launch(src, &plan.local_writes, plan.config_packets);
+        plan.id
+    }
+
+    /// The step opening and closing share: applies `local_writes` at
+    /// `src`'s router directly and launches the config packets for the
+    /// other routers from its NA.
+    fn program_and_launch(
+        &mut self,
+        src: RouterId,
+        local_writes: &[mango_core::ProgWrite],
+        config_packets: Vec<Vec<mango_core::Flit>>,
+    ) {
+        let net = self.kernel.model_mut();
+        let idx = net.grid().index(src);
+        net.router_mut(src).program(local_writes);
         let delay = net.inject_delay();
         let mut need_kick = false;
-        for packet in plan.config_packets {
-            if net.na_mut().enqueue_be(idx, packet) {
-                need_kick = true;
-            }
+        for packet in config_packets {
+            need_kick |= net.na_mut().enqueue_be(idx, packet);
         }
         if need_kick {
             self.kernel
                 .schedule(delay, NetEvent::NaBeInject { id: src });
         }
-        plan.id
     }
 
     /// Closes an open connection (traffic must be drained).
@@ -304,26 +303,10 @@ impl NocSim {
     pub fn close_connection(&mut self, id: ConnectionId) -> Result<(), ConnError> {
         let net = self.kernel.model_mut();
         let plan = net.plan_close(id)?;
-        let record = net
-            .connections()
-            .get(id)
-            .expect("connection exists")
-            .clone();
-        let src = record.src;
+        let src = net.connections().get(id).expect("connection exists").src;
         let idx = net.grid().index(src);
-        net.node_mut(src).router.program(&plan.local_writes);
         net.na_mut().unbind_tx(idx, plan.tx_iface);
-        let delay = net.inject_delay();
-        let mut need_kick = false;
-        for packet in plan.config_packets {
-            if net.na_mut().enqueue_be(idx, packet) {
-                need_kick = true;
-            }
-        }
-        if need_kick {
-            self.kernel
-                .schedule(delay, NetEvent::NaBeInject { id: src });
-        }
+        self.program_and_launch(src, &plan.local_writes, plan.config_packets);
         Ok(())
     }
 
@@ -346,7 +329,7 @@ impl NocSim {
         let src = net.connections().get(id).expect("planned above").src;
         let idx = net.grid().index(src);
         if !plan.local_writes.is_empty() {
-            net.node_mut(src).router.program(&plan.local_writes);
+            net.router_mut(src).program(&plan.local_writes);
         }
         if let Some(iface) = plan.tx_iface {
             // Flits still queued on the interface are discarded and their
@@ -420,30 +403,12 @@ impl NocSim {
             .get(conn)
             .expect("state checked")
             .clone();
-        let rng = self.fork_rng();
-        let now = self.kernel.now();
-        let net = self.kernel.model_mut();
-        let flow = net.stats_mut().register_flow(name);
-        let start = now + window.start_after.unwrap_or(SimDuration::ZERO);
-        let idx = net.add_source(Source {
-            kind: SourceKind::Gs {
-                conn,
-                router: record.src,
-                iface: record.tx_iface,
-            },
-            pattern,
-            state: PatternState::default(),
-            flow,
-            start,
-            stop: window.stop_at,
-            limit: window.limit,
-            emitted: 0,
-            rng,
-            done: false,
-        });
-        self.kernel
-            .schedule(start.since(now), NetEvent::SourceTick { idx });
-        flow
+        let kind = SourceKind::Gs {
+            conn,
+            router: record.src,
+            iface: record.tx_iface,
+        };
+        self.attach_source(kind, pattern, name, window)
     }
 
     /// Attaches a BE packet source with an explicit destination pool
@@ -489,17 +454,30 @@ impl NocSim {
         spatial
             .validate(self.network().grid())
             .unwrap_or_else(|e| panic!("BE source at {src}: {e}"));
+        let kind = SourceKind::Be {
+            router: src,
+            spatial,
+            payload_words,
+        };
+        self.attach_source(kind, pattern, name, window)
+    }
+
+    /// Registers a source emitting `kind` under a fresh flow and RNG
+    /// stream, and schedules its first tick; returns the flow id.
+    fn attach_source(
+        &mut self,
+        kind: SourceKind,
+        pattern: TemporalSpec,
+        name: impl Into<String>,
+        window: EmitWindow,
+    ) -> u32 {
         let rng = self.fork_rng();
         let now = self.kernel.now();
         let net = self.kernel.model_mut();
         let flow = net.stats_mut().register_flow(name);
         let start = now + window.start_after.unwrap_or(SimDuration::ZERO);
         let idx = net.add_source(Source {
-            kind: SourceKind::Be {
-                router: src,
-                spatial,
-                payload_words,
-            },
+            kind,
             pattern,
             state: PatternState::default(),
             flow,
@@ -567,19 +545,6 @@ impl NocSim {
         self.network().router_cfg().timing.link_cycle.as_rate_mhz()
     }
 
-    /// Utilization of the directed link leaving `router` toward `dir`
-    /// since simulation start: grants × link-cycle ÷ elapsed time.
-    pub fn link_utilization(&self, router: RouterId, dir: mango_core::Direction) -> f64 {
-        let elapsed = self.now().as_ps();
-        if elapsed == 0 {
-            return 0.0;
-        }
-        let stats = self.network().node(router).router.stats();
-        let grants = stats.grants(dir.index());
-        let cycle = self.network().router_cfg().timing.link_cycle.as_ps();
-        (grants as f64 * cycle as f64) / elapsed as f64
-    }
-
     /// A per-flow summary table (name, injected, delivered, throughput,
     /// latency) over the measurement window — ready to print.
     pub fn flow_summary(&self) -> mango_hw::Table {
@@ -634,16 +599,16 @@ mod tests {
         assert_eq!(hops, 3);
         let programmed: u64 = sim
             .network()
-            .nodes()
+            .routers()
             .iter()
-            .map(|n| n.router.stats().prog_packets)
+            .map(|r| r.stats().prog_packets)
             .sum();
         assert_eq!(programmed, 3);
         let errors: u64 = sim
             .network()
-            .nodes()
+            .routers()
             .iter()
-            .map(|n| n.router.stats().prog_errors)
+            .map(|r| r.stats().prog_errors)
             .sum();
         assert_eq!(errors, 0);
     }

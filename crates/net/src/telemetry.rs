@@ -10,9 +10,20 @@
 //! Everything recorded is a pure function of simulated state and time, so
 //! telemetry output is byte-identical at any worker-thread count (threads
 //! partition *jobs*, never one kernel).
+//!
+//! The hooks themselves are the `impl Network` block at the end of this
+//! file: activation and finalization, the epoch sampler (its row is
+//! built next to [`EPOCH_COLUMNS`]), the recovery-track hooks the QoS
+//! layer calls and the flit-trace hooks the event dispatch calls. Every
+//! hook on the data path is `#[cold]` and never inlined, so an inactive
+//! sink costs the dispatch one predictable branch per site.
 
-use mango_sim::SimDuration;
-use mango_telemetry::{ChromeTrace, EpochSeries, HistId, MetricsRegistry, TelemetryReport};
+use crate::network::{NetEvent, Network};
+use mango_core::{Direction, FlitMeta, RouterId};
+use mango_sim::{Ctx, SimDuration, SimTime};
+use mango_telemetry::{
+    ChromeTrace, EpochSeries, EvName, HistId, MetricsRegistry, Sample, TelemetryReport,
+};
 
 /// Chrome-trace process id for flit-journey events (`tid` = flow id).
 pub const TRACE_PID_FLITS: u32 = 1;
@@ -23,7 +34,7 @@ pub const TRACE_PID_RECOVERY: u32 = 2;
 /// Configuration for an activated telemetry sink.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Epoch sampler cadence — one [`crate::network::NetEvent::TelemetrySample`]
+    /// Epoch sampler cadence — one [`NetEvent::TelemetrySample`]
     /// snapshot row per interval.
     pub sample_every: SimDuration,
     /// Record per-flit journey spans and per-hop instants in the Chrome
@@ -60,13 +71,13 @@ pub struct TelemetryState {
     pub flit_events: usize,
     /// Flit trace events dropped after the cap was hit.
     pub flit_events_dropped: u64,
-    /// Whether a [`crate::network::NetEvent::TelemetrySample`] is
+    /// Whether a [`NetEvent::TelemetrySample`] is
     /// currently scheduled. The sampler lets the queue drain rather than
     /// keep an idle simulation alive, so the harness re-arms it (via
-    /// [`crate::network::Network::telemetry_sampler_rearm`]) whenever a
+    /// [`Network::telemetry_sampler_rearm`]) whenever a
     /// run segment starts.
     pub sampler_armed: bool,
-    /// Which [`crate::network::Network::enable_telemetry`] activation
+    /// Which [`Network::enable_telemetry`] activation
     /// this state belongs to; sampler events tagged with a different
     /// generation are stale and ignored.
     pub generation: u32,
@@ -76,8 +87,8 @@ pub struct TelemetryState {
     pub hist_be_latency: HistId,
 }
 
-/// Epoch time-series columns, in order (see the sampler arm of
-/// [`crate::network::Network`]'s event handler for the semantics).
+/// Epoch time-series columns, in order; `Network::on_telemetry_sample`
+/// below builds the matching row.
 pub const EPOCH_COLUMNS: &[&str] = &[
     "t_us",
     "injected",
@@ -170,6 +181,262 @@ impl TelemetrySink {
             TelemetrySink::Off => None,
             TelemetrySink::Active(s) => Some(s),
         }
+    }
+}
+
+impl Network {
+    /// Activates the telemetry sink. The caller arms the epoch sampler
+    /// via [`Network::telemetry_sampler_rearm`] and schedules the
+    /// returned cadence (see `NocSim::enable_telemetry`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if telemetry is already active.
+    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
+        assert!(!self.telemetry.is_active(), "telemetry already enabled");
+        self.telemetry_generation = self.telemetry_generation.wrapping_add(1);
+        self.telemetry = TelemetrySink::Active(TelemetryState::new(cfg, self.telemetry_generation));
+    }
+
+    /// The telemetry sink.
+    pub fn telemetry(&self) -> &TelemetrySink {
+        &self.telemetry
+    }
+
+    /// Detaches the sink and finalizes it into a report (metric totals
+    /// are filled from the statistics registries at this point). Returns
+    /// `None` if telemetry was never enabled. The sink reverts to `Off`.
+    pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
+        let mut st = match std::mem::take(&mut self.telemetry) {
+            TelemetrySink::Off => return None,
+            TelemetrySink::Active(st) => st,
+        };
+        let (injected, delivered) = self.stats.totals();
+        let m = &mut st.metrics;
+        for (name, value) in [
+            ("flits.injected", injected),
+            ("flits.delivered", delivered),
+            ("flits.in_flight", self.stats.in_flight()),
+            ("faults.gs_dropped", self.counters.gs_flits_dropped),
+            ("faults.be_dropped", self.counters.be_flits_dropped),
+            ("faults.spoofed_unlocks", self.counters.spoofed_unlocks),
+            ("faults.spoofed_credits", self.counters.spoofed_credits),
+            ("faults.be_route_drops", self.counters.be_route_drops),
+            ("faults.relay_route_drops", self.counters.relay_route_drops),
+            ("faults.ack_route_drops", self.counters.ack_route_drops),
+            ("trace.flit_events", st.flit_events as u64),
+            ("trace.flit_events_dropped", st.flit_events_dropped),
+        ] {
+            let id = m.counter(name);
+            m.set_counter(id, value);
+        }
+        Some(st.into_report())
+    }
+
+    /// Records a lifecycle span on the recovery track (no-op while the
+    /// sink is off) — the cold-path hook the QoS recovery engine uses.
+    #[cold]
+    #[inline(never)]
+    pub fn telemetry_span(
+        &mut self,
+        cat: &'static str,
+        name: impl Into<EvName>,
+        start: SimTime,
+        end: SimTime,
+        tid: u32,
+        args: Vec<(&'static str, u64)>,
+    ) {
+        if let Some(st) = self.telemetry.state_mut() {
+            st.trace.span(
+                cat,
+                name,
+                start.as_ps(),
+                end.as_ps(),
+                TRACE_PID_RECOVERY,
+                tid,
+                args,
+            );
+        }
+    }
+
+    /// Records an instant on the recovery track (no-op while off).
+    #[cold]
+    #[inline(never)]
+    pub fn telemetry_instant(
+        &mut self,
+        cat: &'static str,
+        name: impl Into<EvName>,
+        at: SimTime,
+        tid: u32,
+        args: Vec<(&'static str, u64)>,
+    ) {
+        if let Some(st) = self.telemetry.state_mut() {
+            st.trace
+                .instant(cat, name, at.as_ps(), TRACE_PID_RECOVERY, tid, args);
+        }
+    }
+
+    /// Sets a registered gauge (no-op while off).
+    #[cold]
+    #[inline(never)]
+    pub fn telemetry_gauge(&mut self, name: &'static str, value: i64) {
+        if let Some(st) = self.telemetry.state_mut() {
+            let id = st.metrics.gauge(name);
+            st.metrics.set_gauge(id, value);
+        }
+    }
+
+    /// One epoch sampler firing: append a snapshot row, then re-arm
+    /// unless this sampler is the only thing keeping the simulation
+    /// alive (`ctx.pending() == 0` right after the pop).
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn on_telemetry_sample(&mut self, generation: u32, ctx: &mut Ctx<NetEvent>) {
+        // A sampler from a previous activation (left pending across
+        // `take_telemetry` + `enable_telemetry`) must neither snapshot
+        // nor re-arm — otherwise two chains run at once and every epoch
+        // and profiled sampler dispatch is counted twice.
+        match &self.telemetry {
+            TelemetrySink::Active(st) if st.generation == generation => {}
+            _ => return,
+        }
+        let now = ctx.now();
+        let (injected, delivered) = self.stats.totals();
+        let gs_buffered = self.arena.buffered_flits() as u64;
+        let mut be_buffered = 0u64;
+        let mut na_gs = 0u64;
+        let mut na_be = 0u64;
+        for (idx, router) in self.routers.iter().enumerate() {
+            be_buffered += router.be_flits_buffered(&self.be_arena) as u64;
+            na_gs += self.na.gs_queued_total(idx) as u64;
+            na_be += self.na.be_backlog(idx) as u64;
+        }
+        // Link utilization in exact micro-units (integer math: grants ×
+        // link-cycle ÷ elapsed), aggregated over every directed link.
+        let elapsed = now.as_ps() as u128;
+        let cycle = self.router_cfg.timing.link_cycle.as_ps() as u128;
+        let mut links = 0u128;
+        let mut util_sum = 0u128;
+        let mut util_max = 0u64;
+        for router in &self.routers {
+            for dir in Direction::ALL {
+                if self.grid.neighbor(router.id(), dir).is_none() {
+                    continue;
+                }
+                links += 1;
+                let util = (router.stats().grants(dir.index()) as u128 * cycle * 1_000_000)
+                    .checked_div(elapsed)
+                    .unwrap_or(0) as u64;
+                util_sum += util as u128;
+                util_max = util_max.max(util);
+            }
+        }
+        let util_mean = util_sum.checked_div(links).unwrap_or(0) as u64;
+        let (gs_dropped, be_dropped) = (
+            self.counters.gs_flits_dropped,
+            self.counters.be_flits_dropped,
+        );
+        let st = self.telemetry.state_mut().expect("checked active");
+        st.epochs.push(vec![
+            Sample::Micro(now.as_ps()),
+            Sample::U64(injected),
+            Sample::U64(delivered),
+            Sample::U64(injected - delivered),
+            Sample::U64(gs_buffered),
+            Sample::U64(be_buffered),
+            Sample::U64(na_gs),
+            Sample::U64(na_be),
+            Sample::Micro(util_mean),
+            Sample::Micro(util_max),
+            Sample::U64(gs_dropped),
+            Sample::U64(be_dropped),
+        ]);
+        st.sampler_armed = ctx.pending() > 0;
+        if st.sampler_armed {
+            ctx.schedule(
+                st.cfg.sample_every,
+                NetEvent::TelemetrySample { generation },
+            );
+        }
+    }
+
+    /// Marks the epoch sampler armed and returns the cadence and
+    /// generation to schedule the next [`NetEvent::TelemetrySample`]
+    /// with — or `None` when telemetry is off or a sampler event is
+    /// already pending. The run harness calls this at every run-segment
+    /// start so a sampler that let an idle queue drain (e.g. during a
+    /// warmup with no setup-phase traffic) revives once sources attach.
+    pub fn telemetry_sampler_rearm(&mut self) -> Option<(SimDuration, u32)> {
+        let st = self.telemetry.state_mut()?;
+        if st.sampler_armed {
+            return None;
+        }
+        st.sampler_armed = true;
+        Some((st.cfg.sample_every, st.generation))
+    }
+
+    /// Records an instant on the flit track for the instrumented flit
+    /// `tag` at router `id`: a per-hop grant (`"hop"`/`"hop"`, with the
+    /// output `dir`), a relay re-injection (`"hop"`/`"relay"`, no `dir`)
+    /// or a fault drop (`"fault"`/`"drop"`, with the `dir` it was lost
+    /// on).
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn t9n_instant(
+        &mut self,
+        cat: &'static str,
+        name: &'static str,
+        now: SimTime,
+        id: RouterId,
+        dir: Option<Direction>,
+        tag: u32,
+    ) {
+        let Some(st) = self.telemetry.state_mut() else {
+            return;
+        };
+        if !st.cfg.trace_flits || !st.reserve_flit_event() {
+            return;
+        }
+        let meta = self.meta.get(tag);
+        let mut args = vec![("seq", meta.seq()), ("x", id.x as u64), ("y", id.y as u64)];
+        args.extend(dir.map(|d| ("dir", d.index() as u64)));
+        st.trace
+            .instant(cat, name, now.as_ps(), TRACE_PID_FLITS, meta.flow(), args);
+    }
+
+    /// Records an end-to-end journey span for a delivered flit/packet
+    /// and feeds the latency histogram.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn t9n_deliver(
+        &mut self,
+        name: &'static str,
+        now: SimTime,
+        meta: FlitMeta,
+        gs: bool,
+    ) {
+        let Some(st) = self.telemetry.state_mut() else {
+            return;
+        };
+        let latency_ns = now.since(meta.injected_at()).as_ps() / 1000;
+        let hist = if gs {
+            st.hist_gs_latency
+        } else {
+            st.hist_be_latency
+        };
+        st.metrics.observe(hist, latency_ns);
+        if !st.cfg.trace_flits || !st.reserve_flit_event() {
+            return;
+        }
+        st.trace.span(
+            "flit",
+            name,
+            meta.injected_at().as_ps(),
+            now.as_ps(),
+            TRACE_PID_FLITS,
+            meta.flow(),
+            vec![("seq", meta.seq())],
+        );
     }
 }
 

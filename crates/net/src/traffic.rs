@@ -28,9 +28,10 @@
 //! the historical "materialize all-but-self and `choose`" code path, so
 //! recorded experiment outputs survive the redesign byte for byte.
 
+use crate::network::{NetEvent, Network};
 use crate::topology::Grid;
-use mango_core::{ConnectionId, RouterId};
-use mango_sim::{SimDuration, SimRng, SimTime};
+use mango_core::{ConnectionId, Flit, FlitMeta, RouterId};
+use mango_sim::{Ctx, SimDuration, SimRng, SimTime};
 
 // ---------------------------------------------------------------------
 // Temporal: when to emit
@@ -535,6 +536,79 @@ impl Source {
             return None;
         }
         Some(next)
+    }
+}
+
+impl Network {
+    /// Registers a traffic source; returns its index for `SourceTick`.
+    pub fn add_source(&mut self, source: Source) -> usize {
+        self.sources.push(source);
+        self.sources.len() - 1
+    }
+
+    /// The source table.
+    pub fn sources(&self) -> &[Source] {
+        &self.sources
+    }
+
+    /// Silences every traffic source feeding `flow` (recovery: stop
+    /// streaming into a broken connection before tearing it down).
+    pub fn stop_sources_of_flow(&mut self, flow: u32) {
+        for s in &mut self.sources {
+            if s.flow == flow {
+                s.done = true;
+            }
+        }
+    }
+
+    /// One source tick: emit (a GS flit into the NA queue, or a BE
+    /// packet) if the source may, then schedule the next tick. A tick
+    /// throttled by stop/limit, or one whose spatial pattern yields no
+    /// destination, skips the emission but keeps the cadence (start
+    /// gating is handled at add time).
+    pub(crate) fn on_source_tick(&mut self, idx: usize, ctx: &mut Ctx<NetEvent>) {
+        let now = ctx.now();
+        if self.sources[idx].may_emit(now) {
+            self.sources[idx].emitted += 1;
+            let flow = self.sources[idx].flow;
+            // Read what this tick emits without cloning the source kind
+            // (the BE destination pool is a Vec; cloning it per tick is a
+            // hot-path allocation).
+            let source = &mut self.sources[idx];
+            match source.kind {
+                SourceKind::Gs { router, iface, .. } => {
+                    let seq = self.stats.on_inject(flow);
+                    let tag = self.meta.alloc(FlitMeta::new(now, seq, flow));
+                    let flit = Flit::gs(seq as u32).with_tag(tag);
+                    let node = self.grid.index(router);
+                    if self.na.enqueue_gs(node, iface, flit) {
+                        ctx.schedule(
+                            self.inject_delay(),
+                            NetEvent::NaGsInject { id: router, iface },
+                        );
+                    }
+                }
+                SourceKind::Be {
+                    router,
+                    ref spatial,
+                    payload_words,
+                } => {
+                    // Destination computed per emission — allocation-free
+                    // for every computed pattern; `None` is a self-loop
+                    // or off-mesh mapping, see [`SpatialPattern::pick`].
+                    if let Some(dest) = spatial.pick(router, &self.grid, &mut source.rng) {
+                        let mut payload = std::mem::take(&mut self.payload_scratch);
+                        payload.clear();
+                        payload.extend(0..payload_words as u32);
+                        self.send_be_packet(router, dest, &payload, Some(flow), now, ctx);
+                        self.payload_scratch = payload;
+                    }
+                }
+            }
+        }
+        if let Some(next) = self.sources[idx].schedule_next(now) {
+            ctx.schedule_at(next, NetEvent::SourceTick { idx });
+        }
     }
 }
 

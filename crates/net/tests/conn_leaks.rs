@@ -101,10 +101,10 @@ proptest! {
         }
 
         prop_assert!(sim.network().connections().nothing_reserved());
-        for node in sim.network().nodes() {
+        for router in sim.network().routers() {
             // Entry counts back to the initial (empty) table state.
-            prop_assert_eq!(node.router.table().steer_entries(), 0);
-            prop_assert_eq!(node.router.table().unlock_entries(), 0);
+            prop_assert_eq!(router.table().steer_entries(), 0);
+            prop_assert_eq!(router.table().unlock_entries(), 0);
         }
     }
 }

@@ -275,11 +275,7 @@ impl<A: Ord> ControlPlane<A> {
         let net = prepared.sim_mut().network_mut();
         RunEnd {
             report: net.take_telemetry(),
-            prog_packets: net
-                .nodes()
-                .iter()
-                .map(|n| n.router.stats().prog_packets)
-                .sum(),
+            prog_packets: net.routers().iter().map(|r| r.stats().prog_packets).sum(),
             budgets_clean: self.budgets_clean(),
         }
     }

@@ -1,5 +1,5 @@
 //! The time-ordered event queue: a deterministic two-level calendar queue
-//! with a runtime-chosen wheel geometry and a bulk build path.
+//! with a runtime-chosen wheel geometry.
 //!
 //! # Design
 //!
@@ -23,16 +23,6 @@
 //!   past, but the queue API allows pushes at arbitrary times (tests and
 //!   reference-model comparisons do). Events earlier than the current
 //!   epoch go to a small heap that is always drained first.
-//! * **Staged — the bulk-build run.** [`EventQueue::extend`] routes batch
-//!   inserts into one pre-sorted side run instead of per-event tier
-//!   dispatch, so a driver that builds a large far-future schedule up
-//!   front (the `fill_then_drain` set-up pattern the build benchmarks
-//!   measure) skips the overflow-heap detour entirely. The run
-//!   participates in every pop as a fourth tier and is usually empty,
-//!   costing the hot path one length check. (The standard scenarios
-//!   schedule incrementally — one self-rechaining tick per source — and
-//!   cannot batch without renumbering tie order, so they never touch
-//!   this tier.)
 //!
 //! # Geometry
 //!
@@ -50,8 +40,8 @@
 //! Delivery order is a pure function of `(time, sequence)`: the bucket
 //! under the cursor is kept sorted by that pair (sorted once when the
 //! cursor arrives, binary-search–inserted for same-window pushes while it
-//! drains), both heaps order by the same pair, the staged run is sorted at
-//! build time, and every pop takes the tier-front minimum of that pair.
+//! drains), both heaps order by the same pair, and every pop takes the
+//! tier-front minimum of that pair.
 //! Two events at the same instant therefore pop in the order they were
 //! scheduled — the same guarantee the previous `BinaryHeap` core gave —
 //! regardless of which tier an event passed through, which makes
@@ -184,9 +174,6 @@ pub struct EventQueue<E> {
     near_count: usize,
     /// Events earlier than `epoch` (API-permitted, kernel never does this).
     past: BinaryHeap<Entry<E>>,
-    /// Bulk-built side run, sorted descending by `(time, seq)` (earliest
-    /// at the back); drained front-to-front against the other tiers.
-    staged: Vec<Entry<E>>,
     /// Events at or beyond `epoch + span`.
     overflow: BinaryHeap<Entry<E>>,
     /// Cached `overflow` minimum time (`u64::MAX` when empty), so the
@@ -255,7 +242,6 @@ impl<E> EventQueue<E> {
             epoch: 0,
             near_count: 0,
             past: BinaryHeap::new(),
-            staged: Vec::new(),
             overflow: BinaryHeap::new(),
             overflow_min: u64::MAX,
             next_seq: 0,
@@ -291,7 +277,7 @@ impl<E> EventQueue<E> {
 
         if self.near_count == 0 && t >= self.epoch {
             // The wheel is idle (fresh queue, fully drained, or only
-            // past/staged events pending): re-anchor it on this event so
+            // past events pending): re-anchor it on this event so
             // the span is always used fully. Overflow is empty whenever
             // the wheel is (pops promote on drain), so moving the epoch
             // forward strands nothing.
@@ -333,35 +319,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Bulk-inserts a batch of events, preserving iteration order for
-    /// same-instant ties (exactly as the equivalent sequence of
-    /// [`EventQueue::push`] calls would).
-    ///
-    /// The batch is sorted once into a pre-ordered side run instead of
-    /// dispatching every event through the wheel/overflow tiers — the
-    /// build path for drivers that stage a large far-future schedule up
-    /// front, where thousands of events would otherwise each take the
-    /// overflow-heap detour on the way in *and* out (2.8× on the
-    /// `fill_then_drain` build benchmark). The run merges lazily with the
-    /// other tiers at pop time.
-    pub fn extend(&mut self, batch: impl IntoIterator<Item = (SimTime, E)>) {
-        let iter = batch.into_iter();
-        self.staged.reserve(iter.size_hint().0);
-        for (time, event) in iter {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.scheduled_total += 1;
-            self.staged.push(Entry { time, seq, event });
-        }
-        // (time, seq) pairs are unique, so an unstable sort is
-        // deterministic. Descending: the earliest entry pops from the back.
-        self.staged
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-    }
-
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.past.is_empty() && self.staged.is_empty() {
+        if self.past.is_empty() {
             return self.pop_wheel();
         }
         self.pop_merged(SimTime::MAX)
@@ -371,7 +331,7 @@ impl<E> EventQueue<E> {
     /// `horizon` — the kernel's fused peek-and-pop, one probe per event
     /// instead of two.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.past.is_empty() && self.staged.is_empty() {
+        if self.past.is_empty() {
             // Hot path: everything lives in the wheel tiers.
             let bucket = &mut self.buckets[self.cursor];
             return match bucket.last() {
@@ -391,7 +351,7 @@ impl<E> EventQueue<E> {
         self.pop_merged(horizon)
     }
 
-    /// Pops the earliest wheel event (requires empty past/staged tiers).
+    /// Pops the earliest wheel event (requires an empty past tier).
     fn pop_wheel(&mut self) -> Option<(SimTime, E)> {
         if self.near_count == 0 {
             debug_assert!(self.overflow.is_empty());
@@ -409,23 +369,19 @@ impl<E> EventQueue<E> {
         Some((e.time, e.event))
     }
 
-    /// Pops the earliest event across all four tiers, bounded by
-    /// `horizon`. The cold path, taken only while the past or staged tier
-    /// is non-empty.
+    /// Pops the earliest event across all tiers, bounded by `horizon`.
+    /// The cold path, taken only while the past tier is non-empty.
     fn pop_merged(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         // The wheel front bounds the overflow tier (overflow ≥ epoch +
         // span > every wheel event, and overflow is empty when the wheel
-        // is), so the global minimum is among these three tier fronts.
+        // is), so the global minimum is among these two tier fronts.
         let wheel = self.buckets[self.cursor].last().map(|e| e.key());
         let past = self.past.peek().map(|e| e.key());
-        let staged = self.staged.last().map(|e| e.key());
-        let best = [wheel, past, staged].into_iter().flatten().min()?;
+        let best = [wheel, past].into_iter().flatten().min()?;
         if best.0 > horizon {
             return None;
         }
-        let e = if staged == Some(best) {
-            self.staged.pop().expect("staged front vanished")
-        } else if past == Some(best) {
+        let e = if past == Some(best) {
             self.past.pop().expect("past front vanished")
         } else {
             let bucket = &mut self.buckets[self.cursor];
@@ -444,21 +400,16 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         // The cursor bucket is sorted descending, so its minimum is last.
         let wheel = self.buckets[self.cursor].last().map(|e| e.key());
-        if self.past.is_empty() && self.staged.is_empty() {
+        if self.past.is_empty() {
             return wheel.map(|k| k.0);
         }
         let past = self.past.peek().map(|e| e.key());
-        let staged = self.staged.last().map(|e| e.key());
-        [wheel, past, staged]
-            .into_iter()
-            .flatten()
-            .min()
-            .map(|k| k.0)
+        [wheel, past].into_iter().flatten().min().map(|k| k.0)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near_count + self.past.len() + self.staged.len() + self.overflow.len()
+        self.near_count + self.past.len() + self.overflow.len()
     }
 
     /// True if no events are pending.
@@ -471,7 +422,7 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 
-    /// Number of non-empty wheel buckets (excludes the past/staged/overflow
+    /// Number of non-empty wheel buckets (excludes the past/overflow
     /// tiers). A kernel-profiler statistic: together with [`len`](Self::len)
     /// it shows how densely the near-future window is populated.
     pub fn occupied_buckets(&self) -> usize {
@@ -585,7 +536,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("pending", &self.len())
             .field("near", &self.near_count)
             .field("past", &self.past.len())
-            .field("staged", &self.staged.len())
             .field("overflow", &self.overflow.len())
             .field("scheduled_total", &self.scheduled_total)
             .finish()
@@ -929,111 +879,6 @@ mod tests {
                 if let Some((t, _)) = want {
                     now = t.as_ps();
                 }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Bulk build (`extend`)
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn extend_orders_like_pushes() {
-        let mut q = EventQueue::new();
-        let mut r = RefQueue::new();
-        let mut rng = crate::rng::SimRng::new(0xB01C);
-        let batch: Vec<(SimTime, u64)> = (0..4096)
-            .map(|i| (SimTime::from_ps(rng.gen_range(40 * SPAN_PS)), i))
-            .collect();
-        q.extend(batch.iter().copied());
-        for &(t, v) in &batch {
-            r.push(t, v);
-        }
-        assert_eq!(q.len(), 4096);
-        assert_eq!(q.scheduled_total(), 4096);
-        loop {
-            let got = q.pop();
-            assert_eq!(got, r.pop());
-            if got.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn extend_ties_keep_batch_order_against_pushes() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ps(77);
-        q.push(t, 0u32);
-        q.extend([(t, 1), (t, 2)]);
-        q.push(t, 3);
-        for want in 0..=3 {
-            assert_eq!(q.pop(), Some((t, want)));
-        }
-    }
-
-    #[test]
-    fn staged_run_merges_with_every_tier() {
-        let mut q = EventQueue::new();
-        // Anchor the wheel high so past, wheel, overflow and staged all
-        // hold events simultaneously.
-        q.push(SimTime::from_ps(2 * SPAN_PS), 100u64); // wheel (anchor)
-        q.push(SimTime::from_ps(2 * SPAN_PS + 10 * SPAN_PS), 101); // overflow
-        q.push(SimTime::from_ps(5), 102); // past
-        q.extend([
-            (SimTime::from_ps(1), 103),            // before past front
-            (SimTime::from_ps(2 * SPAN_PS), 104),  // ties wheel anchor (later seq)
-            (SimTime::from_ps(3 * SPAN_PS), 105),  // between wheel and overflow
-            (SimTime::from_ps(50 * SPAN_PS), 106), // beyond overflow
-        ]);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-        assert_eq!(order, vec![103, 102, 100, 104, 105, 101, 106]);
-    }
-
-    #[test]
-    fn extend_matches_reference_under_interleaved_churn() {
-        let mut rng = crate::rng::SimRng::new(0xBA7C);
-        let mut q = EventQueue::new();
-        let mut r = RefQueue::new();
-        let mut now = 0u64;
-        let mut i = 0u64;
-        for _ in 0..2_000 {
-            match rng.gen_range(4) {
-                0 => {
-                    // A setup-style batch of far-future events.
-                    let batch: Vec<(SimTime, u64)> = (0..rng.gen_range(30))
-                        .map(|_| {
-                            i += 1;
-                            (SimTime::from_ps(now + rng.gen_range(30 * SPAN_PS)), i)
-                        })
-                        .collect();
-                    q.extend(batch.iter().copied());
-                    for &(t, v) in &batch {
-                        r.push(t, v);
-                    }
-                }
-                1 | 2 => {
-                    i += 1;
-                    let t = SimTime::from_ps(now + rng.gen_range(3_000));
-                    q.push(t, i);
-                    r.push(t, i);
-                }
-                _ => {
-                    let got = q.pop();
-                    assert_eq!(got, r.pop());
-                    if let Some((t, _)) = got {
-                        now = t.as_ps();
-                    }
-                }
-            }
-            assert_eq!(q.peek_time(), r.heap.peek().map(|e| e.time));
-            assert_eq!(q.len(), r.heap.len());
-        }
-        loop {
-            let got = q.pop();
-            assert_eq!(got, r.pop());
-            if got.is_none() {
-                break;
             }
         }
     }

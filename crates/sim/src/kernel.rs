@@ -235,17 +235,6 @@ impl<M: Model> Kernel<M> {
         self.profile.as_deref()
     }
 
-    /// Bulk-schedules a batch of `(delay, event)` pairs relative to the
-    /// current time — the kernel-level entry to the bulk build path for
-    /// drivers that stage large schedules up front (see
-    /// [`EventQueue::extend`]; the standard scenarios schedule
-    /// incrementally and do not use it).
-    pub fn schedule_batch(&mut self, batch: impl IntoIterator<Item = (SimDuration, M::Event)>) {
-        let now = self.now;
-        self.queue
-            .extend(batch.into_iter().map(|(d, ev)| (now + d, ev)));
-    }
-
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
         self.now

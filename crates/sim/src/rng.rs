@@ -56,11 +56,6 @@ impl SimRng {
         result
     }
 
-    /// The next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `[0, bound)` using Lemire's multiply-shift
     /// rejection method (unbiased).
     ///

@@ -47,8 +47,7 @@ fn main() {
 
     // Inspect the programmed tables along the path.
     println!("\nper-router programming state:");
-    for node in sim.network().nodes() {
-        let r = &node.router;
+    for r in sim.network().routers() {
         let s = r.stats();
         if s.prog_packets > 0 || r.table().steer_entries() > 0 || r.table().unlock_entries() > 0 {
             println!(

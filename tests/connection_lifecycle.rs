@@ -20,8 +20,7 @@ fn programming_reaches_exactly_the_path_routers() {
     assert_eq!(record.hops(), 6);
     let mut programmed = 0;
     let mut with_entries = 0;
-    for node in sim.network().nodes() {
-        let r = &node.router;
+    for r in sim.network().routers() {
         programmed += r.stats().prog_packets;
         if r.table().steer_entries() + r.table().unlock_entries() > 0 {
             with_entries += 1;
@@ -81,9 +80,9 @@ fn repeated_open_stream_close_cycles() {
         assert_eq!(sim.connection_state(conn), Some(ConnState::Closed));
     }
     // After 5 cycles no stale table entries remain anywhere.
-    for node in sim.network().nodes() {
-        assert_eq!(node.router.table().steer_entries(), 0);
-        assert_eq!(node.router.table().unlock_entries(), 0);
+    for r in sim.network().routers() {
+        assert_eq!(r.table().steer_entries(), 0);
+        assert_eq!(r.table().unlock_entries(), 0);
     }
 }
 

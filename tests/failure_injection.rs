@@ -28,14 +28,14 @@ fn malformed_config_packet_is_counted_and_dropped() {
     // Opcode 0xF does not exist.
     send_config_packet(&mut sim, src, victim, &[0xFFFF_FFFF, 0x1234_5678]);
     sim.run_for(SimDuration::from_us(5));
-    let stats = sim.network().node(victim).router.stats();
+    let stats = sim.network().router(victim).stats();
     assert_eq!(
         stats.prog_packets, 1,
         "packet consumed by the prog interface"
     );
     assert_eq!(stats.prog_errors, 1, "and counted as an error");
     assert_eq!(
-        sim.network().node(victim).router.table().steer_entries(),
+        sim.network().router(victim).table().steer_entries(),
         0,
         "nothing was applied"
     );
@@ -78,7 +78,7 @@ fn conflicting_programming_is_rejected_not_applied() {
     send_config_packet(&mut sim, src, RouterId::new(1, 0), &payload);
     sim.run_for(SimDuration::from_us(5));
 
-    let mid = sim.network().node(RouterId::new(1, 0)).router.stats();
+    let mid = sim.network().router(RouterId::new(1, 0)).stats();
     assert_eq!(mid.prog_errors, 1, "occupied entry rejected");
 
     // The live connection still works perfectly.
