@@ -435,7 +435,9 @@ impl Network {
 
     /// The router across `id`'s `dir` link and that link's extra (D2D)
     /// delay — where everything a router sends over a link goes.
-    #[inline]
+    /// `inline(always)`: left to its heuristics LLVM keeps this out of
+    /// line, a call per link event that measured +2 % per event.
+    #[inline(always)]
     fn across(&self, id: RouterId, dir: Direction) -> (RouterId, SimDuration) {
         let to = self
             .grid
