@@ -493,11 +493,8 @@ impl Network {
                 faults.mark_dead(self.grid.index(id));
                 self.grid.fail_router(id);
                 for s in &mut self.sources {
-                    let at = match s.kind {
-                        SourceKind::Gs { router, .. } => router,
-                        SourceKind::Be { router, .. } => router,
-                    };
-                    if at == id {
+                    let (SourceKind::Gs { router, .. } | SourceKind::Be { router, .. }) = s.kind;
+                    if router == id {
                         s.done = true;
                     }
                 }
@@ -584,8 +581,12 @@ impl Network {
         let delay = base_delay + t.buffer_advance + t.unlock_path + back_extra;
         if let Some(UpstreamRef::Link { wire, .. }) = self.router(receiver).table().unlock(buffer) {
             self.counters.spoofed_unlocks += 1;
-            let to = sender;
-            ctx.schedule(delay, NetEvent::Unlock { to, dir, wire });
+            let unlock = NetEvent::Unlock {
+                to: sender,
+                dir,
+                wire,
+            };
+            ctx.schedule(delay, unlock);
         }
     }
 

@@ -10,11 +10,7 @@
 //! This file holds the state ([`Network`]), its accessors, final BE
 //! delivery and the event dispatch ([`Model::handle`] → `call_router` →
 //! `process_actions`). Every other decision is an `impl Network` block in
-//! the module that owns its state: faults and watchdogs in
-//! [`crate::fault`], the telemetry sink and its hooks in
-//! [`crate::telemetry`], BE packet building, ack legs and relay
-//! forwarding in [`crate::relay`], source ticks in [`crate::traffic`],
-//! the flit-conservation ledger in [`crate::meta`].
+//! the module that owns its state — the crate docs have the table.
 
 use crate::conn::{ConnectionManager, OpenPlan};
 use crate::fault::{BrokenConn, FaultCounters, FaultState, Watchdog};
