@@ -19,10 +19,15 @@
 //!   overflow event that now falls inside the span is promoted into its
 //!   bucket, so the heap only ever handles the sparse far-future tail
 //!   (source ticks, watchdogs), not per-hop traffic.
-//! * **Past — the pre-epoch heap.** The kernel never schedules into the
-//!   past, but the queue API allows pushes at arbitrary times (tests and
-//!   reference-model comparisons do). Events earlier than the current
-//!   epoch go to a small heap that is always drained first.
+//! * **Past — the pre-epoch heap.** Events earlier than the current
+//!   epoch go to a small heap that is always drained first. The kernel
+//!   never schedules before *now*, but the epoch can be ahead of now: a
+//!   pop that empties the cursor bucket advances the cursor to the next
+//!   occupied bucket before the popped event's handler schedules its
+//!   follow-ups, so on a sparsely populated wheel those land here (1–2 %
+//!   of pops on the benchmark's fabric/churn/serving workloads, 10 % on
+//!   `sweep_short`). Tests and reference-model comparisons push at
+//!   arbitrary times.
 //!
 //! # Geometry
 //!
@@ -172,7 +177,8 @@ pub struct EventQueue<E> {
     epoch: u64,
     /// Events currently in the wheel.
     near_count: usize,
-    /// Events earlier than `epoch` (API-permitted, kernel never does this).
+    /// Events earlier than `epoch` (see the module docs for when the
+    /// kernel produces them).
     past: BinaryHeap<Entry<E>>,
     /// Events at or beyond `epoch + span`.
     overflow: BinaryHeap<Entry<E>>,
@@ -370,11 +376,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event across all tiers, bounded by `horizon`.
-    /// The cold path, taken only while the past tier is non-empty — and
-    /// marked so: inlined, it was laid out as the fall-through at the top
-    /// of the kernel's dispatch loop (+6 % `wall_s` on `fabric_4x4`).
-    #[cold]
-    #[inline(never)]
+    /// The slow path, taken only while the past tier is non-empty.
     fn pop_merged(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         // The wheel front bounds the overflow tier (overflow ≥ epoch +
         // span > every wheel event, and overflow is empty when the wheel
