@@ -24,10 +24,10 @@
 //!   never schedules before *now*, but the epoch can be ahead of now: a
 //!   pop that empties the cursor bucket advances the cursor to the next
 //!   occupied bucket before the popped event's handler schedules its
-//!   follow-ups, so on a sparsely populated wheel those land here (1–2 %
-//!   of pops on the benchmark's fabric/churn/serving workloads, 10 % on
-//!   `sweep_short`). Tests and reference-model comparisons push at
-//!   arbitrary times.
+//!   follow-ups, so on a sparsely populated wheel those land here
+//!   (0–2.5 % of pops on the benchmark's fabric, churn, serving and
+//!   recovery workloads, 10 % on `sweep_short`). Tests and
+//!   reference-model comparisons push at arbitrary times.
 //!
 //! # Geometry
 //!
