@@ -337,24 +337,24 @@ impl<E> EventQueue<E> {
     /// `horizon` — the kernel's fused peek-and-pop, one probe per event
     /// instead of two.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.past.is_empty() {
-            // Hot path: everything lives in the wheel tiers.
-            let bucket = &mut self.buckets[self.cursor];
-            return match bucket.last() {
-                None => None,
-                Some(e) if e.time > horizon => None,
-                Some(_) => {
-                    let e = bucket.pop().expect("non-empty bucket");
-                    self.near_count -= 1;
-                    if bucket.is_empty() {
-                        self.clear_bit(self.cursor);
-                        self.ensure_front();
-                    }
-                    Some((e.time, e.event))
-                }
-            };
+        if !self.past.is_empty() {
+            return self.pop_merged(horizon);
         }
-        self.pop_merged(horizon)
+        // Hot path: everything lives in the wheel tiers.
+        let bucket = &mut self.buckets[self.cursor];
+        match bucket.last() {
+            None => None,
+            Some(e) if e.time > horizon => None,
+            Some(_) => {
+                let e = bucket.pop().expect("non-empty bucket");
+                self.near_count -= 1;
+                if bucket.is_empty() {
+                    self.clear_bit(self.cursor);
+                    self.ensure_front();
+                }
+                Some((e.time, e.event))
+            }
+        }
     }
 
     /// Pops the earliest wheel event (requires an empty past tier).
