@@ -25,8 +25,19 @@
 //! `slot·depth .. (slot+1)·depth`, used as a ring via per-slot `head`
 //! and `len` cursors (the paper's depth is 1, so the ring degenerates to
 //! a single cell).
+//!
+//! # Parked unlock toggles
+//!
+//! One thing the reference types do not have: next to its `LOCKED` flag
+//! every network VC holds the slot of an unlock toggle that is on its
+//! way but was never queued as an event ([`GsArena::vc_park_unlock`];
+//! [`Slot::NEVER`] when there is none). Whoever reads the lock first
+//! absorbs a toggle whose slot has passed
+//! ([`GsArena::vc_absorb_unlock`]) — after which the state is exactly
+//! what the queued event would have left.
 
 use crate::flit::Flit;
+use mango_sim::Slot;
 
 /// Per-VC state flags (bit set = condition holds).
 const LOCKED: u8 = 1 << 0;
@@ -59,6 +70,8 @@ pub struct GsArena {
     vc_len: Vec<u8>,
     vc_hw: Vec<u8>,
     vc_flits: Vec<Flit>,
+    /// The parked unlock toggle of a locked VC ([`Slot::NEVER`]: none).
+    vc_unlock_at: Vec<Slot>,
 
     // ---- local GS interface slots: routers × ifaces ----
     lo_unshare: Vec<Option<Flit>>,
@@ -104,6 +117,7 @@ impl GsArena {
             vc_len: Vec::new(),
             vc_hw: Vec::new(),
             vc_flits: Vec::new(),
+            vc_unlock_at: Vec::new(),
             lo_unshare: Vec::new(),
             lo_advance: Vec::new(),
             lo_head: Vec::new(),
@@ -131,6 +145,7 @@ impl GsArena {
         a.vc_len.reserve_exact(vcs);
         a.vc_hw.reserve_exact(vcs);
         a.vc_flits.reserve_exact(vcs * depth);
+        a.vc_unlock_at.reserve_exact(vcs);
         a.lo_unshare.reserve_exact(los);
         a.lo_advance.reserve_exact(los);
         a.lo_head.reserve_exact(los);
@@ -154,6 +169,8 @@ impl GsArena {
         self.vc_hw.resize(self.vc_hw.len() + vcs, 0);
         self.vc_flits
             .resize(self.vc_flits.len() + vcs * self.depth, Flit::gs(0));
+        self.vc_unlock_at
+            .resize(self.vc_unlock_at.len() + vcs, Slot::NEVER);
         self.lo_unshare
             .resize(self.lo_unshare.len() + self.ifaces, None);
         self.lo_advance
@@ -306,6 +323,58 @@ impl GsArena {
     #[inline]
     pub fn vc_is_locked(&self, slot: usize) -> bool {
         self.vc_flags[slot] & LOCKED != 0
+    }
+
+    /// Parks the unlock toggle that will open this (locked) sharebox at
+    /// `at`, in place of an event: absorbed by the first read of the
+    /// lock past `at`, or taken back out to be queued once a flit waits
+    /// behind the sharebox.
+    #[inline]
+    pub fn vc_park_unlock(&mut self, slot: usize, at: Slot) {
+        debug_assert!(
+            self.vc_is_locked(slot) && self.vc_unlock_at[slot] == Slot::NEVER,
+            "one unlock toggle per locked sharebox"
+        );
+        self.vc_unlock_at[slot] = at;
+    }
+
+    /// Opens the sharebox if a parked toggle was due at or before
+    /// `stamp` — what its event would have done by now.
+    #[inline]
+    pub fn vc_absorb_unlock(&mut self, slot: usize, stamp: Slot) {
+        // An unlocked sharebox has nothing parked: skip the slab read.
+        if self.vc_flags[slot] & LOCKED != 0 && self.vc_unlock_at[slot] <= stamp {
+            self.vc_unlock_at[slot] = Slot::NEVER;
+            self.vc_flags[slot] &= !LOCKED;
+        }
+    }
+
+    /// Takes the parked toggle out (to be queued as an event), if any.
+    #[inline]
+    pub fn vc_take_parked_unlock(&mut self, slot: usize) -> Option<Slot> {
+        let at = std::mem::replace(&mut self.vc_unlock_at[slot], Slot::NEVER);
+        (at != Slot::NEVER).then_some(at)
+    }
+
+    /// The parked toggle, if any.
+    #[inline]
+    pub fn vc_parked_unlock(&self, slot: usize) -> Option<Slot> {
+        let at = self.vc_unlock_at[slot];
+        (at != Slot::NEVER).then_some(at)
+    }
+
+    /// [`GsArena::vc_is_ready`] as of `stamp`, a parked toggle counted
+    /// from its slot on — without absorbing it.
+    #[inline]
+    pub fn vc_is_ready_at(&self, slot: usize, stamp: Slot) -> bool {
+        self.vc_len[slot] > 0
+            && (self.vc_flags[slot] & LOCKED == 0 || self.vc_unlock_at[slot] <= stamp)
+    }
+
+    /// Flits in the buffer stage (the unsharebox not counted).
+    #[inline]
+    pub fn vc_len(&self, slot: usize) -> usize {
+        self.vc_len[slot] as usize
     }
 
     /// True if no flit is stored in this slot.

@@ -25,18 +25,31 @@
 //! single metadata cache line no matter how large the mesh is. Within
 //! the block: input fields at `i`, `8+i`, `16+i`, `24+i` (six inputs in
 //! [`BeInput::ALL`] order), output fields at `32+d`, `36+d`, `40+d`,
-//! `44+d`, `48+d` (four directions), and the local delivery output's
-//! lock/round-robin at `52`/`53`. The public slot handles encode block
+//! `44+d`, `48+d` (four directions), the local delivery output's
+//! lock/round-robin at `52`/`53`, and the parked-credit counts at `56+d`.
+//! The public slot handles encode block
 //! positions: an input slot is `router·64 + input`, an output slot
 //! `router·64 + 32 + dir`. Latched flits live in two router-major flit
 //! slabs (`(router·6 + input)·depth`, `(router·4 + dir)·depth`), used
 //! as rings via the block's `head`/`len` cursors; decisions and locks
 //! are encoded densely (`0` = none).
+//!
+//! # Parked credits
+//!
+//! One thing the reference unit does not have: each output holds, next
+//! to its credit counter, the slots of up to `credits` returning credits
+//! that are on their way but were never queued as events
+//! ([`BeArena::out_park_credit`]; a slab of `credits` slots per output,
+//! the count in the metadata block). Whoever reads the counter first
+//! absorbs the ones whose slot has passed
+//! ([`BeArena::out_absorb_credits`]) — after which the counter is exactly
+//! what the queued events would have left.
 
 use crate::be::BeInput;
 use crate::flit::Flit;
 use crate::ids::Direction;
 use crate::packet::BeDest;
+use mango_sim::Slot;
 
 /// Per-input state flags (bit set = event in flight).
 const ROUTING: u8 = 1 << 0;
@@ -56,6 +69,7 @@ const OUT_LEN: usize = 4;
 const OUT_CRED: usize = 8;
 const OUT_LOCK: usize = 12;
 const OUT_RR: usize = 16;
+const OUT_PARKED: usize = 24;
 /// Block-relative local-delivery-output offsets.
 const LO_LOCK: usize = 52;
 const LO_RR: usize = 53;
@@ -122,6 +136,9 @@ pub struct BeArena {
     in_flits: Vec<Flit>,
     /// Output stage rings, router-major: `(router·4 + dir)·depth`.
     out_flits: Vec<Flit>,
+    /// Parked credit slots, router-major: `(router·4 + dir)·credits`,
+    /// the first `meta[slot + OUT_PARKED]` of each run in use, unordered.
+    out_parked: Vec<Slot>,
 }
 
 impl std::fmt::Debug for BeArena {
@@ -160,6 +177,7 @@ impl BeArena {
             meta: Vec::new(),
             in_flits: Vec::new(),
             out_flits: Vec::new(),
+            out_parked: Vec::new(),
         }
     }
 
@@ -175,6 +193,7 @@ impl BeArena {
         a.meta.reserve_exact(routers * BLOCK);
         a.in_flits.reserve_exact(routers * 6 * input_depth);
         a.out_flits.reserve_exact(routers * 4 * output_depth);
+        a.out_parked.reserve_exact(routers * 4 * credits);
         a
     }
 
@@ -190,6 +209,10 @@ impl BeArena {
         self.out_flits.resize(
             self.out_flits.len() + 4 * self.output_depth,
             Flit::be(0, false),
+        );
+        self.out_parked.resize(
+            self.out_parked.len() + 4 * self.credits_max as usize,
+            Slot::NEVER,
         );
         let start = self.meta.len();
         self.meta.resize(start + BLOCK, 0);
@@ -246,6 +269,13 @@ impl BeArena {
     fn out_flit_base(&self, slot: usize) -> usize {
         let (router, dir) = (slot / BLOCK, slot % BLOCK - OUT_BASE);
         (router * 4 + dir) * self.output_depth
+    }
+
+    /// First parked-slab index of the output behind `slot`.
+    #[inline]
+    fn out_parked_base(&self, slot: usize) -> usize {
+        let (router, dir) = (slot / BLOCK, slot % BLOCK - OUT_BASE);
+        (router * 4 + dir) * self.credits_max as usize
     }
 
     // ------------------------------------------------------------------
@@ -455,6 +485,71 @@ impl BeArena {
         );
     }
 
+    /// Parks a credit that returns at `at`, in place of an event:
+    /// absorbed by the first read of the counter past `at`, or taken
+    /// back out to be queued once the output is blocked on credit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if held and parked credits exceed the initial allocation.
+    #[inline]
+    pub fn out_park_credit(&mut self, slot: usize, at: Slot) {
+        let n = self.meta[slot + OUT_PARKED];
+        assert!(
+            self.meta[slot + OUT_CRED] + n < self.credits_max,
+            "BE credit overflow: more credits than buffer slots"
+        );
+        let base = self.out_parked_base(slot);
+        self.out_parked[base + n as usize] = at;
+        self.meta[slot + OUT_PARKED] = n + 1;
+    }
+
+    /// Adds every parked credit due at or before `stamp` to the counter
+    /// — what their events would have done by now.
+    #[inline]
+    pub fn out_absorb_credits(&mut self, slot: usize, stamp: Slot) {
+        let mut n = self.meta[slot + OUT_PARKED] as usize;
+        if n == 0 {
+            return;
+        }
+        let base = self.out_parked_base(slot);
+        for i in (0..n).rev() {
+            if self.out_parked[base + i] <= stamp {
+                n -= 1;
+                self.out_parked[base + i] = self.out_parked[base + n];
+                self.meta[slot + OUT_CRED] += 1;
+            }
+        }
+        self.meta[slot + OUT_PARKED] = n as u8;
+    }
+
+    /// Takes one parked credit out (to be queued as an event), if any.
+    #[inline]
+    pub fn out_take_parked(&mut self, slot: usize) -> Option<Slot> {
+        let n = self.meta[slot + OUT_PARKED] as usize;
+        if n == 0 {
+            return None;
+        }
+        self.meta[slot + OUT_PARKED] = (n - 1) as u8;
+        Some(self.out_parked[self.out_parked_base(slot) + n - 1])
+    }
+
+    /// The parked credits, in no particular order.
+    #[inline]
+    pub fn out_parked(&self, slot: usize) -> &[Slot] {
+        let base = self.out_parked_base(slot);
+        &self.out_parked[base..base + self.meta[slot + OUT_PARKED] as usize]
+    }
+
+    /// [`BeArena::out_link_ready`] as of `stamp`, parked credits counted
+    /// from their slots on — without absorbing them.
+    #[inline]
+    pub fn out_link_ready_at(&self, slot: usize, stamp: Slot) -> bool {
+        self.meta[slot + OUT_LEN] > 0
+            && (self.meta[slot + OUT_CRED] > 0
+                || self.out_parked(slot).iter().any(|&at| at <= stamp))
+    }
+
     /// The input holding this output's coherency lock.
     #[inline]
     pub fn out_locked_to(&self, slot: usize) -> Option<BeInput> {
@@ -588,6 +683,10 @@ mod tests {
         Flit::be(tag, tag.is_multiple_of(3))
     }
 
+    fn slot_at(ps: u64) -> Slot {
+        Slot::end_of(mango_sim::SimTime::from_ps(ps))
+    }
+
     /// Drives the slab and the reference [`BeUnit`] through the same
     /// pseudo-random op sequence and compares all observable state after
     /// every op — the same cross-check style the GS arena got in PR 4.
@@ -598,7 +697,7 @@ mod tests {
             let slots = arena.add_router();
             let mut unit = BeUnit::new(in_depth, out_depth, credits);
             let mut x: u64 = 0x9E37_79B9_7F4A_7C15 ^ (in_depth as u64) << 8;
-            for step in 0..5000u32 {
+            for step in 1..5000u32 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let input = BeInput::ALL[(x >> 13) as usize % 6];
                 let in_slot = arena.in_slot(slots, input);
@@ -649,9 +748,30 @@ mod tests {
                         if unit.outputs[dir.index()].credits > 0 {
                             unit.outputs[dir.index()].credits -= 1;
                             arena.out_take_credit(out_slot);
-                        } else {
+                        } else if x & 4 == 0 {
                             unit.outputs[dir.index()].add_credit();
                             arena.out_add_credit(out_slot);
+                        } else {
+                            // The same credit, parked: invisible before
+                            // its slot, the reference's `add_credit` from
+                            // it on.
+                            let at = slot_at(u64::from(step));
+                            arena.out_park_credit(out_slot, at);
+                            let before = unit.outputs[dir.index()].link_ready();
+                            assert_eq!(arena.out_link_ready(out_slot), before);
+                            assert_eq!(
+                                arena.out_link_ready_at(out_slot, slot_at(u64::from(step) - 1)),
+                                before
+                            );
+                            unit.outputs[dir.index()].add_credit();
+                            assert_eq!(
+                                arena.out_link_ready_at(out_slot, at),
+                                unit.outputs[dir.index()].link_ready()
+                            );
+                            arena.out_absorb_credits(out_slot, slot_at(u64::from(step) - 1));
+                            assert_eq!(arena.out_parked(out_slot), [at]);
+                            arena.out_absorb_credits(out_slot, at);
+                            assert!(arena.out_parked(out_slot).is_empty());
                         }
                     }
                     8 => {

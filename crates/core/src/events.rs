@@ -7,12 +7,21 @@
 //! describe an output (a flit on a link, an unlock toggle, a credit, a
 //! local delivery). All delays are computed by the router from its timing
 //! profile so the environment stays timing-agnostic.
+//!
+//! Three of those events are *handshakes* — the end of a link cycle, an
+//! unlock toggle, a BE credit ([`Handshake`]): levels that cost the
+//! hardware nothing while nobody waits on them. An environment may
+//! reserve such an event's slot in the event order and park it at the
+//! receiving router (`Router::park_*`) instead of queueing it; the router
+//! then asks for the event with [`RouterAction::Wake`] only once somebody
+//! does wait. One that is delivered as an ordinary event instead behaves
+//! exactly as before.
 
 use crate::be::BeInput;
 use crate::flit::{Flit, LinkFlit};
 use crate::ids::{Direction, GsBufferRef, VcId};
 use crate::packet::BeDest;
-use mango_sim::SimDuration;
+use mango_sim::{SimDuration, Slot};
 
 /// A deferred event the router asks to receive back after a delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +54,30 @@ pub enum InternalEvent {
         dest: BeDest,
         /// The flit itself.
         flit: Flit,
+    },
+}
+
+/// An event whose slot may be parked at its receiver instead of queued:
+/// it changes a level, and only matters once somebody waits on that
+/// level. All directions name the *receiving* router's output port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Handshake {
+    /// [`InternalEvent::LinkFree`] on output `dir`.
+    LinkFree {
+        /// The output port.
+        dir: Direction,
+    },
+    /// The unlock toggle of VC `wire` arriving on output `dir`.
+    Unlock {
+        /// The output port.
+        dir: Direction,
+        /// The VC whose sharebox opens.
+        wire: VcId,
+    },
+    /// A BE credit arriving on output `dir`.
+    Credit {
+        /// The output port.
+        dir: Direction,
     },
 }
 
@@ -106,6 +139,14 @@ pub enum RouterAction {
     },
     /// Return one BE credit to the local NA.
     NaCredit,
+    /// Somebody now waits on a parked handshake: deliver it to this
+    /// router as an event at its reserved slot `at`.
+    Wake {
+        /// The slot the handshake was parked with.
+        at: Slot,
+        /// Which handshake.
+        what: Handshake,
+    },
 }
 
 #[cfg(test)]

@@ -83,7 +83,7 @@ pub use arena::{GsArena, RouterSlots};
 pub use be::BeInput;
 pub use be_arena::{BeArena, BeSlots};
 pub use config::RouterConfig;
-pub use events::{InternalEvent, RouterAction};
+pub use events::{Handshake, InternalEvent, RouterAction};
 pub use flit::{Flit, FlitMeta, LinkFlit};
 pub use ids::{ConnectionId, Direction, GsBufferRef, Port, RouterId, UpstreamRef, VcId};
 pub use packet::{

@@ -11,6 +11,7 @@ use crate::be_arena::BeArena;
 use crate::events::{InternalEvent, RouterAction};
 use crate::flit::Flit;
 use crate::packet::{BeDest, BeHeader};
+use mango_sim::Slot;
 
 impl Router {
     pub(super) fn be_arrive(
@@ -163,14 +164,15 @@ impl Router {
         input: BeInput,
         dest: BeDest,
         flit: Flit,
+        stamp: Slot,
         act: &mut Vec<RouterAction>,
     ) {
         be.set_in_moving(be.in_slot(self.be_slots, input), false);
         match dest {
             BeDest::Net(d) => {
                 be.out_push(be.out_slot(self.be_slots, d), flit);
-                self.update_be_ready(be, d);
-                self.kick_arb(d, act);
+                self.update_be_ready(be, d, stamp, act);
+                self.kick_arb(d, stamp, act);
             }
             BeDest::Local => self.be_deliver_local(be, flit, act),
         }

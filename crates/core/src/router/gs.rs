@@ -5,6 +5,7 @@ use super::Router;
 use crate::arena::GsArena;
 use crate::events::{InternalEvent, RouterAction};
 use crate::ids::{Direction, GsBufferRef, UpstreamRef, VcId};
+use mango_sim::Slot;
 
 impl Router {
     pub(super) fn check_vc(&self, dir: Direction, vc: VcId) {
@@ -57,12 +58,13 @@ impl Router {
         &mut self,
         bufs: &mut GsArena,
         buffer: GsBufferRef,
+        stamp: Slot,
         act: &mut Vec<RouterAction>,
     ) {
         match buffer {
             GsBufferRef::Net { dir, vc } => {
                 bufs.vc_complete_advance(self.vc_slot(bufs, dir, vc));
-                self.update_gs_ready(bufs, dir, vc);
+                self.update_gs_ready(bufs, dir, vc, stamp, act);
             }
             GsBufferRef::Local { iface } => {
                 bufs.local_complete_advance(bufs.local_slot(self.slots, iface as usize));
@@ -86,7 +88,7 @@ impl Router {
             UpstreamRef::Na { iface } => act.push(RouterAction::NaUnlock { iface }),
         }
         match buffer {
-            GsBufferRef::Net { dir, .. } => self.kick_arb(dir, act),
+            GsBufferRef::Net { dir, .. } => self.kick_arb(dir, stamp, act),
             GsBufferRef::Local { iface } => self.local_try_deliver(bufs, iface, act),
         }
     }

@@ -33,6 +33,9 @@
 //!
 //! # Event flow of one GS hop
 //!
+//! Three events on an idle link (five before the handshakes went lazy —
+//! the unlock toggle and the end of the link cycle each used to be one):
+//!
 //! 1. A link grant in the upstream router produced a
 //!    [`RouterAction::SendFlit`]; after `hop_forward` the flit arrives here
 //!    via [`Router::on_link_flit`], already steered through the split and
@@ -41,13 +44,36 @@
 //! 2. When the buffer stage has space, the flit advances
 //!    ([`InternalEvent::GsAdvance`]); leaving the unsharebox toggles the
 //!    unlock wire back to the upstream sharebox
-//!    ([`RouterAction::SendUnlock`]).
-//! 3. A buffered flit with an open sharebox makes the VC *ready*; the link
-//!    arbiter picks among ready channels whenever the output link is free,
-//!    implementing the configured GS discipline.
-//! 4. On grant the flit leaves with fresh steering bits from the connection
-//!    table, the sharebox locks, and the link stays busy for one
-//!    `link_cycle`.
+//!    ([`RouterAction::SendUnlock`]). The toggle is not queued: its slot
+//!    is parked at the upstream VC ([`Router::park_unlock`]) and absorbed
+//!    by whoever reads that lock next.
+//! 3. A buffered flit with an open sharebox makes the VC *ready*; on an
+//!    idle link the arbiter decides after `arb_decision`
+//!    ([`InternalEvent::ArbDecide`]), implementing the configured GS
+//!    discipline. On grant the flit leaves with fresh steering bits from
+//!    the connection table, the sharebox locks, and the link stays busy
+//!    for one `link_cycle` — until the parked slot of its
+//!    [`InternalEvent::LinkFree`] ([`Router::park_link_free`]).
+//!
+//! The parked handshakes become events again — at the very slot they
+//! were reserved with, so nothing else reorders — exactly when somebody
+//! waits on them ([`RouterAction::Wake`]): a VC turning ready while the
+//! link is busy wakes the `LinkFree` (the grant then follows the link
+//! cycle directly, with no `ArbDecide`), and a flit completing its
+//! advance behind a still-locked sharebox wakes the unlock toggle.
+//!
+//! # Event flow of one BE hop
+//!
+//! Four events per flit, five for a header (seven and eight before):
+//! [`Router::on_link_flit`] latches it; a header waits `be_route`
+//! ([`InternalEvent::BeRouted`]); the output's lock holder moves it to
+//! the output stage in `be_arb` ([`InternalEvent::BeMoved`]), which
+//! returns a credit upstream ([`RouterAction::SendCredit`], parked at the
+//! upstream output by [`Router::park_credit`]); the staged flit is a
+//! link-arbiter slot like any VC (`ArbDecide`, grant, parked
+//! `LinkFree`). A stage that fills while the output holds no credit
+//! wakes the parked credits — the blocked output is the one reader that
+//! cannot absorb them late.
 
 mod be_path;
 mod gs;
@@ -69,7 +95,7 @@ use crate::ids::{Direction, GsBufferRef, RouterId, VcId};
 use crate::stats::RouterStats;
 use crate::steer::Steer;
 use crate::table::ConnectionTable;
-use mango_sim::SimTime;
+use mango_sim::{SimTime, Slot};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -84,8 +110,11 @@ pub struct Router {
     /// Arena bases of this router's GS buffers (storage lives in the
     /// network-owned [`GsArena`]).
     slots: RouterSlots,
-    /// Output link busy flags.
-    link_busy: [bool; 4],
+    /// Per output link, the slot its current cycle ends at: the link is
+    /// busy for every event keyed below it. [`Slot::MIN`] on an idle
+    /// link; [`Slot::NEVER`] while the cycle's `LinkFree` is (or is about
+    /// to be) a queued event, which sets it back.
+    free_at: [Slot; 4],
     /// Per-output-port ready bitmask (bit `i` = GS VC `i`, bit `gs_vcs` =
     /// BE), kept in sync with the VC/BE state transitions so arbitration
     /// reads one word instead of scanning every channel.
@@ -151,7 +180,7 @@ impl Router {
             id,
             table: ConnectionTable::new(gs_vcs, cfg.local_gs_ifaces()),
             slots,
-            link_busy: [false; 4],
+            free_at: [Slot::MIN; 4],
             ready: [0; 4],
             arb_pending: [false; 4],
             arbiters: std::array::from_fn(|_| ArbiterImpl::new(cfg.arbiter, gs_vcs)),
@@ -271,33 +300,148 @@ impl Router {
 
     /// An unlock toggle arrives on output port `dir` for VC `wire` (sent
     /// by the downstream router when the flit left its unsharebox).
+    /// `stamp` is the key of the event being handled.
     pub fn on_unlock(
         &mut self,
         bufs: &mut GsArena,
         _be: &mut BeArena,
-        _now: SimTime,
+        stamp: Slot,
         dir: Direction,
         wire: VcId,
         act: &mut Vec<RouterAction>,
     ) {
         self.check_vc(dir, wire);
         bufs.vc_unlock(self.vc_slot(bufs, dir, wire));
-        self.update_gs_ready(bufs, dir, wire);
-        self.kick_arb(dir, act);
+        self.update_gs_ready(bufs, dir, wire, stamp, act);
+        self.kick_arb(dir, stamp, act);
     }
 
-    /// A BE credit arrives on output port `dir`.
+    /// A BE credit arrives on output port `dir`. `stamp` is the key of
+    /// the event being handled.
     pub fn on_credit(
         &mut self,
         _bufs: &mut GsArena,
         be: &mut BeArena,
-        _now: SimTime,
+        stamp: Slot,
         dir: Direction,
         act: &mut Vec<RouterAction>,
     ) {
         be.out_add_credit(be.out_slot(self.be_slots, dir));
-        self.update_be_ready(be, dir);
-        self.kick_arb(dir, act);
+        self.update_be_ready(be, dir, stamp, act);
+        self.kick_arb(dir, stamp, act);
+    }
+
+    // ------------------------------------------------------------------
+    // Parked handshakes
+    // ------------------------------------------------------------------
+    //
+    // The environment may reserve the slot of a `LinkFree`, an unlock
+    // toggle or a credit and hand it to the receiving router instead of
+    // queueing the event. Each `park_*` answers whether somebody is
+    // waiting on the handshake already — then the environment queues the
+    // event after all, at that slot, and nothing is parked.
+
+    /// Parks the end of output `dir`'s current link cycle at `at` (the
+    /// slot of the `LinkFree` the grant just asked for). Returns true if
+    /// a VC is ready behind the busy link: the event must fire.
+    #[inline]
+    pub fn park_link_free(&mut self, dir: Direction, at: Slot) -> bool {
+        let d = dir.index();
+        debug_assert_eq!(self.free_at[d], Slot::NEVER, "park follows a grant");
+        if self.ready[d] != 0 {
+            return true;
+        }
+        self.free_at[d] = at;
+        false
+    }
+
+    /// Parks the unlock toggle of VC `wire` on output `dir`, due at
+    /// `at`. Returns true if a flit is waiting behind the locked
+    /// sharebox: the event must fire.
+    #[inline]
+    pub fn park_unlock(
+        &mut self,
+        bufs: &mut GsArena,
+        dir: Direction,
+        wire: VcId,
+        at: Slot,
+    ) -> bool {
+        self.check_vc(dir, wire);
+        let slot = self.vc_slot(bufs, dir, wire);
+        if bufs.vc_len(slot) > 0 {
+            return true;
+        }
+        bufs.vc_park_unlock(slot, at);
+        false
+    }
+
+    /// Parks a credit returning to output `dir` at `at`. Returns true
+    /// if the output is blocked on credit — a flit staged, no credit
+    /// held: the event must fire.
+    #[inline]
+    pub fn park_credit(&mut self, be: &mut BeArena, dir: Direction, at: Slot) -> bool {
+        let out = be.out_slot(self.be_slots, dir);
+        // A blocked output has nothing parked (it woke it all when it
+        // blocked), so its counter is current without absorbing.
+        if be.out_len(out) > 0 && be.out_credits(out) == 0 {
+            return true;
+        }
+        be.out_park_credit(out, at);
+        false
+    }
+
+    /// Absorbs every parked handshake due at or before `upto`: the
+    /// state a run that queued them all would be in once every event up
+    /// to `upto` has fired. Nothing reads the parked state without
+    /// absorbing first, so this is for whoever inspects the router from
+    /// outside once a run has drained.
+    pub fn settle(&mut self, bufs: &mut GsArena, be: &mut BeArena, upto: Slot) {
+        for dir in Direction::ALL {
+            let d = dir.index();
+            if self.free_at[d] <= upto {
+                self.free_at[d] = Slot::MIN;
+            }
+            for vc in 0..self.cfg.gs_vcs() {
+                bufs.vc_absorb_unlock(bufs.vc_slot(self.slots, d, vc), upto);
+            }
+            be.out_absorb_credits(be.out_slot(self.be_slots, dir), upto);
+        }
+    }
+
+    /// Fail-stop: settles what was due by `upto` and drops every
+    /// handshake parked beyond it — the events they stand for would
+    /// have been swallowed by the dead router.
+    pub fn drop_parked(&mut self, bufs: &mut GsArena, be: &mut BeArena, upto: Slot) {
+        self.settle(bufs, be, upto);
+        for dir in Direction::ALL {
+            let d = dir.index();
+            if self.free_at[d] != Slot::MIN {
+                self.free_at[d] = Slot::NEVER;
+            }
+            for vc in 0..self.cfg.gs_vcs() {
+                bufs.vc_take_parked_unlock(bufs.vc_slot(self.slots, d, vc));
+            }
+            let out = be.out_slot(self.be_slots, dir);
+            while be.out_take_parked(out).is_some() {}
+        }
+    }
+
+    /// True if every handshake has come home: each output holds its full
+    /// credit allocation, every empty VC's sharebox is open and nothing
+    /// is parked. Holds for every router of a settled, quiescent,
+    /// fault-free network.
+    pub fn handshakes_at_rest(&self, bufs: &GsArena, be: &BeArena) -> bool {
+        Direction::ALL.into_iter().all(|dir| {
+            let out = be.out_slot(self.be_slots, dir);
+            self.free_at[dir.index()] == Slot::MIN
+                && be.out_credits(out) == be.credits_max()
+                && be.out_parked(out).is_empty()
+                && (0..self.cfg.gs_vcs()).all(|vc| {
+                    let slot = bufs.vc_slot(self.slots, dir.index(), vc);
+                    bufs.vc_parked_unlock(slot).is_none()
+                        && !(bufs.vc_is_empty(slot) && bufs.vc_is_locked(slot))
+                })
+        })
     }
 
     /// The local NA injects a GS flit steered at the connection's first-hop
@@ -355,28 +499,29 @@ impl Router {
         self.local_try_deliver(bufs, iface, act);
     }
 
-    /// Redelivery of a deferred internal event.
+    /// Redelivery of a deferred internal event. `stamp` is the key of
+    /// the event being handled.
     pub fn on_internal(
         &mut self,
         bufs: &mut GsArena,
         be: &mut BeArena,
-        _now: SimTime,
+        stamp: Slot,
         ev: InternalEvent,
         act: &mut Vec<RouterAction>,
     ) {
         match ev {
-            InternalEvent::GsAdvance { buffer } => self.gs_advance(bufs, buffer, act),
+            InternalEvent::GsAdvance { buffer } => self.gs_advance(bufs, buffer, stamp, act),
             InternalEvent::LinkFree { dir } => {
-                self.link_busy[dir.index()] = false;
-                self.try_grant(bufs, be, dir, act);
+                self.free_at[dir.index()] = Slot::MIN;
+                self.try_grant(bufs, be, dir, stamp, act);
             }
             InternalEvent::ArbDecide { dir } => {
                 self.arb_pending[dir.index()] = false;
-                self.try_grant(bufs, be, dir, act);
+                self.try_grant(bufs, be, dir, stamp, act);
             }
             InternalEvent::BeRouted { input } => self.be_routed(be, input, act),
             InternalEvent::BeMoved { input, dest, flit } => {
-                self.be_moved(be, input, dest, flit, act)
+                self.be_moved(be, input, dest, flit, stamp, act)
             }
         }
     }

@@ -3,7 +3,7 @@
 //! level).
 
 use super::*;
-use crate::events::RouterAction as A;
+use crate::events::{Handshake, RouterAction as A};
 use crate::ids::UpstreamRef;
 use crate::packet::{build_be_packet, BeHeader};
 use crate::prog::{self, ProgWrite};
@@ -51,7 +51,7 @@ fn drain(
         match action {
             A::Internal { event, .. } => {
                 let mut out = Vec::new();
-                r.on_internal(bufs, be, SimTime::ZERO, event, &mut out);
+                r.on_internal(bufs, be, Slot::MIN, event, &mut out);
                 pending.extend(out);
             }
             other => external.push(other),
@@ -172,7 +172,7 @@ fn second_flit_waits_for_unlock() {
     r.on_unlock(
         &mut bufs,
         &mut be,
-        SimTime::ZERO,
+        Slot::MIN,
         Direction::East,
         VcId(0),
         &mut act,
@@ -336,7 +336,7 @@ fn drain_with_credits(
         for a in ext {
             if let A::SendFlit { dir, .. } = &a {
                 let mut act = Vec::new();
-                r.on_credit(bufs, be, SimTime::ZERO, *dir, &mut act);
+                r.on_credit(bufs, be, Slot::MIN, *dir, &mut act);
                 todo.extend(act);
             }
             external.push(a);
@@ -533,7 +533,7 @@ fn be_credit_exhaustion_throttles_link() {
 
     // A credit from downstream releases the next flit.
     let mut act = Vec::new();
-    r.on_credit(&mut bufs, &mut be, SimTime::ZERO, Direction::East, &mut act);
+    r.on_credit(&mut bufs, &mut be, Slot::MIN, Direction::East, &mut act);
     let ext = drain(&mut r, &mut bufs, &mut be, act);
     assert_eq!(
         ext.iter()
@@ -652,4 +652,250 @@ fn standalone_router_and_shared_arena_agree() {
         r1.is_quiescent(&arena, &be_arena),
         "neighbor slots untouched"
     );
+}
+
+// ----------------------------------------------------------------------
+// Parked handshakes
+// ----------------------------------------------------------------------
+
+/// A slot at `ps` (the tests need no tie-breaks).
+fn at(ps: u64) -> Slot {
+    Slot::end_of(SimTime::from_ps(ps))
+}
+
+/// Delivers the deferred events of `act` at `stamp` until none is left,
+/// parking every `LinkFree` at `free_at`; returns everything else.
+fn run_parking(
+    r: &mut Router,
+    bufs: &mut GsArena,
+    be: &mut BeArena,
+    stamp: Slot,
+    free_at: Slot,
+    mut act: Vec<RouterAction>,
+) -> Vec<RouterAction> {
+    let mut external = Vec::new();
+    while !act.is_empty() {
+        for a in std::mem::take(&mut act) {
+            match a {
+                A::Internal {
+                    event: InternalEvent::LinkFree { dir },
+                    ..
+                } => {
+                    if r.park_link_free(dir, free_at) {
+                        let what = Handshake::LinkFree { dir };
+                        external.push(A::Wake { at: free_at, what });
+                    }
+                }
+                A::Internal { event, .. } => r.on_internal(bufs, be, stamp, event, &mut act),
+                other => external.push(other),
+            }
+        }
+    }
+    external
+}
+
+fn gs_arrival(r: &mut Router, bufs: &mut GsArena, be: &mut BeArena, data: u32) -> Vec<A> {
+    let mut act = Vec::new();
+    let lf = LinkFlit {
+        steer: Steer::GsBuffer {
+            dir: Direction::East,
+            vc: VcId(0),
+        },
+        flit: Flit::gs(data),
+    };
+    r.on_link_flit(bufs, be, SimTime::ZERO, Direction::West, lf, &mut act);
+    act
+}
+
+fn sent(actions: &[A]) -> Vec<u32> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            A::SendFlit { lf, .. } => Some(lf.flit.data),
+            _ => None,
+        })
+        .collect()
+}
+
+fn wakes(actions: &[A]) -> Vec<(Slot, Handshake)> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            A::Wake { at, what } => Some((*at, *what)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A parked unlock toggle and a parked link-free tick are absorbed by
+/// the first reader past their slots: the second flit goes out with no
+/// `Unlock` and no `LinkFree` event ever delivered.
+#[test]
+fn parked_unlock_and_link_free_are_absorbed_by_the_next_reader() {
+    let (mut r, mut bufs, mut be) = router();
+    let next = Steer::LocalGs { iface: 0 };
+    program_hop(&mut r, Direction::West, Direction::East, VcId(0), next);
+
+    let act = gs_arrival(&mut r, &mut bufs, &mut be, 1);
+    let ext = run_parking(&mut r, &mut bufs, &mut be, at(100), at(200), act);
+    assert_eq!(sent(&ext), [1]);
+    assert!(wakes(&ext).is_empty(), "nobody waits on the busy link");
+    assert!(!r.park_unlock(&mut bufs, Direction::East, VcId(0), at(300)));
+    assert!(!r.handshakes_at_rest(&bufs, &be));
+
+    // Past both slots: link idle again, sharebox open.
+    let act = gs_arrival(&mut r, &mut bufs, &mut be, 2);
+    let ext = run_parking(&mut r, &mut bufs, &mut be, at(400), at(500), act);
+    assert_eq!(sent(&ext), [2]);
+    assert!(wakes(&ext).is_empty());
+}
+
+/// A flit that completes its advance while the toggle is still on its
+/// way wakes it — at the slot it was parked with — and goes out when the
+/// event is delivered; one that is already waiting when the toggle is
+/// sent makes `park_unlock` ask for the event at once.
+#[test]
+fn a_flit_behind_a_locked_sharebox_wakes_the_parked_unlock() {
+    let (mut r, mut bufs, mut be) = router();
+    let next = Steer::LocalGs { iface: 0 };
+    program_hop(&mut r, Direction::West, Direction::East, VcId(0), next);
+    let act = gs_arrival(&mut r, &mut bufs, &mut be, 1);
+    run_parking(&mut r, &mut bufs, &mut be, at(100), at(200), act);
+    assert!(!r.park_unlock(&mut bufs, Direction::East, VcId(0), at(300)));
+
+    let act = gs_arrival(&mut r, &mut bufs, &mut be, 2);
+    let ext = run_parking(&mut r, &mut bufs, &mut be, at(250), at(999), act);
+    assert!(sent(&ext).is_empty(), "sharebox still locked at 250");
+    let wire = VcId(0);
+    let dir = Direction::East;
+    assert_eq!(wakes(&ext), [(at(300), Handshake::Unlock { dir, wire })]);
+
+    let mut act = Vec::new();
+    r.on_unlock(&mut bufs, &mut be, at(300), dir, wire, &mut act);
+    let ext = run_parking(&mut r, &mut bufs, &mut be, at(300), at(400), act);
+    assert_eq!(sent(&ext), [2]);
+
+    // Flit 3 waits behind the lock before flit 2's toggle is even sent.
+    let act = gs_arrival(&mut r, &mut bufs, &mut be, 3);
+    let ext = run_parking(&mut r, &mut bufs, &mut be, at(350), at(999), act);
+    assert!(sent(&ext).is_empty() && wakes(&ext).is_empty());
+    assert!(r.park_unlock(&mut bufs, dir, wire, at(450)), "a flit waits");
+}
+
+/// A VC turning ready behind a busy link wakes the parked `LinkFree`
+/// once; delivered, it grants without a fresh arbitration delay.
+#[test]
+fn a_ready_vc_behind_a_busy_link_wakes_the_parked_link_free() {
+    let (mut r, mut bufs, mut be) = router();
+    let next = Steer::LocalGs { iface: 0 };
+    for vc in [VcId(0), VcId(1)] {
+        program_hop(&mut r, Direction::West, Direction::East, vc, next);
+    }
+    let act = gs_arrival(&mut r, &mut bufs, &mut be, 1);
+    run_parking(&mut r, &mut bufs, &mut be, at(100), at(200), act);
+
+    let mut act = Vec::new();
+    let lf = LinkFlit {
+        steer: Steer::GsBuffer {
+            dir: Direction::East,
+            vc: VcId(1),
+        },
+        flit: Flit::gs(2),
+    };
+    r.on_link_flit(
+        &mut bufs,
+        &mut be,
+        SimTime::ZERO,
+        Direction::West,
+        lf,
+        &mut act,
+    );
+    let ext = run_parking(&mut r, &mut bufs, &mut be, at(150), at(999), act);
+    assert!(sent(&ext).is_empty(), "link busy until 200");
+    let dir = Direction::East;
+    assert_eq!(wakes(&ext), [(at(200), Handshake::LinkFree { dir })]);
+
+    let mut act = Vec::new();
+    let free = InternalEvent::LinkFree { dir };
+    r.on_internal(&mut bufs, &mut be, at(200), free, &mut act);
+    assert!(
+        !act.iter().any(|a| matches!(
+            a,
+            A::Internal {
+                event: InternalEvent::ArbDecide { .. },
+                ..
+            }
+        )),
+        "the decision overlapped the link cycle"
+    );
+    let ext = run_parking(&mut r, &mut bufs, &mut be, at(200), at(300), act);
+    assert_eq!(sent(&ext), [2]);
+}
+
+/// Credits parked at an output that is not blocked are absorbed when it
+/// next looks; an output that blocks wakes what is parked for it, and a
+/// credit sent to a blocked output is asked for as an event at once.
+#[test]
+fn parked_credits_are_absorbed_or_woken_by_the_blocked_output() {
+    let (mut r, mut bufs, mut be) = router();
+    let header = BeHeader::from_route(&[Direction::East; 3]).unwrap();
+    let flits = build_be_packet(header, &[1, 2, 3, 4, 5, 6], false);
+    let dir = Direction::East;
+    let inject = |r: &mut Router, bufs: &mut GsArena, be: &mut BeArena, f: Flit, stamp, free| {
+        let mut act = Vec::new();
+        r.on_local_be_inject(bufs, be, SimTime::ZERO, f, &mut act);
+        run_parking(r, bufs, be, stamp, free, act)
+    };
+    // Two flits out on the two credits; their credits come back parked.
+    let ext = inject(&mut r, &mut bufs, &mut be, flits[0], at(10), at(20));
+    assert_eq!(sent(&ext).len(), 1);
+    let ext = inject(&mut r, &mut bufs, &mut be, flits[1], at(30), at(40));
+    assert_eq!(sent(&ext).len(), 1);
+    assert!(!r.park_credit(&mut be, dir, at(50)));
+    assert!(!r.park_credit(&mut be, dir, at(500)));
+
+    // At 60 the first has landed: the third flit goes; the fourth blocks
+    // and wakes the one still on its way.
+    let ext = inject(&mut r, &mut bufs, &mut be, flits[2], at(60), at(70));
+    assert_eq!(sent(&ext).len(), 1);
+    assert!(wakes(&ext).is_empty());
+    let ext = inject(&mut r, &mut bufs, &mut be, flits[3], at(80), at(90));
+    assert!(sent(&ext).is_empty());
+    assert_eq!(wakes(&ext), [(at(500), Handshake::Credit { dir })]);
+    assert!(
+        r.park_credit(&mut be, dir, at(600)),
+        "the output is blocked"
+    );
+
+    let mut act = Vec::new();
+    r.on_credit(&mut bufs, &mut be, at(500), dir, &mut act);
+    let ext = run_parking(&mut r, &mut bufs, &mut be, at(500), at(510), act);
+    assert_eq!(sent(&ext).len(), 1);
+}
+
+/// Settling absorbs what is due and leaves the rest; a drained router
+/// is at rest, and a fail-stop drops what is still on its way.
+#[test]
+fn settle_and_drop_parked() {
+    let (mut r, mut bufs, mut be) = router();
+    let next = Steer::LocalGs { iface: 0 };
+    program_hop(&mut r, Direction::West, Direction::East, VcId(0), next);
+    assert!(r.handshakes_at_rest(&bufs, &be));
+    let act = gs_arrival(&mut r, &mut bufs, &mut be, 1);
+    run_parking(&mut r, &mut bufs, &mut be, at(100), at(200), act);
+    assert!(!r.park_unlock(&mut bufs, Direction::East, VcId(0), at(300)));
+    let slot = bufs.vc_slot(r.slots(), Direction::East.index(), 0);
+
+    r.settle(&mut bufs, &mut be, at(250));
+    assert!(bufs.vc_is_locked(slot) && !r.handshakes_at_rest(&bufs, &be));
+    r.settle(&mut bufs, &mut be, at(300));
+    assert!(!bufs.vc_is_locked(slot) && r.handshakes_at_rest(&bufs, &be));
+
+    let act = gs_arrival(&mut r, &mut bufs, &mut be, 2);
+    run_parking(&mut r, &mut bufs, &mut be, at(400), at(500), act);
+    assert!(!r.park_unlock(&mut bufs, Direction::East, VcId(0), at(600)));
+    r.drop_parked(&mut bufs, &mut be, at(450));
+    assert_eq!(bufs.vc_parked_unlock(slot), None);
+    r.settle(&mut bufs, &mut be, at(10_000));
+    assert!(bufs.vc_is_locked(slot), "the toggle died with the router");
 }

@@ -46,7 +46,7 @@ use mango_core::{
     ConnectionId, Direction, GsBufferRef, InternalEvent, LinkFlit, RouterId, Steer, UpstreamRef,
     VcId,
 };
-use mango_sim::{Ctx, SimDuration, SimRng, SimTime};
+use mango_sim::{Ctx, SimDuration, SimRng, SimTime, Slot};
 use std::collections::{HashMap, HashSet};
 
 /// One kind of injected failure.
@@ -478,7 +478,7 @@ impl Network {
     }
 
     /// Applies fault event `idx` of the installed schedule.
-    pub(crate) fn apply_fault(&mut self, idx: usize) {
+    pub(crate) fn apply_fault(&mut self, idx: usize, stamp: Slot) {
         let Some(faults) = self.faults.as_mut() else {
             return;
         };
@@ -490,8 +490,12 @@ impl Network {
             // drop decisions themselves are purely time-gated.
             FaultKind::LinkFlaky { .. } => {}
             FaultKind::RouterDown { id } => {
-                faults.mark_dead(self.grid.index(id));
+                let dense = self.grid.index(id);
+                faults.mark_dead(dense);
                 self.grid.fail_router(id);
+                // The handshakes parked at the victim die with it, as
+                // their events would have on reaching it.
+                self.routers[dense].drop_parked(&mut self.arena, &mut self.be_arena, stamp);
                 for s in &mut self.sources {
                     let (SourceKind::Gs { router, .. } | SourceKind::Be { router, .. }) = s.kind;
                     if router == id {
@@ -571,7 +575,7 @@ impl Network {
                 self.counters.be_flits_dropped += 1;
                 self.counters.spoofed_credits += 1;
                 let delay = base_delay + t.hop_forward + t.credit_return + back_extra;
-                ctx.schedule(delay, NetEvent::Credit { to: sender, dir });
+                self.send_credit(sender, dir, delay, ctx);
                 return;
             }
             Steer::GsBuffer { dir, vc } => GsBufferRef::Net { dir, vc },
@@ -581,12 +585,7 @@ impl Network {
         let delay = base_delay + t.buffer_advance + t.unlock_path + back_extra;
         if let Some(UpstreamRef::Link { wire, .. }) = self.router(receiver).table().unlock(buffer) {
             self.counters.spoofed_unlocks += 1;
-            let unlock = NetEvent::Unlock {
-                to: sender,
-                dir,
-                wire,
-            };
-            ctx.schedule(delay, unlock);
+            self.send_unlock(sender, dir, wire, delay, ctx);
         }
     }
 

@@ -288,7 +288,7 @@ impl Network {
 
     /// One epoch sampler firing: append a snapshot row, then re-arm
     /// unless this sampler is the only thing keeping the simulation
-    /// alive (`ctx.pending() == 0` right after the pop).
+    /// alive (nothing else queued, no reserved slot still ahead).
     #[cold]
     #[inline(never)]
     pub(crate) fn on_telemetry_sample(&mut self, generation: u32, ctx: &mut Ctx<NetEvent>) {
@@ -351,7 +351,7 @@ impl Network {
             Sample::U64(gs_dropped),
             Sample::U64(be_dropped),
         ]);
-        st.sampler_armed = ctx.pending() > 0;
+        st.sampler_armed = ctx.has_pending();
         if st.sampler_armed {
             ctx.schedule(
                 st.cfg.sample_every,

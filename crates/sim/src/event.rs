@@ -149,6 +149,48 @@ impl Default for WheelGeometry {
     }
 }
 
+/// The `(time, sequence)` key of an event: its place in the one total
+/// order every event pops in.
+///
+/// [`EventQueue::reserve`] hands out a slot without queueing anything;
+/// [`EventQueue::insert`] puts an event at a reserved slot later — or
+/// never, if whoever holds the slot finds that the event would have
+/// changed nothing. A slot compares like the event it stands for, so
+/// "has this fired yet?" is `slot <= stamp` against the key of the event
+/// being handled ([`crate::Ctx::stamp`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Slot {
+    time: SimTime,
+    seq: u64,
+}
+
+impl Slot {
+    /// Below every reserved slot: "fired before anything else".
+    pub const MIN: Slot = Slot {
+        time: SimTime::ZERO,
+        seq: 0,
+    };
+
+    /// Above every reserved slot: "not before being told otherwise".
+    pub const NEVER: Slot = Slot {
+        time: SimTime::MAX,
+        seq: u64::MAX,
+    };
+
+    /// The key past every event due at or before `time`.
+    pub const fn end_of(time: SimTime) -> Slot {
+        Slot {
+            time,
+            seq: u64::MAX,
+        }
+    }
+
+    /// The instant the slot is due.
+    pub const fn time(self) -> SimTime {
+        self.time
+    }
+}
+
 /// An event queue ordered by `(time, sequence)`.
 ///
 /// Two events scheduled for the same instant are delivered in the order
@@ -186,19 +228,21 @@ pub struct EventQueue<E> {
     /// per-advance promotion check is one compare instead of a heap peek.
     overflow_min: u64,
     next_seq: u64,
+    /// The largest key ever reserved. Sequence numbers only grow, so a
+    /// new slot is the largest iff its time is not below this one's.
+    latest: Slot,
     scheduled_total: u64,
 }
 
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    slot: Slot,
     event: E,
 }
 
 impl<E> Entry<E> {
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> Slot {
+        self.slot
     }
 }
 
@@ -251,6 +295,7 @@ impl<E> EventQueue<E> {
             overflow: BinaryHeap::new(),
             overflow_min: u64::MAX,
             next_seq: 0,
+            latest: Slot::MIN,
             scheduled_total: 0,
         }
     }
@@ -273,13 +318,40 @@ impl<E> EventQueue<E> {
         time_ps & !((1u64 << self.width_log2) - 1)
     }
 
-    /// Inserts `event` at absolute time `time`.
+    /// Inserts `event` at absolute time `time`: [`reserve`](Self::reserve)
+    /// and [`insert`](Self::insert) in one step.
+    #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
+        let slot = self.reserve(time);
+        self.insert(slot, event);
+    }
+
+    /// Takes the next sequence number for an event due at `time` and
+    /// returns its key without queueing anything. The caller either
+    /// [`insert`](Self::insert)s an event there later or lets the slot
+    /// lapse; either way every other event keeps the order it would have
+    /// had with the event queued.
+    #[inline]
+    pub fn reserve(&mut self, time: SimTime) -> Slot {
+        let slot = Slot {
+            time,
+            seq: self.next_seq,
+        };
         self.next_seq += 1;
+        if time >= self.latest.time {
+            self.latest = slot;
+        }
+        slot
+    }
+
+    /// Inserts `event` at a key [`reserve`](Self::reserve) handed out —
+    /// possibly long ago: every tier orders by the full key, so a late
+    /// insert with an old sequence number pops exactly where an event
+    /// pushed at reservation time would have.
+    pub fn insert(&mut self, slot: Slot, event: E) {
         self.scheduled_total += 1;
-        let entry = Entry { time, seq, event };
-        let t = time.as_ps();
+        let entry = Entry { slot, event };
+        let t = slot.time.as_ps();
 
         if self.near_count == 0 && t >= self.epoch {
             // The wheel is idle (fresh queue, fully drained, or only
@@ -307,8 +379,7 @@ impl<E> EventQueue<E> {
                 // The draining bucket stays sorted descending by
                 // (time, seq); later-scheduled ties get larger seq and so
                 // sort earlier in the Vec — popped later, preserving FIFO.
-                let key = (time, seq);
-                let pos = bucket.partition_point(|e| e.key() > key);
+                let pos = bucket.partition_point(|e| e.key() > slot);
                 bucket.insert(pos, entry);
             } else {
                 bucket.push(entry);
@@ -327,16 +398,18 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.past.is_empty() {
-            return self.pop_wheel();
-        }
-        self.pop_merged(SimTime::MAX)
+        let popped = if self.past.is_empty() {
+            self.pop_wheel()
+        } else {
+            self.pop_merged(SimTime::MAX)
+        };
+        popped.map(|(slot, event)| (slot.time, event))
     }
 
     /// Removes and returns the earliest event if its time is at or before
-    /// `horizon` — the kernel's fused peek-and-pop, one probe per event
-    /// instead of two.
-    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+    /// `horizon`, with its key — the kernel's fused peek-and-pop, one
+    /// probe per event instead of two.
+    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(Slot, E)> {
         if !self.past.is_empty() {
             return self.pop_merged(horizon);
         }
@@ -344,7 +417,7 @@ impl<E> EventQueue<E> {
         let bucket = &mut self.buckets[self.cursor];
         match bucket.last() {
             None => None,
-            Some(e) if e.time > horizon => None,
+            Some(e) if e.slot.time > horizon => None,
             Some(_) => {
                 let e = bucket.pop().expect("non-empty bucket");
                 self.near_count -= 1;
@@ -352,13 +425,13 @@ impl<E> EventQueue<E> {
                     self.clear_bit(self.cursor);
                     self.ensure_front();
                 }
-                Some((e.time, e.event))
+                Some((e.slot, e.event))
             }
         }
     }
 
     /// Pops the earliest wheel event (requires an empty past tier).
-    fn pop_wheel(&mut self) -> Option<(SimTime, E)> {
+    fn pop_wheel(&mut self) -> Option<(Slot, E)> {
         if self.near_count == 0 {
             debug_assert!(self.overflow.is_empty());
             return None;
@@ -372,19 +445,19 @@ impl<E> EventQueue<E> {
             self.clear_bit(self.cursor);
             self.ensure_front();
         }
-        Some((e.time, e.event))
+        Some((e.slot, e.event))
     }
 
     /// Pops the earliest event across all tiers, bounded by `horizon`.
     /// The slow path, taken only while the past tier is non-empty.
-    fn pop_merged(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+    fn pop_merged(&mut self, horizon: SimTime) -> Option<(Slot, E)> {
         // The wheel front bounds the overflow tier (overflow ≥ epoch +
         // span > every wheel event, and overflow is empty when the wheel
         // is), so the global minimum is among these two tier fronts.
         let wheel = self.buckets[self.cursor].last().map(|e| e.key());
         let past = self.past.peek().map(|e| e.key());
         let best = [wheel, past].into_iter().flatten().min()?;
-        if best.0 > horizon {
+        if best.time > horizon {
             return None;
         }
         let e = if past == Some(best) {
@@ -399,7 +472,7 @@ impl<E> EventQueue<E> {
             }
             e
         };
-        Some((e.time, e.event))
+        Some((e.slot, e.event))
     }
 
     /// The timestamp of the earliest pending event.
@@ -407,10 +480,10 @@ impl<E> EventQueue<E> {
         // The cursor bucket is sorted descending, so its minimum is last.
         let wheel = self.buckets[self.cursor].last().map(|e| e.key());
         if self.past.is_empty() {
-            return wheel.map(|k| k.0);
+            return wheel.map(|k| k.time);
         }
         let past = self.past.peek().map(|e| e.key());
-        [wheel, past].into_iter().flatten().min().map(|k| k.0)
+        [wheel, past].into_iter().flatten().min().map(|k| k.time)
     }
 
     /// Number of pending events.
@@ -423,9 +496,22 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled on this queue.
+    /// Total number of events ever queued (pushed, or inserted at a
+    /// reserved slot).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// Total number of slots ever reserved; those never followed by an
+    /// [`insert`](Self::insert) are `reserved_total() - scheduled_total()`.
+    pub fn reserved_total(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// The largest key ever reserved ([`Slot::MIN`] on a fresh queue):
+    /// the event a queue that held every reserved slot would pop last.
+    pub fn latest_reserved(&self) -> Slot {
+        self.latest
     }
 
     /// Number of non-empty wheel buckets (excludes the past/overflow
@@ -486,7 +572,7 @@ impl<E> EventQueue<E> {
     /// bucket, refreshing the cached minimum.
     fn promote_overflow(&mut self) {
         while let Some(min) = self.overflow.peek() {
-            let t = min.time.as_ps();
+            let t = min.slot.time.as_ps();
             debug_assert!(t >= self.epoch);
             if t - self.epoch >= self.span_ps {
                 self.overflow_min = t;
@@ -570,12 +656,22 @@ mod tests {
             }
         }
         fn push(&mut self, time: SimTime, event: E) {
+            let slot = self.reserve(time);
+            self.insert(slot, event);
+        }
+        fn reserve(&mut self, time: SimTime) -> Slot {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.heap.push(Entry { time, seq, event });
+            Slot { time, seq }
+        }
+        fn insert(&mut self, slot: Slot, event: E) {
+            self.heap.push(Entry { slot, event });
         }
         fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.heap.pop().map(|e| (e.time, e.event))
+            self.pop_keyed().map(|(slot, event)| (slot.time, event))
+        }
+        fn pop_keyed(&mut self) -> Option<(Slot, E)> {
+            self.heap.pop().map(|e| (e.slot, e.event))
         }
     }
 
@@ -728,7 +824,7 @@ mod tests {
                     now = t.as_ps();
                 }
             }
-            assert_eq!(q.peek_time(), r.heap.peek().map(|e| e.time));
+            assert_eq!(q.peek_time(), r.heap.peek().map(|e| e.slot.time));
             assert_eq!(q.len(), r.heap.len());
         }
         loop {
@@ -840,7 +936,12 @@ mod tests {
     }
 
     /// Identical schedules through maximally different geometries must
-    /// pop identically (order is a pure function of `(time, seq)`).
+    /// pop identically (order is a pure function of `(time, seq)`) — also
+    /// when plain pushes interleave with reserved slots that are inserted
+    /// late, at their old sequence number, or never: into the draining
+    /// cursor bucket behind same-instant events pushed after the
+    /// reservation, into the `past` heap once the epoch has run ahead,
+    /// and into `overflow`.
     #[test]
     fn divergent_geometries_pop_identically() {
         let geoms = [
@@ -871,21 +972,112 @@ mod tests {
         let mut r = RefQueue::new();
         let mut rng = crate::rng::SimRng::new(0x6E0);
         let mut now = 0u64;
-        for i in 0..20_000u64 {
-            let t = SimTime::from_ps(now + rng.gen_range(100_000));
-            for q in &mut queues {
-                q.push(t, i);
-            }
-            r.push(t, i);
-            if rng.gen_range(3) != 0 {
-                let want = r.pop();
+        // Reserved, not (yet) inserted; and the key of the last pop,
+        // below which the kernel never inserts.
+        let mut held: Vec<Slot> = Vec::new();
+        let mut stamp = Slot::MIN;
+        // Late inserts seen per tier: [cursor bucket, past, overflow].
+        let mut late = [0u32; 3];
+        let mut lapsed = 0u32;
+        for i in 0..30_000u64 {
+            let delta = match rng.gen_range(8) {
+                0 | 1 => 0, // same instant as the event just popped
+                2..=5 => rng.gen_range(3_000),
+                6 => rng.gen_range(100_000),
+                _ => 65_536 * (1 + rng.gen_range(40)), // past every span but one
+            };
+            let t = SimTime::from_ps(now + delta);
+            if rng.gen_range(4) == 0 {
+                let slot = r.reserve(t);
                 for q in &mut queues {
-                    assert_eq!(q.pop(), want, "geometry divergence at step {i}");
+                    assert_eq!(q.reserve(t), slot);
                 }
-                if let Some((t, _)) = want {
-                    now = t.as_ps();
+                held.push(slot);
+            } else {
+                for q in &mut queues {
+                    q.push(t, i);
                 }
+                r.push(t, i);
+            }
+            if !held.is_empty() && rng.gen_range(3) == 0 {
+                let k = rng.gen_range(held.len() as u64) as usize;
+                let slot = held.swap_remove(k);
+                if slot > stamp {
+                    let ev = 1_000_000 + i;
+                    for q in &mut queues {
+                        let (past, overflow) = (q.past.len(), q.overflow.len());
+                        let draining = q.near_count > 0
+                            && slot.time.as_ps() >= q.epoch
+                            && slot.time.as_ps() - q.epoch < q.span_ps
+                            && q.bucket_of(slot.time.as_ps()) == q.cursor;
+                        q.insert(slot, ev);
+                        late[0] += u32::from(draining);
+                        late[1] += (q.past.len() - past) as u32;
+                        late[2] += (q.overflow.len() - overflow) as u32;
+                    }
+                    r.insert(slot, ev);
+                } else {
+                    // Due before the event being handled: whoever held it
+                    // let it lapse.
+                    lapsed += 1;
+                }
+            }
+            if rng.gen_range(3) != 0 {
+                let want = r.pop_keyed();
+                for q in &mut queues {
+                    assert_eq!(
+                        q.pop_at_or_before(SimTime::MAX),
+                        want,
+                        "geometry divergence at step {i}"
+                    );
+                }
+                if let Some((slot, _)) = want {
+                    stamp = slot;
+                    now = slot.time.as_ps();
+                }
+            }
+            for q in &queues {
+                assert_eq!(q.len(), r.heap.len());
+                assert_eq!(q.latest_reserved(), queues[0].latest_reserved());
             }
         }
+        assert!(
+            late.iter().all(|&n| n > 100) && lapsed > 100,
+            "every tier must see late inserts, and some slots none: {late:?} {lapsed}"
+        );
+        loop {
+            let want = r.pop_keyed();
+            for q in &mut queues {
+                assert_eq!(q.pop_at_or_before(SimTime::MAX), want);
+            }
+            if want.is_none() {
+                break;
+            }
+        }
+        for q in &queues {
+            assert_eq!(
+                q.reserved_total() - q.scheduled_total(),
+                u64::from(lapsed) + held.len() as u64
+            );
+        }
+    }
+
+    /// A slot inserted late pops ahead of same-instant events that were
+    /// pushed after it was reserved, and behind those pushed before.
+    #[test]
+    fn late_insert_keeps_its_reserved_place_among_ties() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ps(500);
+        q.push(t, "before");
+        let slot = q.reserve(t);
+        q.push(t, "after");
+        q.push(SimTime::from_ps(490), "earlier");
+        assert_eq!(q.latest_reserved().time(), t);
+        assert_eq!(q.pop().unwrap().1, "earlier"); // the cursor now drains t's bucket
+        q.insert(slot, "late");
+        assert_eq!(q.pop().unwrap().1, "before");
+        assert_eq!(q.pop().unwrap().1, "late");
+        assert_eq!(q.pop().unwrap().1, "after");
+        assert_eq!((q.reserved_total(), q.scheduled_total()), (4, 4));
     }
 }

@@ -1,6 +1,6 @@
 //! The simulation kernel: event dispatch loop and scheduling context.
 
-use crate::event::{EventQueue, WheelGeometry};
+use crate::event::{EventQueue, Slot, WheelGeometry};
 use crate::time::{SimDuration, SimTime};
 
 /// A complete simulated system.
@@ -39,25 +39,50 @@ pub trait Model {
     fn event_kind(&self, _event: &Self::Event) -> usize {
         0
     }
+
+    /// Display names for the kinds of reserved slot the model passes to
+    /// [`Ctx::reserve`] / [`Ctx::schedule_reserved`], indexed by kind.
+    /// Used only by the kernel profiler; the default has none.
+    fn slot_kind_names(&self) -> &'static [&'static str] {
+        &[]
+    }
+
+    /// The event queue drained: every event keyed at or below `upto`
+    /// has fired. A model that holds reserved slots it never queued
+    /// settles the ones at or below `upto` here, before
+    /// [`Model::quiescent`] is asked. The default does nothing.
+    fn settle(&mut self, _upto: Slot) {}
 }
 
 /// Scheduling context handed to [`Model::handle`].
 ///
-/// Allows the model to read the current time and schedule future events.
+/// Allows the model to read the current time and schedule future events
+/// — or to [`reserve`](Ctx::reserve) an event's place in the order and
+/// decide later whether it needs to fire at all.
 pub struct Ctx<'a, E> {
-    now: SimTime,
+    stamp: Slot,
     queue: &'a mut EventQueue<E>,
+    profile: Option<&'a mut KernelProfile>,
 }
 
 impl<'a, E> Ctx<'a, E> {
     /// The current simulation time.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.stamp.time()
+    }
+
+    /// The key of the event being handled. Every event keyed below it
+    /// has fired; a reserved slot at or below it is one whose event, had
+    /// it been queued, would have fired already.
+    #[inline]
+    pub fn stamp(&self) -> Slot {
+        self.stamp
     }
 
     /// Schedules `event` to fire `delay` after the current time.
     pub fn schedule(&mut self, delay: SimDuration, event: E) {
-        self.queue.push(self.now + delay, event);
+        self.queue.push(self.now() + delay, event);
     }
 
     /// Schedules `event` at an absolute instant.
@@ -67,25 +92,54 @@ impl<'a, E> Ctx<'a, E> {
     /// Panics if `at` is in the past — clockless hardware is causal.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
-            at >= self.now,
+            at >= self.now(),
             "cannot schedule into the past ({at} < {now})",
-            now = self.now
+            now = self.now()
         );
         self.queue.push(at, event);
     }
 
-    /// Number of events currently pending in the queue (not counting the
-    /// one being handled). Lets a self-rescheduling housekeeping event
-    /// (e.g. a telemetry sampler) stop when it is the only thing keeping
-    /// the simulation alive.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+    /// Takes the place in the event order that an event of slot kind
+    /// `kind` (see [`Model::slot_kind_names`]) scheduled now with `delay`
+    /// would get — the next sequence number — without queueing anything.
+    /// Every later [`schedule`](Ctx::schedule) orders exactly as if the
+    /// event were pending.
+    #[inline]
+    pub fn reserve(&mut self, kind: usize, delay: SimDuration) -> Slot {
+        if let Some(p) = self.profile.as_deref_mut() {
+            p.slots_reserved[kind] += 1;
+        }
+        self.queue.reserve(self.stamp.time() + delay)
+    }
+
+    /// Queues `event` at a slot [`reserve`](Ctx::reserve)d earlier: it
+    /// fires exactly where it would have, had it been scheduled at
+    /// reservation time. The slot must still be ahead — one at or below
+    /// [`stamp`](Ctx::stamp) has lapsed, and the holder settles it on the
+    /// spot instead.
+    #[inline]
+    pub fn schedule_reserved(&mut self, kind: usize, slot: Slot, event: E) {
+        debug_assert!(slot > self.stamp, "reserved slot {slot:?} already lapsed");
+        if let Some(p) = self.profile.as_deref_mut() {
+            p.slots_queued[kind] += 1;
+        }
+        self.queue.insert(slot, event);
+    }
+
+    /// True if any event other than the one being handled is still to
+    /// fire — queued, or reserved at a key still ahead (whether or not it
+    /// will ever be queued: the answer is the one a queue holding every
+    /// reserved slot would give). Lets a self-rescheduling housekeeping
+    /// event (e.g. a telemetry sampler) stop when it is the only thing
+    /// keeping the simulation alive.
+    pub fn has_pending(&self) -> bool {
+        !self.queue.is_empty() || self.queue.latest_reserved() > self.stamp
     }
 }
 
 impl<'a, E> std::fmt::Debug for Ctx<'a, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ctx").field("now", &self.now).finish()
+        f.debug_struct("Ctx").field("stamp", &self.stamp).finish()
     }
 }
 
@@ -110,8 +164,9 @@ impl RunOutcome {
     }
 }
 
-/// Kernel self-profiling data: per-event-kind dispatch counts and event
-/// queue occupancy statistics, sampled at every dispatch.
+/// Kernel self-profiling data: per-event-kind dispatch counts, reserved
+/// vs queued slots per slot kind, and event queue occupancy statistics
+/// sampled at every dispatch.
 ///
 /// Collected only when [`Kernel::enable_profiling`] has been called;
 /// otherwise the hot loop pays a single branch on a `None`.
@@ -119,6 +174,9 @@ impl RunOutcome {
 pub struct KernelProfile {
     kind_names: &'static [&'static str],
     kind_counts: Vec<u64>,
+    slot_names: &'static [&'static str],
+    slots_reserved: Vec<u64>,
+    slots_queued: Vec<u64>,
     queue_len_sum: u128,
     queue_len_max: usize,
     occupied_sum: u128,
@@ -127,10 +185,13 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    fn new(kind_names: &'static [&'static str]) -> Self {
+    fn new(kind_names: &'static [&'static str], slot_names: &'static [&'static str]) -> Self {
         KernelProfile {
             kind_names,
             kind_counts: vec![0; kind_names.len()],
+            slot_names,
+            slots_reserved: vec![0; slot_names.len()],
+            slots_queued: vec![0; slot_names.len()],
             queue_len_sum: 0,
             queue_len_max: 0,
             occupied_sum: 0,
@@ -155,6 +216,21 @@ impl KernelProfile {
             .iter()
             .copied()
             .zip(self.kind_counts.iter().copied())
+    }
+
+    /// `(name, reserved, queued)` per slot kind, in kind-index order:
+    /// how many slots [`Ctx::reserve`] handed out and how many of them
+    /// [`Ctx::schedule_reserved`] turned into events. The difference is
+    /// the events that were never dispatched — and are in no
+    /// [`kind_counts`](Self::kind_counts) row.
+    pub fn slot_counts(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
+        (0..self.slot_names.len()).map(|k| {
+            (
+                self.slot_names[k],
+                self.slots_reserved[k],
+                self.slots_queued[k],
+            )
+        })
     }
 
     /// Number of dispatches sampled.
@@ -197,7 +273,9 @@ impl KernelProfile {
 pub struct Kernel<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
-    now: SimTime,
+    /// The key every fired event is at or below: the last pop's, or the
+    /// end of the horizon instant once a run has reached it.
+    stamp: Slot,
     processed: u64,
     profile: Option<Box<KernelProfile>>,
 }
@@ -217,7 +295,7 @@ impl<M: Model> Kernel<M> {
         Kernel {
             model,
             queue: EventQueue::with_geometry(geometry),
-            now: SimTime::ZERO,
+            stamp: Slot::MIN,
             processed: 0,
             profile: None,
         }
@@ -227,7 +305,10 @@ impl<M: Model> Kernel<M> {
     /// [`Model::event_kind`]) and queue occupancy statistics. Resets any
     /// previously collected profile.
     pub fn enable_profiling(&mut self) {
-        self.profile = Some(Box::new(KernelProfile::new(self.model.event_kind_names())));
+        self.profile = Some(Box::new(KernelProfile::new(
+            self.model.event_kind_names(),
+            self.model.slot_kind_names(),
+        )));
     }
 
     /// The collected profile, if [`Kernel::enable_profiling`] was called.
@@ -237,7 +318,14 @@ impl<M: Model> Kernel<M> {
 
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.stamp.time()
+    }
+
+    /// The key every fired event is at or below (see [`Ctx::stamp`]):
+    /// what a model holding reserved slots settles them against between
+    /// runs.
+    pub fn stamp(&self) -> Slot {
+        self.stamp
     }
 
     /// Total events processed so far.
@@ -245,9 +333,17 @@ impl<M: Model> Kernel<M> {
         self.processed
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently queued (reserved slots nobody queued
+    /// are not events).
     pub fn events_pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Slots reserved and never queued so far: the events a model that
+    /// queued every slot would have dispatched on top of
+    /// [`events_processed`](Self::events_processed) once drained.
+    pub fn slots_never_queued(&self) -> u64 {
+        self.queue.reserved_total() - self.queue.scheduled_total()
     }
 
     /// The wheel geometry of the event queue.
@@ -272,7 +368,7 @@ impl<M: Model> Kernel<M> {
 
     /// Schedules `event` to fire `delay` after the current time.
     pub fn schedule(&mut self, delay: SimDuration, event: M::Event) {
-        self.queue.push(self.now + delay, event);
+        self.queue.push(self.now() + delay, event);
     }
 
     /// Dispatches events until `horizon` (exclusive for later events: the
@@ -283,7 +379,7 @@ impl<M: Model> Kernel<M> {
 
     /// Dispatches events for `span` of simulated time from now.
     pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
-        self.run_until(self.now + span)
+        self.run_until(self.now() + span)
     }
 
     /// Dispatches events until the queue drains, reporting whether the model
@@ -308,30 +404,27 @@ impl<M: Model> Kernel<M> {
                 // drain/horizon outcomes take precedence (rare path —
                 // real runs use an unlimited budget).
                 return match self.queue.peek_time() {
-                    None => self.drained_outcome(horizon),
-                    Some(t) if t > horizon => {
-                        self.now = horizon;
-                        RunOutcome::HorizonReached
-                    }
+                    None => self.idle_outcome(horizon),
+                    Some(t) if t > horizon => self.idle_outcome(horizon),
                     Some(_) => RunOutcome::EventBudgetExhausted,
                 };
             }
-            let Some((t, ev)) = self.queue.pop_at_or_before(horizon) else {
-                if self.queue.is_empty() {
-                    return self.drained_outcome(horizon);
-                }
-                self.now = horizon;
-                return RunOutcome::HorizonReached;
+            let Some((slot, ev)) = self.queue.pop_at_or_before(horizon) else {
+                return self.idle_outcome(horizon);
             };
             remaining -= 1;
-            debug_assert!(t >= self.now, "event queue delivered out of order");
-            self.now = t;
+            debug_assert!(
+                slot.time() >= self.now(),
+                "event queue delivered out of order"
+            );
+            self.stamp = slot;
             if self.profile.is_some() {
                 self.record_profile_sample(&ev);
             }
             let mut ctx = Ctx {
-                now: t,
+                stamp: slot,
                 queue: &mut self.queue,
+                profile: self.profile.as_deref_mut(),
             };
             self.model.handle(ev, &mut ctx);
             self.processed += 1;
@@ -349,13 +442,27 @@ impl<M: Model> Kernel<M> {
         p.record(kind, self.queue.len(), self.queue.occupied_buckets());
     }
 
-    /// The outcome when the queue drained: advance the clock to a finite
-    /// horizon so back-to-back runs see consistent time, and report
-    /// whether the model has outstanding work.
-    fn drained_outcome(&mut self, horizon: SimTime) -> RunOutcome {
-        if horizon != SimTime::MAX {
-            self.now = horizon;
+    /// The outcome when nothing at or before `horizon` is left to pop.
+    /// Reserved slots count as the events they stand for: one still due
+    /// beyond the horizon means the horizon was reached, not that the
+    /// queue drained; and a drain with no horizon ends at the instant of
+    /// the last slot, queued or not. Either way every event at or before
+    /// the new clock has fired.
+    fn idle_outcome(&mut self, horizon: SimTime) -> RunOutcome {
+        let last = self.queue.latest_reserved().time();
+        if !self.queue.is_empty() || last > horizon {
+            self.stamp = Slot::end_of(horizon);
+            return RunOutcome::HorizonReached;
         }
+        // Advance the clock to a finite horizon so back-to-back runs see
+        // consistent time.
+        let end = if horizon == SimTime::MAX {
+            last.max(self.now())
+        } else {
+            horizon
+        };
+        self.stamp = Slot::end_of(end);
+        self.model.settle(self.stamp);
         if self.model.quiescent() {
             RunOutcome::Quiescent
         } else {
@@ -367,7 +474,7 @@ impl<M: Model> Kernel<M> {
 impl<M: Model> std::fmt::Debug for Kernel<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
-            .field("now", &self.now)
+            .field("now", &self.now())
             .field("processed", &self.processed)
             .field("pending", &self.queue.len())
             .finish()
@@ -535,6 +642,144 @@ mod tests {
         assert!(p.queue_len_max() <= 1);
         assert!(p.queue_len_mean() <= 1.0);
         assert!(p.occupied_buckets_max() <= 1);
+    }
+
+    /// A model whose every ping owes an acknowledgment 35 ps later that
+    /// changes nothing when it arrives. `eager` queues the ack as an
+    /// event (what the parent commit did for credits, unlock toggles and
+    /// link-free ticks); otherwise only its slot is reserved. `Probe`
+    /// records [`Ctx::has_pending`] — the telemetry sampler's re-arm
+    /// rule.
+    struct Acked {
+        eager: bool,
+        pings: u32,
+        pending_seen: Vec<(SimTime, bool)>,
+    }
+
+    enum AckEv {
+        Ping,
+        Ack,
+        Probe,
+    }
+
+    impl Model for Acked {
+        type Event = AckEv;
+        fn handle(&mut self, ev: AckEv, ctx: &mut Ctx<AckEv>) {
+            match ev {
+                AckEv::Ping => {
+                    self.pings -= 1;
+                    if self.pings > 0 {
+                        ctx.schedule(SimDuration::from_ps(10), AckEv::Ping);
+                    }
+                    let slot = ctx.reserve(0, SimDuration::from_ps(35));
+                    if self.eager {
+                        ctx.schedule_reserved(0, slot, AckEv::Ack);
+                    }
+                }
+                AckEv::Ack => {}
+                AckEv::Probe => self.pending_seen.push((ctx.now(), ctx.has_pending())),
+            }
+        }
+        fn slot_kind_names(&self) -> &'static [&'static str] {
+            &["ack"]
+        }
+    }
+
+    fn acked(eager: bool) -> Kernel<Acked> {
+        let mut k = Kernel::new(Acked {
+            eager,
+            pings: 3,
+            pending_seen: Vec::new(),
+        });
+        // Pings at 0, 10, 20; acks due at 35, 45, 55.
+        k.schedule(SimDuration::ZERO, AckEv::Ping);
+        for at in [20, 50, 55, 60] {
+            k.schedule(SimDuration::from_ps(at), AckEv::Probe);
+        }
+        k
+    }
+
+    /// Slots nobody queued still count as the events they stand for:
+    /// the run ends when the last of them would have fired, a horizon in
+    /// front of one is reached rather than drained to, and `has_pending`
+    /// answers as if they were queued. The expected values are the eager
+    /// model's, i.e. the parent commit's.
+    #[test]
+    fn unqueued_slots_keep_drain_and_pending_semantics() {
+        for eager in [true, false] {
+            let mut k = acked(eager);
+            k.enable_profiling();
+            // Ack 55 is still ahead of a 52 ps horizon.
+            assert_eq!(
+                k.run_until(SimTime::from_ps(52)),
+                RunOutcome::HorizonReached,
+                "eager={eager}"
+            );
+            assert_eq!(k.now(), SimTime::from_ps(52));
+            assert_eq!(k.run_to_quiescence(), RunOutcome::Quiescent);
+            assert_eq!(k.now(), SimTime::from_ps(60), "eager={eager}");
+            let (acks, never) = if eager { (3, 0) } else { (0, 3) };
+            assert_eq!(k.events_processed(), 3 + 4 + acks);
+            assert_eq!(k.slots_never_queued(), never);
+            let slots: Vec<_> = k.profile().expect("enabled").slot_counts().collect();
+            assert_eq!(slots, vec![("ack", 3, acks)]);
+            // At 20 the ping of that instant (scheduled first) has
+            // already reserved ack 55; at 55 the probe was scheduled
+            // before the ack was reserved, so the ack is still ahead.
+            let ps = SimTime::from_ps;
+            assert_eq!(
+                k.model().pending_seen,
+                vec![
+                    (ps(20), true),
+                    (ps(50), true),
+                    (ps(55), true),
+                    (ps(60), false)
+                ],
+                "eager={eager}"
+            );
+        }
+        // With no probe behind it, the drain ends on the last ack.
+        for eager in [true, false] {
+            let mut k = Kernel::new(Acked {
+                eager,
+                pings: 3,
+                pending_seen: Vec::new(),
+            });
+            k.schedule(SimDuration::ZERO, AckEv::Ping);
+            assert_eq!(k.run_to_quiescence(), RunOutcome::Quiescent);
+            assert_eq!(k.now(), SimTime::from_ps(55), "eager={eager}");
+            assert_eq!(k.stamp(), Slot::end_of(SimTime::from_ps(55)));
+        }
+    }
+
+    /// `settle` runs when the queue drains, before `quiescent` is asked,
+    /// with the key everything has fired up to.
+    #[test]
+    fn settle_precedes_the_quiescence_check() {
+        struct Settles {
+            settled: Option<Slot>,
+        }
+        impl Model for Settles {
+            type Event = ();
+            fn handle(&mut self, _: (), ctx: &mut Ctx<()>) {
+                ctx.reserve(0, SimDuration::from_ps(7));
+            }
+            fn settle(&mut self, upto: Slot) {
+                self.settled = Some(upto);
+            }
+            fn quiescent(&self) -> bool {
+                self.settled.is_some()
+            }
+        }
+        let mut k = Kernel::new(Settles { settled: None });
+        k.schedule(SimDuration::from_ps(5), ());
+        assert_eq!(
+            k.run_until(SimTime::from_ps(10)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(k.model().settled, None);
+        assert_eq!(k.run_until(SimTime::from_ps(20)), RunOutcome::Quiescent);
+        assert_eq!(k.model().settled, Some(Slot::end_of(SimTime::from_ps(20))));
     }
 
     #[test]

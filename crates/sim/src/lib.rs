@@ -42,7 +42,7 @@ mod kernel;
 mod rng;
 mod time;
 
-pub use event::{EventQueue, WheelGeometry};
+pub use event::{EventQueue, Slot, WheelGeometry};
 pub use fifo::{Fifo, InlineFifo};
 pub use kernel::{Ctx, Kernel, KernelProfile, Model, RunOutcome};
 pub use rng::SimRng;

@@ -161,13 +161,7 @@ fn unprogrammed_vc_panics_with_diagnosis() {
         let pending = std::mem::take(&mut act);
         for a in pending {
             if let mango::core::RouterAction::Internal { event, .. } = a {
-                router.on_internal(
-                    &mut bufs,
-                    &mut be,
-                    mango::sim::SimTime::ZERO,
-                    event,
-                    &mut act,
-                );
+                router.on_internal(&mut bufs, &mut be, mango::sim::Slot::MIN, event, &mut act);
             }
         }
     });
