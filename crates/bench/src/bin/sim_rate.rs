@@ -11,9 +11,13 @@
 //! the mesh-scaling probe. `--json` emits one machine-readable object on
 //! stdout so CI can record the rate without scraping logs. `--profile`
 //! turns on kernel self-profiling and prints per-event-kind dispatch
-//! counts plus wheel-occupancy statistics after the last run (profiling
-//! adds a little per-dispatch work, so rates measured with it are not
-//! comparable to unprofiled ones). `--telemetry` activates the telemetry
+//! counts, the lazy handshakes' slots reserved vs queued (the difference
+//! is events that were never dispatched) and wheel-occupancy statistics
+//! after the last run (profiling adds a little per-dispatch work, so
+//! rates measured with it are not comparable to unprofiled ones; and
+//! ns/event is not comparable across a change in what is elided — the
+//! events that go are the cheapest ones, so the mean of the rest
+//! rises). `--telemetry` activates the telemetry
 //! sink (metrics + epoch samplers, flit tracing off) — the
 //! sampler-overhead probe: compare its rate to a plain run of the same
 //! workload. The 16×16-vs-4×4 per-event ratio is the repo benchmark's
@@ -154,6 +158,12 @@ fn main() {
                     count as f64 * 100.0 / total as f64
                 );
             }
+        }
+        for (name, reserved, queued) in p.slot_counts() {
+            println!(
+                "  slot {name:<11} {reserved:>10} reserved {queued:>10} queued  ({:5.1}% elided)",
+                (reserved - queued) as f64 * 100.0 / reserved.max(1) as f64
+            );
         }
         println!(
             "  queue length     mean {:.1}  max {}",

@@ -634,16 +634,20 @@ impl Network {
     fn process_actions(&mut self, id: RouterId, actions: &[RouterAction], ctx: &mut Ctx<NetEvent>) {
         for action in actions {
             match *action {
-                RouterAction::Internal { delay, event } => {
-                    if let InternalEvent::LinkFree { dir } = event {
-                        let at = ctx.reserve(SLOT_LINK_FREE, delay);
-                        let idx = self.grid.index(id);
-                        if self.eager_handshakes || self.routers[idx].park_link_free(dir, at) {
-                            let ev = NetEvent::Router { id, ev: event };
-                            ctx.schedule_reserved(SLOT_LINK_FREE, at, ev);
-                        }
-                        continue;
+                // The end of the link cycle a grant just began: parked at
+                // the router unless a VC is already ready behind it.
+                RouterAction::Internal {
+                    delay,
+                    event: event @ InternalEvent::LinkFree { dir },
+                } => {
+                    let at = ctx.reserve(SLOT_LINK_FREE, delay);
+                    let idx = self.grid.index(id);
+                    if self.eager_handshakes || self.routers[idx].park_link_free(dir, at) {
+                        let ev = NetEvent::Router { id, ev: event };
+                        ctx.schedule_reserved(SLOT_LINK_FREE, at, ev);
                     }
+                }
+                RouterAction::Internal { delay, event } => {
                     if let InternalEvent::BeMoved { flit, .. } = event {
                         self.wire_enter(flit);
                     }

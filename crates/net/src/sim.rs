@@ -110,16 +110,6 @@ impl NocSim {
         self.kernel.slots_never_queued()
     }
 
-    /// Brings lock, credit and link state up to the current instant:
-    /// absorbs every parked handshake that is due (see
-    /// [`Network::absorb_parked`]). Runs that drain do it themselves;
-    /// call it before inspecting that state after a run that stopped at
-    /// its horizon.
-    pub fn absorb_parked(&mut self) {
-        let upto = self.kernel.stamp();
-        self.kernel.model_mut().absorb_parked(upto);
-    }
-
     /// Runs for `span` of simulated time.
     pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
         self.rearm_telemetry_sampler();

@@ -11,10 +11,30 @@
 //! `arena_matches_reference_be_unit`), with shrinking: a failing
 //! sequence minimizes to the shortest op list that splits the two
 //! implementations.
+//!
+//! The slab has one thing the reference does not: credits *parked* at an
+//! output with the slot they are due at, absorbed into the counter by
+//! the first reader past it. The reference gets such a credit the moment
+//! its slot passes (`Mirror::parked` keeps the due times), so the counter
+//! after every absorb — and `out_link_ready_at` before it — must agree
+//! with the reference just the same.
 
 use mango_core::be::BeUnit;
 use mango_core::{BeArena, BeDest, BeInput, Direction, Flit};
+use mango_sim::{SimTime, Slot};
 use proptest::prelude::*;
+
+/// A router's reference unit plus the due times (ps) of the credits
+/// parked at each of its outputs.
+struct Mirror {
+    unit: BeUnit,
+    parked: [Vec<u64>; 4],
+}
+
+/// The slot past every event due at or before `ps`.
+fn upto(ps: u64) -> Slot {
+    Slot::end_of(SimTime::from_ps(ps))
+}
 
 /// One generated operation against a router's BE state.
 #[derive(Debug, Clone, Copy)]
@@ -27,6 +47,10 @@ enum Op {
     OutPush(Direction, u32),
     OutPop(Direction),
     OutTakeOrAddCredit(Direction),
+    /// Park a credit due `.1` ps from now.
+    OutParkCredit(Direction, u64),
+    /// Read the counter: absorb what is due.
+    OutAbsorb(Direction),
     OutLock(Direction, Option<BeInput>, usize),
     LocalLock(Option<BeInput>, usize),
 }
@@ -61,6 +85,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (dir_strategy(), any::<u32>()).prop_map(|(d, t)| Op::OutPush(d, t)),
         dir_strategy().prop_map(Op::OutPop),
         dir_strategy().prop_map(Op::OutTakeOrAddCredit),
+        (dir_strategy(), 0u64..40).prop_map(|(d, due)| Op::OutParkCredit(d, due)),
+        dir_strategy().prop_map(Op::OutAbsorb),
         (dir_strategy(), lock_strategy(), 0usize..6).prop_map(|(d, l, rr)| Op::OutLock(d, l, rr)),
         (lock_strategy(), 0usize..6).prop_map(|(l, rr)| Op::LocalLock(l, rr)),
     ]
@@ -79,9 +105,16 @@ const DESTS: [BeDest; 5] = [
     BeDest::Net(Direction::West),
 ];
 
-/// Applies `op` to both implementations, then asserts every observable
-/// of `router`'s slots agrees with the reference.
-fn apply_and_check(arena: &mut BeArena, slots: mango_core::BeSlots, unit: &mut BeUnit, op: Op) {
+/// Applies `op` at time `now` (ps) to both implementations, then asserts
+/// every observable of `router`'s slots agrees with the reference.
+fn apply_and_check(
+    arena: &mut BeArena,
+    slots: mango_core::BeSlots,
+    mirror: &mut Mirror,
+    op: Op,
+    now: u64,
+) {
+    let Mirror { unit, parked } = mirror;
     match op {
         Op::InPush(input, tag) => {
             if !unit.input(input).latch.is_full() {
@@ -124,9 +157,28 @@ fn apply_and_check(arena: &mut BeArena, slots: mango_core::BeSlots, unit: &mut B
             if unit.outputs[dir.index()].credits > 0 {
                 unit.outputs[dir.index()].credits -= 1;
                 arena.out_take_credit(slot);
-            } else {
+            } else if parked[dir.index()].len() < arena.credits_max() {
                 unit.outputs[dir.index()].add_credit();
                 arena.out_add_credit(slot);
+            }
+        }
+        Op::OutParkCredit(dir, due) => {
+            let held = unit.outputs[dir.index()].credits + parked[dir.index()].len();
+            if held < arena.credits_max() {
+                arena.out_park_credit(arena.out_slot(slots, dir), upto(now + due));
+                parked[dir.index()].push(now + due);
+            }
+        }
+        Op::OutAbsorb(dir) => {
+            let slot = arena.out_slot(slots, dir);
+            let due = parked[dir.index()].iter().filter(|&&t| t <= now).count();
+            let ready_then = unit.outputs[dir.index()].link_ready()
+                || (!unit.outputs[dir.index()].buf.is_empty() && due > 0);
+            assert_eq!(arena.out_link_ready_at(slot, upto(now)), ready_then);
+            arena.out_absorb_credits(slot, upto(now));
+            parked[dir.index()].retain(|&t| t > now);
+            for _ in 0..due {
+                unit.outputs[dir.index()].add_credit();
             }
         }
         Op::OutLock(dir, lock, rr) => {
@@ -162,6 +214,7 @@ fn apply_and_check(arena: &mut BeArena, slots: mango_core::BeSlots, unit: &mut B
         assert_eq!(arena.out_len(s), r.buf.len());
         assert_eq!(arena.out_is_full(s), r.buf.is_full());
         assert_eq!(arena.out_credits(s), r.credits);
+        assert_eq!(arena.out_parked(s).len(), parked[d.index()].len());
         assert_eq!(arena.out_link_ready(s), r.link_ready());
         assert_eq!(arena.out_locked_to(s), r.locked_to);
         assert_eq!(arena.out_rr(s), r.rr);
@@ -198,20 +251,23 @@ proptest! {
         let (in_depth, out_depth, credits) = dims;
         let mut arena = BeArena::with_capacity(in_depth, out_depth, credits, 2);
         let slots = [arena.add_router(), arena.add_router()];
-        let mut units = [
-            BeUnit::new(in_depth, out_depth, credits),
-            BeUnit::new(in_depth, out_depth, credits),
-        ];
-        for (router, op) in ops {
-            apply_and_check(&mut arena, slots[router], &mut units[router], op);
+        let mut mirrors = [(); 2].map(|()| Mirror {
+            unit: BeUnit::new(in_depth, out_depth, credits),
+            parked: Default::default(),
+        });
+        for (step, (router, op)) in ops.into_iter().enumerate() {
+            // Ten picoseconds an op: parked credits fall due a few ops on.
+            let now = step as u64 * 10;
+            apply_and_check(&mut arena, slots[router], &mut mirrors[router], op, now);
             // The untouched router must be unaffected by its neighbour.
             let other = 1 - router;
-            let routing = units[other].input(BeInput::Prog).routing;
+            let routing = mirrors[other].unit.input(BeInput::Prog).routing;
             apply_and_check(
                 &mut arena,
                 slots[other],
-                &mut units[other],
+                &mut mirrors[other],
                 Op::InSetRouting(BeInput::Prog, routing),
+                now,
             );
         }
     }

@@ -20,13 +20,20 @@
 //! chiplet seam crossing, whose feedback path carries the D2D
 //! `link_extra`; (d) a fail-stop schedule — a link and a router down,
 //! spoofed feedback, force-close and re-open around the hole.
+//!
+//! The property at the end runs random scenarios twice — handshakes
+//! lazy, and every one of them queued as an event (the retained twin,
+//! `Network::queue_every_handshake`) — and demands the same trajectory
+//! text, with the lazy run's event count short by exactly the slots it
+//! never queued.
 
-use mango_core::{ConnectionId, RouterId};
+use mango_core::{ConnectionId, RouterConfig, RouterId};
 use mango_net::{
-    route_avoiding, EmitWindow, FaultKind, FaultSchedule, NocSim, ScenarioSpec, SpatialPattern,
-    TelemetryConfig, TemporalSpec, TopologySpec, TrafficSpec,
+    route_avoiding, EmitWindow, FaultKind, FaultSchedule, Grid, NaConfig, Network, NocSim,
+    ScenarioSpec, SpatialPattern, TelemetryConfig, TemporalSpec, TopologySpec, TrafficSpec,
 };
 use mango_sim::{RunOutcome, SimDuration, SimTime};
+use proptest::prelude::*;
 
 /// FNV-1a, 64 bit.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -54,6 +61,12 @@ fn trace_everything(sim: &mut NocSim) {
 /// What a finished run is reduced to: `(trace events, injected,
 /// delivered, digest)`.
 fn digest(sim: &mut NocSim) -> (usize, u64, u64, u64) {
+    let (events, injected, delivered, text) = trajectory(sim);
+    (events, injected, delivered, fnv(text.as_bytes()))
+}
+
+/// The text the digest is taken of (see the module docs).
+fn trajectory(sim: &mut NocSim) -> (usize, u64, u64, String) {
     let report = sim.take_telemetry();
     let mut text = String::new();
     report.trace.render_json(&mut text);
@@ -74,12 +87,7 @@ fn digest(sim: &mut NocSim) -> (usize, u64, u64, u64) {
             flow.latency.max()
         ));
     }
-    (
-        report.trace.len(),
-        injected,
-        delivered,
-        fnv(text.as_bytes()),
-    )
+    (report.trace.len(), injected, delivered, text)
 }
 
 /// (a) Three GS streams over a uniform-random Poisson BE background on a
@@ -234,11 +242,9 @@ fn fail_stop_force_close_and_reopen() {
             },
         );
     }
-    // BE packets on the wires that are about to be cut: westward through
-    // the victim router, eastward over the failing link.
-    for (src, dst, ns) in [(at(0, 2), at(3, 2), 12)] {
-        sim.add_be_source(src, vec![dst], 4, cbr(ns), format!("be-{src}"), first);
-    }
+    // BE packets on the wire that is about to be cut (eastward over the
+    // failing link): the flits it swallows owe spoofed credits.
+    sim.add_be_source(at(0, 2), vec![at(3, 2)], 4, cbr(12), "be-(0,2)", first);
     sim.install_faults(
         FaultSchedule::new(0xFA11)
             .with(
@@ -292,4 +298,139 @@ fn fail_stop_force_close_and_reopen() {
         digest(&mut sim),
         (17_656, 2_683, 2_069, 0xa552_49d5_952f_f61b)
     );
+}
+
+/// One random scenario of the twin property.
+#[derive(Debug, Clone)]
+struct TwinCase {
+    topology: u8,
+    seed: u64,
+    pairs: Vec<(usize, usize)>,
+    gs_gap_ns: u64,
+    be_gap_ns: u64,
+    spatial: u8,
+    link_faults: usize,
+    dead: Option<usize>,
+}
+
+/// Runs `case` until the queue drains, handshakes lazy or all queued;
+/// returns the outcome, the trajectory text, the events dispatched and
+/// the handshake slots never queued.
+fn twin_run(case: &TwinCase, every_handshake_queued: bool) -> (RunOutcome, String, u64, u64) {
+    let topology = match case.topology % 3 {
+        0 => TopologySpec::mesh(4, 3),
+        1 => TopologySpec::torus(4, 4),
+        _ => TopologySpec::chiplet(2, 2, 2, 2),
+    };
+    let mut network = Network::new(
+        Grid::from_spec(&topology),
+        RouterConfig::paper(),
+        NaConfig::paper(),
+    );
+    if every_handshake_queued {
+        network.queue_every_handshake();
+    }
+    let mut sim = NocSim::new(network, case.seed);
+    let n = sim.network().grid().len();
+    let ids: Vec<RouterId> = sim.network().grid().ids().collect();
+    let conns: Vec<ConnectionId> = case
+        .pairs
+        .iter()
+        .map(|&(a, b)| (ids[a % n], ids[b % n]))
+        .filter(|(a, b)| a != b)
+        .filter_map(|(s, d)| sim.open_connection(s, d).ok())
+        .collect();
+    sim.wait_connections_settled().expect("programming settles");
+    trace_everything(&mut sim);
+    sim.begin_measurement();
+    let t0 = sim.now();
+    let bounded = EmitWindow {
+        stop_at: Some(t0 + SimDuration::from_us(3)),
+        ..Default::default()
+    };
+    for (i, c) in conns.iter().enumerate() {
+        let gap = cbr(case.gs_gap_ns + i as u64);
+        sim.add_gs_source(*c, gap, format!("gs-{i}"), bounded);
+    }
+    let spatial = match case.spatial % 3 {
+        0 => SpatialPattern::UniformRandom,
+        1 => SpatialPattern::BitComplement,
+        _ => SpatialPattern::NearestNeighbour,
+    };
+    for (i, src) in ids.iter().enumerate() {
+        sim.add_traffic_source(
+            *src,
+            spatial.clone(),
+            3,
+            TemporalSpec::poisson(SimDuration::from_ns(case.be_gap_ns)),
+            format!("be-{i}"),
+            bounded,
+        );
+    }
+    if case.link_faults > 0 || case.dead.is_some() {
+        let mut schedule = FaultSchedule::random_links(
+            sim.network().grid(),
+            case.seed,
+            case.link_faults,
+            t0 + SimDuration::from_ns(300),
+            t0 + SimDuration::from_us(2),
+        );
+        if let Some(dead) = case.dead {
+            let at = t0 + SimDuration::from_ns(900);
+            schedule = schedule.with(at, FaultKind::RouterDown { id: ids[dead % n] });
+        }
+        sim.install_faults(schedule);
+    }
+    let outcome = sim.run_to_quiescence();
+    assert_eq!(sim.events_pending(), 0, "drained");
+    let (_, _, _, text) = trajectory(&mut sim);
+    (
+        outcome,
+        text,
+        sim.events_processed(),
+        sim.handshakes_never_queued(),
+    )
+}
+
+proptest! {
+    // Each case is two full simulations — keep the count modest.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Mesh, torus and chiplet fabrics under GS streams and a BE
+    /// background, healthy or with link faults and a router fail-stop:
+    /// parking the handshakes changes no flit instant, no statistic, no
+    /// epoch row and not the instant the run ends at — only how many
+    /// events it took.
+    #[test]
+    fn lazy_handshakes_match_the_every_event_twin(
+        topology in 0u8..3,
+        seed in 0u64..10_000,
+        pairs in prop::collection::vec((0usize..16, 0usize..16), 1..5),
+        gs_gap_ns in 4u64..30,
+        be_gap_ns in 25u64..300,
+        spatial in 0u8..3,
+        // Half the cases healthy; the rest draw link faults and, two
+        // times in three, a router to kill.
+        link_faults in 0usize..6,
+        dead in 0usize..24,
+    ) {
+        let healthy = link_faults >= 3;
+        let case = TwinCase {
+            topology,
+            seed,
+            pairs,
+            gs_gap_ns,
+            be_gap_ns,
+            spatial,
+            link_faults: if healthy { 0 } else { link_faults },
+            dead: (!healthy && dead < 16).then_some(dead),
+        };
+        let (outcome, text, events, never_queued) = twin_run(&case, false);
+        let (twin_outcome, twin_text, twin_events, twin_never_queued) = twin_run(&case, true);
+        prop_assert_eq!(outcome, twin_outcome);
+        prop_assert!(text == twin_text, "trajectories differ for {:?}", case);
+        prop_assert_eq!(twin_never_queued, 0);
+        prop_assert!(never_queued > 0);
+        prop_assert_eq!(events + never_queued, twin_events);
+    }
 }

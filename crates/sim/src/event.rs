@@ -25,9 +25,11 @@
 //!   pop that empties the cursor bucket advances the cursor to the next
 //!   occupied bucket before the popped event's handler schedules its
 //!   follow-ups, so on a sparsely populated wheel those land here
-//!   (0–2.5 % of pops on the benchmark's fabric, churn, serving and
-//!   recovery workloads, 10 % on `sweep_short`). Tests and
-//!   reference-model comparisons push at arbitrary times.
+//!   (0–4 % of pops on the benchmark's fabric, churn, serving and
+//!   recovery workloads, 13 % on `sweep_short` — re-measured with the
+//!   handshake events gone lazy, which thins the wheel and so raises
+//!   every share by about half). Tests and reference-model comparisons
+//!   push at arbitrary times.
 //!
 //! # Geometry
 //!
@@ -39,6 +41,25 @@
 //! delivery order is a pure function of `(time, sequence)` for every
 //! legal geometry, which a property test pins by driving adversarial
 //! schedules through divergent geometries.
+//!
+//! # Reserved slots
+//!
+//! A push is two steps, and a caller may take them apart:
+//! [`EventQueue::reserve`] takes the next sequence number and returns
+//! the event's key — its [`Slot`] — without storing anything;
+//! [`EventQueue::insert`] puts an event at a reserved slot later, or
+//! never. The model uses this for events that only matter if somebody is
+//! waiting on them when they fire (`mango_net`'s credits, unlock toggles
+//! and link-free ticks): the slot is held where the event would have
+//! acted and compared with the key of the event being handled instead.
+//! Every tier orders by the full key, so a late insert with an old
+//! sequence number needs no machinery of its own — it lands in the
+//! cursor bucket's sorted run, in an unsorted later bucket, in `past` or
+//! in `overflow` like any push — and every other event pops exactly
+//! where it would have with the slot's event queued from the start. The
+//! queue remembers the largest key it ever handed out
+//! ([`EventQueue::latest_reserved`]) so the kernel can end a run, and
+//! answer "is anything still pending", as if every slot had been filled.
 //!
 //! # Determinism
 //!
