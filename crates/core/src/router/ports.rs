@@ -162,7 +162,9 @@ impl Router {
                     )
                 });
                 let flit = bufs.vc_grant(self.vc_slot(bufs, dir, vc));
-                self.update_gs_ready(bufs, dir, vc, stamp, act);
+                // The grant locked the sharebox: not ready, whatever is
+                // buffered, until the unlock toggle this flit will earn.
+                self.ready[d] &= !(1 << vc.index());
                 self.stats.gs_grants[d] += 1;
                 act.push(RouterAction::SendFlit {
                     dir,

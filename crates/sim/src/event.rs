@@ -57,7 +57,7 @@
 //! cursor bucket's sorted run, in an unsorted later bucket, in `past` or
 //! in `overflow` like any push — and every other event pops exactly
 //! where it would have with the slot's event queued from the start. The
-//! queue remembers the largest key it ever handed out
+//! queue remembers the largest slot it ever reserved
 //! ([`EventQueue::latest_reserved`]) so the kernel can end a run, and
 //! answer "is anything still pending", as if every slot had been filled.
 //!
@@ -249,8 +249,11 @@ pub struct EventQueue<E> {
     /// per-advance promotion check is one compare instead of a heap peek.
     overflow_min: u64,
     next_seq: u64,
-    /// The largest key ever reserved. Sequence numbers only grow, so a
-    /// new slot is the largest iff its time is not below this one's.
+    /// The largest key [`reserve`](Self::reserve) ever handed out (a
+    /// pushed event sits in the queue until it pops; only a slot that
+    /// may never be filled needs remembering). Sequence numbers only
+    /// grow, so a new slot is the largest iff its time is not below this
+    /// one's.
     latest: Slot,
     scheduled_total: u64,
 }
@@ -343,8 +346,16 @@ impl<E> EventQueue<E> {
     /// and [`insert`](Self::insert) in one step.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        let slot = self.reserve(time);
+        let slot = self.next_slot(time);
         self.insert(slot, event);
+    }
+
+    /// The key of the next event scheduled for `time`.
+    #[inline]
+    fn next_slot(&mut self, time: SimTime) -> Slot {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Slot { time, seq }
     }
 
     /// Takes the next sequence number for an event due at `time` and
@@ -354,11 +365,7 @@ impl<E> EventQueue<E> {
     /// had with the event queued.
     #[inline]
     pub fn reserve(&mut self, time: SimTime) -> Slot {
-        let slot = Slot {
-            time,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
+        let slot = self.next_slot(time);
         if time >= self.latest.time {
             self.latest = slot;
         }
@@ -529,8 +536,9 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// The largest key ever reserved ([`Slot::MIN`] on a fresh queue):
-    /// the event a queue that held every reserved slot would pop last.
+    /// The largest key [`reserve`](Self::reserve) ever handed out
+    /// ([`Slot::MIN`] before the first): together with the queued events,
+    /// what a queue that held every reserved slot would pop last.
     pub fn latest_reserved(&self) -> Slot {
         self.latest
     }
