@@ -15,6 +15,7 @@
 //! and that the grid demonstrates both scale (≥ 800 requests in one
 //! point) and admission rejections under budget exhaustion.
 
+use mango_bench::written;
 use mango_sweep::{churn_summary_table, run_grid, write_csv, ChurnSweepSpec, SweepArgs};
 use std::time::Instant;
 
@@ -102,7 +103,7 @@ fn main() {
     );
 
     if let Some(path) = &args.csv {
-        write_csv(path, &records).expect("write CSV");
+        written(path, write_csv(path, &records));
         println!("wrote {}", path.display());
     }
     if args.json.is_some() {

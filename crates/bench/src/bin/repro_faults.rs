@@ -33,6 +33,7 @@ use mango::net::{
 };
 use mango::qos::{report_for, RecoveryOutcome, RecoverySpec};
 use mango::sim::{SimDuration, SimTime};
+use mango_bench::written;
 use mango_sweep::{
     fault_summary_table, run_grid, write_csv, write_telemetry_dir, FaultSweepSpec, SweepArgs,
 };
@@ -109,7 +110,7 @@ fn main() {
             ..Default::default()
         };
         let (m, report) = spec.run_with_telemetry(cfg);
-        write_telemetry_dir(dir, &[report]).expect("write telemetry");
+        written(dir, write_telemetry_dir(dir, &[report]));
         m
     } else {
         spec.run()
@@ -255,7 +256,7 @@ fn main() {
     );
 
     if let Some(path) = &args.csv {
-        write_csv(path, &records).expect("write CSV");
+        written(path, write_csv(path, &records));
         println!("wrote {}", path.display());
     }
     if args.json.is_some() {

@@ -16,6 +16,7 @@
 use mango::hw::Table;
 use mango::net::{ScenarioMetrics, TelemetryConfig};
 use mango::telemetry::TelemetryReport;
+use mango_bench::written;
 use mango_sweep::{
     run_parallel, write_csv, write_json, write_telemetry_dir, RuntimeInfo, SweepArgs, SweepRecord,
     SweepSpec,
@@ -73,7 +74,7 @@ fn main() {
     let wall = start.elapsed().as_secs_f64();
     if let Some(dir) = &args.telemetry_out {
         let reports: Vec<TelemetryReport> = results.iter().filter_map(|(_, r)| r.clone()).collect();
-        write_telemetry_dir(dir, &reports).expect("write telemetry");
+        written(dir, write_telemetry_dir(dir, &reports));
         println!("telemetry written to {}\n", dir.display());
     }
     let metrics: Vec<ScenarioMetrics> = results.into_iter().map(|(m, _)| m).collect();
@@ -122,7 +123,7 @@ fn main() {
             .map(|(job, m)| SweepRecord::measure(job.clone(), m))
             .collect();
         if let Some(path) = &args.csv {
-            write_csv(path, &records).expect("write CSV");
+            written(path, write_csv(path, &records));
         }
         if let Some(path) = &args.json {
             let runtime = RuntimeInfo {
@@ -130,7 +131,7 @@ fn main() {
                 wall_seconds: wall,
                 total_events: metrics.iter().map(|m| m.events).sum(),
             };
-            write_json(path, &records, &runtime).expect("write JSON");
+            written(path, write_json(path, &records, &runtime));
         }
     }
 

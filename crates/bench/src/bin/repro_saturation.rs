@@ -14,6 +14,7 @@
 use mango::hw::Table;
 use mango::net::{ScenarioMetrics, ScenarioSpec, TrafficSpec};
 use mango::sim::SimDuration;
+use mango_bench::written;
 use mango_sweep::{
     run_parallel, write_csv, write_json, RuntimeInfo, SweepArgs, SweepJob, SweepRecord,
 };
@@ -100,10 +101,10 @@ fn main() {
             total_events: metrics.iter().map(|m| m.events).sum(),
         };
         if let Some(path) = &args.csv {
-            write_csv(path, &records).expect("write CSV");
+            written(path, write_csv(path, &records));
         }
         if let Some(path) = &args.json {
-            write_json(path, &records, &runtime).expect("write JSON");
+            written(path, write_json(path, &records, &runtime));
         }
     }
 

@@ -17,6 +17,7 @@
 //! greedy on every matching grid point, and rejections (not panics)
 //! past saturation.
 
+use mango_bench::written;
 use mango_sweep::{capacity_curves, run_grid, serving_summary_table, write_csv, ServingSweepSpec};
 use std::time::Instant;
 
@@ -117,7 +118,7 @@ fn main() {
     );
 
     if let Some(path) = &args.csv {
-        write_csv(path, &records).expect("write CSV");
+        written(path, write_csv(path, &records));
         eprintln!("[wrote {}]", path.display());
     }
     if args.json.is_some() {

@@ -13,6 +13,7 @@
 //! crate docs for the determinism contract.
 
 use mango::net::PatternKind;
+use mango_bench::written;
 use mango_sweep::{run_sweep_graceful, write_csv, write_json, RuntimeInfo, SweepArgs, SweepSpec};
 use std::time::Instant;
 
@@ -178,18 +179,13 @@ fn main() {
         }
     }
 
-    let written = |path: &std::path::Path, result: std::io::Result<()>| match result {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
     if let Some(path) = &args.csv {
         written(path, write_csv(path, &records));
+        println!("wrote {}", path.display());
     }
     if let Some(path) = &args.json {
         written(path, write_json(path, &records, &runtime));
+        println!("wrote {}", path.display());
     }
     if !run.failed.is_empty() {
         std::process::exit(1);

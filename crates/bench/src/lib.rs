@@ -22,6 +22,16 @@ pub fn reject_args() {
     }
 }
 
+/// Checks the result of writing an output file the command line asked
+/// for: a failure is one `error: cannot write <path>: <io error>` line on
+/// stderr and exit status 1, not a panic.
+pub fn written(path: &std::path::Path, result: std::io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
 /// Result of driving one GS connection under a given environment.
 #[derive(Debug, Clone)]
 pub struct GsRun {

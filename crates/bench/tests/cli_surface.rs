@@ -104,6 +104,54 @@ fn sweep_refuses_unrunnable_grids_and_reports_unwritable_files() {
     }
 }
 
+/// An output file that cannot be written — a `--csv` or `--json` path in
+/// a directory that does not exist, a `--telemetry-out` directory under
+/// a regular file — is reported after the run: exit 1 and one
+/// `error: cannot write` line, not a panic.
+fn assert_write_error(exe: &str, flag: &str) {
+    let path = match flag {
+        "--telemetry-out" => concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/telemetry"),
+        _ => "/nonexistent-dir/x",
+    };
+    let out = run(exe, &["--smoke", flag, path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{exe} {flag}: {stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error")).collect();
+    assert_eq!(errors.len(), 1, "{exe} {flag}: {stderr}");
+    assert!(
+        errors[0].starts_with(&format!("error: cannot write {path}: ")),
+        "{exe} {flag}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{exe} {flag}: {stderr}");
+}
+
+#[test]
+fn repro_churn_and_serving_report_an_unwritable_csv() {
+    assert_write_error(env!("CARGO_BIN_EXE_repro_churn"), "--csv");
+    assert_write_error(env!("CARGO_BIN_EXE_repro_serving"), "--csv");
+}
+
+#[test]
+fn repro_faults_reports_unwritable_outputs() {
+    for flag in ["--csv", "--telemetry-out"] {
+        assert_write_error(env!("CARGO_BIN_EXE_repro_faults"), flag);
+    }
+}
+
+#[test]
+fn repro_fig8_reports_unwritable_outputs() {
+    for flag in ["--csv", "--json", "--telemetry-out"] {
+        assert_write_error(env!("CARGO_BIN_EXE_repro_fig8_gs_vs_be"), flag);
+    }
+}
+
+#[test]
+fn repro_saturation_reports_unwritable_outputs() {
+    for flag in ["--csv", "--json"] {
+        assert_write_error(env!("CARGO_BIN_EXE_repro_saturation"), flag);
+    }
+}
+
 #[test]
 fn sim_rate_json_is_one_object_of_finite_numbers() {
     let out = run(SIM_RATE, &["1", "1", "--json"]);

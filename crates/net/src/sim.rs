@@ -123,12 +123,6 @@ impl NocSim {
         self.kernel.run_to_quiescence()
     }
 
-    /// Runs with an event budget (livelock backstop for tests).
-    pub fn run_with_budget(&mut self, horizon: SimTime, budget: u64) -> RunOutcome {
-        self.rearm_telemetry_sampler();
-        self.kernel.run_with_budget(horizon, budget)
-    }
-
     /// Revives the epoch sampler if telemetry is active and the previous
     /// sampler let an empty queue drain (it refuses to keep an otherwise
     /// idle simulation alive). Called at every run-segment start so epoch

@@ -14,22 +14,28 @@
 //!   `(t / width) mod buckets` with a plain `Vec` push — O(1), no sifting.
 //!   A 64-bit occupancy bitmap per 64 buckets lets the cursor skip runs of
 //!   empty buckets in a few instructions.
-//! * **Far future — the overflow heap.** Events beyond the wheel span go
-//!   to a binary heap. Whenever the cursor's epoch advances, every
-//!   overflow event that now falls inside the span is promoted into its
-//!   bucket, so the heap only ever handles the sparse far-future tail
+//! * **Far future — the overflow heap.** Events at or beyond
+//!   `epoch + span` go to a binary heap. Whenever the epoch advances,
+//!   every overflow event that now falls inside the span is promoted into
+//!   its bucket, so the heap only ever handles the sparse far-future tail
 //!   (source ticks, watchdogs), not per-hop traffic.
-//! * **Past — the pre-epoch heap.** Events earlier than the current
-//!   epoch go to a small heap that is always drained first. The kernel
-//!   never schedules before *now*, but the epoch can be ahead of now: a
-//!   pop that empties the cursor bucket advances the cursor to the next
-//!   occupied bucket before the popped event's handler schedules its
-//!   follow-ups, so on a sparsely populated wheel those land here
-//!   (0–4 % of pops on the benchmark's fabric, churn, serving and
-//!   recovery workloads, 13 % on `sweep_short` — re-measured with the
-//!   handshake events gone lazy, which thins the wheel and so raises
-//!   every share by about half). Tests and reference-model comparisons
-//!   push at arbitrary times.
+//!
+//! # The epoch is never ahead of the caller's clock
+//!
+//! The cursor moves in one place, and only when a pop finds its bucket
+//! empty and the next occupied window starts at or before the pop's
+//! horizon. A pop that empties the cursor bucket leaves the cursor where
+//! it is — the popped event's handler has yet to schedule its follow-ups,
+//! and they may be due before anything else in the wheel — and a pop that
+//! returns nothing leaves the epoch at or below the horizon it was asked
+//! about. So for a caller that, like the kernel, never schedules before
+//! the last event it popped or the last horizon it ran to, every insert
+//! is at or after the epoch and lands in one of the two tiers.
+//!
+//! The API stays total for callers that keep no such clock (tests and
+//! reference-model comparisons push at arbitrary times): an insert below
+//! the epoch joins the cursor bucket's sorted run, which pops before the
+//! cursor moves again.
 //!
 //! # Geometry
 //!
@@ -52,12 +58,12 @@
 //! waiting on them when they fire (`mango_net`'s credits, unlock toggles
 //! and link-free ticks): the slot is held where the event would have
 //! acted and compared with the key of the event being handled instead.
-//! Every tier orders by the full key, so a late insert with an old
-//! sequence number needs no machinery of its own — it lands in the
-//! cursor bucket's sorted run, in an unsorted later bucket, in `past` or
-//! in `overflow` like any push — and every other event pops exactly
-//! where it would have with the slot's event queued from the start. The
-//! queue remembers the largest slot it ever reserved
+//! Both tiers order by the full key, so a late insert with an old
+//! sequence number needs no machinery of its own — it lands in a wheel
+//! bucket (the cursor's sorted run or an unsorted later one) or in
+//! `overflow` like any push — and every other event pops exactly where
+//! it would have with the slot's event queued from the start. The queue
+//! remembers the largest slot it ever reserved
 //! ([`EventQueue::latest_reserved`]) so the kernel can end a run, and
 //! answer "is anything still pending", as if every slot had been filled.
 //!
@@ -66,8 +72,9 @@
 //! Delivery order is a pure function of `(time, sequence)`: the bucket
 //! under the cursor is kept sorted by that pair (sorted once when the
 //! cursor arrives, binary-search–inserted for same-window pushes while it
-//! drains), both heaps order by the same pair, and every pop takes the
-//! tier-front minimum of that pair.
+//! drains), the overflow heap orders by the same pair, every later bucket
+//! and the heap hold only later times, and every pop takes the cursor
+//! bucket's minimum.
 //! Two events at the same instant therefore pop in the order they were
 //! scheduled — the same guarantee the previous `BinaryHeap` core gave —
 //! regardless of which tier an event passed through, which makes
@@ -220,7 +227,7 @@ impl Slot {
 /// layout.
 pub struct EventQueue<E> {
     /// The bucket ring. `buckets[cursor]` is sorted descending by
-    /// `(time, seq)` whenever non-empty; other buckets are unsorted.
+    /// `(time, seq)`; other buckets are unsorted.
     buckets: Box<[Vec<Entry<E>>]>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupancy: Box<[u64]>,
@@ -237,12 +244,10 @@ pub struct EventQueue<E> {
     /// Index of the bucket currently being drained.
     cursor: usize,
     /// Window start (ps, aligned to the bucket width) of `buckets[cursor]`.
+    /// Only [`advance`](Self::advance) moves it.
     epoch: u64,
     /// Events currently in the wheel.
     near_count: usize,
-    /// Events earlier than `epoch` (see the module docs for when the
-    /// kernel produces them).
-    past: BinaryHeap<Entry<E>>,
     /// Events at or beyond `epoch + span`.
     overflow: BinaryHeap<Entry<E>>,
     /// Cached `overflow` minimum time (`u64::MAX` when empty), so the
@@ -315,7 +320,6 @@ impl<E> EventQueue<E> {
             cursor: 0,
             epoch: 0,
             near_count: 0,
-            past: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             overflow_min: u64::MAX,
             next_seq: 0,
@@ -373,7 +377,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Inserts `event` at a key [`reserve`](Self::reserve) handed out —
-    /// possibly long ago: every tier orders by the full key, so a late
+    /// possibly long ago: both tiers order by the full key, so a late
     /// insert with an old sequence number pops exactly where an event
     /// pushed at reservation time would have.
     pub fn insert(&mut self, slot: Slot, event: E) {
@@ -381,142 +385,72 @@ impl<E> EventQueue<E> {
         let entry = Entry { slot, event };
         let t = slot.time.as_ps();
 
-        if self.near_count == 0 && t >= self.epoch {
-            // The wheel is idle (fresh queue, fully drained, or only
-            // past events pending): re-anchor it on this event so
-            // the span is always used fully. Overflow is empty whenever
-            // the wheel is (pops promote on drain), so moving the epoch
-            // forward strands nothing.
-            debug_assert!(self.overflow.is_empty());
-            self.epoch = self.align_down(t);
-            self.cursor = self.bucket_of(t);
-            self.buckets[self.cursor].push(entry);
-            self.set_bit(self.cursor);
-            self.near_count = 1;
-            return;
-        }
-
-        if t < self.epoch {
-            self.past.push(entry);
-            return;
-        }
-        if t - self.epoch < self.span_ps {
-            let b = self.bucket_of(t);
-            let bucket = &mut self.buckets[b];
-            if b == self.cursor && !bucket.is_empty() {
-                // The draining bucket stays sorted descending by
-                // (time, seq); later-scheduled ties get larger seq and so
-                // sort earlier in the Vec — popped later, preserving FIFO.
-                let pos = bucket.partition_point(|e| e.key() > slot);
-                bucket.insert(pos, entry);
-            } else {
-                bucket.push(entry);
+        let b = match t.checked_sub(self.epoch) {
+            Some(ahead) if ahead < self.span_ps => self.bucket_of(t),
+            Some(_) => {
+                self.overflow_min = self.overflow_min.min(t);
+                self.overflow.push(entry);
+                return;
             }
-            self.set_bit(b);
-            self.near_count += 1;
+            // Below the epoch (the module docs say who pushes one): the
+            // cursor bucket's run pops before the cursor moves again.
+            None => self.cursor,
+        };
+        let bucket = &mut self.buckets[b];
+        if b == self.cursor {
+            // The draining bucket stays sorted descending by
+            // (time, seq); later-scheduled ties get larger seq and so
+            // sort earlier in the Vec — popped later, preserving FIFO.
+            let pos = bucket.partition_point(|e| e.key() > slot);
+            bucket.insert(pos, entry);
         } else {
-            self.overflow_min = self.overflow_min.min(t);
-            self.overflow.push(entry);
-            // A non-empty overflow implies a drainable wheel front: the
-            // wheel was non-empty (the anchor path above handles an idle
-            // wheel), so the front invariant already holds.
-            debug_assert!(self.near_count > 0);
+            bucket.push(entry);
         }
+        self.set_bit(b);
+        self.near_count += 1;
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = if self.past.is_empty() {
-            self.pop_wheel()
-        } else {
-            self.pop_merged(SimTime::MAX)
-        };
-        popped.map(|(slot, event)| (slot.time, event))
+        self.pop_at_or_before(SimTime::MAX)
+            .map(|(slot, event)| (slot.time, event))
     }
 
     /// Removes and returns the earliest event if its time is at or before
     /// `horizon`, with its key — the kernel's fused peek-and-pop, one
     /// probe per event instead of two.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(Slot, E)> {
-        if !self.past.is_empty() {
-            return self.pop_merged(horizon);
-        }
-        // Hot path: everything lives in the wheel tiers.
-        let bucket = &mut self.buckets[self.cursor];
-        match bucket.last() {
-            None => None,
-            Some(e) if e.slot.time > horizon => None,
-            Some(_) => {
-                let e = bucket.pop().expect("non-empty bucket");
-                self.near_count -= 1;
-                if bucket.is_empty() {
-                    self.clear_bit(self.cursor);
-                    self.ensure_front();
-                }
-                Some((e.slot, e.event))
-            }
-        }
-    }
-
-    /// Pops the earliest wheel event (requires an empty past tier).
-    fn pop_wheel(&mut self) -> Option<(Slot, E)> {
-        if self.near_count == 0 {
-            debug_assert!(self.overflow.is_empty());
+        if self.buckets[self.cursor].is_empty() && !self.advance(horizon) {
             return None;
         }
         let bucket = &mut self.buckets[self.cursor];
-        let e = bucket
-            .pop()
-            .expect("cursor bucket empty despite near_count");
+        if bucket.last()?.slot.time > horizon {
+            return None;
+        }
+        let e = bucket.pop()?;
         self.near_count -= 1;
         if bucket.is_empty() {
             self.clear_bit(self.cursor);
-            self.ensure_front();
         }
-        Some((e.slot, e.event))
-    }
-
-    /// Pops the earliest event across all tiers, bounded by `horizon`.
-    /// The slow path, taken only while the past tier is non-empty.
-    fn pop_merged(&mut self, horizon: SimTime) -> Option<(Slot, E)> {
-        // The wheel front bounds the overflow tier (overflow ≥ epoch +
-        // span > every wheel event, and overflow is empty when the wheel
-        // is), so the global minimum is among these two tier fronts.
-        let wheel = self.buckets[self.cursor].last().map(|e| e.key());
-        let past = self.past.peek().map(|e| e.key());
-        let best = [wheel, past].into_iter().flatten().min()?;
-        if best.time > horizon {
-            return None;
-        }
-        let e = if past == Some(best) {
-            self.past.pop().expect("past front vanished")
-        } else {
-            let bucket = &mut self.buckets[self.cursor];
-            let e = bucket.pop().expect("wheel front vanished");
-            self.near_count -= 1;
-            if bucket.is_empty() {
-                self.clear_bit(self.cursor);
-                self.ensure_front();
-            }
-            e
-        };
         Some((e.slot, e.event))
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         // The cursor bucket is sorted descending, so its minimum is last.
-        let wheel = self.buckets[self.cursor].last().map(|e| e.key());
-        if self.past.is_empty() {
-            return wheel.map(|k| k.time);
+        if let Some(e) = self.buckets[self.cursor].last() {
+            return Some(e.slot.time);
         }
-        let past = self.past.peek().map(|e| e.key());
-        [wheel, past].into_iter().flatten().min().map(|k| k.time)
+        if self.near_count > 0 {
+            let next = &self.buckets[self.next_occupied_after(self.cursor)];
+            return next.iter().map(|e| e.slot.time).min();
+        }
+        (!self.overflow.is_empty()).then(|| SimTime::from_ps(self.overflow_min))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near_count + self.past.len() + self.overflow.len()
+        self.near_count + self.overflow.len()
     }
 
     /// True if no events are pending.
@@ -543,9 +477,9 @@ impl<E> EventQueue<E> {
         self.latest
     }
 
-    /// Number of non-empty wheel buckets (excludes the past/overflow
-    /// tiers). A kernel-profiler statistic: together with [`len`](Self::len)
-    /// it shows how densely the near-future window is populated.
+    /// Number of non-empty wheel buckets (excludes the overflow tier). A
+    /// kernel-profiler statistic: together with [`len`](Self::len) it
+    /// shows how densely the near-future window is populated.
     pub fn occupied_buckets(&self) -> usize {
         self.occupied
     }
@@ -564,37 +498,34 @@ impl<E> EventQueue<E> {
         self.occupancy[word] &= !mask;
     }
 
-    /// Re-establishes the front invariant: if any event is in the wheel or
-    /// overflow, `buckets[cursor]` is non-empty and sorted descending by
-    /// `(time, seq)`.
-    fn ensure_front(&mut self) {
-        if self.near_count == 0 {
-            if self.overflow.is_empty() {
-                return;
-            }
-            // Jump the wheel to the overflow's earliest event and pull in
-            // everything now within the span.
-            let t = self.overflow_min;
-            debug_assert!(t >= self.epoch);
-            self.epoch = self.align_down(t);
-            self.cursor = self.bucket_of(t);
-            self.promote_overflow();
-            self.sort_cursor_bucket();
-            return;
-        }
-        if self.buckets[self.cursor].is_empty() {
+    /// Moves the cursor off its empty bucket to the next occupied one —
+    /// or, with the wheel empty, to the window of the earliest overflow
+    /// event — unless that window starts after `horizon`. True if the
+    /// cursor moved; its bucket is then non-empty and sorted.
+    fn advance(&mut self, horizon: SimTime) -> bool {
+        debug_assert!(self.buckets[self.cursor].is_empty());
+        let (epoch, cursor) = if self.near_count > 0 {
             let next = self.next_occupied_after(self.cursor);
-            let dist = (next.wrapping_sub(self.cursor)) & self.bucket_mask;
-            self.epoch += (dist as u64) << self.width_log2;
-            self.cursor = next;
-            // Advancing the epoch may bring far-future events into range;
-            // they land at the tail of the ring (ring distance ≥
-            // num_buckets − dist > 0), never in the new cursor bucket.
-            if self.overflow_min - self.epoch < self.span_ps {
-                self.promote_overflow();
-            }
-            self.sort_cursor_bucket();
+            let dist = next.wrapping_sub(self.cursor) & self.bucket_mask;
+            (self.epoch + ((dist as u64) << self.width_log2), next)
+        } else if self.overflow.is_empty() {
+            // Checked first: `overflow_min` is then `u64::MAX`, which is
+            // also `SimTime::MAX`, the horizon of an unbounded pop.
+            return false;
+        } else {
+            let t = self.overflow_min;
+            (self.align_down(t), self.bucket_of(t))
+        };
+        if epoch > horizon.as_ps() {
+            return false;
         }
+        self.epoch = epoch;
+        self.cursor = cursor;
+        if self.overflow_min - self.epoch < self.span_ps {
+            self.promote_overflow();
+        }
+        self.sort_cursor_bucket();
+        true
     }
 
     /// Moves every overflow event now inside the wheel span into its
@@ -656,7 +587,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("geometry", &self.geometry())
             .field("pending", &self.len())
             .field("near", &self.near_count)
-            .field("past", &self.past.len())
             .field("overflow", &self.overflow.len())
             .field("scheduled_total", &self.scheduled_total)
             .finish()
@@ -701,6 +631,12 @@ mod tests {
         }
         fn pop_keyed(&mut self) -> Option<(Slot, E)> {
             self.heap.pop().map(|e| (e.slot, e.event))
+        }
+        fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(Slot, E)> {
+            if self.heap.peek()?.slot.time > horizon {
+                return None;
+            }
+            self.pop_keyed()
         }
     }
 
@@ -868,7 +804,8 @@ mod tests {
 
     #[test]
     fn matches_reference_heap_on_arbitrary_times() {
-        // Non-monotone pushes (allowed by the API): past-tier coverage.
+        // Non-monotone pushes (allowed by the API): times below the epoch
+        // join the cursor bucket's sorted run.
         let mut rng = crate::rng::SimRng::new(0xDECAF);
         let mut q = EventQueue::new();
         let mut r = RefQueue::new();
@@ -890,11 +827,14 @@ mod tests {
     }
 
     #[test]
-    fn past_tier_mixes_with_wheel_pushes() {
+    fn pushes_below_the_epoch_mix_with_wheel_pushes() {
         let mut q = EventQueue::new();
-        // Anchor the epoch high, then push pre-epoch (past-tier) events
-        // interleaved with more wheel pushes.
+        // Move the epoch up, then push below it, interleaved with more
+        // wheel pushes.
+        q.push(SimTime::from_ps(2 * SPAN_PS), "first");
+        assert_eq!(q.pop().unwrap().1, "first");
         q.push(SimTime::from_ps(2 * SPAN_PS), "anchor");
+        assert_eq!(q.epoch, 2 * SPAN_PS);
         q.push(SimTime::from_ps(10), "p1");
         q.push(SimTime::from_ps(20), "p2");
         q.push(SimTime::from_ps(2 * SPAN_PS + 999_000), "w");
@@ -964,40 +904,40 @@ mod tests {
         });
     }
 
+    /// Maximally different wheel shapes, and the bucket counts `for_mesh`
+    /// used to pick for 16×16 and 32×32 (replacing them with 2048 cannot
+    /// move a pop).
+    const GEOMETRIES: [WheelGeometry; 5] = [
+        WheelGeometry::DEFAULT,
+        WheelGeometry {
+            num_buckets: 64,
+            width_log2: 0,
+        },
+        WheelGeometry {
+            num_buckets: 8192,
+            width_log2: 10,
+        },
+        WheelGeometry {
+            num_buckets: 8192,
+            width_log2: 5,
+        },
+        WheelGeometry {
+            num_buckets: 32_768,
+            width_log2: 5,
+        },
+    ];
+
     /// Identical schedules through maximally different geometries must
     /// pop identically (order is a pure function of `(time, seq)`) — also
     /// when plain pushes interleave with reserved slots that are inserted
     /// late, at their old sequence number, or never: into the draining
     /// cursor bucket behind same-instant events pushed after the
-    /// reservation, into the `past` heap once the epoch has run ahead,
-    /// and into `overflow`.
+    /// reservation, and into `overflow`. The schedule is kernel-legal —
+    /// nothing is inserted below the key of the last pop — so no insert
+    /// may find the epoch ahead of it.
     #[test]
     fn divergent_geometries_pop_identically() {
-        let geoms = [
-            WheelGeometry::DEFAULT,
-            WheelGeometry {
-                num_buckets: 64,
-                width_log2: 0,
-            },
-            WheelGeometry {
-                num_buckets: 8192,
-                width_log2: 10,
-            },
-            // The bucket counts `for_mesh` used to pick for 16×16 and
-            // 32×32: replacing them with 2048 cannot move a pop.
-            WheelGeometry {
-                num_buckets: 8192,
-                width_log2: 5,
-            },
-            WheelGeometry {
-                num_buckets: 32_768,
-                width_log2: 5,
-            },
-        ];
-        let mut queues: Vec<EventQueue<u64>> = geoms
-            .iter()
-            .map(|&g| EventQueue::with_geometry(g))
-            .collect();
+        let mut queues = GEOMETRIES.map(EventQueue::<u64>::with_geometry);
         let mut r = RefQueue::new();
         let mut rng = crate::rng::SimRng::new(0x6E0);
         let mut now = 0u64;
@@ -1005,7 +945,7 @@ mod tests {
         // below which the kernel never inserts.
         let mut held: Vec<Slot> = Vec::new();
         let mut stamp = Slot::MIN;
-        // Late inserts seen per tier: [cursor bucket, past, overflow].
+        // Late inserts seen: [cursor bucket, below the epoch, overflow].
         let mut late = [0u32; 3];
         let mut lapsed = 0u32;
         for i in 0..30_000u64 {
@@ -1034,14 +974,15 @@ mod tests {
                 if slot > stamp {
                     let ev = 1_000_000 + i;
                     for q in &mut queues {
-                        let (past, overflow) = (q.past.len(), q.overflow.len());
-                        let draining = q.near_count > 0
-                            && slot.time.as_ps() >= q.epoch
-                            && slot.time.as_ps() - q.epoch < q.span_ps
-                            && q.bucket_of(slot.time.as_ps()) == q.cursor;
+                        let overflow = q.overflow.len();
+                        let t = slot.time.as_ps();
+                        let draining = t >= q.epoch
+                            && t - q.epoch < q.span_ps
+                            && q.bucket_of(t) == q.cursor
+                            && !q.buckets[q.cursor].is_empty();
+                        late[1] += u32::from(t < q.epoch);
                         q.insert(slot, ev);
                         late[0] += u32::from(draining);
-                        late[1] += (q.past.len() - past) as u32;
                         late[2] += (q.overflow.len() - overflow) as u32;
                     }
                     r.insert(slot, ev);
@@ -1071,8 +1012,9 @@ mod tests {
             }
         }
         assert!(
-            late.iter().all(|&n| n > 100) && lapsed > 100,
-            "every tier must see late inserts, and some slots none: {late:?} {lapsed}"
+            late[0] > 100 && late[1] == 0 && late[2] > 100 && lapsed > 100,
+            "both tiers must see late inserts, none below the epoch, and some slots none: \
+             {late:?} {lapsed}"
         );
         loop {
             let want = r.pop_keyed();
@@ -1108,5 +1050,131 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "late");
         assert_eq!(q.pop().unwrap().1, "after");
         assert_eq!((q.reserved_total(), q.scheduled_total()), (4, 4));
+    }
+
+    /// The invariant that lets the queue do without a tier for times
+    /// below its epoch: a caller that never schedules before the key of
+    /// its last pop, nor before the last horizon a pop came back empty
+    /// from — the kernel — never finds the epoch ahead of its clock, so
+    /// none of its inserts is below the epoch. Runs to random finite
+    /// horizons (on a pending event, just short of one — between two
+    /// events, or inside the window of the bucket the cursor moves to —
+    /// and anywhere), handlers that drain the queue and then schedule
+    /// far-then-near, reserved slots inserted late, and pushes at the
+    /// horizon between runs, on every geometry against the reference heap.
+    #[test]
+    fn kernel_legal_traffic_never_finds_the_epoch_ahead() {
+        for (g, geometry) in GEOMETRIES.into_iter().enumerate() {
+            let mut q = EventQueue::with_geometry(geometry);
+            let mut r = RefQueue::new();
+            let mut rng = crate::rng::SimRng::new(0xC10C + g as u64);
+            let (width, span) = (geometry.width_ps(), geometry.span_ps());
+            // The kernel's stamp: the key of the last pop, or the end of
+            // the last horizon a run stopped at.
+            let mut clock = Slot::MIN;
+            let mut held: Vec<Slot> = Vec::new();
+            let mut id = 0u64;
+            // [runs that stopped short of a pending event, pushes at the
+            // horizon, drained far-then-near handlers, late inserts]
+            let mut seen = [0u32; 4];
+            let mut schedule = |q: &mut EventQueue<u64>, r: &mut RefQueue<u64>, t: u64| {
+                assert!(t >= q.epoch, "{geometry:?}: push at {t} below the epoch");
+                id += 1;
+                q.push(SimTime::from_ps(t), id);
+                r.push(SimTime::from_ps(t), id);
+            };
+            for _ in 0..3_000 {
+                let now = clock.time.as_ps();
+                // Between runs: the kernel's own `schedule`, from the
+                // horizon the last run stopped at.
+                for _ in 0..rng.gen_range(3) {
+                    let delta = match rng.gen_range(4) {
+                        0 | 1 => 0,
+                        2 => rng.gen_range(4 * width),
+                        _ => rng.gen_range(3 * span),
+                    };
+                    seen[1] += u32::from(delta == 0 && !q.is_empty());
+                    schedule(&mut q, &mut r, now + delta);
+                }
+                let next = r.heap.peek().map_or(now, |e| e.slot.time.as_ps());
+                let horizon = match rng.gen_range(8) {
+                    0 => next,
+                    1 | 2 => next.saturating_sub(1 + rng.gen_range(2 * width)).max(now),
+                    3 => next + rng.gen_range(3_000),
+                    4 => now + rng.gen_range(2 * span),
+                    5 | 6 => now + 40 * span,
+                    _ => now,
+                };
+                let horizon = SimTime::from_ps(horizon);
+                loop {
+                    let want = r.pop_at_or_before(horizon);
+                    assert_eq!(q.pop_at_or_before(horizon), want, "{geometry:?}");
+                    let Some((slot, _)) = want else {
+                        clock = Slot::end_of(horizon);
+                        seen[0] += u32::from(!q.is_empty());
+                        break;
+                    };
+                    clock = slot;
+                    assert!(
+                        q.epoch <= clock.time.as_ps(),
+                        "{geometry:?}: epoch past a pop"
+                    );
+                    // The handler: a branching process just short of
+                    // critical, so the queue keeps draining and being
+                    // re-seeded.
+                    let now = slot.time.as_ps();
+                    let drained = q.is_empty();
+                    let fanout = [0, 0, 0, 0, 1, 1, 2, 3][rng.gen_index(8)];
+                    seen[2] += u32::from(drained && fanout >= 2);
+                    for k in 0..fanout {
+                        let delta = match rng.gen_range(8) {
+                            _ if drained && k == 0 => span * (1 + rng.gen_range(3)),
+                            _ if drained => rng.gen_range(2 * width),
+                            0 => 0,
+                            1..=4 => 100 + rng.gen_range(2_900),
+                            5 | 6 => rng.gen_range(2 * span),
+                            _ => span * (1 + rng.gen_range(20)),
+                        };
+                        if rng.gen_range(4) == 0 {
+                            let t = SimTime::from_ps(now + delta);
+                            let slot = r.reserve(t);
+                            assert_eq!(q.reserve(t), slot);
+                            held.push(slot);
+                        } else {
+                            schedule(&mut q, &mut r, now + delta);
+                        }
+                    }
+                    if !held.is_empty() && rng.gen_range(2) == 0 {
+                        let slot = held.swap_remove(rng.gen_index(held.len()));
+                        if slot > clock {
+                            assert!(slot.time.as_ps() >= q.epoch, "{geometry:?}: late insert");
+                            q.insert(slot, 0);
+                            r.insert(slot, 0);
+                            seen[3] += 1;
+                        }
+                    }
+                }
+                assert!(
+                    q.epoch <= clock.time.as_ps(),
+                    "{geometry:?}: epoch past a horizon"
+                );
+                assert_eq!(q.len(), r.heap.len());
+            }
+            assert!(
+                seen.iter().all(|&n| n > 50),
+                "{geometry:?}: thin coverage {seen:?}"
+            );
+            // An unbounded pop of a drained queue must not mistake the
+            // empty overflow's `u64::MAX` minimum for a time to jump to.
+            while let Some(want) = r.pop_keyed() {
+                assert_eq!(q.pop_at_or_before(SimTime::MAX), Some(want));
+                clock = want.0;
+            }
+            assert_eq!(q.pop_at_or_before(SimTime::MAX), None);
+            assert!(
+                q.epoch <= clock.time.as_ps(),
+                "{geometry:?}: epoch past the drain"
+            );
+        }
     }
 }

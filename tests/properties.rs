@@ -345,11 +345,17 @@ proptest! {
     /// Times mix three scales so the calendar queue's tiers all get
     /// exercised: a tie-heavy band (same-bucket FIFO order), a band
     /// around the wheel span (bucket wrap), and a far band (overflow
-    /// promotion) — plus pushes *below* earlier pops (the past tier).
+    /// promotion) — plus pushes *below* earlier pops (below the epoch).
+    /// Half the pops go through `pop_at_or_before` with the drawn time
+    /// as the horizon, which may fall short of every pending event.
     #[test]
     fn event_queue_matches_reference_model(
         ops in prop::collection::vec(
-            (any::<bool>(), prop_oneof![0u64..50, 0u64..100_000, 0u64..10_000_000]),
+            (
+                any::<bool>(),
+                any::<bool>(),
+                prop_oneof![0u64..50, 0u64..100_000, 0u64..10_000_000],
+            ),
             1..200,
         ),
     ) {
@@ -357,23 +363,31 @@ proptest! {
         let mut q = EventQueue::new();
         let mut model: Vec<(u64, usize)> = Vec::new(); // (time, seq)
         let mut seq = 0usize;
-        for (push, t) in ops {
+        for (push, bounded, t) in ops {
             if push || model.is_empty() {
                 q.push(SimTime::from_ps(t), seq);
                 model.push((t, seq));
                 seq += 1;
+                continue;
+            }
+            // Reference: earliest time, then earliest insertion.
+            let best = model
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &(mt, ms))| (mt, ms))
+                .map(|(i, _)| i)
+                .expect("non-empty");
+            let got = if bounded {
+                q.pop_at_or_before(SimTime::from_ps(t))
+                    .map(|(slot, v)| (slot.time(), v))
             } else {
-                let (qt, qv) = q.pop().expect("model non-empty");
-                // Reference: earliest time, then earliest insertion.
-                let best = model
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(mt, ms))| (mt, ms))
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
+                q.pop()
+            };
+            if bounded && model[best].0 > t {
+                prop_assert_eq!(got, None);
+            } else {
                 let (mt, ms) = model.remove(best);
-                prop_assert_eq!(qt, SimTime::from_ps(mt));
-                prop_assert_eq!(qv, ms);
+                prop_assert_eq!(got, Some((SimTime::from_ps(mt), ms)));
             }
         }
         // Drain: remaining pops come out fully sorted.
