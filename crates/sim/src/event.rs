@@ -509,8 +509,9 @@ impl<E> EventQueue<E> {
             let dist = next.wrapping_sub(self.cursor) & self.bucket_mask;
             (self.epoch + ((dist as u64) << self.width_log2), next)
         } else if self.overflow.is_empty() {
-            // Checked first: `overflow_min` is then `u64::MAX`, which is
-            // also `SimTime::MAX`, the horizon of an unbounded pop.
+            // Not left to the horizon compare: `overflow_min` is then
+            // `u64::MAX`, which is also `SimTime::MAX`, the horizon of an
+            // unbounded pop.
             return false;
         } else {
             let t = self.overflow_min;
@@ -1128,6 +1129,7 @@ mod tests {
                     seen[2] += u32::from(drained && fanout >= 2);
                     for k in 0..fanout {
                         let delta = match rng.gen_range(8) {
+                            // A drained queue: far first, then near.
                             _ if drained && k == 0 => span * (1 + rng.gen_range(3)),
                             _ if drained => rng.gen_range(2 * width),
                             0 => 0,
