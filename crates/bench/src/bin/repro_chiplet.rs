@@ -24,7 +24,7 @@ use mango::net::{
 };
 use mango::qos::{path_extras, report_for, RecoveryOutcome, RecoverySpec, ServiceModel};
 use mango::sim::{SimDuration, SimTime};
-use mango_sweep::{run_parallel, SweepArgs};
+use mango_sweep::run_parallel;
 use std::time::Instant;
 
 fn topo() -> TopologySpec {
@@ -104,11 +104,7 @@ fn recovery_spec(window_us: u64) -> RecoverySpec {
 }
 
 fn main() {
-    let args = SweepArgs::from_env_no_extra();
-    assert!(
-        args.csv.is_none() && args.json.is_none(),
-        "repro_chiplet is table-only; --csv/--json are not supported"
-    );
+    let args = mango_bench::args_accepting(&["--smoke", "--list"]);
     let window_us: u64 = if args.smoke { 40 } else { 120 };
     let be_gaps: &[Option<u64>] = if args.smoke {
         &[None, Some(400)]

@@ -25,7 +25,7 @@ use mango::net::{
 };
 use mango::qos::report_for;
 use mango::sim::SimDuration;
-use mango_sweep::{run_parallel, SweepArgs};
+use mango_sweep::run_parallel;
 use std::time::Instant;
 
 const SIDE: u8 = 8;
@@ -73,11 +73,7 @@ fn spec_for(spatial: &SpatialPattern, gap_ns: u64) -> ScenarioSpec {
 }
 
 fn main() {
-    let args = SweepArgs::from_env_no_extra();
-    assert!(
-        args.csv.is_none() && args.json.is_none(),
-        "repro_patterns is table-only; --csv/--json are not supported"
-    );
+    let args = mango_bench::args_accepting(&["--smoke", "--list"]);
     let gaps_ns: &[u64] = if args.smoke {
         &[1000, 300, 100]
     } else {

@@ -55,11 +55,7 @@ fn scaling_spec(side: u8, measure_us: u64) -> ScenarioSpec {
 }
 
 fn main() {
-    let args = SweepArgs::from_env_no_extra();
-    assert!(
-        args.csv.is_none() && args.json.is_none(),
-        "repro_scaling is table-only; --csv/--json are not supported"
-    );
+    let args = mango_bench::args_accepting(&["--smoke"]);
     if args.smoke {
         mesh_scaling_section(&args, &[(16, 20)]);
         return;

@@ -1,25 +1,38 @@
 //! Shared harness for the benchmark and reproduction binaries.
 //!
-//! Every table and figure of the paper has a `repro_*` binary in
-//! `src/bin/` that regenerates it (the README lists them; `repro_all`
-//! runs whichever are built). This library holds the experiment
-//! set-ups they share.
+//! The paper's own claims are the rows of [`paper`], printed and checked
+//! by `repro_paper`; the other `repro_*` binaries reproduce what lies
+//! beyond the paper. This library holds the experiment set-ups they
+//! share.
 
-use mango::core::{RouterConfig, RouterId};
-use mango::net::{EmitWindow, NocSim, Pattern, SpatialPattern};
+pub mod paper;
+
+use mango::core::{ConnectionId, RouterConfig, RouterId};
+use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, Pattern, SpatialPattern};
 use mango::sim::SimDuration;
+use mango_sweep::SweepArgs;
 
-/// The entry check of the reproduction binaries that take no arguments:
-/// any argument is a usage error — one `usage:` line on stderr, exit
-/// status 2 — instead of a full run that silently ignored it.
-pub fn reject_args() {
-    let mut args = std::env::args();
-    let bin = args.next().unwrap_or_default();
-    if let Some(arg) = args.next() {
-        eprintln!("error: unexpected argument {arg:?}");
-        eprintln!("usage: {bin} (takes no arguments)");
+/// The common sweep flags of a binary that honours only `--threads` and
+/// the flags in `accepted`. Any other flag — `--csv` or `--json` on a
+/// binary that writes no record file, say — is a usage error: one
+/// `usage:` line on stderr and exit status 2, before any output.
+pub fn args_accepting(accepted: &[&str]) -> SweepArgs {
+    let args = SweepArgs::from_env_no_extra();
+    let given = [
+        ("--smoke", args.smoke),
+        ("--list", args.list),
+        ("--csv", args.csv.is_some()),
+        ("--json", args.json.is_some()),
+        ("--telemetry-out", args.telemetry_out.is_some()),
+    ];
+    if let Some((flag, _)) = given.iter().find(|(f, set)| *set && !accepted.contains(f)) {
+        let bin = std::env::args().next().unwrap_or_default();
+        let flags: String = accepted.iter().map(|f| format!(" [{f}]")).collect();
+        eprintln!("error: {bin} does not take {flag}");
+        eprintln!("usage: {bin} [--threads N]{flags}");
         std::process::exit(2);
     }
+    args
 }
 
 /// Checks the result of writing an output file the command line asked
@@ -32,111 +45,73 @@ pub fn written(path: &std::path::Path, result: std::io::Result<()>) {
     }
 }
 
-/// Result of driving one GS connection under a given environment.
-#[derive(Debug, Clone)]
-pub struct GsRun {
-    /// Delivered throughput, Mflit/s.
-    pub throughput_m: f64,
-    /// Mean end-to-end latency, ns.
-    pub mean_ns: f64,
-    /// 99th-percentile latency, ns.
-    pub p99_ns: f64,
-    /// Worst observed latency, ns.
-    pub max_ns: f64,
-    /// Jitter (max − min), ns.
-    pub jitter_ns: f64,
-}
+/// A connection's source and destination as `((x, y), (x, y))`.
+pub type Pair = ((u8, u8), (u8, u8));
 
-/// The funnel geometry: on an 8×1 line, a tagged connection
-/// (0,0)→(2,0) plus up to 6 contender connections all crossing link
-/// (1,0)→East (the paper's full-contention scenario: 7 GS VCs + BE on
-/// one link). Contenders terminate at spread-out destinations so that
-/// **only the head link saturates** — downstream links stay below
-/// capacity and do not add second-order arbitration waits to the
-/// measurement.
-///
-/// Returns the sim (connections settled, contenders saturated at
-/// ~333 Mflit/s offered each) and the tagged connection id.
-pub fn funnel_sim(contenders: usize, seed: u64) -> (NocSim, mango::core::ConnectionId) {
-    assert!(contenders <= 6, "6 contender VCs + tagged fill the link");
-    let mut sim = NocSim::paper_mesh(8, 1, seed);
-    let tagged = sim
-        .open_connection(RouterId::new(0, 0), RouterId::new(2, 0))
-        .expect("tagged connection");
-    // Contenders: 3 more from (0,0), 3 from (1,0) — all share (1,0)→E.
-    let plan = [
-        (RouterId::new(0, 0), RouterId::new(3, 0)),
-        (RouterId::new(0, 0), RouterId::new(4, 0)),
-        (RouterId::new(0, 0), RouterId::new(5, 0)),
-        (RouterId::new(1, 0), RouterId::new(6, 0)),
-        (RouterId::new(1, 0), RouterId::new(7, 0)),
-        (RouterId::new(1, 0), RouterId::new(3, 0)),
-    ];
-    let cross: Vec<_> = plan[..contenders]
-        .iter()
-        .map(|(s, d)| sim.open_connection(*s, *d).expect("contender fits"))
-        .collect();
+/// The funnel on an 8×1 line: seven connections — the tagged one first —
+/// all crossing link (1,0)→East (the paper's full-contention scenario:
+/// 7 GS VCs + BE on one link). They terminate at spread-out destinations
+/// so that **only the head link saturates**: downstream links stay below
+/// capacity and add no second-order arbitration waits to the measurement.
+pub const LINE: [Pair; 7] = [
+    ((0, 0), (2, 0)),
+    ((0, 0), (3, 0)),
+    ((0, 0), (4, 0)),
+    ((0, 0), (5, 0)),
+    ((1, 0), (6, 0)),
+    ((1, 0), (7, 0)),
+    ((1, 0), (3, 0)),
+];
+
+/// The same funnel through link (1,0)→East of a 3×4 mesh: XY routing
+/// goes east along row 0 first, then south in column 2.
+pub const COLUMN: [Pair; 7] = [
+    ((0, 0), (2, 0)),
+    ((0, 0), (2, 1)),
+    ((0, 0), (2, 2)),
+    ((0, 0), (2, 3)),
+    ((1, 0), (2, 0)),
+    ((1, 0), (2, 1)),
+    ((1, 0), (2, 2)),
+];
+
+/// Opens one GS connection per pair of `pairs` on `grid` of `cfg`
+/// routers, in pair order, and waits for their programming to settle.
+pub fn open_funnel(
+    cfg: RouterConfig,
+    grid: Grid,
+    pairs: &[Pair],
+    seed: u64,
+) -> (NocSim, Vec<ConnectionId>) {
+    let mut sim = NocSim::new(Network::new(grid, cfg, NaConfig::paper()), seed);
+    let mut conns = Vec::new();
+    for &((sx, sy), (dx, dy)) in pairs {
+        let (src, dst) = (RouterId::new(sx, sy), RouterId::new(dx, dy));
+        conns.push(sim.open_connection(src, dst).expect("funnel VCs free"));
+    }
     sim.wait_connections_settled().expect("programming settles");
-    for (i, c) in cross.iter().enumerate() {
-        sim.add_gs_source(
-            *c,
-            Pattern::cbr(SimDuration::from_ns(3)),
-            format!("cross-{i}"),
-            EmitWindow::default(),
-        );
-    }
-    (sim, tagged)
+    (sim, conns)
 }
 
-/// Measures a GS connection at `period` per flit for `measure_us`, after
-/// `warmup_us` of warmup.
-pub fn measure_gs(
-    sim: &mut NocSim,
-    conn: mango::core::ConnectionId,
-    period: SimDuration,
-    warmup_us: u64,
-    measure_us: u64,
-) -> GsRun {
-    sim.run_for(SimDuration::from_us(warmup_us));
+/// The contention set-up the paper's bandwidth claims are measured on:
+/// [`open_funnel`], 5 µs idle, then the measurement window starts with
+/// one GS source at `pattern` on every connection. Returns the sim, not
+/// yet run over the window, and the flow ids in pair order.
+pub fn funnel(
+    cfg: RouterConfig,
+    grid: Grid,
+    pairs: &[Pair],
+    pattern: Pattern,
+    seed: u64,
+) -> (NocSim, Vec<u32>) {
+    let (mut sim, conns) = open_funnel(cfg, grid, pairs, seed);
+    sim.run_for(SimDuration::from_us(5));
     sim.begin_measurement();
-    let flow = sim.add_gs_source(conn, Pattern::cbr(period), "tagged", EmitWindow::default());
-    sim.run_for(SimDuration::from_us(measure_us));
-    let stats = sim.flow(flow);
-    GsRun {
-        throughput_m: sim.flow_throughput_m(flow),
-        mean_ns: stats.latency.mean().map_or(0.0, |d| d.as_ns_f64()),
-        p99_ns: stats.latency.quantile(0.99).map_or(0.0, |d| d.as_ns_f64()),
-        max_ns: stats.latency.max().map_or(0.0, |d| d.as_ns_f64()),
-        jitter_ns: stats.latency.jitter().map_or(0.0, |d| d.as_ns_f64()),
+    let mut flows = Vec::new();
+    for (i, &c) in conns.iter().enumerate() {
+        flows.push(sim.add_gs_source(c, pattern, format!("gs-{i}"), EmitWindow::default()));
     }
-}
-
-/// Measures the saturation throughput of a single GS connection as a
-/// function of output-buffer depth.
-///
-/// Under share-based VC control this is **depth-independent**: the
-/// sharebox admits one flit per VC into the shared media at a time, so a
-/// lone VC is pinned to one flit per share loop no matter how much
-/// buffering sits behind it — the quantitative backing for the paper's
-/// depth-1 choice ("To keep the area down... This is enough", Sec. 4.4).
-pub fn gs_depth_throughput(depth: usize, seed: u64) -> f64 {
-    let mut cfg = RouterConfig::paper();
-    cfg.params.buffer_depth = depth;
-    let mut sim = NocSim::mesh_with(3, 1, cfg, seed);
-    let conn = sim
-        .open_connection(RouterId::new(0, 0), RouterId::new(2, 0))
-        .expect("VCs free");
-    sim.wait_connections_settled().expect("settles");
-    sim.run_for(SimDuration::from_us(2));
-    sim.begin_measurement();
-    let flow = sim.add_gs_source(
-        conn,
-        Pattern::cbr(SimDuration::from_ns(1)),
-        "depth",
-        EmitWindow::default(),
-    );
-    sim.run_for(SimDuration::from_us(50));
-    sim.flow_throughput_m(flow)
+    (sim, flows)
 }
 
 /// The mixed workload the simulator performance track is measured on
@@ -196,18 +171,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn funnel_sim_builds_and_measures() {
-        let (mut sim, tagged) = funnel_sim(6, 1);
-        let run = measure_gs(&mut sim, tagged, SimDuration::from_ns(10), 2, 20);
-        assert!(run.throughput_m > 0.0);
-    }
-
-    #[test]
     fn single_vc_throughput_is_buffer_depth_independent() {
         // The sharebox, not the buffer, is the serialization point: one
         // flit per VC in the media until the unlock returns.
-        let d1 = gs_depth_throughput(1, 5);
-        let d4 = gs_depth_throughput(4, 5);
+        let solo = |depth| {
+            let mut cfg = RouterConfig::paper();
+            cfg.params.buffer_depth = depth;
+            let offered = Pattern::cbr(SimDuration::from_ns(1));
+            let (mut sim, flows) = funnel(cfg, Grid::new(3, 1), &LINE[..1], offered, 5);
+            sim.run_for(SimDuration::from_us(50));
+            sim.flow_throughput_m(flows[0])
+        };
+        let (d1, d4) = (solo(1), solo(4));
         assert!(
             (d4 - d1).abs() / d1 < 0.01,
             "share-based control pins a lone VC regardless of depth: {d1:.1} vs {d4:.1}"

@@ -8,33 +8,23 @@ use std::process::{Command, Output};
 
 const SIM_RATE: &str = env!("CARGO_BIN_EXE_sim_rate");
 const REPRO_SCALING: &str = env!("CARGO_BIN_EXE_repro_scaling");
+const REPRO_PATTERNS: &str = env!("CARGO_BIN_EXE_repro_patterns");
+const REPRO_CHIPLET: &str = env!("CARGO_BIN_EXE_repro_chiplet");
+const REPRO_PAPER: &str = env!("CARGO_BIN_EXE_repro_paper");
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 
-/// Every binary of the package: the nine `goldens.rs` runs, the twelve
-/// that take no arguments, `repro_fig7_be` and `sim_rate`.
-const ALL_BINS: [&str; 23] = [
-    env!("CARGO_BIN_EXE_repro_patterns"),
+/// Every binary of the package: the ten `goldens.rs` runs and `sim_rate`.
+const ALL_BINS: [&str; 11] = [
+    REPRO_PATTERNS,
     REPRO_SCALING,
-    env!("CARGO_BIN_EXE_repro_chiplet"),
+    REPRO_CHIPLET,
     env!("CARGO_BIN_EXE_repro_saturation"),
     env!("CARGO_BIN_EXE_repro_serving"),
     env!("CARGO_BIN_EXE_repro_churn"),
     env!("CARGO_BIN_EXE_repro_faults"),
     env!("CARGO_BIN_EXE_repro_fig8_gs_vs_be"),
     SWEEP,
-    env!("CARGO_BIN_EXE_repro_aethereal"),
-    env!("CARGO_BIN_EXE_repro_alg_latency"),
-    env!("CARGO_BIN_EXE_repro_buffer_depth"),
-    env!("CARGO_BIN_EXE_repro_di_links"),
-    env!("CARGO_BIN_EXE_repro_fairshare"),
-    env!("CARGO_BIN_EXE_repro_fig4_nonblocking"),
-    env!("CARGO_BIN_EXE_repro_fig5_switching"),
-    env!("CARGO_BIN_EXE_repro_fig6_vc_control"),
-    env!("CARGO_BIN_EXE_repro_pipelined_links"),
-    env!("CARGO_BIN_EXE_repro_port_speed"),
-    env!("CARGO_BIN_EXE_repro_table1"),
-    env!("CARGO_BIN_EXE_repro_all"),
-    env!("CARGO_BIN_EXE_repro_fig7_be"),
+    REPRO_PAPER,
     SIM_RATE,
 ];
 
@@ -81,6 +71,18 @@ fn every_bin_rejects_an_unknown_flag() {
     for exe in ALL_BINS {
         assert_usage_error(exe, &["--smoke", "--no-such-flag"]);
     }
+}
+
+/// A binary that writes no record file refuses `--csv` and `--json`
+/// rather than ignoring them, and `repro_paper`, which has no smoke grid,
+/// refuses `--smoke` too.
+#[test]
+fn table_only_bins_refuse_the_flags_they_do_not_honour() {
+    for exe in [REPRO_SCALING, REPRO_PATTERNS, REPRO_CHIPLET, REPRO_PAPER] {
+        assert_usage_error(exe, &["--smoke", "--csv", "x.csv"]);
+        assert_usage_error(exe, &["--smoke", "--json", "x.json"]);
+    }
+    assert_usage_error(REPRO_PAPER, &["--smoke"]);
 }
 
 /// A grid that cannot run is refused before any job starts (exit 2); a

@@ -41,6 +41,7 @@ macro_rules! goldens {
 }
 
 goldens! {
+    paper: repro_paper [] => [Stdout("tests/golden/repro_paper.txt")];
     patterns: repro_patterns ["--smoke"]
         => [Stdout("tests/golden/repro_patterns_smoke.txt")];
     scaling: repro_scaling ["--smoke"]

@@ -169,7 +169,7 @@ mod tests {
         assert_eq!(b.transitions_per_flit(32), 20.0);
         assert_eq!(d.transitions_per_flit(32), 34.0);
         // DI pays more raw transitions but needs no margin; the net
-        // energy trade is quantified in `repro_di_links`.
+        // energy trade is quantified in `repro_paper`'s DI-links row.
         assert!(d.transitions_per_flit(32) > b.transitions_per_flit(32));
     }
 

@@ -15,7 +15,7 @@
 //! The four scenarios lean on the four ways a credit, an unlock toggle
 //! or the end of a link cycle matters: (a) a mostly idle 4×4 fabric,
 //! where almost none of them finds anybody waiting; (b) the saturated
-//! funnel of `mango_bench::funnel_sim`, where unlocks find flits waiting
+//! funnel of `mango_bench::LINE`, where unlocks find flits waiting
 //! behind the sharebox and every link cycle ends with ready VCs; (c) a
 //! chiplet seam crossing, whose feedback path carries the D2D
 //! `link_extra`; (d) a fail-stop schedule — a link and a router down,
@@ -128,7 +128,7 @@ fn fabric_4x4_gs_over_poisson_be() {
     );
 }
 
-/// (b) The funnel of `mango_bench::funnel_sim`: seven saturated GS
+/// (b) The funnel of `mango_bench::LINE`: seven saturated GS
 /// connections and a BE stream share link (1,0)→East of an 8×1 line.
 #[test]
 fn saturated_funnel() {

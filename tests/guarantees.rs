@@ -1,107 +1,11 @@
 //! Integration tests for the guaranteed-service properties the paper
-//! claims: hard bandwidth floors under full contention, bounded latency,
-//! GS/BE independence, and inherent end-to-end flow control.
+//! claims: bounded latency, GS/BE independence and inherent end-to-end
+//! flow control. The fair-share floors under full contention and their
+//! redistribution are claims of `repro_paper` (`mango_bench::paper`).
 
 use mango::core::RouterId;
 use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, Pattern};
 use mango::sim::{SimDuration, SimTime};
-
-/// Seven connections funnel through one shared link, all backlogged:
-/// every one must get at least its fair-share floor (1/8 of link
-/// bandwidth), and together they saturate the link.
-#[test]
-fn fair_share_floor_under_full_contention() {
-    let mut sim = NocSim::paper_mesh(3, 4, 11);
-    // All these routes cross link (1,0) -> East (XY routing goes east
-    // along row 0 first, then south in column 2).
-    let pairs = [
-        (RouterId::new(0, 0), RouterId::new(2, 0)),
-        (RouterId::new(0, 0), RouterId::new(2, 1)),
-        (RouterId::new(0, 0), RouterId::new(2, 2)),
-        (RouterId::new(0, 0), RouterId::new(2, 3)),
-        (RouterId::new(1, 0), RouterId::new(2, 0)),
-        (RouterId::new(1, 0), RouterId::new(2, 1)),
-        (RouterId::new(1, 0), RouterId::new(2, 2)),
-    ];
-    let conns: Vec<_> = pairs
-        .iter()
-        .map(|(s, d)| sim.open_connection(*s, *d).expect("7 VCs fit"))
-        .collect();
-    sim.wait_connections_settled()
-        .expect("programming completes");
-
-    // Offer 200 Mflit/s per connection — far beyond the shared link.
-    sim.run_for(SimDuration::from_us(5));
-    sim.begin_measurement();
-    let flows: Vec<u32> = conns
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            sim.add_gs_source(
-                *c,
-                Pattern::cbr(SimDuration::from_ns(5)),
-                format!("contender-{i}"),
-                EmitWindow::default(),
-            )
-        })
-        .collect();
-    sim.run_for(SimDuration::from_us(100));
-
-    let link_m = sim.link_capacity_m(); // ≈ 795
-    let floor = link_m / 8.0;
-    let mut total = 0.0;
-    for (i, flow) in flows.iter().enumerate() {
-        let rate = sim.flow_throughput_m(*flow);
-        total += rate;
-        assert!(
-            rate >= floor * 0.95,
-            "connection {i} got {rate:.1} Mf/s, below the 1/8 floor {floor:.1}"
-        );
-    }
-    // Work conservation: the seven backlogged connections share the whole
-    // link (BE idle ⇒ its slot is redistributed).
-    assert!(
-        total >= link_m * 0.95,
-        "aggregate {total:.1} must saturate the {link_m:.1} Mf/s link"
-    );
-}
-
-/// Idle connections' bandwidth is redistributed: with only two contenders
-/// backlogged, each gets far more than the floor.
-#[test]
-fn idle_share_redistribution() {
-    let mut sim = NocSim::paper_mesh(3, 1, 13);
-    let c1 = sim
-        .open_connection(RouterId::new(0, 0), RouterId::new(2, 0))
-        .unwrap();
-    let c2 = sim
-        .open_connection(RouterId::new(0, 0), RouterId::new(2, 0))
-        .unwrap();
-    sim.wait_connections_settled().unwrap();
-    sim.run_for(SimDuration::from_us(2));
-    sim.begin_measurement();
-    let f1 = sim.add_gs_source(
-        c1,
-        Pattern::cbr(SimDuration::from_ns(2)),
-        "a",
-        EmitWindow::default(),
-    );
-    let f2 = sim.add_gs_source(
-        c2,
-        Pattern::cbr(SimDuration::from_ns(2)),
-        "b",
-        EmitWindow::default(),
-    );
-    sim.run_for(SimDuration::from_us(50));
-    let floor = sim.link_capacity_m() / 8.0;
-    for f in [f1, f2] {
-        let rate = sim.flow_throughput_m(f);
-        assert!(
-            rate > 2.0 * floor,
-            "with 2 contenders each must exceed twice the floor, got {rate:.1}"
-        );
-    }
-}
 
 /// The headline property (Fig. 8): a GS connection's bandwidth and
 /// latency are unaffected by any amount of BE traffic.
