@@ -18,12 +18,21 @@
 //! solution and tracking best-seen — so its score is never worse than
 //! greedy's). Both are deterministic functions of
 //! `(graph, controller state, seed)`.
+//!
+//! Cost: a candidate is one trial — one
+//! [`AdmissionController::commit_trial`] per inter-node edge, each a
+//! single pass over the links of a route the controller has cached —
+//! plus one flat copy of the budget arrays to rewind. An `anneal32`
+//! placement of VOPD/MWD on `chiplet2x2x4x4` takes ~28 µs
+//! (`apps.place_ns.anneal32.p50` of `benchmark/run.sh --workload
+//! planner_vopd --trace 1` on a 2-core host, `harness.cal_s`
+//! 0.050–0.054 s).
 
 use crate::graph::TaskGraph;
 use mango_core::RouterId;
 use mango_net::Grid;
 use mango_qos::{AdmissionController, BudgetSnapshot, ConnRequest};
-use mango_sim::SimRng;
+use mango_sim::{SimDuration, SimRng};
 use std::fmt;
 
 /// How good a candidate mapping is; ordered lexicographically, lower is
@@ -84,15 +93,27 @@ pub fn score_assignment(
 ) -> PlacementScore {
     ctl.save_budgets_into(snap);
     let min_before = ctl.budget_summary().residual_fps_min;
-    score_trial(graph, assign, ctl, snap, min_before)
+    score_trial(graph, &edge_periods(graph), assign, ctl, snap, min_before)
 }
 
-/// One dry-run trial, O(edges × path length). `snap` holds `ctl`'s
-/// state at entry and `min_before` that state's minimum residual over
-/// up links. A trial only debits, and only up links, so `min_after =
-/// min(min_before, min over the links it debited)` — no rescan.
+/// [`TaskGraph::period`] of every edge, in edge order — computed once
+/// per `place`, not once per trial.
+fn edge_periods(graph: &TaskGraph) -> Vec<SimDuration> {
+    graph
+        .edges
+        .iter()
+        .map(|e| TaskGraph::period(e.rate_fps))
+        .collect()
+}
+
+/// One dry-run trial, O(edges × path length). `periods` is
+/// [`edge_periods`], `snap` holds `ctl`'s state at entry and
+/// `min_before` that state's minimum residual over up links. A trial
+/// only debits, and only up links, so `min_after = min(min_before, min
+/// over the links it debited)` — no rescan.
 fn score_trial(
     graph: &TaskGraph,
+    periods: &[SimDuration],
     assign: &[RouterId],
     ctl: &mut AdmissionController,
     snap: &BudgetSnapshot,
@@ -104,17 +125,15 @@ fn score_trial(
         hop_demand: 0,
     };
     let mut min_after = min_before;
-    for e in &graph.edges {
+    for (e, &period) in graph.edges.iter().zip(periods) {
         let (src, dst) = (assign[e.from], assign[e.to]);
-        if src == dst {
+        if src == dst && ctl.grid().contains(src) {
             // Co-located tasks talk through local memory, not the NoC.
+            // Tasks pinned off the grid are not co-located anywhere:
+            // their edge fails admission like every other one of theirs.
             continue;
         }
-        let req = ConnRequest {
-            src,
-            dst,
-            period: TaskGraph::period(e.rate_fps),
-        };
+        let req = ConnRequest { src, dst, period };
         match ctl.commit_trial(&req) {
             Ok(trial) => {
                 min_after = min_after.min(trial.min_residual_fps);
@@ -172,7 +191,11 @@ impl GreedyPlacer {
         for &t in &order {
             if let Some(at) = graph.tasks[t].affinity {
                 assign[t] = at;
-                load[grid.index(at)] += u64::from(graph.tasks[t].weight);
+                // A task pinned off the grid loads no router; scoring
+                // fails its edges.
+                if grid.contains(at) {
+                    load[grid.index(at)] += u64::from(graph.tasks[t].weight);
+                }
                 continue;
             }
             pulls.clear();
@@ -252,8 +275,9 @@ impl Placer for AnnealingPlacer {
         let mut snap = BudgetSnapshot::default();
         ctl.save_budgets_into(&mut snap);
         let min_before = ctl.budget_summary().residual_fps_min;
+        let periods = edge_periods(graph);
         let mut current = GreedyPlacer.assign(graph, ctl.grid(), &nodes);
-        let mut cur_score = score_trial(graph, &current, ctl, &snap, min_before);
+        let mut cur_score = score_trial(graph, &periods, &current, ctl, &snap, min_before);
         let mut best = Placement {
             assign: current.clone(),
             score: cur_score,
@@ -288,7 +312,7 @@ impl Placer for AnnealingPlacer {
                 current.swap(t, u);
                 (t, current[u], Some(u))
             };
-            let trial = score_trial(graph, &current, ctl, &snap, min_before);
+            let trial = score_trial(graph, &periods, &current, ctl, &snap, min_before);
             let delta = trial.scalar() as f64 - cur_score.scalar() as f64;
             let accept = delta <= 0.0 || rng.gen_f64() < (-delta / temp).exp();
             if accept {
@@ -402,6 +426,30 @@ mod tests {
             let p = kind.place(&g, &mut ctl, 9);
             assert_eq!(p.assign[0], RouterId::new(0, 0), "{kind}");
             assert_eq!(p.assign[2], RouterId::new(3, 3), "{kind}");
+        }
+    }
+
+    #[test]
+    fn tasks_pinned_off_the_grid_fail_their_edges_without_panicking() {
+        let mut ctl = controller(4, 4);
+        for (text, pinned) in [
+            // One end off the grid.
+            ("app a\ntask s w=1 at=9,9\ntask t w=1\nedge s t rate=10M", 1),
+            // Both ends pinned to the same off-grid router: not
+            // co-located, so the edge still counts.
+            (
+                "app a\ntask s w=1 at=9,9\ntask t w=1 at=9,9\nedge s t rate=10M",
+                2,
+            ),
+        ] {
+            let g = TaskGraph::parse(text).expect("valid graph");
+            for kind in [PlacerKind::Greedy, PlacerKind::Anneal { iters: 16 }] {
+                let p = kind.place(&g, &mut ctl, 3);
+                assert!(!p.admissible(), "{kind}: {text:?}");
+                assert_eq!(p.score.failures, 1, "{kind}: {text:?}");
+                assert_eq!(p.assign[..pinned], vec![RouterId::new(9, 9); pinned]);
+                assert!(ctl.nothing_reserved());
+            }
         }
     }
 

@@ -15,12 +15,42 @@
 //! Budgets are tracked in integer flits/second, so open/close cycles
 //! return them *exactly* (no floating-point drift), and every decision
 //! is a deterministic function of the request sequence.
+//!
+//! # The XY route table
+//!
+//! Every decision of a `(src, dst)` pair after its first reads the XY
+//! route from a per-controller table instead of walking the grid: the
+//! route's dense link indices and its `(extra_total, extra_max)` (the
+//! bound's inputs, see [`crate::bound::path_extras`]). A decision is then
+//! one pass over those links — check, and on commit debit, the same
+//! indices. The placer's dry runs repeat a few hundred decisions per
+//! placement over a small set of pairs, so the table pays for itself
+//! within one placement.
+//!
+//! An entry never goes stale: a route depends only on the grid's
+//! geometry and link extras, which a controller never changes
+//! ([`AdmissionController::fail_link`], [`AdmissionController::fail_router`]
+//! and [`AdmissionController::mark_stuck_vc`] touch link state and
+//! budgets only). Link state is not cached: while any link is down, a
+//! decision checks `link_up` on every link of the route. BFS detours are
+//! not cached.
+//!
+//! Footprint: 4 B of offset per `(src, dst)` pair, allocated one source
+//! row at a time on that source's first decision — 16 KiB for an 8×8
+//! grid, 256 KiB for 16×16, 4 MiB for 32×32 once every source has
+//! decided — plus, per route used, 8 B of header and 4 B per link, in
+//! the source's row. Every route of an 8×8 mesh is 32 KB of headers and
+//! 86 KB of links (5.3 hops on average); 16×16 and 32×32 take 0.5 + 2.8
+//! MB and 8.4 + 89 MB, so a table that large only exists where that many
+//! distinct pairs have actually been decided.
 
-use crate::bound::{path_extras, GuaranteeReport, ServiceModel};
+use crate::bound::{walk_path, GuaranteeReport, ServiceModel};
 use mango_core::{Direction, RouterConfig, RouterId};
 use mango_net::{Grid, NaConfig};
 use mango_sim::SimDuration;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A request to open a GS connection streaming one flit per `period`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,11 +196,43 @@ pub struct BudgetSnapshot {
     rx_free: Vec<u8>,
 }
 
+/// A path as a decision uses it: its links are `start..start + hops` of
+/// its source's route-table row (a cached XY route) or of the detour
+/// scratch, and its per-link extras are summarised for the bound.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    start: usize,
+    hops: usize,
+    extra_total: SimDuration,
+    extra_max: SimDuration,
+}
+
+impl Route {
+    fn links(self) -> Range<usize> {
+        self.start..self.start + self.hops
+    }
+}
+
+/// What [`AdmissionController::decide`] granted.
+#[derive(Debug, Clone, Copy)]
+struct Granted {
+    /// The path is the cached XY route; otherwise it is the BFS detour
+    /// in the `path` / `detour_links` scratch.
+    xy: bool,
+    route: Route,
+    rate_fps: u64,
+    /// Dense indices of the source and destination routers.
+    src: usize,
+    dst: usize,
+}
+
 /// Tracks residual GS budgets for one mesh and answers requests.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     grid: Grid,
     model: ServiceModel,
+    /// `model.service_interval()`: the homogeneous rate pre-check.
+    interval: Option<SimDuration>,
     /// Free GS VCs per directed link, indexed `node_index × 4 + dir`.
     free_vcs: Vec<u8>,
     /// Residual reservable bandwidth per directed link, flits/second.
@@ -191,8 +253,22 @@ pub struct AdmissionController {
     bfs_from: Vec<Option<Direction>>,
     /// BFS scratch: the FIFO frontier (drained by index, never popped).
     bfs_queue: Vec<RouterId>,
-    /// The path of the latest successful [`Self::decide`].
+    /// The latest BFS detour.
     path: Vec<Direction>,
+    /// The latest BFS detour's links.
+    detour_links: Vec<u32>,
+    /// The XY route table (module docs): empty until the first decision,
+    /// then one row per source node, empty until that source's first
+    /// decision. A row starts with one offset
+    /// per destination, 0 until the pair's first decision, then the
+    /// offset of the route's record in the row: `[hops, extras, link…]`,
+    /// `extras` indexing `route_extras`.
+    xy_rows: Vec<Vec<u32>>,
+    /// The distinct `(extra_total, extra_max)` of the cached routes —
+    /// one on a homogeneous grid, a few on a chiplet grid — and the
+    /// index of each.
+    route_extras: Vec<(SimDuration, SimDuration)>,
+    extras_index: BTreeMap<(SimDuration, SimDuration), u32>,
 }
 
 impl AdmissionController {
@@ -213,8 +289,10 @@ impl AdmissionController {
         let nodes = grid.ids().count();
         let capacity_fps = cfg.timing.link_cycle.as_rate_hz();
         let budget_fps = (capacity_fps * max_gs_frac) as u64;
+        let model = ServiceModel::new(cfg, na);
         AdmissionController {
-            model: ServiceModel::new(cfg, na),
+            interval: model.service_interval(),
+            model,
             free_vcs: vec![cfg.gs_vcs() as u8; nodes * 4],
             residual_fps: vec![budget_fps; nodes * 4],
             tx_free: vec![cfg.local_gs_ifaces() as u8; nodes],
@@ -225,6 +303,10 @@ impl AdmissionController {
             bfs_from: vec![None; nodes],
             bfs_queue: Vec::new(),
             path: Vec::new(),
+            detour_links: Vec::new(),
+            xy_rows: Vec::new(),
+            route_extras: Vec::new(),
+            extras_index: BTreeMap::new(),
             grid,
         }
     }
@@ -251,7 +333,7 @@ impl AdmissionController {
     }
 
     fn link_index(&self, from: RouterId, dir: Direction) -> usize {
-        self.grid.index(from) * 4 + dir.index()
+        link_index(&self.grid, from, dir)
     }
 
     /// The reserved rate for `period`, flits/second (rounded up — the
@@ -269,23 +351,93 @@ impl AdmissionController {
         self.free_vcs[i] > 0 && self.residual_fps[i] >= rate_fps
     }
 
-    /// The `(total, max)` extra link delay along the scratch path from
-    /// `src` (what [`path_extras`] reports), or `None` when one of its
-    /// links does not admit — one walk for the capacity check and the
-    /// bound's inputs.
-    fn path_admits(&self, src: RouterId, rate_fps: u64) -> Option<(SimDuration, SimDuration)> {
-        let (mut total, mut max) = (SimDuration::ZERO, SimDuration::ZERO);
-        let mut cur = src;
-        for &d in &self.path {
-            if !self.link_admits(cur, d, rate_fps) {
-                return None;
-            }
-            let extra = self.grid.link_extra(cur, d);
-            total += extra;
-            max = max.max(extra);
-            cur = self.grid.neighbor(cur, d).expect("path stays on grid");
+    /// The XY route from `src` (dense index `s`) to `dst` (`d`) out of
+    /// the route table; the pair's first decision walks and caches it.
+    fn xy_route(&mut self, src: RouterId, dst: RouterId, s: usize, d: usize) -> Route {
+        let n = self.grid.len();
+        if self.xy_rows.is_empty() {
+            // Not in `new`: most controllers are built per run, and many
+            // never decide.
+            self.xy_rows = vec![Vec::new(); n];
         }
-        Some((total, max))
+        if self.xy_rows[s].is_empty() {
+            self.xy_rows[s].resize(n, 0);
+        }
+        let mut at = self.xy_rows[s][d] as usize;
+        if at == 0 {
+            at = self.cache_xy_route(src, dst, s, d);
+        }
+        let row = &self.xy_rows[s];
+        let (extra_total, extra_max) = self.route_extras[row[at + 1] as usize];
+        Route {
+            start: at + 2,
+            hops: row[at] as usize,
+            extra_total,
+            extra_max,
+        }
+    }
+
+    /// Walks the XY route from `src` (dense index `s`) to `dst` (`d`)
+    /// into `src`'s row of the route table; returns the offset of its
+    /// record.
+    fn cache_xy_route(&mut self, src: RouterId, dst: RouterId, s: usize, d: usize) -> usize {
+        let Self {
+            grid,
+            xy_rows,
+            route_extras,
+            extras_index,
+            ..
+        } = self;
+        let row = &mut xy_rows[s];
+        let at = row.len();
+        row.extend([0, 0]);
+        let extras = walk_path(grid, src, xy_dirs(grid, src, dst), |from, dir| {
+            row.push(link_index(grid, from, dir) as u32);
+        });
+        row[at] = (row.len() - at - 2) as u32;
+        row[at + 1] = *extras_index.entry(extras).or_insert_with(|| {
+            route_extras.push(extras);
+            (route_extras.len() - 1) as u32
+        });
+        // A full row holds n × (3 + longest route) < 2^32 words.
+        row[d] = at as u32;
+        at
+    }
+
+    /// Whether every link of the XY `route` from source `s` is up and
+    /// has a free VC and `rate_fps` of residual bandwidth.
+    fn route_admits(&self, s: usize, route: Route, rate_fps: u64) -> bool {
+        let all_up = self.grid.all_links_up();
+        self.xy_rows[s][route.links()].iter().all(|&i| {
+            let i = i as usize;
+            self.free_vcs[i] > 0
+                && self.residual_fps[i] >= rate_fps
+                && (all_up
+                    || self
+                        .grid
+                        .link_up(self.grid.id_at(i / 4), Direction::ALL[i % 4]))
+        })
+    }
+
+    /// The links and extras of the BFS detour from `src` in the `path`
+    /// scratch; its links go to the `detour_links` scratch.
+    fn detour(&mut self, src: RouterId) -> Route {
+        let Self {
+            grid,
+            path,
+            detour_links,
+            ..
+        } = self;
+        detour_links.clear();
+        let (extra_total, extra_max) = walk_path(grid, src, path.iter().copied(), |from, dir| {
+            detour_links.push(link_index(grid, from, dir) as u32);
+        });
+        Route {
+            start: 0,
+            hops: detour_links.len(),
+            extra_total,
+            extra_max,
+        }
     }
 
     /// Writes the shortest path from `src` to `dst` over links with
@@ -345,8 +497,9 @@ impl AdmissionController {
     /// Returns the (deterministic) [`RejectReason`] without reserving
     /// anything.
     pub fn request(&mut self, req: &ConnRequest) -> Result<Admission, RejectReason> {
-        let adm = self.probe(req)?;
-        self.commit(req);
+        let granted = self.decide(req)?;
+        let adm = self.ticket(req, granted);
+        self.commit(granted);
         Ok(adm)
     }
 
@@ -361,15 +514,8 @@ impl AdmissionController {
     ///
     /// The same deterministic [`RejectReason`]s as [`Self::request`].
     pub fn probe(&mut self, req: &ConnRequest) -> Result<Admission, RejectReason> {
-        let (xy, report) = self.decide(req)?;
-        Ok(Admission {
-            src: req.src,
-            dst: req.dst,
-            dirs: self.path.clone(),
-            xy,
-            rate_fps: Self::rate_fps(req.period),
-            report,
-        })
+        let granted = self.decide(req)?;
+        Ok(self.ticket(req, granted))
     }
 
     /// [`Self::request`] without the ticket — the same decision and the
@@ -380,80 +526,116 @@ impl AdmissionController {
     ///
     /// The same deterministic [`RejectReason`]s as [`Self::request`].
     pub fn commit_trial(&mut self, req: &ConnRequest) -> Result<TrialCommit, RejectReason> {
-        let (_, report) = self.decide(req)?;
+        let granted = self.decide(req)?;
+        let Route {
+            hops,
+            extra_total,
+            extra_max,
+            ..
+        } = granted.route;
         Ok(TrialCommit {
-            hops: self.path.len(),
-            worst_latency_ns: report.worst_latency_ns(),
-            min_residual_fps: self.commit(req),
+            hops,
+            worst_latency_ns: self
+                .model
+                .worst_latency(hops, extra_total, extra_max, req.period)
+                .map(SimDuration::as_ns_f64),
+            min_residual_fps: self.commit(granted),
         })
     }
 
     /// The one decision procedure behind [`Self::request`],
-    /// [`Self::probe`] and [`Self::commit_trial`]: path search + bound
-    /// composition, no commit. The granted path is left in the `path`
-    /// scratch; returns whether it is the XY route, and its guarantee.
-    fn decide(&mut self, req: &ConnRequest) -> Result<(bool, GuaranteeReport), RejectReason> {
+    /// [`Self::probe`] and [`Self::commit_trial`]: path search + the
+    /// bound's conformance check, no commit. A detour is left in the
+    /// `path` / `detour_links` scratch.
+    fn decide(&mut self, req: &ConnRequest) -> Result<Granted, RejectReason> {
         if !self.grid.contains(req.src) || !self.grid.contains(req.dst) {
             return Err(RejectReason::NoPath);
         }
         if req.src == req.dst {
             return Err(RejectReason::SameRouter);
         }
-        let rate_fps = Self::rate_fps(req.period);
-        let Some(interval) = self.model.service_interval() else {
-            return Err(RejectReason::Unguaranteeable);
-        };
-        if req.period < interval {
+        if self.interval.is_none_or(|interval| req.period < interval) {
             return Err(RejectReason::Unguaranteeable);
         }
-        if self.tx_free[self.grid.index(req.src)] == 0 {
+        let (src, dst) = (self.grid.index(req.src), self.grid.index(req.dst));
+        if self.tx_free[src] == 0 {
             return Err(RejectReason::NoTxIface);
         }
-        if self.rx_free[self.grid.index(req.dst)] == 0 {
+        if self.rx_free[dst] == 0 {
             return Err(RejectReason::NoRxIface);
         }
-        self.path.clear();
-        for (dir, hops) in self.grid.axis_legs(req.src, req.dst) {
-            self.path.extend(std::iter::repeat_n(dir, hops.into()));
-        }
-        let (xy, (extra_total, extra_max)) = match self.path_admits(req.src, rate_fps) {
-            Some(extras) => (true, extras),
-            None if self.bfs(req.src, req.dst, rate_fps) => {
-                (false, path_extras(&self.grid, req.src, &self.path))
-            }
-            None => return Err(RejectReason::NoPath),
+        let rate_fps = Self::rate_fps(req.period);
+        let xy_route = self.xy_route(req.src, req.dst, src, dst);
+        let (xy, route) = if self.route_admits(src, xy_route, rate_fps) {
+            (true, xy_route)
+        } else if self.bfs(req.src, req.dst, rate_fps) {
+            (false, self.detour(req.src))
+        } else {
+            return Err(RejectReason::NoPath);
         };
 
         // The bound composes over the concrete path's per-link extras
         // (D2D boundaries, pipelined links): a slow link can stretch the
         // service interval past the requested period even when the
         // homogeneous pre-check above passed.
-        let report =
-            self.model
-                .report_with_extras(self.path.len(), extra_total, extra_max, req.period);
-        if !report.conforming {
+        if self
+            .model
+            .service_interval_with_extra(route.extra_max)
+            .is_none_or(|interval| req.period < interval)
+        {
             return Err(RejectReason::Unguaranteeable);
         }
-        Ok((xy, report))
+        Ok(Granted {
+            xy,
+            route,
+            rate_fps,
+            src,
+            dst,
+        })
     }
 
-    /// Debits every budget the request just decided consumes (its path
-    /// is in the `path` scratch); returns the minimum residual bandwidth
-    /// left on the path's links.
-    fn commit(&mut self, req: &ConnRequest) -> u64 {
-        let rate_fps = Self::rate_fps(req.period);
-        let mut cur = req.src;
-        let mut min_residual = u64::MAX;
-        for k in 0..self.path.len() {
-            let d = self.path[k];
-            let i = self.link_index(cur, d);
-            self.free_vcs[i] -= 1;
-            self.residual_fps[i] -= rate_fps;
-            min_residual = min_residual.min(self.residual_fps[i]);
-            cur = self.grid.neighbor(cur, d).expect("path stays on grid");
+    /// The ticket [`Self::request`] and [`Self::probe`] hand out for a
+    /// granted request.
+    fn ticket(&self, req: &ConnRequest, granted: Granted) -> Admission {
+        let Route {
+            hops,
+            extra_total,
+            extra_max,
+            ..
+        } = granted.route;
+        Admission {
+            src: req.src,
+            dst: req.dst,
+            dirs: if granted.xy {
+                xy_dirs(&self.grid, req.src, req.dst).collect()
+            } else {
+                self.path.clone()
+            },
+            xy: granted.xy,
+            rate_fps: granted.rate_fps,
+            report: self
+                .model
+                .report_with_extras(hops, extra_total, extra_max, req.period),
         }
-        self.tx_free[self.grid.index(req.src)] -= 1;
-        self.rx_free[self.grid.index(req.dst)] -= 1;
+    }
+
+    /// Debits every budget `granted` consumes; returns the minimum
+    /// residual bandwidth left on its links.
+    fn commit(&mut self, granted: Granted) -> u64 {
+        let links = if granted.xy {
+            &self.xy_rows[granted.src]
+        } else {
+            &self.detour_links
+        };
+        let mut min_residual = u64::MAX;
+        for &i in &links[granted.route.links()] {
+            let i = i as usize;
+            self.free_vcs[i] -= 1;
+            self.residual_fps[i] -= granted.rate_fps;
+            min_residual = min_residual.min(self.residual_fps[i]);
+        }
+        self.tx_free[granted.src] -= 1;
+        self.rx_free[granted.dst] -= 1;
         min_residual
     }
 
@@ -622,6 +804,19 @@ impl AdmissionController {
             self.rx_free.clone(),
         )
     }
+}
+
+/// Dense index of the directed link `from → dir`: `node_index × 4 + dir`.
+fn link_index(grid: &Grid, from: RouterId, dir: Direction) -> usize {
+    grid.index(from) * 4 + dir.index()
+}
+
+/// The directions of the XY route from `src` to `dst`
+/// ([`Grid::axis_legs`], x leg first).
+fn xy_dirs(grid: &Grid, src: RouterId, dst: RouterId) -> impl Iterator<Item = Direction> {
+    grid.axis_legs(src, dst)
+        .into_iter()
+        .flat_map(|(dir, hops)| std::iter::repeat_n(dir, hops.into()))
 }
 
 #[cfg(test)]

@@ -137,40 +137,49 @@ impl ServiceModel {
         extra_max: SimDuration,
         period: SimDuration,
     ) -> GuaranteeReport {
-        let requested_mfps = period.as_rate_mhz();
         let service_interval = self.service_interval_with_extra(extra_max);
-        let guaranteed_mfps = service_interval.map_or(0.0, |i| i.as_rate_mhz());
-        let conforming = service_interval.is_some_and(|interval| period >= interval);
-        // Sound only for conforming sources: a faster source grows its
-        // NA queue without bound and no per-flit latency bound exists.
-        let worst_latency = if conforming {
-            let interval = service_interval.expect("conforming implies bounded");
-            let per_hop = self.per_hop().expect("conforming implies bounded");
-            Some(
-                // NA queue: at most one service interval ahead of us.
-                interval
-                    // Injection: crossing + local forward path + latch.
-                    + self.sync_delay + self.hop_forward + self.buffer_advance
-                    // Every link: arbitration round + forward path.
-                    + per_hop * hops as u64
-                    // Heterogeneous links: each extra pipeline stage is
-                    // paid once on the forward traversal.
-                    + extra_total
-                    // Delivery: the NA's receive slot may be mid-consume.
-                    + self.consume_delay,
-            )
-        } else {
-            None
-        };
         GuaranteeReport {
             hops,
             slots: self.slots,
-            requested_mfps,
-            guaranteed_mfps,
-            conforming,
+            requested_mfps: period.as_rate_mhz(),
+            guaranteed_mfps: service_interval.map_or(0.0, |i| i.as_rate_mhz()),
+            conforming: service_interval.is_some_and(|interval| period >= interval),
             service_interval,
-            worst_latency,
+            worst_latency: self.worst_latency(hops, extra_total, extra_max, period),
         }
+    }
+
+    /// The [`GuaranteeReport::worst_latency`] of
+    /// [`ServiceModel::report_with_extras`] for the same arguments,
+    /// without the rest of the report (no floating point): the bound the
+    /// admission controller's dry runs read. `None` when the arbiter
+    /// gives no bound or the source does not conform.
+    pub fn worst_latency(
+        &self,
+        hops: usize,
+        extra_total: SimDuration,
+        extra_max: SimDuration,
+        period: SimDuration,
+    ) -> Option<SimDuration> {
+        // Sound only for conforming sources: a faster source grows its
+        // NA queue without bound and no per-flit latency bound exists.
+        let interval = self
+            .service_interval_with_extra(extra_max)
+            .filter(|&interval| period >= interval)?;
+        let per_hop = self.per_hop()?;
+        Some(
+            // NA queue: at most one service interval ahead of us.
+            interval
+                // Injection: crossing + local forward path + latch.
+                + self.sync_delay + self.hop_forward + self.buffer_advance
+                // Every link: arbitration round + forward path.
+                + per_hop * hops as u64
+                // Heterogeneous links: each extra pipeline stage is
+                // paid once on the forward traversal.
+                + extra_total
+                // Delivery: the NA's receive slot may be mid-consume.
+                + self.consume_delay,
+        )
     }
 
     /// The guarantee report for the concrete path `src` + `dirs` over
@@ -198,10 +207,26 @@ impl ServiceModel {
 ///
 /// Panics if the path walks off the grid.
 pub fn path_extras(grid: &Grid, src: RouterId, dirs: &[Direction]) -> (SimDuration, SimDuration) {
+    walk_path(grid, src, dirs.iter().copied(), |_, _| {})
+}
+
+/// [`path_extras`] that also hands every link `(from, dir)` of the path
+/// to `visit`, in path order.
+///
+/// # Panics
+///
+/// Panics if the path walks off the grid.
+pub(crate) fn walk_path(
+    grid: &Grid,
+    src: RouterId,
+    dirs: impl IntoIterator<Item = Direction>,
+    mut visit: impl FnMut(RouterId, Direction),
+) -> (SimDuration, SimDuration) {
     let mut total = SimDuration::ZERO;
     let mut max = SimDuration::ZERO;
     let mut cur = src;
-    for &dir in dirs {
+    for dir in dirs {
+        visit(cur, dir);
         let extra = grid.link_extra(cur, dir);
         total += extra;
         max = max.max(extra);
@@ -425,5 +450,56 @@ mod tests {
         let (total, max) = path_extras(&g, RouterId::new(1, 0), &dirs);
         assert_eq!(total, mango_net::d2d_extra_default());
         assert_eq!(max, mango_net::d2d_extra_default());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The lean bound the admission dry runs read is the report's
+        /// bound and the stage sum written out by hand, for every arbiter
+        /// (fair share, ALG with age bounds 0..8, static priority), path
+        /// length and pair of extras, at periods just below, at and above
+        /// the path's stretched service interval — so both the
+        /// conforming and the `None` side occur.
+        #[test]
+        fn worst_latency_equals_the_reports_bound(
+            arbiter in 0u32..11,
+            hops in 0usize..65,
+            extra_total_ps in 0u64..1_000_000,
+            extra_max_ps in 0u64..20_000,
+            delta_ps in 0u64..4_000,
+        ) {
+            let mut cfg = RouterConfig::paper();
+            cfg.arbiter = match arbiter {
+                0 => ArbiterKind::FairShare,
+                1 => ArbiterKind::StaticPriority,
+                age => ArbiterKind::Alg { age_bound: age - 2 },
+            };
+            let m = ServiceModel::new(&cfg, &NaConfig::paper());
+            let total = SimDuration::from_ps(extra_total_ps);
+            let max = SimDuration::from_ps(extra_max_ps);
+            let interval = m.service_interval_with_extra(max);
+            let pivot = interval.map_or(12_000, SimDuration::as_ps);
+            for period_ps in [pivot.saturating_sub(delta_ps + 1), pivot, pivot + delta_ps] {
+                let period = SimDuration::from_ps(period_ps);
+                let report = m.report_with_extras(hops, total, max, period);
+                let lean = m.worst_latency(hops, total, max, period);
+                let by_hand = m
+                    .grant_bound
+                    .zip(interval)
+                    .filter(|&(_, interval)| period >= interval)
+                    .map(|(grants, interval)| {
+                        let per_hop =
+                            m.arb_decision + m.link_cycle * grants + m.hop_forward + m.buffer_advance;
+                        interval + m.sync_delay + m.hop_forward + m.buffer_advance
+                            + per_hop * hops as u64
+                            + total
+                            + m.consume_delay
+                    });
+                proptest::prop_assert_eq!(lean, report.worst_latency);
+                proptest::prop_assert_eq!(lean, by_hand);
+                proptest::prop_assert_eq!(lean.is_some(), report.conforming);
+            }
+        }
     }
 }

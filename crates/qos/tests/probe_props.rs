@@ -55,6 +55,35 @@ fn compare(
     Ok(ticket.ok())
 }
 
+/// The XY route from `src` to `dst`, expanded from [`Grid::axis_legs`].
+fn xy_dirs(grid: &Grid, src: RouterId, dst: RouterId) -> Vec<Direction> {
+    grid.axis_legs(src, dst)
+        .into_iter()
+        .flat_map(|(dir, hops)| std::iter::repeat_n(dir, hops.into()))
+        .collect()
+}
+
+/// Whether `req`'s XY route admits, read from the controller's public
+/// accessors only: every link exists and is up, and has a free VC and
+/// the request's rate in residual bandwidth.
+fn xy_route_admits(ctl: &AdmissionController, req: &ConnRequest) -> bool {
+    let (grid, rate_fps) = (ctl.grid(), AdmissionController::rate_fps(req.period));
+    let mut cur = req.src;
+    for dir in xy_dirs(grid, req.src, req.dst) {
+        let Some(next) = grid.neighbor(cur, dir) else {
+            return false;
+        };
+        if !grid.link_up(cur, dir)
+            || ctl.free_vcs(cur, dir) == 0
+            || ctl.residual_fps(cur, dir) < rate_fps
+        {
+            return false;
+        }
+        cur = next;
+    }
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -213,5 +242,82 @@ proptest! {
             }
             compare(&mut trial, &mut plain, &req)?;
         }
+    }
+
+    /// An oracle for the controller's XY route table that shares none of
+    /// its code. Over histories that interleave requests between a few
+    /// hot routers with releases, link failures, stuck VCs and router
+    /// fail-stops, on a mesh, a torus and a chiplet grid: a request is
+    /// granted on its XY route exactly when that route admits by the
+    /// public budget view and both endpoint interfaces are free; an XY
+    /// ticket's `dirs` are the `axis_legs` route; and every ticket's bound
+    /// is what `report_along` composes over its path.
+    #[test]
+    fn xy_grants_match_a_public_accessor_oracle(
+        topology in 0u8..3,
+        hot in prop::collection::vec(0u32..64, 6..7),
+        ops in prop::collection::vec((0u8..12, 0usize..6, 0usize..6, 12u64..40), 1..64),
+    ) {
+        let grid = Grid::from_spec(&match topology {
+            0 => TopologySpec::mesh(5, 4),
+            1 => TopologySpec::torus(4, 4),
+            _ => TopologySpec::chiplet(2, 2, 4, 4),
+        });
+        let hot: Vec<RouterId> = hot
+            .into_iter()
+            .map(|i| node(i, grid.width(), grid.height()))
+            .collect();
+        let mut ctl = controller_on(grid);
+        let mut held: Vec<Admission> = Vec::new();
+        for (op, a, b, period_ns) in ops {
+            let (at, dir) = (hot[a], Direction::ALL[b % 4]);
+            let has_link = ctl.grid().neighbor(at, dir).is_some();
+            match op {
+                0..=6 => {
+                    let req = ConnRequest {
+                        src: hot[a],
+                        dst: hot[b],
+                        period: SimDuration::from_ns(period_ns),
+                    };
+                    if req.src == req.dst {
+                        continue;
+                    }
+                    let (_, _, tx_free, rx_free) = ctl.snapshot();
+                    let ifaces = tx_free[ctl.grid().index(req.src)] > 0
+                        && rx_free[ctl.grid().index(req.dst)] > 0;
+                    let xy_admits = xy_route_admits(&ctl, &req);
+                    let granted = ctl.request(&req);
+                    let granted_xy = matches!(granted, Ok(Admission { xy: true, .. }));
+                    prop_assert!(
+                        granted_xy == (ifaces && xy_admits),
+                        "{:?} -> {:?}, oracle: ifaces {} XY route {}",
+                        req,
+                        granted,
+                        ifaces,
+                        xy_admits
+                    );
+                    if let Ok(adm) = granted {
+                        if adm.xy {
+                            prop_assert_eq!(&adm.dirs, &xy_dirs(ctl.grid(), req.src, req.dst));
+                        }
+                        let along = ctl.model().report_along(ctl.grid(), adm.src, &adm.dirs, req.period);
+                        prop_assert_eq!(&adm.report, &along);
+                        held.push(adm);
+                    }
+                }
+                7 | 8 if !held.is_empty() => {
+                    let adm = held.swap_remove(a % held.len());
+                    ctl.release(&adm);
+                }
+                9 if has_link => ctl.fail_link(at, dir),
+                10 if has_link => ctl.mark_stuck_vc(at, dir),
+                11 if b == 0 => ctl.fail_router(at),
+                _ => {}
+            }
+        }
+        for adm in &held {
+            ctl.release(adm);
+        }
+        prop_assert!(ctl.nothing_reserved());
     }
 }
