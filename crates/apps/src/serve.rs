@@ -358,9 +358,9 @@ impl<'a> Engine<'a> {
         let group = self.lc.group(i);
         let (stream_stop, edges) = (group.stream_stop, group.conns.len());
         let outcome = &mut self.outcomes[group.ordinal];
-        let opened_at = self.lc.opened_at(prepared, i);
-        outcome.setup = opened_at.map(|t| t.since(outcome.requested_at));
-        if prepared.sim().now() + SimDuration::from_ns(1) >= stream_stop {
+        let now = prepared.sim().now();
+        outcome.setup = Some(now.since(outcome.requested_at));
+        if now + SimDuration::from_ns(1) >= stream_stop {
             return;
         }
         for k in 0..edges {

@@ -36,6 +36,32 @@ pub enum ConnState {
     Closed,
 }
 
+/// What a control plane waits for, posted by the network at the instant
+/// it happens (see [`crate::NocSim::run_until_notice`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Notice {
+    /// When it happened.
+    pub at: SimTime,
+    /// The connection it concerns.
+    pub conn: ConnectionId,
+    /// What happened.
+    pub kind: NoticeKind,
+}
+
+/// What a [`Notice`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoticeKind {
+    /// The last open ack returned: the connection is `Open`.
+    Opened,
+    /// The last teardown ack returned: the connection is `Closed`.
+    Closed,
+    /// A watchdog saw the connection's stream stop arriving.
+    Broken {
+        /// The flow the watchdog monitored.
+        flow: u32,
+    },
+}
+
 /// Errors opening or closing connections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnError {
@@ -581,15 +607,15 @@ impl ConnectionManager {
     }
 
     /// Processes an acknowledgment token at simulation time `now`;
-    /// returns the connection and its new state if the token completed a
-    /// transition (the transition time is recorded in the record's
+    /// returns the connection and what happened to it if the token
+    /// completed a transition (the time is recorded in the record's
     /// `opened_at`/`closed_at`).
     pub fn on_ack(
         &mut self,
         token: u16,
         grid: &Grid,
         now: SimTime,
-    ) -> Option<(ConnectionId, ConnState)> {
+    ) -> Option<(ConnectionId, NoticeKind)> {
         let id = self.tokens.remove(&token)?;
         let conn = self.conns.get_mut(&id).expect("token maps to connection");
         conn.outstanding.retain(|&(t, _)| t != token);
@@ -600,13 +626,13 @@ impl ConnectionManager {
             ConnState::Opening => {
                 conn.state = ConnState::Open;
                 conn.opened_at = Some(now);
-                Some((id, ConnState::Open))
+                Some((id, NoticeKind::Opened))
             }
             ConnState::Closing => {
                 conn.state = ConnState::Closed;
                 conn.closed_at = Some(now);
                 self.release(id, grid);
-                Some((id, ConnState::Closed))
+                Some((id, NoticeKind::Closed))
             }
             s => panic!("ack for connection in state {s:?}"),
         }
@@ -853,7 +879,7 @@ mod tests {
         );
         assert_eq!(
             m.on_ack(tokens[1], &g, SimTime::ZERO),
-            Some((plan.id, ConnState::Open))
+            Some((plan.id, NoticeKind::Opened))
         );
         assert!(m.all_settled());
         assert_eq!(

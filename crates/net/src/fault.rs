@@ -29,8 +29,9 @@
 //!   credits, NA activity) and its local sources fall silent.
 //!
 //! Detection starts here and recovery lives above this layer: stream
-//! watchdogs ([`Network::add_watchdog`]) declare a connection broken when
-//! its flits stop progressing, and the QoS recovery controller (in
+//! watchdogs ([`Network::add_watchdog`]) post a
+//! [`NoticeKind::Broken`] notice when its flits stop progressing, and the
+//! QoS recovery controller (in
 //! `mango_qos`) tears down, re-admits over surviving links and
 //! re-validates bounds.
 //!
@@ -39,6 +40,7 @@
 //! can vanish (sent into a faulted element, or in flight toward a router
 //! that died) with the one feedback rule behind both, and the watchdogs.
 
+use crate::conn::NoticeKind;
 use crate::network::{NetEvent, Network};
 use crate::topology::Grid;
 use crate::traffic::SourceKind;
@@ -407,17 +409,6 @@ pub(crate) struct Watchdog {
     last_delivered: u64,
 }
 
-/// A watchdog verdict: which connection broke, and when.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrokenConn {
-    /// The broken connection.
-    pub conn: ConnectionId,
-    /// The flow its watchdog monitored.
-    pub flow: u32,
-    /// When the watchdog declared it broken.
-    pub detected_at: SimTime,
-}
-
 impl Network {
     /// Installs a fault schedule and returns the application times, in
     /// event-index order; the caller must schedule a
@@ -457,11 +448,6 @@ impl Network {
         self.watchdogs.len() - 1
     }
 
-    /// Drains the list of connections declared broken by watchdogs.
-    pub fn take_broken(&mut self) -> Vec<BrokenConn> {
-        std::mem::take(&mut self.broken)
-    }
-
     pub(crate) fn on_watchdog(&mut self, idx: usize, ctx: &mut Ctx<NetEvent>) {
         let w = self.watchdogs[idx];
         let delivered = self.stats.delivered(w.flow);
@@ -469,11 +455,7 @@ impl Network {
             self.watchdogs[idx].last_delivered = delivered;
             ctx.schedule(w.timeout, NetEvent::Watchdog { idx });
         } else {
-            self.broken.push(BrokenConn {
-                conn: w.conn,
-                flow: w.flow,
-                detected_at: ctx.now(),
-            });
+            self.notify(w.conn, NoticeKind::Broken { flow: w.flow }, ctx);
         }
     }
 

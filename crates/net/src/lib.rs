@@ -19,7 +19,7 @@
 //! | module | owns |
 //! |---|---|
 //! | [`network`] | `Network` (fields, accessors), [`NetEvent`], final BE delivery, and the dispatch `handle` → `call_router` → `process_actions` |
-//! | [`fault`] | fault schedules and live fault state; applying a fault, blackholing a flit, the spoofed-feedback rule, watchdogs and [`BrokenConn`] verdicts |
+//! | [`fault`] | fault schedules and live fault state; applying a fault, blackholing a flit, the spoofed-feedback rule, watchdogs and their [`NoticeKind::Broken`] verdicts |
 //! | [`telemetry`] | the sink; activation/finalization, the epoch sampler and its row (next to [`EPOCH_COLUMNS`]), recovery-track hooks, flit-trace hooks |
 //! | [`relay`] | segmented BE packets and the ticket table; queueing a packet at a source NA, ack legs, relay forwarding |
 //! | [`traffic`] | spatial × temporal traffic models; the source table and source ticks |
@@ -73,7 +73,8 @@ pub mod topology;
 pub mod traffic;
 
 pub use conn::{walk_dirs, ConnError, ConnRecord, ConnState, ConnectionManager};
-pub use fault::{BrokenConn, FaultCounters, FaultEvent, FaultKind, FaultSchedule};
+pub use conn::{Notice, NoticeKind};
+pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultSchedule};
 pub use meta::MetaSlab;
 pub use na::{Na, NaConfig};
 pub use na_arena::NaArena;

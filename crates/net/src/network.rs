@@ -28,8 +28,8 @@
 //! Flit for flit the run is the one a queue holding all of them would
 //! have produced; it just dispatches a quarter to a third fewer events.
 
-use crate::conn::{ConnectionManager, OpenPlan};
-use crate::fault::{BrokenConn, FaultCounters, FaultState, Watchdog};
+use crate::conn::{ConnectionManager, Notice, NoticeKind, OpenPlan};
+use crate::fault::{FaultCounters, FaultState, Watchdog};
 use crate::meta::MetaSlab;
 use crate::na::NaConfig;
 use crate::na_arena::NaArena;
@@ -39,10 +39,11 @@ use crate::telemetry::TelemetrySink;
 use crate::topology::Grid;
 use crate::traffic::Source;
 use mango_core::{
-    BeArena, Direction, Flit, GsArena, Handshake, InternalEvent, LinkFlit, Router, RouterAction,
-    RouterConfig, RouterId, VcId,
+    BeArena, ConnectionId, Direction, Flit, GsArena, Handshake, InternalEvent, LinkFlit, Router,
+    RouterAction, RouterConfig, RouterId, VcId,
 };
 use mango_sim::{Ctx, Model, SimDuration, SimTime, Slot};
+use std::collections::VecDeque;
 
 /// Slot kinds of the three lazy handshakes ([`Model::slot_kind_names`]).
 const SLOT_LINK_FREE: usize = 0;
@@ -195,9 +196,10 @@ pub struct Network {
     pub(crate) counters: FaultCounters,
     /// Stream watchdogs for broken-connection detection.
     pub(crate) watchdogs: Vec<Watchdog>,
-    /// Connections declared broken by a watchdog, awaiting collection by
-    /// the recovery controller.
-    pub(crate) broken: Vec<BrokenConn>,
+    /// Completed opens and closes and watchdog breaks, oldest first.
+    notices: VecDeque<Notice>,
+    /// Set while a control plane runs: a posted notice halts the kernel.
+    pub(crate) halt_on_notice: bool,
     /// Telemetry sink; `Off` (the default) keeps every hook to a single
     /// branch so untelemetered runs stay byte- and perf-identical.
     pub(crate) telemetry: TelemetrySink,
@@ -266,7 +268,8 @@ impl Network {
             faults: None,
             counters: FaultCounters::default(),
             watchdogs: Vec::new(),
-            broken: Vec::new(),
+            notices: VecDeque::new(),
+            halt_on_notice: false,
             telemetry: TelemetrySink::Off,
             telemetry_generation: 0,
             eager_handshakes: false,
@@ -426,6 +429,21 @@ impl Network {
     pub fn absorb_parked(&mut self, upto: Slot) {
         for router in &mut self.routers {
             router.settle(&mut self.arena, &mut self.be_arena, upto);
+        }
+    }
+
+    /// Takes the oldest notice not taken yet.
+    pub fn pop_notice(&mut self) -> Option<Notice> {
+        self.notices.pop_front()
+    }
+
+    /// Posts a notice of what just happened to `conn`, halting the run at
+    /// the end of this instant if a control plane is waiting for it.
+    pub(crate) fn notify(&mut self, conn: ConnectionId, kind: NoticeKind, ctx: &mut Ctx<NetEvent>) {
+        let at = ctx.now();
+        self.notices.push_back(Notice { at, conn, kind });
+        if self.halt_on_notice {
+            ctx.halt();
         }
     }
 

@@ -339,7 +339,9 @@ impl Network {
                         .token_src(token)
                         .expect("known token has a source");
                     if target == id {
-                        self.conn.on_ack(token, &self.grid, ctx.now());
+                        if let Some((conn, kind)) = self.conn.on_ack(token, &self.grid, ctx.now()) {
+                            self.notify(conn, kind, ctx);
+                        }
                     } else {
                         self.forward_ack(id, target, token, ctx);
                     }
@@ -379,7 +381,7 @@ impl Network {
             Err(_) => {
                 // No surviving route back to the source: the ack is lost
                 // and the open/close will be resolved by its watchdog or
-                // poll deadline instead of a process abort.
+                // `op_timeout` deadline instead of a process abort.
                 self.counters.ack_route_drops += 1;
                 return;
             }

@@ -3,7 +3,7 @@
 //! traffic, running warmup/measurement phases and reading statistics.
 
 use crate::conn::{ConnError, ConnState};
-use crate::fault::{BrokenConn, FaultSchedule};
+use crate::fault::FaultSchedule;
 use crate::na::NaConfig;
 use crate::network::{NetEvent, Network};
 use crate::stats::FlowStats;
@@ -69,14 +69,6 @@ impl NocSim {
         )
     }
 
-    /// A mesh with a custom router configuration.
-    pub fn mesh_with(width: u8, height: u8, cfg: RouterConfig, seed: u64) -> Self {
-        NocSim::new(
-            Network::new(Grid::new(width, height), cfg, NaConfig::paper()),
-            seed,
-        )
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.kernel.now()
@@ -114,6 +106,17 @@ impl NocSim {
     pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
         self.rearm_telemetry_sampler();
         self.kernel.run_for(span)
+    }
+
+    /// Runs until `horizon`, or to the end of the first instant the
+    /// network posts a notice in ([`Network::pop_notice`]): the run of a
+    /// control plane, which wakes at the acks and breaks it waits for.
+    pub fn run_until_notice(&mut self, horizon: SimTime) -> RunOutcome {
+        self.rearm_telemetry_sampler();
+        self.kernel.model_mut().halt_on_notice = true;
+        let outcome = self.kernel.run_until(horizon);
+        self.kernel.model_mut().halt_on_notice = false;
+        outcome
     }
 
     /// Runs until the event queue drains; reports stall (deadlock) if
@@ -198,8 +201,8 @@ impl NocSim {
 
     /// Arms a stream watchdog on `conn`'s traffic `flow`: if a whole
     /// `timeout` passes without the flow's delivered count advancing, the
-    /// connection is declared broken and surfaces in
-    /// [`NocSim::take_broken`]. A sound timeout for a CBR stream of
+    /// connection is declared broken in a [`crate::NoticeKind::Broken`] notice
+    /// ([`Network::pop_notice`]). A sound timeout for a CBR stream of
     /// period `p` with worst-case latency bound `b` is `p + 2b` — a
     /// healthy stream's inter-delivery gap never exceeds `p + b`.
     pub fn arm_watchdog(
@@ -210,11 +213,6 @@ impl NocSim {
     ) {
         let idx = self.kernel.model_mut().add_watchdog(conn, flow, timeout);
         self.kernel.schedule(timeout, NetEvent::Watchdog { idx });
-    }
-
-    /// Drains the connections watchdogs have declared broken.
-    pub fn take_broken(&mut self) -> Vec<BrokenConn> {
-        self.kernel.model_mut().take_broken()
     }
 
     /// Silences every traffic source feeding `flow` (first step of

@@ -517,9 +517,9 @@ impl Source {
     }
 
     /// Computes the next tick time after an emission at `now`, marking the
-    /// source done if it hit a bound.
+    /// source done if it hit a bound; a silenced source ticks no more.
     pub fn schedule_next(&mut self, now: SimTime) -> Option<SimTime> {
-        if self.limit.is_some_and(|l| self.emitted >= l) {
+        if self.done || self.limit.is_some_and(|l| self.emitted >= l) {
             self.done = true;
             return None;
         }

@@ -12,7 +12,8 @@
 //! (`records_equal_buffered_flits_once_the_queue_drains`). The relay test
 //! covers the one place records change hands instead of being allocated
 //! or released, and the fail-stop test pins the feedback owed for flits
-//! a dying router swallows.
+//! a dying router swallows. A source silenced by `stop_flow` or a router
+//! fail-stop must stop ticking, or no such run could ever drain.
 
 use mango_core::RouterId;
 use mango_net::{
@@ -107,9 +108,9 @@ proptest! {
         dead in 0u8..16,
     ) {
         let far = RouterId::new(side - 1, side - 1);
-        // Bounded by time, not by count: a source silenced by the router
-        // fail-stop keeps ticking until its stop time, and only then can
-        // the queue drain.
+        // Bounded by time, not by count: the sources the fail-stop does
+        // not silence tick until their stop time, and only then can the
+        // queue drain.
         let bounded = EmitWindow { stop_at: Some(SimTime::from_us(5)), ..Default::default() };
         let spec = ScenarioSpec::mesh(side, side, seed)
             .warmup(SimDuration::from_ns(200))
@@ -210,6 +211,50 @@ fn relayed_packets_keep_one_record_across_every_leg() {
             "{mesh:?}: recorded {whole} < {legs}, the sum of the legs"
         );
     }
+}
+
+/// A GS source with no stop time, silenced by `stop_flow`, ticks no
+/// more: one bound later nothing is pending, and the run drains. (The
+/// pending-count check comes first, so a source that kept ticking fails
+/// it instead of hanging `run_to_quiescence`.)
+#[test]
+fn a_stopped_source_stops_ticking() {
+    let mut sim = NocSim::paper_mesh(3, 3, 5);
+    let conn = sim
+        .open_connection(RouterId::new(0, 0), RouterId::new(2, 2))
+        .expect("an idle mesh admits");
+    sim.wait_connections_settled().expect("programming settles");
+    sim.begin_measurement();
+    let cbr = TemporalSpec::cbr(SimDuration::from_ns(10));
+    let flow = sim.add_gs_source(conn, cbr, "gs", EmitWindow::default());
+    sim.run_for(SimDuration::from_us(1));
+    sim.stop_flow(flow);
+    // 1 µs is far beyond the worst-case latency of a 4-hop GS path.
+    sim.run_for(SimDuration::from_us(1));
+    assert_eq!(sim.events_pending(), 0, "the silenced source still ticks");
+    assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+    let stats = sim.flow(flow);
+    assert!(stats.injected > 0 && stats.delivered == stats.injected);
+}
+
+/// A BE source without a stop time at a router that fail-stops ticks no
+/// more: checked the same way as a stopped flow.
+#[test]
+fn a_source_at_a_dead_router_stops_ticking() {
+    let mut sim = NocSim::paper_mesh(3, 3, 6);
+    let victim = RouterId::new(1, 1);
+    let cbr = TemporalSpec::cbr(SimDuration::from_ns(100));
+    let dests = vec![RouterId::new(2, 2)];
+    sim.add_be_source(victim, dests, 3, cbr, "be", EmitWindow::default());
+    let dies_at = sim.now() + SimDuration::from_ns(550);
+    sim.install_faults(FaultSchedule::new(1).with(dies_at, FaultKind::RouterDown { id: victim }));
+    sim.run_for(SimDuration::from_us(2));
+    assert_eq!(
+        sim.events_pending(),
+        0,
+        "the dead router's source still ticks"
+    );
+    assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
 }
 
 /// A router fail-stop under load. Three streams keep three of the

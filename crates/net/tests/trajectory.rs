@@ -30,7 +30,8 @@
 use mango_core::{ConnectionId, RouterConfig, RouterId};
 use mango_net::{
     route_avoiding, EmitWindow, FaultKind, FaultSchedule, Grid, NaConfig, Network, NocSim,
-    ScenarioSpec, SpatialPattern, TelemetryConfig, TemporalSpec, TopologySpec, TrafficSpec,
+    NoticeKind, ScenarioSpec, SpatialPattern, TelemetryConfig, TemporalSpec, TopologySpec,
+    TrafficSpec,
 };
 use mango_sim::{RunOutcome, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -264,19 +265,24 @@ fn fail_stop_force_close_and_reopen() {
     }
     sim.run_for(SimDuration::from_us(3));
 
-    let mut broken = sim.take_broken();
-    broken.sort_by_key(|b| b.conn);
+    let notices = std::iter::from_fn(|| sim.network_mut().pop_notice());
+    let mut broken: Vec<(ConnectionId, u32)> = notices
+        .filter_map(|n| match n.kind {
+            NoticeKind::Broken { flow } => Some((n.conn, flow)),
+            _ => None,
+        })
+        .collect();
+    broken.sort();
     assert_eq!(
-        broken.iter().map(|b| b.conn).collect::<Vec<_>>(),
+        broken.iter().map(|b| b.0).collect::<Vec<_>>(),
         conns[..2],
         "the two cut connections, not the vertical one"
     );
     let mut reopened = Vec::new();
-    for b in &broken {
-        sim.stop_flow(b.flow);
-        sim.force_close_connection(b.conn)
-            .expect("known connection");
-        let (src, dst) = ends[conns.iter().position(|c| *c == b.conn).expect("ours")];
+    for &(conn, flow) in &broken {
+        sim.stop_flow(flow);
+        sim.force_close_connection(conn).expect("known connection");
+        let (src, dst) = ends[conns.iter().position(|c| *c == conn).expect("ours")];
         let dirs = route_avoiding(sim.network().grid(), src, dst).expect("a detour exists");
         reopened.push(
             sim.open_connection_along(src, dst, &dirs)

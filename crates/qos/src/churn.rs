@@ -349,10 +349,10 @@ impl<'a> Engine<'a> {
         let group = self.lc.group(i);
         let stream_stop = group.stream_stop;
         let outcome = &mut self.outcomes[group.ordinal];
-        let opened_at = self.lc.opened_at(prepared, i);
-        outcome.setup = opened_at.map(|t| t.since(outcome.requested_at));
+        let now = prepared.sim().now();
+        outcome.setup = Some(now.since(outcome.requested_at));
         // Stream only while a meaningful window remains.
-        if prepared.sim().now() + self.spec.gs_period < stream_stop {
+        if now + self.spec.gs_period < stream_stop {
             let name = format!("churn-{}", outcome.req);
             self.lc
                 .attach_stream(prepared, i, 0, self.spec.gs_period, name);
@@ -536,11 +536,11 @@ mod tests {
     #[test]
     fn close_racing_slow_setup_is_tolerated() {
         // Saturating BE background slows the BE programming packets
-        // until setup outlives the (tiny) holding time: the Close
-        // action then retries while the connection is still Opening,
-        // and may consume the Open transition before the PollOpen
-        // fires. The engine must record setup latency and tear down
-        // cleanly either way — this used to panic in on_poll_open.
+        // until setup outlives the (tiny) holding time: the Close then
+        // falls due while the connection is still Opening, and the
+        // driver holds it until Opened has been handled. The engine
+        // must record setup latency, attach no stream to a circuit with
+        // no window left, and tear down cleanly.
         let mut spec = ChurnSpec::mesh(4, 4, 17);
         spec.base.measure = MeasureBound::For(SimDuration::from_us(80));
         spec.arrival_gap = SimDuration::from_us(2);
@@ -561,8 +561,8 @@ mod tests {
             !outlived.is_empty(),
             "the race needs setups outliving holding; tune the load: {m:?}"
         );
-        // Setup is recorded for every admitted connection even when the
-        // close consumed the Open state first.
+        // Setup is recorded for every admitted connection, the ones
+        // whose Close was held included.
         for c in &m.conns {
             if c.rejected.is_none() && c.closed {
                 assert!(c.setup.is_some(), "req {} lost its setup sample", c.req);

@@ -16,18 +16,24 @@
 //! A [`ControlPlane`] owns the admission controller and a heap of
 //! workload actions keyed `(time, insertion seq)`, so equal-time actions
 //! replay in insertion order and a run is a pure function of its spec.
-//! The workload drives it iterator-style:
+//! Nothing polls: the network posts a [`Notice`] at the instant an ack
+//! completes an open or a close, or a watchdog declares a break, and
+//! [`ControlPlane::next_action`] runs the simulation
+//! ([`NocSim::run_until_notice`](mango_net::NocSim::run_until_notice))
+//! to the earlier of the heap head and the window end, waking at every
+//! notice on the way. The workload drives it iterator-style:
 //!
 //! ```text
-//! while let Some(action) = cp.next_action(&mut prepared) {
-//!     match action { .. }          // the workload's own handlers
+//! while let Some(wake) = cp.next_action(&mut prepared) {
+//!     match wake { .. }            // the workload's own handlers
 //! }
 //! let end = cp.finish(&mut prepared);
 //! ```
 //!
-//! [`ControlPlane::next_action`] pops the earliest action, advances the
-//! simulation to its time and hands it out; actions at or after the end
-//! of the measurement window are never dispatched.
+//! **The order at one instant `t`:** the network events due at `t` fire;
+//! then the notices posted at `t` are handed out in posting order; then
+//! the actions due at `t` in insertion order, including any pushed for
+//! `t` itself. Nothing at or after the window end is handed out.
 //! [`ControlPlane::finish`] runs out the window, detaches the telemetry
 //! report and compares the budgets against the post-static-reservation
 //! snapshot ([`RunEnd::budgets_clean`]). The recovery workload runs its
@@ -38,68 +44,61 @@
 //! A connection group is the set of GS connections one request needs:
 //! one for a churn request, one per inter-node edge for an application
 //! instance. A [`Lifecycle`] wraps a `ControlPlane<Action>` and takes
-//! groups through four [`Action`]s, **all-or-nothing**:
+//! groups through two [`Action`]s and the acks' notices,
+//! **all-or-nothing**:
 //!
 //! ```text
-//! Arrive ──admit──▶ open_group ──▶ PollOpen ─(every ack in)─▶ Opened
-//!                       │             ▲ │
-//!                       │             └─┘ every POLL_GAP while Opening
-//!                       └──▶ Close (at the drawn departure)
-//!                              │ ▲
-//!                              │ └── every POLL_GAP while still Opening
-//!                              ▼
-//!                          PollClosed ─(all Closed, budgets released)─▶ Closed
+//! Arrive ──admit──▶ open_group ──last open ack──▶ Opened
+//!                                                   │ a Close due earlier waits
+//! Close, at the drawn departure ◀───────────────────┘
+//!   └──last close ack, budgets released──▶ Closed
 //! ```
 //!
 //! The workload sees only the three transitions that are its business,
 //! as [`Event`]s from [`Lifecycle::next_event`]:
 //!
 //! * [`Event::Arrive`] — a request drawn from the arrival process
-//!   ([`ArrivalSpec`]).
-//!   The workload admits the group's paths and calls
+//!   ([`ArrivalSpec`]). The workload admits the group's paths and calls
 //!   [`Lifecycle::open_group`]; if any in-band open fails, the
 //!   connections already opened are force-closed and *every* admission —
 //!   opened, failing, and the never-reached tail — is released before
 //!   the call returns.
-//! * [`Event::Opened`] — no connection of the group is `Opening` any
-//!   more; the workload records setup latency and attaches streams.
-//!   When setup outlives the holding time, the Close (which retries
-//!   every [`POLL_GAP`] while the group is `Opening`) may consume the
-//!   `Open` state *before* the pending PollOpen fires. `opened_at`
-//!   survives every later transition, so setup latency stays exact;
-//!   there is just no stream window left to attach.
-//! * [`Event::Closed`] — every connection is `Closed` and the group's
-//!   admissions are back in the budgets.
-//!
-//! Streams attach at poll time, so the 100 ns poll cadence is part of
-//! the simulated behaviour, not a tuning knob.
+//! * [`Event::Opened`] — at the group's last open ack (a group without
+//!   connections opens at its arrival), so `now` ends its setup; the
+//!   workload records setup latency and attaches streams. A Close that
+//!   fell due while the group was still opening is issued once this
+//!   event has been handled, so a stream never attaches to a closing
+//!   circuit; `stream_stop` tells whether any stream window is left.
+//! * [`Event::Closed`] — at the group's last close ack; its admissions
+//!   are already back in the budgets.
 
 use crate::admission::{Admission, AdmissionController, BudgetSnapshot};
 use mango_core::ConnectionId;
 use mango_net::{
-    ConnState, EmitWindow, FlowKind, MeasureBound, Pattern, PreparedScenario, ScenarioSpec,
-    TelemetryConfig,
+    EmitWindow, FlowKind, MeasureBound, Notice, NoticeKind, Pattern, PreparedScenario,
+    ScenarioSpec, TelemetryConfig,
 };
 use mango_sim::{SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-/// How often a pending open, close, teardown or reopen is re-checked.
-pub const POLL_GAP: SimDuration = SimDuration::from_ns(100);
-
-/// The lifecycle actions of a connection group (see the module docs);
-/// the payload is the group's index.
+/// The lifecycle actions of a connection group (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Action {
     /// Issue the next request (and schedule the one after).
     Arrive,
-    /// Check whether the group finished opening; attach its streams.
-    PollOpen(usize),
-    /// Tear the group down (or retry while it is still opening).
+    /// Tear group `i` down (held while it is still opening).
     Close(usize),
-    /// Check whether the group finished closing; release its budgets.
-    PollClosed(usize),
+}
+
+/// What [`ControlPlane::next_action`] hands out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake<A> {
+    /// A workload action fell due.
+    Action(A),
+    /// The network posted a notice.
+    Notice(Notice),
 }
 
 /// One GS connection of a group.
@@ -123,6 +122,10 @@ pub struct Group {
     pub stream_stop: SimTime,
     /// Its connections, in the order their admissions were handed in.
     pub conns: Vec<GroupConn>,
+    /// Connections whose open (or close) is not acknowledged yet.
+    unacked: usize,
+    /// Its Close fell due while it was still opening.
+    close_held: bool,
 }
 
 /// What the lifecycle tells the workload (see the module docs); the
@@ -163,13 +166,6 @@ pub struct ControlPlane<A> {
     seq: u64,
     horizon: SimDuration,
     t_end: SimTime,
-}
-
-fn advance(prepared: &mut PreparedScenario, t: SimTime) {
-    let now = prepared.sim().now();
-    if t > now {
-        prepared.sim_mut().run_for(t.since(now));
-    }
 }
 
 impl<A: Ord> ControlPlane<A> {
@@ -224,8 +220,10 @@ impl<A: Ord> ControlPlane<A> {
     }
 
     /// Starts the measurement window; it ends `base.measure` from now.
+    /// Notices posted before it (the base's static opens) are dropped.
     pub fn start(&mut self, prepared: &mut PreparedScenario) {
         prepared.start_measurement();
+        while prepared.sim_mut().network_mut().pop_notice().is_some() {}
         self.t_end = prepared.sim().now() + self.horizon;
     }
 
@@ -235,16 +233,27 @@ impl<A: Ord> ControlPlane<A> {
         self.seq += 1;
     }
 
-    /// Pops the earliest action, advances the simulation to its time and
-    /// returns it; `None` once the heap is empty or its head is at or
-    /// after the end of the window.
-    pub fn next_action(&mut self, prepared: &mut PreparedScenario) -> Option<A> {
-        if self.queue.peek()?.0 .0 >= self.t_end {
-            return None;
+    /// Runs the simulation to the next notice or due action and hands it
+    /// out, in the order the module docs give; `None` once the window has
+    /// run out with nothing left before its end.
+    pub fn next_action(&mut self, prepared: &mut PreparedScenario) -> Option<Wake<A>> {
+        loop {
+            let sim = prepared.sim_mut();
+            let notice = sim.network_mut().pop_notice();
+            if let Some(notice) = notice.filter(|n| n.at < self.t_end) {
+                return Some(Wake::Notice(notice));
+            }
+            let head = self.queue.peek().map(|Reverse((t, ..))| *t);
+            let due = head.map_or(self.t_end, |t| t.min(self.t_end));
+            if due > sim.now() {
+                sim.run_until_notice(due);
+            } else if due < self.t_end {
+                let Reverse((_, _, action)) = self.queue.pop()?;
+                return Some(Wake::Action(action));
+            } else {
+                return None;
+            }
         }
-        let Reverse((t, _, action)) = self.queue.pop()?;
-        advance(prepared, t);
-        Some(action)
     }
 
     /// True when the budgets equal the post-static-reservation snapshot.
@@ -271,7 +280,10 @@ impl<A: Ord> ControlPlane<A> {
     /// Runs out the window and collects what the driver measured. Call
     /// [`PreparedScenario::finish`] afterwards for the scenario metrics.
     pub fn finish(self, prepared: &mut PreparedScenario) -> RunEnd {
-        advance(prepared, self.t_end);
+        let now = prepared.sim().now();
+        if self.t_end > now {
+            prepared.sim_mut().run_for(self.t_end.since(now));
+        }
         let net = prepared.sim_mut().network_mut();
         RunEnd {
             report: net.take_telemetry(),
@@ -289,6 +301,10 @@ pub struct Lifecycle {
     pub cp: ControlPlane<Action>,
     arrivals: ArrivalProcess,
     groups: Vec<Group>,
+    /// The group each live connection belongs to.
+    owner: HashMap<ConnectionId, usize>,
+    /// Groups without connections, Opened at their arrival.
+    opened_at_once: VecDeque<usize>,
     closed: u64,
     peak_live: u64,
 }
@@ -329,11 +345,13 @@ impl Lifecycle {
             arrivals: ArrivalProcess::new(spec, now, cp.t_end),
             cp,
             groups: Vec::new(),
+            owner: HashMap::new(),
+            opened_at_once: VecDeque::new(),
             closed: 0,
             peak_live: 0,
         };
         let expected = lifecycle.expected_requests();
-        lifecycle.cp.queue.reserve(expected * 4 + 64);
+        lifecycle.cp.queue.reserve(expected * 2 + 64);
         lifecycle.groups.reserve(expected);
         lifecycle.schedule_arrival(now);
         lifecycle
@@ -356,54 +374,60 @@ impl Lifecycle {
     }
 
     /// Advances the run to the next transition the workload handles;
-    /// `None` at the end of the window. A poll or close whose group is
-    /// still waiting on programming acks is re-queued one [`POLL_GAP`]
-    /// later.
+    /// `None` at the end of the window. A lifecycle arms no watchdog, so
+    /// every notice about one of its connections is an open or close ack.
     ///
     /// # Panics
     ///
-    /// Panics if a connection is not `Open` when its teardown is sent,
-    /// or not `Closed` when its budgets are released.
+    /// Panics if a connection is not `Open` when its teardown is sent.
     pub fn next_event(&mut self, prepared: &mut PreparedScenario) -> Option<Event> {
+        if let Some(i) = self.opened_at_once.pop_front() {
+            return Some(Event::Opened(i));
+        }
         loop {
-            let action = self.cp.next_action(prepared)?;
-            let now = prepared.sim().now();
-            let waiting = match action {
-                Action::Arrive => false,
-                Action::PollOpen(i) | Action::Close(i) => self.any(prepared, i, ConnState::Opening),
-                Action::PollClosed(i) => self.any(prepared, i, ConnState::Closing),
-            };
-            if waiting {
-                self.cp.push(now + POLL_GAP, action);
-                continue;
-            }
-            match action {
-                Action::Arrive => return Some(Event::Arrive(self.arrivals.arrive(now))),
-                Action::PollOpen(i) => return Some(Event::Opened(i)),
-                Action::Close(i) => {
-                    for c in &self.groups[i].conns {
+            let (i, opened) = match self.cp.next_action(prepared)? {
+                Wake::Action(Action::Arrive) => {
+                    let now = prepared.sim().now();
+                    return Some(Event::Arrive(self.arrivals.arrive(now)));
+                }
+                Wake::Action(Action::Close(i)) => {
+                    let group = &mut self.groups[i];
+                    group.close_held = group.unacked > 0; // still opening
+                    if group.close_held {
+                        continue;
+                    }
+                    for c in &group.conns {
                         let closing = prepared.sim_mut().close_connection(c.conn);
                         closing.expect("connection is open at teardown time");
                     }
-                    self.cp.push(now + POLL_GAP, Action::PollClosed(i));
+                    group.unacked = group.conns.len();
+                    (i, false)
                 }
-                Action::PollClosed(i) => {
-                    for c in &self.groups[i].conns {
-                        let state = prepared.sim().connection_state(c.conn);
-                        assert_eq!(state, Some(ConnState::Closed), "while waiting to close");
-                        self.cp.admission.release(&c.admission);
-                    }
-                    self.closed += 1;
-                    return Some(Event::Closed(i));
+                Wake::Notice(notice) => {
+                    let Some(&i) = self.owner.get(&notice.conn) else {
+                        continue; // a static connection of the base scenario
+                    };
+                    self.groups[i].unacked -= 1;
+                    (i, notice.kind == NoticeKind::Opened)
                 }
+            };
+            let group = &self.groups[i];
+            if group.unacked > 0 {
+                continue;
             }
+            if opened {
+                if group.close_held {
+                    self.cp.push(prepared.sim().now(), Action::Close(i));
+                }
+                return Some(Event::Opened(i));
+            }
+            for c in &group.conns {
+                self.cp.admission.release(&c.admission);
+                self.owner.remove(&c.conn);
+            }
+            self.closed += 1;
+            return Some(Event::Closed(i));
         }
-    }
-
-    /// True while any connection of group `i` is in `state`.
-    fn any(&self, prepared: &PreparedScenario, i: usize, state: ConnState) -> bool {
-        let mut conns = self.groups[i].conns.iter();
-        conns.any(|c| prepared.sim().connection_state(c.conn) == Some(state))
     }
 
     /// The opened group `i`.
@@ -419,8 +443,8 @@ impl Lifecycle {
     }
 
     /// Opens one connection per admission through in-band programming
-    /// packets, all-or-nothing, and schedules the group's PollOpen and
-    /// its Close at `arrival.close_at`; returns the group's index.
+    /// packets, all-or-nothing, and schedules the group's Close at
+    /// `arrival.close_at`; returns the group's index.
     ///
     /// On an open failure — the controller believed capacity existed but
     /// the network disagreed, e.g. a fault or quarantine landed between
@@ -453,11 +477,17 @@ impl Lifecycle {
             }
             return None;
         }
-        let conns = opened.into_iter().zip(admissions);
         let i = self.groups.len();
+        self.owner.extend(opened.iter().map(|&conn| (conn, i)));
+        if opened.is_empty() {
+            self.opened_at_once.push_back(i);
+        }
+        let conns = opened.into_iter().zip(admissions);
         self.groups.push(Group {
             ordinal: arrival.ordinal,
             stream_stop: arrival.stream_stop,
+            unacked: conns.len(),
+            close_held: false,
             conns: conns
                 .map(|(conn, admission)| GroupConn {
                     conn,
@@ -467,27 +497,13 @@ impl Lifecycle {
                 .collect(),
         });
         self.peak_live = self.peak_live.max(self.groups.len() as u64 - self.closed);
-        self.cp
-            .push(prepared.sim().now() + POLL_GAP, Action::PollOpen(i));
         self.cp.push(arrival.close_at, Action::Close(i));
         Some(i)
     }
 
-    /// When the last open-ack of group `i` returned (`None` for a group
-    /// without connections). Valid from [`Event::Opened`] on.
-    pub fn opened_at(&self, prepared: &PreparedScenario, i: usize) -> Option<SimTime> {
-        let table = prepared.sim().network().connections();
-        let conns = self.groups[i].conns.iter();
-        let stamps = conns.map(|c| table.get(c.conn).and_then(|r| r.opened_at));
-        stamps
-            .map(|t| t.expect("past Opening implies opened_at is stamped"))
-            .max()
-    }
-
-    /// Attaches a CBR stream of `period` to connection `k` of group `i`,
-    /// stopping at the group's `stream_stop`, and tracks it in the
-    /// scenario metrics — unless a racing Close already consumed the
-    /// connection's `Open` state.
+    /// Attaches a CBR stream of `period` to connection `k` of the opened
+    /// group `i`, stopping at the group's `stream_stop`, and tracks it in
+    /// the scenario metrics.
     pub fn attach_stream(
         &mut self,
         prepared: &mut PreparedScenario,
@@ -497,17 +513,16 @@ impl Lifecycle {
         name: String,
     ) {
         let group = &mut self.groups[i];
-        let conn = group.conns[k].conn;
-        if prepared.sim().connection_state(conn) != Some(ConnState::Open) {
-            return;
-        }
         let window = EmitWindow {
             stop_at: Some(group.stream_stop),
             ..Default::default()
         };
-        let flow = prepared
-            .sim_mut()
-            .add_gs_source(conn, Pattern::cbr(period), name, window);
+        let flow = prepared.sim_mut().add_gs_source(
+            group.conns[k].conn,
+            Pattern::cbr(period),
+            name,
+            window,
+        );
         group.conns[k].metric = Some(prepared.track_flow(flow, FlowKind::Gs));
     }
 
@@ -658,7 +673,41 @@ mod tests {
             popped.push((prepared.sim().now(), action));
         }
         let expected = [(early, 9), (early, 1), (late, 7), (late, 3), (late, 5)];
-        assert_eq!(popped, expected);
+        assert_eq!(popped, expected.map(|(t, a)| (t, Wake::Action(a))));
+    }
+
+    /// The network's notice is handed out at the instant of the ack, and
+    /// before an action due at that same instant.
+    #[test]
+    fn a_notice_precedes_the_actions_due_at_its_instant() {
+        let open = |prepared: &mut PreparedScenario| {
+            let (src, dst) = (
+                mango_core::RouterId::new(0, 0),
+                mango_core::RouterId::new(1, 1),
+            );
+            prepared
+                .sim_mut()
+                .open_connection(src, dst)
+                .expect("an idle mesh admits")
+        };
+        let (mut prepared, mut cp) = plane();
+        let conn = open(&mut prepared);
+        let Some(Wake::Notice(ack)) = cp.next_action(&mut prepared) else {
+            panic!("the open ack is noticed");
+        };
+        assert_eq!((ack.conn, ack.kind), (conn, NoticeKind::Opened));
+        assert_eq!(
+            prepared.sim().now(),
+            ack.at,
+            "woken at the ack's own instant"
+        );
+        // The same run again, with an action due at the ack's instant.
+        let (mut prepared, mut cp) = plane();
+        cp.push(ack.at, 7);
+        open(&mut prepared);
+        assert_eq!(cp.next_action(&mut prepared), Some(Wake::Notice(ack)));
+        assert_eq!(cp.next_action(&mut prepared), Some(Wake::Action(7)));
+        assert_eq!(prepared.sim().now(), ack.at);
     }
 
     #[test]
@@ -669,15 +718,14 @@ mod tests {
         cp.push(t_end + SimDuration::from_us(1), 3);
         cp.push(t_end, 2);
         cp.push(last, 1);
-        assert_eq!(cp.next_action(&mut prepared), Some(1));
+        assert_eq!(cp.next_action(&mut prepared), Some(Wake::Action(1)));
         assert_eq!(prepared.sim().now(), last);
         assert_eq!(cp.next_action(&mut prepared), None);
         assert_eq!(
             prepared.sim().now(),
-            last,
-            "a refused action advances nothing"
+            t_end,
+            "waiting for notices ran the window out"
         );
-        // `finish` still runs the window out.
         let end = cp.finish(&mut prepared);
         assert_eq!(prepared.sim().now(), t_end);
         assert!(end.budgets_clean);

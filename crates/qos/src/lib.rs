@@ -17,11 +17,11 @@
 //!   every VC is independently buffered);
 //! * [`driver`] — the one control-plane driver: [`ControlPlane`] owns
 //!   the admission controller, the `(time, seq)` action heap, the run
-//!   loop and the budget gauges; [`driver::Lifecycle`] adds the arrival
-//!   process and the all-or-nothing open → stream → close lifecycle of
-//!   connection groups, driving the real in-band BE programming
-//!   packets and returning every budget exactly. Three workloads run on
-//!   it — the two below and `mango_apps::ServingSpec`;
+//!   loop woken by the network's notices, and the budget gauges;
+//!   [`driver::Lifecycle`] adds the arrival process and the all-or-nothing
+//!   open → stream → close lifecycle of connection groups, driving the
+//!   in-band BE programming packets and returning every budget exactly.
+//!   Three workloads run on it — the two below and `mango_apps::ServingSpec`;
 //! * [`churn`] — [`churn::ChurnSpec`] layers a Poisson
 //!   open→stream→close connection workload (groups of one) over any
 //!   base [`mango_net::ScenarioSpec`] and measures setup latency,

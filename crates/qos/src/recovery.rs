@@ -11,7 +11,8 @@
 //! deterministic [`FaultSchedule`], and heals every connection the
 //! watchdogs report broken:
 //!
-//! 1. **detect** — the in-network watchdog fires ([`mango_net::NocSim::take_broken`]);
+//! 1. **detect** — the in-network watchdog posts a
+//!    [`NoticeKind::Broken`] notice;
 //! 2. **release** — stop the source, let in-flight flits drain one
 //!    latency bound, tear the circuit down in-band where the network
 //!    still reaches every path router, force-close (quarantining
@@ -28,23 +29,26 @@
 //!    and stream again; the harness asserts observed ≤ bound on every
 //!    surviving connection.
 //!
+//! Nothing is polled: every step happens at a protocol instant. The
+//! drain starts at the watchdog's break, the budgets return at the last
+//! teardown ack, `recovered_at` is the reopen's last ack, and each fault
+//! reaches the admission mask at the instant it strikes. An in-band
+//! teardown or reopen still unacknowledged `op_timeout` after it was
+//! sent is force-closed at that deadline.
+//!
 //! Backoff jitter forks from `recovery_seed` and fault application
 //! times come from the schedule — so recovery traces are byte-identical
 //! across thread counts.
 
 use crate::admission::{Admission, ConnRequest, RejectReason};
-use crate::driver::{ControlPlane, POLL_GAP};
+use crate::driver::{ControlPlane, Wake};
 use mango_core::{ConnectionId, RouterId};
 use mango_net::{
-    ConnState, EmitWindow, FaultCounters, FaultKind, FaultSchedule, FlowKind, MeasureBound,
-    Pattern, PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig,
+    ConnState, EmitWindow, FaultCounters, FaultKind, FaultSchedule, FlowKind, MeasureBound, Notice,
+    NoticeKind, Pattern, PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig,
 };
 use mango_sim::{RunOutcome, SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
-
-/// How often fired faults are mirrored into the admission mask and the
-/// watchdogs' break reports collected.
-const SCAN_GAP: SimDuration = SimDuration::from_ns(200);
 
 /// A fault-injection + recovery experiment: a base scenario, a set of
 /// managed GS connections with watchdogs, and a fault schedule whose
@@ -245,16 +249,14 @@ impl RecoveryMetrics {
 /// order via the `(time, seq)` heap key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Step {
-    /// Apply due faults to the admission mask; collect broken conns.
-    Scan,
+    /// Mirror fault `k` of the schedule into the admission mask.
+    Fault(usize),
     /// Begin teardown of managed connection `i` (post-drain).
     Teardown(usize),
-    /// Wait for managed connection `i`'s in-band teardown.
-    PollTorn(usize),
     /// Re-request managed connection `i` through admission.
     Reopen(usize),
-    /// Wait for managed connection `i`'s reopened circuit.
-    PollReopened(usize),
+    /// `i`'s teardown or reopen times out (stale if its ack came first).
+    Deadline(usize),
 }
 
 /// Live state of one managed connection.
@@ -262,6 +264,7 @@ enum Step {
 struct Managed {
     conn: ConnectionId,
     admission: Admission,
+    /// When the pending in-band teardown or reopen times out.
     deadline: Option<SimTime>,
 }
 
@@ -274,9 +277,6 @@ struct Engine<'a> {
     /// Metric indices of streams to fold into records at collection:
     /// `(managed idx, metric idx, is_post_recovery)`.
     tracked: Vec<(usize, usize, bool)>,
-    /// Fault times (sim clock) not yet applied to the admission mask.
-    fault_due: Vec<(SimTime, FaultKind)>,
-    fault_next: usize,
     broken: u64,
     forced_closes: u64,
 }
@@ -302,8 +302,6 @@ impl<'a> Engine<'a> {
             managed: Vec::new(),
             records: Vec::new(),
             tracked: Vec::new(),
-            fault_due: Vec::new(),
-            fault_next: 0,
             broken: 0,
             forced_closes: 0,
         }
@@ -362,19 +360,17 @@ impl<'a> Engine<'a> {
         }
 
         // Shift the schedule onto the simulation clock and install it;
-        // keep a copy so the admission mask tracks the fired faults.
+        // each fault is also a step at its instant, for the admission mask.
         let now = prepared.sim().now();
         let mut shifted = FaultSchedule::new(self.spec.faults.seed);
-        for ev in &self.spec.faults.events {
+        for (k, ev) in self.spec.faults.events.iter().enumerate() {
             let at = now + SimDuration::from_ps(ev.at.as_ps());
             shifted = shifted.with(at, ev.kind);
-            self.fault_due.push((at, ev.kind));
+            self.cp.push(at, Step::Fault(k));
         }
-        self.fault_due.sort_by_key(|&(t, _)| t);
         if !shifted.events.is_empty() {
             prepared.sim_mut().install_faults(shifted);
         }
-        self.cp.push(now + SCAN_GAP, Step::Scan);
     }
 
     /// Streams over managed connection `i` under a freshly armed
@@ -396,13 +392,14 @@ impl<'a> Engine<'a> {
             .add_gs_source(conn, pattern, name, EmitWindow::default());
         let metric_idx = prepared.track_flow(flow, FlowKind::Gs);
         self.tracked.push((i, metric_idx, post));
-        let bound = self.managed[i]
-            .admission
-            .report
-            .worst_latency
-            .expect("managed streams must conform (a watchdog needs a bound)");
-        let timeout = self.spec.gs_period + bound * 2;
+        let timeout = self.spec.gs_period + self.drain(i) * 2;
         prepared.sim_mut().arm_watchdog(conn, flow, timeout);
+    }
+
+    /// Managed connection `i`'s admitted worst-case latency.
+    fn drain(&self, i: usize) -> SimDuration {
+        let bound = self.managed[i].admission.report.worst_latency;
+        bound.expect("managed streams must conform (a watchdog needs a bound)")
     }
 
     fn backoff(&mut self, attempt: u32) -> SimDuration {
@@ -417,13 +414,14 @@ impl<'a> Engine<'a> {
     fn run(mut self, mut prepared: PreparedScenario) -> (RecoveryMetrics, Option<TelemetryReport>) {
         // Baseline budgets before any fault or churn moves them.
         self.refresh_gauges(&mut prepared);
-        while let Some(step) = self.cp.next_action(&mut prepared) {
-            match step {
-                Step::Scan => self.on_scan(&mut prepared),
-                Step::Teardown(i) => self.on_teardown(&mut prepared, i),
-                Step::PollTorn(i) => self.on_poll_torn(&mut prepared, i),
-                Step::Reopen(i) => self.on_reopen(&mut prepared, i),
-                Step::PollReopened(i) => self.on_poll_reopened(&mut prepared, i),
+        while let Some(wake) = self.cp.next_action(&mut prepared) {
+            let p = &mut prepared;
+            match wake {
+                Wake::Action(Step::Fault(k)) => self.on_fault(p, k),
+                Wake::Action(Step::Teardown(i)) => self.on_teardown(p, i),
+                Wake::Action(Step::Reopen(i)) => self.on_reopen(p, i),
+                Wake::Action(Step::Deadline(i)) => self.on_deadline(p, i),
+                Wake::Notice(notice) => self.on_notice(p, notice),
             }
         }
         self.collect(prepared)
@@ -438,98 +436,84 @@ impl<'a> Engine<'a> {
             .record_gauges(prepared, "admission.failed_links", failed);
     }
 
-    fn on_scan(&mut self, prepared: &mut PreparedScenario) {
-        let now = prepared.sim().now();
-        // Mirror fired faults into the admission mask so re-admission
-        // only considers surviving links.
-        let applied_from = self.fault_next;
+    /// Mirrors fault `k`, fired in the network at this instant, into the
+    /// admission mask so re-admission only considers surviving links.
+    fn on_fault(&mut self, prepared: &mut PreparedScenario, k: usize) {
         let admission = &mut self.cp.admission;
-        while self.fault_next < self.fault_due.len() && self.fault_due[self.fault_next].0 <= now {
-            let (_, kind) = self.fault_due[self.fault_next];
-            self.fault_next += 1;
-            match kind {
-                FaultKind::LinkDown { from, dir } => admission.fail_link(from, dir),
-                FaultKind::RouterDown { id } => admission.fail_router(id),
-                FaultKind::StuckVc { router, dir, .. } => admission.mark_stuck_vc(router, dir),
-                // Flaky links stay admissible: they still carry traffic
-                // and heal when the window closes; a recovery routed
-                // over one may simply break and recover again.
-                FaultKind::LinkFlaky { .. } => {}
-            }
+        match self.spec.faults.events[k].kind {
+            FaultKind::LinkDown { from, dir } => admission.fail_link(from, dir),
+            FaultKind::RouterDown { id } => admission.fail_router(id),
+            FaultKind::StuckVc { router, dir, .. } => admission.mark_stuck_vc(router, dir),
+            // Flaky links stay admissible: they still carry traffic and
+            // heal when the window closes; a recovery routed over one may
+            // simply break and recover again.
+            FaultKind::LinkFlaky { .. } => {}
         }
-        if self.fault_next != applied_from {
-            self.refresh_gauges(prepared);
-        }
-
-        for broken in prepared.sim_mut().take_broken() {
-            let Some(i) = self.managed.iter().position(|m| m.conn == broken.conn) else {
-                continue; // not a managed connection (or a superseded one)
-            };
-            self.broken += 1;
-            self.records[i].detected_at = Some(broken.detected_at);
-            let flow = vec![("flow", u64::from(broken.flow))];
-            mark(prepared, "detect", broken.detected_at, i, flow);
-            // Stop the source; give in-flight flits one bound to drain
-            // (spoofed feedback keeps the queues moving even across the
-            // dead link), then tear down.
-            prepared.sim_mut().stop_flow(broken.flow);
-            let drain = self.managed[i]
-                .admission
-                .report
-                .worst_latency
-                .expect("managed streams conform");
-            self.cp.push(now + drain, Step::Teardown(i));
-        }
-
-        self.cp.push(now + SCAN_GAP, Step::Scan);
+        self.refresh_gauges(prepared);
     }
 
-    /// Gives the pending in-band operation on `i` one `op_timeout`.
-    fn await_op(&mut self, now: SimTime, i: usize, poll: Step) {
-        self.managed[i].deadline = Some(now + self.spec.op_timeout);
-        self.cp.push(now + POLL_GAP, poll);
+    /// A managed connection broke, closed or reopened at `notice.at`.
+    fn on_notice(&mut self, prepared: &mut PreparedScenario, notice: Notice) {
+        let Some(i) = self.managed.iter().position(|m| m.conn == notice.conn) else {
+            return; // not a managed connection (or a superseded one)
+        };
+        let now = notice.at;
+        match notice.kind {
+            NoticeKind::Broken { flow } => {
+                self.broken += 1;
+                self.records[i].detected_at = Some(now);
+                mark(prepared, "detect", now, i, vec![("flow", u64::from(flow))]);
+                // Stop the source; give in-flight flits one bound to
+                // drain (spoofed feedback keeps the queues moving even
+                // across the dead link), then tear down.
+                prepared.sim_mut().stop_flow(flow);
+                self.cp.push(now + self.drain(i), Step::Teardown(i));
+            }
+            NoticeKind::Closed => {
+                self.managed[i].deadline = None;
+                self.cp.admission.release(&self.managed[i].admission);
+                self.refresh_gauges(prepared);
+                self.schedule_reopen(now, i);
+            }
+            NoticeKind::Opened => self.on_reopened(prepared, i, now),
+        }
+    }
+
+    /// Gives the in-band operation just sent on `i` one `op_timeout`.
+    fn arm_deadline(&mut self, now: SimTime, i: usize) {
+        let deadline = now + self.spec.op_timeout;
+        self.managed[i].deadline = Some(deadline);
+        self.cp.push(deadline, Step::Deadline(i));
     }
 
     fn on_teardown(&mut self, prepared: &mut PreparedScenario, i: usize) {
         let now = prepared.sim().now();
         mark(prepared, "teardown", now, i, Vec::new());
         let conn = self.managed[i].conn;
-        match prepared.sim().connection_state(conn) {
-            Some(ConnState::Open) => match prepared.sim_mut().close_connection(conn) {
-                Ok(()) => self.await_op(now, i, Step::PollTorn(i)),
-                Err(_) => {
-                    // The close plan itself is unroutable (partition or
-                    // dead router on every return path): force-close.
-                    self.force_close(prepared, i);
-                    self.schedule_reopen(now, i);
-                }
-            },
-            Some(ConnState::Closed) => self.schedule_reopen(now, i),
-            // Opening/Closing (or unknown): wait for the transition.
-            _ => self.await_op(now, i, Step::PollTorn(i)),
+        if prepared.sim_mut().close_connection(conn).is_ok() {
+            self.arm_deadline(now, i);
+        } else {
+            // The close plan itself is unroutable (partition or dead
+            // router on every return path): force-close.
+            self.force_close(prepared, i);
+            self.schedule_reopen(now, i);
         }
     }
 
-    fn on_poll_torn(&mut self, prepared: &mut PreparedScenario, i: usize) {
+    /// The teardown or reopen of `i` outlived `op_timeout` (a fault ate
+    /// its packets or acks): force-close, quarantining the unconfirmed
+    /// hops, then reopen (after a teardown) or retry (after a reopen).
+    fn on_deadline(&mut self, prepared: &mut PreparedScenario, i: usize) {
         let now = prepared.sim().now();
-        match prepared.sim().connection_state(self.managed[i].conn) {
-            Some(ConnState::Closed) => {
-                self.cp.admission.release(&self.managed[i].admission);
-                self.refresh_gauges(prepared);
-                self.schedule_reopen(now, i);
-            }
-            _ if self.managed[i].deadline.is_some_and(|d| now >= d) => {
-                // In-band teardown wedged (acks lost to the fault):
-                // force-close and quarantine the unconfirmed hops.
-                self.force_close(prepared, i);
-                self.schedule_reopen(now, i);
-            }
-            Some(ConnState::Open) => {
-                // Teardown not issued yet (we got here via the Opening
-                // wait): issue it now.
-                self.on_teardown(prepared, i);
-            }
-            _ => self.cp.push(now + POLL_GAP, Step::PollTorn(i)),
+        if self.managed[i].deadline != Some(now) {
+            return; // the operation it timed completed first
+        }
+        let state = prepared.sim().connection_state(self.managed[i].conn);
+        self.force_close(prepared, i);
+        if state == Some(ConnState::Closing) {
+            self.schedule_reopen(now, i);
+        } else {
+            self.retry_or_give_up(now, i, RecoveryOutcome::PermanentlyDegraded);
         }
     }
 
@@ -572,7 +556,7 @@ impl<'a> Engine<'a> {
                         self.managed[i].conn = conn;
                         self.managed[i].admission = adm;
                         self.refresh_gauges(prepared);
-                        self.await_op(now, i, Step::PollReopened(i));
+                        self.arm_deadline(now, i);
                     }
                     Err(_) => {
                         // Quarantined VCs can make the manager refuse a
@@ -602,43 +586,33 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn on_poll_reopened(&mut self, prepared: &mut PreparedScenario, i: usize) {
-        let now = prepared.sim().now();
-        match prepared.sim().connection_state(self.managed[i].conn) {
-            Some(ConnState::Open) => {
-                let rec = &mut self.records[i];
-                let detected = rec.detected_at.expect("recovery implies detection");
-                rec.recovered_at = Some(now);
-                rec.recovery_latency = Some(now.since(detected));
-                rec.new_hops = self.managed[i].admission.hops();
-                rec.post_bound_ns = self.managed[i].admission.report.worst_latency_ns();
-                rec.outcome = Some(if rec.new_hops > rec.old_hops {
-                    RecoveryOutcome::ReroutedLongerPath
-                } else {
-                    RecoveryOutcome::Recovered
-                });
-                // One span per healed break: detect → circuit reopen.
-                let (attempts, hops) = (rec.attempts, rec.new_hops);
-                prepared.sim_mut().network_mut().telemetry_span(
-                    "recovery",
-                    "recover",
-                    detected,
-                    now,
-                    i as u32,
-                    vec![("attempts", u64::from(attempts)), ("hops", hops as u64)],
-                );
-                // Re-validate: stream over the new path under a freshly
-                // armed watchdog with the recomputed timeout.
-                self.start_stream(prepared, i, format!("recovered-{i}-{attempts}"), true);
-            }
-            _ if self.managed[i].deadline.is_some_and(|d| now >= d) => {
-                // The reopen's programming traffic was itself eaten by
-                // a fault: force-close the half-open circuit and retry.
-                self.force_close(prepared, i);
-                self.retry_or_give_up(now, i, RecoveryOutcome::PermanentlyDegraded);
-            }
-            _ => self.cp.push(now + POLL_GAP, Step::PollReopened(i)),
-        }
+    /// The reopened circuit of `i` acknowledged its last hop at `now`.
+    fn on_reopened(&mut self, prepared: &mut PreparedScenario, i: usize, now: SimTime) {
+        self.managed[i].deadline = None;
+        let rec = &mut self.records[i];
+        let detected = rec.detected_at.expect("recovery implies detection");
+        rec.recovered_at = Some(now);
+        rec.recovery_latency = Some(now.since(detected));
+        rec.new_hops = self.managed[i].admission.hops();
+        rec.post_bound_ns = self.managed[i].admission.report.worst_latency_ns();
+        rec.outcome = Some(if rec.new_hops > rec.old_hops {
+            RecoveryOutcome::ReroutedLongerPath
+        } else {
+            RecoveryOutcome::Recovered
+        });
+        // One span per healed break: detect → circuit reopen.
+        let (attempts, hops) = (rec.attempts, rec.new_hops);
+        prepared.sim_mut().network_mut().telemetry_span(
+            "recovery",
+            "recover",
+            detected,
+            now,
+            i as u32,
+            vec![("attempts", u64::from(attempts)), ("hops", hops as u64)],
+        );
+        // Re-validate: stream over the new path under a freshly armed
+        // watchdog with the recomputed timeout.
+        self.start_stream(prepared, i, format!("recovered-{i}-{attempts}"), true);
     }
 
     fn collect(
@@ -793,6 +767,60 @@ mod tests {
         assert_eq!(get("admission.up_links"), 47);
         assert!(get("admission.free_vcs") > 0);
         assert!(get("admission.residual_fps_min") > 0);
+    }
+
+    /// The engine reacts at the watchdog's own instant: every healed
+    /// break is torn down exactly one drain — the stream's admitted worst
+    /// latency — after it was detected.
+    #[test]
+    fn teardown_follows_detection_by_exactly_the_drain() {
+        let mut s = spec(5);
+        s.faults = FaultSchedule::new(1).with(
+            SimTime::ZERO + SimDuration::from_us(10),
+            FaultKind::LinkDown {
+                from: RouterId::new(1, 0),
+                dir: Direction::East,
+            },
+        );
+        let (m, report) = s.run_with_telemetry(TelemetryConfig {
+            trace_flits: false,
+            ..Default::default()
+        });
+        let mut json = String::new();
+        report.trace.render_json(&mut json);
+        // The first recovery-track instant `name` on track `i`, in ps.
+        let instant = |name: &str, i: usize| -> u64 {
+            let line = json
+                .lines()
+                .filter(|l| l.contains("\"cat\":\"recovery\""))
+                .filter(|l| l.contains(&format!("\"name\":\"{name}\"")))
+                .find(|l| {
+                    l.split("\"tid\":")
+                        .nth(1)
+                        .is_some_and(|t| t.starts_with(&format!("{i}")))
+                })
+                .unwrap_or_else(|| panic!("no {name} instant on track {i}"));
+            let ts = line
+                .split("\"ts\":")
+                .nth(1)
+                .and_then(|t| t.split(',').next());
+            let (us, frac) = ts
+                .and_then(|t| t.split_once('.'))
+                .expect("a fixed-point ts");
+            us.parse::<u64>().unwrap() * 1_000_000 + frac.parse::<u64>().unwrap()
+        };
+        let healed: Vec<_> = m
+            .records
+            .iter()
+            .filter(|r| r.recovered_at.is_some())
+            .collect();
+        assert!(!healed.is_empty(), "the killed link's connection heals");
+        for r in healed {
+            let drain_ps = (r.pre_bound_ns.expect("bounded") * 1000.0).round() as u64;
+            let (detect, teardown) = (instant("detect", r.idx), instant("teardown", r.idx));
+            assert_eq!(teardown - detect, drain_ps, "{r:?}");
+            assert_eq!(Some(detect), r.detected_at.map(|t| t.as_ps()));
+        }
     }
 
     #[test]

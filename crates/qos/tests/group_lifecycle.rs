@@ -4,7 +4,8 @@
 //! goes back into the budgets, and the connection manager holds nothing.
 //! Churn (groups of one) and serving (one group per app instance) both
 //! rely on this one rollback; a leak here silently shrinks capacity for
-//! the rest of a run.
+//! the rest of a run. Its transitions reach the workload at the acks'
+//! own instants, not on a clock of the driver's.
 
 use mango_core::{RouterId, VcId};
 use mango_net::ScenarioSpec;
@@ -80,5 +81,85 @@ proptest! {
         let end = lc.finish(&mut prepared);
         prop_assert!(end.groups.is_empty());
         prop_assert!(end.run.budgets_clean);
+    }
+
+    /// Every transition is handed out at the instant of the ack that
+    /// completes it — `Opened` at the group's last open ack, `Closed` at
+    /// its last close ack with the budgets already back — for groups of
+    /// 1..=6 edges whose holding time is shorter than their setup (the
+    /// Close is held) or longer. The first request of each run opens a
+    /// group without connections, which is Opened at its arrival.
+    #[test]
+    fn transitions_are_handed_out_at_their_ack_instants(
+        seed in 0u64..1000,
+        size in 1usize..7,
+        hold_shorter_than_setup in 0u8..2,
+        pairs in prop::collection::vec((0u32..16, 0u32..16), 6..7),
+    ) {
+        const REQUESTS: u64 = 3;
+        let base = ScenarioSpec::mesh(4, 4, seed).measure_for(SimDuration::from_us(40));
+        let (mut prepared, cp) = ControlPlane::prepare(&base, None, 0.875);
+        let ns = SimDuration::from_ns;
+        let (holding_mean, holding_min, drain_margin) = if hold_shorter_than_setup == 1 {
+            (ns(30), ns(25), ns(10))
+        } else {
+            (ns(8_000), ns(4_000), ns(1_000))
+        };
+        let arrivals = ArrivalSpec {
+            seed,
+            gap: SimDuration::from_us(2),
+            holding_mean,
+            holding_min,
+            drain_margin,
+            max: REQUESTS,
+        };
+        let mut lc = Lifecycle::start(cp, &mut prepared, arrivals);
+        let mut arrived_at = Vec::new();
+        let (mut opened, mut closed) = (0, 0);
+        while let Some(event) = lc.next_event(&mut prepared) {
+            let now = prepared.sim().now();
+            let table = prepared.sim().network().connections();
+            let last = |i: usize, closing: bool| {
+                let conns = lc.group(i).conns.iter().map(|c| table.get(c.conn).expect("known"));
+                conns.map(|r| if closing { r.closed_at } else { r.opened_at }).max().flatten()
+            };
+            match event {
+                Event::Arrive(arrival) => {
+                    let mut admissions = Vec::new();
+                    if arrival.ordinal > 0 {
+                        for &(a, b) in pairs.iter().take(size) {
+                            let period = SimDuration::from_ns(15);
+                            let req = ConnRequest { src: node(a), dst: node(b), period };
+                            admissions.extend(lc.cp.admission.request(&req).ok());
+                        }
+                    }
+                    let group = lc.open_group(&mut prepared, admissions, &arrival);
+                    arrived_at.push((group, now));
+                    lc.schedule_arrival(now);
+                }
+                Event::Opened(i) => {
+                    opened += 1;
+                    if lc.group(i).conns.is_empty() {
+                        prop_assert!(arrived_at.contains(&(Some(i), now)), "opened at arrival");
+                    } else {
+                        prop_assert!(Some(now) == last(i, false), "Opened at {now:?}, not at the last open ack");
+                    }
+                }
+                Event::Closed(i) => {
+                    closed += 1;
+                    if !lc.group(i).conns.is_empty() {
+                        prop_assert!(Some(now) == last(i, true), "Closed at {now:?}, not at the last close ack");
+                    }
+                    let groups = arrived_at.iter().filter(|(g, _)| g.is_some()).count();
+                    if closed == groups && arrived_at.len() as u64 == REQUESTS {
+                        prop_assert!(lc.cp.budgets_clean(), "budgets back at the last close");
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(arrived_at.len() as u64, REQUESTS);
+        let groups = arrived_at.iter().filter(|(g, _)| g.is_some()).count();
+        prop_assert!((opened, closed) == (groups, groups), "the window did not drain");
+        prop_assert!(lc.finish(&mut prepared).run.budgets_clean);
     }
 }

@@ -61,6 +61,7 @@ pub trait Model {
 /// decide later whether it needs to fire at all.
 pub struct Ctx<'a, E> {
     stamp: Slot,
+    horizon: SimTime,
     queue: &'a mut EventQueue<E>,
     profile: Option<&'a mut KernelProfile>,
 }
@@ -70,6 +71,13 @@ impl<'a, E> Ctx<'a, E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.stamp.time()
+    }
+
+    /// Ends the run once every event due now has fired, as a horizon at
+    /// now would.
+    #[inline]
+    pub fn halt(&mut self) {
+        self.horizon = self.now();
     }
 
     /// The key of the event being handled. Every event keyed below it
@@ -153,8 +161,6 @@ pub enum RunOutcome {
     /// The event queue drained but the model still has outstanding work —
     /// the simulated system is stalled (e.g. deadlocked).
     Stalled,
-    /// The event budget was exhausted before the horizon.
-    EventBudgetExhausted,
 }
 
 impl RunOutcome {
@@ -372,47 +378,10 @@ impl<M: Model> Kernel<M> {
     }
 
     /// Dispatches events until `horizon` (exclusive for later events: the
-    /// clock stops exactly at `horizon` if events remain beyond it).
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        self.run_inner(horizon, u64::MAX)
-    }
-
-    /// Dispatches events for `span` of simulated time from now.
-    pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
-        self.run_until(self.now() + span)
-    }
-
-    /// Dispatches events until the queue drains, reporting whether the model
-    /// ended quiescent or stalled.
-    pub fn run_to_quiescence(&mut self) -> RunOutcome {
-        self.run_inner(SimTime::MAX, u64::MAX)
-    }
-
-    /// Dispatches at most `budget` further events (or until drain/horizon).
-    ///
-    /// Useful as a runaway backstop in tests that would otherwise hang on a
-    /// livelocked model.
-    pub fn run_with_budget(&mut self, horizon: SimTime, budget: u64) -> RunOutcome {
-        self.run_inner(horizon, budget)
-    }
-
-    fn run_inner(&mut self, horizon: SimTime, budget: u64) -> RunOutcome {
-        let mut remaining = budget;
-        loop {
-            if remaining == 0 {
-                // Exhaustion only counts if an event was actually due;
-                // drain/horizon outcomes take precedence (rare path —
-                // real runs use an unlimited budget).
-                return match self.queue.peek_time() {
-                    None => self.idle_outcome(horizon),
-                    Some(t) if t > horizon => self.idle_outcome(horizon),
-                    Some(_) => RunOutcome::EventBudgetExhausted,
-                };
-            }
-            let Some((slot, ev)) = self.queue.pop_at_or_before(horizon) else {
-                return self.idle_outcome(horizon);
-            };
-            remaining -= 1;
+    /// clock stops exactly at `horizon` if events remain beyond it), or to
+    /// the end of the instant a handler [halts](Ctx::halt) in.
+    pub fn run_until(&mut self, mut horizon: SimTime) -> RunOutcome {
+        while let Some((slot, ev)) = self.queue.pop_at_or_before(horizon) {
             debug_assert!(
                 slot.time() >= self.now(),
                 "event queue delivered out of order"
@@ -423,12 +392,26 @@ impl<M: Model> Kernel<M> {
             }
             let mut ctx = Ctx {
                 stamp: slot,
+                horizon,
                 queue: &mut self.queue,
                 profile: self.profile.as_deref_mut(),
             };
             self.model.handle(ev, &mut ctx);
+            horizon = ctx.horizon;
             self.processed += 1;
         }
+        self.idle_outcome(horizon)
+    }
+
+    /// Dispatches events for `span` of simulated time from now.
+    pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
+        self.run_until(self.now() + span)
+    }
+
+    /// Dispatches events until the queue drains, reporting whether the model
+    /// ended quiescent or stalled.
+    pub fn run_to_quiescence(&mut self) -> RunOutcome {
+        self.run_until(SimTime::MAX)
     }
 
     /// One profiler sample, outlined so the dispatch loop carries only
@@ -579,14 +562,31 @@ mod tests {
         assert_eq!(k.run_to_quiescence(), RunOutcome::Stalled);
     }
 
+    /// A halt ends the run at the end of the halting instant: events
+    /// still due then fire, later ones wait for the next run.
     #[test]
-    fn event_budget_is_a_backstop() {
-        let mut k = kernel(1_000_000);
-        assert_eq!(
-            k.run_with_budget(SimTime::MAX, 10),
-            RunOutcome::EventBudgetExhausted
-        );
-        assert_eq!(k.events_processed(), 10);
+    fn halt_finishes_the_instant_and_stops_there() {
+        struct Halts {
+            log: Vec<(SimTime, u32)>,
+        }
+        impl Model for Halts {
+            type Event = u32;
+            fn handle(&mut self, id: u32, ctx: &mut Ctx<u32>) {
+                self.log.push((ctx.now(), id));
+                if id == 1 {
+                    ctx.halt();
+                }
+            }
+        }
+        let mut k = Kernel::new(Halts { log: Vec::new() });
+        for (at, id) in [(10, 0), (20, 1), (20, 2), (30, 3)] {
+            k.schedule(SimDuration::from_ps(at), id);
+        }
+        assert_eq!(k.run_to_quiescence(), RunOutcome::HorizonReached);
+        assert_eq!(k.stamp(), Slot::end_of(SimTime::from_ps(20)));
+        assert_eq!(k.model().log.len(), 3, "event 2 shares the halting instant");
+        assert_eq!(k.run_until(SimTime::from_ps(100)), RunOutcome::Quiescent);
+        assert_eq!(k.model().log.last(), Some(&(SimTime::from_ps(30), 3)));
     }
 
     #[test]
