@@ -1,39 +1,15 @@
 //! Shared harness for the benchmark and reproduction binaries.
 //!
-//! The paper's own claims are the rows of [`paper`], printed and checked
-//! by `repro_paper`; the other `repro_*` binaries reproduce what lies
-//! beyond the paper. This library holds the experiment set-ups they
-//! share.
+//! The paper's claims, and the claims beyond it on the guarantees it
+//! argues for, are the rows of [`paper`], printed and checked by
+//! `repro_paper`; the other binaries write the CSV, telemetry and probe
+//! outputs. This library holds the experiment set-ups they share.
 
 pub mod paper;
 
 use mango::core::{ConnectionId, RouterConfig, RouterId};
 use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, Pattern, SpatialPattern};
 use mango::sim::SimDuration;
-use mango_sweep::SweepArgs;
-
-/// The common sweep flags of a binary that honours only `--threads` and
-/// the flags in `accepted`. Any other flag — `--csv` or `--json` on a
-/// binary that writes no record file, say — is a usage error: one
-/// `usage:` line on stderr and exit status 2, before any output.
-pub fn args_accepting(accepted: &[&str]) -> SweepArgs {
-    let args = SweepArgs::from_env_no_extra();
-    let given = [
-        ("--smoke", args.smoke),
-        ("--list", args.list),
-        ("--csv", args.csv.is_some()),
-        ("--json", args.json.is_some()),
-        ("--telemetry-out", args.telemetry_out.is_some()),
-    ];
-    if let Some((flag, _)) = given.iter().find(|(f, set)| *set && !accepted.contains(f)) {
-        let bin = std::env::args().next().unwrap_or_default();
-        let flags: String = accepted.iter().map(|f| format!(" [{f}]")).collect();
-        eprintln!("error: {bin} does not take {flag}");
-        eprintln!("usage: {bin} [--threads N]{flags}");
-        std::process::exit(2);
-    }
-    args
-}
 
 /// Checks the result of writing an output file the command line asked
 /// for: a failure is one `error: cannot write <path>: <io error>` line on

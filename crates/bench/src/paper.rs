@@ -2,7 +2,10 @@
 //! each of [`ROWS`] runs the experiment behind one figure, table or
 //! section and returns a claim per inequality the paper states — the
 //! measured value, the paper's value or inequality, and whether it holds —
-//! plus the tables it measured them on.
+//! plus the tables it measured them on. The extension rows (`patterns`,
+//! `saturation`, `scaling`, `chiplet`) test the same guarantees beyond
+//! the paper's own experiments and print under their own heading;
+//! [`jobs`] runs them at their default size or their full grids.
 
 use crate::{funnel, open_funnel, COLUMN, LINE};
 use mango::baseline::{run_generic_congestion, AetherealReference as Ae, GenericConfig};
@@ -22,7 +25,7 @@ use std::collections::HashSet;
 #[derive(Debug)]
 struct Claim {
     /// What the paper claims.
-    claim: &'static str,
+    claim: String,
     /// What the experiment measured.
     measured: String,
     /// The paper's value, or the inequality the measurement must meet.
@@ -37,7 +40,7 @@ pub struct Row {
     /// Section, figure or table of the paper.
     section: &'static str,
     /// What the row measures.
-    title: &'static str,
+    title: String,
     /// The claims, in the order the experiment checks them.
     claims: Vec<Claim>,
     /// The tables the claims were measured on.
@@ -45,40 +48,66 @@ pub struct Row {
 }
 
 /// A [`Row`]: section, title and report, then one
-/// `claim: measured, paper => holds;` line per claim.
+/// `claim: measured, paper => holds;` line per claim (a claim that is
+/// not a literal goes in parentheses).
 macro_rules! row {
-    ($section:literal, $title:literal, $report:expr;
-     $($claim:literal: $measured:expr, $paper:expr => $holds:expr;)+) => {{
-        let claims = vec![$(
-            Claim { claim: $claim, measured: $measured, paper: $paper.into(), holds: $holds }
-        ),+];
-        Row { section: $section, title: $title, claims, report: $report }
+    ($section:literal, $title:expr, $report:expr;
+     $($claim:tt: $measured:expr, $paper:expr => $holds:expr;)*) => {{
+        let claims = vec![$(Claim {
+            claim: $claim.into(), measured: $measured, paper: $paper.into(), holds: $holds
+        }),*];
+        Row { section: $section, title: $title.into(), claims, report: $report }
     }};
 }
 
-/// The rows in print order.
+// After `row!`, which its rows use.
+mod extensions;
+
+/// The paper's rows in print order.
 pub const ROWS: [fn() -> Row; 12] = [
     fig4, fig5, fig6, fig7, table1, fairshare, buffers, alg, pipelined, port_speed, aethereal,
     di_links,
 ];
 
-/// The claim table, then each row's report in row order.
-pub fn render(rows: &[Row]) -> String {
-    let mut text = String::from("section | claim | measured | paper | holds");
-    let mut reports = String::new();
+/// A row, not yet run.
+pub type Job = Box<dyn Fn() -> Row + Sync>;
+
+/// Every row in print order: the paper's [`ROWS`], then the extensions'
+/// at their default or, with `full`, their full grids.
+pub fn jobs(full: bool) -> Vec<Job> {
+    let paper = ROWS.map(|row| Box::new(row) as Job);
+    paper.into_iter().chain(extensions::jobs(full)).collect()
+}
+
+/// The claim table of the `paper` rows, the one of the `extensions`
+/// under its own heading, then each row's report in row order.
+pub fn render(paper: &[Row], extensions: &[Row]) -> String {
+    let (paper_claims, p_holding, p_total) = claims(paper, "paper");
+    let (extension_claims, e_holding, e_total) = claims(extensions, "inequality");
+    let mut text = format!("Paper claims: {p_holding} of {p_total} hold; ");
+    text += &format!("extension claims: {e_holding} of {e_total} hold\n\n{paper_claims}");
+    text += &format!("\nExtensions\n\n{extension_claims}");
+    for row in paper.iter().chain(extensions) {
+        let banner = format!(" {}: {} ", row.section, row.title);
+        text += &format!("\n{banner:=^78}\n\n{}", row.report);
+    }
+    text
+}
+
+/// The claims of `rows` as a table whose fourth column is headed
+/// `bound`, and how many of them hold out of how many.
+fn claims(rows: &[Row], bound: &str) -> (Table, usize, usize) {
+    let mut text = format!("section | claim | measured | {bound} | holds");
     for row in rows {
         for c in &row.claims {
-            let (section, claim, measured) = (row.section, c.claim, &c.measured);
+            let (section, claim, measured) = (row.section, &c.claim, &c.measured);
             let (paper, holds) = (&c.paper, c.holds);
             text += &format!("\n{section} | {claim} | {measured} | {paper} | {holds}");
         }
-        let banner = format!(" {}: {} ", row.section, row.title);
-        reports += &format!("\n{banner:=^78}\n\n{}", row.report);
     }
     let claims = rows.iter().flat_map(|r| &r.claims);
-    let (holding, total) = (claims.clone().filter(|c| c.holds).count(), claims.count());
-    let claims = table(&text);
-    format!("Paper claims: {holding} of {total} hold\n\n{claims}{reports}")
+    let holding = claims.clone().filter(|c| c.holds).count();
+    (table(&text), holding, claims.count())
 }
 
 /// The process exit status for `rows`: 0 when every claim holds, else 1.
@@ -638,14 +667,14 @@ mod tests {
 
     fn row_with(holds: &[bool]) -> Row {
         let claims = holds.iter().map(|&holds| Claim {
-            claim: "a fabricated claim",
+            claim: "a fabricated claim".into(),
             measured: "1".into(),
             paper: "< 2".into(),
             holds,
         });
         Row {
             section: "Fig. 0",
-            title: "fabricated",
+            title: "fabricated".into(),
             claims: claims.collect(),
             report: String::new(),
         }

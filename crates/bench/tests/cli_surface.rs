@@ -7,18 +7,11 @@
 use std::process::{Command, Output};
 
 const SIM_RATE: &str = env!("CARGO_BIN_EXE_sim_rate");
-const REPRO_SCALING: &str = env!("CARGO_BIN_EXE_repro_scaling");
-const REPRO_PATTERNS: &str = env!("CARGO_BIN_EXE_repro_patterns");
-const REPRO_CHIPLET: &str = env!("CARGO_BIN_EXE_repro_chiplet");
 const REPRO_PAPER: &str = env!("CARGO_BIN_EXE_repro_paper");
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 
-/// Every binary of the package: the ten `goldens.rs` runs and `sim_rate`.
-const ALL_BINS: [&str; 11] = [
-    REPRO_PATTERNS,
-    REPRO_SCALING,
-    REPRO_CHIPLET,
-    env!("CARGO_BIN_EXE_repro_saturation"),
+/// Every binary of the package: the six `goldens.rs` runs and `sim_rate`.
+const ALL_BINS: [&str; 7] = [
     env!("CARGO_BIN_EXE_repro_serving"),
     env!("CARGO_BIN_EXE_repro_churn"),
     env!("CARGO_BIN_EXE_repro_faults"),
@@ -61,28 +54,29 @@ fn sim_rate_rejects_out_of_range_and_removed_arguments() {
 }
 
 #[test]
-fn repro_scaling_rejects_malformed_and_removed_flags() {
-    assert_usage_error(REPRO_SCALING, &["--smoke", "--region-block"]);
-    assert_usage_error(REPRO_SCALING, &["--threads", "0"]);
-}
-
-#[test]
 fn every_bin_rejects_an_unknown_flag() {
     for exe in ALL_BINS {
         assert_usage_error(exe, &["--smoke", "--no-such-flag"]);
     }
 }
 
-/// A binary that writes no record file refuses `--csv` and `--json`
-/// rather than ignoring them, and `repro_paper`, which has no smoke grid,
-/// refuses `--smoke` too.
+/// The one table-only binary, `repro_paper`, takes `--threads N` and
+/// `--full` and nothing else: it writes no record file, so it refuses
+/// `--csv` and `--json` rather than ignoring them, and its default size
+/// is the smoke grid, so it refuses `--smoke` and `--list` too.
 #[test]
 fn table_only_bins_refuse_the_flags_they_do_not_honour() {
-    for exe in [REPRO_SCALING, REPRO_PATTERNS, REPRO_CHIPLET, REPRO_PAPER] {
-        assert_usage_error(exe, &["--smoke", "--csv", "x.csv"]);
-        assert_usage_error(exe, &["--smoke", "--json", "x.json"]);
+    for args in [
+        &["--smoke"][..],
+        &["--list"],
+        &["--csv", "x.csv"],
+        &["--json", "x.json"],
+        &["--full", "--csv", "x.csv"],
+        &["--full", "--region-block"],
+        &["--threads", "0"],
+    ] {
+        assert_usage_error(REPRO_PAPER, args);
     }
-    assert_usage_error(REPRO_PAPER, &["--smoke"]);
 }
 
 /// A grid that cannot run is refused before any job starts (exit 2); a
@@ -144,13 +138,6 @@ fn repro_faults_reports_unwritable_outputs() {
 fn repro_fig8_reports_unwritable_outputs() {
     for flag in ["--csv", "--json", "--telemetry-out"] {
         assert_write_error(env!("CARGO_BIN_EXE_repro_fig8_gs_vs_be"), flag);
-    }
-}
-
-#[test]
-fn repro_saturation_reports_unwritable_outputs() {
-    for flag in ["--csv", "--json"] {
-        assert_write_error(env!("CARGO_BIN_EXE_repro_saturation"), flag);
     }
 }
 

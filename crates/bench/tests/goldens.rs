@@ -42,14 +42,6 @@ macro_rules! goldens {
 
 goldens! {
     paper: repro_paper [] => [Stdout("tests/golden/repro_paper.txt")];
-    patterns: repro_patterns ["--smoke"]
-        => [Stdout("tests/golden/repro_patterns_smoke.txt")];
-    scaling: repro_scaling ["--smoke"]
-        => [Stdout("tests/golden/repro_scaling_smoke.txt")];
-    chiplet: repro_chiplet ["--smoke"]
-        => [Stdout("tests/golden/repro_chiplet_smoke.txt")];
-    saturation: repro_saturation ["--smoke"]
-        => [Stdout("tests/golden/repro_saturation_smoke.txt")];
     serving: repro_serving ["--smoke", "--csv", "{out}/serving.csv"]
         => [Stdout("tests/golden/repro_serving_smoke.txt"), Same("serving.csv")];
     churn: repro_churn ["--smoke", "--csv", "{out}/churn.csv"]
