@@ -52,6 +52,18 @@ pub struct Edge {
     pub bound_ns: Option<u64>,
 }
 
+impl Edge {
+    /// True when an admitted path whose analytical worst case is
+    /// `worst` meets the edge's required bound: always without one,
+    /// never without a worst case, else `worst ≤ bound` in integer
+    /// picoseconds.
+    pub fn admits(&self, worst: Option<SimDuration>) -> bool {
+        self.bound_ns.is_none_or(|bound_ns| {
+            worst.is_some_and(|w| w.as_ps() <= bound_ns.saturating_mul(1_000))
+        })
+    }
+}
+
 /// A whole application: tasks plus the edges connecting them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskGraph {
@@ -549,6 +561,25 @@ pub fn by_name(name: &str) -> Option<TaskGraph> {
 mod tests {
     use super::*;
     use mango_qos::AdmissionController;
+
+    /// The required bound is met up to and including equality, in
+    /// integer picoseconds; no worst case never meets one, and a bound
+    /// too large for picoseconds saturates instead of overflowing.
+    #[test]
+    fn required_bound_compares_in_integer_picoseconds() {
+        let edge = |bound_ns| Edge {
+            from: 0,
+            to: 1,
+            rate_fps: 1,
+            bound_ns,
+        };
+        let ps = |ps| Some(SimDuration::from_ps(ps));
+        assert!(edge(Some(23)).admits(ps(23_000)));
+        assert!(!edge(Some(23)).admits(ps(23_001)));
+        assert!(!edge(Some(23)).admits(None));
+        assert!(edge(None).admits(None));
+        assert!(edge(Some(u64::MAX)).admits(ps(u64::MAX)));
+    }
 
     #[test]
     fn builder_and_validation() {

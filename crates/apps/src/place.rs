@@ -137,12 +137,7 @@ fn score_trial(
         match ctl.commit_trial(&req) {
             Ok(trial) => {
                 min_after = min_after.min(trial.min_residual_fps);
-                let within_bound = match (e.bound_ns, trial.worst_latency_ns) {
-                    (Some(bound), Some(worst)) => worst <= bound as f64,
-                    (Some(_), None) => false,
-                    (None, _) => true,
-                };
-                if within_bound {
+                if e.admits(trial.worst_latency) {
                     score.hop_demand += trial.hops as u64 * (e.rate_fps / 1_000_000).max(1);
                 } else {
                     score.failures += 1;

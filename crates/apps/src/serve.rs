@@ -17,8 +17,8 @@
 //! * **when streams attach** — one CBR stream per edge at the edge's
 //!   rate once every connection is open, if any stream window remains;
 //! * **what is recorded** — per instance, setup latency (arrival → last
-//!   open-ack), delivered flits and observed-vs-bound latency over its
-//!   edges.
+//!   open-ack) and delivered flits; per run, the [`GuaranteeAudit`] of
+//!   every edge stream against its admitted bound.
 //!
 //! A [`ServingSpec`] run is a pure function of the spec and the placers
 //! are deterministic, so sweep CSVs are byte-identical at any worker
@@ -29,7 +29,7 @@ use crate::place::PlacerKind;
 use mango_core::RouterId;
 use mango_net::{PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig};
 use mango_qos::driver::{mean_ns, Arrival, ArrivalSpec, ControlPlane, Event, Lifecycle};
-use mango_qos::{Admission, ConnRequest, RejectReason};
+use mango_qos::{Admission, ConnRequest, GuaranteeAudit, RejectReason};
 use mango_sim::{RunOutcome, SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
 
@@ -167,11 +167,6 @@ pub struct AppOutcome {
     pub injected: u64,
     /// Flits delivered across the instance's streams.
     pub delivered: u64,
-    /// Streamed edges whose observed max latency exceeded their
-    /// admitted analytical bound (the guarantee contract: must be 0).
-    pub bound_violations: u32,
-    /// Worst observed/bound latency ratio over the instance's edges.
-    pub worst_bound_ratio: f64,
     /// Teardown of every connection completed inside the window.
     pub closed: bool,
 }
@@ -204,6 +199,9 @@ pub struct ServingMetrics {
     /// state once every served instance closed (leak detection; only
     /// meaningful when `admitted == closed`).
     pub budgets_clean: bool,
+    /// Every edge stream's observed worst latency against its admitted
+    /// bound, in stream-attach order.
+    pub audit: GuaranteeAudit,
 }
 
 impl ServingMetrics {
@@ -212,21 +210,14 @@ impl ServingMetrics {
         self.rejected_admission.iter().sum::<u64>() + self.rejected_bound + self.rejected_open
     }
 
-    /// Streamed edges whose observation exceeded their bound — must be
-    /// zero whenever guarantees hold.
+    /// [`GuaranteeAudit::violations`] (must be zero).
     pub fn bound_violations(&self) -> u64 {
-        self.apps
-            .iter()
-            .map(|a| u64::from(a.bound_violations))
-            .sum()
+        self.audit.violations()
     }
 
-    /// Worst observed/bound ratio over every streamed edge.
+    /// [`GuaranteeAudit::worst_bound_ratio`] over every streamed edge.
     pub fn worst_bound_ratio(&self) -> f64 {
-        self.apps
-            .iter()
-            .map(|a| a.worst_bound_ratio)
-            .fold(0.0, f64::max)
+        self.audit.worst_bound_ratio()
     }
 
     /// Mean setup latency over served instances, ns.
@@ -297,11 +288,8 @@ impl<'a> Engine<'a> {
             };
             let reject = match controller.request(&req) {
                 Ok(adm) => {
-                    let worst = adm.report.worst_latency_ns();
+                    let within = e.admits(adm.report.worst_latency);
                     admissions.push(adm);
-                    let within = e
-                        .bound_ns
-                        .is_none_or(|bound| worst.is_some_and(|w| w <= bound as f64));
                     (!within).then_some(AppRejectReason::BoundExceeded)
                 }
                 Err(reason) => Some(AppRejectReason::Admission(reason)),
@@ -328,8 +316,6 @@ impl<'a> Engine<'a> {
             setup: None,
             injected: 0,
             delivered: 0,
-            bound_violations: 0,
-            worst_bound_ratio: 0.0,
             closed: false,
         };
 
@@ -383,15 +369,6 @@ impl<'a> Engine<'a> {
                 let f = &scenario.flows[idx];
                 outcome.injected += f.injected;
                 outcome.delivered += f.delivered;
-                if let (Some(obs), Some(bound)) = (f.max_ns, e.admission.report.worst_latency_ns())
-                {
-                    if obs > bound {
-                        outcome.bound_violations += 1;
-                    }
-                    if bound > 0.0 {
-                        outcome.worst_bound_ratio = outcome.worst_bound_ratio.max(obs / bound);
-                    }
-                }
             }
         }
         let rejected = |why| {
@@ -408,6 +385,7 @@ impl<'a> Engine<'a> {
             peak_live: end.peak_live,
             prog_packets: end.run.prog_packets,
             budgets_clean: end.run.budgets_clean,
+            audit: end.run.audit,
             scenario,
             apps: self.outcomes,
         };

@@ -60,10 +60,12 @@ fn reference_score(
         let within_bound =
             ctl.request(&ConnRequest { src, dst, period })
                 .ok()
-                .filter(|adm| match (e.bound_ns, adm.report.worst_latency_ns()) {
-                    (Some(bound), Some(worst)) => worst <= bound as f64,
-                    (Some(_), None) => false,
-                    (None, _) => true,
+                .filter(|adm| {
+                    match (e.bound_ns, adm.report.worst_latency.map(|d| d.as_ns_f64())) {
+                        (Some(bound), Some(worst)) => worst <= bound as f64,
+                        (Some(_), None) => false,
+                        (None, _) => true,
+                    }
                 });
         match within_bound {
             Some(adm) => hop_demand += adm.hops() as u64 * (e.rate_fps / 1_000_000).max(1),
@@ -199,7 +201,7 @@ proptest! {
                     )));
                 }
             };
-            if let (Some(bound), Some(worst)) = (e.bound_ns, adm.report.worst_latency_ns()) {
+            if let (Some(bound), Some(worst)) = (e.bound_ns, adm.report.worst_latency.map(|d| d.as_ns_f64())) {
                 let within = worst <= bound as f64;
                 prop_assert!(within, "admissible placement broke a latency bound");
             }

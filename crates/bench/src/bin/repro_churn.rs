@@ -11,11 +11,12 @@
 //!
 //! The output is deterministic: byte-identical CSV for every
 //! `--threads` value (the CI churn determinism gate diffs 1 vs 4).
-//! The binary asserts the guarantee contract — zero bound violations —
-//! and that the grid demonstrates both scale (≥ 800 requests in one
-//! point) and admission rejections under budget exhaustion.
+//! A point whose audit finds a connection above its bound prints that
+//! witness and exits 1. The binary asserts that the grid demonstrates
+//! both scale (≥ 800 requests in one point) and admission rejections
+//! under budget exhaustion.
 
-use mango_bench::written;
+use mango_bench::{guarantees_held, written};
 use mango_sweep::{churn_summary_table, run_grid, write_csv, ChurnSweepSpec, SweepArgs};
 use std::time::Instant;
 
@@ -63,24 +64,18 @@ fn main() {
 
     // The guarantee contract: no admitted, rate-conforming connection
     // may ever exceed its analytical latency bound.
+    guarantees_held(
+        records
+            .iter()
+            .map(|r| (format!("job {}", r.job.id), &r.audit)),
+    );
     for r in &records {
-        assert_eq!(
-            r.bound_violations, 0,
-            "job {}: observed latency above the analytical bound",
-            r.job.id
-        );
         assert!(
             r.requests > 0 && r.admitted > 0,
             "job {} did nothing",
             r.job.id
         );
         assert!(r.closed > 0, "job {}: no teardown completed", r.job.id);
-        assert!(
-            r.worst_bound_ratio <= 1.0,
-            "job {}: worst observed/bound ratio {}",
-            r.job.id,
-            r.worst_bound_ratio
-        );
     }
     // Scale: at least one point runs a ≥800-connection open/close
     // workload (the full grid's fast-arrival points issue well over

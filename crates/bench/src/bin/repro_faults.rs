@@ -21,9 +21,10 @@
 //!
 //! Everything on stdout is deterministic and byte-diffed in CI against
 //! `tests/golden/repro_faults_smoke.txt` at 1 and 4 worker threads;
-//! wall-clock rates go to stderr. The binary asserts the degraded
-//! guarantee contract: every healed connection's observed worst case
-//! stays under its recomputed bound.
+//! wall-clock rates go to stderr. The degraded guarantee contract —
+//! every healed connection's observed worst case stays under its
+//! recomputed bound — is read from each run's audit: a violation prints
+//! its witness and exits 1.
 
 use mango::core::{Direction, RouterConfig, RouterId};
 use mango::hw::Table;
@@ -33,7 +34,7 @@ use mango::net::{
 };
 use mango::qos::{report_for, RecoveryOutcome, RecoverySpec};
 use mango::sim::{SimDuration, SimTime};
-use mango_bench::written;
+use mango_bench::{guarantees_held, written};
 use mango_sweep::{
     fault_summary_table, run_grid, write_csv, write_telemetry_dir, FaultSweepSpec, SweepArgs,
 };
@@ -173,9 +174,9 @@ fn main() {
             } else {
                 format!("{:.2}", pre.guaranteed_mfps)
             },
-            r.post_observed_max_ns
-                .zip(r.post_bound_ns)
-                .map_or("-".into(), |(o, b)| format!("{:.3}", o / b)),
+            m.post_audit(r)
+                .and_then(|e| e.ratio())
+                .map_or("-".into(), |ratio| format!("{ratio:.3}")),
         ]);
     }
     print!("{t}");
@@ -212,11 +213,7 @@ fn main() {
         "the victim must heal on an 8x8 mesh: {victim:?}"
     );
     assert!(victim.flits_lost > 0, "in-flight flits cross the dead link");
-    assert_eq!(
-        m.post_bound_violations(),
-        0,
-        "degraded guarantees must hold"
-    );
+    guarantees_held([("targeted run".to_string(), &m.audit)]);
     for r in m.records.iter().skip(1) {
         assert!(r.outcome.is_none(), "bystander connection {} broke", r.idx);
     }
@@ -242,13 +239,13 @@ fn main() {
             r.broken,
             outcomes
         );
-        assert_eq!(
-            r.bound_violations, 0,
-            "job {}: observed latency above the recomputed bound",
-            r.job.id
-        );
         broken += r.broken;
     }
+    guarantees_held(
+        records
+            .iter()
+            .map(|r| (format!("job {}", r.job.id), &r.audit)),
+    );
     assert!(broken > 0, "no grid point demonstrated a fault");
     println!(
         "\nguarantees held: {} breaks across the grid, 0 post-recovery bound violations",

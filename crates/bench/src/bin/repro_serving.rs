@@ -11,13 +11,14 @@
 //! `[-- --threads N] [--smoke] [--list] [--csv PATH]`
 //!
 //! The output is deterministic: byte-identical stdout and CSV for every
-//! `--threads` value (the CI serving gate diffs 1 vs 4). The binary
-//! asserts the serving contract — zero latency-bound violations among
-//! admitted edges, annealing admitting at least as many instances as
-//! greedy on every matching grid point, and rejections (not panics)
-//! past saturation.
+//! `--threads` value (the CI serving gate diffs 1 vs 4). A point whose
+//! audit finds an admitted edge above its latency bound prints that
+//! witness and exits 1. The binary asserts the rest of the serving
+//! contract — annealing admitting at least as many instances as greedy
+//! on every matching grid point, and rejections (not panics) past
+//! saturation.
 
-use mango_bench::written;
+use mango_bench::{guarantees_held, written};
 use mango_sweep::{capacity_curves, run_grid, serving_summary_table, write_csv, ServingSweepSpec};
 use std::time::Instant;
 
@@ -68,20 +69,14 @@ fn main() {
     println!("\n{} jobs, {} events", records.len(), events);
 
     // The serving contract, point by point.
+    guarantees_held(
+        records
+            .iter()
+            .map(|r| (format!("job {}", r.job.id), &r.audit)),
+    );
     for r in &records {
         assert!(r.offered > 0, "job {} offered nothing", r.job.id);
         assert!(r.admitted > 0, "job {} admitted nothing", r.job.id);
-        assert_eq!(
-            r.bound_violations, 0,
-            "job {}: a streamed edge exceeded its admitted latency bound",
-            r.job.id
-        );
-        assert!(
-            r.worst_bound_ratio <= 1.0,
-            "job {}: worst observed/bound ratio {}",
-            r.job.id,
-            r.worst_bound_ratio
-        );
     }
     // Annealing must serve at least as many instances as greedy on
     // every matching (topology, graph, arrival, seed) point.

@@ -9,6 +9,7 @@ pub mod paper;
 
 use mango::core::{ConnectionId, RouterConfig, RouterId};
 use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, Pattern, SpatialPattern};
+use mango::qos::GuaranteeAudit;
 use mango::sim::SimDuration;
 
 /// Checks the result of writing an output file the command line asked
@@ -17,6 +18,19 @@ use mango::sim::SimDuration;
 pub fn written(path: &std::path::Path, result: std::io::Result<()>) {
     if let Err(e) = result {
         eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
+/// The guarantee contract of a repro: no audited connection observed
+/// above its bound. At the first of `points` whose audit finds one, its
+/// worst connection goes to stderr as one `error:` line and the process
+/// exits 1, not a panic.
+pub fn guarantees_held<'a>(points: impl IntoIterator<Item = (String, &'a GuaranteeAudit)>) {
+    if let Some((point, audit)) = points.into_iter().find(|(_, a)| a.violations() > 0) {
+        let (n, worst) = (audit.violations(), audit.worst());
+        let worst = worst.expect("a violation has a ratio");
+        eprintln!("error: {point}: {n} connection(s) above their bound, worst {worst}");
         std::process::exit(1);
     }
 }

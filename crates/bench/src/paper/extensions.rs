@@ -10,7 +10,9 @@ use mango::hw::area::{AreaModel, RouterParams};
 use mango::hw::power::PowerModel;
 use mango::net::{xy_route, FaultKind, FaultSchedule, Grid, MeasureBound, NaConfig, PatternKind};
 use mango::net::{ScenarioSpec, SpatialPattern, TemporalSpec, TopologySpec, TrafficSpec};
-use mango::qos::{path_extras, GuaranteeReport, RecoveryOutcome, RecoverySpec, ServiceModel};
+use mango::qos::driver::run_audited;
+use mango::qos::ServiceModel;
+use mango::qos::{path_extras, GuaranteeAudit, GuaranteeReport, RecoveryOutcome, RecoverySpec};
 use mango::sim::{SimDuration, SimTime};
 use mango_sweep::auto_gs_pairs;
 
@@ -68,20 +70,7 @@ pub(super) fn jobs(full: bool) -> Vec<Job> {
     jobs
 }
 
-/// How close observed worst latencies [ns] come to their bounds: the
-/// largest `observed / bound`, and whether every bound admits its
-/// observation ([`GuaranteeReport::admits_observation`]).
-fn worst_ratio<'a>(observed: impl IntoIterator<Item = (&'a GuaranteeReport, f64)>) -> (f64, bool) {
-    observed
-        .into_iter()
-        .fold((0.0, true), |(worst, held), (report, max)| {
-            let ratio = max / in_ns(report.worst_latency);
-            (worst.max(ratio), held && report.admits_observation(max))
-        })
-}
-
-/// A latency a flow recorded [ns], NaN when it recorded none — which no
-/// bound admits.
+/// A latency a flow recorded [ns], NaN when it recorded none.
 fn recorded(latency: Option<f64>) -> f64 {
     latency.unwrap_or(f64::NAN)
 }
@@ -143,16 +132,16 @@ fn pattern(p: usize, gaps_ns: &[u64]) -> Row {
     let bound = in_ns(report.worst_latency);
     let mut text = String::from("BE gap/node [ns] | BE delivered [Mpkt/s] | BE mean [ns]");
     text += " | BE worst p99 [ns] | GS [Mflit/s] | GS mean [ns] | GS max [ns] | obs/bound";
-    let (mut maxima, mut rates, mut errors) = (Vec::new(), Vec::new(), 0);
+    let (mut audit, mut rates, mut errors) = (GuaranteeAudit::default(), Vec::new(), 0);
     for &gap in gaps_ns {
         let (src, dst) = PATTERN_GS;
         let be = TrafficSpec::new(spatial.clone(), TemporalSpec::poisson(ns(gap)));
-        let m = ScenarioSpec::mesh(8, 8, 7)
+        let spec = ScenarioSpec::mesh(8, 8, 7)
             .warmup(us(5))
             .measure_for(us(25))
             .gs(src, dst, TemporalSpec::cbr(ns(PATTERN_GS_NS)))
-            .traffic(be.payload(4).named("bg-"))
-            .run();
+            .traffic(be.payload(4).named("bg-"));
+        let m = run_audited(&spec, &[report.worst_latency], &mut audit);
         let gs = m.gs(0);
         let (mean, max) = (recorded(gs.mean_ns), recorded(gs.max_ns));
         let (be, be_mean, be_p99) = (
@@ -165,11 +154,10 @@ fn pattern(p: usize, gaps_ns: &[u64]) -> Row {
             gs.throughput_m
         );
         text += &format!(" | {mean:.2} | {max:.2} | {:.3}", max / bound);
-        maxima.push(max);
         rates.push(gs.throughput_m);
         errors += gs.sequence_errors;
     }
-    let (worst, held) = worst_ratio(maxima.into_iter().map(|max| (&report, max)));
+    let (worst, held) = (audit.worst_bound_ratio(), audit.holds());
     let (lo, hi) = span(&rates);
     let moved = (hi - lo) / lo;
     row! { "Patterns", format!("pattern: {name}"), table(&text).to_string();
@@ -280,17 +268,17 @@ fn mesh(side: u8, window_us: u64) -> Row {
     let (grid, period) = (Grid::new(side, side), ns(12));
     let model = ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper());
     let spec = ScenarioSpec::mesh(side, side, 77).warmup(us(2));
-    let (mut spec, mut reports) = (spec.measure_for(us(window_us)), Vec::new());
+    let (mut spec, mut bounds) = (spec.measure_for(us(window_us)), Vec::new());
     for (src, dst) in auto_gs_pairs(&grid, 2) {
         spec = spec.gs(src, dst, TemporalSpec::cbr(period));
         let route = xy_route(&grid, src, dst).expect("XY route on the mesh");
-        reports.push(model.report_along(&grid, src, &route, period));
+        bounds.push(model.report_along(&grid, src, &route, period).worst_latency);
     }
     let be = TrafficSpec::uniform_poisson(ns(300)).payload(4);
-    let m = spec.traffic(be.named("bg-")).run();
-    let maxima = (0..reports.len()).map(|i| recorded(m.gs(i).max_ns));
-    let (worst, held) = worst_ratio(reports.iter().zip(maxima));
-    let errors: u64 = (0..reports.len()).map(|i| m.gs(i).sequence_errors).sum();
+    let mut audit = GuaranteeAudit::default();
+    let m = run_audited(&spec.traffic(be.named("bg-")), &bounds, &mut audit);
+    let (worst, held) = (audit.worst_bound_ratio(), audit.holds());
+    let errors: u64 = (0..bounds.len()).map(|i| m.gs(i).sequence_errors).sum();
     let mut text = String::from("mesh | window [us] | events | GS [Mflit/s] | GS mean [ns]");
     text += " | GS max [ns] | BE delivered | BE mean [ns] | worst obs/bound";
     let (gs, events, rate) = (m.gs(0), m.events, m.gs_throughput_m());
@@ -351,7 +339,7 @@ fn chiplet_bound(window_us: u64, gaps_ns: &[Option<u64>]) -> Row {
     let (same_bw, composed_bw) = (same_die.guaranteed_mfps, composed.guaranteed_mfps);
     let mut text = String::from("BE background | GS [Mflit/s] | GS mean [ns] | GS max [ns]");
     text += " | bound [ns] | obs/bound";
-    let mut maxima = Vec::new();
+    let mut audit = GuaranteeAudit::default();
     for &gap in gaps_ns {
         let mut spec = ScenarioSpec::on_topology(package(), CHIPLET_SEED)
             .warmup(us(2))
@@ -361,7 +349,7 @@ fn chiplet_bound(window_us: u64, gaps_ns: &[Option<u64>]) -> Row {
         if let Some(gap) = gap {
             spec = spec.traffic(hotspot(gap));
         }
-        let m = spec.run();
+        let m = run_audited(&spec, &[composed.worst_latency], &mut audit);
         let gs = m.gs(0);
         let (mean, max) = (recorded(gs.mean_ns), recorded(gs.max_ns));
         text += &format!(
@@ -369,7 +357,6 @@ fn chiplet_bound(window_us: u64, gaps_ns: &[Option<u64>]) -> Row {
             gs.throughput_m
         );
         text += &format!(" | {bound:.1} | {:.3}", max / bound);
-        maxima.push(max);
     }
     let report = format!(
         "route: {} hops, {seams} D2D crossings (extra {:.1} ns/link, {:.1} ns total)\n\
@@ -381,7 +368,7 @@ fn chiplet_bound(window_us: u64, gaps_ns: &[Option<u64>]) -> Row {
         bound - flat,
         table(&text),
     );
-    let (worst, held) = worst_ratio(maxima.into_iter().map(|max| (&composed, max)));
+    let (worst, held) = (audit.worst_bound_ratio(), audit.holds());
     let title = format!(
         "composed GS bound across die boundaries: {} package, {src}->{dst}",
         package()
@@ -438,8 +425,8 @@ fn chiplet_fault(window_us: u64) -> Row {
         let recover = r
             .recovery_latency
             .map_or("-".into(), |d| format!("{:.1}", d.as_ns_f64()));
-        let ratio = r.post_observed_max_ns.zip(r.post_bound_ns);
-        let ratio = ratio.map_or("-".into(), |(o, b)| format!("{:.3}", o / b));
+        let ratio = m.post_audit(r).and_then(|e| e.ratio());
+        let ratio = ratio.map_or("-".into(), |ratio| format!("{ratio:.3}"));
         let (s, d) = (r.src, r.dst);
         text += &format!("\n{} | {s}->{d} | {hops} | {outcome} | {recover}", r.idx);
         text += &format!(" | {} | {bounds} | {ratio}", r.flits_lost);

@@ -412,6 +412,15 @@ impl PreparedScenario {
         &self.conns
     }
 
+    /// The simulation's flow id of the spec's `i`-th static GS flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if its phase has not attached it yet.
+    pub fn gs_flow(&self, i: usize) -> u32 {
+        self.flows[self.gs_flows[i]].0
+    }
+
     /// Construction steps 4–6: run warmup, open the measurement window
     /// and attach the [`Phase::Measure`] sources.
     pub fn start_measurement(&mut self) {

@@ -177,8 +177,8 @@ impl Admission {
 pub struct TrialCommit {
     /// Links the admitted path traverses ([`Admission::hops`]).
     pub hops: usize,
-    /// The ticket's [`GuaranteeReport::worst_latency_ns`].
-    pub worst_latency_ns: Option<f64>,
+    /// The ticket's [`GuaranteeReport::worst_latency`].
+    pub worst_latency: Option<SimDuration>,
     /// Minimum residual bandwidth over the path's links after the debit.
     pub min_residual_fps: u64,
 }
@@ -535,10 +535,9 @@ impl AdmissionController {
         } = granted.route;
         Ok(TrialCommit {
             hops,
-            worst_latency_ns: self
+            worst_latency: self
                 .model
-                .worst_latency(hops, extra_total, extra_max, req.period)
-                .map(SimDuration::as_ns_f64),
+                .worst_latency(hops, extra_total, extra_max, req.period),
             min_residual_fps: self.commit(granted),
         })
     }

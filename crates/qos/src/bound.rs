@@ -25,9 +25,9 @@
 //!
 //! The latency bound is intentionally *conservative* (sound, not tight):
 //! every stage contributes its worst case simultaneously, which no real
-//! schedule achieves. The simulation-facing contract — checked in tests
-//! and by `repro_churn` — is `observed max ≤ bound` for every admitted,
-//! rate-conforming connection.
+//! schedule achieves. The simulation-facing contract is `observed max ≤
+//! bound` for every admitted, rate-conforming connection; a
+//! [`GuaranteeAudit`] is the one place it is checked.
 
 use mango_core::{ArbiterKind, Direction, RouterConfig, RouterId};
 use mango_net::{Grid, NaConfig};
@@ -257,17 +257,121 @@ pub struct GuaranteeReport {
     pub worst_latency: Option<SimDuration>,
 }
 
-impl GuaranteeReport {
-    /// The latency bound in nanoseconds, if one exists.
-    pub fn worst_latency_ns(&self) -> Option<f64> {
-        self.worst_latency.map(|d| d.as_ns_f64())
+/// One audited connection: its bound, the worst latency observed on it,
+/// and the witness — its endpoints and path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AuditEntry {
+    /// Source router.
+    pub src: RouterId,
+    /// Destination router.
+    pub dst: RouterId,
+    /// The path, one direction per link.
+    pub dirs: Vec<Direction>,
+    /// The analytical worst case ([`GuaranteeReport::worst_latency`]).
+    pub bound: Option<SimDuration>,
+    /// The worst latency observed; `None` without a latency sample.
+    pub observed: Option<SimDuration>,
+}
+
+impl AuditEntry {
+    /// The one definition of a broken guarantee: an observation above
+    /// the bound, in integer picoseconds.
+    pub fn violates(&self) -> bool {
+        matches!((self.observed, self.bound), (Some(obs), Some(bound)) if obs > bound)
     }
 
-    /// Checks an observed worst latency (ns) against the bound: `true`
-    /// when a bound exists and holds.
-    pub fn admits_observation(&self, observed_max_ns: f64) -> bool {
-        self.worst_latency_ns()
-            .is_some_and(|bound| observed_max_ns <= bound)
+    /// `observed / bound`, when both exist.
+    pub fn ratio(&self) -> Option<f64> {
+        Some(self.observed?.as_ns_f64() / self.bound?.as_ns_f64())
+    }
+}
+
+impl std::fmt::Display for AuditEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ns = |d: Option<SimDuration>| d.map_or("-".into(), |d| format!("{:.3}", d.as_ns_f64()));
+        let path: String = self.dirs.iter().map(Direction::to_string).collect();
+        let (observed, bound) = (ns(self.observed), ns(self.bound));
+        write!(f, "{} -> {} via {path}: ", self.src, self.dst)?;
+        write!(f, "observed {observed} ns, bound {bound} ns")
+    }
+}
+
+/// The guarantee check of a run: every connection's observed worst
+/// latency against its analytical bound, judged by
+/// [`AuditEntry::violates`]. A connection with no latency sample is
+/// *unmeasured*, one without a bound *unbounded*; neither is a
+/// violation, and [`GuaranteeAudit::holds`] refuses both.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GuaranteeAudit {
+    entries: Vec<AuditEntry>,
+}
+
+impl GuaranteeAudit {
+    /// Registers the connection `src` → `dst` along `dirs`, not yet
+    /// observed; returns its index for [`GuaranteeAudit::observe`].
+    pub fn register(
+        &mut self,
+        src: RouterId,
+        dst: RouterId,
+        dirs: &[Direction],
+        bound: Option<SimDuration>,
+    ) -> usize {
+        let (dirs, observed) = (dirs.to_vec(), None);
+        self.entries.push(AuditEntry {
+            src,
+            dst,
+            dirs,
+            bound,
+            observed,
+        });
+        self.entries.len() - 1
+    }
+
+    /// Records the worst latency observed on connection `k`.
+    pub fn observe(&mut self, k: usize, observed: Option<SimDuration>) {
+        self.entries[k].observed = observed;
+    }
+
+    /// Every registered connection, in registration order.
+    pub fn entries(&self) -> &[AuditEntry] {
+        &self.entries
+    }
+
+    /// Connections whose observation exceeds their bound.
+    pub fn violations(&self) -> u64 {
+        self.count(AuditEntry::violates)
+    }
+
+    /// Connections with no latency sample.
+    pub fn unmeasured(&self) -> u64 {
+        self.count(|e| e.observed.is_none())
+    }
+
+    /// Connections without a bound.
+    pub fn unbounded(&self) -> u64 {
+        self.count(|e| e.bound.is_none())
+    }
+
+    fn count(&self, pred: impl Fn(&AuditEntry) -> bool) -> u64 {
+        self.entries.iter().filter(|e| pred(e)).count() as u64
+    }
+
+    /// Every connection was measured, bounded and within its bound.
+    pub fn holds(&self) -> bool {
+        self.violations() == 0 && self.unmeasured() == 0 && self.unbounded() == 0
+    }
+
+    /// The connection with the largest [`AuditEntry::ratio`], the first
+    /// registered on a tie; `None` when no connection has one.
+    pub fn worst(&self) -> Option<&AuditEntry> {
+        let ratios = self.entries.iter().filter_map(|e| Some((e.ratio()?, e)));
+        let worst = ratios.reduce(|worst, next| if next.0 > worst.0 { next } else { worst });
+        worst.map(|(_, e)| e)
+    }
+
+    /// The worst `observed / bound` (0 when no connection has one).
+    pub fn worst_bound_ratio(&self) -> f64 {
+        self.worst().and_then(AuditEntry::ratio).unwrap_or(0.0)
     }
 }
 
@@ -340,7 +444,16 @@ mod tests {
         let r = model().report(4, SimDuration::from_ns(3));
         assert!(!r.conforming);
         assert_eq!(r.worst_latency, None);
-        assert!(!r.admits_observation(0.0));
+        let mut audit = GuaranteeAudit::default();
+        let k = audit.register(
+            RouterId::new(0, 0),
+            RouterId::new(4, 0),
+            &[],
+            r.worst_latency,
+        );
+        audit.observe(k, Some(SimDuration::ZERO));
+        assert_eq!((audit.violations(), audit.unbounded()), (0, 1));
+        assert!(!audit.holds(), "no bound, no guarantee");
     }
 
     #[test]
@@ -377,11 +490,73 @@ mod tests {
         assert_eq!(m.service_interval().unwrap(), m.vc_loop);
     }
 
+    /// An audit of one connection `(0,0) -> (1,0)` per bound, observed
+    /// at the paired latency.
+    fn audit_of(cases: &[(Option<u64>, Option<u64>)]) -> GuaranteeAudit {
+        let mut audit = GuaranteeAudit::default();
+        let (src, dst) = (RouterId::new(0, 0), RouterId::new(1, 0));
+        for &(bound_ps, observed_ps) in cases {
+            let k = audit.register(
+                src,
+                dst,
+                &[Direction::East],
+                bound_ps.map(SimDuration::from_ps),
+            );
+            audit.observe(k, observed_ps.map(SimDuration::from_ps));
+        }
+        audit
+    }
+
+    /// The boundary, in integer picoseconds: an observation equal to the
+    /// bound holds, one picosecond more is a violation.
     #[test]
-    fn observation_check_compares_in_ns() {
-        let r = model().report(1, SimDuration::from_ns(12));
-        assert!(r.admits_observation(22.888));
-        assert!(!r.admits_observation(22.889));
+    fn audit_compares_in_integer_picoseconds() {
+        let bound = model().report(1, SimDuration::from_ns(12)).worst_latency;
+        assert_eq!(bound, Some(SimDuration::from_ps(22_888)));
+        let at = audit_of(&[(Some(22_888), Some(22_888))]);
+        assert_eq!(at.violations(), 0);
+        assert!(at.holds());
+        assert_eq!(at.worst_bound_ratio(), 1.0);
+        let above = audit_of(&[(Some(22_888), Some(22_889))]);
+        assert_eq!(above.violations(), 1);
+        assert!(!above.holds());
+        assert!(above.entries()[0].violates());
+    }
+
+    /// No latency sample is `unmeasured`, no bound `unbounded`; neither
+    /// is a violation, neither holds, and neither has a ratio.
+    #[test]
+    fn audit_counts_unmeasured_and_unbounded_apart() {
+        let audit = audit_of(&[(Some(1_000), None), (None, Some(5_000)), (None, None)]);
+        assert_eq!(audit.violations(), 0);
+        assert_eq!((audit.unmeasured(), audit.unbounded()), (2, 2));
+        assert!(!audit.holds());
+        assert_eq!(audit.worst(), None);
+        assert_eq!(audit.worst_bound_ratio(), 0.0);
+        assert!(GuaranteeAudit::default().holds(), "nothing to check holds");
+    }
+
+    /// The witness of the worst ratio is the connection registered first
+    /// among equal ratios; the ratio is the observation's ns over the
+    /// bound's.
+    #[test]
+    fn audit_witness_is_the_first_of_equal_ratios() {
+        let mut audit = audit_of(&[(Some(4_000), Some(1_000)), (Some(2_000), Some(1_000))]);
+        let k = audit.register(
+            RouterId::new(3, 3),
+            RouterId::new(0, 0),
+            &[],
+            Some(SimDuration::from_ps(4_000)),
+        );
+        audit.observe(k, Some(SimDuration::from_ps(2_000)));
+        let worst = audit.worst().expect("measured and bounded");
+        assert_eq!(worst, &audit.entries()[1]);
+        assert_eq!(audit.worst_bound_ratio(), 0.5);
+        assert_eq!(audit.entries()[0].ratio(), Some(1.0 / 4.0));
+        assert_eq!(
+            worst.to_string(),
+            "(0,0) -> (1,0) via E: observed 1.000 ns, bound 2.000 ns"
+        );
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! * **when streams attach** — a CBR stream of `gs_period` once the
 //!   connection is open, if at least one period of stream window remains;
 //! * **what is recorded** — per request, **setup latency** (request →
-//!   last ack), the rejection reason, and the **observed max latency vs.
-//!   the analytical bound** of its [`crate::bound::GuaranteeReport`];
-//!   per run, the **programming-traffic overhead** and whether the
-//!   budgets returned clean.
+//!   last ack) and the rejection reason; per run, the
+//!   [`GuaranteeAudit`] of every stream against its admitted bound, the
+//!   **programming-traffic overhead** and whether the budgets returned
+//!   clean.
 //!
 //! A [`ChurnSpec`] run is a pure function of the spec (the endpoint
 //! picks are fork 2 of `churn_seed`), so sweeping churn points in
@@ -28,6 +28,7 @@
 //! movement — commit, open-failure rollback, and teardown release.
 
 use crate::admission::{ConnRequest, RejectReason};
+use crate::bound::GuaranteeAudit;
 use crate::driver::{mean_ns, Arrival, ArrivalSpec, ControlPlane, Event, Lifecycle};
 use mango_core::RouterId;
 use mango_net::{MeasureBound, PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig};
@@ -147,23 +148,8 @@ pub struct ConnOutcome {
     pub injected: u64,
     /// Flits delivered by the stream.
     pub delivered: u64,
-    /// Worst observed end-to-end latency, ns.
-    pub observed_max_ns: Option<f64>,
-    /// The analytical worst-case latency, ns.
-    pub bound_ns: Option<f64>,
     /// Teardown completed (all teardown acks returned) inside the window.
     pub closed: bool,
-}
-
-impl ConnOutcome {
-    /// True when a latency observation exists and exceeds the bound —
-    /// the guarantee the architecture promises was violated.
-    pub fn violates_bound(&self) -> bool {
-        match (self.observed_max_ns, self.bound_ns) {
-            (Some(obs), Some(bound)) => obs > bound,
-            _ => false,
-        }
-    }
 }
 
 /// Everything a churn run measures.
@@ -188,6 +174,9 @@ pub struct ChurnMetrics {
     /// The admission budgets returned exactly to their post-static
     /// state (leak detection; only meaningful when `admitted == closed`).
     pub budgets_clean: bool,
+    /// Every stream's observed worst latency against its admitted bound,
+    /// in stream-attach order.
+    pub audit: GuaranteeAudit,
 }
 
 impl ChurnMetrics {
@@ -232,23 +221,15 @@ impl ChurnMetrics {
         self.setups().map(|d| d.as_ns_f64()).fold(0.0, f64::max)
     }
 
-    /// Connections whose observed max latency exceeded their bound
-    /// (must be zero — the repro binaries assert on it).
+    /// [`GuaranteeAudit::violations`] (must be zero).
     pub fn bound_violations(&self) -> u64 {
-        self.conns.iter().filter(|c| c.violates_bound()).count() as u64
+        self.audit.violations()
     }
 
-    /// The worst observed/bound ratio over all measured connections
-    /// (how much headroom the conservative bound leaves; ≤ 1 when the
-    /// guarantee holds).
+    /// [`GuaranteeAudit::worst_bound_ratio`]: the headroom the conservative
+    /// bound leaves.
     pub fn worst_bound_ratio(&self) -> f64 {
-        self.conns
-            .iter()
-            .filter_map(|c| match (c.observed_max_ns, c.bound_ns) {
-                (Some(obs), Some(bound)) if bound > 0.0 => Some(obs / bound),
-                _ => None,
-            })
-            .fold(0.0, f64::max)
+        self.audit.worst_bound_ratio()
     }
 }
 
@@ -320,8 +301,6 @@ impl<'a> Engine<'a> {
             holding: arrival.holding,
             injected: 0,
             delivered: 0,
-            observed_max_ns: None,
-            bound_ns: None,
             closed: false,
         };
         match self.lc.cp.admission.request(&req) {
@@ -331,7 +310,6 @@ impl<'a> Engine<'a> {
                         let admission = &self.lc.group(i).conns[0].admission;
                         outcome.hops = admission.hops();
                         outcome.xy = admission.xy;
-                        outcome.bound_ns = admission.report.worst_latency_ns();
                     }
                     // Rolled back by the driver: a typed rejection
                     // instead of tearing the whole run down.
@@ -371,7 +349,6 @@ impl<'a> Engine<'a> {
                 let f = &scenario.flows[idx];
                 outcome.injected = f.injected;
                 outcome.delivered = f.delivered;
-                outcome.observed_max_ns = f.max_ns;
             }
         }
         let mut rejected_by = [0; RejectReason::ALL.len()];
@@ -387,6 +364,7 @@ impl<'a> Engine<'a> {
             closed: end.closed,
             prog_packets: end.run.prog_packets,
             budgets_clean: end.run.budgets_clean,
+            audit: end.run.audit,
         };
         (metrics, end.run.report)
     }
@@ -420,18 +398,15 @@ mod tests {
         assert!(m.prog_packets > 0, "programming traffic is real packets");
         let streamed: Vec<_> = m.conns.iter().filter(|c| c.delivered > 0).collect();
         assert!(!streamed.is_empty(), "some connections must stream");
-        for c in streamed {
+        for c in &streamed {
             assert_eq!(c.injected, c.delivered, "GS delivery is lossless");
-            assert!(
-                !c.violates_bound(),
-                "req {}: observed {:?} ns > bound {:?} ns over {} hops",
-                c.req,
-                c.observed_max_ns,
-                c.bound_ns,
-                c.hops
-            );
         }
-        assert_eq!(m.bound_violations(), 0);
+        assert!(m.audit.holds(), "witness: {:?}", m.audit.worst());
+        assert_eq!(
+            m.audit.entries().len(),
+            streamed.len(),
+            "one entry per stream"
+        );
     }
 
     #[test]

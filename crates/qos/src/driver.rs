@@ -35,9 +35,11 @@
 //! the actions due at `t` in insertion order, including any pushed for
 //! `t` itself. Nothing at or after the window end is handed out.
 //! [`ControlPlane::finish`] runs out the window, detaches the telemetry
-//! report and compares the budgets against the post-static-reservation
-//! snapshot ([`RunEnd::budgets_clean`]). The recovery workload runs its
-//! own steps on this loop directly.
+//! report, compares the budgets against the post-static-reservation
+//! snapshot ([`RunEnd::budgets_clean`]) and observes every stream of
+//! [`ControlPlane::audit_stream`] for [`RunEnd::audit`]. The recovery
+//! workload runs its own steps on this loop directly. [`run_audited`]
+//! audits a plain scenario's static GS connections the same way.
 //!
 //! # The connection-group lifecycle
 //!
@@ -69,14 +71,16 @@
 //!   fell due while the group was still opening is issued once this
 //!   event has been handled, so a stream never attaches to a closing
 //!   circuit; `stream_stop` tells whether any stream window is left.
+//!   [`Lifecycle::attach_stream`] registers each stream with the audit.
 //! * [`Event::Closed`] — at the group's last close ack; its admissions
 //!   are already back in the budgets.
 
 use crate::admission::{Admission, AdmissionController, BudgetSnapshot};
+use crate::bound::GuaranteeAudit;
 use mango_core::ConnectionId;
 use mango_net::{
     EmitWindow, FlowKind, MeasureBound, Notice, NoticeKind, Pattern, PreparedScenario,
-    ScenarioSpec, TelemetryConfig,
+    ScenarioMetrics, ScenarioSpec, TelemetryConfig,
 };
 use mango_sim::{SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
@@ -152,6 +156,8 @@ pub struct RunEnd {
     /// static base reservations (leak detection; only meaningful when
     /// everything opened on top of them also closed).
     pub budgets_clean: bool,
+    /// Every audited stream against its admitted bound.
+    pub audit: GuaranteeAudit,
 }
 
 /// The shared control-plane state of one run; `A` is the workload's
@@ -166,6 +172,9 @@ pub struct ControlPlane<A> {
     seq: u64,
     horizon: SimDuration,
     t_end: SimTime,
+    audit: GuaranteeAudit,
+    /// The flow id of each audit entry, in registration order.
+    audited: Vec<u32>,
 }
 
 impl<A: Ord> ControlPlane<A> {
@@ -215,6 +224,8 @@ impl<A: Ord> ControlPlane<A> {
             seq: 0,
             horizon,
             t_end: SimTime::ZERO,
+            audit: GuaranteeAudit::default(),
+            audited: Vec::new(),
         };
         (prepared, cp)
     }
@@ -256,6 +267,15 @@ impl<A: Ord> ControlPlane<A> {
         }
     }
 
+    /// Registers `flow`, a GS stream over `adm`'s connection, with the
+    /// audit; [`ControlPlane::finish`] observes it. Returns its index in
+    /// [`RunEnd::audit`].
+    pub fn audit_stream(&mut self, adm: &Admission, flow: u32) -> usize {
+        self.audited.push(flow);
+        let bound = adm.report.worst_latency;
+        self.audit.register(adm.src, adm.dst, &adm.dirs, bound)
+    }
+
     /// True when the budgets equal the post-static-reservation snapshot.
     pub fn budgets_clean(&self) -> bool {
         self.admission.budgets_match(&self.clean)
@@ -279,18 +299,51 @@ impl<A: Ord> ControlPlane<A> {
 
     /// Runs out the window and collects what the driver measured. Call
     /// [`PreparedScenario::finish`] afterwards for the scenario metrics.
-    pub fn finish(self, prepared: &mut PreparedScenario) -> RunEnd {
+    pub fn finish(mut self, prepared: &mut PreparedScenario) -> RunEnd {
         let now = prepared.sim().now();
         if self.t_end > now {
             prepared.sim_mut().run_for(self.t_end.since(now));
         }
+        for (k, &flow) in self.audited.iter().enumerate() {
+            self.audit
+                .observe(k, prepared.sim().flow(flow).latency.max());
+        }
+        let budgets_clean = self.budgets_clean();
         let net = prepared.sim_mut().network_mut();
         RunEnd {
             report: net.take_telemetry(),
             prog_packets: net.routers().iter().map(|r| r.stats().prog_packets).sum(),
-            budgets_clean: self.budgets_clean(),
+            budgets_clean,
+            audit: self.audit,
         }
     }
+}
+
+/// Runs `spec` as [`ScenarioSpec::run`] does and registers its static
+/// GS connections with `audit`, the `i`-th against `bounds[i]`, each
+/// with the path it was opened along as its witness.
+///
+/// # Panics
+///
+/// Panics if `bounds` does not hold one bound per GS connection of
+/// `spec`, or as [`ScenarioSpec::run`].
+pub fn run_audited(
+    spec: &ScenarioSpec,
+    bounds: &[Option<SimDuration>],
+    audit: &mut GuaranteeAudit,
+) -> ScenarioMetrics {
+    assert_eq!(bounds.len(), spec.gs.len(), "one bound per GS connection");
+    let mut prepared = spec.prepare();
+    prepared.start_measurement();
+    let outcome = prepared.run_to_bound();
+    let sim = prepared.sim();
+    for (i, (&conn, &bound)) in prepared.connections().iter().zip(bounds).enumerate() {
+        let c = sim.network().connections().get(conn);
+        let c = c.expect("static connection has a record");
+        let k = audit.register(c.src, c.dst, &c.dirs, bound);
+        audit.observe(k, sim.flow(prepared.gs_flow(i)).latency.max());
+    }
+    prepared.finish(outcome)
 }
 
 /// The connection-group lifecycle over a control plane: the arrival
@@ -502,8 +555,8 @@ impl Lifecycle {
     }
 
     /// Attaches a CBR stream of `period` to connection `k` of the opened
-    /// group `i`, stopping at the group's `stream_stop`, and tracks it in
-    /// the scenario metrics.
+    /// group `i`, stopping at the group's `stream_stop`, tracks it in the
+    /// scenario metrics and registers it with the audit.
     pub fn attach_stream(
         &mut self,
         prepared: &mut PreparedScenario,
@@ -524,6 +577,7 @@ impl Lifecycle {
             window,
         );
         group.conns[k].metric = Some(prepared.track_flow(flow, FlowKind::Gs));
+        self.cp.audit_stream(&group.conns[k].admission, flow);
     }
 
     /// [`ControlPlane::finish`], plus what the lifecycle itself counted.

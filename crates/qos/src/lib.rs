@@ -9,7 +9,9 @@
 //! * [`bound`] — the analytical model: [`bound::ServiceModel`] derives
 //!   per-hop worst cases from the calibrated timing profile, and a
 //!   [`bound::GuaranteeReport`] states each connection's guaranteed
-//!   bandwidth and worst-case latency;
+//!   bandwidth and worst-case latency, and a [`bound::GuaranteeAudit`]
+//!   checks observed worst latencies against those bounds, in integer
+//!   picoseconds — the one check every workload and claim reads;
 //! * [`admission`] — [`admission::AdmissionController`] tracks residual
 //!   GS-VC, bandwidth and interface budgets per link/node, answers
 //!   [`admission::ConnRequest`]s, and searches paths capacity-aware (XY
@@ -41,7 +43,7 @@
 //!
 //! ```
 //! use mango_net::{EmitWindow, NocSim, Pattern};
-//! use mango_qos::{AdmissionController, ConnRequest};
+//! use mango_qos::{AdmissionController, ConnRequest, GuaranteeAudit};
 //! use mango_core::RouterId;
 //! use mango_sim::SimDuration;
 //!
@@ -70,8 +72,10 @@
 //!     EmitWindow { limit: Some(200), ..Default::default() },
 //! );
 //! sim.run_to_quiescence();
-//! let observed = sim.flow(flow).latency.max().unwrap().as_ns_f64();
-//! assert!(adm.report.admits_observation(observed));
+//! let mut audit = GuaranteeAudit::default();
+//! let k = audit.register(adm.src, adm.dst, &adm.dirs, adm.report.worst_latency);
+//! audit.observe(k, sim.flow(flow).latency.max());
+//! assert!(audit.holds(), "{:?}", audit.worst());
 //! ```
 
 #![warn(missing_docs)]
@@ -86,7 +90,9 @@ pub use admission::{
     Admission, AdmissionController, BudgetSnapshot, BudgetSummary, ConnRequest, RejectReason,
     TrialCommit,
 };
-pub use bound::{path_extras, report_for, GuaranteeReport, ServiceModel};
+pub use bound::{
+    path_extras, report_for, AuditEntry, GuaranteeAudit, GuaranteeReport, ServiceModel,
+};
 pub use churn::{ChurnMetrics, ChurnSpec, ConnOutcome};
 pub use driver::{ControlPlane, Lifecycle};
 pub use recovery::{RecoveryMetrics, RecoveryOutcome, RecoveryRecord, RecoverySpec};

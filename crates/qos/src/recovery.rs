@@ -26,8 +26,8 @@
 //!    jitter;
 //! 4. **re-validate** — recompute the analytical bound for the new
 //!    (possibly longer) path, re-arm the watchdog with the new timeout,
-//!    and stream again; the harness asserts observed ≤ bound on every
-//!    surviving connection.
+//!    and stream again under the control plane's [`GuaranteeAudit`],
+//!    which checks observed ≤ bound on every recovered stream.
 //!
 //! Nothing is polled: every step happens at a protocol instant. The
 //! drain starts at the watchdog's break, the budgets return at the last
@@ -41,6 +41,7 @@
 //! across thread counts.
 
 use crate::admission::{Admission, ConnRequest, RejectReason};
+use crate::bound::{AuditEntry, GuaranteeAudit};
 use crate::driver::{ControlPlane, Wake};
 use mango_core::{ConnectionId, RouterId};
 use mango_net::{
@@ -170,7 +171,7 @@ pub struct RecoveryRecord {
     pub new_hops: usize,
     /// Analytical latency bound on the original path, ns.
     pub pre_bound_ns: Option<f64>,
-    /// Analytical latency bound on the recovered path, ns.
+    /// Analytical latency bound on the recovered path, ns (audited).
     pub post_bound_ns: Option<f64>,
     /// When the watchdog detected the break (`None` = never broke).
     pub detected_at: Option<SimTime>,
@@ -187,19 +188,10 @@ pub struct RecoveryRecord {
     pub outcome: Option<RecoveryOutcome>,
     /// Flits lost on the broken stream (injected − delivered).
     pub flits_lost: u64,
-    /// Worst observed latency on the recovered stream, ns.
+    /// Worst observed latency on the recovered stream, ns (audited).
     pub post_observed_max_ns: Option<f64>,
-}
-
-impl RecoveryRecord {
-    /// True when the recovered stream violated its recomputed bound —
-    /// the degraded-guarantee contract failed.
-    pub fn violates_post_bound(&self) -> bool {
-        match (self.post_observed_max_ns, self.post_bound_ns) {
-            (Some(obs), Some(bound)) => obs > bound,
-            _ => false,
-        }
-    }
+    /// Index in [`RecoveryMetrics::audit`] of the last recovered stream.
+    pub post_audit: Option<usize>,
 }
 
 /// Everything a recovery run measures.
@@ -227,16 +219,22 @@ pub struct RecoveryMetrics {
     pub quarantined: usize,
     /// The network's fault/drop/spoof counters.
     pub fault_counters: FaultCounters,
+    /// Every recovered stream against its recomputed bound, in reopen
+    /// order.
+    pub audit: GuaranteeAudit,
 }
 
 impl RecoveryMetrics {
     /// Recovered streams whose observed worst latency exceeded the
-    /// recomputed bound (must be zero: the degraded-guarantee check).
+    /// recomputed bound ([`GuaranteeAudit::violations`]; must be zero:
+    /// the degraded-guarantee check).
     pub fn post_bound_violations(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.violates_post_bound())
-            .count() as u64
+        self.audit.violations()
+    }
+
+    /// The audit entry of `r`'s last recovered stream.
+    pub fn post_audit(&self, r: &RecoveryRecord) -> Option<&AuditEntry> {
+        r.post_audit.map(|k| &self.audit.entries()[k])
     }
 
     /// Recovery latencies (detection → reopen), in record order.
@@ -274,9 +272,8 @@ struct Engine<'a> {
     jitter: SimRng,
     managed: Vec<Managed>,
     records: Vec<RecoveryRecord>,
-    /// Metric indices of streams to fold into records at collection:
-    /// `(managed idx, metric idx, is_post_recovery)`.
-    tracked: Vec<(usize, usize, bool)>,
+    /// The metric index of each managed connection's first stream.
+    first_streams: Vec<usize>,
     broken: u64,
     forced_closes: u64,
 }
@@ -301,7 +298,7 @@ impl<'a> Engine<'a> {
             jitter: SimRng::new(spec.recovery_seed),
             managed: Vec::new(),
             records: Vec::new(),
-            tracked: Vec::new(),
+            first_streams: Vec::new(),
             broken: 0,
             forced_closes: 0,
         }
@@ -333,7 +330,7 @@ impl<'a> Engine<'a> {
                 dst,
                 old_hops: admission.hops(),
                 new_hops: 0,
-                pre_bound_ns: admission.report.worst_latency_ns(),
+                pre_bound_ns: admission.report.worst_latency.map(SimDuration::as_ns_f64),
                 post_bound_ns: None,
                 detected_at: None,
                 recovered_at: None,
@@ -343,6 +340,7 @@ impl<'a> Engine<'a> {
                 outcome: None,
                 flits_lost: 0,
                 post_observed_max_ns: None,
+                post_audit: None,
             });
             self.managed.push(Managed {
                 conn,
@@ -374,10 +372,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Streams over managed connection `i` under a freshly armed
-    /// watchdog. The timeout is sound: a conforming stream delivers at
-    /// least one flit per `period + 2 × bound` (one inter-emission gap,
-    /// plus the bound twice covers any jitter between a fast and a slow
-    /// flit).
+    /// watchdog; a recovered (`post`) stream is audited. The timeout is
+    /// sound: a conforming stream delivers at least one flit per
+    /// `period + 2 × bound` (one inter-emission gap, plus the bound twice
+    /// covers any jitter between a fast and a slow flit).
     fn start_stream(
         &mut self,
         prepared: &mut PreparedScenario,
@@ -391,7 +389,12 @@ impl<'a> Engine<'a> {
             .sim_mut()
             .add_gs_source(conn, pattern, name, EmitWindow::default());
         let metric_idx = prepared.track_flow(flow, FlowKind::Gs);
-        self.tracked.push((i, metric_idx, post));
+        if post {
+            let k = self.cp.audit_stream(&self.managed[i].admission, flow);
+            self.records[i].post_audit = Some(k);
+        } else {
+            self.first_streams.push(metric_idx);
+        }
         let timeout = self.spec.gs_period + self.drain(i) * 2;
         prepared.sim_mut().arm_watchdog(conn, flow, timeout);
     }
@@ -594,7 +597,6 @@ impl<'a> Engine<'a> {
         rec.recovered_at = Some(now);
         rec.recovery_latency = Some(now.since(detected));
         rec.new_hops = self.managed[i].admission.hops();
-        rec.post_bound_ns = self.managed[i].admission.report.worst_latency_ns();
         rec.outcome = Some(if rec.new_hops > rec.old_hops {
             RecoveryOutcome::ReroutedLongerPath
         } else {
@@ -619,17 +621,19 @@ impl<'a> Engine<'a> {
         mut self,
         mut prepared: PreparedScenario,
     ) -> (RecoveryMetrics, Option<TelemetryReport>) {
-        let report = self.cp.finish(&mut prepared).report;
+        let end = self.cp.finish(&mut prepared);
         let quarantined = prepared.sim().network().connections().quarantined_count();
         let fault_counters = prepared.sim().network().fault_counters();
         let scenario = prepared.finish(RunOutcome::HorizonReached);
-        for &(i, metric_idx, post) in &self.tracked {
-            let f = &scenario.flows[metric_idx];
-            let rec = &mut self.records[i];
-            if post {
-                rec.post_observed_max_ns = f.max_ns;
-            } else if rec.detected_at.is_some() {
+        for (rec, &metric_idx) in self.records.iter_mut().zip(&self.first_streams) {
+            if rec.detected_at.is_some() {
+                let f = &scenario.flows[metric_idx];
                 rec.flits_lost = f.injected.saturating_sub(f.delivered);
+            }
+            if let Some(k) = rec.post_audit {
+                let e = &end.audit.entries()[k];
+                rec.post_bound_ns = e.bound.map(SimDuration::as_ns_f64);
+                rec.post_observed_max_ns = e.observed.map(SimDuration::as_ns_f64);
             }
         }
         // A break with no outcome by window end is a degradation.
@@ -650,8 +654,9 @@ impl<'a> Engine<'a> {
             quarantined,
             fault_counters,
             records: self.records,
+            audit: end.audit,
         };
-        (metrics, report)
+        (metrics, end.report)
     }
 }
 

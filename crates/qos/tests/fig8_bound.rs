@@ -6,8 +6,16 @@
 
 use mango_core::{RouterConfig, RouterId};
 use mango_net::{EmitWindow, GsFlowSpec, NaConfig, Phase, ScenarioSpec, TemporalSpec, TrafficSpec};
-use mango_qos::report_for;
+use mango_qos::driver::run_audited;
+use mango_qos::{GuaranteeAudit, GuaranteeReport, ServiceModel};
 use mango_sim::SimDuration;
+
+/// The bound of the Fig. 8 stream: 6 hops, conforming CBR (12 ns ≥
+/// 10.314 ns service interval).
+fn report() -> GuaranteeReport {
+    let model = ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper());
+    model.report(6, SimDuration::from_ns(12))
+}
 
 /// The Fig. 8 setup: one GS stream (0,0)→(3,3) at 12 ns per flit, BE
 /// background from every node at `be_gap` mean.
@@ -32,29 +40,23 @@ fn fig8(seed: u64, be_gap_ns: u64) -> ScenarioSpec {
 
 #[test]
 fn observed_max_gs_latency_stays_under_analytical_bound() {
-    // 6 hops, conforming CBR (12 ns ≥ 10.314 ns service interval).
-    let report = report_for(
-        &RouterConfig::paper(),
-        &NaConfig::paper(),
-        6,
-        SimDuration::from_ns(12),
-    );
+    let report = report();
     assert!(report.conforming);
-    let bound_ns = report.worst_latency_ns().expect("conforming has a bound");
 
     // Sweep BE load from light to saturating: the guarantee must hold
     // at every level and for several seeds.
     for seed in [1, 7, 55] {
         for be_gap_ns in [1000, 300, 100] {
-            let m = fig8(seed, be_gap_ns).run();
+            let mut audit = GuaranteeAudit::default();
+            let m = run_audited(&fig8(seed, be_gap_ns), &[report.worst_latency], &mut audit);
             let gs = m.gs(0);
             assert!(gs.delivered > 0, "GS stream must flow");
             assert_eq!(gs.sequence_errors, 0);
-            let observed = gs.max_ns.expect("latency samples recorded");
+            let witness = &audit.entries()[0];
+            assert_eq!(witness.dirs.len(), 6, "the audit's witness is the XY path");
             assert!(
-                report.admits_observation(observed),
-                "seed {seed}, BE gap {be_gap_ns} ns: observed max \
-                 {observed:.1} ns exceeds bound {bound_ns:.1} ns"
+                audit.holds(),
+                "seed {seed}, BE gap {be_gap_ns} ns: {witness}"
             );
         }
     }
@@ -66,13 +68,7 @@ fn bound_is_not_vacuous() {
     // magnitude of reality: under saturating BE the observed max must
     // land above a tenth of the bound's scale — otherwise the model is
     // so loose it bounds nothing interesting.
-    let report = report_for(
-        &RouterConfig::paper(),
-        &NaConfig::paper(),
-        6,
-        SimDuration::from_ns(12),
-    );
-    let bound_ns = report.worst_latency_ns().unwrap();
+    let bound_ns = report().worst_latency.unwrap().as_ns_f64();
     let m = fig8(1, 100).run();
     let observed = m.gs(0).max_ns.unwrap();
     assert!(

@@ -43,7 +43,7 @@ fn compare(
     prop_assert_eq!(fast.err(), ticket.as_ref().err().copied());
     if let (Ok(t), Ok(adm)) = (fast, &ticket) {
         prop_assert_eq!(t.hops, adm.hops());
-        prop_assert_eq!(t.worst_latency_ns, adm.report.worst_latency_ns());
+        prop_assert_eq!(t.worst_latency, adm.report.worst_latency);
         let mut cur = adm.src;
         let mut path_min = u64::MAX;
         for &d in &adm.dirs {

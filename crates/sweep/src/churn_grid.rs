@@ -5,7 +5,7 @@
 use crate::record::CsvRecord;
 use mango_hw::Table;
 use mango_net::{PatternKind, ScenarioSpec, TemporalSpec, TrafficSpec};
-use mango_qos::{ChurnMetrics, ChurnSpec, RejectReason};
+use mango_qos::{ChurnMetrics, ChurnSpec, GuaranteeAudit, RejectReason};
 use mango_sim::SimDuration;
 use std::fmt;
 
@@ -238,11 +238,9 @@ pub struct ChurnRecord {
     pub setup_max_ns: f64,
     /// Flits delivered by churn streams.
     pub churn_delivered: u64,
-    /// Connections whose observed max latency exceeded their bound
-    /// (the guarantee contract: must be zero).
-    pub bound_violations: u64,
-    /// Worst observed/bound latency ratio (≤ 1 when guarantees hold).
-    pub worst_bound_ratio: f64,
+    /// Every stream's observed worst latency against its bound; the
+    /// CSV's `bound_violations` and `worst_bound_ratio` read it.
+    pub audit: GuaranteeAudit,
     /// Programming packets processed by all routers.
     pub prog_packets: u64,
     /// Median setup latency, ns.
@@ -276,8 +274,7 @@ impl ChurnRecord {
             setup_p99_ns: m.setup_quantile_ns(0.99),
             setup_max_ns: m.setup_max_ns(),
             churn_delivered: m.conns.iter().map(|c| c.delivered).sum(),
-            bound_violations: m.bound_violations(),
-            worst_bound_ratio: m.worst_bound_ratio(),
+            audit: m.audit.clone(),
             prog_packets: m.prog_packets,
             setup_p50_ns: m.setup_quantile_ns(0.5),
             setup_p95_ns: m.setup_quantile_ns(0.95),
@@ -319,8 +316,8 @@ impl CsvRecord for ChurnRecord {
             self.setup_p99_ns,
             self.setup_max_ns,
             self.churn_delivered,
-            self.bound_violations,
-            self.worst_bound_ratio,
+            self.audit.violations(),
+            self.audit.worst_bound_ratio(),
             self.prog_packets,
             self.setup_p50_ns,
             self.setup_p95_ns,
@@ -357,8 +354,8 @@ pub fn churn_summary_table(records: &[ChurnRecord]) -> Table {
             r.detoured.to_string(),
             format!("{:.1}", r.setup_mean_ns),
             format!("{:.1}", r.setup_p99_ns),
-            r.bound_violations.to_string(),
-            format!("{:.3}", r.worst_bound_ratio),
+            r.audit.violations().to_string(),
+            format!("{:.3}", r.audit.worst_bound_ratio()),
         ]);
     }
     t
@@ -420,7 +417,7 @@ mod tests {
         assert_eq!(records[0].csv_row().split(',').count(), header_cols);
         assert_eq!(header_cols, 25);
         assert!(records[0].requests > 0);
-        assert_eq!(records[0].bound_violations, 0);
+        assert_eq!(records[0].audit.violations(), 0);
     }
 
     #[test]

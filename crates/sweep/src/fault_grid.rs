@@ -14,7 +14,7 @@ use crate::grid::auto_gs_pairs;
 use crate::record::CsvRecord;
 use mango_hw::Table;
 use mango_net::{FaultSchedule, Grid, MeasureBound, PatternKind, TemporalSpec, TrafficSpec};
-use mango_qos::{RecoveryMetrics, RecoverySpec};
+use mango_qos::{GuaranteeAudit, RecoveryMetrics, RecoverySpec};
 use mango_sim::{SimDuration, SimTime};
 use std::fmt;
 
@@ -246,10 +246,9 @@ pub struct FaultRecord {
     pub recovery_mean_ns: f64,
     /// Worst detect→recover latency, ns.
     pub recovery_max_ns: f64,
-    /// Healed connections whose post-recovery observed worst case
-    /// exceeded the recomputed bound (the degraded-guarantee contract:
-    /// must be zero).
-    pub bound_violations: u64,
+    /// Every recovered stream against its recomputed bound; the CSV's
+    /// `bound_violations` reads it.
+    pub audit: GuaranteeAudit,
     /// GS flits blackholed at faulted elements.
     pub gs_dropped: u64,
     /// BE flits blackholed at faulted elements.
@@ -290,7 +289,7 @@ impl FaultRecord {
                 lats.iter().sum::<f64>() / lats.len() as f64
             },
             recovery_max_ns: lats.iter().copied().fold(0.0, f64::max),
-            bound_violations: m.post_bound_violations(),
+            audit: m.audit.clone(),
             gs_dropped: m.fault_counters.gs_flits_dropped,
             be_dropped: m.fault_counters.be_flits_dropped,
             spoofed_unlocks: m.fault_counters.spoofed_unlocks,
@@ -334,7 +333,7 @@ impl CsvRecord for FaultRecord {
             self.flits_lost,
             self.recovery_mean_ns,
             self.recovery_max_ns,
-            self.bound_violations,
+            self.audit.violations(),
             self.gs_dropped,
             self.be_dropped,
             self.spoofed_unlocks,
@@ -377,7 +376,7 @@ pub fn fault_summary_table(records: &[FaultRecord]) -> Table {
             r.forced_closes.to_string(),
             r.flits_lost.to_string(),
             format!("{:.1}", r.recovery_mean_ns),
-            r.bound_violations.to_string(),
+            r.audit.violations().to_string(),
         ]);
     }
     t
@@ -425,7 +424,7 @@ mod tests {
         let r = &records[0];
         assert_eq!(r.broken, 0);
         assert_eq!(r.flits_lost, 0);
-        assert_eq!(r.bound_violations, 0);
+        assert_eq!(r.audit.violations(), 0);
         let header_cols = FaultRecord::csv_header().split(',').count();
         assert_eq!(r.csv_row().split(',').count(), header_cols);
         assert_eq!(header_cols, 26);
@@ -451,7 +450,7 @@ mod tests {
             r.broken == 0 || outcomes > 0,
             "breaks with no recorded outcome: {r:?}"
         );
-        assert_eq!(r.bound_violations, 0, "degraded guarantees must hold");
+        assert_eq!(r.audit.violations(), 0, "degraded guarantees must hold");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mango_apps::ServingMetrics;
 use mango_apps::{graph, PlacerKind, ServingSpec, TaskGraph};
 use mango_hw::Table;
 use mango_net::{PatternKind, ScenarioSpec, TemporalSpec, TopologySpec, TrafficSpec};
-use mango_qos::RejectReason;
+use mango_qos::{GuaranteeAudit, RejectReason};
 use mango_sim::SimDuration;
 use std::fmt;
 
@@ -245,11 +245,9 @@ pub struct ServingRecord {
     pub conns_opened: u64,
     /// Flits delivered by serving streams.
     pub delivered: u64,
-    /// Streamed edges whose observation exceeded the admitted bound
-    /// (the guarantee contract: must be zero).
-    pub bound_violations: u64,
-    /// Worst observed/bound latency ratio (≤ 1 when guarantees hold).
-    pub worst_bound_ratio: f64,
+    /// Every edge stream's observed worst latency against its bound; the
+    /// CSV's `bound_violations` and `worst_bound_ratio` read it.
+    pub audit: GuaranteeAudit,
     /// Mean instance setup latency, ns.
     pub setup_mean_ns: f64,
     /// Worst instance setup latency, ns.
@@ -277,8 +275,7 @@ impl ServingRecord {
             peak_live: m.peak_live,
             conns_opened: m.apps.iter().map(|a| a.conns as u64).sum(),
             delivered: m.apps.iter().map(|a| a.delivered).sum(),
-            bound_violations: m.bound_violations(),
-            worst_bound_ratio: m.worst_bound_ratio(),
+            audit: m.audit.clone(),
             setup_mean_ns: m.setup_mean_ns(),
             setup_max_ns: m.setup_max_ns(),
             prog_packets: m.prog_packets,
@@ -319,8 +316,8 @@ impl CsvRecord for ServingRecord {
             self.peak_live,
             self.conns_opened,
             self.delivered,
-            self.bound_violations,
-            self.worst_bound_ratio,
+            self.audit.violations(),
+            self.audit.worst_bound_ratio(),
             self.setup_mean_ns,
             self.setup_max_ns,
             self.prog_packets,
@@ -357,8 +354,8 @@ pub fn serving_summary_table(records: &[ServingRecord]) -> Table {
             r.rejected.to_string(),
             r.peak_live.to_string(),
             r.conns_opened.to_string(),
-            r.bound_violations.to_string(),
-            format!("{:.3}", r.worst_bound_ratio),
+            r.audit.violations().to_string(),
+            format!("{:.3}", r.audit.worst_bound_ratio()),
         ]);
     }
     t
@@ -453,7 +450,7 @@ mod tests {
         assert_eq!(records[0].csv_row().split(',').count(), header_cols);
         assert_eq!(header_cols, 24);
         assert!(records[0].offered > 0);
-        assert_eq!(records[0].bound_violations, 0);
+        assert_eq!(records[0].audit.violations(), 0);
     }
 
     #[test]

@@ -549,3 +549,62 @@ proptest! {
         prop_assert_eq!(mango::net::TopologySpec::parse(&name), Some(spec));
     }
 }
+
+// ---------------------------------------------------------------------
+// Text inputs: topology strings and task-graph files
+// ---------------------------------------------------------------------
+
+/// What topology strings are built from: separators, numbers at the
+/// `u8` edge and a multibyte character.
+const TOPOLOGY_TOKENS: &[&str] = &["0", "1", "255", "256", "x", "x", "@", "ps", "µ"];
+
+/// What task-graph option values are built from: the same numbers, rate
+/// suffixes, separators, stray keywords and the multibyte character.
+const GRAPH_TOKENS: &[&str] = &[
+    "0", "1", "1", "255", "256", "k", "M", "G", "ns", ",", "#", "x", "µ", "app", "task", "edge",
+];
+
+/// One of `heads` followed by up to `len` of `tokens`, unseparated.
+fn word(
+    heads: &'static [&'static str],
+    tokens: &'static [&'static str],
+    len: usize,
+) -> impl Strategy<Value = String> {
+    let picks = prop::collection::vec(0..tokens.len(), 0..len);
+    (0..heads.len(), picks).prop_map(move |(head, picks)| {
+        heads[head].to_string() + &String::from_iter(picks.into_iter().map(|i| tokens[i]))
+    })
+}
+
+/// A task-graph line: a keyword and its names, then up to three option
+/// words.
+fn graph_line() -> impl Strategy<Value = String> {
+    let heads = &["task c", "edge a b", "edge b a", "edge a c", "#", "x"];
+    let options = word(
+        &["rate=", "rate=", "bound=", "w=", "at=", ""],
+        GRAPH_TOKENS,
+        3,
+    );
+    (0..heads.len(), prop::collection::vec(options, 0..4))
+        .prop_map(|(head, options)| format!("{} {}", heads[head], options.join(" ")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every topology string and task-graph text parses to a value or a
+    /// typed error, never a panic, and a parsed topology validates to
+    /// `Ok` or `Err`. A graph text declares an app and two tasks, then
+    /// random lines.
+    #[test]
+    fn text_parsers_never_panic(
+        topology in word(&["mesh", "torus", "chiplet", ""], TOPOLOGY_TOKENS, 8),
+        lines in prop::collection::vec(graph_line(), 0..4),
+    ) {
+        if let Some(spec) = mango::net::TopologySpec::parse(&topology) {
+            let _ = spec.validate();
+        }
+        let graph = format!("app g\ntask a\ntask b\n{}", lines.join("\n"));
+        let _ = mango::apps::TaskGraph::parse(&graph);
+    }
+}
