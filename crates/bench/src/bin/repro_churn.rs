@@ -64,11 +64,10 @@ fn main() {
 
     // The guarantee contract: no admitted, rate-conforming connection
     // may ever exceed its analytical latency bound.
-    guarantees_held(
-        records
-            .iter()
-            .map(|r| (format!("job {}", r.job.id), &r.audit)),
-    );
+    let audits = records
+        .iter()
+        .map(|r| (format!("job {}", r.job.id), &r.audit));
+    guarantees_held(audits);
     for r in &records {
         assert!(
             r.requests > 0 && r.admitted > 0,

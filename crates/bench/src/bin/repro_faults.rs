@@ -241,11 +241,10 @@ fn main() {
         );
         broken += r.broken;
     }
-    guarantees_held(
-        records
-            .iter()
-            .map(|r| (format!("job {}", r.job.id), &r.audit)),
-    );
+    let audits = records
+        .iter()
+        .map(|r| (format!("job {}", r.job.id), &r.audit));
+    guarantees_held(audits);
     assert!(broken > 0, "no grid point demonstrated a fault");
     println!(
         "\nguarantees held: {} breaks across the grid, 0 post-recovery bound violations",

@@ -69,11 +69,10 @@ fn main() {
     println!("\n{} jobs, {} events", records.len(), events);
 
     // The serving contract, point by point.
-    guarantees_held(
-        records
-            .iter()
-            .map(|r| (format!("job {}", r.job.id), &r.audit)),
-    );
+    let audits = records
+        .iter()
+        .map(|r| (format!("job {}", r.job.id), &r.audit));
+    guarantees_held(audits);
     for r in &records {
         assert!(r.offered > 0, "job {} offered nothing", r.job.id);
         assert!(r.admitted > 0, "job {} admitted nothing", r.job.id);
