@@ -96,13 +96,6 @@ impl TaskGraph {
         self.tasks.len() - 1
     }
 
-    /// Adds a task pinned to `at` and returns its index.
-    pub fn task_at(&mut self, name: impl Into<String>, weight: u32, at: RouterId) -> usize {
-        let i = self.task(name, weight);
-        self.tasks[i].affinity = Some(at);
-        i
-    }
-
     /// Adds a directed edge requiring `rate_fps` flits/second.
     pub fn edge(&mut self, from: usize, to: usize, rate_fps: u64) -> &mut Self {
         self.edges.push(Edge {
@@ -585,7 +578,7 @@ mod tests {
     fn builder_and_validation() {
         let mut g = TaskGraph::new("t");
         let a = g.task("a", 1);
-        let b = g.task_at("b", 2, RouterId::new(1, 1));
+        let b = g.task("b", 2);
         g.edge(a, b, 1_000_000);
         assert!(g.validate().is_ok());
         assert_eq!(g.total_demand_fps(), 1_000_000);

@@ -275,15 +275,6 @@ impl TdmNetwork {
         }
         SimDuration::from_ps(worst_gap * slot_ps + conn.hops() as u64 * slot_ps)
     }
-
-    /// Fraction of slots on a directed link reserved by GT connections
-    /// (the remainder carries BE traffic).
-    pub fn link_gt_utilization(&self, router: RouterId, dir: Direction) -> f64 {
-        match self.tables.get(&(router, dir)) {
-            None => 0.0,
-            Some(t) => t.iter().filter(|s| s.is_some()).count() as f64 / t.len() as f64,
-        }
-    }
 }
 
 /// Published ÆTHEREAL reference numbers used in the Sec. 6 comparison.
@@ -338,7 +329,6 @@ mod tests {
             n.open_gt(RouterId::new(0, 0), RouterId::new(3, 0), 1),
             Err(TdmError::NoFreeSlot)
         );
-        assert!((n.link_gt_utilization(RouterId::new(0, 0), Direction::East) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -100,6 +100,39 @@ fn sweep_refuses_unrunnable_grids_and_reports_unwritable_files() {
     }
 }
 
+/// A time flag whose picosecond value does not fit the simulation clock
+/// — `--measure` / `--warmup` in µs, `--period` / `--be-gap` in ns, or a
+/// warmup + measure window past the clock's end — is refused before any
+/// job runs: exit 2 and one `error:` line naming the flag's quantity,
+/// not a window that silently wrapped (release) or a panic (debug).
+#[test]
+fn sweep_refuses_time_flags_that_overflow_the_picosecond_clock() {
+    let bad = [
+        (
+            "--mesh 2x2 --gs 0 --be-gap 100 --measure 18446744073710",
+            "measure window",
+        ),
+        ("--smoke --warmup 18446744073710", "warmup"),
+        ("--smoke --period 18446744073709552", "GS period"),
+        ("--smoke --be-gap 18446744073709552", "BE gap"),
+        (
+            "--smoke --warmup 10000000000000 --measure 10000000000000",
+            "warmup 10000000000000 µs + measure window",
+        ),
+    ];
+    for (args, what) in bad {
+        let out = run(SWEEP, &args.split(' ').collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let clock = stderr.strip_suffix(" overflows the picosecond clock\n");
+        assert!(
+            clock.is_some_and(|e| e.starts_with(&format!("error: {what} "))),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
+}
+
 /// An output file that cannot be written — a `--csv` or `--json` path in
 /// a directory that does not exist, a `--telemetry-out` directory under
 /// a regular file — is reported after the run: exit 1 and one

@@ -1,21 +1,19 @@
 //! Network-owned flat storage for GS buffer state — struct-of-arrays
 //! arenas indexed by `(router, dir, vc)`.
 //!
-//! The seed model gave every router four `Vec<VcBufferState>` plus a
-//! `Vec<LocalGsState>`, and every buffer its own heap-allocated FIFO: an
-//! N-router mesh scattered its per-flit hot state over `N × (4·V + I)`
+//! One struct per GS buffer, each with its own heap-allocated FIFO,
+//! scatters an N-router mesh's per-flit hot state over `N × (4·V + I)`
 //! small allocations. At 16×16 and beyond, almost every flit event then
-//! started with a pointer chase into a cold cache line.
+//! starts with a pointer chase into a cold cache line.
 //!
-//! [`GsArena`] replaces all of that with one slab per field (unshare
-//! latches, state flags, ring cursors, buffered flits), owned by the
-//! *network* and shared by all routers. A router holds only two base
-//! indices ([`RouterSlots`]); every `Router::on_*` call receives
-//! `&mut GsArena` from the network and addresses its slots by offset
-//! arithmetic. The state machine semantics are exactly those of
-//! [`crate::vc::VcBufferState`] / [`crate::vc::LocalGsState`] — those
-//! types remain as the documented reference implementation, and the
-//! arena is tested operation-for-operation against them.
+//! [`GsArena`] keeps all of it in one slab per field (unshare latches,
+//! state flags, ring cursors, buffered flits), owned by the *network*
+//! and shared by all routers. A router holds only two base indices
+//! ([`RouterSlots`]); every `Router::on_*` call receives `&mut GsArena`
+//! from the network and addresses its slots by offset arithmetic. The
+//! one-struct-per-buffer state machines survive as a test-only oracle
+//! (the crate's `vc` module), and the arena is tested
+//! operation-for-operation against them.
 //!
 //! # Layout
 //!
@@ -222,7 +220,7 @@ impl GsArena {
     }
 
     // ------------------------------------------------------------------
-    // Network VC slots (semantics of `VcBufferState`)
+    // Network VC slots
     // ------------------------------------------------------------------
 
     /// A flit lands in the unsharebox (from the switching module).
@@ -390,7 +388,7 @@ impl GsArena {
     }
 
     // ------------------------------------------------------------------
-    // Local GS interface slots (semantics of `LocalGsState`)
+    // Local GS interface slots
     // ------------------------------------------------------------------
 
     /// A flit lands in the local unsharebox.

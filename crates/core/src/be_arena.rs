@@ -1,20 +1,17 @@
 //! Network-owned flat storage for BE router state — struct-of-arrays
 //! slabs indexed by `(router, input)` / `(router, dir)`.
 //!
-//! PR 4 moved the GS buffer path into [`crate::arena::GsArena`]; the BE
-//! unit stayed inside each `Router` as a ~1.5 KiB [`crate::be::BeUnit`]
-//! (six inline input latches, four output stages, locks and round-robin
-//! pointers). On BE-dominated large meshes that is the remaining cache
-//! killer: every BE event faulted in a whole router struct to touch a
-//! few bytes of latch state.
+//! A per-router BE unit — six input latches, four output stages, locks
+//! and round-robin pointers in one ~1.5 KiB struct — is the cache killer
+//! of BE-dominated large meshes: every BE event faults in a whole router
+//! struct to touch a few bytes of latch state.
 //!
-//! [`BeArena`] moves that hot state into one slab per field, owned by
-//! the network and shared by all routers, exactly like the GS arena: a
-//! router keeps only a base index ([`BeSlots`]) and addresses its slots
-//! by offset arithmetic. The state machine semantics are exactly those
-//! of [`crate::be::BeUnit`] — that type remains as the documented
-//! reference implementation, and the arena is tested
-//! operation-for-operation against it.
+//! [`BeArena`] keeps that hot state in one slab per field, owned by the
+//! network and shared by all routers, exactly like the
+//! [`crate::arena::GsArena`]: a router keeps only a base index
+//! ([`BeSlots`]) and addresses its slots by offset arithmetic. The
+//! per-router unit survives as a test-only oracle (`be::reference`),
+//! and the arena is tested operation-for-operation against it.
 //!
 //! # Layout
 //!
@@ -287,7 +284,7 @@ impl BeArena {
     /// # Panics
     ///
     /// Panics if the latch is full — a flow-control protocol violation
-    /// upstream, exactly as the inline FIFO reference.
+    /// upstream, exactly as the reference FIFO.
     pub fn in_push(&mut self, slot: usize, flit: Flit) {
         let len = self.meta[slot + IN_LEN] as usize;
         assert!(
@@ -603,11 +600,11 @@ impl BeArena {
     }
 
     // ------------------------------------------------------------------
-    // Arbitration and walkers (reference: `BeUnit`)
+    // Arbitration and walkers
     // ------------------------------------------------------------------
 
     /// The inputs currently contending for `dest` as a bitmask over
-    /// [`BeInput::ALL`] indices (reference: `BeUnit::contender_mask`).
+    /// [`BeInput::ALL`] indices.
     pub fn contender_mask(&self, slots: BeSlots, dest: BeDest) -> u8 {
         let block = slots.base as usize * BLOCK;
         let want = enc_dest(Some(dest));
@@ -625,8 +622,8 @@ impl BeArena {
     }
 
     /// True if any flit or decision state is held anywhere in the
-    /// router's BE unit (reference: `BeUnit::has_work`, minus the
-    /// router-resident programming receive buffer).
+    /// router's BE unit (the router-resident programming receive buffer
+    /// not counted).
     pub fn has_work(&self, slots: BeSlots) -> bool {
         let block = slots.base as usize * BLOCK;
         (0..6).any(|i| {
@@ -674,10 +671,30 @@ impl BeArena {
     }
 }
 
+/// Fair round-robin pick among the inputs set in `contenders` (a
+/// [`BeArena::contender_mask`]) for an output whose round-robin pointer
+/// is `rr`; returns the chosen input and the new pointer value.
+pub(crate) fn rr_pick_mask(contenders: u8, rr: usize) -> Option<(BeInput, usize)> {
+    if contenders == 0 {
+        return None;
+    }
+    let n = BeInput::ALL.len();
+    // Rotate so the input after `rr` becomes bit 0 and take the lowest
+    // set bit.
+    let start = (rr + 1) % n;
+    let m = contenders as u32;
+    let rotated = (m >> start) | (m << (n - start));
+    let idx = (start + rotated.trailing_zeros() as usize) % n;
+    Some((BeInput::ALL[idx], idx))
+}
+
+#[cfg(test)]
+mod slab_crosscheck;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::be::BeUnit;
+    use crate::be::reference::BeUnit;
 
     fn flit(tag: u32) -> Flit {
         Flit::be(tag, tag.is_multiple_of(3))

@@ -2,15 +2,14 @@
 //! the retained reference state machine.
 //!
 //! The `BeArena` packs each router's BE metadata into one 64-byte block
-//! and keeps flits in router-major slabs; `BeUnit` remains the
-//! documented per-router reference. Proptest drives both through
-//! identical arbitrary op sequences — over *two* routers, so a layout
-//! bug that lets one router's block bleed into its neighbour's is
-//! caught — and every observable must agree after every op. This is the
-//! property-test form of the in-crate LCG cross-checks (`mango_core`'s
-//! `arena_matches_reference_be_unit`), with shrinking: a failing
-//! sequence minimizes to the shortest op list that splits the two
-//! implementations.
+//! and keeps flits in router-major slabs; `BeUnit` is the per-router
+//! reference. Proptest drives both through identical arbitrary op
+//! sequences — over *two* routers, so a layout bug that lets one
+//! router's block bleed into its neighbour's is caught — and every
+//! observable must agree after every op. This is the property-test form
+//! of the LCG cross-check next door (`arena_matches_reference_be_unit`),
+//! with shrinking: a failing sequence minimizes to the shortest op list
+//! that splits the two implementations.
 //!
 //! The slab has one thing the reference does not: credits *parked* at an
 //! output with the slot they are due at, absorbed into the counter by
@@ -19,8 +18,8 @@
 //! after every absorb — and `out_link_ready_at` before it — must agree
 //! with the reference just the same.
 
-use mango_core::be::BeUnit;
-use mango_core::{BeArena, BeDest, BeInput, Direction, Flit};
+use crate::be::reference::BeUnit;
+use crate::{BeArena, BeDest, BeInput, BeSlots, Direction, Flit};
 use mango_sim::{SimTime, Slot};
 use proptest::prelude::*;
 
@@ -107,13 +106,7 @@ const DESTS: [BeDest; 5] = [
 
 /// Applies `op` at time `now` (ps) to both implementations, then asserts
 /// every observable of `router`'s slots agrees with the reference.
-fn apply_and_check(
-    arena: &mut BeArena,
-    slots: mango_core::BeSlots,
-    mirror: &mut Mirror,
-    op: Op,
-    now: u64,
-) {
+fn apply_and_check(arena: &mut BeArena, slots: BeSlots, mirror: &mut Mirror, op: Op, now: u64) {
     let Mirror { unit, parked } = mirror;
     match op {
         Op::InPush(input, tag) => {

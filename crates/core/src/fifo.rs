@@ -1,4 +1,5 @@
-//! A bounded FIFO with occupancy statistics.
+//! A bounded FIFO with occupancy statistics — the buffer of the
+//! reference twins in [`crate::vc`] and `crate::be::reference`.
 //!
 //! Router buffers in MANGO are tiny (one flit deep plus the unsharebox
 //! latch), so overflow is a *protocol violation*, not a load condition —
@@ -103,134 +104,6 @@ impl<T> Fifo<T> {
     /// Iterates over queued items, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
-    }
-}
-
-/// A bounded FIFO with **inline** storage: the [`Fifo`] API over a
-/// fixed-size ring embedded in the owning struct, no heap allocation.
-///
-/// Router-internal latches are tiny (the paper's BE stages are two flits
-/// deep) but there are many of them — ten per router on the BE path
-/// alone. VecDeque-backed FIFOs scatter an N-router mesh's hottest
-/// per-flit state over thousands of small allocations; inline rings keep
-/// each router's state in its own struct, one contiguous read per event.
-/// `N` is the compile-time slot bound; the runtime `capacity` may be
-/// smaller (overflow remains a panic — a flow-control violation).
-#[derive(Debug, Clone)]
-pub struct InlineFifo<T, const N: usize> {
-    items: [Option<T>; N],
-    head: u8,
-    len: u8,
-    capacity: u8,
-    high_watermark: u8,
-    pushed_total: u64,
-}
-
-impl<T, const N: usize> InlineFifo<T, N> {
-    /// Creates a FIFO holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or exceeds the inline bound `N`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "Fifo capacity must be positive");
-        assert!(
-            capacity <= N && N <= u8::MAX as usize,
-            "InlineFifo capacity {capacity} exceeds the inline bound {N}"
-        );
-        InlineFifo {
-            items: std::array::from_fn(|_| None),
-            head: 0,
-            len: 0,
-            capacity: capacity as u8,
-            high_watermark: 0,
-            pushed_total: 0,
-        }
-    }
-
-    /// Appends an item.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FIFO is full — in this codebase that always indicates
-    /// a flow-control protocol violation upstream.
-    pub fn push(&mut self, item: T) {
-        assert!(
-            self.len < self.capacity,
-            "Fifo overflow: flow control violated (capacity {})",
-            self.capacity
-        );
-        let pos = (self.head as usize + self.len as usize) % N;
-        self.items[pos] = Some(item);
-        self.len += 1;
-        self.pushed_total += 1;
-        self.high_watermark = self.high_watermark.max(self.len);
-    }
-
-    /// Removes and returns the oldest item.
-    pub fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let item = self.items[self.head as usize].take();
-        self.head = ((self.head as usize + 1) % N) as u8;
-        self.len -= 1;
-        item
-    }
-
-    /// A reference to the oldest item without removing it.
-    pub fn front(&self) -> Option<&T> {
-        self.items[self.head as usize].as_ref()
-    }
-
-    /// A mutable reference to the oldest item (used by the BE router to
-    /// rotate a header in place).
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        self.items[self.head as usize].as_mut()
-    }
-
-    /// Current number of items.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True if no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True if at capacity.
-    pub fn is_full(&self) -> bool {
-        self.len == self.capacity
-    }
-
-    /// Remaining free slots.
-    pub fn free(&self) -> usize {
-        (self.capacity - self.len) as usize
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
-    }
-
-    /// The maximum occupancy ever observed.
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark as usize
-    }
-
-    /// Total items ever pushed.
-    pub fn pushed_total(&self) -> u64 {
-        self.pushed_total
-    }
-
-    /// Iterates over queued items, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        (0..self.len as usize).map(move |i| {
-            self.items[(self.head as usize + i) % N]
-                .as_ref()
-                .expect("ring slot within len is occupied")
-        })
     }
 }
 

@@ -10,13 +10,14 @@
 //!
 //! * [`steer`] — the 5-bit steering format of the non-blocking switching
 //!   module (Fig. 5: 3 split bits + 2 switch bits, stripped in stages);
-//! * [`vc`] — share-based VC control (Fig. 6): unsharebox latches, output
-//!   buffers and sharebox locks with one unlock wire per VC;
+//! * [`arena`] — share-based VC control (Fig. 6): unsharebox latches,
+//!   output buffers and sharebox locks with one unlock wire per VC, for
+//!   every GS buffer of a mesh in one network-owned slab;
 //! * [`arb`] — pluggable link-access arbiters (Sec. 4.4): fair-share,
 //!   static-priority and an ALG-inspired bounded-age policy;
-//! * [`be`] + [`packet`] — the BE router (Fig. 7): source routing by
-//!   header rotation, fair input arbitration with packet coherency, and
-//!   credit-based flow control;
+//! * [`be_arena`] + [`packet`] — the BE router (Fig. 7): source routing
+//!   by header rotation, fair input arbitration with packet coherency,
+//!   and credit-based flow control;
 //! * [`table`] + [`prog`] — the connection table and the BE-packet
 //!   programming interface that sets up GS connections (Sec. 3);
 //! * [`router`] — the full router assembly (Fig. 8).
@@ -76,7 +77,13 @@ pub mod router;
 pub mod stats;
 pub mod steer;
 pub mod table;
-pub mod vc;
+
+// Test-only oracles: the per-buffer reference twin of the GS arena's
+// slots and the bounded FIFO the reference twins buffer in.
+#[cfg(test)]
+mod fifo;
+#[cfg(test)]
+mod vc;
 
 pub use arb::{ArbiterImpl, ArbiterKind, LinkSlot};
 pub use arena::{GsArena, RouterSlots};

@@ -6,8 +6,8 @@
 //! as the GS path addresses the [`crate::arena::GsArena`].
 
 use super::Router;
-use crate::be::{BeInput, BeUnit};
-use crate::be_arena::BeArena;
+use crate::be::BeInput;
+use crate::be_arena::{rr_pick_mask, BeArena};
 use crate::events::{InternalEvent, RouterAction};
 use crate::flit::Flit;
 use crate::packet::{BeDest, BeHeader};
@@ -91,7 +91,7 @@ impl Router {
                     BeDest::Net(d) => be.out_rr(be.out_slot(self.be_slots, d)),
                     BeDest::Local => be.local_rr(self.be_slots),
                 };
-                let Some((input, new_rr)) = BeUnit::rr_pick_mask(contenders, rr) else {
+                let Some((input, new_rr)) = rr_pick_mask(contenders, rr) else {
                     return;
                 };
                 match dest {

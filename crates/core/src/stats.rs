@@ -38,16 +38,6 @@ impl RouterStats {
     pub fn grants(&self, dir_index: usize) -> u64 {
         self.gs_grants[dir_index] + self.be_grants[dir_index]
     }
-
-    /// Total GS flits that entered the router (network + local injection).
-    pub fn gs_in_total(&self) -> u64 {
-        self.gs_flits_in.iter().sum::<u64>() + self.gs_injected
-    }
-
-    /// Total BE flits that entered the router (network + local injection).
-    pub fn be_in_total(&self) -> u64 {
-        self.be_flits_in.iter().sum::<u64>() + self.be_injected
-    }
 }
 
 #[cfg(test)]
@@ -56,17 +46,11 @@ mod tests {
 
     #[test]
     fn totals_combine_sources() {
-        let mut s = RouterStats {
-            gs_flits_in: [1, 2, 3, 4],
-            gs_injected: 5,
+        let s = RouterStats {
+            gs_grants: [0, 7, 0, 0],
+            be_grants: [0, 3, 0, 0],
             ..Default::default()
         };
-        assert_eq!(s.gs_in_total(), 15);
-        s.be_flits_in = [1, 0, 0, 0];
-        s.be_injected = 2;
-        assert_eq!(s.be_in_total(), 3);
-        s.gs_grants[1] = 7;
-        s.be_grants[1] = 3;
         assert_eq!(s.grants(1), 10);
     }
 }

@@ -1,5 +1,9 @@
 //! GS buffer state machines: the unsharebox latch, the output buffer, and
-//! the sharebox lock (Fig. 6, Sec. 4.3–4.4).
+//! the sharebox lock (Fig. 6, Sec. 4.3–4.4) — one buffer per value.
+//!
+//! Test-only: the router runs on [`crate::arena::GsArena`], and these
+//! types are the oracle its slots are cross-checked against, operation
+//! for operation, in the arena's tests.
 //!
 //! Per hop, a GS VC owns exactly two flits of storage: the unsharebox latch
 //! (filled by the non-blocking switch) and the output buffer proper (depth
@@ -8,8 +12,8 @@
 //! far-side unsharebox reports the flit has moved on, so no flit can ever
 //! stall inside the shared media.
 
+use crate::fifo::Fifo;
 use crate::flit::Flit;
-use mango_sim::Fifo;
 
 /// State of one network-output GS VC buffer.
 #[derive(Debug, Clone)]

@@ -60,12 +60,6 @@ impl LinkEncoding {
         }
     }
 
-    /// True if validity is detected rather than assumed — no matched-delay
-    /// timing margin is needed on the link.
-    pub fn is_delay_insensitive(self) -> bool {
-        matches!(self, LinkEncoding::OneOfFour)
-    }
-
     /// Matched-delay margin applied to the link wire delay: bundled data
     /// pads the request path against worst-case data skew on long wires.
     pub fn timing_margin(self) -> f64 {
@@ -155,8 +149,6 @@ mod tests {
 
     #[test]
     fn only_one_of_four_is_delay_insensitive() {
-        assert!(LinkEncoding::OneOfFour.is_delay_insensitive());
-        assert!(!LinkEncoding::BundledData.is_delay_insensitive());
         assert_eq!(LinkEncoding::OneOfFour.timing_margin(), 1.0);
         assert!(LinkEncoding::BundledData.timing_margin() > 1.0);
     }

@@ -38,11 +38,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The cell at `(row, col)`.
     pub fn cell(&self, row: usize, col: usize) -> &str {
         &self.rows[row][col]
@@ -107,7 +102,6 @@ mod tests {
     fn cell_access_and_row_count() {
         let mut t = Table::new(vec!["a", "b"]);
         t.add_row(vec!["1", "2"]);
-        assert_eq!(t.row_count(), 1);
         assert_eq!(t.cell(0, 1), "2");
     }
 

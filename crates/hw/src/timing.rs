@@ -129,11 +129,6 @@ impl TimingModel {
         }
     }
 
-    /// A model with custom typical-corner stage delays.
-    pub fn with_stages(stages: StageDelays) -> Self {
-        TimingModel { stages }
-    }
-
     /// The typical-corner stage delays.
     pub fn stages(&self) -> &StageDelays {
         &self.stages
@@ -349,7 +344,7 @@ mod tests {
     fn custom_stage_delays_flow_through() {
         let mut stages = StageDelays::cmos_120nm_typical();
         stages.arb_decision = 1000;
-        let m = TimingModel::with_stages(stages);
+        let m = TimingModel { stages };
         assert_eq!(
             m.link_cycle(Corner::Typical).as_ps(),
             1000 + 200 + 150 + 400 + 258

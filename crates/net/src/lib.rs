@@ -76,7 +76,7 @@ pub use conn::{walk_dirs, ConnError, ConnRecord, ConnState, ConnectionManager};
 pub use conn::{Notice, NoticeKind};
 pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultSchedule};
 pub use meta::MetaSlab;
-pub use na::{Na, NaConfig};
+pub use na::NaConfig;
 pub use na_arena::NaArena;
 pub use network::{AppPacket, NaApp, NetEvent, Network};
 pub use ocp::{OcpMessage, OcpSlave};

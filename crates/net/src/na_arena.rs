@@ -1,12 +1,12 @@
 //! Network-owned struct-of-arrays storage for all NA hot state.
 //!
-//! [`crate::na::Na`] keeps each adapter's queues and scalars in a
-//! per-node struct; at mesh scale those structs scatter across the heap
-//! and every injection tick takes a cache miss per node touched. The
-//! arena packs the same state into parallel slabs owned by the network,
-//! indexed `(node, iface)` for the GS transmit side and `node` for the
-//! BE side, so the scheduler's hot loops walk dense arrays exactly as
-//! they do for [`mango_core::GsArena`] and [`mango_core::BeArena`].
+//! A per-node adapter struct of queues and scalars scatters across the
+//! heap at mesh scale, and every injection tick takes a cache miss per
+//! node touched. The arena packs that state into parallel slabs owned
+//! by the network, indexed `(node, iface)` for the GS transmit side and
+//! `node` for the BE side, so the scheduler's hot loops walk dense
+//! arrays exactly as they do for [`mango_core::GsArena`] and
+//! [`mango_core::BeArena`].
 //!
 //! Layout (`I` = GS TX interfaces per node, uniform across the mesh):
 //!
@@ -18,9 +18,9 @@
 //! BE RX slab   rx_asm                              [nodes]
 //! ```
 //!
-//! The per-node [`crate::na::Na`] struct is retained as the reference
-//! state machine: the arena is cross-checked against it op-for-op under
-//! randomized traffic in this module's tests.
+//! The per-node adapter survives as a test-only oracle
+//! (`na::reference`): the arena is cross-checked against it op-for-op
+//! under randomized traffic in this module's tests.
 
 use crate::na::NaConfig;
 use mango_core::{Flit, Steer};
@@ -320,7 +320,7 @@ impl NaArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::na::Na;
+    use crate::na::reference::Na;
     use mango_core::{Direction, VcId};
 
     fn steer_for(i: u64) -> Steer {

@@ -413,11 +413,6 @@ impl Grid {
         self.down_links.insert((from, dir));
     }
 
-    /// Restores a previously failed directed link.
-    pub fn restore_link(&mut self, from: RouterId, dir: Direction) {
-        self.down_links.remove(&(from, dir));
-    }
-
     /// Fails every directed link touching `id` (router fail-stop): the
     /// four outgoing links and the four incoming ones.
     pub fn fail_router(&mut self, id: RouterId) {
@@ -660,9 +655,6 @@ mod tests {
         // The reverse direction is a separate link and stays up.
         assert!(g.link_up(RouterId::new(1, 0), Direction::West));
         assert!(!g.all_links_up());
-        g.restore_link(a, Direction::East);
-        assert!(g.link_up(a, Direction::East));
-        assert!(g.all_links_up());
     }
 
     #[test]

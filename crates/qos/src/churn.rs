@@ -185,15 +185,6 @@ impl ChurnMetrics {
         self.rejected_by.iter().sum()
     }
 
-    /// Rejection rate over all requests (0 when none issued).
-    pub fn rejection_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.rejected() as f64 / self.requests as f64
-        }
-    }
-
     /// Setup latencies of opened connections, in issue order.
     pub fn setups(&self) -> impl Iterator<Item = SimDuration> + '_ {
         self.conns.iter().filter_map(|c| c.setup)
@@ -463,7 +454,6 @@ mod tests {
         assert!(m.rejected() > 0, "budget exhaustion must reject: {m:?}");
         assert!(m.admitted > 0, "but not everything is rejected");
         assert_eq!(m.bound_violations(), 0);
-        assert!(m.rejection_rate() > 0.0 && m.rejection_rate() < 1.0);
     }
 
     #[test]

@@ -37,13 +37,11 @@
 #![warn(missing_debug_implementations)]
 
 mod event;
-mod fifo;
 mod kernel;
 mod rng;
 mod time;
 
 pub use event::{EventQueue, Slot, WheelGeometry};
-pub use fifo::{Fifo, InlineFifo};
 pub use kernel::{Ctx, Kernel, KernelProfile, Model, RunOutcome};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -67,11 +67,6 @@ impl SimTime {
         )
     }
 
-    /// Saturating difference: zero if `earlier` is later than `self`.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Saturating addition of a duration.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -335,10 +330,6 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        assert_eq!(
-            SimTime::from_ns(1).saturating_since(SimTime::from_ns(2)),
-            SimDuration::ZERO
-        );
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_ps(1)),
             SimTime::MAX

@@ -193,7 +193,9 @@ impl SweepSpec {
     /// topology compiles, every pattern fits every topology, the
     /// largest GS count has enough mirror pairs, BE gaps and GS periods
     /// are at least 1 ns (a zero gap has no exponential mean; a zero
-    /// period never advances time).
+    /// period never advances time), and every span — each gap, period,
+    /// warmup and measure window, and warmup + measure — fits the
+    /// picosecond clock of a [`SimDuration`].
     pub fn validate(&self) -> Result<(), String> {
         if self.is_empty() {
             return Err("the grid is empty (an empty dimension)".into());
@@ -219,6 +221,27 @@ impl SweepSpec {
         }
         if self.gs_periods_ns.contains(&0) {
             return Err("GS period must be at least 1 ns".into());
+        }
+        let ps = |what: &str, value: u64, unit: &str, ps_per_unit: u64| {
+            value
+                .checked_mul(ps_per_unit)
+                .ok_or_else(|| format!("{what} {value} {unit} overflows the picosecond clock"))
+        };
+        for &gap in self.be_gaps_ns.iter().flatten() {
+            ps("BE gap", gap, "ns", 1_000)?;
+        }
+        for &period in &self.gs_periods_ns {
+            ps("GS period", period, "ns", 1_000)?;
+        }
+        let warmup = ps("warmup", self.warmup_us, "µs", 1_000_000)?;
+        for &measure_us in &self.measures_us {
+            let measure = ps("measure window", measure_us, "µs", 1_000_000)?;
+            warmup.checked_add(measure).ok_or_else(|| {
+                format!(
+                    "warmup {} µs + measure window {measure_us} µs overflows the picosecond clock",
+                    self.warmup_us
+                )
+            })?;
         }
         Ok(())
     }

@@ -69,12 +69,6 @@ impl MetricsRegistry {
         HistId(self.hist_names.len() as u32 - 1)
     }
 
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0 as usize] += n;
-    }
-
     /// Overwrites a counter with an externally maintained total (for
     /// instruments whose source of truth already lives elsewhere, e.g.
     /// the network's flow statistics).
@@ -87,12 +81,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, value: i64) {
         self.gauges[id.0 as usize] = value;
-    }
-
-    /// Reads a gauge.
-    #[inline]
-    pub fn gauge_value(&self, id: GaugeId) -> i64 {
-        self.gauges[id.0 as usize]
     }
 
     /// Records a histogram sample.
@@ -159,12 +147,10 @@ mod tests {
         let c = r.counter("flits.delivered");
         let g = r.gauge("residual.min");
         let h = r.histogram("latency.gs_ps");
-        r.inc(c, 3);
-        r.inc(c, 2);
+        r.set_counter(c, 5);
         r.set_gauge(g, -7);
         r.observe(h, 100);
         r.observe(h, 200);
-        assert_eq!(r.gauge_value(g), -7);
         assert_eq!(r.hist(h).total(), 2);
         let mut out = String::new();
         r.render_csv("", &mut out);
