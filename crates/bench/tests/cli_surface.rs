@@ -133,6 +133,18 @@ fn sweep_refuses_time_flags_that_overflow_the_picosecond_clock() {
     }
 }
 
+/// A `--period` that fits the clock but whose second tick does not: the
+/// source ends at the clock's end instead of overflowing it (a panic in
+/// the test profile, a wrapped tick in release), and the run completes.
+#[test]
+fn sweep_runs_a_source_whose_next_tick_passes_the_clock() {
+    let args = "--mesh 2x2 --gs 1 --be-gap idle --period 18446744073709551 --measure 1";
+    let out = run(SWEEP, &args.split(' ').collect::<Vec<_>>());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args}: {stderr}");
+    assert!(!stderr.contains("panicked at"), "{args}: {stderr}");
+}
+
 /// An output file that cannot be written — a `--csv` or `--json` path in
 /// a directory that does not exist, a `--telemetry-out` directory under
 /// a regular file — is reported after the run: exit 1 and one

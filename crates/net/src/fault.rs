@@ -39,17 +39,43 @@
 //! the end of this file: applying a fault event, the two places a flit
 //! can vanish (sent into a faulted element, or in flight toward a router
 //! that died) with the one feedback rule behind both, and the watchdogs.
+//!
+//! # Layout: one flat array per fact
+//!
+//! A faulted run asks about the link a flit is crossing on every hop, so
+//! no per-link fact is behind a hash. Each lives in a flat array indexed
+//! by [`Grid::link_index`] (`router_index × 4 + dir`), the layout of the
+//! grid's D2D extras:
+//!
+//! * failed links: the grid's own mask plus a count ([`Grid::link_up`],
+//!   [`Grid::link_failed`]), allocated on the first `fail_link` /
+//!   `fail_router`, which the admission controller's copy of the grid
+//!   reads by index too;
+//! * flaky windows: one `Option<FlakyLink>` slot per link, windows on one
+//!   link merged at installation (widest span, last probability);
+//! * stuck VCs: one `u8` mask per `(router, output port)`, bit `vc` (a
+//!   port has at most 8 VCs);
+//! * dead routers: one flag per router index.
+//!
+//! The last three are allocated at installation, and only when the
+//! schedule holds an event of their kind; an empty table answers every
+//! question with "no" on its first compare. The drop decisions therefore
+//! draw exactly the RNG values a keyed lookup drew, in the same order.
 
 use crate::conn::NoticeKind;
 use crate::network::{NetEvent, Network};
-use crate::topology::Grid;
+use crate::topology::{Grid, TopologySpec};
 use crate::traffic::SourceKind;
 use mango_core::{
     ConnectionId, Direction, GsBufferRef, InternalEvent, LinkFlit, RouterId, Steer, UpstreamRef,
     VcId,
 };
 use mango_sim::{Ctx, SimDuration, SimRng, SimTime, Slot};
-use std::collections::{HashMap, HashSet};
+use std::fmt;
+
+/// VCs a port can have (`RouterConfig::validate` caps `gs_vcs` at the
+/// 5-bit steering format's 8): the width of a stuck-VC mask.
+const PORT_VCS_MAX: usize = 8;
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,23 +205,23 @@ impl FaultSchedule {
     /// [`Grid::boundary_links`]; fault times uniform in
     /// `[window_start, window_end)`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the topology has no boundary links (monolithic mesh or
-    /// torus).
+    /// [`NoBoundaryLinks`] if the topology has no boundary links
+    /// (monolithic mesh or torus).
     pub fn random_boundary_links(
         grid: &Grid,
         seed: u64,
         count: usize,
         window_start: SimTime,
         window_end: SimTime,
-    ) -> Self {
+    ) -> Result<Self, NoBoundaryLinks> {
         let boundary = grid.boundary_links();
-        assert!(
-            !boundary.is_empty(),
-            "topology {} has no D2D boundary links to fault",
-            grid.spec().name()
-        );
+        if boundary.is_empty() {
+            return Err(NoBoundaryLinks {
+                topology: *grid.spec(),
+            });
+        }
         let mut rng = SimRng::new(seed ^ 0x5EED_FA17);
         let span = window_end.since(window_start).as_ps().max(1);
         let mut events = Vec::with_capacity(count);
@@ -207,7 +233,7 @@ impl FaultSchedule {
                 kind: FaultKind::LinkDown { from, dir },
             });
         }
-        FaultSchedule { seed, events }
+        Ok(FaultSchedule { seed, events })
     }
 
     /// Checks every event references on-grid elements.
@@ -228,9 +254,14 @@ impl FaultSchedule {
                         return Err(format!("event {i}: router {id} outside the grid"));
                     }
                 }
-                FaultKind::StuckVc { router, .. } => {
+                FaultKind::StuckVc { router, vc, .. } => {
                     if !grid.contains(router) {
                         return Err(format!("event {i}: router {router} outside the grid"));
+                    }
+                    if vc.index() >= PORT_VCS_MAX {
+                        return Err(format!(
+                            "event {i}: VC {vc} beyond the {PORT_VCS_MAX} a port can have"
+                        ));
                     }
                 }
             }
@@ -238,6 +269,26 @@ impl FaultSchedule {
         Ok(())
     }
 }
+
+/// [`FaultSchedule::random_boundary_links`] was asked to fault die-to-die
+/// links of a topology that has none (a monolithic mesh or torus).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoBoundaryLinks {
+    /// The topology without boundary links.
+    pub topology: TopologySpec,
+}
+
+impl fmt::Display for NoBoundaryLinks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "topology {} has no D2D boundary links to fault",
+            self.topology
+        )
+    }
+}
+
+impl std::error::Error for NoBoundaryLinks {}
 
 /// Drop/spoof counters, readable after a faulted run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -272,13 +323,21 @@ struct FlakyLink {
 }
 
 /// Live fault state owned by the network (present only after
-/// `install_faults`; its absence is the healthy-mesh fast path).
+/// `install_faults`; its absence is the healthy-mesh fast path). Its
+/// tables are laid out as the module docs describe.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     events: Vec<FaultEvent>,
     rng: SimRng,
-    flaky: HashMap<(RouterId, Direction), FlakyLink>,
-    stuck: HashSet<(RouterId, Direction, VcId)>,
+    /// Flaky-window trackers by link index; empty when the schedule has
+    /// no `LinkFlaky` event.
+    flaky: Vec<Option<FlakyLink>>,
+    /// Stuck GS buffers by the index of the buffer's `(router, output
+    /// port)`: bit `vc` set once `StuckVc` has struck it. Empty when the
+    /// schedule has no `StuckVc` event.
+    stuck: Vec<u8>,
+    /// Dead routers by router index; empty when the schedule has no
+    /// `RouterDown` event.
     dead: Vec<bool>,
 }
 
@@ -292,31 +351,38 @@ impl FaultState {
         let mut events = schedule.events;
         // Stable sort: same-time events apply in schedule order.
         events.sort_by_key(|e| e.at);
-        let mut flaky = HashMap::new();
+        let links = grid.len() * 4;
+        let mut flaky = Vec::new();
+        let mut stuck = Vec::new();
+        let mut dead = Vec::new();
         for ev in &events {
-            if let FaultKind::LinkFlaky {
-                from,
-                dir,
-                until,
-                drop_prob,
-            } = ev.kind
-            {
-                // Register the framing tracker up front (windows on the
-                // same link merge to the widest span / last probability).
-                flaky
-                    .entry((from, dir))
-                    .and_modify(|f: &mut FlakyLink| {
-                        f.from_t = f.from_t.min(ev.at);
-                        f.until = f.until.max(until);
-                        f.drop_prob = drop_prob;
-                    })
-                    .or_insert(FlakyLink {
+            match ev.kind {
+                FaultKind::LinkFlaky {
+                    from,
+                    dir,
+                    until,
+                    drop_prob,
+                } => {
+                    // Register the framing tracker up front (windows on
+                    // the same link merge to the widest span / last
+                    // probability).
+                    if flaky.is_empty() {
+                        flaky = vec![None; links];
+                    }
+                    let f = flaky[grid.link_index(from, dir)].get_or_insert(FlakyLink {
                         from_t: ev.at,
                         until,
                         drop_prob,
                         in_packet: false,
                         dropping: false,
                     });
+                    f.from_t = f.from_t.min(ev.at);
+                    f.until = f.until.max(until);
+                    f.drop_prob = drop_prob;
+                }
+                FaultKind::StuckVc { .. } if stuck.is_empty() => stuck = vec![0; links],
+                FaultKind::RouterDown { .. } if dead.is_empty() => dead = vec![false; grid.len()],
+                _ => {}
             }
         }
         let times = events.iter().map(|e| e.at).collect();
@@ -325,8 +391,8 @@ impl FaultState {
                 events,
                 rng: SimRng::new(schedule.seed),
                 flaky,
-                stuck: HashSet::new(),
-                dead: vec![false; grid.len()],
+                stuck,
+                dead,
             },
             times,
         )
@@ -342,54 +408,50 @@ impl FaultState {
         self.dead[index] = true;
     }
 
-    /// Marks a VC buffer stuck.
-    pub(crate) fn mark_stuck(&mut self, router: RouterId, dir: Direction, vc: VcId) {
-        self.stuck.insert((router, dir, vc));
+    /// Marks VC `vc` of the buffer at `port` ([`Grid::link_index`] of its
+    /// router and output port) stuck.
+    pub(crate) fn mark_stuck(&mut self, port: usize, vc: VcId) {
+        self.stuck[port] |= 1 << vc.0;
     }
 
     /// True if the router at dense `index` has failed.
+    #[inline]
     pub(crate) fn is_dead(&self, index: usize) -> bool {
-        self.dead[index]
+        self.dead.get(index).is_some_and(|&dead| dead)
     }
 
-    /// True if the buffer is stuck.
-    pub(crate) fn is_stuck(&self, router: RouterId, dir: Direction, vc: VcId) -> bool {
-        !self.stuck.is_empty() && self.stuck.contains(&(router, dir, vc))
+    /// True if VC `vc` of the buffer at `port` ([`Grid::link_index`] of
+    /// its router and output port) is stuck.
+    #[inline]
+    pub(crate) fn is_stuck(&self, port: usize, vc: VcId) -> bool {
+        self.stuck
+            .get(port)
+            .is_some_and(|mask| mask & (1 << vc.0) != 0)
     }
 
-    /// Flaky-window decision for a **GS** flit crossing `(from, dir)` at
-    /// `now`: true to drop.
-    pub(crate) fn flaky_drops_gs(&mut self, from: RouterId, dir: Direction, now: SimTime) -> bool {
-        match self.flaky.get(&(from, dir)) {
-            Some(f) if now >= f.from_t && now < f.until => {
-                let p = f.drop_prob;
-                self.rng.gen_bool(p)
-            }
+    /// Flaky-window decision for a **GS** flit crossing the link at
+    /// index `link` at `now`: true to drop.
+    #[inline]
+    pub(crate) fn flaky_drops_gs(&mut self, link: usize, now: SimTime) -> bool {
+        match self.flaky.get(link) {
+            Some(Some(f)) if now >= f.from_t && now < f.until => self.rng.gen_bool(f.drop_prob),
             _ => false,
         }
     }
 
-    /// Flaky-window decision for a **BE** flit crossing `(from, dir)` at
-    /// `now`: updates wormhole framing and returns true to drop. Drops
-    /// are packet-atomic: decided at the header, held until end of
-    /// packet.
-    pub(crate) fn flaky_drops_be(
-        &mut self,
-        from: RouterId,
-        dir: Direction,
-        now: SimTime,
-        eop: bool,
-    ) -> bool {
-        let Some(f) = self.flaky.get_mut(&(from, dir)) else {
+    /// Flaky-window decision for a **BE** flit crossing the link at
+    /// index `link` at `now`: updates wormhole framing and returns true
+    /// to drop. Drops are packet-atomic: decided at the header, held
+    /// until end of packet.
+    #[inline]
+    pub(crate) fn flaky_drops_be(&mut self, link: usize, now: SimTime, eop: bool) -> bool {
+        let Some(Some(f)) = self.flaky.get_mut(link) else {
             return false;
         };
-        let header = !f.in_packet;
-        if header {
+        if !f.in_packet {
             let in_window = now >= f.from_t && now < f.until;
-            let p = f.drop_prob;
-            f.dropping = in_window && self.rng.gen_bool(p);
+            f.dropping = in_window && self.rng.gen_bool(f.drop_prob);
         }
-        let f = self.flaky.get_mut(&(from, dir)).expect("present above");
         let drop = f.dropping;
         f.in_packet = !eop;
         if eop {
@@ -485,7 +547,9 @@ impl Network {
                     }
                 }
             }
-            FaultKind::StuckVc { router, dir, vc } => faults.mark_stuck(router, dir, vc),
+            FaultKind::StuckVc { router, dir, vc } => {
+                faults.mark_stuck(self.grid.link_index(router, dir), vc);
+            }
         }
     }
 
@@ -504,19 +568,22 @@ impl Network {
         ctx: &mut Ctx<NetEvent>,
     ) -> bool {
         let now = ctx.now();
-        let hard_down = !self.grid.link_up(from, dir);
+        let link = self.grid.link_index(from, dir);
+        let hard_down = self.grid.link_failed(link);
         let faults = self.faults.as_mut().expect("caller checked");
         let drop = match lf.steer {
             // BE framing must advance on every flit crossing a
             // flaky-tracked link, dropped or not.
             Steer::BeUnit => {
-                let flaky = faults.flaky_drops_be(from, dir, now, lf.flit.eop());
+                let flaky = faults.flaky_drops_be(link, now, lf.flit.eop());
                 hard_down || flaky
             }
             Steer::GsBuffer { dir: bd, vc } => {
-                hard_down || faults.is_stuck(to, bd, vc) || faults.flaky_drops_gs(from, dir, now)
+                hard_down
+                    || faults.is_stuck(self.grid.link_index(to, bd), vc)
+                    || faults.flaky_drops_gs(link, now)
             }
-            Steer::LocalGs { .. } => hard_down || faults.flaky_drops_gs(from, dir, now),
+            Steer::LocalGs { .. } => hard_down || faults.flaky_drops_gs(link, now),
         };
         if !drop {
             return false;
@@ -579,6 +646,9 @@ impl Network {
         event: &NetEvent,
         ctx: &mut Ctx<NetEvent>,
     ) -> bool {
+        let Some(faults) = self.faults.as_ref().filter(|f| !f.dead.is_empty()) else {
+            return false;
+        };
         let target = match event {
             NetEvent::Router { id, .. }
             | NetEvent::NaGsInject { id, .. }
@@ -589,11 +659,7 @@ impl Network {
             | NetEvent::Credit { to, .. } => *to,
             _ => return false,
         };
-        let dead = self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.is_dead(self.grid.index(target)));
-        if !dead {
+        if !faults.is_dead(self.grid.index(target)) {
             return false;
         }
         // A flit vanishing into the dead router leaves the wire and the
@@ -628,6 +694,9 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::tests::any_topology;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn schedule_builder_and_validation() {
@@ -701,14 +770,16 @@ mod tests {
             8,
             SimTime::from_ns(10),
             SimTime::from_ns(1000),
-        );
+        )
+        .unwrap();
         let b = FaultSchedule::random_boundary_links(
             &grid,
             5,
             8,
             SimTime::from_ns(10),
             SimTime::from_ns(1000),
-        );
+        )
+        .unwrap();
         assert_eq!(a, b, "same seed, same schedule");
         assert_eq!(a.events.len(), 8);
         a.validate(&grid).unwrap();
@@ -721,11 +792,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no D2D boundary links")]
     fn boundary_schedule_rejects_monolithic_grids() {
-        let grid = Grid::new(4, 4);
-        let _ =
-            FaultSchedule::random_boundary_links(&grid, 1, 1, SimTime::ZERO, SimTime::from_ns(1));
+        for topology in [TopologySpec::mesh(4, 4), TopologySpec::torus(4, 4)] {
+            let grid = Grid::from_spec(&topology);
+            let err = FaultSchedule::random_boundary_links(
+                &grid,
+                1,
+                1,
+                SimTime::ZERO,
+                SimTime::from_ns(1),
+            )
+            .unwrap_err();
+            assert_eq!(err, NoBoundaryLinks { topology });
+            assert_eq!(
+                err.to_string(),
+                format!("topology {topology} has no D2D boundary links to fault")
+            );
+        }
     }
 
     #[test]
@@ -753,7 +836,14 @@ mod tests {
             vec![SimTime::from_ns(100), SimTime::from_ns(500)],
             "application order is time order"
         );
-        assert_eq!(state.flaky.len(), 1);
+        let tracked: Vec<usize> = (0..state.flaky.len())
+            .filter(|&i| state.flaky[i].is_some())
+            .collect();
+        assert_eq!(
+            tracked,
+            vec![grid.link_index(RouterId::new(0, 0), Direction::East)]
+        );
+        assert!(state.stuck.is_empty(), "no StuckVc, no mask");
         assert!(matches!(state.event(1).kind, FaultKind::RouterDown { .. }));
     }
 
@@ -771,20 +861,21 @@ mod tests {
             },
         );
         let (mut state, _) = FaultState::install(sched, &grid);
+        let link = grid.link_index(from, Direction::East);
         let t_before = SimTime::from_ns(10);
         // A packet fully before the window passes.
-        assert!(!state.flaky_drops_be(from, Direction::East, t_before, false));
-        assert!(!state.flaky_drops_be(from, Direction::East, t_before, false));
-        assert!(!state.flaky_drops_be(from, Direction::East, t_before, true));
+        assert!(!state.flaky_drops_be(link, t_before, false));
+        assert!(!state.flaky_drops_be(link, t_before, false));
+        assert!(!state.flaky_drops_be(link, t_before, true));
         // A packet whose header lands in the window (p = 1) drops whole,
         // including flits past the window end.
         let t_in = SimTime::from_ns(200);
-        assert!(state.flaky_drops_be(from, Direction::East, t_in, false));
-        assert!(state.flaky_drops_be(from, Direction::East, t_in, false));
-        assert!(state.flaky_drops_be(from, Direction::East, SimTime::from_ns(20_000), true));
+        assert!(state.flaky_drops_be(link, t_in, false));
+        assert!(state.flaky_drops_be(link, t_in, false));
+        assert!(state.flaky_drops_be(link, SimTime::from_ns(20_000), true));
         // Framing reset: the next packet (outside the window) passes.
         let t_after = SimTime::from_ns(30_000);
-        assert!(!state.flaky_drops_be(from, Direction::East, t_after, true));
+        assert!(!state.flaky_drops_be(link, t_after, true));
     }
 
     #[test]
@@ -801,10 +892,177 @@ mod tests {
             },
         );
         let (mut state, _) = FaultState::install(sched, &grid);
-        assert!(!state.flaky_drops_gs(from, Direction::East, SimTime::from_ns(50)));
-        assert!(state.flaky_drops_gs(from, Direction::East, SimTime::from_ns(150)));
-        assert!(!state.flaky_drops_gs(from, Direction::East, SimTime::from_ns(250)));
+        let link = grid.link_index(from, Direction::East);
+        assert!(!state.flaky_drops_gs(link, SimTime::from_ns(50)));
+        assert!(state.flaky_drops_gs(link, SimTime::from_ns(150)));
+        assert!(!state.flaky_drops_gs(link, SimTime::from_ns(250)));
         // Unrelated links never draw.
-        assert!(!state.flaky_drops_gs(RouterId::new(1, 0), Direction::West, SimTime::from_ns(150)));
+        let back = grid.link_index(RouterId::new(1, 0), Direction::West);
+        assert!(!state.flaky_drops_gs(back, SimTime::from_ns(150)));
+    }
+
+    /// The fault state's per-link tables as keyed collections, one
+    /// lookup per question: the model the dense tables are checked
+    /// against, with its own copy of the schedule's RNG stream.
+    struct KeyedModel {
+        rng: SimRng,
+        flaky: HashMap<(RouterId, Direction), FlakyLink>,
+        stuck: HashSet<(RouterId, Direction, VcId)>,
+    }
+
+    impl KeyedModel {
+        fn install(schedule: &FaultSchedule) -> Self {
+            let mut events = schedule.events.clone();
+            events.sort_by_key(|e| e.at);
+            let mut flaky = HashMap::new();
+            for ev in &events {
+                if let FaultKind::LinkFlaky {
+                    from,
+                    dir,
+                    until,
+                    drop_prob,
+                } = ev.kind
+                {
+                    flaky
+                        .entry((from, dir))
+                        .and_modify(|f: &mut FlakyLink| {
+                            f.from_t = f.from_t.min(ev.at);
+                            f.until = f.until.max(until);
+                            f.drop_prob = drop_prob;
+                        })
+                        .or_insert(FlakyLink {
+                            from_t: ev.at,
+                            until,
+                            drop_prob,
+                            in_packet: false,
+                            dropping: false,
+                        });
+                }
+            }
+            KeyedModel {
+                rng: SimRng::new(schedule.seed),
+                flaky,
+                stuck: HashSet::new(),
+            }
+        }
+
+        fn drops_gs(&mut self, from: RouterId, dir: Direction, now: SimTime) -> bool {
+            match self.flaky.get(&(from, dir)) {
+                Some(f) if now >= f.from_t && now < f.until => self.rng.gen_bool(f.drop_prob),
+                _ => false,
+            }
+        }
+
+        fn drops_be(&mut self, from: RouterId, dir: Direction, now: SimTime, eop: bool) -> bool {
+            let Some(f) = self.flaky.get_mut(&(from, dir)) else {
+                return false;
+            };
+            if !f.in_packet {
+                let in_window = now >= f.from_t && now < f.until;
+                f.dropping = in_window && self.rng.gen_bool(f.drop_prob);
+            }
+            let drop = f.dropping;
+            f.in_packet = !eop;
+            if eop {
+                f.dropping = false;
+            }
+            drop
+        }
+    }
+
+    /// A random on-grid directed link from two raw draws.
+    fn pick_link(grid: &Grid, r: usize, d: usize) -> Option<(RouterId, Direction)> {
+        let (id, dir) = (grid.id_at(r % grid.len()), Direction::ALL[d % 4]);
+        grid.neighbor(id, dir).map(|_| (id, dir))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The dense flaky-window slab and stuck-VC masks against a
+        /// `HashMap` / `HashSet` model: a random schedule of flaky
+        /// windows (on the first three routers' links, so several land
+        /// on one link) and `StuckVc` faults, then random GS and BE
+        /// crossings of those links and a few others. Each `StuckVc` applied in
+        /// time order leaves `is_stuck` agreeing with the set on every
+        /// buffer; every link's window equals the model's merged one;
+        /// every crossing's drop decision agrees, and so does the RNG
+        /// stream afterwards, so the dense state draws exactly the
+        /// values the keyed one did.
+        #[test]
+        fn dense_fault_state_matches_a_keyed_model(
+            spec in any_topology(),
+            seed in any::<u64>(),
+            flaky in prop::collection::vec(
+                (0usize..3, 0usize..4, 0u64..1_000, 0u64..1_000, 0usize..4),
+                0..8,
+            ),
+            stuck in prop::collection::vec(
+                (0usize..64, 0usize..4, 0u8..8, 0u64..1_000),
+                0..8,
+            ),
+            crossings in prop::collection::vec(
+                (0usize..4, 0usize..4, 0u64..2_000, any::<bool>(), any::<bool>()),
+                0..64,
+            ),
+        ) {
+            const PROBS: [f64; 4] = [0.0, 0.3, 0.5, 1.0];
+            let grid = Grid::from_spec(&spec);
+            let mut schedule = FaultSchedule::new(seed);
+            for (r, d, at, len, p) in flaky {
+                if let Some((from, dir)) = pick_link(&grid, r, d) {
+                    let at = SimTime::from_ns(at);
+                    schedule = schedule.with(at, FaultKind::LinkFlaky {
+                        from,
+                        dir,
+                        until: at + SimDuration::from_ns(len),
+                        drop_prob: PROBS[p],
+                    });
+                }
+            }
+            for (r, d, vc, at) in stuck {
+                let router = grid.id_at(r % grid.len());
+                let kind = FaultKind::StuckVc { router, dir: Direction::ALL[d], vc: VcId(vc) };
+                schedule = schedule.with(SimTime::from_ns(at), kind);
+            }
+            let mut model = KeyedModel::install(&schedule);
+            let (mut state, _) = FaultState::install(schedule, &grid);
+
+            for idx in 0..state.events.len() {
+                if let FaultKind::StuckVc { router, dir, vc } = state.event(idx).kind {
+                    state.mark_stuck(grid.link_index(router, dir), vc);
+                    model.stuck.insert((router, dir, vc));
+                }
+                for id in grid.ids() {
+                    for dir in Direction::ALL {
+                        for vc in (0..8).map(VcId) {
+                            let dense = state.is_stuck(grid.link_index(id, dir), vc);
+                            let keyed = model.stuck.contains(&(id, dir, vc));
+                            prop_assert!(dense == keyed, "{spec} {id}->{dir} {vc}: {dense}");
+                        }
+                    }
+                }
+            }
+            for id in grid.ids() {
+                for dir in Direction::ALL {
+                    let dense = state.flaky.get(grid.link_index(id, dir)).copied().flatten();
+                    let keyed = model.flaky.get(&(id, dir)).copied();
+                    let window = |f: FlakyLink| (f.from_t, f.until, f.drop_prob);
+                    let (dense, keyed) = (dense.map(window), keyed.map(window));
+                    prop_assert!(dense == keyed, "{spec} {id}->{dir}: {dense:?} vs {keyed:?}");
+                }
+            }
+            for (r, d, t, be, eop) in crossings {
+                let Some((from, dir)) = pick_link(&grid, r, d) else { continue };
+                let (link, now) = (grid.link_index(from, dir), SimTime::from_ns(t));
+                let (dense, keyed) = if be {
+                    (state.flaky_drops_be(link, now, eop), model.drops_be(from, dir, now, eop))
+                } else {
+                    (state.flaky_drops_gs(link, now), model.drops_gs(from, dir, now))
+                };
+                prop_assert!(dense == keyed, "{spec} {from}->{dir} at {now}: {dense}");
+            }
+            prop_assert!(state.rng == model.rng, "the RNG streams diverged");
+        }
     }
 }

@@ -74,7 +74,7 @@ pub mod traffic;
 
 pub use conn::{walk_dirs, ConnError, ConnRecord, ConnState, ConnectionManager};
 pub use conn::{Notice, NoticeKind};
-pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultSchedule};
+pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultSchedule, NoBoundaryLinks};
 pub use meta::MetaSlab;
 pub use na::NaConfig;
 pub use na_arena::NaArena;

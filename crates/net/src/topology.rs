@@ -24,7 +24,6 @@
 
 use mango_core::{Direction, RouterId};
 use mango_sim::SimDuration;
-use std::collections::HashSet;
 use std::fmt;
 
 /// The canonical die-to-die boundary delay a named chiplet spec compiles
@@ -243,13 +242,16 @@ pub struct Grid {
     chip: Option<(u8, u8)>,
     /// Extra forward delay applied to links without an override.
     default_extra: SimDuration,
-    /// Per-link extra forward delay, indexed `router_index × 4 + dir`;
+    /// Per-link extra forward delay, indexed by [`Grid::link_index`];
     /// `None` until an override is set (the homogeneous fast path — one
     /// branch, no hashing, once per flit hop).
     extra: Option<Box<[SimDuration]>>,
-    /// Directed links currently failed (fault injection); routing, relay
-    /// and admission all consult this mask. Empty on a healthy mesh.
-    down_links: HashSet<(RouterId, Direction)>,
+    /// Directed links currently failed (fault injection), indexed by
+    /// [`Grid::link_index`]; routing, relay and admission all consult
+    /// this mask. `None` until the first failure, like `extra`.
+    down: Option<Box<[bool]>>,
+    /// Number of `true` entries in `down`.
+    down_count: usize,
     /// The spec this grid was compiled from (naming, CSV columns).
     spec: TopologySpec,
 }
@@ -291,7 +293,8 @@ impl Grid {
             },
             default_extra: SimDuration::ZERO,
             extra: None,
-            down_links: HashSet::new(),
+            down: None,
+            down_count: 0,
             spec: *spec,
         };
         if let TopologySpec::ChipletMesh { d2d_extra, .. } = *spec {
@@ -357,12 +360,29 @@ impl Grid {
             self.neighbor(from, dir).is_some(),
             "link {from}->{dir} leaves the grid"
         );
+        let i = self.link_index(from, dir);
         let slots = self.len() * 4;
         let default = self.default_extra;
         let table = self
             .extra
             .get_or_insert_with(|| vec![default; slots].into_boxed_slice());
-        table[(from.y as usize * self.width as usize + from.x as usize) * 4 + dir.index()] = extra;
+        table[i] = extra;
+    }
+
+    /// Dense index of the directed link `from → dir`:
+    /// `router_index × 4 + dir`, in `0 .. len() × 4`. Every per-link
+    /// table — the D2D extras and the failed-link mask here, the fault
+    /// state's flaky windows and stuck VCs, admission's budgets — is
+    /// laid out by it. Off-grid links (an edge router's outward port)
+    /// have an index too; whether the link exists is
+    /// [`Grid::neighbor`]'s answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` lies outside the grid.
+    #[inline]
+    pub fn link_index(&self, from: RouterId, dir: Direction) -> usize {
+        self.index(from) * 4 + dir.index()
     }
 
     /// The extra forward delay on a directed link. Runs once per flit
@@ -372,9 +392,7 @@ impl Grid {
     pub fn link_extra(&self, from: RouterId, dir: Direction) -> SimDuration {
         match &self.extra {
             None => self.default_extra,
-            Some(table) => {
-                table[(from.y as usize * self.width as usize + from.x as usize) * 4 + dir.index()]
-            }
+            Some(table) => table[self.link_index(from, dir)],
         }
     }
 
@@ -385,18 +403,26 @@ impl Grid {
     /// predicate in BFS loops.
     #[inline]
     pub fn link_up(&self, from: RouterId, dir: Direction) -> bool {
-        // Healthy meshes (the common case) never touch the set; this
-        // lookup sits on routing and admission paths.
-        if self.down_links.is_empty() {
-            return self.neighbor(from, dir).is_some();
-        }
-        self.neighbor(from, dir).is_some() && !self.down_links.contains(&(from, dir))
+        // Healthy meshes (the common case) never touch the mask; this
+        // lookup sits on routing, admission and every faulted flit hop.
+        self.neighbor(from, dir).is_some()
+            && self
+                .down
+                .as_ref()
+                .is_none_or(|down| !down[self.link_index(from, dir)])
+    }
+
+    /// True if the directed link at dense index `link` ([`Grid::link_index`])
+    /// has been failed. Says nothing about whether the link exists.
+    #[inline]
+    pub fn link_failed(&self, link: usize) -> bool {
+        self.down.as_ref().is_some_and(|down| down[link])
     }
 
     /// True if no link has been failed (the healthy-mesh fast path).
     #[inline]
     pub fn all_links_up(&self) -> bool {
-        self.down_links.is_empty()
+        self.down_count == 0
     }
 
     /// Marks one directed link as failed. Both directions of a physical
@@ -410,7 +436,7 @@ impl Grid {
             self.neighbor(from, dir).is_some(),
             "link {from}->{dir} leaves the grid"
         );
-        self.down_links.insert((from, dir));
+        self.mark_down(from, dir);
     }
 
     /// Fails every directed link touching `id` (router fail-stop): the
@@ -418,15 +444,29 @@ impl Grid {
     pub fn fail_router(&mut self, id: RouterId) {
         for dir in Direction::ALL {
             if let Some(n) = self.neighbor(id, dir) {
-                self.down_links.insert((id, dir));
-                self.down_links.insert((n, dir.opposite()));
+                self.mark_down(id, dir);
+                self.mark_down(n, dir.opposite());
             }
+        }
+    }
+
+    /// Sets the mask bit of an on-grid link, allocating the mask on the
+    /// first failure; failing a link twice counts it once.
+    fn mark_down(&mut self, from: RouterId, dir: Direction) {
+        let i = self.link_index(from, dir);
+        let slots = self.len() * 4;
+        let down = self
+            .down
+            .get_or_insert_with(|| vec![false; slots].into_boxed_slice());
+        if !down[i] {
+            down[i] = true;
+            self.down_count += 1;
         }
     }
 
     /// Number of directed links currently failed.
     pub fn failed_links(&self) -> usize {
-        self.down_links.len()
+        self.down_count
     }
 
     /// True if `id` lies within the grid.
@@ -563,8 +603,63 @@ impl Grid {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// A mesh or a torus of any size up to 6 × 6 (the non-square ones
+    /// tell width from height), or `chiplet2x2x2x2`.
+    pub(crate) fn any_topology() -> impl Strategy<Value = TopologySpec> {
+        prop_oneof![
+            (1u8..7, 1u8..7).prop_map(|(w, h)| TopologySpec::mesh(w, h)),
+            (2u8..7, 2u8..7).prop_map(|(w, h)| TopologySpec::torus(w, h)),
+            Just(TopologySpec::chiplet(2, 2, 2, 2)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense failed-link mask against a `HashSet` of failed
+        /// `(router, dir)` pairs: after each `fail_link` / `fail_router`
+        /// of a random sequence, `link_up` and `link_failed` agree with
+        /// the set on every port of every router, and `failed_links` /
+        /// `all_links_up` with its size.
+        #[test]
+        fn failed_link_mask_matches_a_set_model(
+            spec in any_topology(),
+            ops in prop::collection::vec((any::<bool>(), 0usize..64, 0usize..4), 0..24),
+        ) {
+            let mut grid = Grid::from_spec(&spec);
+            let mut model = HashSet::new();
+            for (whole_router, r, d) in ops {
+                let (id, dir) = (grid.id_at(r % grid.len()), Direction::ALL[d]);
+                if whole_router {
+                    grid.fail_router(id);
+                    for dir in Direction::ALL {
+                        if let Some(n) = grid.neighbor(id, dir) {
+                            model.insert((id, dir));
+                            model.insert((n, dir.opposite()));
+                        }
+                    }
+                } else if grid.neighbor(id, dir).is_some() {
+                    grid.fail_link(id, dir);
+                    model.insert((id, dir));
+                }
+                for id in grid.ids() {
+                    for dir in Direction::ALL {
+                        let failed = model.contains(&(id, dir));
+                        let up = grid.neighbor(id, dir).is_some() && !failed;
+                        prop_assert!(grid.link_up(id, dir) == up, "{spec} {id}->{dir}: up {up}");
+                        prop_assert_eq!(grid.link_failed(grid.link_index(id, dir)), failed);
+                    }
+                }
+                prop_assert_eq!(grid.failed_links(), model.len());
+                prop_assert_eq!(grid.all_links_up(), model.is_empty());
+            }
+        }
+    }
 
     #[test]
     fn indexing_roundtrips() {

@@ -517,7 +517,8 @@ impl Source {
     }
 
     /// Computes the next tick time after an emission at `now`, marking the
-    /// source done if it hit a bound; a silenced source ticks no more.
+    /// source done if it hit a bound or its next tick falls past the
+    /// clock's end; a silenced source ticks no more.
     pub fn schedule_next(&mut self, now: SimTime) -> Option<SimTime> {
         if self.done || self.limit.is_some_and(|l| self.emitted >= l) {
             self.done = true;
@@ -530,12 +531,13 @@ impl Source {
             ..
         } = self;
         let gap = pattern.next_gap(state, rng);
-        let next = now + gap;
-        if self.stop.is_some_and(|s| next >= s) {
-            self.done = true;
-            return None;
+        match now.checked_add(gap) {
+            Some(next) if self.stop.is_none_or(|s| next < s) => Some(next),
+            _ => {
+                self.done = true;
+                None
+            }
         }
-        Some(next)
     }
 }
 
@@ -720,6 +722,21 @@ mod tests {
             Some(SimTime::from_ns(9))
         );
         assert_eq!(s.schedule_next(SimTime::from_ns(9)), None, "9+8 >= stop");
+        assert!(s.done);
+    }
+
+    #[test]
+    fn a_tick_past_the_clock_ends_the_source() {
+        let mut s = be_source(SpatialPattern::FixedPool(vec![RouterId::new(1, 0)]));
+        s.pattern = TemporalSpec::cbr(SimDuration::from_ps(u64::MAX - 10));
+        s.stop = None;
+        s.limit = None;
+        assert_eq!(
+            s.schedule_next(SimTime::from_ps(10)),
+            Some(SimTime::from_ps(u64::MAX))
+        );
+        assert!(!s.done, "the last instant of the clock still fits");
+        assert_eq!(s.schedule_next(SimTime::from_ps(11)), None);
         assert!(s.done);
     }
 

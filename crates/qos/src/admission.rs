@@ -324,16 +324,12 @@ impl AdmissionController {
 
     /// Free GS VCs on the directed link `from → dir`.
     pub fn free_vcs(&self, from: RouterId, dir: Direction) -> u8 {
-        self.free_vcs[self.link_index(from, dir)]
+        self.free_vcs[self.grid.link_index(from, dir)]
     }
 
     /// Residual reservable bandwidth on `from → dir`, flits/second.
     pub fn residual_fps(&self, from: RouterId, dir: Direction) -> u64 {
-        self.residual_fps[self.link_index(from, dir)]
-    }
-
-    fn link_index(&self, from: RouterId, dir: Direction) -> usize {
-        link_index(&self.grid, from, dir)
+        self.residual_fps[self.grid.link_index(from, dir)]
     }
 
     /// The reserved rate for `period`, flits/second (rounded up — the
@@ -347,7 +343,7 @@ impl AdmissionController {
         if !self.grid.link_up(from, dir) {
             return false;
         }
-        let i = self.link_index(from, dir);
+        let i = self.grid.link_index(from, dir);
         self.free_vcs[i] > 0 && self.residual_fps[i] >= rate_fps
     }
 
@@ -392,7 +388,7 @@ impl AdmissionController {
         let at = row.len();
         row.extend([0, 0]);
         let extras = walk_path(grid, src, xy_dirs(grid, src, dst), |from, dir| {
-            row.push(link_index(grid, from, dir) as u32);
+            row.push(grid.link_index(from, dir) as u32);
         });
         row[at] = (row.len() - at - 2) as u32;
         row[at + 1] = *extras_index.entry(extras).or_insert_with(|| {
@@ -412,10 +408,7 @@ impl AdmissionController {
             let i = i as usize;
             self.free_vcs[i] > 0
                 && self.residual_fps[i] >= rate_fps
-                && (all_up
-                    || self
-                        .grid
-                        .link_up(self.grid.id_at(i / 4), Direction::ALL[i % 4]))
+                && (all_up || !self.grid.link_failed(i))
         })
     }
 
@@ -430,7 +423,7 @@ impl AdmissionController {
         } = self;
         detour_links.clear();
         let (extra_total, extra_max) = walk_path(grid, src, path.iter().copied(), |from, dir| {
-            detour_links.push(link_index(grid, from, dir) as u32);
+            detour_links.push(grid.link_index(from, dir) as u32);
         });
         Route {
             start: 0,
@@ -652,7 +645,7 @@ impl AdmissionController {
     pub fn reserve_existing(&mut self, src: RouterId, dirs: &[Direction], rate_fps: u64) {
         let mut cur = src;
         for &d in dirs {
-            let i = self.link_index(cur, d);
+            let i = self.grid.link_index(cur, d);
             self.free_vcs[i] = self.free_vcs[i]
                 .checked_sub(1)
                 .expect("existing connection exceeds the link VC budget");
@@ -674,7 +667,7 @@ impl AdmissionController {
     pub fn release(&mut self, adm: &Admission) {
         let mut cur = adm.src;
         for &d in &adm.dirs {
-            let i = self.link_index(cur, d);
+            let i = self.grid.link_index(cur, d);
             self.free_vcs[i] += 1;
             self.residual_fps[i] += adm.rate_fps;
             cur = self.grid.neighbor(cur, d).expect("path stays on grid");
@@ -705,7 +698,7 @@ impl AdmissionController {
     /// wedged one of the link's VC buffers, so one fewer connection fits
     /// even though the link itself still carries traffic.
     pub fn mark_stuck_vc(&mut self, from: RouterId, dir: Direction) {
-        let i = self.link_index(from, dir);
+        let i = self.grid.link_index(from, dir);
         self.free_vcs[i] = self.free_vcs[i].saturating_sub(1);
         // The pool is permanently smaller: the idle baseline shrinks
         // with it, so `nothing_reserved` stays meaningful under faults.
@@ -781,7 +774,7 @@ impl AdmissionController {
                 if self.grid.neighbor(id, dir).is_none() || !self.grid.link_up(id, dir) {
                     continue;
                 }
-                let i = self.link_index(id, dir);
+                let i = self.grid.link_index(id, dir);
                 s.free_vcs += u64::from(self.free_vcs[i]);
                 s.residual_fps_min = s.residual_fps_min.min(self.residual_fps[i]);
                 s.up_links += 1;
@@ -803,11 +796,6 @@ impl AdmissionController {
             self.rx_free.clone(),
         )
     }
-}
-
-/// Dense index of the directed link `from → dir`: `node_index × 4 + dir`.
-fn link_index(grid: &Grid, from: RouterId, dir: Direction) -> usize {
-    grid.index(from) * 4 + dir.index()
 }
 
 /// The directions of the XY route from `src` to `dst`
@@ -897,7 +885,7 @@ mod tests {
         // On a 2D mesh a detour exists: exhaust the 7 VCs of (0,0)→E
         // using distinct sources... simpler: artificially drain the link.
         let mut c = controller(3, 3);
-        let i = c.link_index(RouterId::new(0, 0), Direction::East);
+        let i = c.grid.link_index(RouterId::new(0, 0), Direction::East);
         c.free_vcs[i] = 0;
         let adm = c.request(&req(0, 0, 2, 0, 20)).unwrap();
         assert!(!adm.xy, "XY blocked, BFS detour expected");

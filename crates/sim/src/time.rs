@@ -71,6 +71,12 @@ impl SimTime {
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
+
+    /// The instant `d` after `self`, or `None` past the clock's end.
+    #[inline]
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {
@@ -338,6 +344,16 @@ mod tests {
             SimDuration::from_ps(5).saturating_sub(SimDuration::from_ps(9)),
             SimDuration::ZERO
         );
+    }
+
+    #[test]
+    fn checked_add_refuses_past_the_clock() {
+        let t = SimTime::from_ps(u64::MAX - 5);
+        assert_eq!(
+            t.checked_add(SimDuration::from_ps(5)),
+            Some(SimTime::from_ps(u64::MAX))
+        );
+        assert_eq!(t.checked_add(SimDuration::from_ps(6)), None);
     }
 
     #[test]

@@ -294,7 +294,8 @@ fn random_boundary_faults_never_violate_recomputed_bounds() {
             2,
             SimTime::ZERO + SimDuration::from_us(5),
             SimTime::ZERO + SimDuration::from_us(15),
-        );
+        )
+        .expect("a chiplet grid has D2D links");
         let m = spec.run();
         assert_eq!(
             m.post_bound_violations(),
