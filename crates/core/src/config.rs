@@ -4,6 +4,10 @@ use crate::arb::ArbiterKind;
 use mango_hw::area::RouterParams;
 use mango_hw::timing::RouterTiming;
 
+/// VCs a network port can have: the 5-bit steering format addresses 8
+/// (`Steer::pack`). [`RouterConfig::validate`] caps `gs_vcs` here.
+pub const PORT_VCS_MAX: usize = 8;
+
 /// Configuration of one MANGO router.
 ///
 /// The defaults ([`RouterConfig::paper`]) describe the implementation of
@@ -85,8 +89,10 @@ impl RouterConfig {
         if self.params.local_gs_ifaces > 4 {
             return Err("at most 4 local GS interfaces fit the 5-bit steering format".into());
         }
-        if self.gs_vcs() > 8 {
-            return Err("at most 8 VCs per port fit the 5-bit steering format".into());
+        if self.gs_vcs() > PORT_VCS_MAX {
+            return Err(format!(
+                "at most {PORT_VCS_MAX} VCs per port fit the 5-bit steering format"
+            ));
         }
         if self.be_input_depth == 0 || self.be_output_depth == 0 {
             return Err("BE buffer depths must be positive".into());

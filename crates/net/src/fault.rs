@@ -54,7 +54,7 @@
 //! * flaky windows: one `Option<FlakyLink>` slot per link, windows on one
 //!   link merged at installation (widest span, last probability);
 //! * stuck VCs: one `u8` mask per `(router, output port)`, bit `vc` (a
-//!   port has at most 8 VCs);
+//!   port has at most [`PORT_VCS_MAX`] = 8 VCs);
 //! * dead routers: one flag per router index.
 //!
 //! The last three are allocated at installation, and only when the
@@ -68,14 +68,10 @@ use crate::topology::{Grid, TopologySpec};
 use crate::traffic::SourceKind;
 use mango_core::{
     ConnectionId, Direction, GsBufferRef, InternalEvent, LinkFlit, RouterId, Steer, UpstreamRef,
-    VcId,
+    VcId, PORT_VCS_MAX,
 };
 use mango_sim::{Ctx, SimDuration, SimRng, SimTime, Slot};
 use std::fmt;
-
-/// VCs a port can have (`RouterConfig::validate` caps `gs_vcs` at the
-/// 5-bit steering format's 8): the width of a stuck-VC mask.
-const PORT_VCS_MAX: usize = 8;
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -340,6 +336,9 @@ pub(crate) struct FaultState {
     /// `RouterDown` event.
     dead: Vec<bool>,
 }
+
+// A stuck-VC mask holds one bit per VC a port can have.
+const _: () = assert!(PORT_VCS_MAX <= u8::BITS as usize);
 
 impl FaultState {
     /// Builds the state and returns the (index-ordered) application times

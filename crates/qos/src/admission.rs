@@ -403,12 +403,9 @@ impl AdmissionController {
     /// Whether every link of the XY `route` from source `s` is up and
     /// has a free VC and `rate_fps` of residual bandwidth.
     fn route_admits(&self, s: usize, route: Route, rate_fps: u64) -> bool {
-        let all_up = self.grid.all_links_up();
         self.xy_rows[s][route.links()].iter().all(|&i| {
             let i = i as usize;
-            self.free_vcs[i] > 0
-                && self.residual_fps[i] >= rate_fps
-                && (all_up || !self.grid.link_failed(i))
+            self.free_vcs[i] > 0 && self.residual_fps[i] >= rate_fps && !self.grid.link_failed(i)
         })
     }
 

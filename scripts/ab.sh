@@ -11,9 +11,10 @@
 # runs every workload once per build, the three builds in an order that
 # rotates from round to round, each run being
 #
-#   benchmark/run.sh --workload W --seed AB_SEED --seconds AB_SECONDS --trace 0
+#   benchmark/run.sh --workload W --seed AB_SEED --seconds T --trace 0
 #
-# and prints a Markdown table ready to append to docs/perf-log.md: per
+# (T is BENCHMARK.json's `run_seconds`, the same on every side), and
+# prints a Markdown table ready to append to docs/perf-log.md: per
 # workload, a row `a1 → b1` and an A/A row `a1 → a2`, and per end-to-end
 # metric of BENCHMARK.json the median [q1, q3] of each side, the change
 # of the median and the pairs (runs of one round) in which the right-hand
@@ -23,7 +24,6 @@
 # Workloads default to all of BENCHMARK.json's. Environment:
 #   AB_PAIRS    rounds (default 10)
 #   AB_SEED     benchmark seed (default 1)
-#   AB_SECONDS  seconds per run (default 15, the benchmark's own)
 #   AB_DIR      where the worktrees and raw results go (default: a new
 #               temporary directory); the worktrees are removed on exit,
 #               the raw results (`AB_DIR/runs/*.json`) are kept
@@ -43,9 +43,10 @@ if [[ ${#workloads[@]} -eq 0 ]]; then
 import json, sys
 print("\n".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' BENCHMARK.json)
 fi
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    BENCHMARK.json)
 pairs=${AB_PAIRS:-10}
 seed=${AB_SEED:-1}
-seconds=${AB_SECONDS:-15}
 dir=${AB_DIR:-$(mktemp -d)}
 mkdir -p "$dir/runs"
 dir=$(cd "$dir" && pwd)
