@@ -9,7 +9,8 @@
 //! docs for the state machine). What is serving's own:
 //!
 //! * **what arrives** — the instance is placed by the spec's
-//!   [`PlacerKind`] (seeded from fork 2 of `serve_seed`), then every
+//!   [`PlacerKind`] (seeded from fork 2 of the engine seed,
+//!   `base.seed ^ 0x5E41_11CE`), then every
 //!   inter-node edge is admitted in declaration order; an edge failing
 //!   admission or its required latency bound rejects the whole instance
 //!   (typed by [`AppRejectReason`]) and returns the admissions made so
@@ -62,14 +63,13 @@ impl AppRejectReason {
 #[derive(Debug, Clone)]
 pub struct ServingSpec {
     /// The base scenario. `measure` must be [`mango_net::MeasureBound::For`].
+    /// Its seed also seeds the engine's streams (arrivals, holdings,
+    /// placer), salted so they do not repeat the base's.
     pub base: ScenarioSpec,
     /// The application every instance runs.
     pub graph: TaskGraph,
     /// Placement strategy for each arriving instance.
     pub placer: PlacerKind,
-    /// Seed of the engine's random streams (arrivals, holdings, placer)
-    /// — independent of `base.seed`.
-    pub serve_seed: u64,
     /// Mean gap between instance arrivals (Poisson).
     pub arrival_gap: SimDuration,
     /// Mean instance lifetime (exponential), arrival → teardown.
@@ -81,8 +81,6 @@ pub struct ServingSpec {
     pub drain_margin: SimDuration,
     /// Hard cap on offered instances.
     pub max_apps: u64,
-    /// Fraction of link capacity reservable by GS connections.
-    pub max_gs_frac: f64,
 }
 
 impl ServingSpec {
@@ -90,7 +88,6 @@ impl ServingSpec {
     /// scenario, moderate rates, 30 µs mean lifetime.
     pub fn new(base: ScenarioSpec, graph: TaskGraph, placer: PlacerKind) -> Self {
         ServingSpec {
-            serve_seed: base.seed ^ 0x5E41_11CE,
             base,
             graph,
             placer,
@@ -99,8 +96,12 @@ impl ServingSpec {
             holding_min: SimDuration::from_us(8),
             drain_margin: SimDuration::from_us(1),
             max_apps: u64::MAX,
-            max_gs_frac: 0.875,
         }
+    }
+
+    /// The seed of the engine's random streams.
+    fn serve_seed(&self) -> u64 {
+        self.base.seed ^ 0x5E41_11CE
     }
 
     /// Runs the experiment.
@@ -131,9 +132,9 @@ impl ServingSpec {
 
     /// Prepares the base scenario and starts the window and the arrivals.
     fn start(&self, cfg: Option<TelemetryConfig>) -> (PreparedScenario, Lifecycle) {
-        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg, self.max_gs_frac);
+        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg);
         let arrivals = ArrivalSpec {
-            seed: self.serve_seed,
+            seed: self.serve_seed(),
             gap: self.arrival_gap,
             holding_mean: self.holding_mean,
             holding_min: self.holding_min,
@@ -249,7 +250,7 @@ impl<'a> Engine<'a> {
     fn new(spec: &'a ServingSpec, lc: Lifecycle) -> Self {
         Engine {
             spec,
-            placements: SimRng::new(spec.serve_seed).fork(2),
+            placements: SimRng::new(spec.serve_seed()).fork(2),
             outcomes: Vec::with_capacity(lc.expected_requests()),
             lc,
         }

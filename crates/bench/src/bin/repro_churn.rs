@@ -21,7 +21,7 @@ use mango_sweep::{churn_summary_table, run_grid, write_csv, ChurnSweepSpec, Swee
 use std::time::Instant;
 
 fn main() {
-    let args = SweepArgs::from_env_no_extra();
+    let args = SweepArgs::from_env_no_extra().refuse(&["--json", "--telemetry-out"]);
     let spec = if args.smoke {
         ChurnSweepSpec::smoke()
     } else {
@@ -99,8 +99,5 @@ fn main() {
     if let Some(path) = &args.csv {
         written(path, write_csv(path, &records));
         println!("wrote {}", path.display());
-    }
-    if args.json.is_some() {
-        eprintln!("note: repro_churn has no JSON writer; use --csv");
     }
 }

@@ -76,7 +76,7 @@ fn targeted_spec(smoke: bool) -> RecoverySpec {
 }
 
 fn main() {
-    let args = SweepArgs::from_env_no_extra();
+    let args = SweepArgs::from_env_no_extra().refuse(&["--json"]);
     let spec = targeted_spec(args.smoke);
     let grid = if args.smoke {
         FaultSweepSpec::smoke()
@@ -254,9 +254,6 @@ fn main() {
     if let Some(path) = &args.csv {
         written(path, write_csv(path, &records));
         println!("wrote {}", path.display());
-    }
-    if args.json.is_some() {
-        eprintln!("note: repro_faults has no JSON writer; use --csv");
     }
     eprintln!(
         "[targeted run {:.1} ms; census grid {} jobs on {} threads in {:.1} ms]",

@@ -42,8 +42,7 @@ fn main() {
     // auto-placed first connection of a 4×4 mesh is exactly the
     // (0,0)→(3,3) six-hop stream the figure tags.
     let spec = SweepSpec {
-        meshes: vec![(4, 4)],
-        topologies: Vec::new(),
+        topologies: vec![mango::net::TopologySpec::mesh(4, 4)],
         gs_conns: vec![1],
         be_gaps_ns: be_gaps.to_vec(),
         patterns: vec![mango::net::PatternKind::Uniform],

@@ -23,7 +23,7 @@ use mango_sweep::{capacity_curves, run_grid, serving_summary_table, write_csv, S
 use std::time::Instant;
 
 fn main() {
-    let args = mango_sweep::SweepArgs::from_env_no_extra();
+    let args = mango_sweep::SweepArgs::from_env_no_extra().refuse(&["--json", "--telemetry-out"]);
     let spec = if args.smoke {
         ServingSweepSpec::smoke()
     } else {
@@ -114,8 +114,5 @@ fn main() {
     if let Some(path) = &args.csv {
         written(path, write_csv(path, &records));
         eprintln!("[wrote {}]", path.display());
-    }
-    if args.json.is_some() {
-        eprintln!("note: repro_serving has no JSON writer; use --csv");
     }
 }

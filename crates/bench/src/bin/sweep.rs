@@ -12,7 +12,7 @@
 //! byte-identical for every `--threads` value — see the `mango_sweep`
 //! crate docs for the determinism contract.
 
-use mango::net::PatternKind;
+use mango::net::{PatternKind, TopologySpec};
 use mango_bench::written;
 use mango_sweep::{run_sweep_graceful, write_csv, write_json, RuntimeInfo, SweepArgs, SweepSpec};
 use std::time::Instant;
@@ -26,7 +26,7 @@ fn usage() -> ! {
          \x20            [--threads N] [--list] [--csv PATH] [--json PATH]\n\
          patterns: uniform transpose bitcomp bitrev tornado hotspot neighbour\n\
          topologies: meshWxH torusWxH chipletCXxCYxNWxNH (e.g. chiplet2x2x4x4);\n\
-         \x20           --topology replaces the --mesh axis"
+         \x20           --mesh WxH is --topology meshWxH, and --topology wins over it"
     );
     std::process::exit(2);
 }
@@ -44,7 +44,7 @@ fn parse_list<T>(value: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> 
 }
 
 fn main() {
-    let args = SweepArgs::from_env();
+    let args = SweepArgs::from_env().refuse(&["--telemetry-out"]);
     // Grid choice is resolved before the dimension flags so the CLI is
     // order-independent: `--mesh 8x8 --pattern-smoke` and
     // `--pattern-smoke --mesh 8x8` both start from the pattern-smoke
@@ -58,6 +58,8 @@ fn main() {
         SweepSpec::full()
     };
     let mut full = false;
+    // `--topology` wins over `--mesh` whatever their order.
+    let (mut meshes, mut topologies) = (None, None);
     let mut rest = args.rest.iter();
     while let Some(flag) = rest.next() {
         let mut value = || {
@@ -73,13 +75,13 @@ fn main() {
                 spec.patterns = parse_list(value(), "pattern", PatternKind::parse);
             }
             "--mesh" => {
-                spec.meshes = parse_list(value(), "mesh", |s| {
+                meshes = Some(parse_list(value(), "mesh", |s| {
                     let (w, h) = s.split_once('x')?;
-                    Some((w.parse().ok()?, h.parse().ok()?))
-                });
+                    Some(TopologySpec::mesh(w.parse().ok()?, h.parse().ok()?))
+                }));
             }
             "--topology" => {
-                spec.topologies = parse_list(value(), "topology", mango::net::TopologySpec::parse);
+                topologies = Some(parse_list(value(), "topology", TopologySpec::parse));
             }
             "--gs" => spec.gs_conns = parse_list(value(), "GS count", |s| s.parse().ok()),
             "--be-gap" => {
@@ -106,6 +108,9 @@ fn main() {
                 usage();
             }
         }
+    }
+    if let Some(axis) = topologies.or(meshes) {
+        spec.topologies = axis;
     }
     if [args.smoke, pattern_smoke, full]
         .iter()

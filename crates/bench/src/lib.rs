@@ -8,7 +8,7 @@
 pub mod paper;
 
 use mango::core::{ConnectionId, RouterConfig, RouterId};
-use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, Pattern, SpatialPattern};
+use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, SpatialPattern, TemporalSpec};
 use mango::qos::GuaranteeAudit;
 use mango::sim::SimDuration;
 
@@ -91,7 +91,7 @@ pub fn funnel(
     cfg: RouterConfig,
     grid: Grid,
     pairs: &[Pair],
-    pattern: Pattern,
+    pattern: TemporalSpec,
     seed: u64,
 ) -> (NocSim, Vec<u32>) {
     let (mut sim, conns) = open_funnel(cfg, grid, pairs, seed);
@@ -128,7 +128,7 @@ pub fn mixed_mesh(width: u8, height: u8, seed: u64) -> NocSim {
         sim.wait_connections_settled().expect("settles");
         sim.add_gs_source(
             c,
-            Pattern::cbr(SimDuration::from_ns(12)),
+            TemporalSpec::cbr(SimDuration::from_ns(12)),
             "gs",
             EmitWindow::default(),
         );
@@ -149,7 +149,7 @@ pub fn add_be_background(sim: &mut NocSim, mean_gap: SimDuration) {
             node,
             SpatialPattern::UniformRandom,
             4,
-            Pattern::poisson(mean_gap),
+            TemporalSpec::poisson(mean_gap),
             format!("bg-{node}"),
             EmitWindow::default(),
         );
@@ -167,7 +167,7 @@ mod tests {
         let solo = |depth| {
             let mut cfg = RouterConfig::paper();
             cfg.params.buffer_depth = depth;
-            let offered = Pattern::cbr(SimDuration::from_ns(1));
+            let offered = TemporalSpec::cbr(SimDuration::from_ns(1));
             let (mut sim, flows) = funnel(cfg, Grid::new(3, 1), &LINE[..1], offered, 5);
             sim.run_for(SimDuration::from_us(50));
             sim.flow_throughput_m(flows[0])

@@ -15,7 +15,7 @@ use mango::hw::area::{AreaModel, RouterParams, Table1};
 use mango::hw::link::{decode_1of4, encode_1of4, LinkEncoding};
 use mango::hw::power::PowerModel;
 use mango::hw::{Corner, RouterTiming, Table, TimingModel};
-use mango::net::{EmitWindow, Grid, NaConfig, NocSim, Pattern, Phase, ScenarioSpec};
+use mango::net::{EmitWindow, Grid, NaConfig, NocSim, Phase, ScenarioSpec};
 use mango::net::{SpatialPattern, TemporalSpec, TrafficSpec};
 use mango::qos::{GuaranteeAudit, ServiceModel};
 use mango::sim::{SimDuration, SimTime};
@@ -132,8 +132,8 @@ fn us(n: u64) -> SimDuration {
     SimDuration::from_us(n)
 }
 
-fn cbr(gap_ns: u64) -> Pattern {
-    Pattern::cbr(ns(gap_ns))
+fn cbr(gap_ns: u64) -> TemporalSpec {
+    TemporalSpec::cbr(ns(gap_ns))
 }
 
 fn limited(flits: u64) -> EmitWindow {
@@ -482,7 +482,12 @@ fn alg() -> Row {
     });
     // Every VC offered ~79 Mflit/s, 90% of its fair share.
     let [fair_lat, alg_lat] = kinds.map(|k| {
-        let (sim, flows) = run(k, Pattern::poisson(SimDuration::from_ps(12_600)), 67, 200);
+        let (sim, flows) = run(
+            k,
+            TemporalSpec::poisson(SimDuration::from_ps(12_600)),
+            67,
+            200,
+        );
         let latency = flows.into_iter().map(|f| sim.flow(f).latency);
         Vec::from_iter(latency.map(|l| [l.mean(), l.quantile(0.99)].map(in_ns)))
     });

@@ -79,6 +79,65 @@ fn table_only_bins_refuse_the_flags_they_do_not_honour() {
     }
 }
 
+/// A binary that does not write an output refuses the flag that asks
+/// for it (exit 2) instead of accepting it and writing nothing.
+#[test]
+fn bins_refuse_the_output_flags_they_do_not_write() {
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/unwritten");
+    for (exe, flag) in [
+        (env!("CARGO_BIN_EXE_repro_churn"), "--json"),
+        (env!("CARGO_BIN_EXE_repro_churn"), "--telemetry-out"),
+        (env!("CARGO_BIN_EXE_repro_serving"), "--json"),
+        (env!("CARGO_BIN_EXE_repro_serving"), "--telemetry-out"),
+        (env!("CARGO_BIN_EXE_repro_faults"), "--json"),
+        (SWEEP, "--telemetry-out"),
+    ] {
+        assert_usage_error(exe, &["--smoke", flag, dir]);
+    }
+}
+
+/// `--mesh WxH` writes mesh topologies onto the one topology axis, and
+/// `--topology` wins over it whichever comes first.
+#[test]
+fn sweep_topology_wins_over_mesh_in_either_order() {
+    let list = |args: &[&str]| {
+        let out = run(SWEEP, args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let mesh_first = list(&["--list", "--mesh", "8x8", "--topology", "torus4x4"]);
+    let topology_first = list(&["--list", "--topology", "torus4x4", "--mesh", "8x8"]);
+    assert_eq!(mesh_first, topology_first);
+    let jobs: Vec<&str> = mesh_first.lines().skip(1).collect();
+    assert!(!jobs.is_empty(), "{mesh_first}");
+    assert!(
+        jobs.iter().all(|j| j.contains(" torus4x4 ")),
+        "{mesh_first}"
+    );
+    assert!(list(&["--list", "--mesh", "8x8"]).contains(" mesh8x8 "));
+}
+
+/// `--smoke --list` prints the fixed smoke grid, job for job.
+#[test]
+fn sweep_smoke_listing_is_the_fixed_smoke_grid() {
+    let out = run(SWEEP, &["--smoke", "--list"]);
+    assert_eq!(out.status.code(), Some(0));
+    let mut want = String::from("sweep: smoke grid, 8 jobs (listing, not running)\n");
+    let mut id = 0;
+    for gs in [0, 2] {
+        for gap in [300, 100] {
+            for seed in [1, 2] {
+                want.push_str(&format!(
+                    "job {id}: mesh4x4 gs={gs} be_gap={gap} pattern=uniform period=12 \
+                     measure=20 seed={seed}\n"
+                ));
+                id += 1;
+            }
+        }
+    }
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+}
+
 /// A grid that cannot run is refused before any job starts (exit 2); a
 /// result file that cannot be written is reported after the run
 /// (exit 1). Either way stderr is one `error:` line.

@@ -34,8 +34,12 @@
 //! ([`GsArena::vc_absorb_unlock`]) — after which the state is exactly
 //! what the queued event would have left.
 
+use crate::config::NA_RX_DEPTH;
 use crate::flit::Flit;
 use mango_sim::Slot;
+
+// The NA's free delivery slots are a non-empty `u8` count.
+const _: () = assert!(NA_RX_DEPTH > 0 && NA_RX_DEPTH < 256);
 
 /// Per-VC state flags (bit set = condition holds).
 const LOCKED: u8 = 1 << 0;
@@ -58,7 +62,6 @@ pub struct GsArena {
     gs_vcs: usize,
     ifaces: usize,
     depth: usize,
-    na_rx_depth: usize,
     routers: usize,
 
     // ---- network VC slots: routers × 4 × gs_vcs ----
@@ -94,20 +97,18 @@ impl std::fmt::Debug for GsArena {
 impl GsArena {
     /// An empty arena for routers with `gs_vcs` VCs per network port,
     /// `ifaces` local GS interfaces, `depth`-flit output buffers and
-    /// `na_rx_depth` NA delivery slots per interface.
+    /// [`NA_RX_DEPTH`] NA delivery slots per interface.
     ///
     /// # Panics
     ///
-    /// Panics if `depth` or `na_rx_depth` exceed the `u8` ring cursors,
-    /// or if `depth` is zero.
-    pub fn new(gs_vcs: usize, ifaces: usize, depth: usize, na_rx_depth: usize) -> Self {
+    /// Panics if `depth` exceeds the `u8` ring cursors or is zero.
+    pub fn new(gs_vcs: usize, ifaces: usize, depth: usize) -> Self {
         assert!(depth > 0, "GS buffers need at least one flit of depth");
-        assert!(depth < 256 && na_rx_depth < 256, "arena cursors are u8");
+        assert!(depth < 256, "arena cursors are u8");
         GsArena {
             gs_vcs,
             ifaces,
             depth,
-            na_rx_depth,
             routers: 0,
             vc_unshare: Vec::new(),
             vc_flags: Vec::new(),
@@ -127,14 +128,8 @@ impl GsArena {
 
     /// An arena pre-sized for `routers` routers (the slabs are allocated
     /// once; [`GsArena::add_router`] then only advances the bases).
-    pub fn with_capacity(
-        gs_vcs: usize,
-        ifaces: usize,
-        depth: usize,
-        na_rx_depth: usize,
-        routers: usize,
-    ) -> Self {
-        let mut a = Self::new(gs_vcs, ifaces, depth, na_rx_depth);
+    pub fn with_capacity(gs_vcs: usize, ifaces: usize, depth: usize, routers: usize) -> Self {
+        let mut a = Self::new(gs_vcs, ifaces, depth);
         let vcs = routers * 4 * gs_vcs;
         let los = routers * ifaces;
         a.vc_unshare.reserve_exact(vcs);
@@ -176,7 +171,7 @@ impl GsArena {
         self.lo_head.resize(self.lo_head.len() + self.ifaces, 0);
         self.lo_len.resize(self.lo_len.len() + self.ifaces, 0);
         self.lo_na_free
-            .resize(self.lo_na_free.len() + self.ifaces, self.na_rx_depth as u8);
+            .resize(self.lo_na_free.len() + self.ifaces, NA_RX_DEPTH as u8);
         self.lo_flits
             .resize(self.lo_flits.len() + self.ifaces * self.depth, Flit::gs(0));
         self.routers += 1;
@@ -466,7 +461,7 @@ impl GsArena {
     pub fn local_na_consumed(&mut self, slot: usize) {
         self.lo_na_free[slot] += 1;
         assert!(
-            (self.lo_na_free[slot] as usize) <= self.na_rx_depth,
+            (self.lo_na_free[slot] as usize) <= NA_RX_DEPTH,
             "NA returned more delivery slots than it has"
         );
     }
@@ -526,7 +521,7 @@ mod tests {
 
     #[test]
     fn add_router_hands_out_disjoint_bases() {
-        let mut a = GsArena::new(7, 4, 1, 1);
+        let mut a = GsArena::new(7, 4, 1);
         let r0 = a.add_router();
         let r1 = a.add_router();
         assert_eq!(r0.vc_base, 0);
@@ -540,7 +535,7 @@ mod tests {
 
     #[test]
     fn nominal_vc_flow_matches_reference() {
-        let mut a = GsArena::new(7, 4, 1, 1);
+        let mut a = GsArena::new(7, 4, 1);
         let r = a.add_router();
         let slot = a.vc_slot(r, 1, 3);
         a.vc_arrive(slot, Flit::gs(1));
@@ -565,7 +560,7 @@ mod tests {
     #[test]
     fn vc_slot_matches_reference_state_machine() {
         for depth in [1usize, 2, 3, 4] {
-            let mut arena = GsArena::new(7, 4, depth, 1);
+            let mut arena = GsArena::new(7, 4, depth);
             let r = arena.add_router();
             let slot = arena.vc_slot(r, 2, 5);
             let mut reference = VcBufferState::new(depth);
@@ -615,11 +610,11 @@ mod tests {
     /// Same cross-check for the local-interface state machine.
     #[test]
     fn local_slot_matches_reference_state_machine() {
-        for (depth, na_depth) in [(1usize, 1usize), (2, 1), (1, 2), (3, 2)] {
-            let mut arena = GsArena::new(7, 4, depth, na_depth);
+        for depth in [1usize, 2, 3] {
+            let mut arena = GsArena::new(7, 4, depth);
             let r = arena.add_router();
             let slot = arena.local_slot(r, 3);
-            let mut reference = LocalGsState::new(depth, na_depth);
+            let mut reference = LocalGsState::new(depth);
             let mut outstanding = 0usize;
             let mut x = 0xfeed_beefu64;
             let mut n = 0u32;
@@ -654,7 +649,7 @@ mod tests {
                         if outstanding > 0 {
                             outstanding -= 1;
                             arena.local_na_consumed(slot);
-                            reference.na_consumed(na_depth);
+                            reference.na_consumed();
                         }
                     }
                     _ => {
@@ -667,7 +662,7 @@ mod tests {
 
     #[test]
     fn ring_preserves_fifo_order_at_depth() {
-        let mut a = GsArena::new(7, 4, 3, 1);
+        let mut a = GsArena::new(7, 4, 3);
         let r = a.add_router();
         let slot = a.vc_slot(r, 0, 0);
         for i in 1..=3 {
@@ -691,7 +686,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "share-based VC control violated")]
     fn double_arrival_panics() {
-        let mut a = GsArena::new(7, 4, 1, 1);
+        let mut a = GsArena::new(7, 4, 1);
         let r = a.add_router();
         let slot = a.vc_slot(r, 0, 0);
         a.vc_arrive(slot, Flit::gs(1));
@@ -701,7 +696,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unlock toggle on unlocked sharebox")]
     fn spurious_unlock_panics() {
-        let mut a = GsArena::new(7, 4, 1, 1);
+        let mut a = GsArena::new(7, 4, 1);
         let r = a.add_router();
         a.vc_unlock(a.vc_slot(r, 0, 0));
     }
@@ -709,7 +704,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "NA returned more delivery slots")]
     fn na_slot_overflow_detected() {
-        let mut a = GsArena::new(7, 4, 1, 1);
+        let mut a = GsArena::new(7, 4, 1);
         let r = a.add_router();
         a.local_na_consumed(a.local_slot(r, 0));
     }

@@ -68,11 +68,6 @@ impl fmt::Display for BeInput {
     }
 }
 
-/// Bound on the BE latch/output stage depths that
-/// [`crate::RouterConfig::validate`] accepts — the paper's stages are two
-/// flits deep; the bound leaves headroom for experimental configs.
-pub const BE_STAGE_MAX: usize = 4;
-
 #[cfg(test)]
 pub(crate) mod reference;
 
@@ -102,7 +97,7 @@ mod tests {
 
     #[test]
     fn needs_routing_only_between_packets() {
-        let mut unit = BeUnit::new(2, 2, 2);
+        let mut unit = BeUnit::new();
         let input = BeInput::LocalNa;
         assert!(!unit.input(input).needs_routing(), "empty latch");
         unit.input_mut(input).latch.push(Flit::be(0, false));
@@ -116,7 +111,7 @@ mod tests {
 
     #[test]
     fn can_move_requires_decision_and_idle_pipeline() {
-        let mut unit = BeUnit::new(2, 2, 2);
+        let mut unit = BeUnit::new();
         let i = BeInput::Net(Direction::North);
         unit.input_mut(i).latch.push(Flit::be(0, true));
         assert!(!unit.input(i).can_move(), "no decision yet");
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn link_ready_needs_flit_and_credit() {
-        let mut unit = BeUnit::new(2, 2, 1);
+        let mut unit = BeUnit::new();
         let out = &mut unit.outputs[0];
         assert!(!out.link_ready());
         out.buf.push(Flit::be(0, true));
@@ -140,13 +135,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "credit overflow")]
     fn credit_overflow_is_detected() {
-        let mut unit = BeUnit::new(2, 2, 1);
+        let mut unit = BeUnit::new();
         unit.outputs[0].add_credit();
     }
 
     #[test]
     fn credit_decrement_and_return_roundtrip() {
-        let mut unit = BeUnit::new(2, 2, 2);
+        let mut unit = BeUnit::new();
         unit.outputs[1].credits -= 1;
         unit.outputs[1].credits -= 1;
         assert!(!unit.outputs[1].link_ready());
@@ -179,7 +174,7 @@ mod tests {
 
     #[test]
     fn has_work_tracks_all_stages() {
-        let mut unit = BeUnit::new(2, 2, 2);
+        let mut unit = BeUnit::new();
         assert!(!unit.has_work());
         unit.prog_rx.push(1);
         assert!(unit.has_work());

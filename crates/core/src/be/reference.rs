@@ -8,6 +8,7 @@
 
 use super::BeInput;
 use crate::be_arena::rr_pick_mask;
+use crate::config::{BE_INPUT_DEPTH, BE_OUTPUT_DEPTH};
 use crate::fifo::Fifo;
 use crate::flit::Flit;
 use crate::packet::BeDest;
@@ -26,9 +27,9 @@ pub struct BeInputState {
 }
 
 impl BeInputState {
-    fn new(depth: usize) -> Self {
+    fn new() -> Self {
         BeInputState {
-            latch: Fifo::new(depth),
+            latch: Fifo::new(BE_INPUT_DEPTH),
             in_progress: None,
             routing: false,
             moving: false,
@@ -55,7 +56,6 @@ pub struct BeOutputState {
     pub buf: Fifo<Flit>,
     /// Credits for the downstream router's BE input latch.
     pub credits: usize,
-    credits_max: usize,
     /// Input currently holding this output (packet coherency).
     pub locked_to: Option<BeInput>,
     /// Round-robin pointer for fair input arbitration.
@@ -63,11 +63,10 @@ pub struct BeOutputState {
 }
 
 impl BeOutputState {
-    fn new(depth: usize, credits: usize) -> Self {
+    fn new() -> Self {
         BeOutputState {
-            buf: Fifo::new(depth),
-            credits,
-            credits_max: credits,
+            buf: Fifo::new(BE_OUTPUT_DEPTH),
+            credits: BE_INPUT_DEPTH,
             locked_to: None,
             rr: 0,
         }
@@ -88,7 +87,7 @@ impl BeOutputState {
     pub fn add_credit(&mut self) {
         self.credits += 1;
         assert!(
-            self.credits <= self.credits_max,
+            self.credits <= BE_INPUT_DEPTH,
             "BE credit overflow: more credits than buffer slots"
         );
     }
@@ -120,12 +119,12 @@ pub struct BeUnit {
 }
 
 impl BeUnit {
-    /// Creates the BE unit with the given latch depth, output depth and
-    /// initial per-link credits.
-    pub fn new(input_depth: usize, output_depth: usize, credits: usize) -> Self {
+    /// Creates an empty BE unit: every output holds a full set of
+    /// credits toward its neighbour's latch.
+    pub fn new() -> Self {
         BeUnit {
-            inputs: std::array::from_fn(|_| BeInputState::new(input_depth)),
-            outputs: std::array::from_fn(|_| BeOutputState::new(output_depth, credits)),
+            inputs: std::array::from_fn(|_| BeInputState::new()),
+            outputs: std::array::from_fn(|_| BeOutputState::new()),
             local_out: BeLocalOut::default(),
             prog_rx: Vec::new(),
         }

@@ -34,15 +34,16 @@
 //! # Parked credits
 //!
 //! One thing the reference unit does not have: each output holds, next
-//! to its credit counter, the slots of up to `credits` returning credits
-//! that are on their way but were never queued as events
-//! ([`BeArena::out_park_credit`]; a slab of `credits` slots per output,
+//! to its credit counter, the slots of up to [`BE_INPUT_DEPTH`] returning
+//! credits that are on their way but were never queued as events
+//! ([`BeArena::out_park_credit`]; a slab of that many slots per output,
 //! the count in the metadata block). Whoever reads the counter first
 //! absorbs the ones whose slot has passed
 //! ([`BeArena::out_absorb_credits`]) — after which the counter is exactly
 //! what the queued events would have left.
 
 use crate::be::BeInput;
+use crate::config::{BE_INPUT_DEPTH, BE_OUTPUT_DEPTH};
 use crate::flit::Flit;
 use crate::ids::Direction;
 use crate::packet::BeDest;
@@ -54,6 +55,11 @@ const MOVING: u8 = 1 << 1;
 
 /// Metadata block bytes per router (one cache line; see module docs).
 const BLOCK: usize = 64;
+/// A full output's credits: one per slot of the neighbour's input latch.
+const CREDITS_MAX: u8 = BE_INPUT_DEPTH as u8;
+// Ring cursors and credit counters are non-empty `u8` counts.
+const _: () = assert!(BE_INPUT_DEPTH > 0 && BE_INPUT_DEPTH < 256);
+const _: () = assert!(BE_OUTPUT_DEPTH > 0 && BE_OUTPUT_DEPTH < 256);
 /// Input-slot-relative offsets (slot = `router·64 + input`).
 const IN_LEN: usize = 8;
 const IN_DEST: usize = 16;
@@ -119,21 +125,21 @@ pub struct BeSlots {
 }
 
 /// Flat struct-of-arrays storage for every BE input latch, output stage
-/// and arbitration lock of a mesh. See the module docs for the layout.
-#[derive(Clone)]
+/// and arbitration lock of a mesh: [`BE_INPUT_DEPTH`]-flit latches,
+/// [`BE_OUTPUT_DEPTH`]-flit output stages and one initial credit per slot
+/// of the neighbour's latch on every link. See the module docs for the
+/// layout.
+#[derive(Clone, Default)]
 pub struct BeArena {
-    input_depth: usize,
-    output_depth: usize,
-    credits_max: u8,
     routers: usize,
     /// All per-router `u8` control state, one [`BLOCK`]-byte block per
     /// router (cursors, decisions, flags, credits, locks, round-robins).
     meta: Vec<u8>,
-    /// Input latch rings, router-major: `(router·6 + input)·depth`.
+    /// Input latch rings, router-major: `(router·6 + input)·BE_INPUT_DEPTH`.
     in_flits: Vec<Flit>,
-    /// Output stage rings, router-major: `(router·4 + dir)·depth`.
+    /// Output stage rings, router-major: `(router·4 + dir)·BE_OUTPUT_DEPTH`.
     out_flits: Vec<Flit>,
-    /// Parked credit slots, router-major: `(router·4 + dir)·credits`,
+    /// Parked credit slots, router-major: `(router·4 + dir)·BE_INPUT_DEPTH`,
     /// the first `meta[slot + OUT_PARKED]` of each run in use, unordered.
     out_parked: Vec<Slot>,
 }
@@ -142,55 +148,19 @@ impl std::fmt::Debug for BeArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BeArena")
             .field("routers", &self.routers)
-            .field("input_depth", &self.input_depth)
-            .field("output_depth", &self.output_depth)
             .finish_non_exhaustive()
     }
 }
 
 impl BeArena {
-    /// An empty arena for BE units with `input_depth`-flit latches,
-    /// `output_depth`-flit output stages and `credits` initial per-link
-    /// credits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a depth is zero or any dimension exceeds the `u8` ring
-    /// cursors.
-    pub fn new(input_depth: usize, output_depth: usize, credits: usize) -> Self {
-        assert!(
-            input_depth > 0 && output_depth > 0,
-            "BE stages need at least one flit of depth"
-        );
-        assert!(
-            input_depth < 256 && output_depth < 256 && credits < 256,
-            "arena cursors are u8"
-        );
-        BeArena {
-            input_depth,
-            output_depth,
-            credits_max: credits as u8,
-            routers: 0,
-            meta: Vec::new(),
-            in_flits: Vec::new(),
-            out_flits: Vec::new(),
-            out_parked: Vec::new(),
-        }
-    }
-
     /// An arena pre-sized for `routers` routers (the slabs are allocated
     /// once; [`BeArena::add_router`] then only advances the bases).
-    pub fn with_capacity(
-        input_depth: usize,
-        output_depth: usize,
-        credits: usize,
-        routers: usize,
-    ) -> Self {
-        let mut a = Self::new(input_depth, output_depth, credits);
+    pub fn with_capacity(routers: usize) -> Self {
+        let mut a = Self::default();
         a.meta.reserve_exact(routers * BLOCK);
-        a.in_flits.reserve_exact(routers * 6 * input_depth);
-        a.out_flits.reserve_exact(routers * 4 * output_depth);
-        a.out_parked.reserve_exact(routers * 4 * credits);
+        a.in_flits.reserve_exact(routers * 6 * BE_INPUT_DEPTH);
+        a.out_flits.reserve_exact(routers * 4 * BE_OUTPUT_DEPTH);
+        a.out_parked.reserve_exact(routers * 4 * BE_INPUT_DEPTH);
         a
     }
 
@@ -199,40 +169,21 @@ impl BeArena {
         let slots = BeSlots {
             base: self.routers as u32,
         };
-        self.in_flits.resize(
-            self.in_flits.len() + 6 * self.input_depth,
-            Flit::be(0, false),
-        );
+        self.in_flits
+            .resize(self.in_flits.len() + 6 * BE_INPUT_DEPTH, Flit::be(0, false));
         self.out_flits.resize(
-            self.out_flits.len() + 4 * self.output_depth,
+            self.out_flits.len() + 4 * BE_OUTPUT_DEPTH,
             Flit::be(0, false),
         );
-        self.out_parked.resize(
-            self.out_parked.len() + 4 * self.credits_max as usize,
-            Slot::NEVER,
-        );
+        self.out_parked
+            .resize(self.out_parked.len() + 4 * BE_INPUT_DEPTH, Slot::NEVER);
         let start = self.meta.len();
         self.meta.resize(start + BLOCK, 0);
         for d in 0..4 {
-            self.meta[start + OUT_BASE + OUT_CRED + d] = self.credits_max;
+            self.meta[start + OUT_BASE + OUT_CRED + d] = CREDITS_MAX;
         }
         self.routers += 1;
         slots
-    }
-
-    /// Input latch depth in flits.
-    pub fn input_depth(&self) -> usize {
-        self.input_depth
-    }
-
-    /// Output stage depth in flits.
-    pub fn output_depth(&self) -> usize {
-        self.output_depth
-    }
-
-    /// Initial per-link credits.
-    pub fn credits_max(&self) -> usize {
-        self.credits_max as usize
     }
 
     /// Routers added so far.
@@ -258,21 +209,21 @@ impl BeArena {
     #[inline]
     fn in_flit_base(&self, slot: usize) -> usize {
         let (router, input) = (slot / BLOCK, slot % BLOCK);
-        (router * 6 + input) * self.input_depth
+        (router * 6 + input) * BE_INPUT_DEPTH
     }
 
     /// First flit-slab index of the output ring behind `slot`.
     #[inline]
     fn out_flit_base(&self, slot: usize) -> usize {
         let (router, dir) = (slot / BLOCK, slot % BLOCK - OUT_BASE);
-        (router * 4 + dir) * self.output_depth
+        (router * 4 + dir) * BE_OUTPUT_DEPTH
     }
 
     /// First parked-slab index of the output behind `slot`.
     #[inline]
     fn out_parked_base(&self, slot: usize) -> usize {
         let (router, dir) = (slot / BLOCK, slot % BLOCK - OUT_BASE);
-        (router * 4 + dir) * self.credits_max as usize
+        (router * 4 + dir) * BE_INPUT_DEPTH
     }
 
     // ------------------------------------------------------------------
@@ -288,12 +239,11 @@ impl BeArena {
     pub fn in_push(&mut self, slot: usize, flit: Flit) {
         let len = self.meta[slot + IN_LEN] as usize;
         assert!(
-            len < self.input_depth,
-            "Fifo overflow: flow control violated (capacity {})",
-            self.input_depth
+            len < BE_INPUT_DEPTH,
+            "Fifo overflow: flow control violated (capacity {BE_INPUT_DEPTH})"
         );
         let head = self.meta[slot] as usize;
-        let pos = self.in_flit_base(slot) + (head + len) % self.input_depth;
+        let pos = self.in_flit_base(slot) + (head + len) % BE_INPUT_DEPTH;
         self.in_flits[pos] = flit;
         self.meta[slot + IN_LEN] += 1;
     }
@@ -305,7 +255,7 @@ impl BeArena {
         }
         let head = self.meta[slot] as usize;
         let flit = self.in_flits[self.in_flit_base(slot) + head];
-        self.meta[slot] = ((head + 1) % self.input_depth) as u8;
+        self.meta[slot] = ((head + 1) % BE_INPUT_DEPTH) as u8;
         self.meta[slot + IN_LEN] -= 1;
         Some(flit)
     }
@@ -335,7 +285,7 @@ impl BeArena {
     /// True if the latch is at capacity.
     #[inline]
     pub fn in_is_full(&self, slot: usize) -> bool {
-        self.meta[slot + IN_LEN] as usize == self.input_depth
+        self.meta[slot + IN_LEN] as usize == BE_INPUT_DEPTH
     }
 
     /// The routing decision of the packet in progress.
@@ -413,12 +363,11 @@ impl BeArena {
     pub fn out_push(&mut self, slot: usize, flit: Flit) {
         let len = self.meta[slot + OUT_LEN] as usize;
         assert!(
-            len < self.output_depth,
-            "Fifo overflow: flow control violated (capacity {})",
-            self.output_depth
+            len < BE_OUTPUT_DEPTH,
+            "Fifo overflow: flow control violated (capacity {BE_OUTPUT_DEPTH})"
         );
         let head = self.meta[slot] as usize;
-        let pos = self.out_flit_base(slot) + (head + len) % self.output_depth;
+        let pos = self.out_flit_base(slot) + (head + len) % BE_OUTPUT_DEPTH;
         self.out_flits[pos] = flit;
         self.meta[slot + OUT_LEN] += 1;
     }
@@ -430,7 +379,7 @@ impl BeArena {
         }
         let head = self.meta[slot] as usize;
         let flit = self.out_flits[self.out_flit_base(slot) + head];
-        self.meta[slot] = ((head + 1) % self.output_depth) as u8;
+        self.meta[slot] = ((head + 1) % BE_OUTPUT_DEPTH) as u8;
         self.meta[slot + OUT_LEN] -= 1;
         Some(flit)
     }
@@ -444,7 +393,7 @@ impl BeArena {
     /// True if the output stage is at capacity.
     #[inline]
     pub fn out_is_full(&self, slot: usize) -> bool {
-        self.meta[slot + OUT_LEN] as usize == self.output_depth
+        self.meta[slot + OUT_LEN] as usize == BE_OUTPUT_DEPTH
     }
 
     /// True if this output's link-arbiter slot is ready: a flit staged
@@ -477,7 +426,7 @@ impl BeArena {
     pub fn out_add_credit(&mut self, slot: usize) {
         self.meta[slot + OUT_CRED] += 1;
         assert!(
-            self.meta[slot + OUT_CRED] <= self.credits_max,
+            self.meta[slot + OUT_CRED] <= CREDITS_MAX,
             "BE credit overflow: more credits than buffer slots"
         );
     }
@@ -493,7 +442,7 @@ impl BeArena {
     pub fn out_park_credit(&mut self, slot: usize, at: Slot) {
         let n = self.meta[slot + OUT_PARKED];
         assert!(
-            self.meta[slot + OUT_CRED] + n < self.credits_max,
+            self.meta[slot + OUT_CRED] + n < CREDITS_MAX,
             "BE credit overflow: more credits than buffer slots"
         );
         let base = self.out_parked_base(slot);
@@ -654,8 +603,7 @@ impl BeArena {
         for i in 0..6 {
             let slot = block + i;
             for k in 0..self.meta[slot + IN_LEN] as usize {
-                let pos =
-                    self.in_flit_base(slot) + (self.meta[slot] as usize + k) % self.input_depth;
+                let pos = self.in_flit_base(slot) + (self.meta[slot] as usize + k) % BE_INPUT_DEPTH;
                 n += u64::from(self.in_flits[pos].is_instrumented());
             }
         }
@@ -663,7 +611,7 @@ impl BeArena {
             let slot = block + OUT_BASE + d;
             for k in 0..self.meta[slot + OUT_LEN] as usize {
                 let pos =
-                    self.out_flit_base(slot) + (self.meta[slot] as usize + k) % self.output_depth;
+                    self.out_flit_base(slot) + (self.meta[slot] as usize + k) % BE_OUTPUT_DEPTH;
                 n += u64::from(self.out_flits[pos].is_instrumented());
             }
         }
@@ -709,149 +657,147 @@ mod tests {
     /// every op — the same cross-check style the GS arena got in PR 4.
     #[test]
     fn arena_matches_reference_be_unit() {
-        for (in_depth, out_depth, credits) in [(2, 2, 2), (4, 4, 4), (1, 2, 1), (3, 1, 2)] {
-            let mut arena = BeArena::new(in_depth, out_depth, credits);
-            let slots = arena.add_router();
-            let mut unit = BeUnit::new(in_depth, out_depth, credits);
-            let mut x: u64 = 0x9E37_79B9_7F4A_7C15 ^ (in_depth as u64) << 8;
-            for step in 1..5000u32 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let input = BeInput::ALL[(x >> 13) as usize % 6];
-                let in_slot = arena.in_slot(slots, input);
-                let dir = Direction::ALL[(x >> 21) as usize % 4];
-                let out_slot = arena.out_slot(slots, dir);
-                let dest = dec_dest(((x >> 27) % 6) as u8);
-                match (x >> 33) % 10 {
-                    0 if !unit.input(input).latch.is_full() => {
-                        unit.input_mut(input).latch.push(flit(step));
-                        arena.in_push(in_slot, flit(step));
-                    }
-                    0 => {}
-                    1 => {
-                        assert_eq!(unit.input_mut(input).latch.pop(), arena.in_pop(in_slot));
-                    }
-                    2 => {
-                        if let Some(f) = unit.input_mut(input).latch.front_mut() {
-                            f.data = f.data.rotate_left(2);
-                            let g = arena.in_front_mut(in_slot).expect("reference non-empty");
-                            g.data = g.data.rotate_left(2);
-                        } else {
-                            assert!(arena.in_front_mut(in_slot).is_none());
-                        }
-                    }
-                    3 => {
-                        unit.input_mut(input).in_progress = dest;
-                        arena.set_in_progress(in_slot, dest);
-                    }
-                    4 => {
-                        let on = x & 1 == 0;
-                        if x & 2 == 0 {
-                            unit.input_mut(input).routing = on;
-                            arena.set_in_routing(in_slot, on);
-                        } else {
-                            unit.input_mut(input).moving = on;
-                            arena.set_in_moving(in_slot, on);
-                        }
-                    }
-                    5 if !unit.outputs[dir.index()].buf.is_full() => {
-                        unit.outputs[dir.index()].buf.push(flit(step));
-                        arena.out_push(out_slot, flit(step));
-                    }
-                    5 => {}
-                    6 => {
-                        assert_eq!(unit.outputs[dir.index()].buf.pop(), arena.out_pop(out_slot));
-                    }
-                    7 => {
-                        if unit.outputs[dir.index()].credits > 0 {
-                            unit.outputs[dir.index()].credits -= 1;
-                            arena.out_take_credit(out_slot);
-                        } else if x & 4 == 0 {
-                            unit.outputs[dir.index()].add_credit();
-                            arena.out_add_credit(out_slot);
-                        } else {
-                            // The same credit, parked: invisible before
-                            // its slot, the reference's `add_credit` from
-                            // it on.
-                            let at = slot_at(u64::from(step));
-                            arena.out_park_credit(out_slot, at);
-                            let before = unit.outputs[dir.index()].link_ready();
-                            assert_eq!(arena.out_link_ready(out_slot), before);
-                            assert_eq!(
-                                arena.out_link_ready_at(out_slot, slot_at(u64::from(step) - 1)),
-                                before
-                            );
-                            unit.outputs[dir.index()].add_credit();
-                            assert_eq!(
-                                arena.out_link_ready_at(out_slot, at),
-                                unit.outputs[dir.index()].link_ready()
-                            );
-                            arena.out_absorb_credits(out_slot, slot_at(u64::from(step) - 1));
-                            assert_eq!(arena.out_parked(out_slot), [at]);
-                            arena.out_absorb_credits(out_slot, at);
-                            assert!(arena.out_parked(out_slot).is_empty());
-                        }
-                    }
-                    8 => {
-                        let lock = (x & 1 == 0).then_some(input);
-                        if x & 2 == 0 {
-                            unit.outputs[dir.index()].locked_to = lock;
-                            unit.outputs[dir.index()].rr = input.index();
-                            arena.set_out_locked_to(out_slot, lock);
-                            arena.set_out_rr(out_slot, input.index());
-                        } else {
-                            unit.local_out.locked_to = lock;
-                            unit.local_out.rr = input.index();
-                            arena.set_local_locked_to(slots, lock);
-                            arena.set_local_rr(slots, input.index());
-                        }
-                    }
-                    _ => {
-                        // Observation-only step: the per-dest contender
-                        // masks are compared below like everything else.
+        let mut arena = BeArena::default();
+        let slots = arena.add_router();
+        let mut unit = BeUnit::new();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15 ^ (BE_INPUT_DEPTH as u64) << 8;
+        for step in 1..5000u32 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let input = BeInput::ALL[(x >> 13) as usize % 6];
+            let in_slot = arena.in_slot(slots, input);
+            let dir = Direction::ALL[(x >> 21) as usize % 4];
+            let out_slot = arena.out_slot(slots, dir);
+            let dest = dec_dest(((x >> 27) % 6) as u8);
+            match (x >> 33) % 10 {
+                0 if !unit.input(input).latch.is_full() => {
+                    unit.input_mut(input).latch.push(flit(step));
+                    arena.in_push(in_slot, flit(step));
+                }
+                0 => {}
+                1 => {
+                    assert_eq!(unit.input_mut(input).latch.pop(), arena.in_pop(in_slot));
+                }
+                2 => {
+                    if let Some(f) = unit.input_mut(input).latch.front_mut() {
+                        f.data = f.data.rotate_left(2);
+                        let g = arena.in_front_mut(in_slot).expect("reference non-empty");
+                        g.data = g.data.rotate_left(2);
+                    } else {
+                        assert!(arena.in_front_mut(in_slot).is_none());
                     }
                 }
-                // Compare every observable after every op.
-                for i in BeInput::ALL {
-                    let s = arena.in_slot(slots, i);
-                    let r = unit.input(i);
-                    assert_eq!(arena.in_len(s), r.latch.len());
-                    assert_eq!(arena.in_is_empty(s), r.latch.is_empty());
-                    assert_eq!(arena.in_is_full(s), r.latch.is_full());
-                    assert_eq!(arena.in_progress(s), r.in_progress);
-                    assert_eq!(arena.in_routing(s), r.routing);
-                    assert_eq!(arena.in_moving(s), r.moving);
-                    assert_eq!(arena.in_needs_routing(s), r.needs_routing());
-                    assert_eq!(arena.in_can_move(s), r.can_move());
+                3 => {
+                    unit.input_mut(input).in_progress = dest;
+                    arena.set_in_progress(in_slot, dest);
                 }
-                for d in Direction::ALL {
-                    let s = arena.out_slot(slots, d);
-                    let r = &unit.outputs[d.index()];
-                    assert_eq!(arena.out_len(s), r.buf.len());
-                    assert_eq!(arena.out_is_full(s), r.buf.is_full());
-                    assert_eq!(arena.out_credits(s), r.credits);
-                    assert_eq!(arena.out_link_ready(s), r.link_ready());
-                    assert_eq!(arena.out_locked_to(s), r.locked_to);
-                    assert_eq!(arena.out_rr(s), r.rr);
+                4 => {
+                    let on = x & 1 == 0;
+                    if x & 2 == 0 {
+                        unit.input_mut(input).routing = on;
+                        arena.set_in_routing(in_slot, on);
+                    } else {
+                        unit.input_mut(input).moving = on;
+                        arena.set_in_moving(in_slot, on);
+                    }
                 }
-                assert_eq!(arena.local_locked_to(slots), unit.local_out.locked_to);
-                assert_eq!(arena.local_rr(slots), unit.local_out.rr);
-                for code in 1..=5u8 {
-                    let dest = dec_dest(code).expect("valid dest code");
-                    assert_eq!(arena.contender_mask(slots, dest), unit.contender_mask(dest));
+                5 if !unit.outputs[dir.index()].buf.is_full() => {
+                    unit.outputs[dir.index()].buf.push(flit(step));
+                    arena.out_push(out_slot, flit(step));
                 }
-                assert_eq!(arena.has_work(slots), unit.has_work());
-                assert_eq!(
-                    arena.flits_buffered(slots),
-                    unit.inputs.iter().map(|i| i.latch.len()).sum::<usize>()
-                        + unit.outputs.iter().map(|o| o.buf.len()).sum::<usize>()
-                );
+                5 => {}
+                6 => {
+                    assert_eq!(unit.outputs[dir.index()].buf.pop(), arena.out_pop(out_slot));
+                }
+                7 => {
+                    if unit.outputs[dir.index()].credits > 0 {
+                        unit.outputs[dir.index()].credits -= 1;
+                        arena.out_take_credit(out_slot);
+                    } else if x & 4 == 0 {
+                        unit.outputs[dir.index()].add_credit();
+                        arena.out_add_credit(out_slot);
+                    } else {
+                        // The same credit, parked: invisible before
+                        // its slot, the reference's `add_credit` from
+                        // it on.
+                        let at = slot_at(u64::from(step));
+                        arena.out_park_credit(out_slot, at);
+                        let before = unit.outputs[dir.index()].link_ready();
+                        assert_eq!(arena.out_link_ready(out_slot), before);
+                        assert_eq!(
+                            arena.out_link_ready_at(out_slot, slot_at(u64::from(step) - 1)),
+                            before
+                        );
+                        unit.outputs[dir.index()].add_credit();
+                        assert_eq!(
+                            arena.out_link_ready_at(out_slot, at),
+                            unit.outputs[dir.index()].link_ready()
+                        );
+                        arena.out_absorb_credits(out_slot, slot_at(u64::from(step) - 1));
+                        assert_eq!(arena.out_parked(out_slot), [at]);
+                        arena.out_absorb_credits(out_slot, at);
+                        assert!(arena.out_parked(out_slot).is_empty());
+                    }
+                }
+                8 => {
+                    let lock = (x & 1 == 0).then_some(input);
+                    if x & 2 == 0 {
+                        unit.outputs[dir.index()].locked_to = lock;
+                        unit.outputs[dir.index()].rr = input.index();
+                        arena.set_out_locked_to(out_slot, lock);
+                        arena.set_out_rr(out_slot, input.index());
+                    } else {
+                        unit.local_out.locked_to = lock;
+                        unit.local_out.rr = input.index();
+                        arena.set_local_locked_to(slots, lock);
+                        arena.set_local_rr(slots, input.index());
+                    }
+                }
+                _ => {
+                    // Observation-only step: the per-dest contender
+                    // masks are compared below like everything else.
+                }
             }
+            // Compare every observable after every op.
+            for i in BeInput::ALL {
+                let s = arena.in_slot(slots, i);
+                let r = unit.input(i);
+                assert_eq!(arena.in_len(s), r.latch.len());
+                assert_eq!(arena.in_is_empty(s), r.latch.is_empty());
+                assert_eq!(arena.in_is_full(s), r.latch.is_full());
+                assert_eq!(arena.in_progress(s), r.in_progress);
+                assert_eq!(arena.in_routing(s), r.routing);
+                assert_eq!(arena.in_moving(s), r.moving);
+                assert_eq!(arena.in_needs_routing(s), r.needs_routing());
+                assert_eq!(arena.in_can_move(s), r.can_move());
+            }
+            for d in Direction::ALL {
+                let s = arena.out_slot(slots, d);
+                let r = &unit.outputs[d.index()];
+                assert_eq!(arena.out_len(s), r.buf.len());
+                assert_eq!(arena.out_is_full(s), r.buf.is_full());
+                assert_eq!(arena.out_credits(s), r.credits);
+                assert_eq!(arena.out_link_ready(s), r.link_ready());
+                assert_eq!(arena.out_locked_to(s), r.locked_to);
+                assert_eq!(arena.out_rr(s), r.rr);
+            }
+            assert_eq!(arena.local_locked_to(slots), unit.local_out.locked_to);
+            assert_eq!(arena.local_rr(slots), unit.local_out.rr);
+            for code in 1..=5u8 {
+                let dest = dec_dest(code).expect("valid dest code");
+                assert_eq!(arena.contender_mask(slots, dest), unit.contender_mask(dest));
+            }
+            assert_eq!(arena.has_work(slots), unit.has_work());
+            assert_eq!(
+                arena.flits_buffered(slots),
+                unit.inputs.iter().map(|i| i.latch.len()).sum::<usize>()
+                    + unit.outputs.iter().map(|o| o.buf.len()).sum::<usize>()
+            );
         }
     }
 
     #[test]
     fn multi_router_slots_are_independent() {
-        let mut arena = BeArena::with_capacity(2, 2, 2, 3);
+        let mut arena = BeArena::with_capacity(3);
         let a = arena.add_router();
         let b = arena.add_router();
         let c = arena.add_router();
@@ -874,17 +820,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "Fifo overflow")]
     fn latch_overflow_panics() {
-        let mut arena = BeArena::new(1, 1, 1);
+        let mut arena = BeArena::default();
         let slots = arena.add_router();
         let slot = arena.in_slot(slots, BeInput::Prog);
-        arena.in_push(slot, Flit::be(0, true));
-        arena.in_push(slot, Flit::be(1, true));
+        for tag in 0..=BE_INPUT_DEPTH as u32 {
+            arena.in_push(slot, Flit::be(tag, true));
+        }
     }
 
     #[test]
     #[should_panic(expected = "credit overflow")]
     fn credit_overflow_panics() {
-        let mut arena = BeArena::new(1, 1, 2);
+        let mut arena = BeArena::default();
         let slots = arena.add_router();
         arena.out_add_credit(arena.out_slot(slots, Direction::North));
     }

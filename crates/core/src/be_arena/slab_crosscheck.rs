@@ -19,7 +19,7 @@
 //! with the reference just the same.
 
 use crate::be::reference::BeUnit;
-use crate::{BeArena, BeDest, BeInput, BeSlots, Direction, Flit};
+use crate::{BeArena, BeDest, BeInput, BeSlots, Direction, Flit, BE_INPUT_DEPTH};
 use mango_sim::{SimTime, Slot};
 use proptest::prelude::*;
 
@@ -150,14 +150,14 @@ fn apply_and_check(arena: &mut BeArena, slots: BeSlots, mirror: &mut Mirror, op:
             if unit.outputs[dir.index()].credits > 0 {
                 unit.outputs[dir.index()].credits -= 1;
                 arena.out_take_credit(slot);
-            } else if parked[dir.index()].len() < arena.credits_max() {
+            } else if parked[dir.index()].len() < BE_INPUT_DEPTH {
                 unit.outputs[dir.index()].add_credit();
                 arena.out_add_credit(slot);
             }
         }
         Op::OutParkCredit(dir, due) => {
             let held = unit.outputs[dir.index()].credits + parked[dir.index()].len();
-            if held < arena.credits_max() {
+            if held < BE_INPUT_DEPTH {
                 arena.out_park_credit(arena.out_slot(slots, dir), upto(now + due));
                 parked[dir.index()].push(now + due);
             }
@@ -234,18 +234,11 @@ proptest! {
     #[test]
     fn be_slab_matches_reference_state_machine(
         ops in proptest::collection::vec((0usize..2, op_strategy()), 1..400),
-        dims in prop_oneof![
-            Just((2usize, 2usize, 2usize)),
-            Just((4, 4, 4)),
-            Just((1, 2, 1)),
-            Just((3, 1, 2)),
-        ],
     ) {
-        let (in_depth, out_depth, credits) = dims;
-        let mut arena = BeArena::with_capacity(in_depth, out_depth, credits, 2);
+        let mut arena = BeArena::with_capacity(2);
         let slots = [arena.add_router(), arena.add_router()];
         let mut mirrors = [(); 2].map(|()| Mirror {
-            unit: BeUnit::new(in_depth, out_depth, credits),
+            unit: BeUnit::new(),
             parked: Default::default(),
         });
         for (step, (router, op)) in ops.into_iter().enumerate() {

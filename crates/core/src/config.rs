@@ -8,6 +8,20 @@ use mango_hw::timing::RouterTiming;
 /// (`Steer::pack`). [`RouterConfig::validate`] caps `gs_vcs` here.
 pub const PORT_VCS_MAX: usize = 8;
 
+/// Flits a BE input latch holds per direction (unsharebox + staging). A
+/// BE credit stands for one free slot in the receiving latch, so this is
+/// also the initial credit count of every BE link and of every NA's BE
+/// injection port.
+pub const BE_INPUT_DEPTH: usize = 2;
+
+/// Flits a BE output stage holds per network port.
+pub const BE_OUTPUT_DEPTH: usize = 2;
+
+/// NA-visible delivery slots per local GS interface: how many delivered
+/// flits the NA can hold before the router's local buffer backs up
+/// (end-to-end flow control).
+pub const NA_RX_DEPTH: usize = 1;
+
 /// Configuration of one MANGO router.
 ///
 /// The defaults ([`RouterConfig::paper`]) describe the implementation of
@@ -23,17 +37,6 @@ pub struct RouterConfig {
     pub timing: RouterTiming,
     /// Link arbitration policy — the pluggable GS scheme (Sec. 4.4).
     pub arbiter: ArbiterKind,
-    /// BE input latch depth per direction (unsharebox + staging).
-    pub be_input_depth: usize,
-    /// BE output stage depth per network port.
-    pub be_output_depth: usize,
-    /// Initial BE credits toward each neighbor (set by the network layer
-    /// to the neighbor's `be_input_depth`).
-    pub be_link_credits: usize,
-    /// NA-visible delivery slots per local GS interface: how many delivered
-    /// flits the NA can hold before the router's local buffer backs up
-    /// (end-to-end flow control).
-    pub na_rx_depth: usize,
 }
 
 impl RouterConfig {
@@ -43,10 +46,6 @@ impl RouterConfig {
             params: RouterParams::paper(),
             timing: RouterTiming::paper_typical(),
             arbiter: ArbiterKind::FairShare,
-            be_input_depth: 2,
-            be_output_depth: 2,
-            be_link_credits: 2,
-            na_rx_depth: 1,
         }
     }
 
@@ -94,25 +93,8 @@ impl RouterConfig {
                 "at most {PORT_VCS_MAX} VCs per port fit the 5-bit steering format"
             ));
         }
-        if self.be_input_depth == 0 || self.be_output_depth == 0 {
-            return Err("BE buffer depths must be positive".into());
-        }
-        if self.be_input_depth > crate::be::BE_STAGE_MAX
-            || self.be_output_depth > crate::be::BE_STAGE_MAX
-        {
-            return Err(format!(
-                "BE stage depths are inline rings of at most {} flits",
-                crate::be::BE_STAGE_MAX
-            ));
-        }
-        if self.be_link_credits == 0 {
-            return Err("BE links need at least one credit".into());
-        }
-        if self.na_rx_depth == 0 {
-            return Err("NA delivery needs at least one slot".into());
-        }
-        if self.buffer_depth() >= 256 || self.na_rx_depth >= 256 {
-            return Err("GS buffer and NA delivery depths are limited to 255 (u8 cursors)".into());
+        if self.buffer_depth() >= 256 {
+            return Err("GS buffer depths are limited to 255 (u8 cursors)".into());
         }
         Ok(())
     }
@@ -154,17 +136,5 @@ mod tests {
         let mut cfg = RouterConfig::paper();
         cfg.params.gs_vcs = 16;
         assert!(cfg.validate().is_err(), "9+ GS VCs break the wire format");
-
-        let mut cfg = RouterConfig::paper();
-        cfg.be_input_depth = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = RouterConfig::paper();
-        cfg.be_link_credits = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = RouterConfig::paper();
-        cfg.na_rx_depth = 0;
-        assert!(cfg.validate().is_err());
     }
 }

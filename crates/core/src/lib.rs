@@ -89,7 +89,7 @@ pub use arb::{ArbiterImpl, ArbiterKind, LinkSlot};
 pub use arena::{GsArena, RouterSlots};
 pub use be::BeInput;
 pub use be_arena::{BeArena, BeSlots};
-pub use config::{RouterConfig, PORT_VCS_MAX};
+pub use config::{RouterConfig, BE_INPUT_DEPTH, BE_OUTPUT_DEPTH, NA_RX_DEPTH, PORT_VCS_MAX};
 pub use events::{Handshake, InternalEvent, RouterAction};
 pub use flit::{Flit, FlitMeta, LinkFlit};
 pub use ids::{ConnectionId, Direction, GsBufferRef, Port, RouterId, UpstreamRef, VcId};

@@ -88,7 +88,7 @@ use crate::arb::ArbiterImpl;
 use crate::arena::{GsArena, RouterSlots};
 use crate::be::BeInput;
 use crate::be_arena::{BeArena, BeSlots};
-use crate::config::RouterConfig;
+use crate::config::{RouterConfig, BE_INPUT_DEPTH};
 use crate::events::{InternalEvent, RouterAction};
 use crate::flit::{Flit, LinkFlit};
 use crate::ids::{Direction, GsBufferRef, RouterId, VcId};
@@ -151,7 +151,7 @@ impl Router {
     /// # Panics
     ///
     /// Panics if the configuration fails [`RouterConfig::validate`] or
-    /// does not match either arena's dimensions.
+    /// does not match the GS arena's dimensions.
     pub fn new_in(
         id: RouterId,
         cfg: impl Into<Arc<RouterConfig>>,
@@ -166,12 +166,6 @@ impl Router {
                 && arena.ifaces() == cfg.local_gs_ifaces()
                 && arena.depth() == cfg.buffer_depth(),
             "arena dimensions do not match the router config"
-        );
-        assert!(
-            be_arena.input_depth() == cfg.be_input_depth
-                && be_arena.output_depth() == cfg.be_output_depth
-                && be_arena.credits_max() == cfg.be_link_credits,
-            "BE arena dimensions do not match the router config"
         );
         let gs_vcs = cfg.gs_vcs();
         let slots = arena.add_router();
@@ -197,14 +191,8 @@ impl Router {
     pub fn standalone(id: RouterId, cfg: RouterConfig) -> (Self, GsArena, BeArena) {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid router config: {e}"));
-        let mut arena = GsArena::new(
-            cfg.gs_vcs(),
-            cfg.local_gs_ifaces(),
-            cfg.buffer_depth(),
-            cfg.na_rx_depth,
-        );
-        let mut be_arena =
-            BeArena::new(cfg.be_input_depth, cfg.be_output_depth, cfg.be_link_credits);
+        let mut arena = GsArena::new(cfg.gs_vcs(), cfg.local_gs_ifaces(), cfg.buffer_depth());
+        let mut be_arena = BeArena::default();
         let router = Router::new_in(id, cfg, &mut arena, &mut be_arena);
         (router, arena, be_arena)
     }
@@ -434,7 +422,7 @@ impl Router {
         Direction::ALL.into_iter().all(|dir| {
             let out = be.out_slot(self.be_slots, dir);
             self.free_at[dir.index()] == Slot::MIN
-                && be.out_credits(out) == be.credits_max()
+                && be.out_credits(out) == BE_INPUT_DEPTH
                 && be.out_parked(out).is_empty()
                 && (0..self.cfg.gs_vcs()).all(|vc| {
                     let slot = bufs.vc_slot(self.slots, dir.index(), vc);

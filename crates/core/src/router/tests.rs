@@ -620,13 +620,8 @@ fn standalone_router_and_shared_arena_agree() {
     // Two routers in one shared arena behave independently: driving one
     // must not disturb the other's slots.
     let cfg = RouterConfig::paper();
-    let mut arena = GsArena::new(
-        cfg.gs_vcs(),
-        cfg.local_gs_ifaces(),
-        cfg.buffer_depth(),
-        cfg.na_rx_depth,
-    );
-    let mut be_arena = BeArena::new(cfg.be_input_depth, cfg.be_output_depth, cfg.be_link_credits);
+    let mut arena = GsArena::new(cfg.gs_vcs(), cfg.local_gs_ifaces(), cfg.buffer_depth());
+    let mut be_arena = BeArena::default();
     let mut r0 = Router::new_in(RouterId::new(0, 0), cfg.clone(), &mut arena, &mut be_arena);
     let r1 = Router::new_in(RouterId::new(1, 0), cfg, &mut arena, &mut be_arena);
     let next = Steer::LocalGs { iface: 0 };

@@ -12,6 +12,7 @@
 //! far-side unsharebox reports the flit has moved on, so no flit can ever
 //! stall inside the shared media.
 
+use crate::config::NA_RX_DEPTH;
 use crate::fifo::Fifo;
 use crate::flit::Flit;
 
@@ -141,13 +142,13 @@ pub struct LocalGsState {
 
 impl LocalGsState {
     /// Creates the interface buffer with `depth` flits of buffering and
-    /// `na_rx_depth` NA delivery slots.
-    pub fn new(depth: usize, na_rx_depth: usize) -> Self {
+    /// [`NA_RX_DEPTH`] NA delivery slots.
+    pub fn new(depth: usize) -> Self {
         LocalGsState {
             unshare: None,
             buffer: Fifo::new(depth),
             advance_pending: false,
-            na_free: na_rx_depth,
+            na_free: NA_RX_DEPTH,
         }
     }
 
@@ -198,10 +199,10 @@ impl LocalGsState {
     }
 
     /// The NA consumed a delivered flit, freeing a slot.
-    pub fn na_consumed(&mut self, na_rx_depth: usize) {
+    pub fn na_consumed(&mut self) {
         self.na_free += 1;
         assert!(
-            self.na_free <= na_rx_depth,
+            self.na_free <= NA_RX_DEPTH,
             "NA returned more delivery slots than it has"
         );
     }
@@ -298,7 +299,7 @@ mod tests {
 
     #[test]
     fn local_delivery_respects_na_slots() {
-        let mut l = LocalGsState::new(1, 1);
+        let mut l = LocalGsState::new(1);
         l.arrive(flit(5));
         l.begin_advance();
         l.complete_advance();
@@ -309,7 +310,7 @@ mod tests {
         l.begin_advance();
         l.complete_advance();
         assert!(l.try_deliver().is_none(), "NA slot exhausted");
-        l.na_consumed(1);
+        l.na_consumed();
         assert_eq!(l.try_deliver().unwrap().data, 6);
         assert!(l.is_empty());
     }
@@ -317,14 +318,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "more delivery slots")]
     fn na_slot_overflow_detected() {
-        let mut l = LocalGsState::new(1, 1);
-        l.na_consumed(1);
+        let mut l = LocalGsState::new(1);
+        l.na_consumed();
     }
 
     #[test]
     #[should_panic(expected = "local unsharebox occupied")]
     fn local_double_arrival_panics() {
-        let mut l = LocalGsState::new(1, 1);
+        let mut l = LocalGsState::new(1);
         l.arrive(flit(1));
         l.arrive(flit(2));
     }

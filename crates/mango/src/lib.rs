@@ -23,7 +23,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use mango::net::{EmitWindow, NocSim, Pattern};
+//! use mango::net::{EmitWindow, NocSim, TemporalSpec};
 //! use mango::core::RouterId;
 //! use mango::sim::SimDuration;
 //!
@@ -42,7 +42,7 @@
 //! sim.begin_measurement();
 //! let flow = sim.add_gs_source(
 //!     conn,
-//!     Pattern::cbr(SimDuration::from_ns(10)),
+//!     TemporalSpec::cbr(SimDuration::from_ns(10)),
 //!     "quickstart",
 //!     EmitWindow { limit: Some(1000), ..Default::default() },
 //! );

@@ -34,7 +34,7 @@
 //! Open a GS connection across a 3×3 mesh and stream flits over it:
 //!
 //! ```
-//! use mango_net::{EmitWindow, NocSim, Pattern};
+//! use mango_net::{EmitWindow, NocSim, TemporalSpec};
 //! use mango_core::RouterId;
 //! use mango_sim::SimDuration;
 //!
@@ -46,7 +46,7 @@
 //! sim.begin_measurement();
 //! let flow = sim.add_gs_source(
 //!     conn,
-//!     Pattern::cbr(SimDuration::from_ns(10)),
+//!     TemporalSpec::cbr(SimDuration::from_ns(10)),
 //!     "quickstart",
 //!     EmitWindow { limit: Some(100), ..Default::default() },
 //! );
@@ -90,6 +90,4 @@ pub use sim::{EmitWindow, NocSim};
 pub use stats::{FlowStats, Histogram, LatencyRecorder, NetStats};
 pub use telemetry::{TelemetryConfig, TelemetrySink, TelemetryState, EPOCH_COLUMNS};
 pub use topology::{d2d_extra_default, Grid, TopologySpec};
-pub use traffic::{
-    Pattern, PatternKind, PatternState, Source, SourceKind, SpatialPattern, TemporalSpec,
-};
+pub use traffic::{PatternKind, PatternState, Source, SourceKind, SpatialPattern, TemporalSpec};

@@ -5,13 +5,22 @@
 //! connection's first-hop steering bits and sharebox for GS transmission,
 //! paces GS delivery back to the core (closing the end-to-end flow-control
 //! chain), runs the credit counter for BE injection, and reassembles BE
-//! packets. Synchronizer latency between the core's clock domain and the
-//! network is modelled as a fixed crossing delay.
+//! packets. The synchronizer between the core's clock domain and the
+//! network sits behind the NA's asynchronous FIFO, off the per-flit
+//! critical path, so a crossing adds no latency to an injection.
 //!
 //! Every adapter's state lives in the network-owned
 //! [`crate::na_arena::NaArena`]; this module holds their configuration.
+//! An NA starts with one BE credit per slot of its router's local BE
+//! input latch ([`mango_core::BE_INPUT_DEPTH`]).
 
 use mango_sim::SimDuration;
+
+/// Minimum gap between consecutive BE flit injections of one NA: one
+/// link cycle of the paper's router at the typical corner. It is not
+/// read from the router's timing, so a slower timing corner keeps the
+/// same injection pace.
+pub(crate) const BE_INJECT_GAP: SimDuration = SimDuration::from_ps(1258);
 
 /// NA configuration.
 #[derive(Debug, Clone)]
@@ -19,29 +28,13 @@ pub struct NaConfig {
     /// Delay for the core to consume one delivered GS flit (0 = always
     /// ready). Slow consumers exercise end-to-end backpressure.
     pub consume_delay: SimDuration,
-    /// Initial BE credits (the router's local BE input latch depth).
-    pub be_credits: usize,
-    /// Minimum gap between consecutive BE flit injections.
-    pub be_inject_gap: SimDuration,
-    /// Clock-domain crossing latency added to every injection. Zero by
-    /// default: the NA's asynchronous FIFO takes the synchronizer off the
-    /// per-flit critical path, so the crossing costs latency only when a
-    /// flit *enters* an empty FIFO — which the default folds into the
-    /// source model. Set nonzero for NA-sensitivity experiments where the
-    /// synchronizer serializes injection.
-    pub sync_delay: SimDuration,
 }
 
 impl NaConfig {
-    /// Defaults matching the paper's router: 2 BE credits, an eager
-    /// consumer, one link cycle of BE injection gap, and the synchronizer
-    /// hidden behind the NA's async FIFO.
+    /// The paper's NA: an eager consumer.
     pub fn paper() -> Self {
         NaConfig {
             consume_delay: SimDuration::ZERO,
-            be_credits: 2,
-            be_inject_gap: SimDuration::from_ps(1258),
-            sync_delay: SimDuration::ZERO,
         }
     }
 }
@@ -58,11 +51,10 @@ pub(crate) mod reference;
 #[cfg(test)]
 mod tests {
     use super::reference::Na;
-    use super::*;
     use mango_core::{Direction, Flit, Steer, VcId};
 
     fn na() -> Na {
-        Na::new(4, NaConfig::paper())
+        Na::new(4)
     }
 
     fn steer() -> Steer {

@@ -5,8 +5,7 @@
 //! [`Na`] is the oracle the arena is cross-checked against op for op
 //! (`na_arena`'s `arena_matches_reference_na`).
 
-use super::NaConfig;
-use mango_core::{Flit, Steer};
+use mango_core::{Flit, Steer, BE_INPUT_DEPTH};
 use std::collections::VecDeque;
 
 /// One GS transmit interface: the first-hop sharebox and steering bits of
@@ -37,7 +36,6 @@ impl GsTxIface {
 /// The network adapter state for one node.
 #[derive(Debug, Clone)]
 pub struct Na {
-    cfg: NaConfig,
     /// GS TX interfaces (paper: 4), allocated per open connection.
     tx: Vec<Option<GsTxIface>>,
     /// BE transmit queue (flits of already-built packets, in order).
@@ -52,10 +50,9 @@ pub struct Na {
 
 impl Na {
     /// Creates an NA with `gs_ifaces` transmit interfaces.
-    pub fn new(gs_ifaces: usize, cfg: NaConfig) -> Self {
+    pub fn new(gs_ifaces: usize) -> Self {
         Na {
-            be_credits: cfg.be_credits,
-            cfg,
+            be_credits: BE_INPUT_DEPTH,
             tx: vec![None; gs_ifaces],
             be_tx: VecDeque::new(),
             be_inject_pending: false,
@@ -175,10 +172,7 @@ impl Na {
     /// should schedule an injection event.
     pub fn be_credit(&mut self) -> bool {
         self.be_credits += 1;
-        assert!(
-            self.be_credits <= self.cfg.be_credits,
-            "NA BE credit overflow"
-        );
+        assert!(self.be_credits <= BE_INPUT_DEPTH, "NA BE credit overflow");
         self.try_start_be()
     }
 

@@ -22,14 +22,12 @@
 //! (`na::reference`): the arena is cross-checked against it op-for-op
 //! under randomized traffic in this module's tests.
 
-use crate::na::NaConfig;
-use mango_core::{Flit, Steer};
+use mango_core::{Flit, Steer, BE_INPUT_DEPTH};
 use std::collections::VecDeque;
 
 /// Struct-of-arrays NA state for every node in the network.
 #[derive(Debug, Clone)]
 pub struct NaArena {
-    cfg: NaConfig,
     ifaces: usize,
     nodes: usize,
     // -- GS transmit: one slot per (node, iface) -----------------------
@@ -56,7 +54,7 @@ pub struct NaArena {
 impl NaArena {
     /// Creates the arena for `nodes` adapters with `ifaces` GS TX
     /// interfaces each.
-    pub fn new(ifaces: usize, cfg: NaConfig, nodes: usize) -> Self {
+    pub fn new(ifaces: usize, nodes: usize) -> Self {
         let slots = nodes * ifaces;
         NaArena {
             ifaces,
@@ -66,16 +64,10 @@ impl NaArena {
             tx_locked: vec![false; slots],
             tx_hw: vec![0; slots],
             be_tx: vec![VecDeque::new(); nodes],
-            be_credits: vec![cfg.be_credits as u32; nodes],
+            be_credits: vec![BE_INPUT_DEPTH as u32; nodes],
             be_pending: vec![false; nodes],
             rx_asm: vec![Vec::new(); nodes],
-            cfg,
         }
-    }
-
-    /// The configuration shared by every adapter.
-    pub fn config(&self) -> &NaConfig {
-        &self.cfg
     }
 
     /// GS TX interfaces per node.
@@ -225,7 +217,7 @@ impl NaArena {
     pub fn be_credit(&mut self, node: usize) -> bool {
         self.be_credits[node] += 1;
         assert!(
-            self.be_credits[node] as usize <= self.cfg.be_credits,
+            self.be_credits[node] as usize <= BE_INPUT_DEPTH,
             "NA BE credit overflow"
         );
         self.try_start_be(node)
@@ -353,9 +345,8 @@ mod tests {
     fn arena_matches_reference_na() {
         const NODES: usize = 9;
         const IFACES: usize = 4;
-        let cfg = NaConfig::paper();
-        let mut arena = NaArena::new(IFACES, cfg.clone(), NODES);
-        let mut refs: Vec<Na> = (0..NODES).map(|_| Na::new(IFACES, cfg.clone())).collect();
+        let mut arena = NaArena::new(IFACES, NODES);
+        let mut refs: Vec<Na> = (0..NODES).map(|_| Na::new(IFACES)).collect();
 
         // Shadow preconditions the public API doesn't expose: per-iface
         // bound/locked, per-node inject-pending and credits.
@@ -363,7 +354,7 @@ mod tests {
         let mut locked = [[false; IFACES]; NODES];
         let mut qlen = [[0usize; IFACES]; NODES];
         let mut pending = [false; NODES];
-        let mut credits = [cfg.be_credits; NODES];
+        let mut credits = [BE_INPUT_DEPTH; NODES];
         let mut pkt_a = Vec::new();
         let mut pkt_r = Vec::new();
 
@@ -435,7 +426,7 @@ mod tests {
                     }
                 }
                 7 => {
-                    if credits[n] < cfg.be_credits {
+                    if credits[n] < BE_INPUT_DEPTH {
                         let started = arena.be_credit(n);
                         assert_eq!(started, refs[n].be_credit());
                         credits[n] += 1;
@@ -482,7 +473,7 @@ mod tests {
 
     #[test]
     fn nodes_are_independent() {
-        let mut a = NaArena::new(2, NaConfig::paper(), 3);
+        let mut a = NaArena::new(2, 3);
         a.bind_tx(1, 0, steer_for(1));
         a.enqueue_gs(1, 0, Flit::gs(7));
         a.enqueue_be(2, [Flit::be(1, true)]);
@@ -497,7 +488,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already bound")]
     fn double_bind_rejected() {
-        let mut a = NaArena::new(2, NaConfig::paper(), 1);
+        let mut a = NaArena::new(2, 1);
         a.bind_tx(0, 0, steer_for(0));
         a.bind_tx(0, 0, steer_for(1));
     }
@@ -505,7 +496,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "credit overflow")]
     fn credit_overflow_detected() {
-        let mut a = NaArena::new(2, NaConfig::paper(), 1);
+        let mut a = NaArena::new(2, 1);
         a.be_credit(0);
     }
 }

@@ -31,7 +31,7 @@
 use crate::conn::{ConnectionManager, Notice, NoticeKind, OpenPlan};
 use crate::fault::{FaultCounters, FaultState, Watchdog};
 use crate::meta::MetaSlab;
-use crate::na::NaConfig;
+use crate::na::{NaConfig, BE_INJECT_GAP};
 use crate::na_arena::NaArena;
 use crate::relay::RelayTable;
 use crate::stats::NetStats;
@@ -229,16 +229,10 @@ impl Network {
             router_cfg.gs_vcs(),
             router_cfg.local_gs_ifaces(),
             router_cfg.buffer_depth(),
-            router_cfg.na_rx_depth,
             grid.len(),
         );
-        let mut be_arena = BeArena::with_capacity(
-            router_cfg.be_input_depth,
-            router_cfg.be_output_depth,
-            router_cfg.be_link_credits,
-            grid.len(),
-        );
-        let na = NaArena::new(router_cfg.local_gs_ifaces(), na_cfg.clone(), grid.len());
+        let mut be_arena = BeArena::with_capacity(grid.len());
+        let na = NaArena::new(router_cfg.local_gs_ifaces(), grid.len());
         // One shared config allocation for the whole mesh: every router's
         // per-event timing reads hit the same cache lines.
         let shared_cfg = std::sync::Arc::new(router_cfg.clone());
@@ -458,10 +452,10 @@ impl Network {
         &self.router_cfg.timing
     }
 
-    /// GS injection latency: clock-domain crossing + local-port forward
-    /// path.
+    /// GS injection latency: the local-port forward path (the
+    /// clock-domain crossing is hidden behind the NA's async FIFO).
     pub fn inject_delay(&self) -> SimDuration {
-        self.na_cfg.sync_delay + self.router_timing().hop_forward
+        self.router_timing().hop_forward
     }
 
     /// A complete BE packet was delivered at `id`'s NA. Unless the relay
@@ -610,7 +604,7 @@ impl Model for Network {
                 let idx = self.grid.index(id);
                 let (flit, more) = self.na.take_be(idx);
                 if more {
-                    ctx.schedule(self.na_cfg.be_inject_gap, NetEvent::NaBeInject { id });
+                    ctx.schedule(BE_INJECT_GAP, NetEvent::NaBeInject { id });
                 }
                 self.call_router(id, ctx, |r, bufs, be, act| {
                     r.on_local_be_inject(bufs, be, now, flit, act)

@@ -381,7 +381,7 @@ impl Network {
             Err(_) => {
                 // No surviving route back to the source: the ack is lost
                 // and the open/close will be resolved by its watchdog or
-                // `op_timeout` deadline instead of a process abort.
+                // `OP_TIMEOUT` deadline instead of a process abort.
                 self.counters.ack_route_drops += 1;
                 return;
             }

@@ -41,13 +41,13 @@
 //! Construction order (the RNG stream a source receives is its position
 //! in this sequence):
 //!
-//! 1. build the mesh from `(width, height, router_cfg, seed)`;
+//! 1. build the network from `(topology or width × height, router_cfg,
+//!    seed)`;
 //! 2. open every GS connection in `gs` order, then settle programming
 //!    traffic (skipped when there are no connections);
-//! 3. attach [`Phase::Setup`] sources: GS flows in `gs` order, legacy
-//!    explicit BE flows in `be` order, then [`TrafficSpec`]s in `traffic`
-//!    order (a distributed spec attaches one source per node in grid-id
-//!    order), then the legacy `background` shim;
+//! 3. attach [`Phase::Setup`] sources: GS flows in `gs` order, then
+//!    [`TrafficSpec`]s in `traffic` order (a distributed spec attaches
+//!    one source per node in grid-id order);
 //! 4. run for `warmup` (skipped when zero);
 //! 5. begin the measurement window;
 //! 6. attach [`Phase::Measure`] sources in the same within-phase order;
@@ -607,8 +607,8 @@ pub struct ScenarioMetrics {
     pub flows: Vec<FlowMetric>,
     /// Indices into `flows` for GS sources, in spec order.
     pub gs_flows: Vec<usize>,
-    /// Indices into `flows` for point-source BE flows (legacy `be` and
-    /// single-source [`TrafficSpec`]s), in spec order.
+    /// Indices into `flows` for point-source BE flows (single-source
+    /// [`TrafficSpec`]s), in spec order.
     pub be_flows: Vec<usize>,
     /// Indices into `flows` for distributed traffic sources, in
     /// attachment (spec, then grid-id) order.

@@ -64,10 +64,6 @@ pub enum TemporalSpec {
     },
 }
 
-/// Legacy name for [`TemporalSpec`], kept for one PR while call sites
-/// migrate.
-pub type Pattern = TemporalSpec;
-
 /// Runtime progress of a temporal pattern (the burst position of an
 /// on-off source). Fresh state starts at the beginning of a burst;
 /// CBR/Poisson sources never touch it.

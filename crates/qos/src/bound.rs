@@ -49,8 +49,6 @@ pub struct ServiceModel {
     pub buffer_advance: SimDuration,
     /// The share-based VC control loop (per-VC grant-to-grant floor).
     pub vc_loop: SimDuration,
-    /// NA clock-domain-crossing delay on injection.
-    pub sync_delay: SimDuration,
     /// Core-side consume delay per delivered flit.
     pub consume_delay: SimDuration,
     /// Worst-case grants-until-served for a continuously ready VC (its
@@ -74,7 +72,6 @@ impl ServiceModel {
             hop_forward: cfg.timing.hop_forward,
             buffer_advance: cfg.timing.buffer_advance,
             vc_loop: cfg.timing.vc_loop(),
-            sync_delay: na.sync_delay,
             consume_delay: na.consume_delay,
             grant_bound,
         }
@@ -170,8 +167,8 @@ impl ServiceModel {
         Some(
             // NA queue: at most one service interval ahead of us.
             interval
-                // Injection: crossing + local forward path + latch.
-                + self.sync_delay + self.hop_forward + self.buffer_advance
+                // Injection: local forward path + latch.
+                + self.hop_forward + self.buffer_advance
                 // Every link: arbitration round + forward path.
                 + per_hop * hops as u64
                 // Heterogeneous links: each extra pipeline stage is
@@ -666,7 +663,7 @@ mod tests {
                     .map(|(grants, interval)| {
                         let per_hop =
                             m.arb_decision + m.link_cycle * grants + m.hop_forward + m.buffer_advance;
-                        interval + m.sync_delay + m.hop_forward + m.buffer_advance
+                        interval + m.hop_forward + m.buffer_advance
                             + per_hop * hops as u64
                             + total
                             + m.consume_delay

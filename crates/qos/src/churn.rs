@@ -18,7 +18,8 @@
 //!   clean.
 //!
 //! A [`ChurnSpec`] run is a pure function of the spec (the endpoint
-//! picks are fork 2 of `churn_seed`), so sweeping churn points in
+//! picks are fork 2 of the engine seed, `base.seed ^ 0xC0DE_C0DE`), so
+//! sweeping churn points in
 //! parallel produces byte-identical CSVs for any worker count. The
 //! outcome table is pre-sized from the expected offered load, like the
 //! driver's heap, so a point offering thousands of requests never
@@ -44,10 +45,9 @@ use mango_telemetry::TelemetryReport;
 pub struct ChurnSpec {
     /// The base scenario. `measure` must be [`MeasureBound::For`] (the
     /// churn window); static GS/BE flows and background run unchanged.
+    /// Its seed also seeds the engine's streams (arrivals, holding
+    /// times, endpoint picks), salted so they do not repeat the base's.
     pub base: ScenarioSpec,
-    /// Seed of the engine's random streams (arrivals, holding times,
-    /// endpoint picks) — independent of `base.seed`.
-    pub churn_seed: u64,
     /// Mean gap between connection requests (Poisson arrivals).
     pub arrival_gap: SimDuration,
     /// Mean connection holding time (exponential), request → teardown.
@@ -62,8 +62,6 @@ pub struct ChurnSpec {
     pub drain_margin: SimDuration,
     /// Hard cap on issued requests.
     pub max_requests: u64,
-    /// Fraction of link capacity reservable by GS connections.
-    pub max_gs_frac: f64,
 }
 
 impl ChurnSpec {
@@ -74,15 +72,18 @@ impl ChurnSpec {
         base.measure = MeasureBound::For(SimDuration::from_us(200));
         ChurnSpec {
             base,
-            churn_seed: seed ^ 0xC0DE_C0DE,
             arrival_gap: SimDuration::from_us(2),
             holding_mean: SimDuration::from_us(20),
             holding_min: SimDuration::from_us(5),
             gs_period: SimDuration::from_ns(15),
             drain_margin: SimDuration::from_us(1),
             max_requests: u64::MAX,
-            max_gs_frac: 0.875,
         }
+    }
+
+    /// The seed of the engine's random streams.
+    fn churn_seed(&self) -> u64 {
+        self.base.seed ^ 0xC0DE_C0DE
     }
 
     /// Runs the experiment.
@@ -109,9 +110,9 @@ impl ChurnSpec {
     }
 
     fn run_inner(&self, cfg: Option<TelemetryConfig>) -> (ChurnMetrics, Option<TelemetryReport>) {
-        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg, self.max_gs_frac);
+        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg);
         let arrivals = ArrivalSpec {
-            seed: self.churn_seed,
+            seed: self.churn_seed(),
             gap: self.arrival_gap,
             holding_mean: self.holding_mean,
             holding_min: self.holding_min,
@@ -238,7 +239,7 @@ impl<'a> Engine<'a> {
     fn new(spec: &'a ChurnSpec, lc: Lifecycle) -> Self {
         Engine {
             spec,
-            places: SimRng::new(spec.churn_seed).fork(2),
+            places: SimRng::new(spec.churn_seed()).fork(2),
             outcomes: Vec::with_capacity(lc.expected_requests()),
             lc,
         }
@@ -364,7 +365,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mango_net::{EmitWindow, Pattern};
+    use mango_net::{EmitWindow, TemporalSpec};
 
     fn small_spec(seed: u64) -> ChurnSpec {
         let mut spec = ChurnSpec::mesh(4, 4, seed);
@@ -468,7 +469,7 @@ mod tests {
             spec.base.gs.push(mango_net::GsFlowSpec {
                 src: RouterId::new(0, 0),
                 dst: RouterId::new(1, 1),
-                pattern: Pattern::cbr(SimDuration::from_us(1)),
+                pattern: TemporalSpec::cbr(SimDuration::from_us(1)),
                 name: format!("static-{i}"),
                 window: EmitWindow::default(),
                 phase: mango_net::Phase::Setup,

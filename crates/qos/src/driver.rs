@@ -79,8 +79,8 @@ use crate::admission::{Admission, AdmissionController, BudgetSnapshot};
 use crate::bound::GuaranteeAudit;
 use mango_core::ConnectionId;
 use mango_net::{
-    EmitWindow, FlowKind, MeasureBound, Notice, NoticeKind, Pattern, PreparedScenario,
-    ScenarioMetrics, ScenarioSpec, TelemetryConfig,
+    EmitWindow, FlowKind, MeasureBound, Notice, NoticeKind, PreparedScenario, ScenarioMetrics,
+    ScenarioSpec, TelemetryConfig, TemporalSpec,
 };
 use mango_sim::{SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
@@ -160,6 +160,11 @@ pub struct RunEnd {
     pub audit: GuaranteeAudit,
 }
 
+/// Fraction of each link's capacity that the churn, serving and
+/// recovery workloads let GS connections reserve
+/// ([`ControlPlane::prepare`]'s admission controller).
+pub const MAX_GS_FRAC: f64 = 0.875;
+
 /// The shared control-plane state of one run; `A` is the workload's
 /// action type.
 #[derive(Debug)]
@@ -179,18 +184,15 @@ pub struct ControlPlane<A> {
 
 impl<A: Ord> ControlPlane<A> {
     /// Prepares `base`, enables telemetry when asked, and builds the
-    /// admission controller over the prepared network with the static
-    /// connections reserved. Follow with [`ControlPlane::start`].
+    /// admission controller over the prepared network, capped at
+    /// [`MAX_GS_FRAC`], with the static connections reserved. Follow
+    /// with [`ControlPlane::start`].
     ///
     /// # Panics
     ///
     /// Panics if `base.measure` is not [`MeasureBound::For`] or the base
     /// scenario itself is infeasible.
-    pub fn prepare(
-        base: &ScenarioSpec,
-        cfg: Option<TelemetryConfig>,
-        max_gs_frac: f64,
-    ) -> (PreparedScenario, Self) {
+    pub fn prepare(base: &ScenarioSpec, cfg: Option<TelemetryConfig>) -> (PreparedScenario, Self) {
         let MeasureBound::For(horizon) = base.measure else {
             panic!("a control-plane workload needs a fixed measurement window");
         };
@@ -203,7 +205,7 @@ impl<A: Ord> ControlPlane<A> {
             net.grid().clone(),
             net.router_cfg(),
             net.na_cfg(),
-            max_gs_frac,
+            MAX_GS_FRAC,
         );
         // Static connections of the base scenario already hold VCs and
         // interfaces; debit them so admission sees the true residuals.
@@ -572,7 +574,7 @@ impl Lifecycle {
         };
         let flow = prepared.sim_mut().add_gs_source(
             group.conns[k].conn,
-            Pattern::cbr(period),
+            TemporalSpec::cbr(period),
             name,
             window,
         );
@@ -706,7 +708,7 @@ mod tests {
 
     fn plane() -> (PreparedScenario, ControlPlane<u32>) {
         let base = ScenarioSpec::mesh(2, 2, 1).measure_for(SimDuration::from_us(10));
-        let (mut prepared, mut cp) = ControlPlane::prepare(&base, None, 0.875);
+        let (mut prepared, mut cp) = ControlPlane::prepare(&base, None);
         cp.start(&mut prepared);
         (prepared, cp)
     }

@@ -42,7 +42,7 @@
 //! simulated worst case against the analytical bound:
 //!
 //! ```
-//! use mango_net::{EmitWindow, NocSim, Pattern};
+//! use mango_net::{EmitWindow, NocSim, TemporalSpec};
 //! use mango_qos::{AdmissionController, ConnRequest, GuaranteeAudit};
 //! use mango_core::RouterId;
 //! use mango_sim::SimDuration;
@@ -67,7 +67,7 @@
 //! sim.begin_measurement();
 //! let flow = sim.add_gs_source(
 //!     conn,
-//!     Pattern::cbr(req.period),
+//!     TemporalSpec::cbr(req.period),
 //!     "bounded",
 //!     EmitWindow { limit: Some(200), ..Default::default() },
 //! );
@@ -94,5 +94,5 @@ pub use bound::{
     path_extras, report_for, AuditEntry, GuaranteeAudit, GuaranteeReport, ServiceModel,
 };
 pub use churn::{ChurnMetrics, ChurnSpec, ConnOutcome};
-pub use driver::{ControlPlane, Lifecycle};
+pub use driver::{ControlPlane, Lifecycle, MAX_GS_FRAC};
 pub use recovery::{RecoveryMetrics, RecoveryOutcome, RecoveryRecord, RecoverySpec};

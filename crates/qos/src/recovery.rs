@@ -33,12 +33,12 @@
 //! drain starts at the watchdog's break, the budgets return at the last
 //! teardown ack, `recovered_at` is the reopen's last ack, and each fault
 //! reaches the admission mask at the instant it strikes. An in-band
-//! teardown or reopen still unacknowledged `op_timeout` after it was
+//! teardown or reopen still unacknowledged [`OP_TIMEOUT`] after it was
 //! sent is force-closed at that deadline.
 //!
-//! Backoff jitter forks from `recovery_seed` and fault application
-//! times come from the schedule — so recovery traces are byte-identical
-//! across thread counts.
+//! Backoff jitter draws from a stream seeded `base.seed ^ 0x4EC0` and
+//! fault application times come from the schedule — so recovery traces
+//! are byte-identical across thread counts.
 
 use crate::admission::{Admission, ConnRequest, RejectReason};
 use crate::bound::{AuditEntry, GuaranteeAudit};
@@ -46,17 +46,26 @@ use crate::driver::{ControlPlane, Wake};
 use mango_core::{ConnectionId, RouterId};
 use mango_net::{
     ConnState, EmitWindow, FaultCounters, FaultKind, FaultSchedule, FlowKind, MeasureBound, Notice,
-    NoticeKind, Pattern, PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig,
+    NoticeKind, PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig, TemporalSpec,
 };
 use mango_sim::{RunOutcome, SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
+
+/// First re-admission retry delay; doubles per attempt.
+pub const BACKOFF_BASE: SimDuration = SimDuration::from_ns(200);
+/// Ceiling on the retry delay (before jitter).
+pub const BACKOFF_CAP: SimDuration = SimDuration::from_us(4);
+/// Deadline for one in-band teardown (or reopen) to settle before the
+/// engine force-closes and moves on.
+pub const OP_TIMEOUT: SimDuration = SimDuration::from_us(5);
 
 /// A fault-injection + recovery experiment: a base scenario, a set of
 /// managed GS connections with watchdogs, and a fault schedule whose
 /// times are offsets **from measurement start**.
 #[derive(Debug, Clone)]
 pub struct RecoverySpec {
-    /// The base scenario. `measure` must be [`MeasureBound::For`].
+    /// The base scenario. `measure` must be [`MeasureBound::For`]. Its
+    /// seed, salted, also seeds the backoff-jitter stream.
     pub base: ScenarioSpec,
     /// Managed GS connections (opened before measurement, watchdogged).
     pub managed: Vec<(RouterId, RouterId)>,
@@ -65,19 +74,8 @@ pub struct RecoverySpec {
     /// Fault schedule; each event's `at` is an offset from measurement
     /// start (the engine shifts it onto the simulation clock).
     pub faults: FaultSchedule,
-    /// Seed of the backoff-jitter stream.
-    pub recovery_seed: u64,
-    /// First retry delay; doubles per attempt.
-    pub backoff_base: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_cap: SimDuration,
     /// Re-admission attempts before giving up on a broken connection.
     pub max_retries: u32,
-    /// Deadline for one in-band teardown (or reopen) to settle before
-    /// the engine force-closes and moves on.
-    pub op_timeout: SimDuration,
-    /// Fraction of link capacity reservable by GS connections.
-    pub max_gs_frac: f64,
 }
 
 impl RecoverySpec {
@@ -90,12 +88,7 @@ impl RecoverySpec {
             managed: Vec::new(),
             gs_period: SimDuration::from_ns(15),
             faults: FaultSchedule::new(seed ^ 0xFA_17),
-            recovery_seed: seed ^ 0x4EC0,
-            backoff_base: SimDuration::from_ns(200),
-            backoff_cap: SimDuration::from_us(4),
             max_retries: 6,
-            op_timeout: SimDuration::from_us(5),
-            max_gs_frac: 0.875,
         }
     }
 
@@ -124,7 +117,7 @@ impl RecoverySpec {
         &self,
         cfg: Option<TelemetryConfig>,
     ) -> (RecoveryMetrics, Option<TelemetryReport>) {
-        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg, self.max_gs_frac);
+        let (mut prepared, cp) = ControlPlane::prepare(&self.base, cfg);
         let mut engine = Engine::new(self, cp);
         engine.arm(&mut prepared);
         engine.run(prepared)
@@ -295,7 +288,7 @@ impl<'a> Engine<'a> {
         Engine {
             spec,
             cp,
-            jitter: SimRng::new(spec.recovery_seed),
+            jitter: SimRng::new(spec.base.seed ^ 0x4EC0),
             managed: Vec::new(),
             records: Vec::new(),
             first_streams: Vec::new(),
@@ -384,7 +377,7 @@ impl<'a> Engine<'a> {
         post: bool,
     ) {
         let conn = self.managed[i].conn;
-        let pattern = Pattern::cbr(self.spec.gs_period);
+        let pattern = TemporalSpec::cbr(self.spec.gs_period);
         let flow = prepared
             .sim_mut()
             .add_gs_source(conn, pattern, name, EmitWindow::default());
@@ -406,11 +399,11 @@ impl<'a> Engine<'a> {
     }
 
     fn backoff(&mut self, attempt: u32) -> SimDuration {
-        let exp = self.spec.backoff_base * 2u64.saturating_pow(attempt.min(16));
-        let capped = exp.min(self.spec.backoff_cap);
+        let exp = BACKOFF_BASE * 2u64.saturating_pow(attempt.min(16));
+        let capped = exp.min(BACKOFF_CAP);
         // Deterministic jitter in [0, base/2): decorrelates retries
         // without breaking replay.
-        let span = (self.spec.backoff_base.as_ps() / 2).max(1);
+        let span = (BACKOFF_BASE.as_ps() / 2).max(1);
         capped + SimDuration::from_ps(self.jitter.gen_range(span))
     }
 
@@ -482,9 +475,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Gives the in-band operation just sent on `i` one `op_timeout`.
+    /// Gives the in-band operation just sent on `i` one [`OP_TIMEOUT`].
     fn arm_deadline(&mut self, now: SimTime, i: usize) {
-        let deadline = now + self.spec.op_timeout;
+        let deadline = now + OP_TIMEOUT;
         self.managed[i].deadline = Some(deadline);
         self.cp.push(deadline, Step::Deadline(i));
     }
@@ -503,7 +496,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The teardown or reopen of `i` outlived `op_timeout` (a fault ate
+    /// The teardown or reopen of `i` outlived [`OP_TIMEOUT`] (a fault ate
     /// its packets or acks): force-close, quarantining the unconfirmed
     /// hops, then reopen (after a teardown) or retry (after a reopen).
     fn on_deadline(&mut self, prepared: &mut PreparedScenario, i: usize) {

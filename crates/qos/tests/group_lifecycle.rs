@@ -33,7 +33,7 @@ proptest! {
         pairs in prop::collection::vec((0u32..16, 0u32..16), 6..7),
     ) {
         let base = ScenarioSpec::mesh(4, 4, seed).measure_for(SimDuration::from_us(50));
-        let (mut prepared, cp) = ControlPlane::prepare(&base, None, 0.875);
+        let (mut prepared, cp) = ControlPlane::prepare(&base, None);
         let arrivals = ArrivalSpec {
             seed,
             gap: SimDuration::from_us(1),
@@ -98,7 +98,7 @@ proptest! {
     ) {
         const REQUESTS: u64 = 3;
         let base = ScenarioSpec::mesh(4, 4, seed).measure_for(SimDuration::from_us(40));
-        let (mut prepared, cp) = ControlPlane::prepare(&base, None, 0.875);
+        let (mut prepared, cp) = ControlPlane::prepare(&base, None);
         let ns = SimDuration::from_ns;
         let (holding_mean, holding_min, drain_margin) = if hold_shorter_than_setup == 1 {
             (ns(30), ns(25), ns(10))

@@ -4,7 +4,7 @@
 
 use crate::record::CsvRecord;
 use mango_hw::Table;
-use mango_net::{PatternKind, ScenarioSpec, TemporalSpec, TrafficSpec};
+use mango_net::{ScenarioSpec, TrafficSpec};
 use mango_qos::{ChurnMetrics, ChurnSpec, GuaranteeAudit, RejectReason};
 use mango_sim::SimDuration;
 use std::fmt;
@@ -28,13 +28,9 @@ pub struct ChurnSweepSpec {
     pub horizon_us: u64,
     /// Hard cap on requests per job.
     pub max_requests: u64,
-    /// Per-node BE Poisson background mean gap, ns (`None` = idle).
+    /// Per-node uniform-random BE Poisson background mean gap, ns
+    /// (`None` = idle).
     pub be_gap_ns: Option<u64>,
-    /// Spatial pattern of the BE background (any [`TrafficSpec`] works
-    /// on a churn base scenario; this knob covers the named axis).
-    pub be_pattern: PatternKind,
-    /// Fraction of link capacity reservable by GS connections.
-    pub max_gs_frac_milli: u32,
 }
 
 impl Default for ChurnSweepSpec {
@@ -48,8 +44,6 @@ impl Default for ChurnSweepSpec {
             horizon_us: 200,
             max_requests: 10_000,
             be_gap_ns: None,
-            be_pattern: PatternKind::Uniform,
-            max_gs_frac_milli: 875,
         }
     }
 }
@@ -102,8 +96,6 @@ impl ChurnSweepSpec {
             horizon_us: 120,
             max_requests: 80,
             be_gap_ns: None,
-            be_pattern: PatternKind::Uniform,
-            max_gs_frac_milli: 875,
         }
     }
 
@@ -123,8 +115,6 @@ impl ChurnSweepSpec {
             horizon_us: 300,
             max_requests: 1500,
             be_gap_ns: Some(1000),
-            be_pattern: PatternKind::Uniform,
-            max_gs_frac_milli: 875,
         }
     }
 
@@ -175,18 +165,14 @@ impl ChurnSweepSpec {
             .measure_for(SimDuration::from_us(self.horizon_us));
         if let Some(gap) = self.be_gap_ns {
             base = base.traffic(
-                TrafficSpec::new(
-                    self.be_pattern.spatial(job.width, job.height),
-                    TemporalSpec::poisson(SimDuration::from_ns(gap)),
-                )
-                .payload(4)
-                .named("bg-"),
+                TrafficSpec::uniform_poisson(SimDuration::from_ns(gap))
+                    .payload(4)
+                    .named("bg-"),
             );
         }
         let holding_mean = SimDuration::from_us(job.holding_us);
         ChurnSpec {
             base,
-            churn_seed: job.seed ^ 0xC0DE_C0DE,
             arrival_gap: SimDuration::from_ns(job.arrival_gap_ns),
             holding_mean,
             // Floor at a quarter of the mean (≥ 3 µs so the stream
@@ -195,7 +181,6 @@ impl ChurnSweepSpec {
             gs_period: SimDuration::from_ns(job.gs_period_ns),
             drain_margin: SimDuration::from_us(1),
             max_requests: self.max_requests,
-            max_gs_frac: f64::from(self.max_gs_frac_milli) / 1000.0,
         }
     }
 

@@ -24,8 +24,6 @@ pub struct SweepArgs {
     pub json: Option<PathBuf>,
     /// Collect run-time telemetry and write `metrics.csv`, `epochs.csv`
     /// and `trace.json` into this directory (`--telemetry-out DIR`).
-    /// Honoured by the binaries that collect telemetry (see each
-    /// binary's usage line).
     pub telemetry_out: Option<PathBuf>,
     /// Arguments the common parser did not consume, in original order.
     pub rest: Vec<String>,
@@ -91,6 +89,23 @@ impl SweepArgs {
             usage_exit(&msg);
         }
         args
+    }
+
+    /// Exits with the usage error (status 2) if one of the output flags
+    /// named in `unwritten` (`--json`, `--telemetry-out`) was given: a
+    /// binary refuses an output it does not write rather than accepting
+    /// the flag and ignoring it.
+    pub fn refuse(self, unwritten: &[&str]) -> SweepArgs {
+        let given = [
+            ("--json", self.json.is_some()),
+            ("--telemetry-out", self.telemetry_out.is_some()),
+        ];
+        for (flag, set) in given {
+            if set && unwritten.contains(&flag) {
+                usage_exit(&format!("this binary does not write {flag}"));
+            }
+        }
+        self
     }
 
     /// Fails on any unconsumed argument — for binaries with no flags of

@@ -44,8 +44,6 @@ pub struct FaultSweepSpec {
     pub horizon_us: u64,
     /// CBR emission period of every managed stream, ns.
     pub gs_period_ns: u64,
-    /// Fraction of link capacity reservable by GS connections, milli.
-    pub max_gs_frac_milli: u32,
 }
 
 impl Default for FaultSweepSpec {
@@ -59,7 +57,6 @@ impl Default for FaultSweepSpec {
             seeds: vec![1],
             horizon_us: 80,
             gs_period_ns: 15,
-            max_gs_frac_milli: 875,
         }
     }
 }
@@ -129,7 +126,6 @@ impl FaultSweepSpec {
             seeds: vec![1],
             horizon_us: 120,
             gs_period_ns: 15,
-            max_gs_frac_milli: 875,
         }
     }
 
@@ -200,7 +196,6 @@ impl FaultSweepSpec {
         let grid = Grid::new(job.width, job.height);
         spec.managed = auto_gs_pairs(&grid, job.gs_conns);
         spec.gs_period = SimDuration::from_ns(self.gs_period_ns);
-        spec.max_gs_frac = f64::from(self.max_gs_frac_milli) / 1000.0;
         spec.faults = FaultSchedule::random_links(
             &grid,
             job.seed,

@@ -16,11 +16,8 @@ use mango_sim::SimDuration;
 /// semantics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSpec {
-    /// Mesh geometries `(width, height)`.
-    pub meshes: Vec<(u8, u8)>,
-    /// Topology axis override: empty (the default) derives plain meshes
-    /// from `meshes`; non-empty replaces the mesh axis with these specs
-    /// (torus, chiplet mesh-of-meshes — see [`TopologySpec::parse`]).
+    /// Topologies: meshes, tori, chiplet meshes-of-meshes (see
+    /// [`TopologySpec::parse`]).
     pub topologies: Vec<TopologySpec>,
     /// GS connection counts (auto-placed via [`auto_gs_pairs`]).
     pub gs_conns: Vec<u32>,
@@ -45,8 +42,7 @@ pub struct SweepSpec {
 impl Default for SweepSpec {
     fn default() -> Self {
         SweepSpec {
-            meshes: vec![(4, 4)],
-            topologies: Vec::new(),
+            topologies: vec![TopologySpec::mesh(4, 4)],
             gs_conns: vec![0],
             be_gaps_ns: vec![Some(300)],
             patterns: vec![PatternKind::Uniform],
@@ -67,10 +63,6 @@ pub struct SweepJob {
     pub id: usize,
     /// The topology of this grid point.
     pub topology: TopologySpec,
-    /// Grid width (mirrors `topology.dims()`, kept for CSV columns).
-    pub width: u8,
-    /// Grid height (mirrors `topology.dims()`).
-    pub height: u8,
     /// GS connections to open.
     pub gs_conns: u32,
     /// Per-node BE mean gap, ns (`None` = idle).
@@ -109,8 +101,7 @@ impl SweepSpec {
     /// 4×4 mesh, 20 µs windows.
     pub fn smoke() -> Self {
         SweepSpec {
-            meshes: vec![(4, 4)],
-            topologies: Vec::new(),
+            topologies: vec![TopologySpec::mesh(4, 4)],
             gs_conns: vec![0, 2],
             be_gaps_ns: vec![Some(300), Some(100)],
             patterns: vec![PatternKind::Uniform],
@@ -127,8 +118,7 @@ impl SweepSpec {
     /// a GS foreground on a 4×4 mesh, 20 µs windows.
     pub fn pattern_smoke() -> Self {
         SweepSpec {
-            meshes: vec![(4, 4)],
-            topologies: Vec::new(),
+            topologies: vec![TopologySpec::mesh(4, 4)],
             gs_conns: vec![1],
             be_gaps_ns: vec![Some(300)],
             patterns: vec![PatternKind::Hotspot, PatternKind::Transpose],
@@ -145,8 +135,11 @@ impl SweepSpec {
     /// with and without GS foreground, three seeds.
     pub fn full() -> Self {
         SweepSpec {
-            meshes: vec![(4, 4), (8, 8), (16, 16)],
-            topologies: Vec::new(),
+            topologies: vec![
+                TopologySpec::mesh(4, 4),
+                TopologySpec::mesh(8, 8),
+                TopologySpec::mesh(16, 16),
+            ],
             gs_conns: vec![0, 4],
             be_gaps_ns: vec![None, Some(1000), Some(300), Some(100), Some(50)],
             patterns: vec![PatternKind::Uniform],
@@ -158,22 +151,9 @@ impl SweepSpec {
         }
     }
 
-    /// The effective topology axis: the explicit `topologies` override,
-    /// or plain meshes derived from `meshes`.
-    pub fn topology_axis(&self) -> Vec<TopologySpec> {
-        if self.topologies.is_empty() {
-            self.meshes
-                .iter()
-                .map(|&(width, height)| TopologySpec::Mesh { width, height })
-                .collect()
-        } else {
-            self.topologies.clone()
-        }
-    }
-
     /// Number of grid points (product of dimension sizes).
     pub fn len(&self) -> usize {
-        self.topology_axis().len()
+        self.topologies.len()
             * self.gs_conns.len()
             * self.be_gaps_ns.len()
             * self.patterns.len()
@@ -200,10 +180,10 @@ impl SweepSpec {
         if self.is_empty() {
             return Err("the grid is empty (an empty dimension)".into());
         }
-        for topo in self.topology_axis() {
+        for topo in &self.topologies {
             topo.validate()
                 .map_err(|e| format!("topology {topo}: {e}"))?;
-            let grid = Grid::from_spec(&topo);
+            let grid = Grid::from_spec(topo);
             for &p in &self.patterns {
                 p.spatial(grid.width(), grid.height())
                     .validate(&grid)
@@ -246,7 +226,7 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// Expands the grid to jobs in a fixed nesting order — mesh
+    /// Expands the grid to jobs in a fixed nesting order — topology
     /// outermost, then GS count, BE gap, spatial pattern, GS period,
     /// measure window, seed innermost. Job ids are ordinals in this
     /// order; the order **is** the output order of every writer, so it
@@ -254,8 +234,7 @@ impl SweepSpec {
     /// expands to the same job ids as the pre-pattern-axis grids.)
     pub fn expand(&self) -> Vec<SweepJob> {
         let mut jobs = Vec::with_capacity(self.len());
-        for topology in self.topology_axis() {
-            let (width, height) = topology.dims();
+        for &topology in &self.topologies {
             for &gs_conns in &self.gs_conns {
                 for &be_gap_ns in &self.be_gaps_ns {
                     for &pattern in &self.patterns {
@@ -265,8 +244,6 @@ impl SweepSpec {
                                     jobs.push(SweepJob {
                                         id: jobs.len(),
                                         topology,
-                                        width,
-                                        height,
                                         gs_conns,
                                         be_gap_ns,
                                         pattern,
@@ -304,9 +281,10 @@ impl SweepSpec {
             });
         }
         if let Some(gap) = job.be_gap_ns {
+            let (width, height) = job.topology.dims();
             spec = spec.traffic(
                 TrafficSpec::new(
-                    job.pattern.spatial(job.width, job.height),
+                    job.pattern.spatial(width, height),
                     TemporalSpec::poisson(SimDuration::from_ns(gap)),
                 )
                 .payload(self.payload_words)
@@ -353,7 +331,7 @@ mod tests {
     #[test]
     fn expansion_count_is_cartesian_product() {
         let spec = SweepSpec {
-            meshes: vec![(4, 4), (8, 8)],
+            topologies: vec![TopologySpec::mesh(4, 4), TopologySpec::mesh(8, 8)],
             gs_conns: vec![0, 2, 4],
             be_gaps_ns: vec![None, Some(100)],
             gs_periods_ns: vec![12],
@@ -373,9 +351,9 @@ mod tests {
         assert_eq!(jobs[0].seed, 1);
         assert_eq!(jobs[1].seed, 2);
         assert_eq!(jobs[2].seed, 3);
-        assert_eq!(jobs[0].width, jobs[1].width);
-        // Mesh is outermost: the second half of the grid is 8×8.
-        assert_eq!(jobs[jobs.len() / 2].width, 8);
+        assert_eq!(jobs[0].topology, jobs[1].topology);
+        // Topology is outermost: the second half of the grid is 8×8.
+        assert_eq!(jobs[jobs.len() / 2].topology, TopologySpec::mesh(8, 8));
     }
 
     #[test]
@@ -399,8 +377,6 @@ mod tests {
             SweepJob {
                 id: 0,
                 topology: TopologySpec::mesh(4, 4),
-                width: 4,
-                height: 4,
                 gs_conns: 0,
                 be_gap_ns: Some(300),
                 pattern: PatternKind::Uniform,
@@ -477,7 +453,7 @@ mod tests {
             ),
             (
                 SweepSpec {
-                    meshes: vec![(4, 4), (0, 3)],
+                    topologies: vec![TopologySpec::mesh(4, 4), TopologySpec::mesh(0, 3)],
                     ..base()
                 },
                 "mesh0x3: grid dimensions must be positive",
@@ -498,7 +474,7 @@ mod tests {
             ),
             (
                 SweepSpec {
-                    meshes: vec![(4, 2)],
+                    topologies: vec![TopologySpec::mesh(4, 2)],
                     patterns: vec![PatternKind::Transpose],
                     ..base()
                 },
@@ -533,20 +509,18 @@ mod tests {
     }
 
     #[test]
-    fn topology_axis_overrides_the_mesh_axis() {
+    fn topology_axis_expands_every_topology_kind() {
         let spec = SweepSpec {
-            meshes: vec![(4, 4)],
             topologies: vec![TopologySpec::torus(4, 4), TopologySpec::chiplet(2, 2, 2, 2)],
             seeds: vec![1, 2],
             ..Default::default()
         };
-        assert_eq!(spec.len(), 2 * 2, "topology axis replaces meshes");
+        assert_eq!(spec.len(), 2 * 2);
         let jobs = spec.expand();
         assert_eq!(jobs[0].topology, TopologySpec::torus(4, 4));
-        assert_eq!(jobs[0].width, 4);
         assert_eq!(jobs[2].topology, TopologySpec::chiplet(2, 2, 2, 2));
         assert!(jobs[2].to_string().contains("chiplet2x2x2x2"));
-        // A meshes-only grid still prints the classic mesh name.
+        // A mesh prints the classic mesh name.
         let jobs = SweepSpec::default().expand();
         assert!(jobs[0].to_string().contains("mesh4x4"));
     }

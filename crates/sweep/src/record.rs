@@ -111,12 +111,13 @@ impl SweepRecord {
     /// CSVs compares the underlying measurements.
     pub fn csv_row(&self) -> String {
         let j = &self.job;
+        let (width, height) = j.topology.dims();
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             j.id,
             j.topology.name(),
-            j.width,
-            j.height,
+            width,
+            height,
             j.gs_conns,
             j.be_gap_ns.map_or(String::from(""), |g| g.to_string()),
             j.pattern,
@@ -145,6 +146,7 @@ impl SweepRecord {
     /// so no escaping is needed and no serde dependency either).
     pub fn to_json(&self) -> String {
         let j = &self.job;
+        let (width, height) = j.topology.dims();
         format!(
             "{{\"job_id\":{},\"topology\":\"{}\",\"width\":{},\"height\":{},\"gs_conns\":{},\
              \"be_gap_ns\":{},\"pattern\":\"{}\",\"gs_period_ns\":{},\
@@ -156,8 +158,8 @@ impl SweepRecord {
              \"gs_p50_ns\":{},\"gs_p95_ns\":{},\"be_p50_ns\":{},\"be_p95_ns\":{}}}",
             j.id,
             j.topology.name(),
-            j.width,
-            j.height,
+            width,
+            height,
             j.gs_conns,
             j.be_gap_ns.map_or(String::from("null"), |g| g.to_string()),
             j.pattern,

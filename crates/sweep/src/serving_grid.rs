@@ -8,7 +8,7 @@ use crate::record::CsvRecord;
 use mango_apps::ServingMetrics;
 use mango_apps::{graph, PlacerKind, ServingSpec, TaskGraph};
 use mango_hw::Table;
-use mango_net::{PatternKind, ScenarioSpec, TemporalSpec, TopologySpec, TrafficSpec};
+use mango_net::{ScenarioSpec, TopologySpec, TrafficSpec};
 use mango_qos::{GuaranteeAudit, RejectReason};
 use mango_sim::SimDuration;
 use std::fmt;
@@ -35,12 +35,9 @@ pub struct ServingSweepSpec {
     pub horizon_us: u64,
     /// Hard cap on offered instances per job.
     pub max_apps: u64,
-    /// Per-node BE Poisson background mean gap, ns (`None` = idle).
+    /// Per-node uniform-random BE Poisson background mean gap, ns
+    /// (`None` = idle).
     pub be_gap_ns: Option<u64>,
-    /// Spatial pattern of the BE background.
-    pub be_pattern: PatternKind,
-    /// Fraction of link capacity reservable by GS connections.
-    pub max_gs_frac_milli: u32,
 }
 
 impl Default for ServingSweepSpec {
@@ -55,8 +52,6 @@ impl Default for ServingSweepSpec {
             horizon_us: 200,
             max_apps: 10_000,
             be_gap_ns: None,
-            be_pattern: PatternKind::Uniform,
-            max_gs_frac_milli: 875,
         }
     }
 }
@@ -107,8 +102,6 @@ impl ServingSweepSpec {
             horizon_us: 100,
             max_apps: 60,
             be_gap_ns: None,
-            be_pattern: PatternKind::Uniform,
-            max_gs_frac_milli: 875,
         }
     }
 
@@ -127,8 +120,6 @@ impl ServingSweepSpec {
             horizon_us: 300,
             max_apps: 3000,
             be_gap_ns: Some(2000),
-            be_pattern: PatternKind::Uniform,
-            max_gs_frac_milli: 875,
         }
     }
 
@@ -185,14 +176,10 @@ impl ServingSweepSpec {
         let mut base = ScenarioSpec::on_topology(job.topology, job.seed)
             .measure_for(SimDuration::from_us(self.horizon_us));
         if let Some(gap) = self.be_gap_ns {
-            let (width, height) = job.topology.dims();
             base = base.traffic(
-                TrafficSpec::new(
-                    self.be_pattern.spatial(width, height),
-                    TemporalSpec::poisson(SimDuration::from_ns(gap)),
-                )
-                .payload(4)
-                .named("bg-"),
+                TrafficSpec::uniform_poisson(SimDuration::from_ns(gap))
+                    .payload(4)
+                    .named("bg-"),
             );
         }
         let holding_mean = SimDuration::from_us(self.holding_us);
@@ -201,7 +188,6 @@ impl ServingSweepSpec {
         spec.holding_mean = holding_mean;
         spec.holding_min = (holding_mean / 4).max(SimDuration::from_us(3));
         spec.max_apps = self.max_apps;
-        spec.max_gs_frac = f64::from(self.max_gs_frac_milli) / 1000.0;
         spec
     }
 

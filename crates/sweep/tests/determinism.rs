@@ -2,6 +2,7 @@
 //! a pure function of the job list, independent of worker count and
 //! scheduling.
 
+use mango_net::TopologySpec;
 use mango_sweep::{run_parallel, CsvRecord, FaultSweepSpec, SweepSpec};
 use proptest::prelude::*;
 
@@ -35,18 +36,18 @@ proptest! {
     /// and the count is the cartesian product of the dimension sizes.
     #[test]
     fn expansion_is_stable_and_counted(
-        n_mesh in 1usize..3,
+        n_topo in 1usize..3,
         n_gaps in 0usize..4,
         n_seeds in 0usize..4,
     ) {
         let spec = SweepSpec {
-            meshes: (0..n_mesh).map(|i| (3 + i as u8, 3)).collect(),
+            topologies: (0..n_topo).map(|i| TopologySpec::mesh(3 + i as u8, 3)).collect(),
             be_gaps_ns: (0..n_gaps).map(|i| Some(100 + 50 * i as u64)).collect(),
             seeds: (0..n_seeds).map(|i| i as u64).collect(),
             ..Default::default()
         };
         let jobs = spec.expand();
-        prop_assert_eq!(jobs.len(), n_mesh * n_gaps * n_seeds);
+        prop_assert_eq!(jobs.len(), n_topo * n_gaps * n_seeds);
         prop_assert_eq!(jobs.len(), spec.len());
         for (i, j) in jobs.iter().enumerate() {
             prop_assert_eq!(j.id, i);
@@ -60,7 +61,7 @@ proptest! {
 #[test]
 fn real_sweep_records_match_across_worker_counts() {
     let spec = SweepSpec {
-        meshes: vec![(3, 3)],
+        topologies: vec![TopologySpec::mesh(3, 3)],
         gs_conns: vec![0, 1],
         be_gaps_ns: vec![Some(400)],
         measures_us: vec![5],

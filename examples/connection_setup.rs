@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release -p mango --example connection_setup`
 
 use mango::core::RouterId;
-use mango::net::{ConnState, EmitWindow, NocSim, Pattern};
+use mango::net::{ConnState, EmitWindow, NocSim, TemporalSpec};
 use mango::sim::SimDuration;
 
 fn main() {
@@ -65,7 +65,7 @@ fn main() {
     sim.begin_measurement();
     let flow = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ns(10)),
+        TemporalSpec::cbr(SimDuration::from_ns(10)),
         "payload",
         EmitWindow {
             limit: Some(1000),

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release -p mango --example quickstart`
 
 use mango::core::RouterId;
-use mango::net::{EmitWindow, NocSim, Pattern};
+use mango::net::{EmitWindow, NocSim, TemporalSpec};
 use mango::sim::SimDuration;
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
     sim.begin_measurement();
     let flow = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ns(20)),
+        TemporalSpec::cbr(SimDuration::from_ns(20)),
         "quickstart",
         EmitWindow {
             limit: Some(10_000),

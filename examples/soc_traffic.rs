@@ -14,7 +14,7 @@
 //! Run with: `cargo run --release -p mango --example soc_traffic`
 
 use mango::core::RouterId;
-use mango::net::{EmitWindow, NocSim, OcpMessage, OcpSlave, Pattern};
+use mango::net::{EmitWindow, NocSim, OcpMessage, OcpSlave, TemporalSpec};
 use mango::sim::SimDuration;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
     sim.begin_measurement();
     let stream_flow = sim.add_gs_source(
         stream,
-        Pattern::cbr(SimDuration::from_ps(12_500)), // 80 Mflit/s
+        TemporalSpec::cbr(SimDuration::from_ps(12_500)), // 80 Mflit/s
         "dsp-video",
         EmitWindow::default(),
     );

@@ -13,7 +13,7 @@
 use mango::baseline::{AetherealReference, TdmConfig, TdmNetwork};
 use mango::core::RouterId;
 use mango::hw::{AreaModel, Corner, RouterParams, TimingModel};
-use mango::net::{EmitWindow, Grid, NocSim, Pattern};
+use mango::net::{EmitWindow, Grid, NocSim, TemporalSpec};
 use mango::sim::{SimDuration, SimTime};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     sim.begin_measurement();
     let flow = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ps(10_070)), // ≈ the 1/8 floor
+        TemporalSpec::cbr(SimDuration::from_ps(10_070)), // ≈ the 1/8 floor
         "mango-gs",
         EmitWindow::default(),
     );

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release -p mango --example video_stream`
 
 use mango::core::RouterId;
-use mango::net::{EmitWindow, NocSim, Pattern};
+use mango::net::{EmitWindow, NocSim, TemporalSpec};
 use mango::sim::SimDuration;
 
 fn run_at_be_load(be_period: Option<SimDuration>) -> (f64, f64, f64) {
@@ -34,7 +34,7 @@ fn run_at_be_load(be_period: Option<SimDuration>) -> (f64, f64, f64) {
                 node,
                 dests,
                 4,
-                Pattern::poisson(period),
+                TemporalSpec::poisson(period),
                 format!("be-{node}"),
                 EmitWindow::default(),
             );
@@ -46,7 +46,7 @@ fn run_at_be_load(be_period: Option<SimDuration>) -> (f64, f64, f64) {
     sim.begin_measurement();
     let video = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ps(16_667)), // 60 Mflit/s
+        TemporalSpec::cbr(SimDuration::from_ps(16_667)), // 60 Mflit/s
         "video",
         EmitWindow::default(),
     );

@@ -4,8 +4,10 @@
 # `#[cfg(test)]` line. A `#[cfg(test)]` directly followed by a `mod x;`
 # declaration is not the end of the file: the two lines are skipped, and
 # so is the declared module's file (`x.rs` or `x/mod.rs`) with every
-# module below it. Prints one line per crate, then the total.
-# A report, not a gate.
+# module below it. In the same non-test lines, outside `//` comment
+# lines, it also counts the panic sites: each `unwrap(`, `expect(`,
+# `panic!(` and `unreachable!(`. Prints a header, one line per crate
+# (lines, panic sites), then the total. A report, not a gate.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -37,7 +39,7 @@ for file in $files; do
         esac
     done
     [ "$skip" = 1 ] && continue
-    lines=$(awk '
+    counts=$(awk '
         pending {
             if ($0 ~ /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+;/) {
                 pending = 0
@@ -47,9 +49,17 @@ for file in $files; do
         }
         /#\[cfg\(test\)\]/ { pending = 1; next }
         { n++ }
-        END { print n + 0 }' "$file")
-    echo "$(cut -d/ -f1-2 <<<"$file") $lines"
+        !/^[[:space:]]*\/\// {
+            rest = $0
+            while (match(rest, /(unwrap|expect)\(|(panic|unreachable)!\(/)) {
+                p++
+                rest = substr(rest, RSTART + RLENGTH)
+            }
+        }
+        END { print n + 0, p + 0 }' "$file")
+    echo "$(cut -d/ -f1-2 <<<"$file") $counts"
 done |
-    awk '{ sum[$1] += $2; total += $2 }
-         END { for (c in sum) printf "%-18s %6d\n", c, sum[c] | "sort"; close("sort");
-               printf "%-18s %6d\n", "total", total }'
+    awk '{ lines[$1] += $2; sites[$1] += $3; total += $2; panics += $3 }
+         END { printf "%-18s %6s %6s\n", "crate", "lines", "panics"
+               for (c in lines) printf "%-18s %6d %6d\n", c, lines[c], sites[c] | "sort"; close("sort");
+               printf "%-18s %6d %6d\n", "total", total, panics }'

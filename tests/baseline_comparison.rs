@@ -5,7 +5,7 @@
 
 use mango::baseline::{TdmConfig, TdmNetwork};
 use mango::core::RouterId;
-use mango::net::{EmitWindow, Grid, NocSim, Pattern};
+use mango::net::{EmitWindow, Grid, NocSim, TemporalSpec};
 use mango::sim::SimDuration;
 
 /// Seven connections from two neighbouring sources of a 2×4 mesh fit the
@@ -53,7 +53,7 @@ fn tdm_couples_latency_to_frame_mango_does_not() {
     sim.begin_measurement();
     let flow = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ns(100)),
+        TemporalSpec::cbr(SimDuration::from_ns(100)),
         "lat",
         EmitWindow {
             limit: Some(2_000),

@@ -4,7 +4,7 @@
 
 use mango::core::{BeHeader, Direction, RouterId};
 use mango::net::{
-    AppPacket, EmitWindow, NaApp, NetEvent, NocSim, Pattern, ScenarioMetrics, ScenarioSpec,
+    AppPacket, EmitWindow, NaApp, NetEvent, NocSim, ScenarioMetrics, ScenarioSpec, TemporalSpec,
     TrafficSpec,
 };
 use mango::sim::{RunOutcome, SimDuration, SimTime};
@@ -23,7 +23,7 @@ fn uniform_random_be_traffic_is_lossless() {
             node,
             dests,
             3,
-            Pattern::poisson(SimDuration::from_ns(300)),
+            TemporalSpec::poisson(SimDuration::from_ns(300)),
             format!("be-{node}"),
             EmitWindow {
                 limit: Some(200),
@@ -205,7 +205,7 @@ fn be_gets_floor_under_gs_saturation_and_more_when_idle() {
         RouterId::new(0, 0),
         vec![RouterId::new(2, 0)],
         3,
-        Pattern::cbr(SimDuration::from_ns(12)),
+        TemporalSpec::cbr(SimDuration::from_ns(12)),
         "be-idle",
         EmitWindow::default(),
     );
@@ -237,7 +237,7 @@ fn be_gets_floor_under_gs_saturation_and_more_when_idle() {
     for (i, c) in conns.iter().enumerate() {
         sim.add_gs_source(
             *c,
-            Pattern::cbr(SimDuration::from_ns(5)),
+            TemporalSpec::cbr(SimDuration::from_ns(5)),
             format!("gs-{i}"),
             EmitWindow::default(),
         );
@@ -248,7 +248,7 @@ fn be_gets_floor_under_gs_saturation_and_more_when_idle() {
         RouterId::new(1, 0),
         vec![RouterId::new(2, 0)],
         3,
-        Pattern::cbr(SimDuration::from_ns(12)),
+        TemporalSpec::cbr(SimDuration::from_ns(12)),
         "be-contended",
         EmitWindow::default(),
     );

@@ -2,7 +2,7 @@
 //! management through the BE-packet programming interface.
 
 use mango::core::RouterId;
-use mango::net::{ConnError, ConnState, EmitWindow, NocSim, Pattern};
+use mango::net::{ConnError, ConnState, EmitWindow, NocSim, TemporalSpec};
 use mango::sim::SimDuration;
 
 /// Opening a connection programs exactly the routers on its path, and all
@@ -66,7 +66,7 @@ fn repeated_open_stream_close_cycles() {
         sim.wait_connections_settled().unwrap();
         let flow = sim.add_gs_source(
             conn,
-            Pattern::cbr(SimDuration::from_ns(10)),
+            TemporalSpec::cbr(SimDuration::from_ns(10)),
             format!("round-{round}"),
             EmitWindow {
                 limit: Some(500),
@@ -124,7 +124,7 @@ fn concurrent_opens_share_the_be_network() {
         .map(|(i, c)| {
             sim.add_gs_source(
                 *c,
-                Pattern::cbr(SimDuration::from_ns(25)),
+                TemporalSpec::cbr(SimDuration::from_ns(25)),
                 format!("conc-{i}"),
                 EmitWindow {
                     limit: Some(300),
@@ -177,7 +177,7 @@ fn setup_completes_under_be_load() {
             node,
             dests,
             4,
-            Pattern::poisson(SimDuration::from_ns(150)),
+            TemporalSpec::poisson(SimDuration::from_ns(150)),
             format!("bg-{node}"),
             EmitWindow::default(),
         );
@@ -192,7 +192,7 @@ fn setup_completes_under_be_load() {
     sim.begin_measurement();
     let flow = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ns(12)),
+        TemporalSpec::cbr(SimDuration::from_ns(12)),
         "after-load",
         EmitWindow {
             limit: Some(1_000),

@@ -3,7 +3,7 @@
 //! keep its guarantees for everyone else while doing so.
 
 use mango::core::{build_be_packet, BeHeader, Direction, RouterId};
-use mango::net::{xy_header, EmitWindow, NocSim, Pattern};
+use mango::net::{xy_header, EmitWindow, NocSim, TemporalSpec};
 use mango::sim::{RunOutcome, SimDuration};
 
 /// Injects a config-marked BE packet with the given payload words from
@@ -45,7 +45,7 @@ fn malformed_config_packet_is_counted_and_dropped() {
     sim.wait_connections_settled().unwrap();
     let flow = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ns(10)),
+        TemporalSpec::cbr(SimDuration::from_ns(10)),
         "after-garbage",
         EmitWindow {
             limit: Some(100),
@@ -84,7 +84,7 @@ fn conflicting_programming_is_rejected_not_applied() {
     // The live connection still works perfectly.
     let flow = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ns(10)),
+        TemporalSpec::cbr(SimDuration::from_ns(10)),
         "survivor",
         EmitWindow {
             limit: Some(500),
@@ -186,7 +186,7 @@ fn be_overload_drains_after_sources_stop() {
             node,
             dests,
             5,
-            Pattern::cbr(SimDuration::from_ns(10)), // far beyond capacity
+            TemporalSpec::cbr(SimDuration::from_ns(10)), // far beyond capacity
             format!("overload-{node}"),
             EmitWindow {
                 limit: Some(500),

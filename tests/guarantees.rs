@@ -4,7 +4,7 @@
 //! redistribution are claims of `repro_paper` (`mango_bench::paper`).
 
 use mango::core::RouterId;
-use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, Pattern};
+use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, TemporalSpec};
 use mango::sim::{SimDuration, SimTime};
 
 /// The headline property (Fig. 8): a GS connection's bandwidth and
@@ -25,7 +25,7 @@ fn gs_unaffected_by_be_saturation() {
                     node,
                     dests,
                     4,
-                    Pattern::poisson(SimDuration::from_ns(100)),
+                    TemporalSpec::poisson(SimDuration::from_ns(100)),
                     format!("be-{node}"),
                     EmitWindow::default(),
                 );
@@ -35,7 +35,7 @@ fn gs_unaffected_by_be_saturation() {
         sim.begin_measurement();
         let flow = sim.add_gs_source(
             conn,
-            Pattern::cbr(SimDuration::from_ns(12)), // ~83 Mf/s, inside the floor
+            TemporalSpec::cbr(SimDuration::from_ns(12)), // ~83 Mf/s, inside the floor
             "gs",
             EmitWindow::default(),
         );
@@ -87,7 +87,7 @@ fn unloaded_latency_scales_linearly_with_hops() {
         sim.begin_measurement();
         let flow = sim.add_gs_source(
             conn,
-            Pattern::cbr(SimDuration::from_ns(50)),
+            TemporalSpec::cbr(SimDuration::from_ns(50)),
             "lat",
             EmitWindow {
                 limit: Some(500),
@@ -115,7 +115,6 @@ fn slow_consumer_backpressures_source() {
     let consume = SimDuration::from_ns(100); // 10 Mflit/s consumer
     let na_cfg = NaConfig {
         consume_delay: consume,
-        ..NaConfig::paper()
     };
     let net = Network::new(Grid::new(3, 1), mango::core::RouterConfig::paper(), na_cfg);
     let mut sim = NocSim::new(net, 31);
@@ -128,7 +127,7 @@ fn slow_consumer_backpressures_source() {
     // Offer 200 Mflit/s against a 10 Mflit/s consumer.
     let flow = sim.add_gs_source(
         conn,
-        Pattern::cbr(SimDuration::from_ns(5)),
+        TemporalSpec::cbr(SimDuration::from_ns(5)),
         "fast-into-slow",
         EmitWindow::default(),
     );
@@ -170,13 +169,13 @@ fn gs_connections_isolated_from_each_other() {
     // Polite: 60 Mf/s (inside its floor). Greedy: 500 Mf/s (way over).
     let polite_flow = sim.add_gs_source(
         polite,
-        Pattern::cbr(SimDuration::from_ps(16_667)),
+        TemporalSpec::cbr(SimDuration::from_ps(16_667)),
         "polite",
         EmitWindow::default(),
     );
     let _greedy_flow = sim.add_gs_source(
         greedy,
-        Pattern::cbr(SimDuration::from_ns(2)),
+        TemporalSpec::cbr(SimDuration::from_ns(2)),
         "greedy",
         EmitWindow::default(),
     );
@@ -210,7 +209,7 @@ fn no_flit_loss_or_duplication_across_flows() {
         sim.wait_connections_settled().unwrap();
         flows.push(sim.add_gs_source(
             c,
-            Pattern::poisson(SimDuration::from_ns(15)),
+            TemporalSpec::poisson(SimDuration::from_ns(15)),
             format!("{s}->{d}"),
             EmitWindow {
                 limit: Some(2_000),
@@ -259,7 +258,7 @@ fn heterogeneous_link_delay_adds_exactly_per_crossing() {
         sim.begin_measurement();
         let fs = sim.add_gs_source(
             slow,
-            Pattern::cbr(SimDuration::from_ns(50)),
+            TemporalSpec::cbr(SimDuration::from_ns(50)),
             "slow",
             EmitWindow {
                 limit: Some(200),
@@ -268,7 +267,7 @@ fn heterogeneous_link_delay_adds_exactly_per_crossing() {
         );
         let ff = sim.add_gs_source(
             fast,
-            Pattern::cbr(SimDuration::from_ns(50)),
+            TemporalSpec::cbr(SimDuration::from_ns(50)),
             "fast",
             EmitWindow {
                 limit: Some(200),

@@ -6,7 +6,7 @@ use mango::core::{RouterConfig, RouterId};
 use mango::hw::area::{AreaModel, RouterParams, Table1};
 use mango::hw::power::PowerModel;
 use mango::hw::{Corner, TimingModel};
-use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, Pattern};
+use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, TemporalSpec};
 use mango::sim::SimDuration;
 
 #[test]
@@ -54,13 +54,13 @@ fn corner_ratio_flows_through_simulation() {
         sim.begin_measurement();
         let fa = sim.add_gs_source(
             a,
-            Pattern::cbr(SimDuration::from_ns(1)),
+            TemporalSpec::cbr(SimDuration::from_ns(1)),
             "a",
             EmitWindow::default(),
         );
         let fb = sim.add_gs_source(
             b,
-            Pattern::cbr(SimDuration::from_ns(1)),
+            TemporalSpec::cbr(SimDuration::from_ns(1)),
             "b",
             EmitWindow::default(),
         );

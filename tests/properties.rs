@@ -5,7 +5,7 @@ use mango::core::{
     BeDest, BeHeader, Direction, Flit, GsBufferRef, Port, ProgWrite, RouterId, Steer, UpstreamRef,
     VcId,
 };
-use mango::net::{EmitWindow, NocSim, Pattern};
+use mango::net::{EmitWindow, NocSim, TemporalSpec};
 use mango::sim::{RunOutcome, SimDuration, SimRng};
 use proptest::prelude::*;
 
@@ -159,7 +159,7 @@ proptest! {
         sim.wait_connections_settled().unwrap();
         let flow = sim.add_gs_source(
             conn,
-            Pattern::cbr(SimDuration::from_ns(period_ns)),
+            TemporalSpec::cbr(SimDuration::from_ns(period_ns)),
             "prop",
             EmitWindow { limit: Some(count), ..Default::default() },
         );
@@ -195,7 +195,7 @@ proptest! {
                 src,
                 vec![dst],
                 words,
-                Pattern::cbr(SimDuration::from_ns(30)),
+                TemporalSpec::cbr(SimDuration::from_ns(30)),
                 "prop-be",
                 EmitWindow { limit: Some(count), ..Default::default() },
             );
