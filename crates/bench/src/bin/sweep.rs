@@ -8,13 +8,18 @@
 //! ```
 //!
 //! `--smoke` runs the fixed smoke grid (the CI determinism gate's
-//! workload), `--full` the weekly characterization grid. Output is
+//! workload), `--full` the weekly characterization grid.
+//! `--telemetry-out DIR` also collects every job's telemetry (metrics,
+//! epoch time series, flit-journey Chrome trace) into DIR. Output is
 //! byte-identical for every `--threads` value — see the `mango_sweep`
 //! crate docs for the determinism contract.
 
 use mango::net::{PatternKind, TopologySpec};
 use mango_bench::written;
-use mango_sweep::{run_sweep_graceful, write_csv, write_json, RuntimeInfo, SweepArgs, SweepSpec};
+use mango_sweep::{
+    run_sweep_graceful, write_csv, write_json, write_telemetry_dir, RuntimeInfo, SweepArgs,
+    SweepSpec,
+};
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -23,7 +28,8 @@ fn usage() -> ! {
          \x20            [--topology NAME[,..]] [--gs N[,N..]] [--be-gap idle|NS[,..]]\n\
          \x20            [--pattern NAME[,..]] [--period NS[,..]] [--measure US[,..]]\n\
          \x20            [--seeds S[,S..]] [--warmup US] [--payload WORDS]\n\
-         \x20            [--threads N] [--list] [--csv PATH] [--json PATH]\n\
+         \x20            [--threads N] [--list | [--csv PATH] [--json PATH]\n\
+         \x20            [--telemetry-out DIR]]\n\
          patterns: uniform transpose bitcomp bitrev tornado hotspot neighbour\n\
          topologies: meshWxH torusWxH chipletCXxCYxNWxNH (e.g. chiplet2x2x4x4);\n\
          \x20           --mesh WxH is --topology meshWxH, and --topology wins over it"
@@ -44,7 +50,7 @@ fn parse_list<T>(value: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> 
 }
 
 fn main() {
-    let args = SweepArgs::from_env().refuse(&["--telemetry-out"]);
+    let args = SweepArgs::from_env();
     // Grid choice is resolved before the dimension flags so the CLI is
     // order-independent: `--mesh 8x8 --pattern-smoke` and
     // `--pattern-smoke --mesh 8x8` both start from the pattern-smoke
@@ -155,7 +161,7 @@ fn main() {
     let start = Instant::now();
     // Graceful degradation: a panicking grid point is reported and
     // dropped; the rest of the grid still produces its records.
-    let run = run_sweep_graceful(&spec, args.threads);
+    let run = run_sweep_graceful(&spec, args.threads, args.telemetry_out.is_some());
     let records = run.records;
     let wall = start.elapsed().as_secs_f64();
     let runtime = RuntimeInfo {
@@ -191,6 +197,10 @@ fn main() {
     if let Some(path) = &args.json {
         written(path, write_json(path, &records, &runtime));
         println!("wrote {}", path.display());
+    }
+    if let Some(dir) = &args.telemetry_out {
+        written(dir, write_telemetry_dir(dir, &run.telemetry));
+        println!("wrote {}", dir.display());
     }
     if !run.failed.is_empty() {
         std::process::exit(1);

@@ -15,10 +15,12 @@ use mango::hw::area::{AreaModel, RouterParams, Table1};
 use mango::hw::link::{decode_1of4, encode_1of4, LinkEncoding};
 use mango::hw::power::PowerModel;
 use mango::hw::{Corner, RouterTiming, Table, TimingModel};
-use mango::net::{EmitWindow, Grid, NaConfig, NocSim, Phase, ScenarioSpec};
-use mango::net::{SpatialPattern, TemporalSpec, TrafficSpec};
+use mango::net::{EmitWindow, Grid, NaConfig, NocSim, PatternKind, Phase, ScenarioSpec};
+use mango::net::{SpatialPattern, TemporalSpec, TopologySpec, TrafficSpec};
+use mango::qos::driver::run_audited;
 use mango::qos::{GuaranteeAudit, ServiceModel};
 use mango::sim::{SimDuration, SimTime};
+use mango_sweep::SweepSpec;
 use std::collections::HashSet;
 
 /// One claim of the paper, checked.
@@ -64,9 +66,9 @@ macro_rules! row {
 mod extensions;
 
 /// The paper's rows in print order.
-pub const ROWS: [fn() -> Row; 12] = [
-    fig4, fig5, fig6, fig7, table1, fairshare, buffers, alg, pipelined, port_speed, aethereal,
-    di_links,
+pub const ROWS: [fn() -> Row; 13] = [
+    fig4, fig5, fig6, fig7, fig8, table1, fairshare, buffers, alg, pipelined, port_speed,
+    aethereal, di_links,
 ];
 
 /// A row, not yet run.
@@ -145,6 +147,11 @@ fn limited(flits: u64) -> EmitWindow {
 
 fn in_ns(d: Option<SimDuration>) -> f64 {
     d.map_or(f64::NAN, |d| d.as_ns_f64())
+}
+
+/// A latency a flow recorded [ns], NaN when it recorded none.
+fn recorded(latency: Option<f64>) -> f64 {
+    latency.unwrap_or(f64::NAN)
 }
 
 /// Throughput of each of `flows`, Mflit/s.
@@ -376,6 +383,66 @@ fn fig7() -> Row {
             format!("{lo_delta:.2}..{hi_delta:.2} ns, {spread:.3}"), "< 0.25" => spread < 0.25;
         "fair output arbitration: min/max sender rate": format!("{:.3}", lo / hi), "> 0.9"
             => lo / hi > 0.9;
+    }
+}
+
+/// The hops of Fig. 8's GS stream, (0,0)->(3,3) across a 4x4 mesh.
+const FIG8_HOPS: u64 = 6;
+
+/// Fig. 8 / Sec. 3: a GS connection is independent of BE load. One
+/// auto-placed GS stream at 12 ns CBR (83 Mflit/s, inside its floor)
+/// under uniform BE from every node, from idle to saturation.
+fn fig8() -> Row {
+    let spec = SweepSpec {
+        topologies: vec![TopologySpec::mesh(4, 4)],
+        gs_conns: vec![1],
+        be_gaps_ns: vec![None, Some(300), Some(50), Some(8)],
+        patterns: vec![PatternKind::Uniform],
+        gs_periods_ns: vec![12],
+        measures_us: vec![40],
+        seeds: vec![55],
+        warmup_us: 20,
+        payload_words: 4,
+    };
+    let model = ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper());
+    let bound = model.report(FIG8_HOPS as usize, ns(12)).worst_latency;
+    let mut text = String::from("BE background | GS [Mflit/s] | GS mean [ns] | GS max [ns]");
+    text += " | BE mean [ns]";
+    let (mut audit, mut points) = (GuaranteeAudit::default(), Vec::new());
+    for job in spec.expand() {
+        let m = run_audited(&spec.scenario(&job), &[bound], &mut audit);
+        let (gs, be) = (m.gs(0), m.be_mean_of_means_ns());
+        let (mean, max) = (recorded(gs.mean_ns), recorded(gs.max_ns));
+        let load = job
+            .be_gap_ns
+            .map_or("idle".into(), |g| format!("1 pkt/{g} ns/node"));
+        let be_text = (be > 0.0).then(|| format!("{be:.1}"));
+        text += &format!("\nBE {load} | {:.2} | {mean:.2}", gs.throughput_m);
+        text += &format!(" | {max:.2} | {}", be_text.unwrap_or("-".into()));
+        points.push((gs.throughput_m, mean, max, be));
+    }
+    let ((rate0, mean0, _, _), (rate8, mean8, _, be8)) = (points[0], points[3]);
+    let (shift, drift, be300) = ((rate8 - rate0) / rate0, mean8 - mean0, points[1].3);
+    // Interference only: at most one fair-share round, 8 link cycles, per hop.
+    let rounds = (RouterTiming::paper_typical().link_cycle * (8 * FIG8_HOPS)).as_ns_f64();
+    let worst = points.iter().fold(f64::MIN, |w, p| w.max(p.2));
+    let (bound, ratio) = (in_ns(bound), audit.worst_bound_ratio());
+    let report = format!(
+        "{FIG8_HOPS}-hop GS stream (0,0) -> (3,3) at 12 ns CBR, admission bound {bound:.1} ns\n\n{}",
+        table(&text)
+    );
+    row! { "Fig. 8", "GS throughput and latency vs BE load, 4x4 mesh", report;
+        "GS rate unaffected: BE idle -> 8 ns/node":
+            format!("{rate0:.2} -> {rate8:.2} Mflit/s, {:+.2}%", shift * 100.0), "< 1%"
+            => shift.abs() < 0.01;
+        "GS mean moves by arbitration only: idle -> 8 ns":
+            format!("{mean0:.2} -> {mean8:.2} ns, {drift:+.2} ns"),
+            format!("<= {FIG8_HOPS} x 8 cycles = {rounds:.1} ns") => drift <= rounds;
+        "GS worst latency at every BE load": format!("{worst:.1} ns = {ratio:.2} x bound"),
+            format!("<= admission bound {bound:.1} ns") => audit.holds();
+        "BE saturates: BE mean, 300 -> 8 ns/node":
+            format!("{be300:.1} -> {be8:.1} ns, x{:.0}", be8 / be300), "> 10x"
+            => be8 > 10.0 * be300;
     }
 }
 

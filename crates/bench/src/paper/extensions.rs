@@ -4,7 +4,7 @@
 //! across chiplet die seams. Each row runs its grid at the default size
 //! or, under `repro_paper --full`, at the full one.
 
-use super::{in_ns, ns, span, table, us, Claim, Job, Row};
+use super::{in_ns, ns, recorded, span, table, us, Claim, Job, Row};
 use mango::core::{Direction, RouterConfig, RouterId};
 use mango::hw::area::{AreaModel, RouterParams};
 use mango::hw::power::PowerModel;
@@ -68,11 +68,6 @@ pub(super) fn jobs(full: bool) -> Vec<Job> {
     jobs.push(Box::new(move || chiplet_bound(window, gaps)));
     jobs.push(Box::new(move || chiplet_fault(window)));
     jobs
-}
-
-/// A latency a flow recorded [ns], NaN when it recorded none.
-fn recorded(latency: Option<f64>) -> f64 {
-    latency.unwrap_or(f64::NAN)
 }
 
 /// The pattern rows' tagged stream, one flit per 12 ns from (0,0) to

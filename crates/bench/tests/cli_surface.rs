@@ -4,18 +4,26 @@
 //! cannot be written ends in a diagnostic and a non-zero exit status —
 //! never in a panic.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 const SIM_RATE: &str = env!("CARGO_BIN_EXE_sim_rate");
 const REPRO_PAPER: &str = env!("CARGO_BIN_EXE_repro_paper");
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 
-/// Every binary of the package: the six `goldens.rs` runs and `sim_rate`.
-const ALL_BINS: [&str; 7] = [
+/// The binaries that take `--list`: each runs a sweep grid.
+const GRID_BINS: [&str; 4] = [
     env!("CARGO_BIN_EXE_repro_serving"),
     env!("CARGO_BIN_EXE_repro_churn"),
     env!("CARGO_BIN_EXE_repro_faults"),
-    env!("CARGO_BIN_EXE_repro_fig8_gs_vs_be"),
+    SWEEP,
+];
+
+/// Every binary of the package: the five `goldens.rs` runs and `sim_rate`.
+const ALL_BINS: [&str; 6] = [
+    env!("CARGO_BIN_EXE_repro_serving"),
+    env!("CARGO_BIN_EXE_repro_churn"),
+    env!("CARGO_BIN_EXE_repro_faults"),
     SWEEP,
     REPRO_PAPER,
     SIM_RATE,
@@ -90,9 +98,25 @@ fn bins_refuse_the_output_flags_they_do_not_write() {
         (env!("CARGO_BIN_EXE_repro_serving"), "--json"),
         (env!("CARGO_BIN_EXE_repro_serving"), "--telemetry-out"),
         (env!("CARGO_BIN_EXE_repro_faults"), "--json"),
-        (SWEEP, "--telemetry-out"),
     ] {
         assert_usage_error(exe, &["--smoke", flag, dir]);
+    }
+}
+
+/// `--list` prints the grid and runs nothing, so it writes no output
+/// file: together with `--csv`, `--json` or `--telemetry-out` it is a
+/// usage error (exit 2), and the file is not created.
+#[test]
+fn listing_refuses_the_output_flags() {
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("listed");
+    for (b, exe) in GRID_BINS.iter().enumerate() {
+        for flag in ["--csv", "--json", "--telemetry-out"] {
+            let path = tmp.join(format!("{b}{flag}"));
+            let _ = std::fs::remove_dir_all(&path);
+            let _ = std::fs::remove_file(&path);
+            assert_usage_error(exe, &["--smoke", "--list", flag, &path.to_string_lossy()]);
+            assert!(!path.exists(), "{exe} {flag} created {}", path.display());
+        }
     }
 }
 
@@ -140,22 +164,25 @@ fn sweep_smoke_listing_is_the_fixed_smoke_grid() {
 
 /// A grid that cannot run is refused before any job starts (exit 2); a
 /// result file that cannot be written is reported after the run
-/// (exit 1). Either way stderr is one `error:` line.
+/// (exit 1, see [`assert_write_error`]). Either way stderr is one
+/// `error:` line.
 #[test]
 fn sweep_refuses_unrunnable_grids_and_reports_unwritable_files() {
-    let bad: [(&[&str], i32); 5] = [
-        (&["--mesh", "0x0"], 2),
-        (&["--topology", "chiplet0x0x4x4"], 2),
-        (&["--smoke", "--gs", "99"], 2),
-        (&["--smoke", "--be-gap", "0"], 2),
-        (&["--smoke", "--csv", "/nonexistent/dir/x.csv"], 1),
+    let bad: [&[&str]; 4] = [
+        &["--mesh", "0x0"],
+        &["--topology", "chiplet0x0x4x4"],
+        &["--smoke", "--gs", "99"],
+        &["--smoke", "--be-gap", "0"],
     ];
-    for (args, code) in bad {
+    for args in bad {
         let out = run(SWEEP, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
+    for flag in ["--csv", "--json", "--telemetry-out"] {
+        assert_write_error(SWEEP, flag);
     }
 }
 
@@ -235,13 +262,6 @@ fn repro_churn_and_serving_report_an_unwritable_csv() {
 fn repro_faults_reports_unwritable_outputs() {
     for flag in ["--csv", "--telemetry-out"] {
         assert_write_error(env!("CARGO_BIN_EXE_repro_faults"), flag);
-    }
-}
-
-#[test]
-fn repro_fig8_reports_unwritable_outputs() {
-    for flag in ["--csv", "--json", "--telemetry-out"] {
-        assert_write_error(env!("CARGO_BIN_EXE_repro_fig8_gs_vs_be"), flag);
     }
 }
 

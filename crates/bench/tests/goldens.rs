@@ -54,7 +54,12 @@ goldens! {
             Same("faults.csv"),
             File("telemetry/trace.json", "docs/traces/repro_faults_recovery_trace.json")
         ];
-    fig8_telemetry: repro_fig8_gs_vs_be ["--smoke", "--telemetry-out", "{out}/telemetry"]
+    sweep_telemetry: sweep
+        [
+            "--topology", "mesh4x4", "--gs", "1", "--be-gap", "idle,300,50", "--pattern",
+            "uniform", "--period", "12", "--measure", "150", "--seeds", "55", "--warmup", "20",
+            "--payload", "4", "--telemetry-out", "{out}/telemetry"
+        ]
         => [Same("telemetry")];
     sweep_smoke: sweep ["--smoke", "--csv", "{out}/sweep.csv"]
         => [Same("sweep.csv")];

@@ -71,6 +71,8 @@ pub mod stats;
 pub mod telemetry;
 pub mod topology;
 pub mod traffic;
+#[cfg(test)]
+mod trajectory;
 
 pub use conn::{walk_dirs, ConnError, ConnRecord, ConnState, ConnectionManager};
 pub use conn::{Notice, NoticeKind};

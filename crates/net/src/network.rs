@@ -206,9 +206,10 @@ pub struct Network {
     /// Bumped on every [`Network::enable_telemetry`]; sampler events
     /// tagged with older generations are stale chains and are dropped.
     pub(crate) telemetry_generation: u32,
-    /// Test-only twin of the lazy handshakes: queue every reserved slot
-    /// as the event it stands for, park nothing.
-    eager_handshakes: bool,
+    /// The lazy handshakes' twin, set by the trajectory tests: queue
+    /// every reserved slot as the event it stands for, park nothing.
+    #[cfg(test)]
+    pub(crate) eager_handshakes: bool,
     /// Debug-build half of the flit-conservation ledger: instrumented
     /// flits inside scheduled events (`LinkFlit`, router-internal
     /// `BeMoved`). Every other instrumented flit sits in a buffer found
@@ -266,6 +267,7 @@ impl Network {
             halt_on_notice: false,
             telemetry: TelemetrySink::Off,
             telemetry_generation: 0,
+            #[cfg(test)]
             eager_handshakes: false,
             #[cfg(debug_assertions)]
             wire: 0,
@@ -406,13 +408,15 @@ impl Network {
         &self.routers
     }
 
-    /// Queues every `LinkFree`, unlock toggle and credit as an event
-    /// from now on instead of parking its slot — the reference twin a
-    /// property test runs the lazy form against. Not reachable from any
-    /// spec or command line; call it before the first event.
-    #[doc(hidden)]
-    pub fn queue_every_handshake(&mut self) {
-        self.eager_handshakes = true;
+    /// Whether every `LinkFree`, unlock toggle and credit is queued as
+    /// an event instead of parking its slot: the twin the trajectory
+    /// tests run the lazy form against, never outside the tests.
+    #[inline(always)]
+    fn eager_handshakes(&self) -> bool {
+        #[cfg(test)]
+        return self.eager_handshakes;
+        #[cfg(not(test))]
+        false
     }
 
     /// Absorbs every parked handshake due at or before `upto` into the
@@ -654,7 +658,7 @@ impl Network {
                 } => {
                     let at = ctx.reserve(SLOT_LINK_FREE, delay);
                     let idx = self.grid.index(id);
-                    if self.eager_handshakes || self.routers[idx].park_link_free(dir, at) {
+                    if self.eager_handshakes() || self.routers[idx].park_link_free(dir, at) {
                         let ev = NetEvent::Router { id, ev: event };
                         ctx.schedule_reserved(SLOT_LINK_FREE, at, ev);
                     }
@@ -769,7 +773,7 @@ impl Network {
     ) {
         let at = ctx.reserve(SLOT_UNLOCK, delay);
         let idx = self.grid.index(to);
-        if self.eager_handshakes
+        if self.eager_handshakes()
             || (self.alive(idx) && self.routers[idx].park_unlock(&mut self.arena, dir, wire, at))
         {
             ctx.schedule_reserved(SLOT_UNLOCK, at, NetEvent::Unlock { to, dir, wire });
@@ -790,7 +794,7 @@ impl Network {
     ) {
         let at = ctx.reserve(SLOT_CREDIT, delay);
         let idx = self.grid.index(to);
-        if self.eager_handshakes
+        if self.eager_handshakes()
             || (self.alive(idx) && self.routers[idx].park_credit(&mut self.be_arena, dir, at))
         {
             ctx.schedule_reserved(SLOT_CREDIT, at, NetEvent::Credit { to, dir });

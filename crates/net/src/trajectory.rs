@@ -22,17 +22,18 @@
 //! spoofed feedback, force-close and re-open around the hole.
 //!
 //! The property at the end runs random scenarios twice — handshakes
-//! lazy, and every one of them queued as an event (the retained twin,
-//! `Network::queue_every_handshake`) — and demands the same trajectory
-//! text, with the lazy run's event count short by exactly the slots it
-//! never queued.
+//! lazy, and every one of them queued as an event (the test-only twin,
+//! `Network::eager_handshakes`) — and demands the same trajectory text,
+//! with the lazy run's event count short by exactly the slots it never
+//! queued. It lives in the crate, not under `tests/`, because the twin
+//! exists only in the crate's test build.
 
-use mango_core::{ConnectionId, RouterConfig, RouterId};
-use mango_net::{
+use crate::{
     route_avoiding, EmitWindow, FaultKind, FaultSchedule, Grid, NaConfig, Network, NocSim,
     NoticeKind, ScenarioSpec, SpatialPattern, TelemetryConfig, TemporalSpec, TopologySpec,
     TrafficSpec,
 };
+use mango_core::{ConnectionId, RouterConfig, RouterId};
 use mango_sim::{RunOutcome, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -333,9 +334,7 @@ fn twin_run(case: &TwinCase, every_handshake_queued: bool) -> (RunOutcome, Strin
         RouterConfig::paper(),
         NaConfig::paper(),
     );
-    if every_handshake_queued {
-        network.queue_every_handshake();
-    }
+    network.eager_handshakes = every_handshake_queued;
     let mut sim = NocSim::new(network, case.seed);
     let n = sim.network().grid().len();
     let ids: Vec<RouterId> = sim.network().grid().ids().collect();

@@ -36,7 +36,9 @@ impl SweepArgs {
     /// # Errors
     ///
     /// Returns a usage message when a flag is malformed or missing its
-    /// value.
+    /// value, or when `--list` comes with an output flag (`--csv`,
+    /// `--json`, `--telemetry-out`): a listing runs nothing, so it
+    /// would write nothing.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<SweepArgs, String> {
         let mut out = SweepArgs {
             threads: default_threads(),
@@ -72,7 +74,19 @@ impl SweepArgs {
                 _ => out.rest.push(arg),
             }
         }
+        if let Some((flag, _)) = out.outputs().into_iter().find(|&(_, set)| set && out.list) {
+            return Err(format!("--list runs nothing, so it cannot write {flag}"));
+        }
         Ok(out)
+    }
+
+    /// Each output flag, and whether it was given.
+    fn outputs(&self) -> [(&'static str, bool); 3] {
+        [
+            ("--csv", self.csv.is_some()),
+            ("--json", self.json.is_some()),
+            ("--telemetry-out", self.telemetry_out.is_some()),
+        ]
     }
 
     /// Parses the process arguments, exiting with the usage message on
@@ -96,11 +110,7 @@ impl SweepArgs {
     /// binary refuses an output it does not write rather than accepting
     /// the flag and ignoring it.
     pub fn refuse(self, unwritten: &[&str]) -> SweepArgs {
-        let given = [
-            ("--json", self.json.is_some()),
-            ("--telemetry-out", self.telemetry_out.is_some()),
-        ];
-        for (flag, set) in given {
+        for (flag, set) in self.outputs() {
             if set && unwritten.contains(&flag) {
                 usage_exit(&format!("this binary does not write {flag}"));
             }

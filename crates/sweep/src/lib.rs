@@ -2,13 +2,17 @@
 //!
 //! The paper's headline results (Fig. 7 BE saturation, Fig. 8 GS-vs-BE,
 //! the scaling tables) are parameter sweeps: many independent simulations
-//! over a grid of configurations. Each point builds its own
+//! over a grid of configurations. (`repro_paper`'s Fig. 8 row builds its
+//! grid as a [`grid::SweepSpec`]; the `sweep` binary runs any such grid.) Each point builds its own
 //! [`mango_net::NocSim`] from a [`mango_net::ScenarioSpec`] — no shared
 //! mutable state whatsoever — so the sweep is embarrassingly parallel.
 //! This crate provides:
 //!
 //! * [`runner::run_parallel`] — a deterministic fan-out over
 //!   `std::thread::scope` workers (no external thread-pool dependency);
+//!   [`runner::run_sweep_graceful`] runs a [`grid::SweepSpec`] on it and,
+//!   when asked, collects every job's telemetry report, which
+//!   [`telemetry_out::write_telemetry_dir`] writes as one directory;
 //! * [`grid::SweepSpec`] — a declarative job grid (mesh sizes, GS
 //!   connection counts, BE injection gaps, CBR periods, durations,
 //!   seeds) that expands to [`grid::SweepJob`]s;
@@ -24,7 +28,8 @@
 //!   fault-injection + self-healing experiments, recording the
 //!   recovery-outcome census per point;
 //! * [`cli`] — the shared `--threads N` / `--smoke` / `--list` /
-//!   `--csv` / `--json` argument surface of the sweep binaries.
+//!   `--csv` / `--json` / `--telemetry-out` argument surface of the
+//!   sweep binaries.
 //!
 //! # Determinism contract
 //!

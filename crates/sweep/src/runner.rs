@@ -4,6 +4,8 @@
 
 use crate::grid::{SweepJob, SweepSpec};
 use crate::record::SweepRecord;
+use mango_net::TelemetryConfig;
+use mango_telemetry::TelemetryReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -144,8 +146,33 @@ pub struct SweepRun {
     /// Records of the jobs that completed, in expansion order (failed
     /// jobs are simply absent).
     pub records: Vec<SweepRecord>,
+    /// The telemetry of the same jobs in the same order, when the run
+    /// collected it; empty otherwise.
+    pub telemetry: Vec<TelemetryReport>,
     /// Jobs that panicked: `(expansion index, job)` pairs, ascending.
     pub failed: Vec<(usize, SweepJob)>,
+}
+
+/// Runs one job as [`mango_net::ScenarioSpec::run`] does — prepare,
+/// start the measurement, run to its bound, finish — and, with
+/// `telemetry`, collects the default [`TelemetryConfig`]'s report over
+/// the measured run.
+fn run_job(
+    spec: &SweepSpec,
+    job: &SweepJob,
+    telemetry: bool,
+) -> (SweepRecord, Option<TelemetryReport>) {
+    let mut prepared = spec.scenario(job).prepare();
+    if telemetry {
+        prepared
+            .sim_mut()
+            .enable_telemetry(TelemetryConfig::default());
+    }
+    prepared.start_measurement();
+    let outcome = prepared.run_to_bound();
+    let report = telemetry.then(|| prepared.sim_mut().take_telemetry());
+    let record = SweepRecord::measure(job.clone(), &prepared.finish(outcome));
+    (record, report)
 }
 
 /// Expands `spec` to its job grid and runs every job on `threads`
@@ -157,22 +184,22 @@ pub struct SweepRun {
 /// the rest of the grid when single points crash.
 pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Vec<SweepRecord> {
     let jobs = spec.expand();
-    run_parallel(&jobs, threads, |_, job| {
-        SweepRecord::measure(job.clone(), &spec.scenario(job).run())
-    })
+    run_parallel(&jobs, threads, |_, job| run_job(spec, job, false).0)
 }
 
 /// Like [`run_sweep`], but a panicking point is dropped from the
 /// results and reported in [`SweepRun::failed`] instead of aborting the
-/// whole grid — the graceful-degradation mode the sweep CLI uses.
-pub fn run_sweep_graceful(spec: &SweepSpec, threads: usize) -> SweepRun {
+/// whole grid — the graceful-degradation mode the sweep CLI uses. With
+/// `telemetry`, every job also collects its telemetry report
+/// ([`SweepRun::telemetry`]).
+pub fn run_sweep_graceful(spec: &SweepSpec, threads: usize, telemetry: bool) -> SweepRun {
     let jobs = spec.expand();
-    let run = run_parallel_graceful(&jobs, threads, |_, job| {
-        SweepRecord::measure(job.clone(), &spec.scenario(job).run())
-    });
+    let run = run_parallel_graceful(&jobs, threads, |_, job| run_job(spec, job, telemetry));
     let failed = run.failed.iter().map(|&i| (i, jobs[i].clone())).collect();
+    let (records, reports): (Vec<_>, Vec<_>) = run.results.into_iter().flatten().unzip();
     SweepRun {
-        records: run.results.into_iter().flatten().collect(),
+        records,
+        telemetry: reports.into_iter().flatten().collect(),
         failed,
     }
 }

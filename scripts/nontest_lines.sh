@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Counts non-test Rust lines: every `.rs` file under crates/ and vendor/
 # outside `tests/` directories, up to (not including) its first
-# `#[cfg(test)]` line. A `#[cfg(test)]` directly followed by a `mod x;`
-# declaration is not the end of the file: the two lines are skipped, and
-# so is the declared module's file (`x.rs` or `x/mod.rs`) with every
-# module below it. In the same non-test lines, outside `//` comment
+# `#[cfg(test)]` line directly followed by an inline `mod x {`. A
+# `#[cfg(test)]` directly followed by a `mod x;` declaration is not the
+# end of the file: the two lines are skipped, and so is the declared
+# module's file (`x.rs` or `x/mod.rs`) with every module below it. A
+# `#[cfg(test)]` on any other item (a field, a statement) is counted as
+# an ordinary line, and so is its item. In the same non-test lines, outside `//` comment
 # lines, it also counts the panic sites: each `unwrap(`, `expect(`,
 # `panic!(` and `unreachable!(`. Prints a header, one line per crate
 # (lines, panic sites), then the total. A report, not a gate.
@@ -41,11 +43,14 @@ for file in $files; do
     [ "$skip" = 1 ] && continue
     counts=$(awk '
         pending {
+            pending = 0
             if ($0 ~ /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+;/) {
-                pending = 0
                 next
             }
-            exit
+            if ($0 ~ /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*\{/) {
+                exit
+            }
+            n++
         }
         /#\[cfg\(test\)\]/ { pending = 1; next }
         { n++ }

@@ -1,77 +1,12 @@
 //! Integration tests for the guaranteed-service properties the paper
-//! claims: bounded latency, GS/BE independence and inherent end-to-end
-//! flow control. The fair-share floors under full contention and their
-//! redistribution are claims of `repro_paper` (`mango_bench::paper`).
+//! claims: bounded latency, isolation and inherent end-to-end flow
+//! control. GS/BE independence (Fig. 8), the fair-share floors under
+//! full contention and their redistribution are claims of
+//! `repro_paper` (`mango_bench::paper`).
 
 use mango::core::RouterId;
 use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, TemporalSpec};
 use mango::sim::{SimDuration, SimTime};
-
-/// The headline property (Fig. 8): a GS connection's bandwidth and
-/// latency are unaffected by any amount of BE traffic.
-#[test]
-fn gs_unaffected_by_be_saturation() {
-    let measure = |be: bool| -> (f64, f64, f64) {
-        let mut sim = NocSim::paper_mesh(4, 4, 17);
-        let conn = sim
-            .open_connection(RouterId::new(0, 0), RouterId::new(3, 3))
-            .unwrap();
-        sim.wait_connections_settled().unwrap();
-        if be {
-            let all: Vec<RouterId> = sim.network().grid().ids().collect();
-            for node in all.clone() {
-                let dests: Vec<_> = all.iter().copied().filter(|d| *d != node).collect();
-                sim.add_be_source(
-                    node,
-                    dests,
-                    4,
-                    TemporalSpec::poisson(SimDuration::from_ns(100)),
-                    format!("be-{node}"),
-                    EmitWindow::default(),
-                );
-            }
-        }
-        sim.run_for(SimDuration::from_us(10));
-        sim.begin_measurement();
-        let flow = sim.add_gs_source(
-            conn,
-            TemporalSpec::cbr(SimDuration::from_ns(12)), // ~83 Mf/s, inside the floor
-            "gs",
-            EmitWindow::default(),
-        );
-        sim.run_for(SimDuration::from_us(100));
-        let s = sim.flow(flow);
-        (
-            sim.flow_throughput_m(flow),
-            s.latency.mean().unwrap().as_ns_f64(),
-            s.latency.max().unwrap().as_ns_f64(),
-        )
-    };
-
-    let (bw0, mean0, _max0) = measure(false);
-    let (bw1, mean1, max1) = measure(true);
-    assert!(
-        (bw1 - bw0).abs() / bw0 < 0.01,
-        "GS throughput shifted under BE: {bw0:.2} -> {bw1:.2}"
-    );
-    // Latency may shift by bounded arbitration interference only: the
-    // per-hop wait is bounded by the fair-share round, so the mean must
-    // stay within one round per hop.
-    let hops = 6.0;
-    let round_ns = 8.0 * 1.258;
-    assert!(
-        mean1 - mean0 <= hops * round_ns,
-        "GS mean latency blew up: {mean0:.1} -> {mean1:.1} ns"
-    );
-    // Hard bound: even the worst flit obeys per-hop wait ≤ one fair-share
-    // round (+ injection and forward paths).
-    let per_hop_ns = 8.0 * 1.258 + 0.95 + 0.18 + 0.62;
-    let bound = (hops + 1.0) * per_hop_ns + 20.0;
-    assert!(
-        max1 <= bound,
-        "worst-case latency {max1:.1} ns exceeds analytic bound {bound:.1} ns"
-    );
-}
 
 /// Latency grows linearly with hop count (constant per-hop forwarding —
 /// the non-blocking switch at work).
