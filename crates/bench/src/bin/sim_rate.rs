@@ -9,12 +9,15 @@
 //! `repeats ≥ 1`, `N ≥ 4` — anything else prints the usage line and
 //! exits 2). `--mesh N` runs the same mixed workload on an N×N mesh —
 //! the mesh-scaling probe. `--json` emits one machine-readable object on
-//! stdout so CI can record the rate without scraping logs. `--profile`
-//! turns on kernel self-profiling and prints per-event-kind dispatch
-//! counts, the lazy handshakes' slots reserved vs queued (the difference
-//! is events that were never dispatched) and wheel-occupancy statistics
-//! after the last run (profiling adds a little per-dispatch work, so
-//! rates measured with it are not comparable to unprofiled ones; and
+//! stdout so CI can record the rate without scraping logs, with the
+//! process's peak RSS (`peak_rss_mb`, its `VmHWM`; absent where `/proc`
+//! is). `--profile` turns on kernel self-profiling and prints
+//! per-event-kind dispatch counts, the lazy handshakes' slots reserved
+//! vs queued (the difference is events that were never dispatched) and
+//! wheel-occupancy statistics (queue length, occupied buckets, the
+//! wheel's entry high-water mark) after the last run (profiling adds a
+//! little per-dispatch work, so rates measured with it are not
+//! comparable to unprofiled ones; and
 //! ns/event is not comparable across a change in what is elided — the
 //! events that go are the cheapest ones, so the mean of the rest
 //! rises). `--telemetry` activates the telemetry
@@ -104,6 +107,14 @@ fn measure(cfg: &RunConfig, quiet: bool) -> RunResult {
     }
 }
 
+/// `VmHWM` of this process in MiB, or `None` where `/proc` is absent.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn main() {
     let mut json = false;
     let mut profile = false;
@@ -175,13 +186,15 @@ fn main() {
             p.occupied_buckets_mean(),
             p.occupied_buckets_max()
         );
+        println!("  wheel entries    high-water {}", p.wheel_entries_max());
     }
     if json {
+        let rss = peak_rss_mb().map_or(String::new(), |mb| format!(",\"peak_rss_mb\":{mb:.2}"));
         println!(
             "{{\"scenario\":\"mixed_{mesh}x{mesh}\",\"mesh\":{mesh},\"sim_us\":{sim_us},\
              \"repeats\":{repeats},\"wheel_buckets\":{},\"wheel_width_ps\":{},\
              \"runs\":[{}],\"best_events_per_sec\":{:.0},\"best_mevents_per_sec\":{:.2},\
-             \"per_event_ns\":{:.1}}}",
+             \"per_event_ns\":{:.1}{rss}}}",
             result.geometry.num_buckets,
             result.geometry.width_ps(),
             result.runs.join(","),

@@ -290,6 +290,9 @@ fn sim_rate_json_is_one_object_of_finite_numbers() {
     assert!(get("events") > 0.0);
     assert!(get("best_events_per_sec") > 0.0);
     assert!(get("per_event_ns") > 0.0);
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(get("peak_rss_mb") > 0.0);
+    }
 }
 
 /// Parses `text` as one JSON value (panicking on anything malformed or

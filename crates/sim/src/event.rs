@@ -11,9 +11,19 @@
 //!   covering a window of `2^width_log2` picoseconds, spans the wheel's
 //!   *span* from the current *epoch* (the window start of the bucket under
 //!   the cursor). An event due at `t` lands in bucket
-//!   `(t / width) mod buckets` with a plain `Vec` push — O(1), no sifting.
-//!   A 64-bit occupancy bitmap per 64 buckets lets the cursor skip runs of
-//!   empty buckets in a few instructions.
+//!   `(t / width) mod buckets`, linked at the head of that bucket's chain
+//!   — O(1), no sifting. A 64-bit occupancy bitmap per 64 buckets lets
+//!   the cursor skip runs of empty buckets in a few instructions.
+//! * **One entry slab.** Every bucket's events live in one slab of slots
+//!   shared by all buckets; a bucket is a `u32` chain head, and a popped
+//!   event's slot goes on a free list that the next push takes first (so
+//!   it is cache-warm). Each event is copied in once, on push, and out
+//!   once, on pop. The slab holds as many slots as the wheel ever held
+//!   events at once ([`EventQueue::entry_high_water`]), not the sum of
+//!   every bucket's largest burst, which matters because in the
+//!   clockless model every stage delay is fixed, so events pile up on
+//!   identical picoseconds: a 16×16 mesh's start-up wave puts hundreds
+//!   into one bucket.
 //! * **Far future — the overflow heap.** Events at or beyond
 //!   `epoch + span` go to a binary heap. Whenever the epoch advances,
 //!   every overflow event that now falls inside the span is promoted into
@@ -70,11 +80,11 @@
 //! # Determinism
 //!
 //! Delivery order is a pure function of `(time, sequence)`: the bucket
-//! under the cursor is kept sorted by that pair (sorted once when the
-//! cursor arrives, binary-search–inserted for same-window pushes while it
-//! drains), the overflow heap orders by the same pair, every later bucket
-//! and the heap hold only later times, and every pop takes the cursor
-//! bucket's minimum.
+//! under the cursor is kept sorted by that pair (its chain relinked in
+//! order once when the cursor arrives, same-window pushes linked in at
+//! their place while it drains), the overflow heap orders by the same
+//! pair, every later bucket and the heap hold only later times, and
+//! every pop takes the cursor bucket's minimum.
 //! Two events at the same instant therefore pop in the order they were
 //! scheduled — the same guarantee the previous `BinaryHeap` core gave —
 //! regardless of which tier an event passed through, which makes
@@ -83,6 +93,7 @@
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::mem::MaybeUninit;
 
 /// The shape of the calendar wheel: bucket count × bucket width.
 ///
@@ -94,11 +105,11 @@ use std::collections::BinaryHeap;
 ///   deep. The paper's shortest stage delay is 180 ps (typical-corner
 ///   buffer advance), so the default 32 ps window keeps even
 ///   worst-case-derated chains apart.
-/// * `num_buckets` fixes the span (`buckets × width`) and the bucket-header
-///   working set. More buckets spread a denser concurrent-event population
-///   thinner (shorter per-bucket sorts) at the price of cache footprint —
-///   past ~64 K headers every push is a cache miss, which costs more than
-///   the sort it saves.
+/// * `num_buckets` fixes the span (`buckets × width`) and the chain-head
+///   array (4 bytes a bucket). More buckets spread a denser
+///   concurrent-event population thinner (shorter per-bucket sorts) at
+///   the price of cache footprint — past ~64 K heads every push is a
+///   cache miss, which costs more than the sort it saves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WheelGeometry {
     /// Number of wheel buckets (a power of two).
@@ -133,10 +144,10 @@ impl WheelGeometry {
     /// * **Buckets are a constant.** A count grown with `nodes` (it used
     ///   to be `20 × nodes`, up to 32 768) measured no faster than 2048
     ///   on any mesh it changed — 32×32 ran 176 → 126 ns/event with the
-    ///   count forced back to 2048 — and held 27 MiB more peak RSS at
-    ///   16×16 (ROADMAP, *Perf baseline*): the bucket headers fall out
-    ///   of cache long before per-bucket sorts get deep. `nodes` stays
-    ///   in the signature for its callers.
+    ///   count forced back to 2048: the bucket heads fall out of cache
+    ///   long before per-bucket sorts get deep. Entry storage does not
+    ///   grow with the count; it follows the pending events. `nodes`
+    ///   stays in the signature for its callers.
     pub fn for_mesh(_nodes: usize, min_event_delay_ps: u64) -> WheelGeometry {
         WheelGeometry {
             width_log2: (min_event_delay_ps / 4).max(1).ilog2().clamp(3, 8),
@@ -219,6 +230,14 @@ impl Slot {
     }
 }
 
+/// Ends a bucket chain and the free list: no slab slot has this index.
+const NIL: u32 = u32::MAX;
+
+/// The insertion-sort walk steps after which a cursor chain is sorted
+/// by key instead: a chain of ~16 events in random order (the
+/// `sim.queue_hold_ns.occ32k` probe holds ~250 a bucket).
+const SORT_WALK_MAX: u32 = 64;
+
 /// An event queue ordered by `(time, sequence)`.
 ///
 /// Two events scheduled for the same instant are delivered in the order
@@ -226,9 +245,21 @@ impl Slot {
 /// regardless of queue internals. See the module docs for the calendar
 /// layout.
 pub struct EventQueue<E> {
-    /// The bucket ring. `buckets[cursor]` is sorted descending by
-    /// `(time, seq)`; other buckets are unsorted.
-    buckets: Box<[Vec<Entry<E>>]>,
+    /// Every wheel event, in one slab all buckets share. The slab never
+    /// shrinks; every index in `heads`, `free` and a [`Node::next`] is
+    /// `NIL` or below its length, and every slot is on exactly one list:
+    /// a bucket's chain, where its event is initialised, or the free
+    /// list, where it is not. It grows only when the free list is empty,
+    /// so its length is the most events the wheel ever held at once.
+    slab: Vec<Node<E>>,
+    /// Head of the free list (`NIL` when empty).
+    free: u32,
+    /// Chain head per bucket (`NIL` when empty). The cursor bucket's
+    /// chain is sorted ascending by `(time, seq)`; other chains are in
+    /// no order.
+    heads: Box<[u32]>,
+    /// Scratch for sorting a long cursor chain, kept for its capacity.
+    run: Vec<(Slot, u32)>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupancy: Box<[u64]>,
     /// Number of set occupancy bits, maintained on transitions so the
@@ -243,8 +274,8 @@ pub struct EventQueue<E> {
     span_ps: u64,
     /// Index of the bucket currently being drained.
     cursor: usize,
-    /// Window start (ps, aligned to the bucket width) of `buckets[cursor]`.
-    /// Only [`advance`](Self::advance) moves it.
+    /// Window start (ps, aligned to the bucket width) of the cursor
+    /// bucket. Only [`advance`](Self::advance) moves it.
     epoch: u64,
     /// Events currently in the wheel.
     near_count: usize,
@@ -263,21 +294,29 @@ pub struct EventQueue<E> {
     scheduled_total: u64,
 }
 
+/// A slab slot: a wheel event and the next slot of its chain.
+///
+/// The event is `MaybeUninit` and the pop and push paths index the slab
+/// unchecked: with an `Option` per slot and checked indexing, a
+/// push/pop hold loop at 24 pending events (the 4×4 fabric's mean) ran
+/// ~10 % slower than with neither. The `slab` field's invariant is what
+/// both rely on.
+struct Node<E> {
+    slot: Slot,
+    /// Initialised iff the slot is on a bucket chain.
+    event: MaybeUninit<E>,
+    next: u32,
+}
+
+/// An overflow-heap event.
 struct Entry<E> {
     slot: Slot,
     event: E,
 }
 
-impl<E> Entry<E> {
-    #[inline]
-    fn key(&self) -> Slot {
-        self.slot
-    }
-}
-
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.slot == other.slot
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -292,7 +331,7 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first.
-        other.key().cmp(&self.key())
+        other.slot.cmp(&self.slot)
     }
 }
 
@@ -311,7 +350,10 @@ impl<E> EventQueue<E> {
     pub fn with_geometry(geometry: WheelGeometry) -> Self {
         geometry.validate();
         EventQueue {
-            buckets: (0..geometry.num_buckets).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; geometry.num_buckets].into_boxed_slice(),
+            run: Vec::new(),
             occupancy: vec![0u64; geometry.num_buckets / 64].into_boxed_slice(),
             occupied: 0,
             bucket_mask: geometry.num_buckets - 1,
@@ -382,32 +424,71 @@ impl<E> EventQueue<E> {
     /// pushed at reservation time would have.
     pub fn insert(&mut self, slot: Slot, event: E) {
         self.scheduled_total += 1;
-        let entry = Entry { slot, event };
         let t = slot.time.as_ps();
 
         let b = match t.checked_sub(self.epoch) {
             Some(ahead) if ahead < self.span_ps => self.bucket_of(t),
             Some(_) => {
                 self.overflow_min = self.overflow_min.min(t);
-                self.overflow.push(entry);
+                self.overflow.push(Entry { slot, event });
                 return;
             }
             // Below the epoch (the module docs say who pushes one): the
             // cursor bucket's run pops before the cursor moves again.
             None => self.cursor,
         };
-        let bucket = &mut self.buckets[b];
         if b == self.cursor {
-            // The draining bucket stays sorted descending by
-            // (time, seq); later-scheduled ties get larger seq and so
-            // sort earlier in the Vec — popped later, preserving FIFO.
-            let pos = bucket.partition_point(|e| e.key() > slot);
-            bucket.insert(pos, entry);
+            // The draining bucket stays sorted ascending by (time, seq):
+            // the new event goes behind every smaller key, so a
+            // later-scheduled tie pops later, preserving FIFO.
+            let mut prev = NIL;
+            let mut next = self.heads[b];
+            while next != NIL && self.slab[next as usize].slot < slot {
+                prev = next;
+                next = self.slab[next as usize].next;
+            }
+            let i = self.alloc(slot, event, next);
+            match prev {
+                NIL => self.heads[b] = i,
+                p => self.slab[p as usize].next = i,
+            }
         } else {
-            bucket.push(entry);
+            self.push_front(b, slot, event);
         }
         self.set_bit(b);
         self.near_count += 1;
+    }
+
+    /// Links a new slot holding `event` at the head of bucket `b`'s chain.
+    #[inline]
+    fn push_front(&mut self, b: usize, slot: Slot, event: E) {
+        let i = self.alloc(slot, event, self.heads[b]);
+        self.heads[b] = i;
+    }
+
+    /// Fills a free slot — the last one freed, so a cache-warm one — or
+    /// grows the slab if none is free, and returns its index.
+    #[inline]
+    fn alloc(&mut self, slot: Slot, event: E, next: u32) -> u32 {
+        let node = Node {
+            slot,
+            event: MaybeUninit::new(event),
+            next,
+        };
+        let i = self.free;
+        if i == NIL {
+            let i = self.slab.len();
+            assert!(i < NIL as usize, "event wheel full: {i} pending events");
+            self.slab.push(node);
+            return i as u32;
+        }
+        // SAFETY: `free` is not `NIL`, so it indexes the slab (the
+        // `slab` field's invariant). The slot is on the free list, so
+        // overwriting it drops no event.
+        let free = unsafe { self.slab.get_unchecked_mut(i as usize) };
+        self.free = free.next;
+        *free = node;
+        i
     }
 
     /// Removes and returns the earliest event, if any.
@@ -420,32 +501,48 @@ impl<E> EventQueue<E> {
     /// `horizon`, with its key — the kernel's fused peek-and-pop, one
     /// probe per event instead of two.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(Slot, E)> {
-        if self.buckets[self.cursor].is_empty() && !self.advance(horizon) {
+        if self.heads[self.cursor] == NIL && !self.advance(horizon) {
             return None;
         }
-        let bucket = &mut self.buckets[self.cursor];
-        if bucket.last()?.slot.time > horizon {
+        let i = self.heads[self.cursor];
+        // SAFETY: the cursor bucket is non-empty here, so its head is not
+        // `NIL` and indexes the slab (the `slab` field's invariant).
+        let node = unsafe { self.slab.get_unchecked_mut(i as usize) };
+        if node.slot.time > horizon {
             return None;
         }
-        let e = bucket.pop()?;
+        let (slot, next) = (node.slot, node.next);
+        self.heads[self.cursor] = next;
+        node.next = self.free;
+        self.free = i;
+        // SAFETY: the slot headed a bucket chain, so its event is
+        // initialised; it is on the free list now, so nothing reads or
+        // drops the event again.
+        let event = unsafe { node.event.assume_init_read() };
         self.near_count -= 1;
-        if bucket.is_empty() {
+        if next == NIL {
             self.clear_bit(self.cursor);
         }
-        Some((e.slot, e.event))
+        Some((slot, event))
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The cursor bucket is sorted descending, so its minimum is last.
-        if let Some(e) = self.buckets[self.cursor].last() {
-            return Some(e.slot.time);
+        // The cursor bucket is sorted ascending, so its minimum is first.
+        if let Some(first) = self.chain(self.cursor).next() {
+            return Some(first.slot.time);
         }
         if self.near_count > 0 {
-            let next = &self.buckets[self.next_occupied_after(self.cursor)];
-            return next.iter().map(|e| e.slot.time).min();
+            let next = self.next_occupied_after(self.cursor);
+            return self.chain(next).map(|n| n.slot.time).min();
         }
         (!self.overflow.is_empty()).then(|| SimTime::from_ps(self.overflow_min))
+    }
+
+    /// The slots of bucket `b`, in chain order.
+    fn chain(&self, b: usize) -> impl Iterator<Item = &Node<E>> {
+        let node = |i: u32| (i != NIL).then(|| &self.slab[i as usize]);
+        std::iter::successors(node(self.heads[b]), move |n| node(n.next))
     }
 
     /// Number of pending events.
@@ -484,6 +581,12 @@ impl<E> EventQueue<E> {
         self.occupied
     }
 
+    /// The most events the wheel (not the overflow heap) ever held at
+    /// once: the number of entry slots its storage holds.
+    pub fn entry_high_water(&self) -> usize {
+        self.slab.len()
+    }
+
     #[inline]
     fn set_bit(&mut self, bucket: usize) {
         let (word, mask) = (bucket / 64, 1u64 << (bucket % 64));
@@ -503,7 +606,7 @@ impl<E> EventQueue<E> {
     /// event — unless that window starts after `horizon`. True if the
     /// cursor moved; its bucket is then non-empty and sorted.
     fn advance(&mut self, horizon: SimTime) -> bool {
-        debug_assert!(self.buckets[self.cursor].is_empty());
+        debug_assert_eq!(self.heads[self.cursor], NIL);
         let (epoch, cursor) = if self.near_count > 0 {
             let next = self.next_occupied_after(self.cursor);
             let dist = next.wrapping_sub(self.cursor) & self.bucket_mask;
@@ -539,19 +642,77 @@ impl<E> EventQueue<E> {
                 self.overflow_min = t;
                 return;
             }
-            let entry = self.overflow.pop().expect("peeked entry vanished");
+            let Entry { slot, event } = self.overflow.pop().expect("peeked entry vanished");
             let b = self.bucket_of(t);
-            self.buckets[b].push(entry);
+            self.push_front(b, slot, event);
             self.set_bit(b);
             self.near_count += 1;
         }
         self.overflow_min = u64::MAX;
     }
 
+    /// Relinks the cursor bucket's chain in ascending `(time, seq)`
+    /// order; no event moves, and `(time, seq)` pairs are unique, so the
+    /// order is deterministic. A chain is pushed at its head, so it holds
+    /// same-instant events newest first and insertion sort mostly
+    /// prepends; once its walks pass [`SORT_WALK_MAX`] steps, the chain
+    /// is sorted by key instead, so a dense bucket in random order does
+    /// not hit insertion sort's quadratic worst case.
     fn sort_cursor_bucket(&mut self) {
-        // (time, seq) pairs are unique, so an unstable sort is
-        // deterministic.
-        self.buckets[self.cursor].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        let mut rest = self.heads[self.cursor];
+        if self.slab[rest as usize].next == NIL {
+            return;
+        }
+        let mut sorted = NIL;
+        let mut walked = 0;
+        while rest != NIL {
+            let i = rest;
+            let key = self.slab[i as usize].slot;
+            rest = self.slab[i as usize].next;
+            if sorted == NIL || key < self.slab[sorted as usize].slot {
+                self.slab[i as usize].next = sorted;
+                sorted = i;
+                continue;
+            }
+            let mut prev = sorted;
+            loop {
+                let next = self.slab[prev as usize].next;
+                if next == NIL || key < self.slab[next as usize].slot {
+                    break;
+                }
+                prev = next;
+                walked += 1;
+            }
+            self.slab[i as usize].next = self.slab[prev as usize].next;
+            self.slab[prev as usize].next = i;
+            if walked > SORT_WALK_MAX {
+                return self.sort_by_key(sorted, rest);
+            }
+        }
+        self.heads[self.cursor] = sorted;
+    }
+
+    /// Makes the cursor bucket the two chains `a` and `b` together, in
+    /// order: sorts their `(key, index)` pairs and relinks them.
+    #[cold]
+    #[inline(never)]
+    fn sort_by_key(&mut self, a: u32, b: u32) {
+        let mut run = std::mem::take(&mut self.run);
+        for mut i in [a, b] {
+            while i != NIL {
+                run.push((self.slab[i as usize].slot, i));
+                i = self.slab[i as usize].next;
+            }
+        }
+        run.sort_unstable_by_key(|&(slot, _)| slot);
+        let mut next = NIL;
+        for &(_, i) in run.iter().rev() {
+            self.slab[i as usize].next = next;
+            next = i;
+        }
+        self.heads[self.cursor] = next;
+        run.clear();
+        self.run = run;
     }
 
     /// The next non-empty bucket strictly after `start` in ring order.
@@ -573,6 +734,25 @@ impl<E> EventQueue<E> {
             bits = self.occupancy[word];
         }
         unreachable!("next_occupied_after called on an empty wheel");
+    }
+}
+
+impl<E> Drop for EventQueue<E> {
+    fn drop(&mut self) {
+        if !std::mem::needs_drop::<E>() {
+            return;
+        }
+        for b in 0..self.heads.len() {
+            let mut i = self.heads[b];
+            while i != NIL {
+                let node = &mut self.slab[i as usize];
+                // SAFETY: the slot is on a bucket chain, so its event is
+                // initialised, and each slot is on one chain only, so it
+                // is dropped once.
+                unsafe { node.event.assume_init_drop() };
+                i = node.next;
+            }
+        }
     }
 }
 
@@ -641,13 +821,15 @@ mod tests {
         }
     }
 
-    /// A bucket entry is time + tiebreak sequence + the event, written on
-    /// every `push` and read on every `pop`. With a 16-byte event (the
-    /// network's `NetEvent`) it is 32 bytes — two per cache line; a 17th
-    /// event byte would round it up to 40.
+    /// An overflow entry is time + tiebreak sequence + the event; a wheel
+    /// slot adds the chain link. Written on every push and read on every
+    /// pop: with a 16-byte event (the network's `NetEvent`) they are 32
+    /// and 40 bytes; a 17th event byte would round the entry up to 40, a
+    /// 21st the slot up to 48.
     #[test]
     fn entry_with_a_16_byte_event_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Entry<[u64; 2]>>(), 32);
+        assert_eq!(std::mem::size_of::<Node<[u64; 2]>>(), 40);
     }
 
     #[test]
@@ -980,7 +1162,7 @@ mod tests {
                         let draining = t >= q.epoch
                             && t - q.epoch < q.span_ps
                             && q.bucket_of(t) == q.cursor
-                            && !q.buckets[q.cursor].is_empty();
+                            && q.heads[q.cursor] != NIL;
                         late[1] += u32::from(t < q.epoch);
                         q.insert(slot, ev);
                         late[0] += u32::from(draining);
@@ -1032,6 +1214,145 @@ mod tests {
                 u64::from(lapsed) + held.len() as u64
             );
         }
+    }
+
+    /// Bursts of hundreds of events on one instant — the start-up wave
+    /// of a mesh whose sources all emit together — or scattered in random
+    /// order over one 32 ps window pop identically on every geometry:
+    /// bursts pushed into the draining cursor bucket or a later one,
+    /// bursts parked in `overflow` and promoted into the cursor bucket by
+    /// one advance, and a burst's reserved slots inserted late into the
+    /// cursor run while it drains.
+    #[test]
+    fn same_instant_bursts_pop_identically() {
+        let mut queues = GEOMETRIES.map(EventQueue::<u64>::with_geometry);
+        let mut r = RefQueue::new();
+        let mut rng = crate::rng::SimRng::new(0xB0257);
+        let mut stamp = Slot::MIN;
+        let mut held: Vec<Slot> = Vec::new();
+        // [bursts promoted into the cursor bucket, late inserts into a
+        // cursor run at least 100 long]
+        let mut seen = [0u32; 2];
+        for i in 0..300u64 {
+            let now = stamp.time.as_ps();
+            let start = match rng.gen_range(3) {
+                0 => now,
+                1 => now + rng.gen_range(3_000),
+                _ => now + 65_536 * (1 + rng.gen_range(8)), // past every span but one
+            };
+            let spread = [1, 32][rng.gen_index(2)];
+            for k in 0..200 + rng.gen_range(300) {
+                let t = SimTime::from_ps(start + rng.gen_range(spread));
+                if rng.gen_range(4) == 0 {
+                    let slot = r.reserve(t);
+                    for q in &mut queues {
+                        assert_eq!(q.reserve(t), slot);
+                    }
+                    held.push(slot);
+                } else {
+                    for q in &mut queues {
+                        q.push(t, i << 20 | k);
+                    }
+                    r.push(t, i << 20 | k);
+                }
+            }
+            for _ in 0..rng.gen_range(800) {
+                if !held.is_empty() && rng.gen_range(2) == 0 {
+                    let slot = held.swap_remove(rng.gen_index(held.len()));
+                    if slot > stamp {
+                        for q in &mut queues {
+                            let t = slot.time.as_ps();
+                            seen[1] += u32::from(
+                                t - q.epoch < q.span_ps
+                                    && q.bucket_of(t) == q.cursor
+                                    && q.chain(q.cursor).count() >= 100,
+                            );
+                            q.insert(slot, u64::MAX);
+                        }
+                        r.insert(slot, u64::MAX);
+                    }
+                }
+                let want = r.pop_keyed();
+                for q in &mut queues {
+                    let overflow = q.overflow.len();
+                    assert_eq!(
+                        q.pop_at_or_before(SimTime::MAX),
+                        want,
+                        "burst divergence at round {i}"
+                    );
+                    seen[0] += u32::from(
+                        overflow - q.overflow.len() >= 100 && q.chain(q.cursor).count() >= 99,
+                    );
+                }
+                let Some((slot, _)) = want else { break };
+                stamp = slot;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 20), "thin coverage {seen:?}");
+        loop {
+            let want = r.pop_keyed();
+            for q in &mut queues {
+                assert_eq!(q.pop_at_or_before(SimTime::MAX), want);
+            }
+            if want.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// The wheel's entry storage follows the most events pending at
+    /// once, not the sum of every bucket's largest burst: a 500-event
+    /// same-instant wave into one bucket, drained, then steady traffic
+    /// over every bucket for ten wheel laps leave it at the wave's size.
+    #[test]
+    fn entry_storage_tracks_peak_pending_not_bucket_peaks() {
+        const WAVE: u64 = 950;
+        let mut q = EventQueue::new();
+        for i in 0..500 {
+            q.push(SimTime::from_ps(WAVE), i);
+        }
+        let mut peak = q.near_count;
+        while q.pop().is_some() {}
+        let mut rng = crate::rng::SimRng::new(0x5A1B);
+        let mut gap = move || 180 + rng.gen_range(4_000);
+        for i in 0..64 {
+            q.push(SimTime::from_ps(WAVE + gap()), i);
+        }
+        let mut visited = vec![false; WheelGeometry::DEFAULT.num_buckets];
+        while let Some((t, i)) = q.pop().filter(|(t, _)| t.as_ps() < WAVE + 10 * SPAN_PS) {
+            visited[q.cursor] = true;
+            q.push(t + crate::time::SimDuration::from_ps(gap()), i);
+            peak = peak.max(q.near_count);
+        }
+        assert!(visited.iter().filter(|&&v| v).count() > 2_000);
+        assert_eq!(q.entry_high_water(), peak);
+        assert!(
+            q.slab.capacity() <= 2 * peak,
+            "{} slots for {peak} pending",
+            q.slab.capacity()
+        );
+    }
+
+    /// Every event is dropped exactly once: popped ones by the caller,
+    /// pending ones — in either tier, in fresh or reused slots — with
+    /// the queue.
+    #[test]
+    fn pending_events_drop_with_the_queue() {
+        let token = std::rc::Rc::new(());
+        let mut q = EventQueue::new();
+        for k in 0..200 {
+            let far = k / 100 * 2 * SPAN_PS;
+            q.push(SimTime::from_ps(k * 37 % 1_000 + far), token.clone());
+        }
+        for _ in 0..50 {
+            q.pop();
+        }
+        for k in 0..20 {
+            q.push(SimTime::from_ps(2_000 + k), token.clone());
+        }
+        assert_eq!(std::rc::Rc::strong_count(&token), 171);
+        drop(q);
+        assert_eq!(std::rc::Rc::strong_count(&token), 1);
     }
 
     /// A slot inserted late pops ahead of same-instant events that were

@@ -187,6 +187,7 @@ pub struct KernelProfile {
     queue_len_max: usize,
     occupied_sum: u128,
     occupied_max: usize,
+    wheel_entries: usize,
     samples: u64,
 }
 
@@ -202,17 +203,20 @@ impl KernelProfile {
             queue_len_max: 0,
             occupied_sum: 0,
             occupied_max: 0,
+            wheel_entries: 0,
             samples: 0,
         }
     }
 
     #[inline]
-    fn record(&mut self, kind: usize, queue_len: usize, occupied: usize) {
+    fn record(&mut self, kind: usize, queue: &EventQueue<impl Sized>) {
+        let (queue_len, occupied) = (queue.len(), queue.occupied_buckets());
         self.kind_counts[kind] += 1;
         self.queue_len_sum += queue_len as u128;
         self.queue_len_max = self.queue_len_max.max(queue_len);
         self.occupied_sum += occupied as u128;
         self.occupied_max = self.occupied_max.max(occupied);
+        self.wheel_entries = queue.entry_high_water();
         self.samples += 1;
     }
 
@@ -270,6 +274,14 @@ impl KernelProfile {
     /// Maximum number of occupied wheel buckets observed at dispatch.
     pub fn occupied_buckets_max(&self) -> usize {
         self.occupied_max
+    }
+
+    /// The wheel's entry high-water mark at the last dispatch: the most
+    /// events its buckets held at once since the queue was built, which
+    /// is the number of entry slots it keeps
+    /// ([`EventQueue::entry_high_water`]).
+    pub fn wheel_entries_max(&self) -> usize {
+        self.wheel_entries
     }
 }
 
@@ -422,7 +434,7 @@ impl<M: Model> Kernel<M> {
     fn record_profile_sample(&mut self, ev: &M::Event) {
         let kind = self.model.event_kind(ev);
         let p = self.profile.as_deref_mut().expect("checked by caller");
-        p.record(kind, self.queue.len(), self.queue.occupied_buckets());
+        p.record(kind, &self.queue);
     }
 
     /// The outcome when nothing at or before `horizon` is left to pop.
