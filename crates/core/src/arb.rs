@@ -17,8 +17,9 @@
 //!   an ablation baseline.
 //! * [`AlgArbiter`] — inspired by the ALG discipline of ref \[6\]: priority
 //!   order with an age bound. A requester that has been passed over
-//!   `age_bound` consecutive grants is force-granted, giving every channel
-//!   a hard per-hop latency bound of `age_bound + 1` link cycles while
+//!   `age_bound` consecutive grants is force-granted, so no channel waits
+//!   more than `age_bound + slots − 1` grants per hop, `slots` counting
+//!   the link's GS VCs and BE ([`AlgArbiter::worst_case_wait`]), while
 //!   high-priority channels still see near-minimal latency.
 
 use crate::ids::VcId;

@@ -27,7 +27,7 @@
 //! | [`conn`], [`route`], [`topology`] | connection planning, routing, the grid — used by the above, never touching `Network` |
 //! | [`na`], [`na_arena`] | network-adapter state (reference twin and the flat arena the network runs on) |
 //! | [`sim`], [`scenario`] | the `NocSim` harness around a kernel + network, and declarative scenarios on top of it |
-//! | [`stats`], [`ocp`] | flow statistics; the OCP request/response app |
+//! | [`stats`] | flow statistics |
 //!
 //! # Example
 //!
@@ -62,7 +62,6 @@ pub mod meta;
 pub mod na;
 pub mod na_arena;
 pub mod network;
-pub mod ocp;
 pub mod relay;
 pub mod route;
 pub mod scenario;
@@ -80,8 +79,7 @@ pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultSchedule, NoBoundaryL
 pub use meta::MetaSlab;
 pub use na::NaConfig;
 pub use na_arena::NaArena;
-pub use network::{AppPacket, NaApp, NetEvent, Network};
-pub use ocp::{OcpMessage, OcpSlave};
+pub use network::{NaApp, NetEvent, Network};
 pub use relay::{RelayTable, RelayTicket};
 pub use route::{route_avoiding, xy_header, xy_path, xy_route, RouteError};
 pub use scenario::{
@@ -89,7 +87,7 @@ pub use scenario::{
     ScenarioSpec, TrafficSpec,
 };
 pub use sim::{EmitWindow, NocSim};
-pub use stats::{FlowStats, Histogram, LatencyRecorder, NetStats};
+pub use stats::{FlowStats, LatencyRecorder, NetStats};
 pub use telemetry::{TelemetryConfig, TelemetrySink, TelemetryState, EPOCH_COLUMNS};
 pub use topology::{d2d_extra_default, Grid, TopologySpec};
-pub use traffic::{PatternKind, PatternState, Source, SourceKind, SpatialPattern, TemporalSpec};
+pub use traffic::{PatternKind, Source, SourceKind, SpatialPattern, TemporalSpec};

@@ -132,26 +132,14 @@ pub enum NetEvent {
     },
 }
 
-/// An application packet produced by an [`NaApp`].
-#[derive(Debug, Clone)]
-pub struct AppPacket {
-    /// Destination router.
-    pub dest: RouterId,
-    /// Payload words.
-    pub payload: Vec<u32>,
-    /// Flow to account the packet under, if any.
-    pub flow: Option<u32>,
-}
-
-/// Application logic attached to an NA: reacts to delivered BE packets
-/// (e.g. an OCP slave turning requests into responses).
+/// Application logic attached to an NA: observes the BE packets
+/// delivered there.
 ///
 /// `Send` is a supertrait so a whole [`Network`] can move to a worker
 /// thread — parameter sweeps run one independent network per thread.
 pub trait NaApp: std::fmt::Debug + Send {
-    /// Handles a delivered packet (header flit first); returns packets to
-    /// send in response.
-    fn on_packet(&mut self, now: SimTime, packet: &[Flit]) -> Vec<AppPacket>;
+    /// Handles a delivered packet (header flit first).
+    fn on_packet(&mut self, now: SimTime, packet: &[Flit]);
 }
 
 /// The complete network state. Fields are crate-visible: each sibling
@@ -479,14 +467,8 @@ impl Network {
             }
         }
         self.release_records(packet);
-        let idx = self.grid.index(id);
-        // Take the app out so it can borrow `self` for responses.
-        if let Some(mut app) = self.apps[idx].take() {
-            let responses = app.on_packet(ctx.now(), packet);
-            self.apps[idx] = Some(app);
-            for resp in responses {
-                self.send_be_packet(id, resp.dest, &resp.payload, resp.flow, ctx.now(), ctx);
-            }
+        if let Some(app) = &mut self.apps[self.grid.index(id)] {
+            app.on_packet(ctx.now(), packet);
         }
     }
 

@@ -9,7 +9,7 @@ use crate::network::{NetEvent, Network};
 use crate::stats::FlowStats;
 use crate::telemetry::TelemetryConfig;
 use crate::topology::Grid;
-use crate::traffic::{PatternState, Source, SourceKind, SpatialPattern, TemporalSpec};
+use crate::traffic::{Source, SourceKind, SpatialPattern, TemporalSpec};
 use mango_core::{ConnectionId, RouterConfig, RouterId};
 use mango_sim::{Kernel, KernelProfile, RunOutcome, SimDuration, SimRng, SimTime, WheelGeometry};
 use mango_telemetry::TelemetryReport;
@@ -479,7 +479,6 @@ impl NocSim {
         let idx = net.add_source(Source {
             kind,
             pattern,
-            state: PatternState::default(),
             flow,
             start,
             stop: window.stop_at,
@@ -543,33 +542,6 @@ impl NocSim {
     /// the paper's "port speed".
     pub fn link_capacity_m(&self) -> f64 {
         self.network().router_cfg().timing.link_cycle.as_rate_mhz()
-    }
-
-    /// A per-flow summary table (name, injected, delivered, throughput,
-    /// latency) over the measurement window — ready to print.
-    pub fn flow_summary(&self) -> mango_hw::Table {
-        let window = self.measured_window();
-        let mut t = mango_hw::Table::new(vec![
-            "flow",
-            "injected",
-            "delivered",
-            "M/s",
-            "mean lat",
-            "p99 lat",
-        ]);
-        for (_, f) in self.network().stats().flows() {
-            t.add_row(vec![
-                f.name.clone(),
-                f.injected.to_string(),
-                f.delivered.to_string(),
-                format!("{:.1}", f.throughput_mfps(window)),
-                f.latency.mean().map_or("-".into(), |d| d.to_string()),
-                f.latency
-                    .quantile(0.99)
-                    .map_or("-".into(), |d| d.to_string()),
-            ]);
-        }
-        t
     }
 }
 

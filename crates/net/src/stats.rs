@@ -2,67 +2,50 @@
 //! statistics.
 
 use mango_sim::{SimDuration, SimTime};
-use std::fmt;
+
+/// The lower edge of the first histogram bucket, in picoseconds.
+const MIN_PS: f64 = 100.0;
+/// The ratio of one bucket's edges.
+const FACTOR: f64 = 1.26;
+/// Bucket count: 100 ps to ~100 µs.
+const BUCKETS: usize = 60;
 
 /// An exponential-bucket latency histogram.
 ///
-/// Buckets span `[min × factor^i, min × factor^(i+1))`; values below the
-/// first bucket land in it, values beyond the last in the last.
+/// Buckets span `[MIN_PS × FACTOR^i, MIN_PS × FACTOR^(i+1))`; values
+/// below the first bucket land in it, values beyond the last in the last.
 #[derive(Debug, Clone)]
-pub struct Histogram {
-    min_ps: f64,
-    factor: f64,
-    counts: Vec<u64>,
+struct Histogram {
+    counts: [u64; BUCKETS],
     total: u64,
 }
 
 impl Histogram {
-    /// A histogram from `min` with `buckets` buckets growing by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor <= 1`, `buckets == 0`, or `min` is zero.
-    pub fn new(min: SimDuration, factor: f64, buckets: usize) -> Self {
-        assert!(factor > 1.0, "histogram factor must exceed 1");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(!min.is_zero(), "histogram minimum must be positive");
+    fn new() -> Self {
         Histogram {
-            min_ps: min.as_ps() as f64,
-            factor,
-            counts: vec![0; buckets],
+            counts: [0; BUCKETS],
             total: 0,
         }
     }
 
-    /// A default latency histogram: 100 ps to ~100 µs in 60 buckets.
-    pub fn latency_default() -> Self {
-        Histogram::new(SimDuration::from_ps(100), 1.26, 60)
-    }
-
-    fn bucket_of(&self, value: SimDuration) -> usize {
+    fn bucket_of(value: SimDuration) -> usize {
         let v = value.as_ps() as f64;
-        if v < self.min_ps {
+        if v < MIN_PS {
             return 0;
         }
-        let idx = (v / self.min_ps).log(self.factor).floor() as usize;
-        idx.min(self.counts.len() - 1)
+        let idx = (v / MIN_PS).log(FACTOR).floor() as usize;
+        idx.min(BUCKETS - 1)
     }
 
     /// Records one value.
-    pub fn record(&mut self, value: SimDuration) {
-        let bucket = self.bucket_of(value);
-        self.counts[bucket] += 1;
+    fn record(&mut self, value: SimDuration) {
+        self.counts[Self::bucket_of(value)] += 1;
         self.total += 1;
-    }
-
-    /// Number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// The upper bound of the bucket containing the `q`-quantile
     /// (`0 < q <= 1`), or `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<SimDuration> {
+    fn quantile(&self, q: f64) -> Option<SimDuration> {
         if self.total == 0 {
             return None;
         }
@@ -72,17 +55,11 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= target {
-                let upper = self.min_ps * self.factor.powi(i as i32 + 1);
+                let upper = MIN_PS * FACTOR.powi(i as i32 + 1);
                 return Some(SimDuration::from_ps(upper as u64));
             }
         }
         unreachable!("quantile target exceeds total")
-    }
-
-    /// Clears all counts.
-    pub fn reset(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
     }
 }
 
@@ -105,7 +82,7 @@ impl LatencyRecorder {
             sum_ps: 0,
             min: SimDuration::MAX,
             max: SimDuration::ZERO,
-            histogram: Histogram::latency_default(),
+            histogram: Histogram::new(),
         }
     }
 
@@ -163,20 +140,6 @@ impl LatencyRecorder {
 impl Default for LatencyRecorder {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl fmt::Display for LatencyRecorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.min(), self.mean(), self.max()) {
-            (Some(min), Some(mean), Some(max)) => write!(
-                f,
-                "n={} min={min} mean={mean} p99={} max={max}",
-                self.count,
-                self.quantile(0.99).expect("non-empty")
-            ),
-            _ => f.write_str("n=0"),
-        }
     }
 }
 
@@ -372,35 +335,40 @@ mod tests {
         SimDuration::from_ps(ps)
     }
 
+    /// The upper edge of bucket `i`, as [`Histogram::quantile`] reports it.
+    fn upper(i: i32) -> SimDuration {
+        d((MIN_PS * FACTOR.powi(i + 1)) as u64)
+    }
+
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(d(100), 2.0, 10);
+        let mut h = Histogram::new();
         for _ in 0..90 {
-            h.record(d(150)); // bucket 0 [100, 200)
+            h.record(d(110)); // bucket 0 [100, 126)
         }
         for _ in 0..10 {
-            h.record(d(10_000));
+            h.record(d(10_000_000));
         }
-        assert_eq!(h.total(), 100);
+        assert_eq!(h.total, 100);
         let p50 = h.quantile(0.5).unwrap();
-        assert_eq!(p50, d(200), "median in first bucket, upper bound 200");
+        assert_eq!(p50, upper(0), "median in the first bucket");
         let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 >= d(10_000), "tail in a high bucket: {p99}");
+        assert!(p99 >= d(10_000_000), "tail in a high bucket: {p99}");
     }
 
     #[test]
     fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(d(100), 2.0, 4);
-        h.record(d(1)); // below min → bucket 0
-        h.record(d(1_000_000)); // above max → last bucket
-        assert_eq!(h.total(), 2);
-        assert!(h.quantile(1.0).is_some());
+        let mut h = Histogram::new();
+        h.record(d(1)); // below the first edge → bucket 0
+        h.record(d(1_000_000_000_000)); // past the last edge → last bucket
+        assert_eq!(h.total, 2);
+        assert_eq!(h.quantile(0.5), Some(upper(0)));
+        assert_eq!(h.quantile(1.0), Some(upper(BUCKETS as i32 - 1)));
     }
 
     #[test]
     fn histogram_empty_quantile_is_none() {
-        let h = Histogram::new(d(100), 2.0, 4);
-        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(Histogram::new().quantile(0.5), None);
     }
 
     #[test]

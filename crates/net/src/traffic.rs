@@ -7,15 +7,12 @@
 //!   materialized, so attaching a background pattern to an N-node mesh
 //!   is O(N) work and the per-emission pick is allocation-free for every
 //!   computed pattern.
-//! * a [`TemporalSpec`] — *when* emissions happen. The spec is an
-//!   immutable, `Copy` description (CBR / Poisson / on-off bursts); any
-//!   mutable progress (the burst position of an on-off source) lives in
-//!   a separate runtime [`PatternState`], so cloning or sharing a spec
-//!   can never smuggle mid-burst state along.
+//! * a [`TemporalSpec`] — *when* emissions happen: an immutable, `Copy`
+//!   description (CBR or Poisson) that keeps no per-source state.
 //!
 //! The classic NoC evaluation patterns (transpose, bit-complement,
-//! bit-reverse, tornado, hotspot, nearest-neighbour, permutation) are
-//! all expressible, plus [`SpatialPattern::FixedPool`] as the legacy
+//! bit-reverse, tornado, hotspot, nearest-neighbour) are all
+//! expressible, plus [`SpatialPattern::FixedPool`] as the legacy
 //! escape hatch for hand-picked destination pools.
 //!
 //! # Determinism
@@ -38,9 +35,6 @@ use mango_sim::{Ctx, SimDuration, SimRng, SimTime};
 // ---------------------------------------------------------------------
 
 /// Inter-emission timing: the immutable half of a traffic model.
-///
-/// `TemporalSpec` is `Copy` and carries **no runtime state**; pair it
-/// with a [`PatternState`] when generating gaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemporalSpec {
     /// Constant rate: one emission every `period`.
@@ -53,24 +47,6 @@ pub enum TemporalSpec {
         /// Mean inter-emission gap.
         mean: SimDuration,
     },
-    /// Bursts: `burst_len` emissions spaced `period`, then an `off` gap.
-    OnOff {
-        /// Emissions per burst.
-        burst_len: u64,
-        /// Spacing within a burst.
-        period: SimDuration,
-        /// Gap between bursts.
-        off: SimDuration,
-    },
-}
-
-/// Runtime progress of a temporal pattern (the burst position of an
-/// on-off source). Fresh state starts at the beginning of a burst;
-/// CBR/Poisson sources never touch it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PatternState {
-    /// Emissions completed in the on-off cycle.
-    pos: u64,
 }
 
 impl TemporalSpec {
@@ -84,34 +60,12 @@ impl TemporalSpec {
         TemporalSpec::Poisson { mean }
     }
 
-    /// An on-off bursty pattern.
-    pub fn on_off(burst_len: u64, period: SimDuration, off: SimDuration) -> Self {
-        assert!(burst_len > 0, "burst length must be positive");
-        TemporalSpec::OnOff {
-            burst_len,
-            period,
-            off,
-        }
-    }
-
-    /// The gap to wait after the current emission, advancing `state`.
-    pub fn next_gap(&self, state: &mut PatternState, rng: &mut SimRng) -> SimDuration {
+    /// The gap to wait after the current emission.
+    pub fn next_gap(&self, rng: &mut SimRng) -> SimDuration {
         match self {
             TemporalSpec::Cbr { period } => *period,
             TemporalSpec::Poisson { mean } => {
                 SimDuration::from_ps(rng.gen_exp(mean.as_ps() as f64).round().max(1.0) as u64)
-            }
-            TemporalSpec::OnOff {
-                burst_len,
-                period,
-                off,
-            } => {
-                state.pos += 1;
-                if state.pos.is_multiple_of(*burst_len) {
-                    *off
-                } else {
-                    *period
-                }
             }
         }
     }
@@ -121,11 +75,6 @@ impl TemporalSpec {
         match self {
             TemporalSpec::Cbr { period } => *period,
             TemporalSpec::Poisson { mean } => *mean,
-            TemporalSpec::OnOff {
-                burst_len,
-                period,
-                off,
-            } => (*period * (*burst_len - 1) + *off) / *burst_len,
         }
     }
 }
@@ -138,9 +87,9 @@ impl TemporalSpec {
 ///
 /// [`SpatialPattern::pick`] computes one destination per emission from
 /// `(src, mesh, rng)`. Deterministic patterns (transpose, complement,
-/// reverse, tornado, permutation) consume **zero** RNG draws; the draw
-/// discipline of the random ones is documented on each variant and is
-/// part of the reproducibility contract.
+/// reverse, tornado) consume **zero** RNG draws; the draw discipline of
+/// the random ones is documented on each variant and is part of the
+/// reproducibility contract.
 ///
 /// A pick returns `None` when the pattern maps the source onto itself
 /// (the transpose diagonal, the centre of an odd-sized complement mesh,
@@ -185,10 +134,6 @@ pub enum SpatialPattern {
     /// A uniformly chosen mesh neighbour (N/E/S/W order; one
     /// `gen_range(degree)` per emission). A 1×1 mesh has none (skip).
     NearestNeighbour,
-    /// An explicit permutation: node at row-major index `i` sends to
-    /// `perm[i]`. Fixed points self-loop (skip); a short table skips
-    /// the uncovered sources.
-    Permutation(Vec<RouterId>),
     /// The legacy escape hatch: a materialized destination pool, picked
     /// uniformly per emission (repeat an entry to weight it; one
     /// `gen_range(len)` per emission, the historical `choose` draw).
@@ -267,10 +212,6 @@ impl SpatialPattern {
                 }
                 (count > 0).then(|| opts[rng.gen_index(count)])
             }
-            SpatialPattern::Permutation(perm) => {
-                let d = *perm.get(grid.index(src))?;
-                (d != src && grid.contains(d)).then_some(d)
-            }
             SpatialPattern::FixedPool(pool) => {
                 let d = *rng.choose(pool)?;
                 (d != src && grid.contains(d)).then_some(d)
@@ -292,8 +233,7 @@ impl SpatialPattern {
     }
 
     /// Checks the pattern is structurally suited to `grid`: transpose
-    /// needs a square mesh, bit-reverse a power-of-two node count, a
-    /// permutation must cover the mesh with in-mesh destinations, pools
+    /// needs a square mesh, bit-reverse a power-of-two node count, pools
     /// and hotspot targets must be non-empty and in-mesh, the hotspot
     /// weight finite.
     ///
@@ -328,16 +268,6 @@ impl SpatialPattern {
                 }
                 in_mesh(targets, "hotspot target")
             }
-            SpatialPattern::Permutation(perm) => {
-                if perm.len() != grid.len() {
-                    return Err(format!(
-                        "permutation covers {} nodes, mesh has {}",
-                        perm.len(),
-                        grid.len()
-                    ));
-                }
-                in_mesh(perm, "permutation destination")
-            }
             SpatialPattern::FixedPool(pool) => {
                 if pool.is_empty() {
                     return Err("destination pool is empty".into());
@@ -358,7 +288,6 @@ impl SpatialPattern {
             SpatialPattern::Tornado => "tornado",
             SpatialPattern::Hotspot { .. } => "hotspot",
             SpatialPattern::NearestNeighbour => "neighbour",
-            SpatialPattern::Permutation(_) => "permutation",
             SpatialPattern::FixedPool(_) => "pool",
         }
     }
@@ -485,8 +414,6 @@ pub struct Source {
     pub kind: SourceKind,
     /// When to emit.
     pub pattern: TemporalSpec,
-    /// Runtime temporal state (burst position).
-    pub state: PatternState,
     /// Flow id in the statistics registry.
     pub flow: u32,
     /// First emission time.
@@ -520,13 +447,7 @@ impl Source {
             self.done = true;
             return None;
         }
-        let Source {
-            pattern,
-            state,
-            rng,
-            ..
-        } = self;
-        let gap = pattern.next_gap(state, rng);
+        let gap = self.pattern.next_gap(&mut self.rng);
         match now.checked_add(gap) {
             Some(next) if self.stop.is_none_or(|s| next < s) => Some(next),
             _ => {
@@ -621,10 +542,9 @@ mod tests {
     #[test]
     fn cbr_gap_is_constant() {
         let p = TemporalSpec::cbr(SimDuration::from_ns(5));
-        let mut s = PatternState::default();
         let mut r = rng();
         for _ in 0..10 {
-            assert_eq!(p.next_gap(&mut s, &mut r), SimDuration::from_ns(5));
+            assert_eq!(p.next_gap(&mut r), SimDuration::from_ns(5));
         }
         assert_eq!(p.mean_gap(), SimDuration::from_ns(5));
     }
@@ -632,46 +552,12 @@ mod tests {
     #[test]
     fn poisson_gap_mean_converges() {
         let p = TemporalSpec::poisson(SimDuration::from_ns(10));
-        let mut s = PatternState::default();
         let mut r = rng();
         let n = 50_000;
-        let total: u64 = (0..n).map(|_| p.next_gap(&mut s, &mut r).as_ps()).sum();
+        let total: u64 = (0..n).map(|_| p.next_gap(&mut r).as_ps()).sum();
         let mean_ns = total as f64 / n as f64 / 1000.0;
         assert!((mean_ns - 10.0).abs() < 0.3, "mean {mean_ns} ns");
         assert_eq!(p.mean_gap(), SimDuration::from_ns(10));
-    }
-
-    #[test]
-    fn on_off_alternates_burst_and_gap() {
-        let p = TemporalSpec::on_off(3, SimDuration::from_ns(1), SimDuration::from_ns(10));
-        let mut s = PatternState::default();
-        let mut r = rng();
-        let gaps: Vec<u64> = (0..6)
-            .map(|_| p.next_gap(&mut s, &mut r).as_ps() / 1000)
-            .collect();
-        assert_eq!(gaps, vec![1, 1, 10, 1, 1, 10]);
-        // Mean gap = (2×1 + 10)/3 = 4 ns.
-        assert_eq!(p.mean_gap(), SimDuration::from_ns(4));
-    }
-
-    #[test]
-    fn cloned_spec_does_not_inherit_burst_position() {
-        // The spec/state conflation bug the split fixes: a spec is pure
-        // description, so "cloning" it (it is Copy) mid-burst and pairing
-        // it with fresh state restarts the burst.
-        let p = TemporalSpec::on_off(3, SimDuration::from_ns(1), SimDuration::from_ns(10));
-        let mut s = PatternState::default();
-        let mut r = rng();
-        p.next_gap(&mut s, &mut r);
-        p.next_gap(&mut s, &mut r); // two emissions into the burst
-        let copy = p;
-        let mut fresh = PatternState::default();
-        let gaps: Vec<u64> = (0..3)
-            .map(|_| copy.next_gap(&mut fresh, &mut r).as_ps() / 1000)
-            .collect();
-        assert_eq!(gaps, vec![1, 1, 10], "fresh state starts a fresh burst");
-        // The original state is two in: one more emission ends its burst.
-        assert_eq!(p.next_gap(&mut s, &mut r), SimDuration::from_ns(10));
     }
 
     fn be_source(spatial: SpatialPattern) -> Source {
@@ -682,7 +568,6 @@ mod tests {
                 payload_words: 2,
             },
             pattern: TemporalSpec::cbr(SimDuration::from_ns(1)),
-            state: PatternState::default(),
             flow: 0,
             start: SimTime::from_ns(10),
             stop: Some(SimTime::from_ns(20)),
@@ -767,7 +652,6 @@ mod tests {
             SpatialPattern::BitComplement,
             SpatialPattern::BitReverse,
             SpatialPattern::Tornado,
-            SpatialPattern::Permutation((0..grid.len()).rev().map(|i| grid.id_at(i)).collect()),
         ] {
             p.pick(RouterId::new(1, 2), &grid, &mut r);
         }
@@ -881,29 +765,6 @@ mod tests {
             SpatialPattern::NearestNeighbour.pick(RouterId::new(0, 0), &Grid::new(1, 1), &mut r),
             None
         );
-    }
-
-    #[test]
-    fn permutation_maps_by_index() {
-        let grid = Grid::new(2, 2);
-        let perm = vec![
-            RouterId::new(1, 1),
-            RouterId::new(0, 1),
-            RouterId::new(1, 0),
-            RouterId::new(0, 0),
-        ];
-        let p = SpatialPattern::Permutation(perm);
-        let mut r = rng();
-        assert_eq!(
-            p.pick(RouterId::new(0, 0), &grid, &mut r),
-            Some(RouterId::new(1, 1))
-        );
-        assert_eq!(
-            p.pick(RouterId::new(1, 1), &grid, &mut r),
-            Some(RouterId::new(0, 0))
-        );
-        assert!(p.validate(&grid).is_ok());
-        assert!(p.validate(&Grid::new(3, 3)).is_err(), "short table");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integer log-bucket latency histogram.
 //!
-//! The sweep layer already has a float histogram ([`mango_net`]'s
-//! `Histogram`) whose bucket math goes through `log()`/`powi()` — fine
+//! The sweep layer already has a float histogram (inside [`mango_net`]'s
+//! `LatencyRecorder`) whose bucket math goes through `log()`/`powi()` — fine
 //! for the recorded goldens it feeds, but float bucket edges are a
 //! liability for a telemetry layer whose outputs are byte-diffed across
 //! hosts. [`LogHistogram`] uses pure integer bucket math in the

@@ -4,8 +4,7 @@
 
 use mango::core::{BeHeader, Direction, RouterId};
 use mango::net::{
-    AppPacket, EmitWindow, NaApp, NetEvent, NocSim, ScenarioMetrics, ScenarioSpec, TemporalSpec,
-    TrafficSpec,
+    EmitWindow, NaApp, NetEvent, NocSim, ScenarioMetrics, ScenarioSpec, TemporalSpec, TrafficSpec,
 };
 use mango::sim::{RunOutcome, SimDuration, SimTime};
 use std::sync::{Arc, Mutex};
@@ -63,21 +62,35 @@ struct Recorder {
 }
 
 impl NaApp for Recorder {
-    fn on_packet(&mut self, _now: SimTime, packet: &[mango::core::Flit]) -> Vec<AppPacket> {
+    fn on_packet(&mut self, _now: SimTime, packet: &[mango::core::Flit]) {
         self.packets
             .lock()
             .unwrap()
             .push(packet[1..].iter().map(|f| f.data).collect());
-        Vec::new()
     }
 }
 
 /// Payload integrity and packet coherency: packets from two senders to
-/// one receiver arrive unmixed, each with its exact payload.
+/// one receiver arrive unmixed, each with its exact payload. On the
+/// 20×1 line both routes are longer than one header's 15 links, so every
+/// packet is relayed: the relay NA strips the continuation word and
+/// rebuilds the packet, and the payload must still arrive word for word.
 #[test]
 fn concurrent_packets_arrive_intact_and_unmixed() {
-    let mut sim = NocSim::paper_mesh(3, 3, 107);
-    let sink = RouterId::new(1, 1);
+    packets_arrive_intact_and_unmixed(
+        (3, 3),
+        [RouterId::new(0, 0), RouterId::new(2, 2)],
+        RouterId::new(1, 1),
+    );
+    packets_arrive_intact_and_unmixed(
+        (20, 1),
+        [RouterId::new(0, 0), RouterId::new(1, 0)],
+        RouterId::new(19, 0),
+    );
+}
+
+fn packets_arrive_intact_and_unmixed((w, h): (u8, u8), [a, b]: [RouterId; 2], sink: RouterId) {
+    let mut sim = NocSim::paper_mesh(w, h, 107);
     let packets = Arc::new(Mutex::new(Vec::new()));
     sim.network_mut().set_app(
         sink,
@@ -87,18 +100,8 @@ fn concurrent_packets_arrive_intact_and_unmixed() {
     );
     // Two senders each send 30 packets with distinctive payloads.
     for i in 0..30u32 {
-        sim.send_be(
-            RouterId::new(0, 0),
-            sink,
-            &[0xA000 + i, 0xA100 + i, 0xA200 + i],
-            None,
-        );
-        sim.send_be(
-            RouterId::new(2, 2),
-            sink,
-            &[0xB000 + i, 0xB100 + i, 0xB200 + i],
-            None,
-        );
+        sim.send_be(a, sink, &[0xA000 + i, 0xA100 + i, 0xA200 + i], None);
+        sim.send_be(b, sink, &[0xB000 + i, 0xB100 + i, 0xB200 + i], None);
     }
     let outcome = sim.run_to_quiescence();
     assert_eq!(outcome, RunOutcome::Quiescent);

@@ -282,28 +282,6 @@ proptest! {
         }
     }
 
-    /// OCP messages survive encode/decode for arbitrary fields.
-    #[test]
-    fn ocp_roundtrip(
-        tag in any::<u16>(),
-        x in 0u8..16,
-        y in 0u8..16,
-        addr in any::<u32>(),
-        data in prop::collection::vec(any::<u32>(), 0..8),
-        burst in 1u16..16,
-    ) {
-        use mango::net::OcpMessage;
-        let requester = RouterId::new(x, y);
-        for msg in [
-            OcpMessage::ReadReq { tag, requester, addr, burst },
-            OcpMessage::WriteReq { tag, requester, addr, data: data.clone() },
-            OcpMessage::ReadResp { tag, data },
-            OcpMessage::WriteResp { tag },
-        ] {
-            prop_assert_eq!(OcpMessage::decode(&msg.encode()), Ok(msg));
-        }
-    }
-
     /// Area model: monotone in every parameter, always finite/positive.
     #[test]
     fn area_model_is_monotone_and_finite(
