@@ -504,7 +504,7 @@ mod tests {
                 for dir in mango_core::Direction::ALL {
                     if grid.neighbor(from, dir).is_some() {
                         for vc in 0..gs_vcs {
-                            conns.quarantine_vc(from, dir, mango_core::VcId(vc as u8));
+                            conns.quarantine_vc(&grid, from, dir, mango_core::VcId(vc as u8));
                         }
                     }
                 }

@@ -21,6 +21,13 @@ fn controller(width: u8, height: u8) -> AdmissionController {
     controller_on(Grid::new(width, height))
 }
 
+/// Every budget counter of `ctl`, for exact state comparison.
+fn budgets(ctl: &AdmissionController) -> BudgetSnapshot {
+    let mut snap = BudgetSnapshot::default();
+    ctl.save_budgets_into(&mut snap);
+    snap
+}
+
 fn controller_on(grid: Grid) -> AdmissionController {
     AdmissionController::new(
         grid,
@@ -145,13 +152,13 @@ proptest! {
             }
         }
 
-        let before = ctl.snapshot();
+        let before = budgets(&ctl);
         let expected = reference_score(&g, &assign, &mut ctl);
-        prop_assert_eq!(ctl.snapshot(), before.clone());
+        prop_assert_eq!(budgets(&ctl), before.clone());
         let mut snap = BudgetSnapshot::default();
         let fast = score_assignment(&g, &assign, &mut ctl, &mut snap);
         prop_assert_eq!(fast, expected);
-        prop_assert_eq!(ctl.snapshot(), before);
+        prop_assert_eq!(budgets(&ctl), before);
     }
 
     /// An optimizer-accepted placement (zero failures) admits fully
@@ -173,7 +180,7 @@ proptest! {
     ) {
         let g = make_graph(kind, n, rate, gseed);
         let mut ctl = controller(width, height);
-        let idle = ctl.snapshot();
+        let idle = budgets(&ctl);
         let placer = if anneal {
             PlacerKind::Anneal { iters: 16 }
         } else {
@@ -181,7 +188,7 @@ proptest! {
         };
         let placement = placer.place(&g, &mut ctl, seed);
         prop_assert!(ctl.nothing_reserved(), "placement must be a dry run");
-        prop_assert_eq!(ctl.snapshot(), idle.clone());
+        prop_assert_eq!(budgets(&ctl), idle.clone());
         prop_assume!(placement.admissible());
 
         // Replay exactly as the serving engine's commit pass does.
@@ -225,7 +232,7 @@ proptest! {
             ctl.release(&held[idx]);
         }
         prop_assert!(ctl.nothing_reserved(), "departure leaked budgets");
-        prop_assert_eq!(ctl.snapshot(), idle);
+        prop_assert_eq!(budgets(&ctl), idle);
     }
 
     /// The annealing placer is byte-deterministic for a fixed seed, no

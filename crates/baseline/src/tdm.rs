@@ -29,7 +29,6 @@ use mango_core::{ConnectionId, Direction, RouterId};
 use mango_net::route::{xy_path, xy_route, RouteError};
 use mango_net::topology::Grid;
 use mango_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// TDM network configuration.
 #[derive(Debug, Clone)]
@@ -122,8 +121,10 @@ impl GtConnection {
 pub struct TdmNetwork {
     cfg: TdmConfig,
     grid: Grid,
-    /// `tables[(router, dir)][slot]` = connection holding the slot.
-    tables: HashMap<(RouterId, Direction), Vec<Option<ConnectionId>>>,
+    /// Every link's slot table, one after another: entry
+    /// `link × slots_per_frame + slot` ([`Grid::link_index`] links) names
+    /// the connection holding the slot.
+    tables: Vec<Option<ConnectionId>>,
     conns: Vec<GtConnection>,
 }
 
@@ -131,9 +132,9 @@ impl TdmNetwork {
     /// An empty TDM network over `grid`.
     pub fn new(grid: Grid, cfg: TdmConfig) -> Self {
         TdmNetwork {
+            tables: vec![None; grid.len() * 4 * cfg.slots_per_frame],
             cfg,
             grid,
-            tables: HashMap::new(),
             conns: Vec::new(),
         }
     }
@@ -141,11 +142,6 @@ impl TdmNetwork {
     /// The configuration.
     pub fn config(&self) -> &TdmConfig {
         &self.cfg
-    }
-
-    fn table(&mut self, link: (RouterId, Direction)) -> &mut Vec<Option<ConnectionId>> {
-        let slots = self.cfg.slots_per_frame;
-        self.tables.entry(link).or_insert_with(|| vec![None; slots])
     }
 
     /// Opens a GT connection reserving `slot_count` slots per frame.
@@ -162,42 +158,36 @@ impl TdmNetwork {
         dst: RouterId,
         slot_count: usize,
     ) -> Result<ConnectionId, TdmError> {
+        let s_total = self.cfg.slots_per_frame;
         assert!(
-            slot_count >= 1 && slot_count <= self.cfg.slots_per_frame,
+            slot_count >= 1 && slot_count <= s_total,
             "slot count {slot_count} out of range"
         );
         let dirs = xy_route(&self.grid, src, dst)?;
         let path = xy_path(&self.grid, src, dst)?;
-        let s_total = self.cfg.slots_per_frame;
+        // The table entry of the slot that start slot `start` holds on
+        // link `i` of the path.
+        let entries: Vec<usize> = path
+            .iter()
+            .zip(&dirs)
+            .map(|(&at, &dir)| self.grid.link_index(at, dir) * s_total)
+            .collect();
+        let entry = |i: usize, start: usize| entries[i] + (start + i) % s_total;
 
-        let mut granted = Vec::new();
-        for start in 0..s_total {
-            if granted.len() == slot_count {
-                break;
-            }
-            let free = dirs.iter().enumerate().all(|(i, &d)| {
-                let table = self
-                    .tables
-                    .get(&(path[i], d))
-                    .map(|t| t[(start + i) % s_total])
-                    .unwrap_or(None);
-                table.is_none()
-            });
-            if free {
-                granted.push(start);
-            }
-        }
+        let granted: Vec<usize> = (0..s_total)
+            .filter(|&start| (0..entries.len()).all(|i| self.tables[entry(i, start)].is_none()))
+            .take(slot_count)
+            .collect();
         if granted.len() < slot_count {
             return Err(TdmError::NoFreeSlot);
         }
 
         let id = ConnectionId(self.conns.len() as u32);
         for &start in &granted {
-            for (i, &d) in dirs.iter().enumerate() {
-                let slot = (start + i) % s_total;
-                let entry = &mut self.table((path[i], d))[slot];
-                debug_assert!(entry.is_none(), "double slot allocation");
-                *entry = Some(id);
+            for i in 0..entries.len() {
+                let held = &mut self.tables[entry(i, start)];
+                debug_assert!(held.is_none(), "double slot allocation");
+                *held = Some(id);
             }
         }
         self.conns.push(GtConnection {
@@ -307,14 +297,10 @@ mod tests {
         let conn = n.connection(id);
         let s = conn.slots[0];
         // Link 0 holds slot s; link 1 holds slot s+1.
-        assert_eq!(
-            n.tables[&(RouterId::new(0, 0), Direction::East)][s],
-            Some(id)
-        );
-        assert_eq!(
-            n.tables[&(RouterId::new(1, 0), Direction::East)][(s + 1) % 8],
-            Some(id)
-        );
+        let holder =
+            |at: RouterId, slot: usize| n.tables[n.grid.link_index(at, Direction::East) * 8 + slot];
+        assert_eq!(holder(RouterId::new(0, 0), s), Some(id));
+        assert_eq!(holder(RouterId::new(1, 0), (s + 1) % 8), Some(id));
     }
 
     #[test]

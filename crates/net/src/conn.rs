@@ -11,8 +11,17 @@
 //! programming interface, the others with BE config packets that request
 //! acknowledgments. The connection becomes [`ConnState::Open`] when every
 //! ack has returned; only then may the source NA stream header-less flits.
+//!
+//! Opening and closing program the path's routers the same way: one loop
+//! builds an ack-requesting config packet per router past the source from
+//! that hop's writes, and nothing is booked until every packet is built,
+//! so an open or close that fails changes nothing. The books are bitmask
+//! vectors on the grid's dense indices — VCs per directed link by
+//! [`Grid::link_index`], interfaces per router by [`Grid::index`] — and
+//! the records are a vector indexed by [`ConnectionId`]; only the ack
+//! tokens, keyed by a word on the wire, live in a map.
 
-use crate::relay::{ack_leg_header, build_segmented_packet, RelayTable};
+use crate::relay::{ack_leg_header, build_segmented_packet, parse_relay_word, RelayTable};
 use crate::route::{xy_route, RouteError};
 use crate::topology::Grid;
 use mango_core::{
@@ -131,6 +140,8 @@ pub struct ConnRecord {
     /// hop count from the source) of the router that owes the ack — the
     /// mapping force-close uses to tell confirmed from unconfirmed hops.
     outstanding: Vec<(u16, u8)>,
+    /// Each hop's link, by [`Grid::link_index`]: where its VC is booked.
+    links: Vec<usize>,
 }
 
 impl ConnRecord {
@@ -232,64 +243,69 @@ pub struct ForceClosePlan {
 }
 
 /// Allocates and tracks GS connections over one grid.
+///
+/// Every book is a bitmask vector on one of the grid's dense indices:
+/// per directed link by [`Grid::link_index`], per router by
+/// [`Grid::index`]. Records are indexed by their [`ConnectionId`].
 #[derive(Debug)]
 pub struct ConnectionManager {
     gs_vcs: usize,
     local_ifaces: usize,
-    next_id: u32,
     next_token: u16,
-    conns: HashMap<ConnectionId, ConnRecord>,
+    /// Every connection ever opened; a record's index is its id.
+    conns: Vec<ConnRecord>,
+    /// Outstanding ack tokens, keyed by the token on the wire.
     tokens: HashMap<u16, ConnectionId>,
-    /// Bitmask of used VCs per directed link.
-    vc_used: HashMap<(RouterId, Direction), u16>,
-    /// Bitmask of used NA TX interfaces per router.
-    tx_used: HashMap<RouterId, u16>,
-    /// Bitmask of used local GS (delivery) interfaces per router.
-    rx_used: HashMap<RouterId, u16>,
+    /// Used VCs per directed link.
+    vc_used: Vec<u16>,
+    /// Used NA TX interfaces per router.
+    tx_used: Vec<u16>,
+    /// Used local GS (delivery) interfaces per router.
+    rx_used: Vec<u16>,
     /// VCs a forced teardown could not confirm clean: the router-table
     /// entries may still be programmed, so the allocator must skip them.
     /// Quarantined bits are *not* counted by [`Self::nothing_reserved`] —
     /// force-close returns the budget exactly and parks the hazard here.
-    vc_quarantined: HashMap<(RouterId, Direction), u16>,
+    vc_quarantined: Vec<u16>,
     /// Local GS interfaces whose delivery-side unlock entry may still be
     /// programmed after a forced teardown.
-    rx_quarantined: HashMap<RouterId, u16>,
+    rx_quarantined: Vec<u16>,
 }
 
 impl ConnectionManager {
-    /// A manager for routers with `gs_vcs` VCs per link and `local_ifaces`
-    /// local GS interfaces (paper: 7 and 4).
-    pub fn new(gs_vcs: usize, local_ifaces: usize) -> Self {
+    /// A manager for `grid`'s routers with `gs_vcs` VCs per link and
+    /// `local_ifaces` local GS interfaces (paper: 7 and 4).
+    pub fn new(grid: &Grid, gs_vcs: usize, local_ifaces: usize) -> Self {
+        let (links, routers) = (grid.len() * 4, grid.len());
         ConnectionManager {
             gs_vcs,
             local_ifaces,
-            next_id: 0,
             next_token: 1,
-            conns: HashMap::new(),
+            conns: Vec::new(),
             tokens: HashMap::new(),
-            vc_used: HashMap::new(),
-            tx_used: HashMap::new(),
-            rx_used: HashMap::new(),
-            vc_quarantined: HashMap::new(),
-            rx_quarantined: HashMap::new(),
+            vc_used: vec![0; links],
+            tx_used: vec![0; routers],
+            rx_used: vec![0; routers],
+            vc_quarantined: vec![0; links],
+            rx_quarantined: vec![0; routers],
         }
     }
 
     /// The record for `id`.
     pub fn get(&self, id: ConnectionId) -> Option<&ConnRecord> {
-        self.conns.get(&id)
+        self.conns.get(id.0 as usize)
     }
 
     /// The state of `id`, if known.
     pub fn state(&self, id: ConnectionId) -> Option<ConnState> {
-        self.conns.get(&id).map(|c| c.state)
+        self.get(id).map(|c| c.state)
     }
 
     /// True if every connection is `Open` or `Closed` (no programming in
     /// flight).
     pub fn all_settled(&self) -> bool {
         self.conns
-            .values()
+            .iter()
             .all(|c| matches!(c.state, ConnState::Open | ConnState::Closed))
     }
 
@@ -299,26 +315,13 @@ impl ConnectionManager {
     /// invariant: the manager is back in its initial-state budget
     /// position.
     pub fn nothing_reserved(&self) -> bool {
-        self.vc_used.values().all(|m| *m == 0)
-            && self.tx_used.values().all(|m| *m == 0)
-            && self.rx_used.values().all(|m| *m == 0)
+        [&self.vc_used, &self.tx_used, &self.rx_used]
+            .iter()
+            .all(|book| book.iter().all(|&m| m == 0))
     }
 
-    /// Ids of all connections.
-    pub fn ids(&self) -> Vec<ConnectionId> {
-        let mut v: Vec<_> = self.conns.keys().copied().collect();
-        v.sort_by_key(|c| c.0);
-        v
-    }
-
-    fn alloc_bit(mask: &mut u16, limit: usize) -> Option<u8> {
-        for bit in 0..limit {
-            if *mask & (1 << bit) == 0 {
-                *mask |= 1 << bit;
-                return Some(bit as u8);
-            }
-        }
-        None
+    fn alloc_bit(mask: u16, limit: usize) -> Option<u8> {
+        (0..limit as u8).find(|&bit| mask & (1 << bit) == 0)
     }
 
     /// Plans the opening of a connection from `src` to `dst` along the
@@ -345,12 +348,14 @@ impl ConnectionManager {
     /// hop reserves an independently buffered VC, so GS streams cannot
     /// deadlock regardless of route shape (Sec. 3) — only BE worm-hole
     /// routing needs the XY restriction. The programming packets that set
-    /// the path up are BE and still travel XY, independent of `dirs`.
+    /// the path up are BE and travel the route [`build_segmented_packet`]
+    /// picks, independent of `dirs`.
     ///
     /// # Errors
     ///
     /// Fails (reserving nothing) if the path is malformed, does not end
-    /// at `dst`, or any VC/interface along it is exhausted.
+    /// at `dst`, any VC/interface along it is exhausted, or a programming
+    /// packet or its ack has no route.
     pub fn open_along(
         &mut self,
         grid: &Grid,
@@ -360,143 +365,93 @@ impl ConnectionManager {
         dirs: &[Direction],
     ) -> Result<OpenPlan, ConnError> {
         let path = walk_dirs(grid, src, dirs)?;
-        if *path.last().expect("walk includes src") != dst {
+        if path[dirs.len()] != dst {
             return Err(ConnError::BadPath(format!(
                 "path from {src} ends at {} not {dst}",
-                path.last().expect("walk includes src")
+                path[dirs.len()]
             )));
         }
-        let dirs = dirs.to_vec();
         let hops = dirs.len();
+        let links: Vec<usize> = (0..hops)
+            .map(|i| grid.link_index(path[i], dirs[i]))
+            .collect();
 
-        // Dry-run allocation: find everything before committing.
-        // Quarantined bits count as taken here but are tracked apart
-        // from the used masks, so only the fresh bit is committed below.
+        // Find everything before committing. Quarantined bits count as
+        // taken here but are tracked apart from the used masks.
         let mut vcs = Vec::with_capacity(hops);
-        for (i, &d) in dirs.iter().enumerate() {
-            let mut mask = self.vc_used.get(&(path[i], d)).copied().unwrap_or(0)
-                | self.vc_quarantined.get(&(path[i], d)).copied().unwrap_or(0);
-            match Self::alloc_bit(&mut mask, self.gs_vcs) {
-                Some(vc) => vcs.push(VcId(vc)),
-                None => return Err(ConnError::NoFreeVc(path[i], d)),
-            }
+        for (i, &link) in links.iter().enumerate() {
+            let taken = self.vc_used[link] | self.vc_quarantined[link];
+            let vc =
+                Self::alloc_bit(taken, self.gs_vcs).ok_or(ConnError::NoFreeVc(path[i], dirs[i]))?;
+            vcs.push(VcId(vc));
         }
-        let mut tx_mask = self.tx_used.get(&src).copied().unwrap_or(0);
-        let Some(tx_iface) = Self::alloc_bit(&mut tx_mask, self.local_ifaces) else {
-            return Err(ConnError::NoFreeTxIface(src));
-        };
-        let mut rx_mask = self.rx_used.get(&dst).copied().unwrap_or(0)
-            | self.rx_quarantined.get(&dst).copied().unwrap_or(0);
-        let Some(rx_iface) = Self::alloc_bit(&mut rx_mask, self.local_ifaces) else {
-            return Err(ConnError::NoFreeRxIface(dst));
-        };
+        let (s, d) = (grid.index(src), grid.index(dst));
+        let tx_iface = Self::alloc_bit(self.tx_used[s], self.local_ifaces)
+            .ok_or(ConnError::NoFreeTxIface(src))?;
+        let rx_iface = Self::alloc_bit(self.rx_used[d] | self.rx_quarantined[d], self.local_ifaces)
+            .ok_or(ConnError::NoFreeRxIface(dst))?;
 
-        // Commit allocations.
-        for (i, &d) in dirs.iter().enumerate() {
-            *self.vc_used.entry((path[i], d)).or_insert(0) |= 1 << vcs[i].0;
-        }
-        self.tx_used.insert(src, tx_mask);
-        *self.rx_used.entry(dst).or_insert(0) |= 1 << rx_iface;
-
-        let id = ConnectionId(self.next_id);
-        self.next_id += 1;
-
-        // Steering target inside router path[i] (the buffer hop i lands in).
-        let target = |i: usize| -> Steer {
-            if i == hops {
-                Steer::LocalGs { iface: rx_iface }
-            } else {
-                Steer::GsBuffer {
-                    dir: dirs[i],
-                    vc: vcs[i],
-                }
-            }
-        };
-
-        // Source router: programmed directly via its local port.
-        let local_writes = vec![
-            ProgWrite::SetUnlock {
-                buffer: GsBufferRef::Net {
-                    dir: dirs[0],
-                    vc: vcs[0],
-                },
-                upstream: UpstreamRef::Na { iface: tx_iface },
-            },
-            ProgWrite::SetSteer {
-                dir: dirs[0],
-                vc: vcs[0],
-                steer: target(1),
-            },
-        ];
-
-        // Remote routers path[1..=hops]: config packets with acks.
-        let mut config_packets = Vec::new();
-        let mut outstanding = Vec::new();
-        for (i, &router) in path.iter().enumerate().take(hops + 1).skip(1) {
-            let mut writes = Vec::new();
-            let buffer = if i == hops {
-                GsBufferRef::Local { iface: rx_iface }
-            } else {
-                GsBufferRef::Net {
-                    dir: dirs[i],
-                    vc: vcs[i],
-                }
-            };
-            writes.push(ProgWrite::SetUnlock {
-                buffer,
-                upstream: UpstreamRef::Link {
+        // Router path[i] steers hop i's flits into the buffer of hop i + 1
+        // (the destination's local interface after the last hop) and
+        // unlocks its upstream: the NA at the source, link i - 1 beyond.
+        let set_writes = |i: usize| -> Vec<ProgWrite> {
+            let upstream = match i {
+                0 => UpstreamRef::Na { iface: tx_iface },
+                _ => UpstreamRef::Link {
                     in_dir: dirs[i - 1].opposite(),
                     wire: vcs[i - 1],
                 },
-            });
-            if i < hops {
-                writes.push(ProgWrite::SetSteer {
-                    dir: dirs[i],
-                    vc: vcs[i],
-                    steer: target(i + 1),
-                });
-            }
-            let token = self.next_token;
-            self.next_token = self.next_token.wrapping_add(1).max(1);
-            outstanding.push((token, i as u8));
-            self.tokens.insert(token, id);
-            let plan = AckPlan {
-                token,
-                return_header: ack_leg_header(grid, router, src)
-                    .expect("path routers differ from src"),
             };
-            let payload = mango_core::prog::encode_payload(&writes, Some(plan));
-            config_packets.push(build_segmented_packet(
-                grid, relays, src, router, &payload, true,
-            )?);
-        }
-
+            if i == hops {
+                let buffer = GsBufferRef::Local { iface: rx_iface };
+                return vec![ProgWrite::SetUnlock { buffer, upstream }];
+            }
+            let (dir, vc) = (dirs[i], vcs[i]);
+            let steer = match dirs.get(i + 1) {
+                Some(&next) => Steer::GsBuffer {
+                    dir: next,
+                    vc: vcs[i + 1],
+                },
+                None => Steer::LocalGs { iface: rx_iface },
+            };
+            vec![
+                ProgWrite::SetUnlock {
+                    buffer: GsBufferRef::Net { dir, vc },
+                    upstream,
+                },
+                ProgWrite::SetSteer { dir, vc, steer },
+            ]
+        };
+        let id = ConnectionId(self.conns.len() as u32);
+        let local_writes = set_writes(0);
+        let mut outstanding = Vec::with_capacity(hops);
+        let config_packets =
+            self.program_hops(grid, relays, id, &path, set_writes, &mut outstanding)?;
         let tx_steer = Steer::GsBuffer {
             dir: dirs[0],
             vc: vcs[0],
         };
-        let state = if outstanding.is_empty() {
-            ConnState::Open
-        } else {
-            ConnState::Opening
-        };
-        self.conns.insert(
-            id,
-            ConnRecord {
-                id,
-                src,
-                dst,
-                dirs,
-                vcs,
-                tx_iface,
-                rx_iface,
-                state,
-                opened_at: None,
-                closed_at: None,
-                outstanding,
-            },
-        );
 
+        // Every packet is built: commit.
+        for (&link, vc) in links.iter().zip(&vcs) {
+            self.vc_used[link] |= 1 << vc.0;
+        }
+        self.tx_used[s] |= 1 << tx_iface;
+        self.rx_used[d] |= 1 << rx_iface;
+        self.conns.push(ConnRecord {
+            id,
+            src,
+            dst,
+            dirs: dirs.to_vec(),
+            vcs,
+            tx_iface,
+            rx_iface,
+            state: ConnState::Opening,
+            opened_at: None,
+            closed_at: None,
+            outstanding,
+            links,
+        });
         Ok(OpenPlan {
             id,
             local_writes,
@@ -506,87 +461,96 @@ impl ConnectionManager {
         })
     }
 
+    /// Builds the config packets that program `path[1..]`, the routers
+    /// past the source: router `path[i]` gets `writes(i)` and an ack
+    /// request under a fresh token. Books the tokens for `id` only once
+    /// every packet is built, so a route failure leaves no token and no
+    /// relay ticket behind. Returns the packets; the `(token, path
+    /// index)` pairs go to `outstanding`.
+    fn program_hops(
+        &mut self,
+        grid: &Grid,
+        relays: &mut RelayTable,
+        id: ConnectionId,
+        path: &[RouterId],
+        writes: impl Fn(usize) -> Vec<ProgWrite>,
+        outstanding: &mut Vec<(u16, u8)>,
+    ) -> Result<Vec<Vec<Flit>>, ConnError> {
+        let src = path[0];
+        let mut packets = Vec::with_capacity(path.len() - 1);
+        let mut token = self.next_token;
+        for (i, &router) in path.iter().enumerate().skip(1) {
+            let packet = ack_leg_header(grid, router, src).and_then(|return_header| {
+                let plan = AckPlan {
+                    token,
+                    return_header,
+                };
+                let payload = mango_core::prog::encode_payload(&writes(i), Some(plan));
+                build_segmented_packet(grid, relays, src, router, &payload, true)
+            });
+            match packet {
+                Ok(packet) => packets.push(packet),
+                Err(e) => {
+                    // Hand back the relay tickets the built packets took.
+                    for built in &packets {
+                        if let Some(ticket) = built
+                            .get(1)
+                            .filter(|f| f.relay())
+                            .and_then(|f| parse_relay_word(f.data))
+                        {
+                            relays.take(ticket);
+                        }
+                    }
+                    return Err(e.into());
+                }
+            }
+            outstanding.push((token, i as u8));
+            token = token.wrapping_add(1).max(1);
+        }
+        self.next_token = token;
+        for &(t, _) in outstanding.iter() {
+            self.tokens.insert(t, id);
+        }
+        Ok(packets)
+    }
+
     /// Plans the teardown of an open connection. Traffic must be drained
     /// first; the caller unbinds the NA TX interface.
     ///
     /// # Errors
     ///
-    /// Fails if the connection is unknown or not open.
+    /// Fails (changing nothing) if the connection is unknown or not open,
+    /// or if a teardown packet or its ack has no route.
     pub fn close(
         &mut self,
         grid: &Grid,
         relays: &mut RelayTable,
         id: ConnectionId,
     ) -> Result<ClosePlan, ConnError> {
-        let conn = self.conns.get_mut(&id).ok_or(ConnError::Unknown(id))?;
+        let conn = self.get(id).ok_or(ConnError::Unknown(id))?;
         if conn.state != ConnState::Open {
             return Err(ConnError::BadState(id, conn.state));
         }
-        let hops = conn.hops();
         let path = conn.path(grid);
-
-        let local_writes = vec![
-            ProgWrite::ClearUnlock {
-                buffer: GsBufferRef::Net {
-                    dir: conn.dirs[0],
-                    vc: conn.vcs[0],
-                },
-            },
-            ProgWrite::ClearSteer {
-                dir: conn.dirs[0],
-                vc: conn.vcs[0],
-            },
-        ];
-
-        let mut config_packets = Vec::new();
-        let mut outstanding = Vec::new();
-        for (i, &router) in path.iter().enumerate().take(hops + 1).skip(1) {
-            let mut writes = Vec::new();
-            let buffer = if i == hops {
-                GsBufferRef::Local {
-                    iface: conn.rx_iface,
-                }
-            } else {
-                GsBufferRef::Net {
-                    dir: conn.dirs[i],
-                    vc: conn.vcs[i],
-                }
-            };
-            writes.push(ProgWrite::ClearUnlock { buffer });
-            if i < hops {
-                writes.push(ProgWrite::ClearSteer {
-                    dir: conn.dirs[i],
-                    vc: conn.vcs[i],
-                });
-            }
-            let token = self.next_token;
-            self.next_token = self.next_token.wrapping_add(1).max(1);
-            outstanding.push((token, i as u8));
-            self.tokens.insert(token, id);
-            let plan = AckPlan {
-                token,
-                return_header: ack_leg_header(grid, router, conn.src)?,
-            };
-            let payload = mango_core::prog::encode_payload(&writes, Some(plan));
-            config_packets.push(build_segmented_packet(
-                grid, relays, conn.src, router, &payload, true,
-            )?);
-        }
-
-        conn.state = if outstanding.is_empty() {
-            ConnState::Closed
-        } else {
-            ConnState::Closing
+        let (dirs, vcs, rx_iface) = (conn.dirs.clone(), conn.vcs.clone(), conn.rx_iface);
+        let writes = |i: usize| match dirs.get(i) {
+            Some(&dir) => clear_writes(dir, vcs[i]),
+            None => vec![ProgWrite::ClearUnlock {
+                buffer: GsBufferRef::Local { iface: rx_iface },
+            }],
         };
+        let local_writes = writes(0);
+        let mut outstanding = Vec::with_capacity(path.len() - 1);
+        let config_packets =
+            self.program_hops(grid, relays, id, &path, writes, &mut outstanding)?;
+
+        let conn = &mut self.conns[id.0 as usize];
+        conn.state = ConnState::Closing;
         conn.outstanding = outstanding;
-        let tx_iface = conn.tx_iface;
-        if conn.state == ConnState::Closed {
-            self.release(id, grid);
-        }
         Ok(ClosePlan {
             id,
             local_writes,
-            tx_iface,
+            tx_iface: conn.tx_iface,
             config_packets,
         })
     }
@@ -600,10 +564,8 @@ impl ConnectionManager {
     /// (acks delivered at intermediate relay NAs are re-launched toward
     /// it).
     pub fn token_src(&self, token: u16) -> Option<RouterId> {
-        self.tokens
-            .get(&token)
-            .and_then(|id| self.conns.get(id))
-            .map(|c| c.src)
+        let id = self.tokens.get(&token)?;
+        self.get(*id).map(|c| c.src)
     }
 
     /// Processes an acknowledgment token at simulation time `now`;
@@ -617,7 +579,7 @@ impl ConnectionManager {
         now: SimTime,
     ) -> Option<(ConnectionId, NoticeKind)> {
         let id = self.tokens.remove(&token)?;
-        let conn = self.conns.get_mut(&id).expect("token maps to connection");
+        let conn = &mut self.conns[id.0 as usize];
         conn.outstanding.retain(|&(t, _)| t != token);
         if !conn.outstanding.is_empty() {
             return None;
@@ -641,16 +603,16 @@ impl ConnectionManager {
     /// Marks one VC on a directed link unusable without charging it to
     /// any connection's budget — used when a stuck-at fault wedges the
     /// buffer itself rather than a teardown leaving it programmed.
-    pub fn quarantine_vc(&mut self, router: RouterId, dir: Direction, vc: VcId) {
-        *self.vc_quarantined.entry((router, dir)).or_insert(0) |= 1 << vc.0;
+    pub fn quarantine_vc(&mut self, grid: &Grid, router: RouterId, dir: Direction, vc: VcId) {
+        self.vc_quarantined[grid.link_index(router, dir)] |= 1 << vc.0;
     }
 
     /// Number of quarantined resources (hop VCs plus RX interfaces).
     /// Zero after a run means every teardown completed cleanly in-band.
     pub fn quarantined_count(&self) -> usize {
         self.vc_quarantined
-            .values()
-            .chain(self.rx_quarantined.values())
+            .iter()
+            .chain(&self.rx_quarantined)
             .map(|m| m.count_ones() as usize)
             .sum()
     }
@@ -682,8 +644,8 @@ impl ConnectionManager {
         id: ConnectionId,
         now: SimTime,
     ) -> Result<ForceClosePlan, ConnError> {
-        let conn = self.conns.get(&id).ok_or(ConnError::Unknown(id))?;
-        if conn.state == ConnState::Closed {
+        let prior = self.state(id).ok_or(ConnError::Unknown(id))?;
+        if prior == ConnState::Closed {
             return Ok(ForceClosePlan {
                 id,
                 local_writes: Vec::new(),
@@ -692,110 +654,71 @@ impl ConnectionManager {
                 quarantined_hops: 0,
             });
         }
-        let prior = conn.state;
-        let path = conn.path(grid);
-        let hops = conn.hops();
-        let dirs = conn.dirs.clone();
-        let vcs = conn.vcs.clone();
-        let (src, dst) = (conn.src, conn.dst);
-        let (tx_iface, rx_iface) = (conn.tx_iface, conn.rx_iface);
-        let outstanding = conn.outstanding.clone();
-
+        self.release(id, grid);
+        let conn = &mut self.conns[id.0 as usize];
+        conn.state = ConnState::Closed;
+        conn.closed_at = Some(now);
+        let outstanding = std::mem::take(&mut conn.outstanding);
         // Late acks for dropped tokens must be ignored, not processed.
         for &(t, _) in &outstanding {
             self.tokens.remove(&t);
         }
-        let unconfirmed: std::collections::HashSet<u8> =
-            outstanding.iter().map(|&(_, i)| i).collect();
 
-        // Hop i's steer/unlock entries live at router path[i]; its VC bit
-        // is keyed (path[i], dirs[i]).
-        let mut released = 0usize;
-        let mut quarantined = 0usize;
-        for i in 0..hops {
-            let key = (path[i], dirs[i]);
-            let bit = 1u16 << vcs[i].0;
-            let used = self.vc_used.get_mut(&key).expect("allocated link mask");
-            *used &= !bit;
-            let clean = match prior {
-                ConnState::Closing => !unconfirmed.contains(&(i as u8)),
-                _ => i == 0,
-            };
-            if clean {
-                released += 1;
-            } else {
-                *self.vc_quarantined.entry(key).or_insert(0) |= bit;
+        // Hop i's entries live at router path[i]; the RX interface's
+        // unlock entry at the destination is "hop" `hops`. The TX
+        // interface is local to the source NA and always reclaimable.
+        let clean = |i: usize| match prior {
+            ConnState::Closing => outstanding.iter().all(|&(_, hop)| usize::from(hop) != i),
+            _ => i == 0,
+        };
+        let conn = &self.conns[id.0 as usize];
+        let mut quarantined = 0;
+        for (i, (&link, vc)) in conn.links.iter().zip(&conn.vcs).enumerate() {
+            if !clean(i) {
+                self.vc_quarantined[link] |= 1 << vc.0;
                 quarantined += 1;
             }
         }
-
-        // The TX interface is local to the source NA and always
-        // reclaimable; the RX interface's unlock entry sits at the
-        // destination and follows the same clean/quarantine rule.
-        if let Some(mask) = self.tx_used.get_mut(&src) {
-            *mask &= !(1 << tx_iface);
-        }
-        if let Some(mask) = self.rx_used.get_mut(&dst) {
-            *mask &= !(1 << rx_iface);
-        }
-        let rx_clean = prior == ConnState::Closing && !unconfirmed.contains(&(hops as u8));
-        if !rx_clean {
-            *self.rx_quarantined.entry(dst).or_insert(0) |= 1 << rx_iface;
+        if !clean(conn.hops()) {
+            self.rx_quarantined[grid.index(conn.dst)] |= 1 << conn.rx_iface;
         }
 
         // A prior in-band close already wiped the source entries and
         // surrendered the TX binding; otherwise hand both to the caller.
-        let (local_writes, unbind_tx) = if prior == ConnState::Closing {
+        let (local_writes, tx_iface) = if prior == ConnState::Closing {
             (Vec::new(), None)
         } else {
-            (
-                vec![
-                    ProgWrite::ClearUnlock {
-                        buffer: GsBufferRef::Net {
-                            dir: dirs[0],
-                            vc: vcs[0],
-                        },
-                    },
-                    ProgWrite::ClearSteer {
-                        dir: dirs[0],
-                        vc: vcs[0],
-                    },
-                ],
-                Some(tx_iface),
-            )
+            (clear_writes(conn.dirs[0], conn.vcs[0]), Some(conn.tx_iface))
         };
-
-        let conn = self.conns.get_mut(&id).expect("record checked above");
-        conn.state = ConnState::Closed;
-        conn.closed_at = Some(now);
-        conn.outstanding.clear();
-
         Ok(ForceClosePlan {
             id,
             local_writes,
-            tx_iface: unbind_tx,
-            released_hops: released,
+            tx_iface,
+            released_hops: conn.hops() - quarantined,
             quarantined_hops: quarantined,
         })
     }
 
+    /// Returns every VC and interface bit `id` holds.
     fn release(&mut self, id: ConnectionId, grid: &Grid) {
-        let conn = self.conns.get(&id).expect("releasing unknown connection");
-        let path = conn.path(grid);
-        for (i, &d) in conn.dirs.iter().enumerate() {
-            let mask = self
-                .vc_used
-                .get_mut(&(path[i], d))
-                .expect("allocated link mask");
-            *mask &= !(1 << conn.vcs[i].0);
+        let conn = &self.conns[id.0 as usize];
+        for (&link, vc) in conn.links.iter().zip(&conn.vcs) {
+            self.vc_used[link] &= !(1 << vc.0);
         }
-        if let Some(mask) = self.tx_used.get_mut(&conn.src) {
-            *mask &= !(1 << conn.tx_iface);
-        }
-        if let Some(mask) = self.rx_used.get_mut(&conn.dst) {
-            *mask &= !(1 << conn.rx_iface);
-        }
+        self.tx_used[grid.index(conn.src)] &= !(1 << conn.tx_iface);
+        self.rx_used[grid.index(conn.dst)] &= !(1 << conn.rx_iface);
     }
+}
+
+/// The writes that clear the steer and unlock entries of buffer `vc` on
+/// a router's `dir` output.
+fn clear_writes(dir: Direction, vc: VcId) -> Vec<ProgWrite> {
+    vec![
+        ProgWrite::ClearUnlock {
+            buffer: GsBufferRef::Net { dir, vc },
+        },
+        ProgWrite::ClearSteer { dir, vc },
+    ]
 }
 
 #[cfg(test)]
@@ -803,11 +726,9 @@ mod tests {
     use super::*;
 
     fn setup() -> (Grid, ConnectionManager, RelayTable) {
-        (
-            Grid::new(4, 4),
-            ConnectionManager::new(7, 4),
-            RelayTable::new(),
-        )
+        let grid = Grid::new(4, 4);
+        let m = ConnectionManager::new(&grid, 7, 4);
+        (grid, m, RelayTable::new())
     }
 
     #[test]
@@ -856,7 +777,7 @@ mod tests {
         assert_eq!(err, ConnError::NoFreeTxIface(src));
 
         // Different sources can still exhaust the shared link VCs.
-        let mut m = ConnectionManager::new(2, 4);
+        let mut m = ConnectionManager::new(&g, 2, 4);
         m.open(&g, &mut rl, src, dst).unwrap();
         m.open(&g, &mut rl, src, dst).unwrap();
         let err = m.open(&g, &mut rl, src, dst).unwrap_err();
@@ -998,7 +919,7 @@ mod tests {
         let (g, mut m, mut rl) = setup();
         let src = RouterId::new(0, 0);
         let dst = RouterId::new(1, 0);
-        m.quarantine_vc(src, Direction::East, VcId(0));
+        m.quarantine_vc(&g, src, Direction::East, VcId(0));
         let plan = m.open(&g, &mut rl, src, dst).unwrap();
         assert_eq!(
             m.get(plan.id).unwrap().vcs[0],
@@ -1007,8 +928,8 @@ mod tests {
         );
         // Quarantine shrinks the pool: with 2 VCs and one quarantined,
         // a second connection on the same link is refused.
-        let mut m2 = ConnectionManager::new(2, 4);
-        m2.quarantine_vc(src, Direction::East, VcId(1));
+        let mut m2 = ConnectionManager::new(&g, 2, 4);
+        m2.quarantine_vc(&g, src, Direction::East, VcId(1));
         m2.open(&g, &mut rl, src, dst).unwrap();
         assert_eq!(
             m2.open(&g, &mut rl, src, dst).unwrap_err(),
@@ -1019,7 +940,7 @@ mod tests {
     #[test]
     fn failed_open_reserves_nothing() {
         let (g, _, mut rl) = setup();
-        let mut m = ConnectionManager::new(1, 4);
+        let mut m = ConnectionManager::new(&g, 1, 4);
         let a = RouterId::new(0, 0);
         let b = RouterId::new(2, 0);
         m.open(&g, &mut rl, a, b).unwrap();

@@ -42,7 +42,7 @@ use mango_core::{
     BeArena, ConnectionId, Direction, Flit, GsArena, Handshake, InternalEvent, LinkFlit, Router,
     RouterAction, RouterConfig, RouterId, VcId,
 };
-use mango_sim::{Ctx, Model, SimDuration, SimTime, Slot};
+use mango_sim::{Ctx, Model, SimDuration, Slot};
 use std::collections::VecDeque;
 
 /// Slot kinds of the three lazy handshakes ([`Model::slot_kind_names`]).
@@ -139,7 +139,7 @@ pub enum NetEvent {
 /// thread — parameter sweeps run one independent network per thread.
 pub trait NaApp: std::fmt::Debug + Send {
     /// Handles a delivered packet (header flit first).
-    fn on_packet(&mut self, now: SimTime, packet: &[Flit]);
+    fn on_packet(&mut self, packet: &[Flit]);
 }
 
 /// The complete network state. Fields are crate-visible: each sibling
@@ -231,7 +231,7 @@ impl Network {
             .collect();
         let apps = (0..routers.len()).map(|_| None).collect();
         Network {
-            conn: ConnectionManager::new(router_cfg.gs_vcs(), router_cfg.local_gs_ifaces()),
+            conn: ConnectionManager::new(&grid, router_cfg.gs_vcs(), router_cfg.local_gs_ifaces()),
             grid,
             routers,
             arena,
@@ -468,7 +468,7 @@ impl Network {
         }
         self.release_records(packet);
         if let Some(app) = &mut self.apps[self.grid.index(id)] {
-            app.on_packet(ctx.now(), packet);
+            app.on_packet(packet);
         }
     }
 

@@ -36,9 +36,7 @@
 use crate::network::{NetEvent, Network};
 use crate::route::{route_avoiding, xy_len, xy_segment_header, RouteError};
 use crate::topology::Grid;
-use mango_core::{
-    build_be_packet_into, prog, BeHeader, Direction, Flit, FlitMeta, RouterId, MAX_BE_HOPS,
-};
+use mango_core::{build_be_packet_into, prog, BeHeader, Flit, FlitMeta, RouterId, MAX_BE_HOPS};
 use mango_sim::{Ctx, SimTime};
 
 /// Magic prefix of a relay continuation word (`"RL"` in the top bytes);
@@ -139,15 +137,18 @@ impl RelayTable {
 }
 
 /// Builds the flits of a BE packet from `src` to `dst` into `flits`
-/// (cleared first), relaying through intermediate NAs when the XY route
+/// (cleared first), relaying through intermediate NAs when the route
 /// exceeds the single-header capacity.
 ///
+/// The route is the allocation-free XY route on a healthy grid and
+/// [`route_avoiding`]'s on a faulted one (still XY when it survives).
 /// Routes within [`MAX_BE_HOPS`] links produce exactly the packet the
 /// pre-relay implementation produced. Longer routes produce the first
 /// ≤15-link segment with a fresh ticket's continuation word prefixed to
 /// the payload; the `config` marker is deferred to the final segment
 /// (intermediate segments must reach relay *NAs*, not programming
-/// interfaces).
+/// interfaces). Detours are simple shortest paths, so any ≤15-link
+/// prefix is a valid single-header segment.
 ///
 /// # Errors
 ///
@@ -161,16 +162,11 @@ pub fn build_segmented_packet_into(
     config: bool,
     flits: &mut Vec<Flit>,
 ) -> Result<(), RouteError> {
-    if !grid.all_links_up() {
-        return build_avoiding_packet_into(grid, relays, src, dst, payload, config, flits);
-    }
-    let links = xy_len(grid, src, dst)?;
+    let (header, links) = first_leg(grid, src, dst)?;
     if links <= MAX_BE_HOPS {
-        let header = xy_segment_header(grid, src, dst, links);
         build_be_packet_into(header, payload, config, flits);
         return Ok(());
     }
-    let header = xy_segment_header(grid, src, dst, MAX_BE_HOPS);
     let ticket = relays.issue(dst, config);
     flits.clear();
     flits.push(Flit::be(header.0, false));
@@ -181,36 +177,18 @@ pub fn build_segmented_packet_into(
     Ok(())
 }
 
-/// The faulted-mesh slow path of [`build_segmented_packet_into`]: routes
-/// over surviving links via [`route_avoiding`] (which still prefers the
-/// XY route when it survives). Detours are simple shortest paths, so any
-/// ≤15-link prefix is a valid single-header segment; longer detours relay
-/// exactly as long XY routes do.
-fn build_avoiding_packet_into(
-    grid: &Grid,
-    relays: &mut RelayTable,
-    src: RouterId,
-    dst: RouterId,
-    payload: &[u32],
-    config: bool,
-    flits: &mut Vec<Flit>,
-) -> Result<(), RouteError> {
+/// The header of the route from `src` to `dst` truncated to its first
+/// ≤ [`MAX_BE_HOPS`] links, and the route's full length.
+fn first_leg(grid: &Grid, src: RouterId, dst: RouterId) -> Result<(BeHeader, usize), RouteError> {
+    if grid.all_links_up() {
+        let links = xy_len(grid, src, dst)?;
+        let header = xy_segment_header(grid, src, dst, links.min(MAX_BE_HOPS));
+        return Ok((header, links));
+    }
     let dirs = route_avoiding(grid, src, dst)?;
-    let header = |segment: &[Direction]| {
-        BeHeader::from_route(segment).expect("BFS paths are simple and within capacity")
-    };
-    if dirs.len() <= MAX_BE_HOPS {
-        build_be_packet_into(header(&dirs), payload, config, flits);
-        return Ok(());
-    }
-    let ticket = relays.issue(dst, config);
-    flits.clear();
-    flits.push(Flit::be(header(&dirs[..MAX_BE_HOPS]).0, false));
-    flits.push(Flit::be(relay_word(ticket), payload.is_empty()).with_relay(true));
-    for (i, &word) in payload.iter().enumerate() {
-        flits.push(Flit::be(word, i + 1 == payload.len()));
-    }
-    Ok(())
+    let leg = &dirs[..dirs.len().min(MAX_BE_HOPS)];
+    let header = BeHeader::from_route(leg).expect("a detour is simple and non-empty");
+    Ok((header, dirs.len()))
 }
 
 /// [`build_segmented_packet_into`] returning a fresh `Vec` — the form the
@@ -232,22 +210,16 @@ pub fn build_segmented_packet(
     Ok(flits)
 }
 
-/// The header for an acknowledgment's next leg: routes along the XY route
-/// from `src` toward `dst`, truncated to the single-header capacity. The
-/// ack is intercepted wherever it delivers and re-launched until it
-/// reaches `dst`.
+/// The header for an acknowledgment's next leg: the route from `src`
+/// toward `dst`, truncated to the single-header capacity. The ack is
+/// intercepted wherever it delivers and re-launched until it reaches
+/// `dst`.
 ///
 /// # Errors
 ///
 /// Propagates route-computation failures.
 pub fn ack_leg_header(grid: &Grid, src: RouterId, dst: RouterId) -> Result<BeHeader, RouteError> {
-    if !grid.all_links_up() {
-        let dirs = route_avoiding(grid, src, dst)?;
-        let leg = dirs.len().min(MAX_BE_HOPS);
-        return Ok(BeHeader::from_route(&dirs[..leg]).expect("BFS paths are simple"));
-    }
-    let links = xy_len(grid, src, dst)?;
-    Ok(xy_segment_header(grid, src, dst, links.min(MAX_BE_HOPS)))
+    first_leg(grid, src, dst).map(|(header, _)| header)
 }
 
 impl Network {

@@ -1,13 +1,21 @@
-//! Dimension-ordered (XY) routing (Sec. 5: "To avoid deadlocks XY-routing
-//! is employed").
+//! Paths: dimension-ordered (XY) routes and the one detour search.
 //!
-//! XY routes move fully in X first, then in Y. On a mesh this admits no
-//! cyclic channel dependencies, so BE worm-hole routing cannot deadlock and
-//! GS connection paths never cross themselves. The axis legs themselves
-//! come from [`Grid::axis_legs`], so the same code routes a torus (each
-//! axis takes the shorter way round, ≤ ⌈k/2⌉ hops) and a chiplet mesh
-//! (plain global XY — the D2D boundary affects delay, not direction)
-//! without any coordinate arithmetic here.
+//! XY routing (Sec. 5: "To avoid deadlocks XY-routing is employed")
+//! moves fully in X first, then in Y. On a mesh this admits no cyclic
+//! channel dependencies, so BE worm-hole routing cannot deadlock and GS
+//! connection paths never cross themselves. The axis legs come from
+//! [`Grid::axis_legs`] and [`xy_dirs`] is their one expansion into link
+//! directions, so the same code routes a torus (each axis takes the
+//! shorter way round, ≤ ⌈k/2⌉ hops) and a chiplet mesh (plain global XY
+//! — the D2D boundary affects delay, not direction) without any
+//! coordinate arithmetic here.
+//!
+//! When the XY route cannot be used, [`bfs_into`] finds a shortest
+//! detour over the links a predicate accepts: [`route_avoiding`] passes
+//! [`Grid::link_up`] (BE packets around failed links), and QoS admission
+//! passes "up, with a free VC and enough residual bandwidth" (GS paths
+//! around exhausted links). Both layers run the same search, so for the
+//! same usable links they pick the same path.
 
 use crate::topology::Grid;
 use mango_core::{BeHeader, Direction, RouterId, MAX_BE_HOPS};
@@ -48,12 +56,8 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-/// Computes the XY route from `src` to `dst` as a list of link directions.
-///
-/// # Errors
-///
-/// Fails if the endpoints coincide or leave the grid.
-pub fn xy_route(grid: &Grid, src: RouterId, dst: RouterId) -> Result<Vec<Direction>, RouteError> {
+/// Fails unless `src` and `dst` are distinct routers of `grid`.
+fn check_endpoints(grid: &Grid, src: RouterId, dst: RouterId) -> Result<(), RouteError> {
     if !grid.contains(src) {
         return Err(RouteError::OffGrid(src));
     }
@@ -63,12 +67,26 @@ pub fn xy_route(grid: &Grid, src: RouterId, dst: RouterId) -> Result<Vec<Directi
     if src == dst {
         return Err(RouteError::SameRouter(src));
     }
-    let legs = grid.axis_legs(src, dst);
-    let mut route = Vec::with_capacity(legs.iter().map(|&(_, n)| n as usize).sum());
-    for (dir, hops) in legs {
-        route.extend(std::iter::repeat_n(dir, hops as usize));
-    }
-    Ok(route)
+    Ok(())
+}
+
+/// The link directions of the XY route from `src` to `dst`: the
+/// [`Grid::axis_legs`], x leg first. Endpoints are not validated; equal
+/// endpoints give an empty route.
+pub fn xy_dirs(grid: &Grid, src: RouterId, dst: RouterId) -> impl Iterator<Item = Direction> {
+    grid.axis_legs(src, dst)
+        .into_iter()
+        .flat_map(|(dir, hops)| std::iter::repeat_n(dir, hops.into()))
+}
+
+/// Computes the XY route from `src` to `dst` as a list of link directions.
+///
+/// # Errors
+///
+/// Fails if the endpoints coincide or leave the grid.
+pub fn xy_route(grid: &Grid, src: RouterId, dst: RouterId) -> Result<Vec<Direction>, RouteError> {
+    check_endpoints(grid, src, dst)?;
+    Ok(xy_dirs(grid, src, dst).collect())
 }
 
 /// The XY route's link count — the Manhattan distance on a mesh, the
@@ -79,15 +97,7 @@ pub fn xy_route(grid: &Grid, src: RouterId, dst: RouterId) -> Result<Vec<Directi
 ///
 /// Fails if the endpoints coincide or leave the grid.
 pub fn xy_len(grid: &Grid, src: RouterId, dst: RouterId) -> Result<usize, RouteError> {
-    if !grid.contains(src) {
-        return Err(RouteError::OffGrid(src));
-    }
-    if !grid.contains(dst) {
-        return Err(RouteError::OffGrid(dst));
-    }
-    if src == dst {
-        return Err(RouteError::SameRouter(src));
-    }
+    check_endpoints(grid, src, dst)?;
     Ok(grid
         .axis_legs(src, dst)
         .iter()
@@ -137,13 +147,65 @@ pub fn xy_segment_header(grid: &Grid, src: RouterId, dst: RouterId, links: usize
     BeHeader(word << (32 - used))
 }
 
+/// The one detour search: a shortest path from `src` to `dst` over the
+/// directed links `usable(from, dir)` accepts (it is asked only about
+/// links that exist), written to `path`; false when there is none.
+///
+/// Deterministic: a FIFO frontier expanded in [`Direction::ALL`] order,
+/// and each router keeps the first parent that reaches it, so
+/// equal-length paths tie-break identically on every run. The search
+/// stops as soon as it reaches `dst`. A path it returns is simple. `from`
+/// (the predecessor direction per router) and `frontier` are scratch,
+/// reused by callers that search often.
+pub fn bfs_into(
+    grid: &Grid,
+    src: RouterId,
+    dst: RouterId,
+    mut usable: impl FnMut(RouterId, Direction) -> bool,
+    from: &mut Vec<Option<Direction>>,
+    frontier: &mut Vec<RouterId>,
+    path: &mut Vec<Direction>,
+) -> bool {
+    from.clear();
+    from.resize(grid.len(), None);
+    frontier.clear();
+    frontier.push(src);
+    path.clear();
+    let mut head = 0;
+    'search: while let Some(&cur) = frontier.get(head) {
+        head += 1;
+        for dir in Direction::ALL {
+            let Some(next) = grid.neighbor(cur, dir) else {
+                continue;
+            };
+            let seen = &mut from[grid.index(next)];
+            if next == src || seen.is_some() || !usable(cur, dir) {
+                continue;
+            }
+            *seen = Some(dir);
+            if next == dst {
+                break 'search;
+            }
+            frontier.push(next);
+        }
+    }
+    // Walk the predecessors back from `dst`; `src` has none.
+    let mut cur = dst;
+    while let Some(dir) = from[grid.index(cur)] {
+        path.push(dir);
+        cur = grid
+            .neighbor(cur, dir.opposite())
+            .expect("a parent is a neighbor");
+    }
+    path.reverse();
+    !path.is_empty()
+}
+
 /// Computes a route from `src` to `dst` avoiding failed links.
 ///
-/// On a healthy mesh this is exactly [`xy_route`] (bit-identical headers
-/// downstream). With faults present it first checks whether the XY route
-/// survives; if not, it falls back to a deterministic breadth-first search
-/// over up-links (FIFO queue, [`Direction::ALL`] expansion order), which
-/// finds a shortest surviving path independent of HashMap iteration order.
+/// On a healthy grid, and whenever the XY route survives the faults, this
+/// is exactly [`xy_route`] (bit-identical headers downstream). Otherwise
+/// it is [`bfs_into`]'s shortest path over [`Grid::link_up`] links.
 ///
 /// # Errors
 ///
@@ -154,72 +216,52 @@ pub fn route_avoiding(
     src: RouterId,
     dst: RouterId,
 ) -> Result<Vec<Direction>, RouteError> {
-    if grid.all_links_up() {
-        return xy_route(grid, src, dst);
-    }
     let xy = xy_route(grid, src, dst)?;
-    let mut cur = src;
-    let mut xy_survives = true;
-    for &dir in &xy {
-        if !grid.link_up(cur, dir) {
-            xy_survives = false;
-            break;
-        }
-        cur = grid.neighbor(cur, dir).expect("XY route stays inside");
-    }
-    if xy_survives {
+    if grid.all_links_up() || xy_survives(grid, src, &xy) {
         return Ok(xy);
     }
-    // BFS over surviving links: `from[i]` records the direction used to
-    // first reach router-index `i`, and the predecessor is implied.
-    let mut from: Vec<Option<Direction>> = vec![None; grid.len()];
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(src);
-    while let Some(cur) = queue.pop_front() {
-        if cur == dst {
-            break;
+    let mut path = Vec::new();
+    let found = bfs_into(
+        grid,
+        src,
+        dst,
+        |from, dir| grid.link_up(from, dir),
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut path,
+    );
+    if found {
+        Ok(path)
+    } else {
+        Err(RouteError::Unreachable { src, dst })
+    }
+}
+
+/// Whether every link of `dirs`, walked from `src`, is up.
+fn xy_survives(grid: &Grid, src: RouterId, dirs: &[Direction]) -> bool {
+    let mut cur = src;
+    dirs.iter().all(|&dir| {
+        let up = grid.link_up(cur, dir);
+        if let Some(next) = grid.neighbor(cur, dir) {
+            cur = next;
         }
-        for dir in Direction::ALL {
-            if !grid.link_up(cur, dir) {
-                continue;
-            }
-            let next = grid.neighbor(cur, dir).expect("link_up implies on-grid");
-            if next == src || from[grid.index(next)].is_some() {
-                continue;
-            }
-            from[grid.index(next)] = Some(dir);
-            queue.push_back(next);
-        }
-    }
-    if from[grid.index(dst)].is_none() {
-        return Err(RouteError::Unreachable { src, dst });
-    }
-    // Walk predecessors back from the destination.
-    let mut dirs = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let dir = from[grid.index(cur)].expect("reached routers have a parent");
-        dirs.push(dir);
-        cur = grid
-            .neighbor(cur, dir.opposite())
-            .expect("parent is on-grid");
-    }
-    dirs.reverse();
-    Ok(dirs)
+        up
+    })
 }
 
 /// The routers an XY route visits, including both endpoints.
+///
+/// # Errors
+///
+/// Fails if the endpoints coincide or leave the grid.
 pub fn xy_path(grid: &Grid, src: RouterId, dst: RouterId) -> Result<Vec<RouterId>, RouteError> {
-    let route = xy_route(grid, src, dst)?;
-    let mut path = vec![src];
+    check_endpoints(grid, src, dst)?;
     let mut cur = src;
-    for dir in route {
-        cur = grid
-            .neighbor(cur, dir)
-            .expect("XY route stays inside the grid");
-        path.push(cur);
-    }
-    Ok(path)
+    let steps = xy_dirs(grid, src, dst).map_while(|dir| {
+        cur = grid.neighbor(cur, dir)?;
+        Some(cur)
+    });
+    Ok(std::iter::once(src).chain(steps).collect())
 }
 
 #[cfg(test)]

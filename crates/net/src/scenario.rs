@@ -41,8 +41,8 @@
 //! Construction order (the RNG stream a source receives is its position
 //! in this sequence):
 //!
-//! 1. build the network from `(topology or width × height, router_cfg,
-//!    seed)`;
+//! 1. build the network of paper routers ([`RouterConfig::paper`]) from
+//!    `(topology or width × height, seed)`;
 //! 2. open every GS connection in `gs` order, then settle programming
 //!    traffic (skipped when there are no connections);
 //! 3. attach [`Phase::Setup`] sources: GS flows in `gs` order, then
@@ -200,8 +200,6 @@ pub struct ScenarioSpec {
     /// (the historical behavior); `Some` compiles the spec (torus,
     /// chiplet mesh-of-meshes) and `width`/`height` mirror its dims.
     pub topology: Option<TopologySpec>,
-    /// Router configuration for every node.
-    pub router_cfg: RouterConfig,
     /// Simulation seed (every source stream forks from it).
     pub seed: u64,
     /// Warmup span before the measurement window (zero = none).
@@ -222,7 +220,6 @@ impl ScenarioSpec {
             width,
             height,
             topology: None,
-            router_cfg: RouterConfig::paper(),
             seed,
             warmup: SimDuration::ZERO,
             measure: MeasureBound::For(SimDuration::from_us(100)),
@@ -330,7 +327,7 @@ impl ScenarioSpec {
         let mut sim = NocSim::new(
             Network::new(
                 Grid::from_spec(&self.topology_spec()),
-                self.router_cfg.clone(),
+                RouterConfig::paper(),
                 NaConfig::paper(),
             ),
             self.seed,

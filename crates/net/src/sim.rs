@@ -246,7 +246,8 @@ impl NocSim {
     /// Opens a GS connection along an explicit link path (not necessarily
     /// XY — the QoS admission controller routes around congested links).
     /// Programming proceeds exactly as for [`NocSim::open_connection`];
-    /// the config packets themselves still travel XY as BE traffic.
+    /// the config packets themselves are BE traffic and travel XY, or
+    /// around failed links when XY is cut.
     ///
     /// # Errors
     ///

@@ -3,13 +3,13 @@
 //! initial state. A leak here silently shrinks the admittable workload
 //! over a churn run, so the property is load-bearing for the QoS layer.
 
-use mango_core::RouterId;
-use mango_net::{ConnState, ConnectionManager, Grid, NocSim, RelayTable};
+use mango_core::{ConnectionId, Direction, RouterId};
+use mango_net::{ConnError, ConnState, ConnectionManager, Grid, NocSim, RelayTable, RouteError};
 use mango_sim::SimTime;
 use proptest::prelude::*;
 
 /// Drives every outstanding ack of `id`'s current transition.
-fn ack_all(m: &mut ConnectionManager, grid: &Grid, id: mango_core::ConnectionId) {
+fn ack_all(m: &mut ConnectionManager, grid: &Grid, id: ConnectionId) {
     // Tokens are internal; replay acks until the connection settles.
     // `known_token` + `on_ack` is the public surface the network uses.
     for token in 0..u16::MAX {
@@ -21,6 +21,44 @@ fn ack_all(m: &mut ConnectionManager, grid: &Grid, id: mango_core::ConnectionId)
         }
     }
     panic!("connection never settled");
+}
+
+/// An open whose programming packets cannot all be routed fails and
+/// books nothing: no VC or interface bit, no ack token, no relay ticket,
+/// and no connection id.
+#[test]
+fn failed_open_keeps_no_books() {
+    // A 3×1 line cut after (1,0): the config packet for (2,0) has no
+    // route. On a 20×1 line cut after (18,0), the packets for (16,0)
+    // to (18,0) relay (they take tickets) before the one for (19,0)
+    // fails.
+    for (width, cut) in [(3, 1), (20, 18)] {
+        let mut grid = Grid::new(width, 1);
+        grid.fail_link(RouterId::new(cut, 0), Direction::East);
+        let mut relays = RelayTable::new();
+        let mut m = ConnectionManager::new(&grid, 7, 4);
+        let (src, dst) = (RouterId::new(0, 0), RouterId::new(width - 1, 0));
+        let err = m.open(&grid, &mut relays, src, dst).unwrap_err();
+        assert_eq!(
+            err,
+            ConnError::Route(RouteError::Unreachable {
+                src,
+                dst: RouterId::new(cut + 1, 0)
+            })
+        );
+        assert!(m.nothing_reserved(), "a failed open reserved budgets");
+        assert!(
+            (0..=u16::MAX).all(|t| !m.known_token(t)),
+            "a failed open left an ack token"
+        );
+        assert_eq!(relays.in_flight(), 0, "a failed open left a relay ticket");
+        // The next open takes the first id.
+        let plan = m
+            .open(&grid, &mut relays, src, RouterId::new(cut, 0))
+            .unwrap();
+        assert_eq!(plan.id, ConnectionId(0));
+        assert_eq!(m.get(plan.id).map(|c| c.dst), Some(RouterId::new(cut, 0)));
+    }
 }
 
 proptest! {
@@ -37,7 +75,7 @@ proptest! {
     ) {
         let grid = Grid::new(width, height);
         let mut relays = RelayTable::new();
-        let mut m = ConnectionManager::new(7, 4);
+        let mut m = ConnectionManager::new(&grid, 7, 4);
         prop_assert!(m.nothing_reserved(), "fresh manager reserves nothing");
 
         let n = u32::from(width) * u32::from(height);

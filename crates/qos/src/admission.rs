@@ -6,11 +6,13 @@
 //! interface at the source and one local GS interface at the destination
 //! — and accepts a [`ConnRequest`] only when a path with residual
 //! capacity exists. Path search tries the XY route first (the network's
-//! default); when a link on it is exhausted it falls back to a
-//! breadth-first search over links with residual capacity. Non-XY paths
-//! are legal for GS traffic because every hop is independently buffered
-//! (Sec. 3) — no cyclic channel dependency can form — while the BE
-//! programming packets that set the path up still travel XY.
+//! default); when a link on it is exhausted it falls back to
+//! [`mango_net::route::bfs_into`] over up links with residual capacity —
+//! the search the data plane detours failed links with, so for the same
+//! usable links both layers pick the same path. Non-XY paths are legal
+//! for GS traffic because every hop is independently buffered (Sec. 3) —
+//! no cyclic channel dependency can form — while the BE programming
+//! packets that set the path up travel XY unless a failed link cuts it.
 //!
 //! Budgets are tracked in integer flits/second, so open/close cycles
 //! return them *exactly* (no floating-point drift), and every decision
@@ -46,6 +48,7 @@
 
 use crate::bound::{walk_path, GuaranteeReport, ServiceModel};
 use mango_core::{Direction, RouterConfig, RouterId};
+use mango_net::route::{bfs_into, xy_dirs};
 use mango_net::{Grid, NaConfig};
 use mango_sim::SimDuration;
 use std::collections::BTreeMap;
@@ -249,9 +252,9 @@ pub struct AdmissionController {
     budget_fps: u64,
     /// Per-node interface budget with nothing admitted.
     full_ifaces: u8,
-    /// BFS scratch: predecessor direction per node (None = unvisited).
+    /// [`bfs_into`] scratch: predecessor direction per node.
     bfs_from: Vec<Option<Direction>>,
-    /// BFS scratch: the FIFO frontier (drained by index, never popped).
+    /// [`bfs_into`] scratch: the FIFO frontier.
     bfs_queue: Vec<RouterId>,
     /// The latest BFS detour.
     path: Vec<Direction>,
@@ -300,7 +303,7 @@ impl AdmissionController {
             pristine_vcs: vec![cfg.gs_vcs() as u8; nodes * 4],
             budget_fps,
             full_ifaces: cfg.local_gs_ifaces() as u8,
-            bfs_from: vec![None; nodes],
+            bfs_from: Vec::new(),
             bfs_queue: Vec::new(),
             path: Vec::new(),
             detour_links: Vec::new(),
@@ -337,14 +340,6 @@ impl AdmissionController {
     pub fn rate_fps(period: SimDuration) -> u64 {
         let ps = period.as_ps().max(1);
         1_000_000_000_000u64.div_ceil(ps)
-    }
-
-    fn link_admits(&self, from: RouterId, dir: Direction, rate_fps: u64) -> bool {
-        if !self.grid.link_up(from, dir) {
-            return false;
-        }
-        let i = self.grid.link_index(from, dir);
-        self.free_vcs[i] > 0 && self.residual_fps[i] >= rate_fps
     }
 
     /// The XY route from `src` (dense index `s`) to `dst` (`d`) out of
@@ -430,52 +425,33 @@ impl AdmissionController {
         }
     }
 
-    /// Writes the shortest path from `src` to `dst` over links with
-    /// residual capacity into the scratch path; false when there is
-    /// none. Deterministic: FIFO BFS, neighbors visited in
-    /// [`Direction::ALL`] order, so equal-length paths tie-break
-    /// identically on every run.
+    /// Writes the shortest path from `src` to `dst` over up links with a
+    /// free VC and `rate_fps` of residual bandwidth into the scratch
+    /// path ([`bfs_into`], the data plane's detour search); false when
+    /// there is none.
     fn bfs(&mut self, src: RouterId, dst: RouterId, rate_fps: u64) -> bool {
-        self.bfs_from.fill(None);
-        self.bfs_queue.clear();
-        self.bfs_queue.push(src);
-        let mut head = 0;
-        'search: while head < self.bfs_queue.len() {
-            let cur = self.bfs_queue[head];
-            head += 1;
-            for dir in Direction::ALL {
-                let Some(next) = self.grid.neighbor(cur, dir) else {
-                    continue;
-                };
-                if next == src || self.bfs_from[self.grid.index(next)].is_some() {
-                    continue;
-                }
-                if !self.link_admits(cur, dir, rate_fps) {
-                    continue;
-                }
-                self.bfs_from[self.grid.index(next)] = Some(dir);
-                if next == dst {
-                    break 'search;
-                }
-                self.bfs_queue.push(next);
-            }
-        }
-        if self.bfs_from[self.grid.index(dst)].is_none() {
-            return false;
-        }
-        // Walk predecessors back from dst.
-        self.path.clear();
-        let mut cur = dst;
-        while cur != src {
-            let dir = self.bfs_from[self.grid.index(cur)].expect("reached nodes have parents");
-            self.path.push(dir);
-            cur = self
-                .grid
-                .neighbor(cur, dir.opposite())
-                .expect("parent stays on grid");
-        }
-        self.path.reverse();
-        true
+        let Self {
+            grid,
+            free_vcs,
+            residual_fps,
+            bfs_from,
+            bfs_queue,
+            path,
+            ..
+        } = self;
+        let grid = &*grid;
+        bfs_into(
+            grid,
+            src,
+            dst,
+            |from, dir| {
+                let i = grid.link_index(from, dir);
+                !grid.link_failed(i) && free_vcs[i] > 0 && residual_fps[i] >= rate_fps
+            },
+            bfs_from,
+            bfs_queue,
+            path,
+        )
     }
 
     /// Decides a request. On success all budgets along the returned path
@@ -673,13 +649,11 @@ impl AdmissionController {
         self.rx_free[self.grid.index(adm.dst)] += 1;
     }
 
-    /// Marks the directed link `from → dir` failed: [`link_admits`] and
+    /// Marks the directed link `from → dir` failed: the XY check and
     /// the BFS fallback skip it from now on. The controller mirrors the
     /// network's link-state mask — the caller must apply the same fault
     /// to both (the recovery engine does this when a scheduled fault
     /// fires).
-    ///
-    /// [`link_admits`]: Self::request
     pub fn fail_link(&mut self, from: RouterId, dir: Direction) {
         self.grid.fail_link(from, dir);
     }
@@ -782,25 +756,6 @@ impl AdmissionController {
         }
         s
     }
-
-    /// A snapshot of every budget counter, for exact state comparison in
-    /// tests (leak detection).
-    pub fn snapshot(&self) -> (Vec<u8>, Vec<u64>, Vec<u8>, Vec<u8>) {
-        (
-            self.free_vcs.clone(),
-            self.residual_fps.clone(),
-            self.tx_free.clone(),
-            self.rx_free.clone(),
-        )
-    }
-}
-
-/// The directions of the XY route from `src` to `dst`
-/// ([`Grid::axis_legs`], x leg first).
-fn xy_dirs(grid: &Grid, src: RouterId, dst: RouterId) -> impl Iterator<Item = Direction> {
-    grid.axis_legs(src, dst)
-        .into_iter()
-        .flat_map(|(dir, hops)| std::iter::repeat_n(dir, hops.into()))
 }
 
 #[cfg(test)]
@@ -814,6 +769,12 @@ mod tests {
             &NaConfig::paper(),
             0.875,
         )
+    }
+
+    fn budgets(c: &AdmissionController) -> BudgetSnapshot {
+        let mut snap = BudgetSnapshot::default();
+        c.save_budgets_into(&mut snap);
+        snap
     }
 
     fn req(sx: u8, sy: u8, dx: u8, dy: u8, period_ns: u64) -> ConnRequest {
@@ -928,13 +889,13 @@ mod tests {
     #[test]
     fn release_restores_exact_state() {
         let mut c = controller(4, 4);
-        let before = c.snapshot();
+        let before = budgets(&c);
         let a = c.request(&req(0, 0, 3, 3, 15)).unwrap();
         let b = c.request(&req(1, 2, 2, 0, 20)).unwrap();
-        assert_ne!(c.snapshot(), before);
+        assert_ne!(budgets(&c), before);
         c.release(&a);
         c.release(&b);
-        assert_eq!(c.snapshot(), before, "budgets must return exactly");
+        assert_eq!(budgets(&c), before, "budgets must return exactly");
     }
 
     #[test]
@@ -972,7 +933,7 @@ mod tests {
         ] {
             let mut c =
                 AdmissionController::new(grid, &RouterConfig::paper(), &NaConfig::paper(), 0.875);
-            let before = c.snapshot();
+            let before = budgets(&c);
             // Off the east edge, off the south edge, and both at once.
             for r in [
                 req(9, 0, 1, 1, 20),
@@ -983,7 +944,7 @@ mod tests {
                 assert_eq!(c.probe(&r), Err(RejectReason::NoPath), "{r:?}");
                 assert_eq!(c.commit_trial(&r), Err(RejectReason::NoPath), "{r:?}");
             }
-            assert_eq!(c.snapshot(), before, "rejection reserves nothing");
+            assert_eq!(budgets(&c), before, "rejection reserves nothing");
             assert!(c.nothing_reserved());
         }
     }
@@ -1063,21 +1024,21 @@ mod tests {
         );
         let mut c =
             AdmissionController::new(slow, &RouterConfig::paper(), &NaConfig::paper(), 0.875);
-        let before = c.snapshot();
+        let before = budgets(&c);
         // vc_loop 1.75 + 2×20 = 41.75 ns interval > 20 ns period.
         assert_eq!(
             c.request(&req(0, 0, 1, 0, 20)),
             Err(RejectReason::Unguaranteeable)
         );
-        assert_eq!(c.snapshot(), before, "rejection reserves nothing");
+        assert_eq!(budgets(&c), before, "rejection reserves nothing");
     }
 
     #[test]
     fn probe_is_side_effect_free_and_matches_request() {
         let mut c = controller(4, 4);
-        let before = c.snapshot();
+        let before = budgets(&c);
         let probed = c.probe(&req(0, 0, 3, 2, 15)).unwrap();
-        assert_eq!(c.snapshot(), before, "probe reserves nothing");
+        assert_eq!(budgets(&c), before, "probe reserves nothing");
         assert!(c.nothing_reserved());
         let granted = c.request(&req(0, 0, 3, 2, 15)).unwrap();
         assert_eq!(probed, granted, "probe answers exactly what request grants");
@@ -1098,14 +1059,14 @@ mod tests {
         let mut c = controller(4, 4);
         let mut snap = BudgetSnapshot::default();
         c.save_budgets_into(&mut snap);
-        let before = c.snapshot();
+        let before = budgets(&c);
         // A speculative trial: commit three connections, then rewind.
         c.request(&req(0, 0, 3, 3, 15)).unwrap();
         c.request(&req(1, 0, 2, 3, 20)).unwrap();
         c.request(&req(3, 0, 0, 3, 20)).unwrap();
-        assert_ne!(c.snapshot(), before);
+        assert_ne!(budgets(&c), before);
         c.restore_budgets(&snap);
-        assert_eq!(c.snapshot(), before, "restore is exact");
+        assert_eq!(budgets(&c), before, "restore is exact");
         assert!(c.nothing_reserved());
     }
 

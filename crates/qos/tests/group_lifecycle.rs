@@ -62,9 +62,10 @@ proptest! {
 
         let failing = &admissions[victim % admissions.len()];
         let gs_vcs = prepared.sim().network().router_cfg().gs_vcs();
+        let grid = prepared.sim().network().grid().clone();
         let conns = prepared.sim_mut().network_mut().connections_mut();
         for vc in 0..gs_vcs {
-            conns.quarantine_vc(failing.src, failing.dirs[0], VcId(vc as u8));
+            conns.quarantine_vc(&grid, failing.src, failing.dirs[0], VcId(vc as u8));
         }
 
         prop_assert!(lc.open_group(&mut prepared, admissions, &arrival).is_none());

@@ -24,6 +24,13 @@ fn controller_on(grid: Grid) -> AdmissionController {
     )
 }
 
+/// Every budget counter of `ctl`, for exact state comparison.
+fn budgets(ctl: &AdmissionController) -> BudgetSnapshot {
+    let mut snap = BudgetSnapshot::default();
+    ctl.save_budgets_into(&mut snap);
+    snap
+}
+
 fn node(i: u32, width: u8, height: u8) -> RouterId {
     let n = u32::from(width) * u32::from(height);
     let i = i % n;
@@ -39,7 +46,7 @@ fn compare(
 ) -> Result<Option<Admission>, TestCaseError> {
     let fast = trial.commit_trial(req);
     let ticket = plain.request(req);
-    prop_assert_eq!(trial.snapshot(), plain.snapshot());
+    prop_assert_eq!(budgets(trial), budgets(plain));
     prop_assert_eq!(fast.err(), ticket.as_ref().err().copied());
     if let (Ok(t), Ok(adm)) = (fast, &ticket) {
         prop_assert_eq!(t.hops, adm.hops());
@@ -84,6 +91,34 @@ fn xy_route_admits(ctl: &AdmissionController, req: &ConnRequest) -> bool {
     true
 }
 
+/// Hop distance from `src` to every router over up links, by repeated
+/// relaxation until nothing changes (`None` = unreachable) — a flood
+/// fill that shares no code with the breadth-first detour search.
+fn flood_fill(grid: &Grid, src: RouterId) -> Vec<Option<usize>> {
+    let mut dist = vec![None; grid.len()];
+    dist[grid.index(src)] = Some(0);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for at in grid.ids() {
+            let Some(d) = dist[grid.index(at)] else {
+                continue;
+            };
+            for dir in Direction::ALL {
+                if !grid.link_up(at, dir) {
+                    continue;
+                }
+                let next = grid.index(grid.neighbor(at, dir).expect("an up link exists"));
+                if dist[next].is_none_or(|n| n > d + 1) {
+                    dist[next] = Some(d + 1);
+                    changed = true;
+                }
+            }
+        }
+    }
+    dist
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -111,7 +146,7 @@ proptest! {
             prop_assert_eq!(&answer, &committed);
             let alone = plain.request(&req);
             prop_assert_eq!(&committed, &alone);
-            prop_assert_eq!(probed.snapshot(), plain.snapshot());
+            prop_assert_eq!(budgets(&probed), budgets(&plain));
             if let Ok(adm) = committed {
                 held.push(adm);
             }
@@ -122,7 +157,7 @@ proptest! {
             plain.release(adm);
         }
         prop_assert!(probed.nothing_reserved());
-        prop_assert_eq!(probed.snapshot(), plain.snapshot());
+        prop_assert_eq!(budgets(&probed), budgets(&plain));
     }
 
     /// A rejected probe reserves nothing, on a fresh controller and
@@ -170,7 +205,7 @@ proptest! {
         let mut c = controller(width, height);
         let mut snap = BudgetSnapshot::default();
         c.save_budgets_into(&mut snap);
-        let before = c.snapshot();
+        let before = budgets(&c);
         for (a, b, period_ns) in trial {
             let req = ConnRequest {
                 src: node(a, width, height),
@@ -180,7 +215,7 @@ proptest! {
             let _ = c.request(&req);
         }
         c.restore_budgets(&snap);
-        prop_assert_eq!(c.snapshot(), before);
+        prop_assert_eq!(budgets(&c), before);
         prop_assert!(c.nothing_reserved());
     }
     /// The commit-only trial entry is `request` without the ticket: on
@@ -282,9 +317,11 @@ proptest! {
                     if req.src == req.dst {
                         continue;
                     }
-                    let (_, _, tx_free, rx_free) = ctl.snapshot();
-                    let ifaces = tx_free[ctl.grid().index(req.src)] > 0
-                        && rx_free[ctl.grid().index(req.dst)] > 0;
+                    // Interfaces are debited by grants and credited by
+                    // releases only: count the tickets held at each end.
+                    let ifaces = mango_core::RouterConfig::paper().local_gs_ifaces();
+                    let ifaces = held.iter().filter(|h| h.src == req.src).count() < ifaces
+                        && held.iter().filter(|h| h.dst == req.dst).count() < ifaces;
                     let xy_admits = xy_route_admits(&ctl, &req);
                     let granted = ctl.request(&req);
                     let granted_xy = matches!(granted, Ok(Admission { xy: true, .. }));
@@ -319,5 +356,90 @@ proptest! {
             ctl.release(adm);
         }
         prop_assert!(ctl.nothing_reserved());
+    }
+
+    /// Admission and the data plane run one detour search. On random
+    /// link and router fault sets over a mesh, a torus and a chiplet
+    /// grid, for every pair: a fresh controller's probe at a slack
+    /// period grants exactly `route_avoiding`'s path, or both refuse;
+    /// the path is the XY route when every XY link is up; otherwise it
+    /// is a simple path over up links to the destination, no longer
+    /// than the flood-fill distance.
+    #[test]
+    fn admission_and_the_data_plane_pick_the_same_detour(
+        topology in 0u8..3,
+        links in prop::collection::vec((0u32..64, 0usize..4), 0..14),
+        routers in prop::collection::vec(0u32..64, 0..3),
+    ) {
+        let mut grid = Grid::from_spec(&match topology {
+            0 => TopologySpec::mesh(5, 4),
+            1 => TopologySpec::torus(4, 4),
+            _ => TopologySpec::chiplet(2, 1, 3, 3),
+        });
+        let (w, h) = (grid.width(), grid.height());
+        let mut ctl = controller_on(grid.clone());
+        for (at, dir) in links {
+            let (from, dir) = (node(at, w, h), Direction::ALL[dir]);
+            if grid.neighbor(from, dir).is_some() {
+                grid.fail_link(from, dir);
+                ctl.fail_link(from, dir);
+            }
+        }
+        for at in routers {
+            grid.fail_router(node(at, w, h));
+            ctl.fail_router(node(at, w, h));
+        }
+        for src in grid.ids() {
+            let dist = flood_fill(&grid, src);
+            for dst in grid.ids().filter(|&dst| dst != src) {
+                let req = ConnRequest { src, dst, period: SimDuration::from_ns(100) };
+                let data = mango_net::route_avoiding(&grid, src, dst);
+                let probed = ctl.probe(&req);
+                let reachable = dist[grid.index(dst)];
+                let (dirs, adm) = match (data, probed) {
+                    (Ok(dirs), Ok(adm)) => (dirs, adm),
+                    (Err(_), Err(reason)) => {
+                        prop_assert_eq!(reason, mango_qos::RejectReason::NoPath);
+                        prop_assert!(reachable.is_none(), "{} -> {} refused but reachable", src, dst);
+                        continue;
+                    }
+                    (data, probed) => {
+                        return Err(TestCaseError::fail(format!(
+                            "{src} -> {dst}: data plane {data:?}, admission {probed:?}"
+                        )));
+                    }
+                };
+                prop_assert!(adm.dirs == dirs, "{} -> {}: admission {:?}, data plane {:?}", src, dst, adm.dirs, dirs);
+                let xy = xy_dirs(&grid, src, dst);
+                let mut cur = src;
+                let xy_up = xy.iter().all(|&dir| {
+                    let up = grid.link_up(cur, dir);
+                    cur = grid.neighbor(cur, dir).unwrap_or(cur);
+                    up
+                });
+                prop_assert!(adm.xy == xy_up, "{} -> {}: xy {} but every XY link up {}", src, dst, adm.xy, xy_up);
+                if xy_up {
+                    prop_assert_eq!(&dirs, &xy);
+                    continue;
+                }
+                let mut seen = vec![src];
+                for &dir in &dirs {
+                    let at = *seen.last().expect("starts at src");
+                    prop_assert!(grid.link_up(at, dir), "{} -> {} crosses {}->{}", src, dst, at, dir);
+                    let next = grid.neighbor(at, dir).expect("an up link exists");
+                    prop_assert!(!seen.contains(&next), "{} -> {} revisits {}", src, dst, next);
+                    seen.push(next);
+                }
+                prop_assert_eq!(seen.last(), Some(&dst));
+                prop_assert!(
+                    reachable.is_some_and(|d| dirs.len() <= d),
+                    "{} -> {}: {} links, flood fill {:?}",
+                    src,
+                    dst,
+                    dirs.len(),
+                    reachable
+                );
+            }
+        }
     }
 }

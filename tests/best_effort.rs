@@ -6,7 +6,7 @@ use mango::core::{BeHeader, Direction, RouterId};
 use mango::net::{
     EmitWindow, NaApp, NetEvent, NocSim, ScenarioMetrics, ScenarioSpec, TemporalSpec, TrafficSpec,
 };
-use mango::sim::{RunOutcome, SimDuration, SimTime};
+use mango::sim::{RunOutcome, SimDuration};
 use std::sync::{Arc, Mutex};
 
 /// Uniform random BE traffic on a 4×4 mesh: every packet arrives, intact
@@ -62,7 +62,7 @@ struct Recorder {
 }
 
 impl NaApp for Recorder {
-    fn on_packet(&mut self, _now: SimTime, packet: &[mango::core::Flit]) {
+    fn on_packet(&mut self, packet: &[mango::core::Flit]) {
         self.packets
             .lock()
             .unwrap()

@@ -5,7 +5,7 @@
 
 use mango::core::{Direction, RouterConfig, RouterId};
 use mango::net::{Grid, NaConfig};
-use mango::qos::{AdmissionController, ConnRequest};
+use mango::qos::{AdmissionController, BudgetSnapshot, ConnRequest};
 use mango::sim::SimDuration;
 use proptest::prelude::*;
 
@@ -18,6 +18,13 @@ fn controller() -> AdmissionController {
         &NaConfig::paper(),
         0.875,
     )
+}
+
+/// Every budget counter of `ctl`, for exact state comparison.
+fn budgets(ctl: &AdmissionController) -> BudgetSnapshot {
+    let mut snap = BudgetSnapshot::default();
+    ctl.save_budgets_into(&mut snap);
+    snap
 }
 
 fn router() -> impl Strategy<Value = RouterId> {
@@ -39,7 +46,7 @@ proptest! {
         period_ns in 12u64..40,
     ) {
         let mut ctl = controller();
-        let pristine = ctl.snapshot();
+        let pristine = budgets(&ctl);
         let period = SimDuration::from_ns(period_ns);
 
         // Phase 1: admit whatever fits.
@@ -78,7 +85,7 @@ proptest! {
         for adm in rerouted {
             ctl.release(&adm);
         }
-        prop_assert_eq!(ctl.snapshot(), pristine);
+        prop_assert_eq!(budgets(&ctl), pristine);
     }
 
     /// Releasing in any interleaving (not just LIFO) is exact: admit,
@@ -90,7 +97,7 @@ proptest! {
         release_seed in any::<u64>(),
     ) {
         let mut ctl = controller();
-        let pristine = ctl.snapshot();
+        let pristine = budgets(&ctl);
         let period = SimDuration::from_ns(15);
         let mut held = Vec::new();
         for (src, dst) in pairs {
@@ -116,7 +123,7 @@ proptest! {
         for i in order {
             ctl.release(&held[i]);
         }
-        prop_assert_eq!(ctl.snapshot(), pristine);
+        prop_assert_eq!(budgets(&ctl), pristine);
     }
 }
 
