@@ -675,11 +675,9 @@ mod tests {
     fn named_graph_rates_conform_to_one_connection() {
         // Every edge of the named graphs must fit one paper-config GS
         // connection (~97 Mflit/s), or no placement could ever admit it.
-        let model = mango_qos::ServiceModel::new(
-            &mango_core::RouterConfig::paper(),
-            &mango_net::NaConfig::paper(),
-        );
-        let interval = model.service_interval().expect("paper config guarantees");
+        let interval = mango_qos::ServiceModel::paper()
+            .service_interval(mango_sim::SimDuration::ZERO)
+            .expect("paper config guarantees");
         for g in [vopd(), mwd()] {
             for e in &g.edges {
                 assert!(

@@ -26,13 +26,11 @@
 //! recomputed bound — is read from each run's audit: a violation prints
 //! its witness and exits 1.
 
-use mango::core::{Direction, RouterConfig, RouterId};
+use mango::core::{Direction, RouterId};
 use mango::hw::Table;
 use mango::net::TelemetryConfig;
-use mango::net::{
-    FaultKind, FaultSchedule, MeasureBound, NaConfig, PatternKind, TemporalSpec, TrafficSpec,
-};
-use mango::qos::{report_for, RecoveryOutcome, RecoverySpec};
+use mango::net::{FaultKind, FaultSchedule, MeasureBound, PatternKind, TemporalSpec, TrafficSpec};
+use mango::qos::{PathExtras, RecoveryOutcome, RecoverySpec, ServiceModel};
 use mango::sim::{SimDuration, SimTime};
 use mango_bench::{guarantees_held, written};
 use mango_sweep::{
@@ -132,11 +130,10 @@ fn main() {
         "gbw pre->post [Mf/s]",
         "obs/bound",
     ]);
-    let model = |hops: usize| {
-        report_for(
-            &RouterConfig::paper(),
-            &NaConfig::paper(),
-            hops,
+    let paper = ServiceModel::paper();
+    let model = |hops| {
+        paper.report(
+            &PathExtras::uniform(hops),
             SimDuration::from_ns(GS_PERIOD_NS),
         )
     };

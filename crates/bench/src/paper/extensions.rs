@@ -5,14 +5,14 @@
 //! or, under `repro_paper --full`, at the full one.
 
 use super::{in_ns, ns, recorded, span, table, us, Claim, Job, Row};
-use mango::core::{Direction, RouterConfig, RouterId};
+use mango::core::{Direction, RouterId};
 use mango::hw::area::{AreaModel, RouterParams};
 use mango::hw::power::PowerModel;
-use mango::net::{xy_route, FaultKind, FaultSchedule, Grid, MeasureBound, NaConfig, PatternKind};
+use mango::net::{xy_route, FaultKind, FaultSchedule, Grid, MeasureBound, PatternKind};
 use mango::net::{ScenarioSpec, SpatialPattern, TemporalSpec, TopologySpec, TrafficSpec};
 use mango::qos::driver::run_audited;
-use mango::qos::ServiceModel;
 use mango::qos::{path_extras, GuaranteeAudit, GuaranteeReport, RecoveryOutcome, RecoverySpec};
+use mango::qos::{PathExtras, ServiceModel};
 use mango::sim::{SimDuration, SimTime};
 use mango_sweep::auto_gs_pairs;
 
@@ -97,8 +97,8 @@ fn patterns() -> [(&'static str, SpatialPattern); PATTERNS] {
 
 /// The admission bound of the pattern rows' tagged stream.
 fn pattern_report() -> GuaranteeReport {
-    let model = ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper());
-    model.report(PATTERN_HOPS, ns(PATTERN_GS_NS))
+    let path = PathExtras::uniform(PATTERN_HOPS);
+    ServiceModel::paper().report(&path, ns(PATTERN_GS_NS))
 }
 
 /// The bound every pattern row checks its tagged stream against: the
@@ -261,7 +261,7 @@ fn area() -> Row {
 /// admission control computes for its own XY route.
 fn mesh(side: u8, window_us: u64) -> Row {
     let (grid, period) = (Grid::new(side, side), ns(12));
-    let model = ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper());
+    let model = ServiceModel::paper();
     let spec = ScenarioSpec::mesh(side, side, 77).warmup(us(2));
     let (mut spec, mut bounds) = (spec.measure_for(us(window_us)), Vec::new());
     for (src, dst) in auto_gs_pairs(&grid, 2) {
@@ -314,9 +314,9 @@ fn hotspot(gap_ns: u64) -> TrafficSpec {
 }
 
 /// GS bounds composed across die boundaries: each D2D crossing adds the
-/// D2D extra link delay to the bound ([`ServiceModel::report_along`]
-/// walks the actual path), and the tagged stream's worst latency is
-/// checked against it under hotspot BE at each of `gaps_ns`.
+/// D2D extra link delay to the bound ([`path_extras`] walks the actual
+/// path), and the tagged stream's worst latency is checked against it
+/// under hotspot BE at each of `gaps_ns`.
 fn chiplet_bound(window_us: u64, gaps_ns: &[Option<u64>]) -> Row {
     let ((src, dst), grid, period) = (CROSS_DIE, Grid::from_spec(&package()), ns(CHIPLET_GS_NS));
     let route = xy_route(&grid, src, dst).expect("XY route on the package grid");
@@ -326,10 +326,9 @@ fn chiplet_bound(window_us: u64, gaps_ns: &[Option<u64>]) -> Row {
         seams += usize::from(grid.is_boundary_link(at, dir));
         at = grid.neighbor(at, dir).expect("the route stays on the grid");
     }
-    let model = ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper());
-    let same_die = model.report(route.len(), period);
-    let composed = model.report_along(&grid, src, &route, period);
-    let (extra_total, extra_max) = path_extras(&grid, src, &route);
+    let (model, path) = (ServiceModel::paper(), path_extras(&grid, src, &route));
+    let same_die = model.report(&PathExtras::uniform(path.hops), period);
+    let composed = model.report(&path, period);
     let (flat, bound) = (in_ns(same_die.worst_latency), in_ns(composed.worst_latency));
     let (same_bw, composed_bw) = (same_die.guaranteed_mfps, composed.guaranteed_mfps);
     let mut text = String::from("BE background | GS [Mflit/s] | GS mean [ns] | GS max [ns]");
@@ -358,8 +357,8 @@ fn chiplet_bound(window_us: u64, gaps_ns: &[Option<u64>]) -> Row {
          same-die bound: {flat:.1} ns; composed bound: {bound:.1} ns (+{:.1} ns); \
          guaranteed bw {composed_bw:.2} Mflit/s\n\n{}",
         route.len(),
-        extra_max.as_ns_f64(),
-        extra_total.as_ns_f64(),
+        path.extra_max.as_ns_f64(),
+        path.extra_total.as_ns_f64(),
         bound - flat,
         table(&text),
     );

@@ -241,12 +241,13 @@ impl RouterTiming {
         self.hop_forward + self.buffer_advance + self.unlock_path
     }
 
-    /// Checks the condition under which depth-1 buffers sustain the
-    /// fair-share guarantee across a sequence of links (Sec. 4.4): the VC
-    /// loop must complete within the `share_count` link cycles between a
-    /// VC's consecutive fair-share slots.
-    pub fn supports_fair_share(&self, share_count: u64) -> bool {
-        self.vc_loop().as_ps() <= self.link_cycle.as_ps() * share_count
+    /// The grant-to-grant spacing of a lone backlogged VC whose link adds
+    /// `extra` forward delay: the arbiter's decision, then the VC loop,
+    /// which closes over the link and back, so it pays the extra twice
+    /// (the unlock feedback crosses the reverse direction of the same
+    /// channel).
+    pub fn lone_vc_spacing(&self, extra: SimDuration) -> SimDuration {
+        self.arb_decision + self.vc_loop() + extra * 2
     }
 }
 
@@ -305,19 +306,6 @@ mod tests {
                 t.vc_loop(),
                 t.link_cycle
             );
-        }
-    }
-
-    #[test]
-    fn depth_one_buffers_sustain_fair_share_of_eight() {
-        // Sec. 4.4: single-flit-deep buffers + unsharebox are "enough to
-        // ensure the fair-share scheme to function over a sequence of
-        // links" with 8 VCs.
-        for corner in [Corner::Typical, Corner::WorstCase] {
-            let t = TimingModel::cmos_120nm().router_timing(corner);
-            assert!(t.supports_fair_share(8), "{corner:?}");
-            // And with lots of margin: even a 1/3 share would still work.
-            assert!(t.supports_fair_share(3), "{corner:?}");
         }
     }
 

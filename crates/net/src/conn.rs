@@ -78,6 +78,8 @@ pub enum ConnError {
     Route(RouteError),
     /// No free GS VC on a link of the path.
     NoFreeVc(RouterId, Direction),
+    /// A link of the path has failed: a GS stream could not cross it.
+    LinkDown(RouterId, Direction),
     /// No free GS TX interface at the source NA.
     NoFreeTxIface(RouterId),
     /// No free local GS interface at the destination router.
@@ -96,6 +98,7 @@ impl fmt::Display for ConnError {
         match self {
             ConnError::Route(e) => write!(f, "routing failed: {e}"),
             ConnError::NoFreeVc(r, d) => write!(f, "no free GS VC on link {r}->{d}"),
+            ConnError::LinkDown(r, d) => write!(f, "link {r}->{d} is down"),
             ConnError::NoFreeTxIface(r) => write!(f, "no free GS TX interface at {r}"),
             ConnError::NoFreeRxIface(r) => write!(f, "no free local GS interface at {r}"),
             ConnError::BadState(id, s) => write!(f, "{id} is {s:?}"),
@@ -354,8 +357,8 @@ impl ConnectionManager {
     /// # Errors
     ///
     /// Fails (reserving nothing) if the path is malformed, does not end
-    /// at `dst`, any VC/interface along it is exhausted, or a programming
-    /// packet or its ack has no route.
+    /// at `dst`, crosses a failed link, any VC/interface along it is
+    /// exhausted, or a programming packet or its ack has no route.
     pub fn open_along(
         &mut self,
         grid: &Grid,
@@ -375,6 +378,9 @@ impl ConnectionManager {
         let links: Vec<usize> = (0..hops)
             .map(|i| grid.link_index(path[i], dirs[i]))
             .collect();
+        if let Some(i) = links.iter().position(|&link| grid.link_failed(link)) {
+            return Err(ConnError::LinkDown(path[i], dirs[i]));
+        }
 
         // Find everything before committing. Quarantined bits count as
         // taken here but are tracked apart from the used masks.

@@ -23,41 +23,65 @@ fn ack_all(m: &mut ConnectionManager, grid: &Grid, id: ConnectionId) {
     panic!("connection never settled");
 }
 
-/// An open whose programming packets cannot all be routed fails and
-/// books nothing: no VC or interface bit, no ack token, no relay ticket,
-/// and no connection id.
+/// Asserts that a failed open left no VC or interface bit, no ack
+/// token and no relay ticket behind.
+fn assert_no_books(m: &ConnectionManager, relays: &RelayTable) {
+    assert!(m.nothing_reserved(), "a failed open reserved budgets");
+    assert!(
+        (0..=u16::MAX).all(|t| !m.known_token(t)),
+        "a failed open left an ack token"
+    );
+    assert_eq!(relays.in_flight(), 0, "a failed open left a relay ticket");
+}
+
+/// An open whose programming packets or acks cannot all be routed fails
+/// late and books nothing: no VC or interface bit, no ack token, no
+/// relay ticket, and no connection id.
 #[test]
 fn failed_open_keeps_no_books() {
-    // A 3×1 line cut after (1,0): the config packet for (2,0) has no
-    // route. On a 20×1 line cut after (18,0), the packets for (16,0)
-    // to (18,0) relay (they take tickets) before the one for (19,0)
-    // fails.
-    for (width, cut) in [(3, 1), (20, 18)] {
+    // A line cut at (cut,0)→East, opened westward from its east end:
+    // the GS path and every programming packet run west, but the acks
+    // of the routers west of the cut have no route back east to the
+    // source. On the 20×1 lines the far packets relay (they take
+    // tickets) before an ack fails.
+    for (width, cut) in [(3, 1), (20, 1), (20, 18)] {
         let mut grid = Grid::new(width, 1);
         grid.fail_link(RouterId::new(cut, 0), Direction::East);
         let mut relays = RelayTable::new();
         let mut m = ConnectionManager::new(&grid, 7, 4);
-        let (src, dst) = (RouterId::new(0, 0), RouterId::new(width - 1, 0));
+        let (src, dst) = (RouterId::new(width - 1, 0), RouterId::new(0, 0));
         let err = m.open(&grid, &mut relays, src, dst).unwrap_err();
-        assert_eq!(
-            err,
-            ConnError::Route(RouteError::Unreachable {
-                src,
-                dst: RouterId::new(cut + 1, 0)
-            })
-        );
-        assert!(m.nothing_reserved(), "a failed open reserved budgets");
-        assert!(
-            (0..=u16::MAX).all(|t| !m.known_token(t)),
-            "a failed open left an ack token"
-        );
-        assert_eq!(relays.in_flight(), 0, "a failed open left a relay ticket");
+        // The failing leg runs from the cut router back to the source.
+        let leg = RouteError::Unreachable {
+            src: RouterId::new(cut, 0),
+            dst: src,
+        };
+        assert_eq!(err, ConnError::Route(leg));
+        assert_no_books(&m, &relays);
         // The next open takes the first id.
         let plan = m
-            .open(&grid, &mut relays, src, RouterId::new(cut, 0))
+            .open(&grid, &mut relays, dst, RouterId::new(cut, 0))
             .unwrap();
         assert_eq!(plan.id, ConnectionId(0));
         assert_eq!(m.get(plan.id).map(|c| c.dst), Some(RouterId::new(cut, 0)));
+    }
+}
+
+/// A GS path across a failed link is refused before anything is booked,
+/// with the dead link named — also on a grid whose programming packets
+/// could detour around it.
+#[test]
+fn open_across_a_dead_link_is_refused() {
+    for (width, height, cut) in [(3, 1, 1), (20, 1, 18), (3, 2, 1)] {
+        let mut grid = Grid::new(width, height);
+        let dead = RouterId::new(cut, 0);
+        grid.fail_link(dead, Direction::East);
+        let mut relays = RelayTable::new();
+        let mut m = ConnectionManager::new(&grid, 7, 4);
+        let (src, dst) = (RouterId::new(0, 0), RouterId::new(width - 1, 0));
+        let err = m.open(&grid, &mut relays, src, dst).unwrap_err();
+        assert_eq!(err, ConnError::LinkDown(dead, Direction::East));
+        assert_no_books(&m, &relays);
     }
 }
 

@@ -22,8 +22,8 @@
 //!
 //! Every decision of a `(src, dst)` pair after its first reads the XY
 //! route from a per-controller table instead of walking the grid: the
-//! route's dense link indices and its `(extra_total, extra_max)` (the
-//! bound's inputs, see [`crate::bound::path_extras`]). A decision is then
+//! route's dense link indices and its [`PathExtras`] (the bound's input,
+//! see [`crate::bound::path_extras`]). A decision is then
 //! one pass over those links — check, and on commit debit, the same
 //! indices. The placer's dry runs repeat a few hundred decisions per
 //! placement over a small set of pairs, so the table pays for itself
@@ -40,13 +40,13 @@
 //! Footprint: 4 B of offset per `(src, dst)` pair, allocated one source
 //! row at a time on that source's first decision — 16 KiB for an 8×8
 //! grid, 256 KiB for 16×16, 4 MiB for 32×32 once every source has
-//! decided — plus, per route used, 8 B of header and 4 B per link, in
-//! the source's row. Every route of an 8×8 mesh is 32 KB of headers and
-//! 86 KB of links (5.3 hops on average); 16×16 and 32×32 take 0.5 + 2.8
-//! MB and 8.4 + 89 MB, so a table that large only exists where that many
+//! decided — plus, per route used, 4 B of header and 4 B per link, in
+//! the source's row. Every route of an 8×8 mesh is 16 KB of headers and
+//! 86 KB of links (5.3 hops on average); 16×16 and 32×32 take 0.26 + 2.8
+//! MB and 4.2 + 89 MB, so a table that large only exists where that many
 //! distinct pairs have actually been decided.
 
-use crate::bound::{walk_path, GuaranteeReport, ServiceModel};
+use crate::bound::{walk_path, GuaranteeReport, PathExtras, ServiceModel};
 use mango_core::{Direction, RouterConfig, RouterId};
 use mango_net::route::{bfs_into, xy_dirs};
 use mango_net::{Grid, NaConfig};
@@ -201,18 +201,16 @@ pub struct BudgetSnapshot {
 
 /// A path as a decision uses it: its links are `start..start + hops` of
 /// its source's route-table row (a cached XY route) or of the detour
-/// scratch, and its per-link extras are summarised for the bound.
+/// scratch, and `extras` is what the bound reads of it.
 #[derive(Debug, Clone, Copy)]
 struct Route {
     start: usize,
-    hops: usize,
-    extra_total: SimDuration,
-    extra_max: SimDuration,
+    extras: PathExtras,
 }
 
 impl Route {
     fn links(self) -> Range<usize> {
-        self.start..self.start + self.hops
+        self.start..self.start + self.extras.hops
     }
 }
 
@@ -234,7 +232,7 @@ struct Granted {
 pub struct AdmissionController {
     grid: Grid,
     model: ServiceModel,
-    /// `model.service_interval()`: the homogeneous rate pre-check.
+    /// The service interval on zero-extra links: the rate pre-check.
     interval: Option<SimDuration>,
     /// Free GS VCs per directed link, indexed `node_index × 4 + dir`.
     free_vcs: Vec<u8>,
@@ -264,14 +262,14 @@ pub struct AdmissionController {
     /// then one row per source node, empty until that source's first
     /// decision. A row starts with one offset
     /// per destination, 0 until the pair's first decision, then the
-    /// offset of the route's record in the row: `[hops, extras, link…]`,
+    /// offset of the route's record in the row: `[extras, link…]`,
     /// `extras` indexing `route_extras`.
     xy_rows: Vec<Vec<u32>>,
-    /// The distinct `(extra_total, extra_max)` of the cached routes —
-    /// one on a homogeneous grid, a few on a chiplet grid — and the
-    /// index of each.
-    route_extras: Vec<(SimDuration, SimDuration)>,
-    extras_index: BTreeMap<(SimDuration, SimDuration), u32>,
+    /// The distinct [`PathExtras`] of the cached routes — one per route
+    /// length on a homogeneous grid, a few more on a chiplet grid — and
+    /// the index of each.
+    route_extras: Vec<PathExtras>,
+    extras_index: BTreeMap<PathExtras, u32>,
 }
 
 impl AdmissionController {
@@ -294,7 +292,7 @@ impl AdmissionController {
         let budget_fps = (capacity_fps * max_gs_frac) as u64;
         let model = ServiceModel::new(cfg, na);
         AdmissionController {
-            interval: model.service_interval(),
+            interval: model.service_interval(SimDuration::ZERO),
             model,
             free_vcs: vec![cfg.gs_vcs() as u8; nodes * 4],
             residual_fps: vec![budget_fps; nodes * 4],
@@ -358,13 +356,9 @@ impl AdmissionController {
         if at == 0 {
             at = self.cache_xy_route(src, dst, s, d);
         }
-        let row = &self.xy_rows[s];
-        let (extra_total, extra_max) = self.route_extras[row[at + 1] as usize];
         Route {
-            start: at + 2,
-            hops: row[at] as usize,
-            extra_total,
-            extra_max,
+            start: at + 1,
+            extras: self.route_extras[self.xy_rows[s][at] as usize],
         }
     }
 
@@ -381,16 +375,15 @@ impl AdmissionController {
         } = self;
         let row = &mut xy_rows[s];
         let at = row.len();
-        row.extend([0, 0]);
+        row.push(0);
         let extras = walk_path(grid, src, xy_dirs(grid, src, dst), |from, dir| {
             row.push(grid.link_index(from, dir) as u32);
         });
-        row[at] = (row.len() - at - 2) as u32;
-        row[at + 1] = *extras_index.entry(extras).or_insert_with(|| {
+        row[at] = *extras_index.entry(extras).or_insert_with(|| {
             route_extras.push(extras);
             (route_extras.len() - 1) as u32
         });
-        // A full row holds n × (3 + longest route) < 2^32 words.
+        // A full row holds n × (2 + longest route) < 2^32 words.
         row[d] = at as u32;
         at
     }
@@ -414,15 +407,10 @@ impl AdmissionController {
             ..
         } = self;
         detour_links.clear();
-        let (extra_total, extra_max) = walk_path(grid, src, path.iter().copied(), |from, dir| {
+        let extras = walk_path(grid, src, path.iter().copied(), |from, dir| {
             detour_links.push(grid.link_index(from, dir) as u32);
         });
-        Route {
-            start: 0,
-            hops: detour_links.len(),
-            extra_total,
-            extra_max,
-        }
+        Route { start: 0, extras }
     }
 
     /// Writes the shortest path from `src` to `dst` over up links with a
@@ -493,17 +481,10 @@ impl AdmissionController {
     /// The same deterministic [`RejectReason`]s as [`Self::request`].
     pub fn commit_trial(&mut self, req: &ConnRequest) -> Result<TrialCommit, RejectReason> {
         let granted = self.decide(req)?;
-        let Route {
-            hops,
-            extra_total,
-            extra_max,
-            ..
-        } = granted.route;
+        let extras = granted.route.extras;
         Ok(TrialCommit {
-            hops,
-            worst_latency: self
-                .model
-                .worst_latency(hops, extra_total, extra_max, req.period),
+            hops: extras.hops,
+            worst_latency: self.model.terms(&extras, req.period).map(|t| t.total()),
             min_residual_fps: self.commit(granted),
         })
     }
@@ -545,7 +526,7 @@ impl AdmissionController {
         // homogeneous pre-check above passed.
         if self
             .model
-            .service_interval_with_extra(route.extra_max)
+            .service_interval(route.extras.extra_max)
             .is_none_or(|interval| req.period < interval)
         {
             return Err(RejectReason::Unguaranteeable);
@@ -562,12 +543,6 @@ impl AdmissionController {
     /// The ticket [`Self::request`] and [`Self::probe`] hand out for a
     /// granted request.
     fn ticket(&self, req: &ConnRequest, granted: Granted) -> Admission {
-        let Route {
-            hops,
-            extra_total,
-            extra_max,
-            ..
-        } = granted.route;
         Admission {
             src: req.src,
             dst: req.dst,
@@ -578,9 +553,7 @@ impl AdmissionController {
             },
             xy: granted.xy,
             rate_fps: granted.rate_fps,
-            report: self
-                .model
-                .report_with_extras(hops, extra_total, extra_max, req.period),
+            report: self.model.report(&granted.route.extras, req.period),
         }
     }
 
@@ -1006,8 +979,8 @@ mod tests {
         // (0,0) → (3,0) crosses the die seam between columns 1 and 2.
         let adm = c.request(&req(0, 0, 3, 0, 20)).unwrap();
         assert!(adm.xy);
-        let homogeneous = ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper())
-            .report(3, SimDuration::from_ns(20));
+        let homogeneous =
+            ServiceModel::paper().report(&PathExtras::uniform(3), SimDuration::from_ns(20));
         assert_eq!(
             adm.report.worst_latency.unwrap(),
             homogeneous.worst_latency.unwrap() + mango_net::d2d_extra_default(),
@@ -1025,7 +998,7 @@ mod tests {
         let mut c =
             AdmissionController::new(slow, &RouterConfig::paper(), &NaConfig::paper(), 0.875);
         let before = budgets(&c);
-        // vc_loop 1.75 + 2×20 = 41.75 ns interval > 20 ns period.
+        // Lone-VC spacing 0.25 + 1.75 + 2×20 = 42 ns interval > 20 ns period.
         assert_eq!(
             c.request(&req(0, 0, 1, 0, 20)),
             Err(RejectReason::Unguaranteeable)

@@ -17,19 +17,26 @@
 //!   report carries `None` and admission control refuses to guarantee.
 //!
 //! A single VC is additionally rate-limited by the share-based VC
-//! control loop ([`mango_hw::RouterTiming::vc_loop`]): the sharebox
-//! stays locked until the downstream unsharebox empties, so consecutive
-//! flits of one connection are spaced by at least the larger of the
-//! VC loop and the worst-case grant spacing. The reciprocal of that
-//! spacing is the connection's **guaranteed bandwidth**.
+//! control loop: the sharebox stays locked until the downstream
+//! unsharebox empties, so a lone backlogged VC is granted once per
+//! [`mango_hw::RouterTiming::lone_vc_spacing`] — the arbiter's decision
+//! plus the VC loop, which stretches by twice the extra delay of a
+//! pipelined or D2D link. Consecutive flits of one connection are spaced
+//! by at least the larger of that spacing on the path's slowest link and
+//! the arbitration round ([`ServiceModel::service_interval`]). The
+//! reciprocal of that interval is the connection's **guaranteed
+//! bandwidth**.
 //!
-//! The latency bound is intentionally *conservative* (sound, not tight):
-//! every stage contributes its worst case simultaneously, which no real
-//! schedule achieves. The simulation-facing contract is `observed max ≤
-//! bound` for every admitted, rate-conforming connection; a
-//! [`GuaranteeAudit`] is the one place it is checked.
+//! The latency bound is a sum of named stage terms ([`BoundTerms`],
+//! written once in [`ServiceModel::terms`]). It is intentionally
+//! *conservative* (sound, not tight): every stage contributes its worst
+//! case simultaneously, which no real schedule achieves. The
+//! simulation-facing contract is `observed max ≤ bound` for every
+//! admitted, rate-conforming connection; a [`GuaranteeAudit`] is the one
+//! place it is checked.
 
 use mango_core::{ArbiterKind, Direction, RouterConfig, RouterId};
+use mango_hw::RouterTiming;
 use mango_net::{Grid, NaConfig};
 use mango_sim::SimDuration;
 
@@ -39,21 +46,70 @@ use mango_sim::SimDuration;
 pub struct ServiceModel {
     /// Channels contending for each link: GS VCs + the BE channel.
     pub slots: usize,
-    /// Link cycle time (1 / port speed).
-    pub link_cycle: SimDuration,
-    /// Arbiter reaction to a newly ready request.
-    pub arb_decision: SimDuration,
-    /// Grant → flit latched in the next router's unsharebox.
-    pub hop_forward: SimDuration,
-    /// Unsharebox → buffer advance.
-    pub buffer_advance: SimDuration,
-    /// The share-based VC control loop (per-VC grant-to-grant floor).
-    pub vc_loop: SimDuration,
+    /// The router's stage delays.
+    pub timing: RouterTiming,
     /// Core-side consume delay per delivered flit.
     pub consume_delay: SimDuration,
     /// Worst-case grants-until-served for a continuously ready VC (its
     /// own grant included); `None` when the arbiter gives no bound.
     pub grant_bound: Option<u64>,
+}
+
+/// What the bound reads of a path: its length and its per-link extra
+/// forward delays (pipelined long links, chiplet D2D boundaries).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PathExtras {
+    /// Links the path traverses.
+    pub hops: usize,
+    /// The sum of the per-link extras: pure forward latency, paid once
+    /// per link.
+    pub extra_total: SimDuration,
+    /// The largest single-link extra: the bandwidth bottleneck (see
+    /// [`ServiceModel::service_interval`]).
+    pub extra_max: SimDuration,
+}
+
+impl PathExtras {
+    /// A path of `hops` links without extra delay.
+    pub fn uniform(hops: usize) -> Self {
+        PathExtras {
+            hops,
+            extra_total: SimDuration::ZERO,
+            extra_max: SimDuration::ZERO,
+        }
+    }
+}
+
+/// The worst-case latency of one conforming connection, term by term;
+/// [`BoundTerms::total`] is the bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundTerms {
+    /// NA queue: at most one service interval ahead of the flit.
+    pub na_queue: SimDuration,
+    /// Injection: the local forward path and the latch into the first
+    /// buffer.
+    pub injection: SimDuration,
+    /// Every link: the arbitration round, then the forward path and the
+    /// buffer advance into the next hop.
+    pub per_hop: SimDuration,
+    /// Links that each pay `per_hop`.
+    pub hops: usize,
+    /// Heterogeneous links: each extra pipeline stage is paid once on
+    /// the forward traversal.
+    pub extra_total: SimDuration,
+    /// Delivery: the NA's receive slot may be mid-consume.
+    pub delivery: SimDuration,
+}
+
+impl BoundTerms {
+    /// The bound: the sum of the terms.
+    pub fn total(&self) -> SimDuration {
+        self.na_queue
+            + self.injection
+            + self.per_hop * self.hops as u64
+            + self.extra_total
+            + self.delivery
+    }
 }
 
 impl ServiceModel {
@@ -67,121 +123,74 @@ impl ServiceModel {
         };
         ServiceModel {
             slots,
-            link_cycle: cfg.timing.link_cycle,
-            arb_decision: cfg.timing.arb_decision,
-            hop_forward: cfg.timing.hop_forward,
-            buffer_advance: cfg.timing.buffer_advance,
-            vc_loop: cfg.timing.vc_loop(),
+            timing: cfg.timing.clone(),
             consume_delay: na.consume_delay,
             grant_bound,
         }
     }
 
+    /// The model of the paper's router and NA.
+    pub fn paper() -> Self {
+        Self::new(&RouterConfig::paper(), &NaConfig::paper())
+    }
+
+    /// The worst-case wait of a continuously ready VC for its grant:
+    /// `grant_bound` link cycles. `None` when the arbiter is unbounded.
+    pub fn grant_wait(&self) -> Option<SimDuration> {
+        Some(self.timing.link_cycle * self.grant_bound?)
+    }
+
+    /// The arbitration round: the arbiter's decision, then the grant
+    /// wait. `None` when the arbiter is unbounded.
+    pub fn round(&self) -> Option<SimDuration> {
+        Some(self.timing.arb_decision + self.grant_wait()?)
+    }
+
     /// Worst-case spacing between consecutive grants to one VC while it
-    /// stays backlogged: the arbitration round, floored by the VC
-    /// control loop. `None` when the arbiter is unbounded.
-    pub fn service_interval(&self) -> Option<SimDuration> {
-        self.service_interval_with_extra(SimDuration::ZERO)
+    /// stays backlogged, when the slowest link of its path adds
+    /// `extra_max` forward delay: the arbitration round (local to the
+    /// sending router, so the extra does not touch it), floored by the
+    /// lone VC's grant spacing on that link. `None` when the arbiter is
+    /// unbounded.
+    pub fn service_interval(&self, extra_max: SimDuration) -> Option<SimDuration> {
+        Some(self.round()?.max(self.timing.lone_vc_spacing(extra_max)))
     }
 
-    /// [`ServiceModel::service_interval`] when the slowest link of the
-    /// path adds `extra` forward pipeline delay (heterogeneous links,
-    /// D2D boundaries). The share-based VC control loop closes over the
-    /// link *and back* — the unlock feedback crosses the reverse
-    /// direction of the same channel — so the loop stretches by 2×extra
-    /// on that link; the arbitration round is unaffected (the arbiter is
-    /// local to the sending router).
-    pub fn service_interval_with_extra(&self, extra: SimDuration) -> Option<SimDuration> {
-        let grants = self.grant_bound?;
-        let round = self.arb_decision + self.link_cycle * grants;
-        Some(round.max(self.vc_loop + extra * 2))
+    /// The bound's terms for a connection along `path` streaming one flit
+    /// per `period` — the one place stage delays are added into a bound.
+    /// `None` when the arbiter gives no bound or the source does not
+    /// conform: a source faster than the service interval grows its NA
+    /// queue without bound, and no per-flit latency bound exists.
+    pub fn terms(&self, path: &PathExtras, period: SimDuration) -> Option<BoundTerms> {
+        let interval = self
+            .service_interval(path.extra_max)
+            .filter(|&interval| period >= interval)?;
+        let forward = self.timing.hop_forward + self.timing.buffer_advance;
+        Some(BoundTerms {
+            na_queue: interval,
+            injection: forward,
+            per_hop: self.round()? + forward,
+            hops: path.hops,
+            extra_total: path.extra_total,
+            delivery: self.consume_delay,
+        })
     }
 
-    /// Guaranteed bandwidth of one connection, Mflit/s (zero when the
-    /// arbiter gives no bound).
-    pub fn guaranteed_mfps(&self) -> f64 {
-        self.service_interval()
-            .map_or(0.0, |interval| interval.as_rate_mhz())
-    }
-
-    /// Worst-case wait-plus-transfer for one hop: arbitration round,
-    /// then the forward path into the next buffer.
-    fn per_hop(&self) -> Option<SimDuration> {
-        let grants = self.grant_bound?;
-        Some(self.arb_decision + self.link_cycle * grants + self.hop_forward + self.buffer_advance)
-    }
-
-    /// The guarantee report for a connection of `hops` links streaming
-    /// one flit per `period`, on a path of homogeneous zero-extra links.
-    pub fn report(&self, hops: usize, period: SimDuration) -> GuaranteeReport {
-        self.report_with_extras(hops, SimDuration::ZERO, SimDuration::ZERO, period)
-    }
-
-    /// The guarantee report for a connection of `hops` links whose path
-    /// carries heterogeneous extra link delays (pipelined long links,
-    /// chiplet D2D boundaries): `extra_total` is the sum of per-link
-    /// extras along the path (pure forward latency, paid once per link)
-    /// and `extra_max` is the largest single-link extra (the bandwidth
-    /// bottleneck — the VC control loop on that link stretches by twice
-    /// the extra, see [`ServiceModel::service_interval_with_extra`]).
-    ///
-    /// With both extras zero this reduces bit-exactly to
-    /// [`ServiceModel::report`].
-    pub fn report_with_extras(
-        &self,
-        hops: usize,
-        extra_total: SimDuration,
-        extra_max: SimDuration,
-        period: SimDuration,
-    ) -> GuaranteeReport {
-        let service_interval = self.service_interval_with_extra(extra_max);
+    /// The guarantee report for a connection along `path` streaming one
+    /// flit per `period`.
+    pub fn report(&self, path: &PathExtras, period: SimDuration) -> GuaranteeReport {
+        let service_interval = self.service_interval(path.extra_max);
         GuaranteeReport {
-            hops,
-            slots: self.slots,
             requested_mfps: period.as_rate_mhz(),
-            guaranteed_mfps: service_interval.map_or(0.0, |i| i.as_rate_mhz()),
+            guaranteed_mfps: service_interval.map_or(0.0, SimDuration::as_rate_mhz),
             conforming: service_interval.is_some_and(|interval| period >= interval),
             service_interval,
-            worst_latency: self.worst_latency(hops, extra_total, extra_max, period),
+            worst_latency: self.terms(path, period).map(|terms| terms.total()),
         }
     }
 
-    /// The [`GuaranteeReport::worst_latency`] of
-    /// [`ServiceModel::report_with_extras`] for the same arguments,
-    /// without the rest of the report (no floating point): the bound the
-    /// admission controller's dry runs read. `None` when the arbiter
-    /// gives no bound or the source does not conform.
-    pub fn worst_latency(
-        &self,
-        hops: usize,
-        extra_total: SimDuration,
-        extra_max: SimDuration,
-        period: SimDuration,
-    ) -> Option<SimDuration> {
-        // Sound only for conforming sources: a faster source grows its
-        // NA queue without bound and no per-flit latency bound exists.
-        let interval = self
-            .service_interval_with_extra(extra_max)
-            .filter(|&interval| period >= interval)?;
-        let per_hop = self.per_hop()?;
-        Some(
-            // NA queue: at most one service interval ahead of us.
-            interval
-                // Injection: local forward path + latch.
-                + self.hop_forward + self.buffer_advance
-                // Every link: arbitration round + forward path.
-                + per_hop * hops as u64
-                // Heterogeneous links: each extra pipeline stage is
-                // paid once on the forward traversal.
-                + extra_total
-                // Delivery: the NA's receive slot may be mid-consume.
-                + self.consume_delay,
-        )
-    }
-
     /// The guarantee report for the concrete path `src` + `dirs` over
-    /// `grid`: walks the path accumulating its per-link extras and
-    /// composes the bound via [`ServiceModel::report_with_extras`].
+    /// `grid`: [`ServiceModel::report`] of its [`path_extras`].
     ///
     /// # Panics
     ///
@@ -193,17 +202,16 @@ impl ServiceModel {
         dirs: &[Direction],
         period: SimDuration,
     ) -> GuaranteeReport {
-        let (extra_total, extra_max) = path_extras(grid, src, dirs);
-        self.report_with_extras(dirs.len(), extra_total, extra_max, period)
+        self.report(&path_extras(grid, src, dirs), period)
     }
 }
 
-/// The `(total, max)` extra link delay along the path `src` + `dirs`.
+/// The [`PathExtras`] of the path `src` + `dirs`.
 ///
 /// # Panics
 ///
 /// Panics if the path walks off the grid.
-pub fn path_extras(grid: &Grid, src: RouterId, dirs: &[Direction]) -> (SimDuration, SimDuration) {
+pub fn path_extras(grid: &Grid, src: RouterId, dirs: &[Direction]) -> PathExtras {
     walk_path(grid, src, dirs.iter().copied(), |_, _| {})
 }
 
@@ -218,29 +226,25 @@ pub(crate) fn walk_path(
     src: RouterId,
     dirs: impl IntoIterator<Item = Direction>,
     mut visit: impl FnMut(RouterId, Direction),
-) -> (SimDuration, SimDuration) {
-    let mut total = SimDuration::ZERO;
-    let mut max = SimDuration::ZERO;
+) -> PathExtras {
+    let mut path = PathExtras::uniform(0);
     let mut cur = src;
     for dir in dirs {
         visit(cur, dir);
         let extra = grid.link_extra(cur, dir);
-        total += extra;
-        max = max.max(extra);
+        path.hops += 1;
+        path.extra_total += extra;
+        path.extra_max = path.extra_max.max(extra);
         cur = grid
             .neighbor(cur, dir)
             .unwrap_or_else(|| panic!("path leaves the grid at {cur}->{dir}"));
     }
-    (total, max)
+    path
 }
 
 /// The analytical guarantees of one GS connection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuaranteeReport {
-    /// Links the connection traverses.
-    pub hops: usize,
-    /// Channels contending for each link.
-    pub slots: usize,
     /// Offered rate, Mflit/s.
     pub requested_mfps: f64,
     /// Guaranteed bandwidth, Mflit/s (zero when unbounded arbiter).
@@ -249,8 +253,8 @@ pub struct GuaranteeReport {
     pub conforming: bool,
     /// Worst-case per-VC grant spacing (`None` for unbounded arbiters).
     pub service_interval: Option<SimDuration>,
-    /// Worst-case end-to-end latency; `None` when the source does not
-    /// conform or the arbiter gives no bound.
+    /// Worst-case end-to-end latency ([`BoundTerms::total`]); `None` when
+    /// the source does not conform or the arbiter gives no bound.
     pub worst_latency: Option<SimDuration>,
 }
 
@@ -372,23 +376,18 @@ impl GuaranteeAudit {
     }
 }
 
-/// Convenience: the report for a connection on the paper's router.
-pub fn report_for(
-    cfg: &RouterConfig,
-    na: &NaConfig,
-    hops: usize,
-    period: SimDuration,
-) -> GuaranteeReport {
-    ServiceModel::new(cfg, na).report(hops, period)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mango_core::ArbiterKind;
 
     fn model() -> ServiceModel {
-        ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper())
+        ServiceModel::paper()
+    }
+
+    /// A 12 ns flit period on a path of `hops` zero-extra links.
+    fn report(hops: usize) -> GuaranteeReport {
+        model().report(&PathExtras::uniform(hops), SimDuration::from_ns(12))
     }
 
     /// Hand-computed pins for the paper's typical-corner configuration.
@@ -400,33 +399,55 @@ mod tests {
     fn paper_service_model_numbers() {
         let m = model();
         assert_eq!(m.slots, 8);
-        assert_eq!(m.link_cycle.as_ps(), 1258);
-        assert_eq!(m.arb_decision.as_ps(), 250);
-        assert_eq!(m.hop_forward.as_ps(), 950);
-        assert_eq!(m.buffer_advance.as_ps(), 180);
-        assert_eq!(m.vc_loop.as_ps(), 1750);
+        assert_eq!(m.timing.link_cycle.as_ps(), 1258);
+        assert_eq!(m.timing.arb_decision.as_ps(), 250);
+        assert_eq!(m.timing.hop_forward.as_ps(), 950);
+        assert_eq!(m.timing.buffer_advance.as_ps(), 180);
+        assert_eq!(m.timing.vc_loop().as_ps(), 1750);
+        // A lone VC is granted every 250 + 1750 = 2000 ps: the 500.0
+        // Mflit/s Fig. 6 and Sec. 3 measure.
+        assert_eq!(m.timing.lone_vc_spacing(SimDuration::ZERO).as_ps(), 2_000);
         // Fair share: 8 grants × 1258 + 250 = 10314 ps round, above the
-        // 1750 ps VC loop.
+        // lone VC's 2000 ps.
         assert_eq!(m.grant_bound, Some(8));
-        assert_eq!(m.service_interval().unwrap().as_ps(), 10_314);
+        assert_eq!(m.grant_wait().unwrap().as_ps(), 10_064);
+        assert_eq!(m.round().unwrap().as_ps(), 10_314);
+        assert_eq!(
+            m.service_interval(SimDuration::ZERO).unwrap().as_ps(),
+            10_314
+        );
         // Guaranteed bandwidth ≈ 96.96 Mflit/s (1/10314 ps).
-        assert!((m.guaranteed_mfps() - 96.955).abs() < 0.01);
+        assert!((report(1).guaranteed_mfps - 96.955).abs() < 0.01);
     }
 
     #[test]
     fn one_hop_bound_is_hand_computed_sum() {
         // Conforming CBR at 12 ns ≥ 10.314 ns service interval.
-        let r = model().report(1, SimDuration::from_ns(12));
+        let r = report(1);
         assert!(r.conforming);
-        // queue 10314 + inject (0 + 950 + 180) + hop (250 + 8×1258 +
-        // 950 + 180) + consume 0 = 22 888 ps.
+        // queue 10314 + inject (950 + 180) + hop (250 + 8×1258 + 950 +
+        // 180) + consume 0 = 22 888 ps.
         assert_eq!(r.worst_latency.unwrap().as_ps(), 22_888);
+        let terms = model().terms(&PathExtras::uniform(1), SimDuration::from_ns(12));
+        let ps = |d: SimDuration| d.as_ps();
+        let t = terms.expect("a conforming source has a bound");
+        assert_eq!(
+            [
+                t.na_queue,
+                t.injection,
+                t.per_hop,
+                t.extra_total,
+                t.delivery
+            ]
+            .map(ps),
+            [10_314, 1_130, 11_444, 0, 0]
+        );
+        assert_eq!(t.hops, 1);
     }
 
     #[test]
     fn three_hop_bound_adds_two_more_hops() {
-        let one = model().report(1, SimDuration::from_ns(12));
-        let three = model().report(3, SimDuration::from_ns(12));
+        let (one, three) = (report(1), report(3));
         // Each extra hop adds exactly 250 + 8×1258 + 950 + 180 = 11 444 ps.
         assert_eq!(
             three.worst_latency.unwrap().as_ps(),
@@ -438,7 +459,7 @@ mod tests {
     #[test]
     fn non_conforming_source_has_no_bound() {
         // 3 ns per flit (333 Mflit/s) exceeds the ~97 Mflit/s guarantee.
-        let r = model().report(4, SimDuration::from_ns(3));
+        let r = model().report(&PathExtras::uniform(4), SimDuration::from_ns(3));
         assert!(!r.conforming);
         assert_eq!(r.worst_latency, None);
         let mut audit = GuaranteeAudit::default();
@@ -459,9 +480,10 @@ mod tests {
         cfg.arbiter = ArbiterKind::StaticPriority;
         let m = ServiceModel::new(&cfg, &NaConfig::paper());
         assert_eq!(m.grant_bound, None);
-        assert_eq!(m.service_interval(), None);
-        assert_eq!(m.guaranteed_mfps(), 0.0);
-        assert_eq!(m.report(2, SimDuration::from_ns(50)).worst_latency, None);
+        assert_eq!(m.service_interval(SimDuration::ZERO), None);
+        let r = m.report(&PathExtras::uniform(2), SimDuration::from_ns(50));
+        assert_eq!(r.guaranteed_mfps, 0.0);
+        assert_eq!(r.worst_latency, None);
     }
 
     #[test]
@@ -471,20 +493,42 @@ mod tests {
         let m = ServiceModel::new(&cfg, &NaConfig::paper());
         // 4 + 8 = 12 grants worst case.
         assert_eq!(m.grant_bound, Some(12));
-        assert_eq!(m.service_interval().unwrap().as_ps(), 250 + 12 * 1258);
+        assert_eq!(
+            m.service_interval(SimDuration::ZERO).unwrap().as_ps(),
+            250 + 12 * 1258
+        );
     }
 
     #[test]
     fn vc_loop_floors_the_interval_for_tiny_arbitration_rounds() {
-        // A single-GS-VC router: 2 slots, round = 250 + 2×1258 = 2766 ps,
-        // still above the 1750 ps loop; squeeze the cycle to see the
-        // floor bite.
+        // Squeeze the cycle to see the floor bite.
         let mut cfg = RouterConfig::paper();
         cfg.timing.link_cycle = SimDuration::from_ps(100);
         cfg.timing.arb_decision = SimDuration::from_ps(10);
         let m = ServiceModel::new(&cfg, &NaConfig::paper());
-        // Round = 10 + 8×100 = 810 < vc_loop 1750 ⇒ floored.
-        assert_eq!(m.service_interval().unwrap(), m.vc_loop);
+        // Round = 10 + 8×100 = 810 < the lone VC's 10 + 1750 = 1760 ⇒
+        // floored by the spacing the data plane grants a lone VC at.
+        assert_eq!(m.round().unwrap().as_ps(), 810);
+        let floor = m.timing.lone_vc_spacing(SimDuration::ZERO);
+        assert_eq!(floor.as_ps(), 1_760);
+        assert_eq!(m.service_interval(SimDuration::ZERO), Some(floor));
+    }
+
+    /// Sec. 4.4: single-flit-deep buffers + unsharebox are "enough to
+    /// ensure the fair-share scheme to function over a sequence of links"
+    /// with 8 VCs: at both corners the round, not the lone VC's loop,
+    /// sets the interval.
+    #[test]
+    fn depth_one_buffers_sustain_fair_share_of_eight() {
+        for cfg in [RouterConfig::paper(), RouterConfig::paper_worst_case()] {
+            let mut m = ServiceModel::new(&cfg, &NaConfig::paper());
+            let lone = m.timing.lone_vc_spacing(SimDuration::ZERO);
+            assert!(lone < m.round().unwrap(), "{lone} vs {:?}", m.round());
+            assert_eq!(m.service_interval(SimDuration::ZERO), m.round());
+            // And with lots of margin: even a 1/3 share would still work.
+            m.grant_bound = Some(3);
+            assert_eq!(m.service_interval(SimDuration::ZERO), m.round());
+        }
     }
 
     /// An audit of one connection `(0,0) -> (1,0)` per bound, observed
@@ -508,7 +552,7 @@ mod tests {
     /// bound holds, one picosecond more is a violation.
     #[test]
     fn audit_compares_in_integer_picoseconds() {
-        let bound = model().report(1, SimDuration::from_ns(12)).worst_latency;
+        let bound = report(1).worst_latency;
         assert_eq!(bound, Some(SimDuration::from_ps(22_888)));
         let at = audit_of(&[(Some(22_888), Some(22_888))]);
         assert_eq!(at.violations(), 0);
@@ -556,50 +600,60 @@ mod tests {
         );
     }
 
+    /// Along a path of zero-extra links, `report_along` is the report of
+    /// the uniform path of the same length.
     #[test]
     fn zero_extras_reduce_to_the_homogeneous_report() {
-        let m = model();
+        let (m, grid) = (model(), Grid::new(15, 1));
         for hops in [1, 3, 7, 14] {
+            let dirs = vec![Direction::East; hops];
+            let period = SimDuration::from_ns(12);
             assert_eq!(
-                m.report_with_extras(
-                    hops,
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                    SimDuration::from_ns(12)
-                ),
-                m.report(hops, SimDuration::from_ns(12)),
+                m.report_along(&grid, RouterId::new(0, 0), &dirs, period),
+                m.report(&PathExtras::uniform(hops), period),
             );
         }
     }
 
-    /// The canonical 2 ns D2D extra stretches the VC loop to 1750 +
-    /// 2×2000 = 5750 ps — still under the 10 314 ps fair-share round, so
-    /// bandwidth is unchanged and the bound grows by exactly the summed
-    /// forward extras.
+    /// The canonical 2 ns D2D extra stretches the lone VC's spacing to
+    /// 250 + 1750 + 2×2000 = 6000 ps — still under the 10 314 ps
+    /// fair-share round, so bandwidth is unchanged and the bound grows by
+    /// exactly the summed forward extras.
     #[test]
     fn d2d_extras_add_forward_latency_without_costing_bandwidth() {
-        let m = model();
         let d2d = SimDuration::from_ns(2);
         // 3 hops, two of them die crossings.
-        let r = m.report_with_extras(3, d2d * 2, d2d, SimDuration::from_ns(12));
+        let path = PathExtras {
+            hops: 3,
+            extra_total: d2d * 2,
+            extra_max: d2d,
+        };
+        let r = model().report(&path, SimDuration::from_ns(12));
         assert!(r.conforming);
         assert_eq!(r.service_interval.unwrap().as_ps(), 10_314);
         assert_eq!(r.worst_latency.unwrap().as_ps(), 45_776 + 4_000);
     }
 
     /// A slow enough link drags the service interval itself: the VC loop
-    /// closes over the link and back, so 5 ns of extra wire means 1750 +
-    /// 2×5000 = 11 750 ps between grants — the bandwidth bottleneck.
+    /// closes over the link and back, so 5 ns of extra wire means
+    /// 250 + 1750 + 2×5000 = 12 000 ps between grants — the bandwidth
+    /// bottleneck, and the spacing Sec. 3's lone VC measures
+    /// (83.3 Mflit/s).
     #[test]
     fn slow_links_throttle_the_service_interval() {
         let m = model();
         let slow = SimDuration::from_ns(5);
-        let r = m.report_with_extras(2, slow, slow, SimDuration::from_ns(12));
-        assert_eq!(r.service_interval.unwrap().as_ps(), 11_750);
-        assert!(r.conforming, "12 ns period still fits 11.75 ns interval");
-        assert!(r.guaranteed_mfps < m.guaranteed_mfps());
+        let path = PathExtras {
+            hops: 2,
+            extra_total: slow,
+            extra_max: slow,
+        };
+        let r = m.report(&path, SimDuration::from_ns(12));
+        assert_eq!(r.service_interval.unwrap().as_ps(), 12_000);
+        assert!(r.conforming, "a 12 ns period fits the 12 ns interval");
+        assert!(r.guaranteed_mfps < report(2).guaranteed_mfps);
         // And a period inside the stretched interval stops conforming.
-        let r = m.report_with_extras(2, slow, slow, SimDuration::from_ns(11));
+        let r = m.report(&path, SimDuration::from_ps(11_999));
         assert!(!r.conforming);
         assert_eq!(r.worst_latency, None);
     }
@@ -612,27 +666,25 @@ mod tests {
         // (1,0) -E-> (2,0) crosses the die seam; (2,0) -E-> (3,0) does not.
         let dirs = [Direction::East, Direction::East];
         let along = m.report_along(&g, RouterId::new(1, 0), &dirs, SimDuration::from_ns(12));
-        let manual = m.report_with_extras(
-            2,
-            mango_net::d2d_extra_default(),
-            mango_net::d2d_extra_default(),
-            SimDuration::from_ns(12),
-        );
-        assert_eq!(along, manual);
-        let (total, max) = path_extras(&g, RouterId::new(1, 0), &dirs);
-        assert_eq!(total, mango_net::d2d_extra_default());
-        assert_eq!(max, mango_net::d2d_extra_default());
+        let d2d = mango_net::d2d_extra_default();
+        let path = PathExtras {
+            hops: 2,
+            extra_total: d2d,
+            extra_max: d2d,
+        };
+        assert_eq!(along, m.report(&path, SimDuration::from_ns(12)));
+        assert_eq!(path_extras(&g, RouterId::new(1, 0), &dirs), path);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The lean bound the admission dry runs read is the report's
-        /// bound and the stage sum written out by hand, for every arbiter
-        /// (fair share, ALG with age bounds 0..8, static priority), path
-        /// length and pair of extras, at periods just below, at and above
-        /// the path's stretched service interval — so both the
-        /// conforming and the `None` side occur.
+        /// The terms' total is the report's bound and the stage sum
+        /// written out by hand, for every arbiter (fair share, ALG with
+        /// age bounds 0..8, static priority), path length and pair of
+        /// extras, at periods just below, at and above the path's
+        /// stretched service interval — so both the conforming and the
+        /// `None` side occur.
         #[test]
         fn worst_latency_equals_the_reports_bound(
             arbiter in 0u32..11,
@@ -648,24 +700,28 @@ mod tests {
                 age => ArbiterKind::Alg { age_bound: age - 2 },
             };
             let m = ServiceModel::new(&cfg, &NaConfig::paper());
-            let total = SimDuration::from_ps(extra_total_ps);
-            let max = SimDuration::from_ps(extra_max_ps);
-            let interval = m.service_interval_with_extra(max);
+            let path = PathExtras {
+                hops,
+                extra_total: SimDuration::from_ps(extra_total_ps),
+                extra_max: SimDuration::from_ps(extra_max_ps),
+            };
+            let interval = m.service_interval(path.extra_max);
             let pivot = interval.map_or(12_000, SimDuration::as_ps);
             for period_ps in [pivot.saturating_sub(delta_ps + 1), pivot, pivot + delta_ps] {
                 let period = SimDuration::from_ps(period_ps);
-                let report = m.report_with_extras(hops, total, max, period);
-                let lean = m.worst_latency(hops, total, max, period);
+                let report = m.report(&path, period);
+                let lean = m.terms(&path, period).map(|t| t.total());
+                let t = &m.timing;
                 let by_hand = m
                     .grant_bound
                     .zip(interval)
                     .filter(|&(_, interval)| period >= interval)
                     .map(|(grants, interval)| {
                         let per_hop =
-                            m.arb_decision + m.link_cycle * grants + m.hop_forward + m.buffer_advance;
-                        interval + m.hop_forward + m.buffer_advance
+                            t.arb_decision + t.link_cycle * grants + t.hop_forward + t.buffer_advance;
+                        interval + t.hop_forward + t.buffer_advance
                             + per_hop * hops as u64
-                            + total
+                            + path.extra_total
                             + m.consume_delay
                     });
                 proptest::prop_assert_eq!(lean, report.worst_latency);

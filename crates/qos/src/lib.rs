@@ -91,7 +91,7 @@ pub use admission::{
     TrialCommit,
 };
 pub use bound::{
-    path_extras, report_for, AuditEntry, GuaranteeAudit, GuaranteeReport, ServiceModel,
+    path_extras, AuditEntry, BoundTerms, GuaranteeAudit, GuaranteeReport, PathExtras, ServiceModel,
 };
 pub use churn::{ChurnMetrics, ChurnSpec, ConnOutcome};
 pub use driver::{ControlPlane, Lifecycle, MAX_GS_FRAC};

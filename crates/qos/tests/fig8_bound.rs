@@ -4,17 +4,16 @@
 //! that is the claim "service guarantees" makes, and the reason BE
 //! load cannot perturb GS in Fig. 8.
 
-use mango_core::{RouterConfig, RouterId};
-use mango_net::{EmitWindow, GsFlowSpec, NaConfig, Phase, ScenarioSpec, TemporalSpec, TrafficSpec};
+use mango_core::RouterId;
+use mango_net::{EmitWindow, GsFlowSpec, Phase, ScenarioSpec, TemporalSpec, TrafficSpec};
 use mango_qos::driver::run_audited;
-use mango_qos::{GuaranteeAudit, GuaranteeReport, ServiceModel};
+use mango_qos::{GuaranteeAudit, GuaranteeReport, PathExtras, ServiceModel};
 use mango_sim::SimDuration;
 
 /// The bound of the Fig. 8 stream: 6 hops, conforming CBR (12 ns ≥
 /// 10.314 ns service interval).
 fn report() -> GuaranteeReport {
-    let model = ServiceModel::new(&RouterConfig::paper(), &NaConfig::paper());
-    model.report(6, SimDuration::from_ns(12))
+    ServiceModel::paper().report(&PathExtras::uniform(6), SimDuration::from_ns(12))
 }
 
 /// The Fig. 8 setup: one GS stream (0,0)→(3,3) at 12 ns per flit, BE

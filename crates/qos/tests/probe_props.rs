@@ -6,8 +6,8 @@
 //! controller later refuses — the failure mode this suite pins down.
 
 use mango_core::{Direction, RouterId};
-use mango_net::{Grid, NaConfig, TopologySpec};
-use mango_qos::{Admission, AdmissionController, BudgetSnapshot, ConnRequest};
+use mango_net::{ConnError, ConnectionManager, Grid, NaConfig, RelayTable, TopologySpec};
+use mango_qos::{Admission, AdmissionController, BudgetSnapshot, ConnRequest, PathExtras};
 use mango_sim::SimDuration;
 use proptest::prelude::*;
 
@@ -255,8 +255,8 @@ proptest! {
         // The bound carries exactly the detour's D2D extras — at least
         // the one seam any path along a row of the chiplet grid crosses.
         let extra = adm.report.worst_latency.expect("conforming")
-            - plain.model().report(5, across.period).worst_latency.expect("conforming");
-        prop_assert_eq!(extra, mango_qos::path_extras(&grid, adm.src, &adm.dirs).0);
+            - plain.model().report(&PathExtras::uniform(5), across.period).worst_latency.expect("conforming");
+        prop_assert_eq!(extra, mango_qos::path_extras(&grid, adm.src, &adm.dirs).extra_total);
         prop_assert_eq!(extra >= mango_net::d2d_extra_default(), chiplet);
 
         for (at, dir) in failed {
@@ -364,7 +364,10 @@ proptest! {
     /// period grants exactly `route_avoiding`'s path, or both refuse;
     /// the path is the XY route when every XY link is up; otherwise it
     /// is a simple path over up links to the destination, no longer
-    /// than the flood-fill distance.
+    /// than the flood-fill distance. The connection manager opens that
+    /// path and books only up links, or — links fail one direction at a
+    /// time — finds no route for a programming packet or an ack and
+    /// books nothing.
     #[test]
     fn admission_and_the_data_plane_pick_the_same_detour(
         topology in 0u8..3,
@@ -410,6 +413,19 @@ proptest! {
                     }
                 };
                 prop_assert!(adm.dirs == dirs, "{} -> {}: admission {:?}, data plane {:?}", src, dst, adm.dirs, dirs);
+                let mut conns = ConnectionManager::new(&grid, 7, 4);
+                match conns.open_along(&grid, &mut RelayTable::new(), src, dst, &dirs) {
+                    Ok(plan) => {
+                        let booked = conns.get(plan.id).expect("an open books a record");
+                        let mut at = src;
+                        for &dir in &booked.dirs {
+                            prop_assert!(grid.link_up(at, dir), "{} -> {} books {}->{}", src, dst, at, dir);
+                            at = grid.neighbor(at, dir).expect("the booked path stays on the grid");
+                        }
+                    }
+                    Err(ConnError::Route(_)) => prop_assert!(conns.nothing_reserved()),
+                    Err(e) => return Err(TestCaseError::fail(format!("{src} -> {dst} along {dirs:?}: {e}"))),
+                }
                 let xy = xy_dirs(&grid, src, dst);
                 let mut cur = src;
                 let xy_up = xy.iter().all(|&dir| {

@@ -182,7 +182,7 @@ fn force_close_returns_budgets_and_quarantines() {
 #[test]
 fn cross_chiplet_connection_reroutes_around_a_dead_boundary_link() {
     use mango::net::{d2d_extra_default, TopologySpec};
-    use mango::qos::{report_for, RejectReason};
+    use mango::qos::{PathExtras, RejectReason, ServiceModel};
 
     // 2×1 chiplets of 2×2 nodes: a 4×2 package whose single x-seam
     // between columns 1|2 is crossed by exactly two eastward links.
@@ -199,7 +199,7 @@ fn cross_chiplet_connection_reroutes_around_a_dead_boundary_link() {
         dst: RouterId::new(3, 0),
         period,
     };
-    let flat = |hops| report_for(&RouterConfig::paper(), &NaConfig::paper(), hops, period);
+    let flat = |hops| ServiceModel::paper().report(&PathExtras::uniform(hops), period);
     let d2d = d2d_extra_default();
 
     let adm = ctl.request(&req).expect("pristine package admits");

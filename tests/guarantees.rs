@@ -4,9 +4,11 @@
 //! full contention and their redistribution are claims of
 //! `repro_paper` (`mango_bench::paper`).
 
-use mango::core::RouterId;
+use mango::core::{ArbiterKind, Direction, RouterConfig, RouterId};
 use mango::net::{EmitWindow, Grid, NaConfig, Network, NocSim, TemporalSpec};
+use mango::qos::ServiceModel;
 use mango::sim::{SimDuration, SimTime};
+use proptest::prelude::*;
 
 /// Latency grows linearly with hop count (constant per-hop forwarding —
 /// the non-blocking switch at work).
@@ -228,4 +230,136 @@ fn heterogeneous_link_delay_adds_exactly_per_crossing() {
         (fast2 - fast0).abs() < 0.01,
         "unrelated path shifted: {fast0:.3} -> {fast2:.3}"
     );
+}
+
+/// The tagged connection of the two tests below, `(0,0) -> (2,0)`: two
+/// links east on an 8×1 line.
+const TAGGED: (RouterId, RouterId, [Direction; 2]) = (
+    RouterId::new(0, 0),
+    RouterId::new(2, 0),
+    [Direction::East; 2],
+);
+
+/// The tagged flow's worst latency and its backlog (flits emitted and
+/// not yet delivered), checked against `bound` at `period`: no delivered
+/// flit took longer than the bound, and no more flits are outstanding
+/// than the bound's window of emissions holds, so none still queued has
+/// outlived it either.
+fn check_bound(sim: &NocSim, flow: u32, bound: SimDuration, period: SimDuration) -> String {
+    let s = sim.flow(flow);
+    let max = s.latency.max().expect("the tagged flow delivered");
+    let outstanding = s.injected - s.delivered;
+    let window = bound.as_ps() / period.as_ps() + 1;
+    if max <= bound && outstanding <= window {
+        return String::new();
+    }
+    format!("max {max} vs bound {bound}, {outstanding} flits outstanding vs {window}")
+}
+
+/// Sec. 3's pipelined links: with 5 ns of extra delay on every link the
+/// lone VC's loop (250 + 1750 + 2×5000 ps), not the 10.3 ns fair-share
+/// round, sets the service interval. A connection sending at exactly
+/// that interval, with no contender, stays within its bound however
+/// long it runs.
+#[test]
+fn a_connection_at_its_interval_holds_its_bound_on_slow_links() {
+    let extra = SimDuration::from_ns(5);
+    let mut grid = Grid::new(8, 1);
+    grid.set_default_link_extra(extra);
+    let model = ServiceModel::paper();
+    let interval = model
+        .service_interval(extra)
+        .expect("fair share is bounded");
+    assert_eq!(interval, SimDuration::from_ps(12_000));
+    let (src, dst, dirs) = TAGGED;
+    let report = model.report_along(&grid, src, &dirs, interval);
+    let bound = report
+        .worst_latency
+        .expect("a source at its interval conforms");
+    let net = Network::new(grid, RouterConfig::paper(), NaConfig::paper());
+    let mut sim = NocSim::new(net, 61);
+    let conn = sim.open_connection(src, dst).unwrap();
+    sim.wait_connections_settled().unwrap();
+    sim.begin_measurement();
+    let cbr = TemporalSpec::cbr(interval);
+    let flow = sim.add_gs_source(conn, cbr, "at-interval", EmitWindow::default());
+    for run_us in [10, 30] {
+        sim.run_for(SimDuration::from_us(run_us));
+        let broken = check_bound(&sim, flow, bound, interval);
+        assert!(broken.is_empty(), "after {run_us} more us: {broken}");
+    }
+}
+
+proptest! {
+    // Each case simulates 12 us of an 8x1 line: 64 cases take about
+    // 0.7 s of a debug build.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bound holds over the timing space, not only at the paper's
+    /// corner: for random stage delays, a uniform link extra, the
+    /// fair-share or an ALG arbiter, and a tagged connection alone or
+    /// among six backlogged contenders on the funnel's head link (opened
+    /// first or last, started at any phase of its interval), a tagged
+    /// connection sending at exactly its service interval stays within
+    /// its bound at two run lengths.
+    #[test]
+    fn the_bound_holds_over_the_timing_space(
+        link_cycle in 400u64..3_000,
+        hop_forward in 100u64..3_000,
+        buffer_advance in 50u64..1_000,
+        unlock_path in 100u64..3_000,
+        arb_decision in 50u64..1_000,
+        extra in 0u64..9_000,
+        arbiter in 0usize..4,
+        contended in any::<bool>(),
+        tagged_last in any::<bool>(),
+        phase_ppm in 0u64..1_000_000,
+    ) {
+        let mut cfg = RouterConfig::paper();
+        let t = &mut cfg.timing;
+        t.link_cycle = SimDuration::from_ps(link_cycle);
+        t.hop_forward = SimDuration::from_ps(hop_forward);
+        t.buffer_advance = SimDuration::from_ps(buffer_advance);
+        t.unlock_path = SimDuration::from_ps(unlock_path);
+        t.arb_decision = SimDuration::from_ps(arb_decision);
+        cfg.arbiter = match arbiter {
+            0 => ArbiterKind::FairShare,
+            age => ArbiterKind::Alg { age_bound: [1, 4, 7][age - 1] },
+        };
+        let extra = SimDuration::from_ps(extra);
+        let mut grid = Grid::new(8, 1);
+        grid.set_default_link_extra(extra);
+        let model = ServiceModel::new(&cfg, &NaConfig::paper());
+        let interval = model.service_interval(extra).expect("both arbiters are bounded");
+        let (src, dst, dirs) = TAGGED;
+        let bound = model
+            .report_along(&grid, src, &dirs, interval)
+            .worst_latency
+            .expect("a source at its interval conforms");
+
+        let mut sim = NocSim::new(Network::new(grid, cfg, NaConfig::paper()), 67);
+        // The funnel's other six pairs, all across link (1,0)->East.
+        let contenders = [(0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (1, 3)]
+            .map(|(sx, dx)| (RouterId::new(sx, 0), RouterId::new(dx, 0)));
+        let mut open = |(from, to)| sim.open_connection(from, to).expect("the funnel's VCs are free");
+        let tagged_first = (!tagged_last).then(|| open((src, dst)));
+        let others: Vec<_> = if contended { contenders.map(&mut open).to_vec() } else { Vec::new() };
+        let tagged = tagged_first.unwrap_or_else(|| open((src, dst)));
+        sim.wait_connections_settled().unwrap();
+        // Backlogged: each offered a flit per two link cycles, far above
+        // its share of the head link.
+        let flood = TemporalSpec::cbr(SimDuration::from_ps(link_cycle * 2));
+        for (i, &conn) in others.iter().enumerate() {
+            sim.add_gs_source(conn, flood, format!("contender-{i}"), EmitWindow::default());
+        }
+        sim.begin_measurement();
+        let phase = SimDuration::from_ps(interval.as_ps() * phase_ppm / 1_000_000);
+        let window = EmitWindow { start_after: Some(phase), ..Default::default() };
+        let flow = sim.add_gs_source(tagged, TemporalSpec::cbr(interval), "tagged", window);
+        for run_us in [4, 8] {
+            sim.run_for(SimDuration::from_us(run_us));
+            let broken = check_bound(&sim, flow, bound, interval);
+            prop_assert!(broken.is_empty(), "after {} more us, interval {}: {}", run_us, interval, broken);
+        }
+    }
 }
