@@ -90,4 +90,4 @@ pub use sim::{EmitWindow, NocSim};
 pub use stats::{FlowStats, LatencyRecorder, NetStats};
 pub use telemetry::{TelemetryConfig, TelemetrySink, TelemetryState, EPOCH_COLUMNS};
 pub use topology::{d2d_extra_default, Grid, TopologySpec};
-pub use traffic::{PatternKind, Source, SourceKind, SpatialPattern, TemporalSpec};
+pub use traffic::{PatternKind, SpatialPattern, TemporalSpec};

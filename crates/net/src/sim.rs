@@ -17,7 +17,8 @@ use mango_telemetry::TelemetryReport;
 /// Emission bounds for a traffic source.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EmitWindow {
-    /// Delay before the first emission (from the current time).
+    /// Delay from now to the source's start, where its process begins
+    /// ([`TemporalSpec::first_gap`]).
     pub start_after: Option<SimDuration>,
     /// Stop emitting at this absolute time.
     pub stop_at: Option<SimTime>,
@@ -227,9 +228,9 @@ impl NocSim {
 
     /// Opens a GS connection from `src` to `dst`: reserves the VC
     /// sequence, programs the source router directly, and launches config
-    /// packets to the remaining routers. The connection is usable once
-    /// [`NocSim::connection_state`] reports [`ConnState::Open`] (drive the
-    /// simulation with [`NocSim::wait_connections_settled`]).
+    /// packets to the remaining routers. The connection is `Open` at the
+    /// instant its last programming ack arrives, which is where
+    /// [`NocSim::wait_connections_settled`] returns.
     ///
     /// # Errors
     ///
@@ -345,28 +346,29 @@ impl NocSim {
         self.network().connections().state(id)
     }
 
-    /// Drives the simulation until every connection is `Open`/`Closed`.
+    /// Runs until every connection is `Open`/`Closed`, halting on each
+    /// ack's notice ([`NocSim::run_until_notice`]), so it returns at the
+    /// instant of the last programming ack.
     ///
     /// # Errors
     ///
-    /// Fails if programming traffic stalls (returns the offending
-    /// outcome).
+    /// Fails if programming traffic stalls, if the queue drains with a
+    /// connection unsettled, or at a 10 ms deadline: a programming packet
+    /// lost to a fault posts no ack, and a running source keeps the
+    /// queue alive.
     pub fn wait_connections_settled(&mut self) -> Result<(), String> {
-        for _ in 0..10_000 {
-            if self.network().connections().all_settled() {
-                return Ok(());
-            }
-            let outcome = self.kernel.run_for(SimDuration::from_us(1));
-            if matches!(outcome, RunOutcome::Stalled) {
-                return Err("programming traffic stalled (deadlock?)".into());
-            }
-            if matches!(outcome, RunOutcome::Quiescent)
-                && !self.network().connections().all_settled()
-            {
-                return Err("simulation drained but connections never settled".into());
-            }
+        let deadline = self.now() + SimDuration::from_us(10_000);
+        while !self.network().connections().all_settled() {
+            let err = match self.run_until_notice(deadline) {
+                RunOutcome::Stalled => "programming traffic stalled (deadlock?)",
+                _ if self.network().connections().all_settled() => break,
+                RunOutcome::Quiescent => "simulation drained but connections never settled",
+                _ if self.now() < deadline => continue,
+                RunOutcome::HorizonReached => "connections did not settle within 10 ms",
+            };
+            return Err(err.into());
         }
-        Err("connections did not settle within 10 ms".into())
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -402,10 +404,8 @@ impl NocSim {
             .network()
             .connections()
             .get(conn)
-            .expect("state checked")
-            .clone();
+            .expect("state checked");
         let kind = SourceKind::Gs {
-            conn,
             router: record.src,
             iface: record.tx_iface,
         };
@@ -464,7 +464,7 @@ impl NocSim {
     }
 
     /// Registers a source emitting `kind` under a fresh flow and RNG
-    /// stream, and schedules its first tick; returns the flow id.
+    /// stream, and schedules its first emission; returns the flow id.
     fn attach_source(
         &mut self,
         kind: SourceKind,
@@ -472,24 +472,22 @@ impl NocSim {
         name: impl Into<String>,
         window: EmitWindow,
     ) -> u32 {
-        let rng = self.fork_rng();
-        let now = self.kernel.now();
+        let mut rng = self.fork_rng();
+        let first = window.start_after.unwrap_or(SimDuration::ZERO) + pattern.first_gap(&mut rng);
         let net = self.kernel.model_mut();
         let flow = net.stats_mut().register_flow(name);
-        let start = now + window.start_after.unwrap_or(SimDuration::ZERO);
-        let idx = net.add_source(Source {
+        let idx = net.sources.len();
+        net.sources.push(Source {
             kind,
             pattern,
             flow,
-            start,
             stop: window.stop_at,
             limit: window.limit,
             emitted: 0,
             rng,
             done: false,
         });
-        self.kernel
-            .schedule(start.since(now), NetEvent::SourceTick { idx });
+        self.kernel.schedule(first, NetEvent::SourceTick { idx });
         flow
     }
 
@@ -584,6 +582,103 @@ mod tests {
             .map(|r| r.stats().prog_errors)
             .sum();
         assert_eq!(errors, 0);
+    }
+
+    /// Set-up ends at the last programming ack, not on a step boundary.
+    #[test]
+    fn settling_returns_at_the_last_ack() {
+        let mut sim = NocSim::paper_mesh(4, 4, 1);
+        let ids = [
+            sim.open_connection(RouterId::new(0, 0), RouterId::new(3, 3)),
+            sim.open_connection(RouterId::new(3, 0), RouterId::new(0, 2)),
+        ]
+        .map(Result::unwrap);
+        sim.wait_connections_settled().unwrap();
+        let last_ack = ids
+            .iter()
+            .filter_map(|&id| sim.network().connections().get(id)?.opened_at)
+            .max();
+        assert_eq!(Some(sim.now()), last_ack);
+        let grid = SimDuration::from_us(1).as_ps();
+        assert_ne!(sim.now().as_ps() % grid, 0, "on the 1 µs grid");
+    }
+
+    /// A programming packet lost to a fault posts no ack, and a running
+    /// source keeps the queue from draining: the deadline ends the wait.
+    #[test]
+    fn a_lost_programming_packet_ends_the_wait_at_its_deadline() {
+        let mut sim = NocSim::paper_mesh(4, 3, 1);
+        let id = sim
+            .open_connection(RouterId::new(0, 0), RouterId::new(3, 0))
+            .unwrap();
+        // A remote hop dies before its config packet reaches it.
+        let hop = RouterId::new(2, 0);
+        sim.install_faults(
+            FaultSchedule::new(1).with(SimTime::ZERO, crate::FaultKind::RouterDown { id: hop }),
+        );
+        sim.add_be_source(
+            RouterId::new(0, 2),
+            vec![RouterId::new(1, 2)],
+            1,
+            TemporalSpec::cbr(SimDuration::from_us(1)),
+            "keep-alive",
+            EmitWindow::default(),
+        );
+        let deadline = sim.now() + SimDuration::from_us(10_000);
+        let err = sim.wait_connections_settled().unwrap_err();
+        assert!(err.contains("10 ms"), "{err}");
+        assert_eq!(sim.now(), deadline);
+        assert_eq!(sim.connection_state(id), Some(ConnState::Opening));
+    }
+
+    /// A Poisson source's first emission is its process's first arrival,
+    /// one drawn gap after its start; a CBR source emits at its start.
+    #[test]
+    fn a_poisson_source_starts_one_drawn_gap_after_its_start() {
+        let mut sim = NocSim::paper_mesh(8, 8, 3);
+        sim.run_for(SimDuration::from_ns(250));
+        let start = sim.now();
+        let mean = SimDuration::from_us(1);
+        let once = EmitWindow {
+            limit: Some(1),
+            ..Default::default()
+        };
+        let nodes: Vec<RouterId> = sim.network().grid().ids().collect();
+        for &src in &nodes {
+            let poisson = TemporalSpec::poisson(mean);
+            sim.add_traffic_source(src, SpatialPattern::UniformRandom, 1, poisson, "p", once);
+        }
+        let cbr = TemporalSpec::cbr(mean);
+        let cbr = sim.add_be_source(nodes[0], vec![nodes[1]], 1, cbr, "cbr", once);
+        sim.run_for(SimDuration::ZERO);
+        assert_eq!(sim.flow(cbr).injected, 1, "CBR emits at its start");
+
+        // Each Poisson source's first emission, to the nanosecond.
+        let mut first = vec![None; nodes.len()];
+        for _ in 0..100_000 {
+            for (f, s) in first.iter_mut().zip(&sim.network().sources) {
+                if f.is_none() && s.emitted == 1 {
+                    *f = Some(sim.now().since(start).as_ps() as f64);
+                }
+            }
+            if first.iter().all(Option::is_some) {
+                break;
+            }
+            sim.run_for(SimDuration::from_ns(1));
+        }
+        let first: Vec<f64> = first.into_iter().map(Option::unwrap).collect();
+        assert!(
+            first.iter().all(|&t| t > 0.0),
+            "emitted at start: {first:?}"
+        );
+        // The mean of 64 exponential gaps has a standard error of mean/8;
+        // allow three of them.
+        let observed = first.iter().sum::<f64>() / first.len() as f64;
+        let mean = mean.as_ps() as f64;
+        assert!(
+            (observed - mean).abs() < 3.0 * mean / 8.0,
+            "mean first gap {observed} ps, process mean {mean} ps"
+        );
     }
 
     #[test]

@@ -24,10 +24,14 @@
 //! exactly one `gen_range(N-1)` per emission — the same draw sequence as
 //! the historical "materialize all-but-self and `choose`" code path, so
 //! recorded experiment outputs survive the redesign byte for byte.
+//!
+//! A Poisson source also draws its gaps from that stream: one when it
+//! is attached ([`TemporalSpec::first_gap`]), before any pick, and one
+//! after each emission; a CBR source draws none.
 
 use crate::network::{NetEvent, Network};
 use crate::topology::Grid;
-use mango_core::{ConnectionId, Flit, FlitMeta, RouterId};
+use mango_core::{Flit, FlitMeta, RouterId};
 use mango_sim::{Ctx, SimDuration, SimRng, SimTime};
 
 // ---------------------------------------------------------------------
@@ -58,6 +62,16 @@ impl TemporalSpec {
     /// A Poisson pattern with the given mean gap.
     pub fn poisson(mean: SimDuration) -> Self {
         TemporalSpec::Poisson { mean }
+    }
+
+    /// The wait from a source's `start` to its first emission: a Poisson
+    /// process's first arrival is one gap after it starts (one draw from
+    /// `rng`), while a CBR source emits at `start`, its phase.
+    pub fn first_gap(&self, rng: &mut SimRng) -> SimDuration {
+        match self {
+            TemporalSpec::Cbr { .. } => SimDuration::ZERO,
+            TemporalSpec::Poisson { .. } => self.next_gap(rng),
+        }
     }
 
     /// The gap to wait after the current emission.
@@ -385,11 +399,9 @@ impl std::fmt::Display for PatternKind {
 
 /// What a source emits.
 #[derive(Debug, Clone)]
-pub enum SourceKind {
+pub(crate) enum SourceKind {
     /// Header-less GS flits on an open connection.
     Gs {
-        /// The connection to stream on.
-        conn: ConnectionId,
         /// Source router (resolved from the connection at add time).
         router: RouterId,
         /// NA TX interface (resolved from the connection).
@@ -409,15 +421,13 @@ pub enum SourceKind {
 
 /// A traffic source driving one flow.
 #[derive(Debug, Clone)]
-pub struct Source {
+pub(crate) struct Source {
     /// What to emit.
     pub kind: SourceKind,
     /// When to emit.
     pub pattern: TemporalSpec,
     /// Flow id in the statistics registry.
     pub flow: u32,
-    /// First emission time.
-    pub start: SimTime,
     /// No emissions at or after this time.
     pub stop: Option<SimTime>,
     /// Maximum emissions.
@@ -431,10 +441,10 @@ pub struct Source {
 }
 
 impl Source {
-    /// True if the source may emit at `now`.
+    /// True if the source may emit at `now` (its first tick is its first
+    /// emission, so no tick comes before its start).
     pub fn may_emit(&self, now: SimTime) -> bool {
         !self.done
-            && now >= self.start
             && self.stop.is_none_or(|s| now < s)
             && self.limit.is_none_or(|l| self.emitted < l)
     }
@@ -459,17 +469,6 @@ impl Source {
 }
 
 impl Network {
-    /// Registers a traffic source; returns its index for `SourceTick`.
-    pub fn add_source(&mut self, source: Source) -> usize {
-        self.sources.push(source);
-        self.sources.len() - 1
-    }
-
-    /// The source table.
-    pub fn sources(&self) -> &[Source] {
-        &self.sources
-    }
-
     /// Silences every traffic source feeding `flow` (recovery: stop
     /// streaming into a broken connection before tearing it down).
     pub fn stop_sources_of_flow(&mut self, flow: u32) {
@@ -483,8 +482,8 @@ impl Network {
     /// One source tick: emit (a GS flit into the NA queue, or a BE
     /// packet) if the source may, then schedule the next tick. A tick
     /// throttled by stop/limit, or one whose spatial pattern yields no
-    /// destination, skips the emission but keeps the cadence (start
-    /// gating is handled at add time).
+    /// destination, skips the emission but keeps the cadence (the first
+    /// tick is scheduled at `start` plus [`TemporalSpec::first_gap`]).
     pub(crate) fn on_source_tick(&mut self, idx: usize, ctx: &mut Ctx<NetEvent>) {
         let now = ctx.now();
         if self.sources[idx].may_emit(now) {
@@ -569,7 +568,6 @@ mod tests {
             },
             pattern: TemporalSpec::cbr(SimDuration::from_ns(1)),
             flow: 0,
-            start: SimTime::from_ns(10),
             stop: Some(SimTime::from_ns(20)),
             limit: Some(3),
             emitted: 0,
@@ -581,7 +579,6 @@ mod tests {
     #[test]
     fn source_bounds_enforced() {
         let mut s = be_source(SpatialPattern::FixedPool(vec![RouterId::new(1, 0)]));
-        assert!(!s.may_emit(SimTime::from_ns(5)), "before start");
         assert!(s.may_emit(SimTime::from_ns(10)));
         assert!(!s.may_emit(SimTime::from_ns(20)), "at stop");
         s.emitted = 3;
@@ -594,7 +591,6 @@ mod tests {
     fn schedule_next_respects_stop() {
         let mut s = be_source(SpatialPattern::FixedPool(vec![RouterId::new(1, 0)]));
         s.pattern = TemporalSpec::cbr(SimDuration::from_ns(8));
-        s.start = SimTime::ZERO;
         s.stop = Some(SimTime::from_ns(10));
         s.limit = None;
         s.emitted = 1;

@@ -1,6 +1,7 @@
 //! Trajectory oracle: digests of complete flit trajectories, recorded on
-//! the commit *before* the handshake events went lazy and byte-identical
-//! ever since.
+//! the commit *before* the handshake events went lazy and re-recorded
+//! once since, when set-up came to end at the last ack and a Poisson
+//! source to start one drawn gap after its start.
 //!
 //! Each scenario runs with `trace_flits` telemetry, so the Chrome trace
 //! holds one span per delivered flit / packet — `(flow, seq,
@@ -34,7 +35,7 @@ use crate::{
     TrafficSpec,
 };
 use mango_core::{ConnectionId, RouterConfig, RouterId};
-use mango_sim::{RunOutcome, SimDuration, SimTime};
+use mango_sim::{RunOutcome, SimDuration};
 use proptest::prelude::*;
 
 /// FNV-1a, 64 bit.
@@ -96,10 +97,6 @@ fn trajectory(sim: &mut NocSim) -> (usize, u64, u64, String) {
 /// 4×4 mesh, time-bounded and run until the queue drains.
 #[test]
 fn fabric_4x4_gs_over_poisson_be() {
-    let bounded = EmitWindow {
-        stop_at: Some(SimTime::from_us(6)),
-        ..Default::default()
-    };
     let mut spec = ScenarioSpec::mesh(4, 4, 0x7A1)
         .warmup(SimDuration::from_ns(300))
         .measure_to_quiescence()
@@ -109,7 +106,6 @@ fn fabric_4x4_gs_over_poisson_be() {
                 TemporalSpec::poisson(SimDuration::from_ns(90)),
             )
             .payload(4)
-            .window(bounded)
             .named("bg-"),
         );
     for (src, dst, ns) in [
@@ -118,7 +114,17 @@ fn fabric_4x4_gs_over_poisson_be() {
         (at(1, 3), at(2, 0), 5),
     ] {
         spec = spec.gs(src, dst, cbr(ns));
-        spec.gs.last_mut().expect("just pushed").window = bounded;
+    }
+    // Every source stops 5 µs after set-up ends: preparing attaches
+    // sources but runs nothing after the last ack.
+    let settled = spec.prepare().sim().now();
+    let bounded = EmitWindow {
+        stop_at: Some(settled + SimDuration::from_us(5)),
+        ..Default::default()
+    };
+    spec.traffic[0].window = bounded;
+    for g in &mut spec.gs {
+        g.window = bounded;
     }
     let mut prepared = spec.prepare();
     trace_everything(prepared.sim_mut());
@@ -126,7 +132,7 @@ fn fabric_4x4_gs_over_poisson_be() {
     assert_eq!(prepared.run_to_bound(), RunOutcome::Quiescent);
     assert_eq!(
         digest(prepared.sim_mut()),
-        (25_138, 2_974, 2_974, 0xa298_2f9f_fd7b_e27f)
+        (24_336, 2_917, 2_917, 0x7521_9928_773f_663b)
     );
 }
 
@@ -168,7 +174,7 @@ fn saturated_funnel() {
     );
     assert_eq!(
         digest(&mut sim),
-        (15_910, 9_539, 2_845, 0x78b0_1702_c6c6_8de2)
+        (15_910, 9_539, 2_845, 0x1d82_be5b_4a6c_9d4e)
     );
 }
 
@@ -199,7 +205,7 @@ fn chiplet_seam_crossing() {
     assert_eq!(prepared.run_to_bound(), RunOutcome::HorizonReached);
     assert_eq!(
         digest(prepared.sim_mut()),
-        (17_307, 1_759, 1_500, 0xa6c2_8964_d528_33fb)
+        (13_812, 1_710, 1_455, 0xc1f6_fc1a_5488_3c60)
     );
 }
 
@@ -303,7 +309,7 @@ fn fail_stop_force_close_and_reopen() {
     assert_eq!(sim.run_to_quiescence(), RunOutcome::Stalled);
     assert_eq!(
         digest(&mut sim),
-        (17_656, 2_683, 2_069, 0xa552_49d5_952f_f61b)
+        (17_486, 2_669, 2_055, 0x87fe_8f64_2892_01f5)
     );
 }
 

@@ -20,7 +20,7 @@ use mango_net::{
     EmitWindow, FaultCounters, FaultKind, FaultSchedule, GsFlowSpec, NocSim, Phase, ScenarioSpec,
     SpatialPattern, TemporalSpec, TrafficSpec,
 };
-use mango_sim::{RunOutcome, SimDuration, SimTime};
+use mango_sim::{RunOutcome, SimDuration};
 use proptest::prelude::*;
 
 fn pattern_for(variant: u8) -> SpatialPattern {
@@ -103,11 +103,7 @@ proptest! {
         dead in 0u8..16,
     ) {
         let far = RouterId::new(side - 1, side - 1);
-        // Bounded by time, not by count: the sources the fail-stop does
-        // not silence tick until their stop time, and only then can the
-        // queue drain.
-        let bounded = EmitWindow { stop_at: Some(SimTime::from_us(5)), ..Default::default() };
-        let spec = ScenarioSpec::mesh(side, side, seed)
+        let mut spec = ScenarioSpec::mesh(side, side, seed)
             .warmup(SimDuration::from_ns(200))
             .measure_to_quiescence()
             .gs_flow(GsFlowSpec {
@@ -115,16 +111,23 @@ proptest! {
                 dst: far,
                 pattern: TemporalSpec::cbr(SimDuration::from_ns(gap_ns)),
                 name: "cons-gs".into(),
-                window: bounded,
+                window: EmitWindow::default(),
                 phase: Phase::Measure,
             })
             .traffic(
                 TrafficSpec::new(pattern_for(spatial), temporal_for(temporal, gap_ns))
                     .payload(3)
                     .phase(Phase::Measure)
-                    .window(bounded)
                     .named("cons-"),
             );
+        // Bounded by time, not by count: the sources the fail-stop does
+        // not silence tick until their stop time, and only then can the
+        // queue drain. The window is 4 µs after set-up ends (preparing
+        // attaches no traffic, so its clock is the last ack's instant).
+        let settled = spec.prepare().sim().now();
+        let bounded = EmitWindow { stop_at: Some(settled + SimDuration::from_us(4)), ..Default::default() };
+        spec.gs[0].window = bounded;
+        spec.traffic[0].window = bounded;
         let mut prepared = spec.prepare();
         prepared.start_measurement();
         let now = prepared.sim().now();
@@ -266,15 +269,15 @@ fn a_source_at_a_dead_router_stops_ticking() {
 fn router_fail_stop_spoofs_feedback_for_every_swallowed_flit() {
     let at = RouterId::new;
     let victim = at(2, 1);
-    let bounded = EmitWindow {
-        stop_at: Some(SimTime::from_us(4)),
-        ..Default::default()
-    };
     let cbr = |ns| TemporalSpec::cbr(SimDuration::from_ns(ns));
     let mut sim = NocSim::paper_mesh(4, 3, 0xDEAD);
     let through = sim.open_connection(at(0, 1), at(3, 1)).unwrap();
     let into = sim.open_connection(at(2, 0), victim).unwrap();
     sim.wait_connections_settled().unwrap();
+    let bounded = EmitWindow {
+        stop_at: Some(sim.now() + SimDuration::from_us(3)),
+        ..Default::default()
+    };
     sim.begin_measurement();
     let gs_through = sim.add_gs_source(through, cbr(4), "gs-through", bounded);
     let gs_into = sim.add_gs_source(into, cbr(5), "gs-into", bounded);
