@@ -423,6 +423,13 @@ impl Network {
         self.notices.pop_front()
     }
 
+    /// Drops every `Opened`/`Closed` notice, keeping the `Broken` ones:
+    /// [`crate::NocSim::wait_connections_settled`] is their reader.
+    pub(crate) fn drop_settle_notices(&mut self) {
+        self.notices
+            .retain(|n| matches!(n.kind, NoticeKind::Broken { .. }));
+    }
+
     /// Posts a notice of what just happened to `conn`, halting the run at
     /// the end of this instant if a control plane is waiting for it.
     pub(crate) fn notify(&mut self, conn: ConnectionId, kind: NoticeKind, ctx: &mut Ctx<NetEvent>) {

@@ -585,11 +585,14 @@ pub struct FlowMetric {
     pub throughput_m: f64,
     /// Mean in-window latency, ns.
     pub mean_ns: Option<f64>,
-    /// Median in-window latency, ns.
+    /// Median in-window latency, ns: a bucket bound, at most the
+    /// max ([`crate::LatencyRecorder::quantile`]).
     pub p50_ns: Option<f64>,
-    /// 95th-percentile in-window latency, ns.
+    /// 95th-percentile in-window latency, ns: a bucket bound, at most the
+    /// max ([`crate::LatencyRecorder::quantile`]).
     pub p95_ns: Option<f64>,
-    /// 99th-percentile in-window latency, ns.
+    /// 99th-percentile in-window latency, ns: a bucket bound, at most the
+    /// max ([`crate::LatencyRecorder::quantile`]).
     pub p99_ns: Option<f64>,
     /// Worst in-window latency, ns.
     pub max_ns: Option<f64>,
@@ -805,6 +808,19 @@ mod tests {
     }
 
     #[test]
+    fn prepare_leaves_no_settle_notice_unread() {
+        let mut prepared = fig8_like(3)
+            .gs(
+                RouterId::new(3, 0),
+                RouterId::new(0, 3),
+                TemporalSpec::cbr(SimDuration::from_ns(20)),
+            )
+            .prepare();
+        assert_eq!(prepared.connections().len(), 2);
+        assert_eq!(prepared.sim_mut().network_mut().pop_notice(), None);
+    }
+
+    #[test]
     fn identical_specs_produce_identical_metrics() {
         let a = fig8_like(7).run();
         let b = fig8_like(7).run();
@@ -828,6 +844,15 @@ mod tests {
         assert_eq!(spec.gs[0].name, "gs-0");
         let m = spec.run();
         assert!(m.gs(0).delivered > 0, "GS stream flows");
+        for f in m.flows.iter().filter(|f| f.latency_count > 0) {
+            assert!(
+                f.p99_ns <= f.max_ns,
+                "{}: p99 {:?} > max {:?}",
+                f.name,
+                f.p99_ns,
+                f.max_ns
+            );
+        }
         // Transpose background: 12 of 16 nodes are off-diagonal senders.
         assert_eq!(m.background_flows.len(), 16);
         let active = m

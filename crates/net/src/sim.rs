@@ -14,14 +14,15 @@ use mango_core::{ConnectionId, RouterConfig, RouterId};
 use mango_sim::{Kernel, KernelProfile, RunOutcome, SimDuration, SimRng, SimTime, WheelGeometry};
 use mango_telemetry::TelemetryReport;
 
-/// Emission bounds for a traffic source.
+/// Emission bounds for a traffic source; both offsets count from the
+/// instant the source is attached.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EmitWindow {
-    /// Delay from now to the source's start, where its process begins
+    /// Delay to the source's start, where its process begins
     /// ([`TemporalSpec::first_gap`]).
-    pub start_after: Option<SimDuration>,
-    /// Stop emitting at this absolute time.
-    pub stop_at: Option<SimTime>,
+    pub start_after: SimDuration,
+    /// Stop emitting this long after the attach instant.
+    pub stop_after: Option<SimDuration>,
     /// Emit at most this many flits/packets.
     pub limit: Option<u64>,
 }
@@ -348,7 +349,9 @@ impl NocSim {
 
     /// Runs until every connection is `Open`/`Closed`, halting on each
     /// ack's notice ([`NocSim::run_until_notice`]), so it returns at the
-    /// instant of the last programming ack.
+    /// instant of the last programming ack. The wait is the reader of
+    /// the `Opened`/`Closed` notices: once everything has settled it
+    /// drops them, and only a watchdog's `Broken` stays queued.
     ///
     /// # Errors
     ///
@@ -368,6 +371,7 @@ impl NocSim {
             };
             return Err(err.into());
         }
+        self.network_mut().drop_settle_notices();
         Ok(())
     }
 
@@ -473,7 +477,8 @@ impl NocSim {
         window: EmitWindow,
     ) -> u32 {
         let mut rng = self.fork_rng();
-        let first = window.start_after.unwrap_or(SimDuration::ZERO) + pattern.first_gap(&mut rng);
+        let first = window.start_after + pattern.first_gap(&mut rng);
+        let stop = window.stop_after.map(|span| self.now() + span);
         let net = self.kernel.model_mut();
         let flow = net.stats_mut().register_flow(name);
         let idx = net.sources.len();
@@ -481,7 +486,7 @@ impl NocSim {
             kind,
             pattern,
             flow,
-            stop: window.stop_at,
+            stop,
             limit: window.limit,
             emitted: 0,
             rng,

@@ -1,139 +1,72 @@
-//! Measurement infrastructure: latency recorders, histograms and per-flow
-//! statistics.
+//! Measurement infrastructure: latency recorders and per-flow statistics.
 
 use mango_sim::{SimDuration, SimTime};
+use mango_telemetry::LogHistogram;
 
-/// The lower edge of the first histogram bucket, in picoseconds.
-const MIN_PS: f64 = 100.0;
-/// The ratio of one bucket's edges.
-const FACTOR: f64 = 1.26;
-/// Bucket count: 100 ps to ~100 µs.
-const BUCKETS: usize = 60;
+/// Resolution of a flow's latency histogram: samples below 8 ps are
+/// exact, and each octave above splits into 4 sub-buckets, so no bucket
+/// is wider than 25 % of its lower bound.
+const LATENCY_SUB_BITS: u32 = 3;
 
-/// An exponential-bucket latency histogram.
-///
-/// Buckets span `[MIN_PS × FACTOR^i, MIN_PS × FACTOR^(i+1))`; values
-/// below the first bucket land in it, values beyond the last in the last.
-#[derive(Debug, Clone)]
-struct Histogram {
-    counts: [u64; BUCKETS],
-    total: u64,
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Histogram {
-            counts: [0; BUCKETS],
-            total: 0,
-        }
-    }
-
-    fn bucket_of(value: SimDuration) -> usize {
-        let v = value.as_ps() as f64;
-        if v < MIN_PS {
-            return 0;
-        }
-        let idx = (v / MIN_PS).log(FACTOR).floor() as usize;
-        idx.min(BUCKETS - 1)
-    }
-
-    /// Records one value.
-    fn record(&mut self, value: SimDuration) {
-        self.counts[Self::bucket_of(value)] += 1;
-        self.total += 1;
-    }
-
-    /// The upper bound of the bucket containing the `q`-quantile
-    /// (`0 < q <= 1`), or `None` if empty.
-    fn quantile(&self, q: f64) -> Option<SimDuration> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let upper = MIN_PS * FACTOR.powi(i as i32 + 1);
-                return Some(SimDuration::from_ps(upper as u64));
-            }
-        }
-        unreachable!("quantile target exceeds total")
-    }
-}
-
-/// Streaming latency statistics: count, mean, min, max plus a histogram
-/// for quantiles.
+/// Streaming latency statistics: a [`LogHistogram`] of picoseconds behind
+/// [`SimDuration`] accessors. Count, mean, min, max and jitter are exact;
+/// a quantile is a bucket bound, at most the max.
 #[derive(Debug, Clone)]
 pub struct LatencyRecorder {
-    count: u64,
-    sum_ps: u128,
-    min: SimDuration,
-    max: SimDuration,
-    histogram: Histogram,
+    hist: LogHistogram,
 }
 
 impl LatencyRecorder {
-    /// An empty recorder with the default histogram.
+    /// An empty recorder.
     pub fn new() -> Self {
         LatencyRecorder {
-            count: 0,
-            sum_ps: 0,
-            min: SimDuration::MAX,
-            max: SimDuration::ZERO,
-            histogram: Histogram::new(),
+            hist: LogHistogram::with_sub_bits(LATENCY_SUB_BITS),
         }
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: SimDuration) {
-        self.count += 1;
-        self.sum_ps += latency.as_ps() as u128;
-        self.min = self.min.min(latency);
-        self.max = self.max.max(latency);
-        self.histogram.record(latency);
+        self.hist.record(latency.as_ps());
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.hist.total()
     }
 
     /// Mean latency, or `None` if empty.
     pub fn mean(&self) -> Option<SimDuration> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(SimDuration::from_ps(
-                (self.sum_ps / self.count as u128) as u64,
-            ))
-        }
+        self.hist.mean().map(SimDuration::from_ps)
     }
 
     /// Minimum sample, or `None` if empty.
     pub fn min(&self) -> Option<SimDuration> {
-        (self.count > 0).then_some(self.min)
+        self.hist.min().map(SimDuration::from_ps)
     }
 
     /// Maximum sample, or `None` if empty.
     pub fn max(&self) -> Option<SimDuration> {
-        (self.count > 0).then_some(self.max)
+        self.hist.max().map(SimDuration::from_ps)
     }
 
-    /// Histogram quantile (bucket upper bound), or `None` if empty.
+    /// The `q`-quantile (`0 < q <= 1`, to the nearest per-mille): the
+    /// upper bound of the bucket holding it, at most the max; `None` if
+    /// empty.
     pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        self.histogram.quantile(q)
+        let permille = (q * 1000.0).round() as u32;
+        self.hist
+            .quantile_permille(permille)
+            .map(SimDuration::from_ps)
     }
 
     /// Max − min: the latency jitter observed.
     pub fn jitter(&self) -> Option<SimDuration> {
-        (self.count > 0).then(|| self.max - self.min)
+        Some(self.max()? - self.min()?)
     }
 
     /// Clears all samples.
     pub fn reset(&mut self) {
-        *self = LatencyRecorder::new();
+        self.hist.reset();
     }
 }
 
@@ -330,45 +263,10 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn d(ps: u64) -> SimDuration {
         SimDuration::from_ps(ps)
-    }
-
-    /// The upper edge of bucket `i`, as [`Histogram::quantile`] reports it.
-    fn upper(i: i32) -> SimDuration {
-        d((MIN_PS * FACTOR.powi(i + 1)) as u64)
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new();
-        for _ in 0..90 {
-            h.record(d(110)); // bucket 0 [100, 126)
-        }
-        for _ in 0..10 {
-            h.record(d(10_000_000));
-        }
-        assert_eq!(h.total, 100);
-        let p50 = h.quantile(0.5).unwrap();
-        assert_eq!(p50, upper(0), "median in the first bucket");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 >= d(10_000_000), "tail in a high bucket: {p99}");
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new();
-        h.record(d(1)); // below the first edge → bucket 0
-        h.record(d(1_000_000_000_000)); // past the last edge → last bucket
-        assert_eq!(h.total, 2);
-        assert_eq!(h.quantile(0.5), Some(upper(0)));
-        assert_eq!(h.quantile(1.0), Some(upper(BUCKETS as i32 - 1)));
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_none() {
-        assert_eq!(Histogram::new().quantile(0.5), None);
     }
 
     #[test]
@@ -383,8 +281,35 @@ mod tests {
         assert_eq!(r.max(), Some(d(300)));
         assert_eq!(r.mean(), Some(d(200)));
         assert_eq!(r.jitter(), Some(d(200)));
+        assert_eq!(r.quantile(0.5), Some(d(223)), "the bound of [192, 223]");
+        assert_eq!(
+            r.quantile(0.99),
+            Some(d(300)),
+            "[256, 319] clamped to the max"
+        );
         r.reset();
         assert_eq!(r.count(), 0);
+        assert_eq!(r.quantile(0.5), None);
+    }
+
+    proptest! {
+        /// A quantile is a bucket bound clamped to the exact max: ordered,
+        /// never below the min, never above the max, and p100 is the max.
+        #[test]
+        fn quantiles_lie_between_min_and_max(
+            samples in proptest::collection::vec(0u64..100_000_000, 1..60),
+        ) {
+            let mut r = LatencyRecorder::new();
+            for &ps in &samples {
+                r.record(d(ps));
+            }
+            let q = |q| r.quantile(q).expect("non-empty");
+            prop_assert!(r.min().expect("non-empty") <= q(0.5));
+            prop_assert!(q(0.5) <= q(0.95));
+            prop_assert!(q(0.95) <= q(0.99));
+            prop_assert!(q(0.99) <= r.max().expect("non-empty"));
+            prop_assert_eq!(q(1.0), r.max().expect("non-empty"));
+        }
     }
 
     #[test]

@@ -115,16 +115,18 @@ fn fabric_4x4_gs_over_poisson_be() {
     ] {
         spec = spec.gs(src, dst, cbr(ns));
     }
-    // Every source stops 5 µs after set-up ends: preparing attaches
-    // sources but runs nothing after the last ack.
-    let settled = spec.prepare().sim().now();
-    let bounded = EmitWindow {
-        stop_at: Some(settled + SimDuration::from_us(5)),
+    // Every source stops 5 µs after set-up ends: the background attaches
+    // at the last ack, the GS streams after the 300 ns warmup.
+    let span = SimDuration::from_us(5);
+    spec.traffic[0].window = EmitWindow {
+        stop_after: Some(span),
         ..Default::default()
     };
-    spec.traffic[0].window = bounded;
     for g in &mut spec.gs {
-        g.window = bounded;
+        g.window = EmitWindow {
+            stop_after: Some(span - spec.warmup),
+            ..Default::default()
+        };
     }
     let mut prepared = spec.prepare();
     trace_everything(prepared.sim_mut());
@@ -229,7 +231,7 @@ fn fail_stop_force_close_and_reopen() {
     sim.begin_measurement();
     let t0 = sim.now();
     let first = EmitWindow {
-        stop_at: Some(t0 + SimDuration::from_us(3)),
+        stop_after: Some(SimDuration::from_us(3)),
         ..Default::default()
     };
     let flows: Vec<u32> = conns
@@ -245,7 +247,7 @@ fn fail_stop_force_close_and_reopen() {
             TemporalSpec::poisson(SimDuration::from_ns(60)),
             format!("bg-{i}"),
             EmitWindow {
-                stop_at: Some(t0 + SimDuration::from_us(5)),
+                stop_after: Some(SimDuration::from_us(5)),
                 ..Default::default()
             },
         );
@@ -272,11 +274,12 @@ fn fail_stop_force_close_and_reopen() {
     }
     sim.run_for(SimDuration::from_us(3));
 
+    // Set-up's wait read the `Opened` notices: only watchdog breaks are left.
     let notices = std::iter::from_fn(|| sim.network_mut().pop_notice());
     let mut broken: Vec<(ConnectionId, u32)> = notices
-        .filter_map(|n| match n.kind {
-            NoticeKind::Broken { flow } => Some((n.conn, flow)),
-            _ => None,
+        .map(|n| match n.kind {
+            NoticeKind::Broken { flow } => (n.conn, flow),
+            kind => panic!("only breaks are left unread, got {kind:?} of {}", n.conn),
         })
         .collect();
     broken.sort();
@@ -298,7 +301,7 @@ fn fail_stop_force_close_and_reopen() {
     }
     sim.wait_connections_settled().expect("re-open settles");
     let second = EmitWindow {
-        stop_at: Some(sim.now() + SimDuration::from_us(2)),
+        stop_after: Some(SimDuration::from_us(2)),
         ..Default::default()
     };
     for (i, c) in reopened.iter().enumerate() {
@@ -356,7 +359,7 @@ fn twin_run(case: &TwinCase, every_handshake_queued: bool) -> (RunOutcome, Strin
     sim.begin_measurement();
     let t0 = sim.now();
     let bounded = EmitWindow {
-        stop_at: Some(t0 + SimDuration::from_us(3)),
+        stop_after: Some(SimDuration::from_us(3)),
         ..Default::default()
     };
     for (i, c) in conns.iter().enumerate() {

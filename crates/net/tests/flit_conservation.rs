@@ -122,10 +122,12 @@ proptest! {
             );
         // Bounded by time, not by count: the sources the fail-stop does
         // not silence tick until their stop time, and only then can the
-        // queue drain. The window is 4 µs after set-up ends (preparing
-        // attaches no traffic, so its clock is the last ack's instant).
-        let settled = spec.prepare().sim().now();
-        let bounded = EmitWindow { stop_at: Some(settled + SimDuration::from_us(4)), ..Default::default() };
+        // queue drain. The window ends 4 µs after set-up ends; both
+        // sources attach after the warmup.
+        let bounded = EmitWindow {
+            stop_after: Some(SimDuration::from_us(4) - spec.warmup),
+            ..Default::default()
+        };
         spec.gs[0].window = bounded;
         spec.traffic[0].window = bounded;
         let mut prepared = spec.prepare();
@@ -275,7 +277,7 @@ fn router_fail_stop_spoofs_feedback_for_every_swallowed_flit() {
     let into = sim.open_connection(at(2, 0), victim).unwrap();
     sim.wait_connections_settled().unwrap();
     let bounded = EmitWindow {
-        stop_at: Some(sim.now() + SimDuration::from_us(3)),
+        stop_after: Some(SimDuration::from_us(3)),
         ..Default::default()
     };
     sim.begin_measurement();

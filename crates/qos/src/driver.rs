@@ -233,10 +233,8 @@ impl<A: Ord> ControlPlane<A> {
     }
 
     /// Starts the measurement window; it ends `base.measure` from now.
-    /// Notices posted before it (the base's static opens) are dropped.
     pub fn start(&mut self, prepared: &mut PreparedScenario) {
         prepared.start_measurement();
-        while prepared.sim_mut().network_mut().pop_notice().is_some() {}
         self.t_end = prepared.sim().now() + self.horizon;
     }
 
@@ -569,7 +567,7 @@ impl Lifecycle {
     ) {
         let group = &mut self.groups[i];
         let window = EmitWindow {
-            stop_at: Some(group.stream_stop),
+            stop_after: Some(group.stream_stop.since(prepared.sim().now())),
             ..Default::default()
         };
         let flow = prepared.sim_mut().add_gs_source(

@@ -1,19 +1,19 @@
 //! Integer log-bucket latency histogram.
 //!
-//! The sweep layer already has a float histogram (inside [`mango_net`]'s
-//! `LatencyRecorder`) whose bucket math goes through `log()`/`powi()` — fine
-//! for the recorded goldens it feeds, but float bucket edges are a
-//! liability for a telemetry layer whose outputs are byte-diffed across
-//! hosts. [`LogHistogram`] uses pure integer bucket math in the
+//! The one latency histogram of the workspace: the telemetry registry
+//! records into it, and so does [`mango_net`]'s per-flow
+//! `LatencyRecorder`. Its outputs are byte-diffed across hosts, so
+//! [`LogHistogram`] uses pure integer bucket math in the
 //! HDR-histogram style: values below `2^sub_bits` land in a linear
 //! region one bucket per value; above it, each power-of-two octave is
-//! split into `2^sub_bits` equal sub-buckets indexed off the leading-zero
-//! count. Every boundary is an exact integer, recording is two shifts
+//! split into `2^(sub_bits-1)` equal sub-buckets indexed off the
+//! leading-zero count. Every boundary is an exact integer, recording is two shifts
 //! and a mask, and merging is element-wise addition (associative and
-//! commutative by construction).
+//! commutative by construction). `counts` grows to the highest bucket
+//! recorded, so a histogram of small values stays small.
 
-/// Default sub-bucket resolution: 32 sub-buckets per octave, ~3 %
-/// relative quantile error.
+/// Default sub-bucket resolution: exact below 32, then 16 sub-buckets
+/// per octave, so a bucket is at most 6.25 % of its lower bound wide.
 pub const DEFAULT_SUB_BITS: u32 = 5;
 
 /// An integer log-bucket histogram over `u64` values (conventionally
@@ -29,9 +29,10 @@ pub struct LogHistogram {
 }
 
 impl LogHistogram {
-    /// A histogram with `2^sub_bits` sub-buckets per octave, covering
-    /// the full `u64` range. All storage is allocated up front: recording
-    /// never allocates.
+    /// A histogram exact below `2^sub_bits`, with `2^(sub_bits-1)`
+    /// sub-buckets per octave above, covering the full `u64` range.
+    /// Nothing is allocated up front: `counts` grows to the highest
+    /// bucket recorded.
     ///
     /// # Panics
     ///
@@ -41,13 +42,9 @@ impl LogHistogram {
             (1..=8).contains(&sub_bits),
             "sub_bits must be in 1..=8, got {sub_bits}"
         );
-        // Linear region [0, 2^sub_bits) is one bucket per value; each of
-        // the 64 - sub_bits octaves above it splits into 2^(sub_bits-1)
-        // equal-width sub-buckets.
-        let buckets = (1usize << sub_bits) + (64 - sub_bits as usize) * (1 << (sub_bits - 1));
         LogHistogram {
             sub_bits,
-            counts: vec![0; buckets],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -58,6 +55,15 @@ impl LogHistogram {
     /// A histogram with the default resolution.
     pub fn new() -> Self {
         Self::with_sub_bits(DEFAULT_SUB_BITS)
+    }
+
+    /// The number of buckets covering the `u64` range: the linear region
+    /// `[0, 2^sub_bits)` is one bucket per value, and each of the
+    /// `64 - sub_bits` octaves above it splits into `2^(sub_bits-1)`
+    /// equal-width sub-buckets.
+    fn bucket_count(&self) -> usize {
+        let b = self.sub_bits as usize;
+        (1 << b) + (64 - b) * (1 << (b - 1))
     }
 
     /// The bucket index for `value` — pure integer math.
@@ -94,16 +100,22 @@ impl LogHistogram {
     /// The inclusive upper bound of bucket `index` (exact): one less
     /// than the next bucket's lower bound.
     pub fn bucket_high(&self, index: usize) -> u64 {
-        if index + 1 >= self.counts.len() {
+        if index + 1 >= self.bucket_count() {
             return u64::MAX;
         }
         self.bucket_low(index + 1) - 1
     }
 
-    /// Records one value. Never allocates.
+    /// Records one value; `counts` grows to the highest bucket recorded.
     #[inline]
     pub fn record(&mut self, value: u64) {
         let idx = self.bucket_index(value);
+        if idx >= self.counts.len() {
+            // Exact, not doubled: a histogram holds only the buckets it
+            // has reached (one per flow adds up on a large mesh).
+            self.counts.reserve_exact(idx + 1 - self.counts.len());
+            self.counts.resize(idx + 1, 0);
+        }
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += value as u128;
@@ -165,6 +177,9 @@ impl LogHistogram {
             self.sub_bits, other.sub_bits,
             "histogram resolution mismatch"
         );
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -176,7 +191,7 @@ impl LogHistogram {
 
     /// Clears all counts.
     pub fn reset(&mut self) {
-        self.counts.fill(0);
+        self.counts.clear();
         self.total = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -228,7 +243,7 @@ mod tests {
     fn bucket_index_is_monotone_and_lows_tile_the_range() {
         let h = LogHistogram::new();
         // Consecutive buckets tile u64 with no gaps or overlaps.
-        let n = h.counts.len();
+        let n = h.bucket_count();
         for i in 1..n {
             assert!(
                 h.bucket_low(i) > h.bucket_low(i - 1),
@@ -252,7 +267,7 @@ mod tests {
         while v < u64::MAX / 3 {
             let i = h.bucket_index(v);
             let width = h.bucket_high(i) - h.bucket_low(i);
-            // 32 sub-buckets per octave: width <= low / 16 above the
+            // 16 sub-buckets per octave: width <= low / 16 above the
             // linear region.
             assert!(
                 (width as u128) * 16 <= (h.bucket_low(i) as u128).max(16),

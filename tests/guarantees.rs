@@ -354,7 +354,7 @@ proptest! {
         }
         sim.begin_measurement();
         let phase = SimDuration::from_ps(interval.as_ps() * phase_ppm / 1_000_000);
-        let window = EmitWindow { start_after: Some(phase), ..Default::default() };
+        let window = EmitWindow { start_after: phase, ..Default::default() };
         let flow = sim.add_gs_source(tagged, TemporalSpec::cbr(interval), "tagged", window);
         for run_us in [4, 8] {
             sim.run_for(SimDuration::from_us(run_us));
