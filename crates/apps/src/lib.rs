@@ -10,7 +10,7 @@
 //!
 //! * [`graph`] — [`graph::TaskGraph`]: tasks + directed rate/bound
 //!   edges, a text format, generators and named benchmark graphs;
-//! * [`place`] — [`place::Placer`] strategies (greedy,
+//! * [`place`] — [`place::PlacerKind`]'s two strategies (greedy,
 //!   simulated annealing) scoring candidate mappings through the real
 //!   [`mango_qos::AdmissionController`] in exact dry-run brackets;
 //! * [`serve`] — [`serve::ServingSpec`]: Poisson app-instance arrivals
@@ -24,7 +24,7 @@
 //! Place the VOPD task graph on a 4×4 mesh and check the mapping admits:
 //!
 //! ```
-//! use mango_apps::{graph, place::{Placer, GreedyPlacer}};
+//! use mango_apps::{graph, PlacerKind};
 //! use mango_qos::AdmissionController;
 //! use mango_net::{Grid, NaConfig};
 //! use mango_core::RouterConfig;
@@ -35,7 +35,7 @@
 //!     &NaConfig::paper(),
 //!     0.875,
 //! );
-//! let placement = GreedyPlacer.place(&graph::vopd(), &mut ctl, 1);
+//! let placement = PlacerKind::Greedy.place(&graph::vopd(), &mut ctl, 1);
 //! assert!(placement.admissible());
 //! assert!(ctl.nothing_reserved(), "placement is a dry run");
 //! ```
@@ -47,7 +47,5 @@ pub mod place;
 pub mod serve;
 
 pub use graph::{Edge, Task, TaskGraph};
-pub use place::{
-    score_assignment, AnnealingPlacer, GreedyPlacer, Placement, PlacementScore, Placer, PlacerKind,
-};
+pub use place::{score_assignment, Placement, PlacementScore, PlacerKind};
 pub use serve::{AppOutcome, AppRejectReason, ServingMetrics, ServingSpec};

@@ -12,8 +12,8 @@
 //! placement the optimizer accepts admits fully when the serving engine
 //! replays it (property-tested in `tests/placement_props.rs`).
 //!
-//! Two [`Placer`]s are provided: [`GreedyPlacer`] (hop-count × demand,
-//! heaviest tasks first) and [`AnnealingPlacer`] (seeded simulated
+//! [`PlacerKind`] picks one of two strategies: `Greedy` (hop-count ×
+//! demand, heaviest tasks first) and `Anneal` (seeded simulated
 //! annealing over move/swap neighborhoods, started from the greedy
 //! solution and tracking best-seen — so its score is never worse than
 //! greedy's). Both are deterministic functions of
@@ -151,192 +151,157 @@ fn score_trial(
     score
 }
 
-/// A deterministic task-to-router mapping strategy.
-pub trait Placer {
-    /// Strategy name for tables and CSV columns.
-    fn name(&self) -> &'static str;
+/// Greedy constructive placement over `nodes`, the grid's routers in
+/// index order, unscored (the annealer's starting point): tasks in
+/// decreasing incident-demand order; each goes to the router minimizing
+/// Σ hops×rate to its already-placed neighbors plus an occupancy
+/// penalty that spreads unrelated tasks. Ties break on router index —
+/// deterministic.
+fn greedy_assign(graph: &TaskGraph, grid: &Grid, nodes: &[RouterId]) -> Vec<RouterId> {
+    let mut order: Vec<usize> = (0..graph.tasks.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(graph.incident_demand_fps(i)), i));
 
-    /// Maps `graph` onto `ctl.grid()` against the controller's current
-    /// residual budgets. Must leave `ctl` exactly as found (dry-run
-    /// only) and be a pure function of `(graph, ctl state, seed)`.
-    fn place(&self, graph: &TaskGraph, ctl: &mut AdmissionController, seed: u64) -> Placement;
-}
-
-/// Greedy constructive placement: tasks in decreasing incident-demand
-/// order; each goes to the router minimizing Σ hops×rate to its
-/// already-placed neighbors plus an occupancy penalty that spreads
-/// unrelated tasks. Ties break on router index — deterministic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyPlacer;
-
-impl GreedyPlacer {
-    /// The raw greedy assignment (no scoring) over `nodes`, the grid's
-    /// routers in index order — also the annealer's starting point.
-    fn assign(&self, graph: &TaskGraph, grid: &Grid, nodes: &[RouterId]) -> Vec<RouterId> {
-        let mut order: Vec<usize> = (0..graph.tasks.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(graph.incident_demand_fps(i)), i));
-
-        // Spreading pressure comparable to one average edge's pull.
-        let occupancy_penalty = (graph.total_demand_fps() / graph.edges.len().max(1) as u64).max(1);
-        let unplaced = RouterId::new(u8::MAX, u8::MAX);
-        let mut assign = vec![unplaced; graph.tasks.len()];
-        let mut load = vec![0u64; nodes.len()];
-        // The already-placed neighbors `(router, rate)` of the task at hand.
-        let mut pulls: Vec<(RouterId, u64)> = Vec::new();
-        for &t in &order {
-            if let Some(at) = graph.tasks[t].affinity {
-                assign[t] = at;
-                // A task pinned off the grid loads no router; scoring
-                // fails its edges.
-                if grid.contains(at) {
-                    load[grid.index(at)] += u64::from(graph.tasks[t].weight);
-                }
-                continue;
+    // Spreading pressure comparable to one average edge's pull.
+    let occupancy_penalty = (graph.total_demand_fps() / graph.edges.len().max(1) as u64).max(1);
+    let unplaced = RouterId::new(u8::MAX, u8::MAX);
+    let mut assign = vec![unplaced; graph.tasks.len()];
+    let mut load = vec![0u64; nodes.len()];
+    // The already-placed neighbors `(router, rate)` of the task at hand.
+    let mut pulls: Vec<(RouterId, u64)> = Vec::new();
+    for &t in &order {
+        if let Some(at) = graph.tasks[t].affinity {
+            assign[t] = at;
+            // A task pinned off the grid loads no router; scoring
+            // fails its edges.
+            if grid.contains(at) {
+                load[grid.index(at)] += u64::from(graph.tasks[t].weight);
             }
-            pulls.clear();
-            pulls.extend(graph.edges.iter().filter_map(|e| {
-                let other = if e.from == t {
-                    assign[e.to]
-                } else if e.to == t {
-                    assign[e.from]
-                } else {
-                    return None;
-                };
-                (other != unplaced).then_some((other, e.rate_fps))
-            }));
-            let mut best: Option<(u64, usize)> = None;
-            for (ni, node) in nodes.iter().enumerate() {
-                let mut cost = load[ni] * occupancy_penalty;
-                for &(other, rate_fps) in &pulls {
-                    let hops =
-                        u64::from(node.x.abs_diff(other.x)) + u64::from(node.y.abs_diff(other.y));
-                    cost += hops * rate_fps;
-                }
-                if best.is_none_or(|(c, _)| cost < c) {
-                    best = Some((cost, ni));
-                }
-            }
-            let (_, ni) = best.expect("grid has nodes");
-            assign[t] = nodes[ni];
-            load[ni] += u64::from(graph.tasks[t].weight);
+            continue;
         }
-        assign
+        pulls.clear();
+        pulls.extend(graph.edges.iter().filter_map(|e| {
+            let other = if e.from == t {
+                assign[e.to]
+            } else if e.to == t {
+                assign[e.from]
+            } else {
+                return None;
+            };
+            (other != unplaced).then_some((other, e.rate_fps))
+        }));
+        let mut best: Option<(u64, usize)> = None;
+        for (ni, node) in nodes.iter().enumerate() {
+            let mut cost = load[ni] * occupancy_penalty;
+            for &(other, rate_fps) in &pulls {
+                let hops =
+                    u64::from(node.x.abs_diff(other.x)) + u64::from(node.y.abs_diff(other.y));
+                cost += hops * rate_fps;
+            }
+            if best.is_none_or(|(c, _)| cost < c) {
+                best = Some((cost, ni));
+            }
+        }
+        let (_, ni) = best.expect("grid has nodes");
+        assign[t] = nodes[ni];
+        load[ni] += u64::from(graph.tasks[t].weight);
     }
+    assign
 }
 
-impl Placer for GreedyPlacer {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn place(&self, graph: &TaskGraph, ctl: &mut AdmissionController, _seed: u64) -> Placement {
-        let nodes: Vec<RouterId> = ctl.grid().ids().collect();
-        let assign = self.assign(graph, ctl.grid(), &nodes);
-        let mut snap = BudgetSnapshot::default();
-        let score = score_assignment(graph, &assign, ctl, &mut snap);
-        Placement { assign, score }
-    }
+/// [`greedy_assign`], scored.
+fn greedy(graph: &TaskGraph, ctl: &mut AdmissionController) -> Placement {
+    let nodes: Vec<RouterId> = ctl.grid().ids().collect();
+    let assign = greedy_assign(graph, ctl.grid(), &nodes);
+    let mut snap = BudgetSnapshot::default();
+    let score = score_assignment(graph, &assign, ctl, &mut snap);
+    Placement { assign, score }
 }
 
 /// Simulated annealing over move/swap neighborhoods, seeded and
-/// deterministic. Starts from [`GreedyPlacer`]'s solution and returns
-/// the best assignment ever visited, so its score is never worse than
-/// greedy's for the same controller state.
-#[derive(Debug, Clone, Copy)]
-pub struct AnnealingPlacer {
-    /// Candidate evaluations (each one dry-run scores the whole edge
-    /// set through the admission controller).
-    pub iters: u32,
-}
-
-impl Default for AnnealingPlacer {
-    fn default() -> Self {
-        AnnealingPlacer { iters: 128 }
+/// deterministic, for `iters` candidate evaluations. Starts from
+/// [`greedy_assign`]'s solution and returns the best assignment ever
+/// visited, so its score is never worse than greedy's for the same
+/// controller state.
+fn anneal(graph: &TaskGraph, ctl: &mut AdmissionController, seed: u64, iters: u32) -> Placement {
+    let nodes: Vec<RouterId> = ctl.grid().ids().collect();
+    let movable: Vec<usize> = (0..graph.tasks.len())
+        .filter(|&i| graph.tasks[i].affinity.is_none())
+        .collect();
+    // Every trial starts from, and rewinds to, the state at entry:
+    // save it and scan its minimum residual once.
+    let mut snap = BudgetSnapshot::default();
+    ctl.save_budgets_into(&mut snap);
+    let min_before = ctl.budget_summary().residual_fps_min;
+    let periods = edge_periods(graph);
+    let mut current = greedy_assign(graph, ctl.grid(), &nodes);
+    let mut cur_score = score_trial(graph, &periods, &current, ctl, &snap, min_before);
+    let mut best = Placement {
+        assign: current.clone(),
+        score: cur_score,
+    };
+    if movable.is_empty() || nodes.len() < 2 {
+        return best;
     }
-}
 
-impl Placer for AnnealingPlacer {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    fn place(&self, graph: &TaskGraph, ctl: &mut AdmissionController, seed: u64) -> Placement {
-        let nodes: Vec<RouterId> = ctl.grid().ids().collect();
-        let movable: Vec<usize> = (0..graph.tasks.len())
-            .filter(|&i| graph.tasks[i].affinity.is_none())
-            .collect();
-        // Every trial starts from, and rewinds to, the state at entry:
-        // save it and scan its minimum residual once.
-        let mut snap = BudgetSnapshot::default();
-        ctl.save_budgets_into(&mut snap);
-        let min_before = ctl.budget_summary().residual_fps_min;
-        let periods = edge_periods(graph);
-        let mut current = GreedyPlacer.assign(graph, ctl.grid(), &nodes);
-        let mut cur_score = score_trial(graph, &periods, &current, ctl, &snap, min_before);
-        let mut best = Placement {
-            assign: current.clone(),
-            score: cur_score,
-        };
-        if movable.is_empty() || nodes.len() < 2 {
-            return best;
-        }
-
-        let mut rng = SimRng::new(seed ^ 0xA11EA1);
-        // Start warm enough to accept fragmentation-scale regressions,
-        // cool geometrically to pure descent by the last iterations.
-        let mut temp = 50_000_000.0f64;
-        let cooling = (1e-4f64).powf(1.0 / f64::from(self.iters.max(1)));
-        for _ in 0..self.iters {
-            let t = movable[rng.gen_index(movable.len())];
-            // A lone movable task has no swap partner: always move it.
-            let undo = if movable.len() < 2 || rng.gen_bool(0.5) {
-                // Move `t` to a random other router.
-                let mut node = nodes[rng.gen_index(nodes.len())];
-                while node == current[t] {
-                    node = nodes[rng.gen_index(nodes.len())];
-                }
-                let prev = current[t];
-                current[t] = node;
-                (t, prev, None)
-            } else {
-                // Swap `t` with another movable task.
-                let mut u = movable[rng.gen_index(movable.len())];
-                while u == t {
-                    u = movable[rng.gen_index(movable.len())];
-                }
-                current.swap(t, u);
-                (t, current[u], Some(u))
-            };
-            let trial = score_trial(graph, &periods, &current, ctl, &snap, min_before);
-            let delta = trial.scalar() as f64 - cur_score.scalar() as f64;
-            let accept = delta <= 0.0 || rng.gen_f64() < (-delta / temp).exp();
-            if accept {
-                cur_score = trial;
-                if trial < best.score {
-                    best.score = trial;
-                    best.assign.clone_from(&current);
-                }
-            } else {
-                // Rewind the rejected move exactly.
-                match undo {
-                    (t, prev, None) => current[t] = prev,
-                    (t, _, Some(u)) => current.swap(t, u),
-                }
+    let mut rng = SimRng::new(seed ^ 0xA11EA1);
+    // Start warm enough to accept fragmentation-scale regressions,
+    // cool geometrically to pure descent by the last iterations.
+    let mut temp = 50_000_000.0f64;
+    let cooling = (1e-4f64).powf(1.0 / f64::from(iters.max(1)));
+    for _ in 0..iters {
+        let t = movable[rng.gen_index(movable.len())];
+        // A lone movable task has no swap partner: always move it.
+        let undo = if movable.len() < 2 || rng.gen_bool(0.5) {
+            // Move `t` to a random other router.
+            let mut node = nodes[rng.gen_index(nodes.len())];
+            while node == current[t] {
+                node = nodes[rng.gen_index(nodes.len())];
             }
-            temp *= cooling;
+            let prev = current[t];
+            current[t] = node;
+            (t, prev, None)
+        } else {
+            // Swap `t` with another movable task.
+            let mut u = movable[rng.gen_index(movable.len())];
+            while u == t {
+                u = movable[rng.gen_index(movable.len())];
+            }
+            current.swap(t, u);
+            (t, current[u], Some(u))
+        };
+        let trial = score_trial(graph, &periods, &current, ctl, &snap, min_before);
+        let delta = trial.scalar() as f64 - cur_score.scalar() as f64;
+        let accept = delta <= 0.0 || rng.gen_f64() < (-delta / temp).exp();
+        if accept {
+            cur_score = trial;
+            if trial < best.score {
+                best.score = trial;
+                best.assign.clone_from(&current);
+            }
+        } else {
+            // Rewind the rejected move exactly.
+            match undo {
+                (t, prev, None) => current[t] = prev,
+                (t, _, Some(u)) => current.swap(t, u),
+            }
         }
-        best
+        temp *= cooling;
     }
+    best
 }
 
-/// Placer selection for sweep grids and CLIs.
+/// A deterministic task-to-router mapping strategy, for sweep grids,
+/// CLIs and library callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacerKind {
-    /// [`GreedyPlacer`].
+    /// Greedy constructive placement (hop-count × demand, heaviest
+    /// tasks first).
     Greedy,
-    /// [`AnnealingPlacer`] with the given iteration budget.
+    /// Simulated annealing from the greedy solution, keeping the best
+    /// assignment seen.
     Anneal {
-        /// Candidate evaluations per placement.
+        /// Candidate evaluations per placement (each one dry-run scores
+        /// the whole edge set through the admission controller).
         iters: u32,
     },
 }
@@ -350,11 +315,14 @@ impl PlacerKind {
         }
     }
 
-    /// Runs the selected placer.
+    /// Maps `graph` onto `ctl.grid()` against the controller's current
+    /// residual budgets. Leaves `ctl` exactly as found (dry-run only)
+    /// and is a pure function of `(graph, ctl state, seed)`; `Greedy`
+    /// ignores the seed.
     pub fn place(self, graph: &TaskGraph, ctl: &mut AdmissionController, seed: u64) -> Placement {
         match self {
-            PlacerKind::Greedy => GreedyPlacer.place(graph, ctl, seed),
-            PlacerKind::Anneal { iters } => AnnealingPlacer { iters }.place(graph, ctl, seed),
+            PlacerKind::Greedy => greedy(graph, ctl),
+            PlacerKind::Anneal { iters } => anneal(graph, ctl, seed, iters),
         }
     }
 }
@@ -387,7 +355,7 @@ mod tests {
         let mut ctl = controller(4, 4);
         let mut before = BudgetSnapshot::default();
         ctl.save_budgets_into(&mut before);
-        let p = GreedyPlacer.place(&g, &mut ctl, 1);
+        let p = PlacerKind::Greedy.place(&g, &mut ctl, 1);
         assert!(
             ctl.budgets_match(&before),
             "placement must not move budgets"
@@ -401,7 +369,7 @@ mod tests {
     fn greedy_clusters_heavy_neighbors() {
         let g = graph::pipeline(4, 75_000_000);
         let mut ctl = controller(8, 8);
-        let p = GreedyPlacer.place(&g, &mut ctl, 1);
+        let p = PlacerKind::Greedy.place(&g, &mut ctl, 1);
         // Consecutive pipeline stages land within a couple of hops.
         for e in &g.edges {
             let (a, b) = (p.assign[e.from], p.assign[e.to]);
@@ -460,8 +428,8 @@ mod tests {
             (graph::random_dag(10, 60_000_000, 3), 3),
         ] {
             let mut ctl = controller(4, 4);
-            let g = GreedyPlacer.place(&graph, &mut ctl, seed);
-            let a = AnnealingPlacer { iters: 64 }.place(&graph, &mut ctl, seed);
+            let g = PlacerKind::Greedy.place(&graph, &mut ctl, seed);
+            let a = PlacerKind::Anneal { iters: 64 }.place(&graph, &mut ctl, seed);
             assert!(
                 a.score <= g.score,
                 "{}: anneal {:?} worse than greedy {:?}",
@@ -477,8 +445,8 @@ mod tests {
     fn annealing_is_deterministic_per_seed() {
         let g = graph::mwd();
         let mut ctl = controller(4, 4);
-        let a = AnnealingPlacer { iters: 80 }.place(&g, &mut ctl, 42);
-        let b = AnnealingPlacer { iters: 80 }.place(&g, &mut ctl, 42);
+        let a = PlacerKind::Anneal { iters: 80 }.place(&g, &mut ctl, 42);
+        let b = PlacerKind::Anneal { iters: 80 }.place(&g, &mut ctl, 42);
         assert_eq!(a, b, "same seed, same answer");
     }
 
@@ -488,7 +456,7 @@ mod tests {
         let mut ctl = controller(2, 2);
         // 4 TX/RX interfaces per node on 4 nodes cannot host 14 edges
         // of 12 spread-out tasks; the score must say so.
-        let p = GreedyPlacer.place(&g, &mut ctl, 1);
+        let p = PlacerKind::Greedy.place(&g, &mut ctl, 1);
         let _ = p.admissible(); // either way: no panic, budgets intact
         assert!(ctl.nothing_reserved());
     }

@@ -29,7 +29,7 @@ use crate::graph::TaskGraph;
 use crate::place::PlacerKind;
 use mango_core::RouterId;
 use mango_net::{PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig};
-use mango_qos::driver::{mean_ns, Arrival, ArrivalSpec, ControlPlane, Event, Lifecycle};
+use mango_qos::driver::{max_ns, mean_ns, Arrival, ArrivalSpec, ControlPlane, Event, Lifecycle};
 use mango_qos::{Admission, ConnRequest, GuaranteeAudit, RejectReason};
 use mango_sim::{RunOutcome, SimDuration, SimRng, SimTime};
 use mango_telemetry::TelemetryReport;
@@ -228,11 +228,7 @@ impl ServingMetrics {
 
     /// Worst setup latency, ns.
     pub fn setup_max_ns(&self) -> f64 {
-        self.apps
-            .iter()
-            .filter_map(|a| a.setup)
-            .map(|d| d.as_ns_f64())
-            .fold(0.0, f64::max)
+        max_ns(self.apps.iter().filter_map(|a| a.setup))
     }
 }
 

@@ -7,10 +7,7 @@
 //! return and cross-thread-determinism contracts the capacity sweeps
 //! rely on.
 
-use mango_apps::{
-    graph, score_assignment, AnnealingPlacer, Placement, PlacementScore, Placer, PlacerKind,
-    TaskGraph,
-};
+use mango_apps::{graph, score_assignment, Placement, PlacementScore, PlacerKind, TaskGraph};
 use mango_core::{Direction, RouterId};
 use mango_net::{Grid, NaConfig, TopologySpec};
 use mango_qos::{AdmissionController, BudgetSnapshot, ConnRequest};
@@ -251,7 +248,7 @@ proptest! {
         let g = make_graph(kind, n, rate, gseed);
         let solve = || {
             let mut ctl = controller(width, height);
-            AnnealingPlacer { iters: 24 }.place(&g, &mut ctl, seed)
+            PlacerKind::Anneal { iters: 24 }.place(&g, &mut ctl, seed)
         };
         let reference = format!("{:?}", solve());
         for workers in [2usize, 4] {

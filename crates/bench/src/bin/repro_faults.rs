@@ -30,6 +30,7 @@ use mango::core::{Direction, RouterId};
 use mango::hw::Table;
 use mango::net::TelemetryConfig;
 use mango::net::{FaultKind, FaultSchedule, MeasureBound, PatternKind, TemporalSpec, TrafficSpec};
+use mango::qos::driver::{max_ns, mean_ns, quantile_ns};
 use mango::qos::{PathExtras, RecoveryOutcome, RecoverySpec, ServiceModel};
 use mango::sim::{SimDuration, SimTime};
 use mango_bench::{guarantees_held, written};
@@ -179,17 +180,14 @@ fn main() {
     print!("{t}");
 
     // Recovery-latency distribution over the healed connections.
-    let lats: Vec<f64> = m.recovery_latencies().map(|d| d.as_ns_f64()).collect();
-    if !lats.is_empty() {
-        let min = lats.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = lats.iter().copied().fold(0.0, f64::max);
-        let mean = lats.iter().sum::<f64>() / lats.len() as f64;
+    let healed = m.recovery_latencies().count();
+    if healed > 0 {
         println!(
             "\nrecovery latency over {} healed break(s): min {:.1} ns, mean {:.1} ns, max {:.1} ns",
-            lats.len(),
-            min,
-            mean,
-            max
+            healed,
+            quantile_ns(m.recovery_latencies(), 0.0),
+            mean_ns(m.recovery_latencies()),
+            max_ns(m.recovery_latencies())
         );
     }
     println!(

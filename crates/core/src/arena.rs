@@ -69,7 +69,6 @@ pub struct GsArena {
     vc_flags: Vec<u8>,
     vc_head: Vec<u8>,
     vc_len: Vec<u8>,
-    vc_hw: Vec<u8>,
     vc_flits: Vec<Flit>,
     /// The parked unlock toggle of a locked VC ([`Slot::NEVER`]: none).
     vc_unlock_at: Vec<Slot>,
@@ -114,7 +113,6 @@ impl GsArena {
             vc_flags: Vec::new(),
             vc_head: Vec::new(),
             vc_len: Vec::new(),
-            vc_hw: Vec::new(),
             vc_flits: Vec::new(),
             vc_unlock_at: Vec::new(),
             lo_unshare: Vec::new(),
@@ -136,7 +134,6 @@ impl GsArena {
         a.vc_flags.reserve_exact(vcs);
         a.vc_head.reserve_exact(vcs);
         a.vc_len.reserve_exact(vcs);
-        a.vc_hw.reserve_exact(vcs);
         a.vc_flits.reserve_exact(vcs * depth);
         a.vc_unlock_at.reserve_exact(vcs);
         a.lo_unshare.reserve_exact(los);
@@ -159,7 +156,6 @@ impl GsArena {
         self.vc_flags.resize(self.vc_flags.len() + vcs, 0);
         self.vc_head.resize(self.vc_head.len() + vcs, 0);
         self.vc_len.resize(self.vc_len.len() + vcs, 0);
-        self.vc_hw.resize(self.vc_hw.len() + vcs, 0);
         self.vc_flits
             .resize(self.vc_flits.len() + vcs * self.depth, Flit::gs(0));
         self.vc_unlock_at
@@ -272,7 +268,6 @@ impl GsArena {
         let pos = (self.vc_head[slot] as usize + len) % self.depth;
         self.vc_flits[slot * self.depth + pos] = flit;
         self.vc_len[slot] = (len + 1) as u8;
-        self.vc_hw[slot] = self.vc_hw[slot].max(self.vc_len[slot]);
     }
 
     /// True if this VC is requesting link access: a flit is buffered and
@@ -374,12 +369,6 @@ impl GsArena {
     #[inline]
     pub fn vc_is_empty(&self, slot: usize) -> bool {
         self.vc_unshare[slot].is_none() && self.vc_len[slot] == 0
-    }
-
-    /// Occupancy high-watermark of the buffer stage.
-    #[inline]
-    pub fn vc_high_watermark(&self, slot: usize) -> usize {
-        self.vc_hw[slot] as usize
     }
 
     // ------------------------------------------------------------------
@@ -551,7 +540,6 @@ mod tests {
         a.vc_unlock(slot);
         assert!(!a.vc_is_locked(slot));
         assert!(a.vc_is_empty(slot));
-        assert_eq!(a.vc_high_watermark(slot), 1);
     }
 
     /// Drives the arena and the reference `VcBufferState` through the
@@ -600,7 +588,6 @@ mod tests {
                     }
                     _ => {
                         assert_eq!(arena.vc_is_empty(slot), reference.is_empty());
-                        assert_eq!(arena.vc_high_watermark(slot), reference.high_watermark());
                     }
                 }
             }
@@ -680,7 +667,6 @@ mod tests {
             assert_eq!(a.vc_grant(slot).data, want);
             a.vc_unlock(slot);
         }
-        assert_eq!(a.vc_high_watermark(slot), 3);
     }
 
     #[test]

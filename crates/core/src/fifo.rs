@@ -1,5 +1,5 @@
-//! A bounded FIFO with occupancy statistics — the buffer of the
-//! reference twins in [`crate::vc`] and `crate::be::reference`.
+//! A bounded FIFO — the buffer of the reference twins in [`crate::vc`]
+//! and `crate::be::reference`.
 //!
 //! Router buffers in MANGO are tiny (one flit deep plus the unsharebox
 //! latch), so overflow is a *protocol violation*, not a load condition —
@@ -8,13 +8,11 @@
 
 use std::collections::VecDeque;
 
-/// A bounded first-in-first-out queue tracking high-watermark occupancy.
+/// A bounded first-in-first-out queue.
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
     items: VecDeque<T>,
     capacity: usize,
-    high_watermark: usize,
-    pushed_total: u64,
 }
 
 impl<T> Fifo<T> {
@@ -28,8 +26,6 @@ impl<T> Fifo<T> {
         Fifo {
             items: VecDeque::with_capacity(capacity),
             capacity,
-            high_watermark: 0,
-            pushed_total: 0,
         }
     }
 
@@ -46,8 +42,6 @@ impl<T> Fifo<T> {
             self.capacity
         );
         self.items.push_back(item);
-        self.pushed_total += 1;
-        self.high_watermark = self.high_watermark.max(self.items.len());
     }
 
     /// Removes and returns the oldest item.
@@ -91,16 +85,6 @@ impl<T> Fifo<T> {
         self.capacity
     }
 
-    /// The maximum occupancy ever observed.
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark
-    }
-
-    /// Total items ever pushed.
-    pub fn pushed_total(&self) -> u64 {
-        self.pushed_total
-    }
-
     /// Iterates over queued items, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
@@ -124,19 +108,16 @@ mod tests {
     }
 
     #[test]
-    fn tracks_capacity_and_watermark() {
+    fn tracks_capacity() {
         let mut f = Fifo::new(2);
         assert!(f.is_empty());
         assert_eq!(f.free(), 2);
         f.push('a');
-        assert_eq!(f.high_watermark(), 1);
         f.push('b');
         assert!(f.is_full());
         assert_eq!(f.free(), 0);
         f.pop();
-        f.pop();
-        assert_eq!(f.high_watermark(), 2);
-        assert_eq!(f.pushed_total(), 2);
+        assert_eq!(f.free(), 1);
         assert_eq!(f.capacity(), 2);
     }
 

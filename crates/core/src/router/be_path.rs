@@ -135,17 +135,11 @@ impl Router {
         // Popping the latch frees a slot: return the flow-control credit
         // one hop back.
         match input {
-            BeInput::Net(d) => {
-                self.stats.credits_sent += 1;
-                act.push(RouterAction::SendCredit {
-                    dir: d,
-                    delay: self.cfg.timing.credit_return,
-                });
-            }
-            BeInput::LocalNa => {
-                self.stats.credits_sent += 1;
-                act.push(RouterAction::NaCredit);
-            }
+            BeInput::Net(d) => act.push(RouterAction::SendCredit {
+                dir: d,
+                delay: self.cfg.timing.credit_return,
+            }),
+            BeInput::LocalNa => act.push(RouterAction::NaCredit),
             BeInput::Prog => {
                 // The latch freed a slot: staged ack flits may enter.
                 self.prog_pump(be, act);
@@ -210,10 +204,6 @@ impl Router {
                 self.prog_consume(be, &words[1..], act);
             }
         } else {
-            self.stats.be_flits_delivered += 1;
-            if flit.eop() {
-                self.stats.be_packets_delivered += 1;
-            }
             act.push(RouterAction::DeliverBe { flit });
         }
     }

@@ -78,7 +78,6 @@ impl Router {
                 self.id
             )
         });
-        self.stats.unlocks_sent += 1;
         match upstream {
             UpstreamRef::Link { in_dir, wire } => act.push(RouterAction::SendUnlock {
                 dir: in_dir,
@@ -101,7 +100,6 @@ impl Router {
     ) {
         let slot = bufs.local_slot(self.slots, iface as usize);
         while let Some(flit) = bufs.local_try_deliver(slot) {
-            self.stats.gs_delivered += 1;
             act.push(RouterAction::DeliverGs { iface, flit });
             self.gs_try_advance(bufs, GsBufferRef::Local { iface }, act);
         }

@@ -268,19 +268,16 @@ impl Router {
         match lf.steer {
             Steer::GsBuffer { dir, vc } => {
                 debug_assert_ne!(dir, from, "U-turn steering at {}", self.id);
-                self.stats.gs_flits_in[from.index()] += 1;
                 self.check_vc(dir, vc);
                 bufs.vc_arrive(self.vc_slot(bufs, dir, vc), lf.flit);
                 self.gs_try_advance(bufs, GsBufferRef::Net { dir, vc }, act);
             }
             Steer::LocalGs { iface } => {
-                self.stats.gs_flits_in[from.index()] += 1;
                 self.check_iface(iface);
                 bufs.local_arrive(bufs.local_slot(self.slots, iface as usize), lf.flit);
                 self.gs_try_advance(bufs, GsBufferRef::Local { iface }, act);
             }
             Steer::BeUnit => {
-                self.stats.be_flits_in[from.index()] += 1;
                 self.be_arrive(be, BeInput::Net(from), lf.flit, act);
             }
         }
@@ -452,7 +449,6 @@ impl Router {
         let Steer::GsBuffer { dir, vc } = steer else {
             panic!("NA GS injection must target a network VC buffer, got {steer}");
         };
-        self.stats.gs_injected += 1;
         self.check_vc(dir, vc);
         bufs.vc_arrive(self.vc_slot(bufs, dir, vc), flit);
         self.gs_try_advance(bufs, GsBufferRef::Net { dir, vc }, act);
@@ -468,7 +464,6 @@ impl Router {
         flit: Flit,
         act: &mut Vec<RouterAction>,
     ) {
-        self.stats.be_injected += 1;
         self.be_arrive(be, BeInput::LocalNa, flit, act);
     }
 

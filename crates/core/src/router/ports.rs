@@ -165,7 +165,7 @@ impl Router {
                 // The grant locked the sharebox: not ready, whatever is
                 // buffered, until the unlock toggle this flit will earn.
                 self.ready[d] &= !(1 << vc.index());
-                self.stats.gs_grants[d] += 1;
+                self.stats.grants[d] += 1;
                 act.push(RouterAction::SendFlit {
                     dir,
                     lf: LinkFlit { steer, flit },
@@ -180,7 +180,7 @@ impl Router {
                 let flit = be.out_pop(out).expect("BE slot ready implies staged flit");
                 be.out_take_credit(out);
                 self.update_be_ready(be, dir, stamp, act);
-                self.stats.be_grants[d] += 1;
+                self.stats.grants[d] += 1;
                 act.push(RouterAction::SendFlit {
                     dir,
                     lf: LinkFlit {

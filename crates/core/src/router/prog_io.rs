@@ -24,7 +24,6 @@ impl Router {
         for w in writes {
             w.apply(&mut self.table)
                 .unwrap_or_else(|e| panic!("programming error at {}: {e}", self.id));
-            self.stats.prog_writes += 1;
         }
     }
 
@@ -40,9 +39,8 @@ impl Router {
         match prog::decode_payload(words) {
             Ok((writes, ack)) => {
                 for w in writes {
-                    match w.apply(&mut self.table) {
-                        Ok(()) => self.stats.prog_writes += 1,
-                        Err(_) => self.stats.prog_errors += 1,
+                    if w.apply(&mut self.table).is_err() {
+                        self.stats.prog_errors += 1;
                     }
                 }
                 if let Some(plan) = ack {

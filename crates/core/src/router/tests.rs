@@ -107,7 +107,7 @@ fn gs_flit_forwards_with_new_steering_and_unlocks_upstream() {
     assert_eq!(sent[0].0, Direction::East);
     assert_eq!(sent[0].1.steer, next);
     assert_eq!(sent[0].1.flit.data, 0xAB);
-    assert_eq!(r.stats().gs_grants[Direction::East.index()], 1);
+    assert_eq!(r.stats().grants[Direction::East.index()], 1);
 }
 
 #[test]
@@ -398,6 +398,49 @@ fn be_packet_forwards_toward_header_direction() {
     assert_eq!(credits, 3);
 }
 
+/// Telemetry's link utilisation reads one grant count per port: a GS
+/// and a BE flit leaving on the same port both count.
+#[test]
+fn grants_count_both_classes_per_port() {
+    let (mut r, mut bufs, mut be) = router();
+    let east = Steer::GsBuffer {
+        dir: Direction::East,
+        vc: VcId(1),
+    };
+    program_hop(&mut r, Direction::West, Direction::East, VcId(1), east);
+    // A header-only BE packet is one flit.
+    let header = BeHeader::from_route(&[Direction::East, Direction::East]).unwrap();
+    let arrivals = [
+        LinkFlit {
+            steer: east,
+            flit: Flit::gs(0x1),
+        },
+        LinkFlit {
+            steer: Steer::BeUnit,
+            flit: build_be_packet(header, &[], false)[0],
+        },
+    ];
+    let mut sent = Vec::new();
+    for lf in arrivals {
+        let mut act = Vec::new();
+        r.on_link_flit(
+            &mut bufs,
+            &mut be,
+            SimTime::ZERO,
+            Direction::West,
+            lf,
+            &mut act,
+        );
+        let external = drain(&mut r, &mut bufs, &mut be, act);
+        sent.extend(external.into_iter().filter_map(|a| match a {
+            A::SendFlit { dir, .. } => Some(dir),
+            _ => None,
+        }));
+    }
+    assert_eq!(sent, [Direction::East; 2]);
+    assert_eq!(r.stats().grants, [0, 2, 0, 0]);
+}
+
 #[test]
 fn be_uturn_code_delivers_locally() {
     let (mut r, mut bufs, mut be) = router();
@@ -434,7 +477,6 @@ fn be_uturn_code_delivers_locally() {
         .collect();
     assert_eq!(delivered.len(), 2, "header + payload delivered locally");
     assert_eq!(delivered[1], 0xAA);
-    assert_eq!(r.stats().be_packets_delivered, 1);
 }
 
 #[test]

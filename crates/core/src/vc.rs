@@ -118,11 +118,6 @@ impl VcBufferState {
     pub fn is_empty(&self) -> bool {
         self.unshare.is_none() && self.buffer.is_empty()
     }
-
-    /// Occupancy high-watermark of the buffer stage.
-    pub fn high_watermark(&self) -> usize {
-        self.buffer.high_watermark()
-    }
 }
 
 /// State of one local-port GS interface buffer (delivery to the NA).
@@ -294,7 +289,6 @@ mod tests {
         }
         vc.arrive(flit(99));
         assert!(!vc.can_advance());
-        assert_eq!(vc.high_watermark(), 3);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct GsTxIface {
     pub queue: VecDeque<Flit>,
     /// Sharebox mirror: a flit is in flight toward the first-hop buffer.
     pub locked: bool,
-    /// Queue occupancy high-watermark (source backpressure indicator).
-    pub queue_high_watermark: usize,
 }
 
 impl GsTxIface {
@@ -28,7 +26,6 @@ impl GsTxIface {
             steer,
             queue: VecDeque::new(),
             locked: false,
-            queue_high_watermark: 0,
         }
     }
 }
@@ -113,7 +110,6 @@ impl Na {
     pub fn enqueue_gs(&mut self, iface: u8, flit: Flit) -> bool {
         let tx = self.tx_mut(iface);
         tx.queue.push_back(flit);
-        tx.queue_high_watermark = tx.queue_high_watermark.max(tx.queue.len());
         Self::start_gs_locked(tx)
     }
 
@@ -148,13 +144,6 @@ impl Na {
         self.tx[iface as usize]
             .as_ref()
             .map_or(0, |t| t.queue.len())
-    }
-
-    /// Queue high-watermark of a bound TX interface.
-    pub fn gs_queue_high_watermark(&self, iface: u8) -> usize {
-        self.tx[iface as usize]
-            .as_ref()
-            .map_or(0, |t| t.queue_high_watermark)
     }
 
     // ------------------------------------------------------------------

@@ -13,9 +13,9 @@
 //! ```text
 //! slot(node, iface) = node * I + iface
 //!
-//! GS TX slabs  tx_steer/tx_queue/tx_locked/tx_hw   [nodes * I]
-//! BE TX slabs  be_tx/be_credits/be_pending         [nodes]
-//! BE RX slab   rx_asm                              [nodes]
+//! GS TX slabs  tx_steer/tx_queue/tx_locked   [nodes * I]
+//! BE TX slabs  be_tx/be_credits/be_pending   [nodes]
+//! BE RX slab   rx_asm                        [nodes]
 //! ```
 //!
 //! The per-node adapter survives as a test-only oracle
@@ -37,8 +37,6 @@ pub struct NaArena {
     tx_queue: Vec<VecDeque<Flit>>,
     /// Sharebox mirror: a flit is in flight toward the first-hop buffer.
     tx_locked: Vec<bool>,
-    /// Queue occupancy high-watermark (source backpressure indicator).
-    tx_hw: Vec<u32>,
     // -- BE transmit: one slot per node --------------------------------
     /// BE transmit queue (flits of already-built packets, in order).
     be_tx: Vec<VecDeque<Flit>>,
@@ -62,7 +60,6 @@ impl NaArena {
             tx_steer: vec![None; slots],
             tx_queue: vec![VecDeque::new(); slots],
             tx_locked: vec![false; slots],
-            tx_hw: vec![0; slots],
             be_tx: vec![VecDeque::new(); nodes],
             be_credits: vec![BE_INPUT_DEPTH as u32; nodes],
             be_pending: vec![false; nodes],
@@ -104,7 +101,6 @@ impl NaArena {
         );
         self.tx_steer[s] = Some(steer);
         self.tx_locked[s] = false;
-        self.tx_hw[s] = 0;
     }
 
     /// Releases TX interface `iface` of `node` (connection teardown).
@@ -147,7 +143,6 @@ impl NaArena {
         let s = self.slot(node, iface);
         self.assert_bound(s, iface);
         self.tx_queue[s].push_back(flit);
-        self.tx_hw[s] = self.tx_hw[s].max(self.tx_queue[s].len() as u32);
         self.start_gs_locked(s)
     }
 
@@ -188,16 +183,6 @@ impl NaArena {
             0
         } else {
             self.tx_queue[s].len()
-        }
-    }
-
-    /// Queue high-watermark of a TX interface (0 when unbound).
-    pub fn gs_queue_high_watermark(&self, node: usize, iface: u8) -> usize {
-        let s = self.slot(node, iface);
-        if self.tx_steer[s].is_none() {
-            0
-        } else {
-            self.tx_hw[s] as usize
         }
     }
 
@@ -462,10 +447,6 @@ mod tests {
                 assert_eq!(arena.is_quiescent(m), r.is_quiescent());
                 for j in 0..IFACES as u8 {
                     assert_eq!(arena.gs_queue_len(m, j), r.gs_queue_len(j));
-                    assert_eq!(
-                        arena.gs_queue_high_watermark(m, j),
-                        r.gs_queue_high_watermark(j)
-                    );
                 }
             }
         }

@@ -324,7 +324,7 @@ impl Network {
                     continue;
                 }
                 links += 1;
-                let util = (router.stats().grants(dir.index()) as u128 * cycle * 1_000_000)
+                let util = (router.stats().grants[dir.index()] as u128 * cycle * 1_000_000)
                     .checked_div(elapsed)
                     .unwrap_or(0) as u64;
                 util_sum += util as u128;

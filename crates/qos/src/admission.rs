@@ -242,14 +242,10 @@ pub struct AdmissionController {
     tx_free: Vec<u8>,
     /// Free local GS interfaces per node.
     rx_free: Vec<u8>,
-    /// What `free_vcs` looks like with nothing admitted — the baseline
+    /// Every budget counter with nothing admitted — the baseline
     /// [`Self::nothing_reserved`] compares against. Stuck-VC faults
     /// shrink a pool permanently, so they lower the baseline too.
-    pristine_vcs: Vec<u8>,
-    /// Per-link reservable-bandwidth budget with nothing admitted.
-    budget_fps: u64,
-    /// Per-node interface budget with nothing admitted.
-    full_ifaces: u8,
+    pristine: BudgetSnapshot,
     /// [`bfs_into`] scratch: predecessor direction per node.
     bfs_from: Vec<Option<Direction>>,
     /// [`bfs_into`] scratch: the FIFO frontier.
@@ -291,16 +287,20 @@ impl AdmissionController {
         let capacity_fps = cfg.timing.link_cycle.as_rate_hz();
         let budget_fps = (capacity_fps * max_gs_frac) as u64;
         let model = ServiceModel::new(cfg, na);
-        AdmissionController {
-            interval: model.service_interval(SimDuration::ZERO),
-            model,
+        let pristine = BudgetSnapshot {
             free_vcs: vec![cfg.gs_vcs() as u8; nodes * 4],
             residual_fps: vec![budget_fps; nodes * 4],
             tx_free: vec![cfg.local_gs_ifaces() as u8; nodes],
             rx_free: vec![cfg.local_gs_ifaces() as u8; nodes],
-            pristine_vcs: vec![cfg.gs_vcs() as u8; nodes * 4],
-            budget_fps,
-            full_ifaces: cfg.local_gs_ifaces() as u8,
+        };
+        AdmissionController {
+            interval: model.service_interval(SimDuration::ZERO),
+            model,
+            free_vcs: pristine.free_vcs.clone(),
+            residual_fps: pristine.residual_fps.clone(),
+            tx_free: pristine.tx_free.clone(),
+            rx_free: pristine.rx_free.clone(),
+            pristine,
             bfs_from: Vec::new(),
             bfs_queue: Vec::new(),
             path: Vec::new(),
@@ -646,7 +646,7 @@ impl AdmissionController {
         self.free_vcs[i] = self.free_vcs[i].saturating_sub(1);
         // The pool is permanently smaller: the idle baseline shrinks
         // with it, so `nothing_reserved` stays meaningful under faults.
-        self.pristine_vcs[i] = self.pristine_vcs[i].saturating_sub(1);
+        self.pristine.free_vcs[i] = self.pristine.free_vcs[i].saturating_sub(1);
     }
 
     /// True when no budget is currently reserved: every VC pool, every
@@ -655,10 +655,7 @@ impl AdmissionController {
     /// The leak-detection invariant: after any admit→release history
     /// this must hold again.
     pub fn nothing_reserved(&self) -> bool {
-        self.free_vcs == self.pristine_vcs
-            && self.residual_fps.iter().all(|&r| r == self.budget_fps)
-            && self.tx_free.iter().all(|&t| t == self.full_ifaces)
-            && self.rx_free.iter().all(|&r| r == self.full_ifaces)
+        self.budgets_match(&self.pristine)
     }
 
     /// Copies every budget counter into `snap`, reusing its buffers

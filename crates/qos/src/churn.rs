@@ -30,7 +30,9 @@
 
 use crate::admission::{ConnRequest, RejectReason};
 use crate::bound::GuaranteeAudit;
-use crate::driver::{mean_ns, Arrival, ArrivalSpec, ControlPlane, Event, Lifecycle};
+use crate::driver::{
+    max_ns, mean_ns, quantile_ns, Arrival, ArrivalSpec, ControlPlane, Event, Lifecycle,
+};
 use mango_core::RouterId;
 use mango_net::{MeasureBound, PreparedScenario, ScenarioMetrics, ScenarioSpec, TelemetryConfig};
 use mango_sim::{RunOutcome, SimDuration, SimRng, SimTime};
@@ -199,18 +201,12 @@ impl ChurnMetrics {
     /// `q`-quantile of setup latency, ns (nearest-rank over the sorted
     /// samples; 0 when nothing opened).
     pub fn setup_quantile_ns(&self, q: f64) -> f64 {
-        let mut ps: Vec<u64> = self.setups().map(|d| d.as_ps()).collect();
-        if ps.is_empty() {
-            return 0.0;
-        }
-        ps.sort_unstable();
-        let rank = ((ps.len() as f64 * q.clamp(0.0, 1.0)).ceil() as usize).clamp(1, ps.len());
-        ps[rank - 1] as f64 / 1000.0
+        quantile_ns(self.setups(), q)
     }
 
     /// Worst setup latency, ns.
     pub fn setup_max_ns(&self) -> f64 {
-        self.setups().map(|d| d.as_ns_f64()).fold(0.0, f64::max)
+        max_ns(self.setups())
     }
 
     /// [`GuaranteeAudit::violations`] (must be zero).

@@ -700,6 +700,25 @@ pub fn mean_ns(durations: impl Iterator<Item = SimDuration>) -> f64 {
     }
 }
 
+/// Nearest-rank `q`-quantile of `durations`, ns: the sample of rank
+/// ⌈n·q⌉ (at least 1) in sorted order, `q` clamped to `[0, 1]` — so
+/// `q = 0` is the minimum and `q = 1` the maximum (0 when there are
+/// none).
+pub fn quantile_ns(durations: impl Iterator<Item = SimDuration>, q: f64) -> f64 {
+    let mut sorted: Vec<SimDuration> = durations.collect();
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted.sort_unstable();
+    let rank = ((sorted.len() as f64 * q.clamp(0.0, 1.0)).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1].as_ns_f64()
+}
+
+/// Largest of `durations`, ns (0 when there are none).
+pub fn max_ns(durations: impl Iterator<Item = SimDuration>) -> f64 {
+    durations.max().map_or(0.0, SimDuration::as_ns_f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,6 +728,25 @@ mod tests {
         let (mut prepared, mut cp) = ControlPlane::prepare(&base, None);
         cp.start(&mut prepared);
         (prepared, cp)
+    }
+
+    #[test]
+    fn quantile_and_max_summarise_exact_samples() {
+        assert_eq!(quantile_ns(std::iter::empty(), 0.5), 0.0);
+        assert_eq!(max_ns(std::iter::empty()), 0.0);
+        let samples = [40, 10, 30, 20, 30].map(SimDuration::from_ns);
+        let q = |q| quantile_ns(samples.into_iter(), q);
+        assert_eq!(q(0.0), 10.0, "q = 0 is the minimum");
+        assert_eq!(q(1.0), 40.0, "q = 1 is the maximum");
+        assert_eq!(q(0.5), 30.0, "rank ⌈5 × 0.5⌉ = 3");
+        // Ranks 3 and 4 are the tied 30s.
+        assert_eq!(q(0.8), 30.0);
+        assert_eq!(q(0.81), 40.0);
+        assert_eq!(q(-1.0), 10.0, "q clamps to [0, 1]");
+        assert_eq!(max_ns(samples.into_iter()), 40.0);
+        let sub_ns = [1500, 999].map(SimDuration::from_ps);
+        assert_eq!(quantile_ns(sub_ns.into_iter(), 1.0), 1.5);
+        assert_eq!(max_ns(sub_ns.into_iter()), 1.5);
     }
 
     #[test]

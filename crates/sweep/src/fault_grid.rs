@@ -14,6 +14,7 @@ use crate::grid::auto_gs_pairs;
 use crate::record::CsvRecord;
 use mango_hw::Table;
 use mango_net::{FaultSchedule, Grid, MeasureBound, PatternKind, TemporalSpec, TrafficSpec};
+use mango_qos::driver::{max_ns, mean_ns, quantile_ns};
 use mango_qos::{GuaranteeAudit, RecoveryMetrics, RecoverySpec};
 use mango_sim::{SimDuration, SimTime};
 use std::fmt;
@@ -250,24 +251,19 @@ pub struct FaultRecord {
     pub be_dropped: u64,
     /// GS unlock toggles synthesized for dropped flits.
     pub spoofed_unlocks: u64,
-    /// Median detect→recover latency, ns (log-bucket histogram).
+    /// Median detect→recover latency: the nearest-rank sample, in whole
+    /// ns (truncated).
     pub recovery_p50_ns: u64,
-    /// 95th-percentile detect→recover latency, ns.
+    /// 95th-percentile detect→recover latency, as `recovery_p50_ns`.
     pub recovery_p95_ns: u64,
-    /// 99th-percentile detect→recover latency, ns.
+    /// 99th-percentile detect→recover latency, as `recovery_p50_ns`.
     pub recovery_p99_ns: u64,
 }
 
 impl FaultRecord {
     /// Builds the record for `job` from its recovery metrics.
     pub fn measure(job: FaultJob, m: &RecoveryMetrics) -> Self {
-        let lats: Vec<f64> = m.recovery_latencies().map(|d| d.as_ns_f64()).collect();
-        // Percentiles come from the deterministic log-bucket histogram
-        // (integer math — no float ordering in the CSV contract).
-        let mut hist = mango_telemetry::LogHistogram::new();
-        for d in m.recovery_latencies() {
-            hist.record(d.as_ps() / 1000);
-        }
+        let quantile = |q| quantile_ns(m.recovery_latencies(), q) as u64;
         FaultRecord {
             events: m.scenario.events,
             broken: m.broken,
@@ -278,19 +274,15 @@ impl FaultRecord {
             forced_closes: m.forced_closes,
             quarantined: m.quarantined as u64,
             flits_lost: m.records.iter().map(|r| r.flits_lost).sum(),
-            recovery_mean_ns: if lats.is_empty() {
-                0.0
-            } else {
-                lats.iter().sum::<f64>() / lats.len() as f64
-            },
-            recovery_max_ns: lats.iter().copied().fold(0.0, f64::max),
+            recovery_mean_ns: mean_ns(m.recovery_latencies()),
+            recovery_max_ns: max_ns(m.recovery_latencies()),
             audit: m.audit.clone(),
             gs_dropped: m.fault_counters.gs_flits_dropped,
             be_dropped: m.fault_counters.be_flits_dropped,
             spoofed_unlocks: m.fault_counters.spoofed_unlocks,
-            recovery_p50_ns: hist.quantile_permille(500).unwrap_or(0),
-            recovery_p95_ns: hist.quantile_permille(950).unwrap_or(0),
-            recovery_p99_ns: hist.quantile_permille(990).unwrap_or(0),
+            recovery_p50_ns: quantile(0.5),
+            recovery_p95_ns: quantile(0.95),
+            recovery_p99_ns: quantile(0.99),
             job,
         }
     }
@@ -446,6 +438,27 @@ mod tests {
             "breaks with no recorded outcome: {r:?}"
         );
         assert_eq!(r.audit.violations(), 0, "degraded guarantees must hold");
+    }
+
+    /// Each recovery quantile is a recorded latency: the nearest-rank
+    /// sample, in whole ns.
+    #[test]
+    fn recovery_quantiles_are_nearest_rank_samples() {
+        let spec = FaultSweepSpec::smoke();
+        let job = spec.expand().into_iter().find(|j| j.faults > 0).unwrap();
+        let m = spec.recovery_spec(&job).run();
+        let mut ps: Vec<u64> = m.recovery_latencies().map(|d| d.as_ps()).collect();
+        ps.sort_unstable();
+        assert!(ps.len() > 1, "the faulted smoke point heals breaks");
+        let r = FaultRecord::measure(job, &m);
+        for (permille, got) in [
+            (500, r.recovery_p50_ns),
+            (950, r.recovery_p95_ns),
+            (990, r.recovery_p99_ns),
+        ] {
+            let rank = (ps.len() * permille).div_ceil(1000);
+            assert_eq!(got, ps[rank - 1] / 1000, "quantile {permille}‰ of {ps:?}");
+        }
     }
 
     #[test]

@@ -51,10 +51,9 @@ fn main() {
         let s = r.stats();
         if s.prog_packets > 0 || r.table().steer_entries() > 0 || r.table().unlock_entries() > 0 {
             println!(
-                "  router {}: {} config packets, {} table writes, {} steer + {} unlock entries",
+                "  router {}: {} config packets, {} steer + {} unlock entries",
                 r.id(),
                 s.prog_packets,
-                s.prog_writes,
                 r.table().steer_entries(),
                 r.table().unlock_entries()
             );
